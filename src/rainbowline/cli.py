@@ -18,7 +18,7 @@ from .coloring import (
     color_iterated_baseline,
     color_packing,
 )
-from .errors import InputError, LimitError
+from .errors import InputError, InvariantViolation, LimitError
 from .families import FAMILIES, connected_gnp, gen_family, random_cubic
 from .formats import (
     dump_report,
@@ -270,7 +270,8 @@ def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> 
         row[f"t_{mode}"] = packs[mode].t if packs[mode] else ""
     forest_pack = packs["forest_exact"] or packs["forest_greedy"]
     general_pack = packs["exact"] or packs["greedy"]
-    assert forest_pack is not None and general_pack is not None
+    if forest_pack is None or general_pack is None:
+        raise InvariantViolation("greedy packing modes must never hit the exact search cap")
     row["c"] = general_pack.c
     row["n2_prime"] = general_pack.n2_prime
     row["op"] = general_pack.op

@@ -208,43 +208,59 @@ def _structure_star_coloring(g_final: Graph, tris: Sequence[Triangle]) -> tuple[
 def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
     """Pull a coloring of L(final) back to L(source) along the trace.
 
-    Detached edges project by merging the two pendant stubs back onto the
-    original edge; vertex splits project by keeping colors on surviving
-    adjacencies and giving color 1 to line-graph edges that only exist before
-    the split (the split line graph spans the original one).
+    One forward pass follows every L(source) edge, a pair of source edges at
+    a shared vertex, to the pair it becomes in L(final). Pairs are bucketed
+    by their current shared vertex, so a step touches only the pairs at its
+    own vertex. A detach renames the detached edge in the pairs at its ``v``
+    end (the ``u`` end keeps the id). A vertex split moves the pairs whose
+    edges both move and drops the pairs with one edge on each side: those
+    adjacencies only exist before the split and get color 1 (the split line
+    graph spans the original one). Survivors take their color from L(final).
+    Cost: O(|E(L(source))|) plus the pairs at each step's vertex.
     """
-    graphs = [trace.source] + [g for _, g in trace.steps]
-    if coloring.graph != line_graph(graphs[-1]).l_graph:
+    if coloring.graph != line_graph(trace.final_graph).l_graph:
         raise InputError("coloring does not match the line graph of the trace's final graph")
-    col = coloring
-    for i in reversed(range(len(trace.steps))):
-        step, g_after = trace.steps[i]
-        col = _project_step(step, graphs[i], g_after, col)
-    return col
-
-
-def _shared_vertex(g: Graph, e: int, f: int) -> int:
-    common = set(g.edges[e]) & set(g.edges[f])
-    if len(common) != 1:
-        raise InvariantViolation(f"edges {e}, {f} share {len(common)} endpoints")
-    return next(iter(common))
-
-
-def _project_step(step, g_before: Graph, g_after: Graph, col: EdgeColoring) -> EdgeColoring:
-    lg_before = line_graph(g_before)
-    after_index = line_graph(g_after).l_graph.edge_index
-    out: list[int] = []
-    if isinstance(step, EdgeDetachStep):
-        for f, h in lg_before.l_graph.edges:
-            y = _shared_vertex(g_before, f, h)
-            fa = f if f != step.edge else (step.edge if y == step.u else step.new_edge)
-            ha = h if h != step.edge else (step.edge if y == step.u else step.new_edge)
-            out.append(col.colors[after_index[edge_key(fa, ha)]])
-    else:
-        for f, h in lg_before.l_graph.edges:
-            le = after_index.get(edge_key(f, h))
-            out.append(col.colors[le] if le is not None else 1)
-    return EdgeColoring(lg_before.l_graph, tuple(out), col.k)
+    if not trace.steps:
+        return coloring
+    lg = line_graph(trace.source)
+    pairs = [list(p) for p in lg.l_graph.edges]
+    # line_graph lists the pairs of each star together, vertices ascending
+    bucket: dict[int, list[int]] = {}
+    pos = 0
+    for y, star in enumerate(lg.star_of):
+        size = len(star) * (len(star) - 1) // 2
+        bucket[y] = list(range(pos, pos + size))
+        pos += size
+    dropped: set[int] = set()
+    for step, _ in trace.steps:
+        if isinstance(step, EdgeDetachStep):
+            for i in bucket.get(step.v, ()):
+                pair = pairs[i]
+                if pair[0] == step.edge:
+                    pair[0] = step.new_edge
+                elif pair[1] == step.edge:
+                    pair[1] = step.new_edge
+        else:
+            moved = set(step.moved_edges)
+            stay: list[int] = []
+            go: list[int] = []
+            for i in bucket.get(step.vertex, ()):
+                f, h = pairs[i]
+                inside = (f in moved) + (h in moved)
+                if inside == 0:
+                    stay.append(i)
+                elif inside == 2:
+                    go.append(i)
+                else:
+                    dropped.add(i)
+            bucket[step.vertex] = stay
+            bucket[step.new_vertex] = go
+    index = coloring.graph.edge_index
+    out = tuple(
+        1 if i in dropped else coloring.colors[index[edge_key(f, h)]]
+        for i, (f, h) in enumerate(pairs)
+    )
+    return EdgeColoring(lg.l_graph, out, coloring.k)
 
 
 def _check_colorable(g: Graph) -> None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError, LimitError
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 DEFAULT_CLIQUE_CAP = 10_000
 
@@ -108,7 +108,3 @@ def clique_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> CliqueGraphResult:
     )
     return CliqueGraphResult(tuple(cliques), Graph(len(cliques), k_edges))
 
-
-def line_graph_connected(g: Graph) -> bool:
-    """Whether ``L(g)`` is nontrivial-connected; true for connected g with >= 2 edges."""
-    return g.m >= 2 and is_connected(line_graph(g).l_graph)

@@ -1,5 +1,6 @@
 """Independent test oracles: naive path enumeration, brute-force packing,
-and exhaustive small-graph generation up to isomorphism.
+step-by-step coloring projection, and exhaustive small-graph generation up
+to isomorphism.
 
 Everything here deliberately avoids the package's search machinery so the
 two sides of each check stay independent.
@@ -9,7 +10,10 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from typing import Sequence
 
+from rainbowline.coloring import EdgeColoring
 from rainbowline.graphs import Graph, build_graph, edge_key
+from rainbowline.linegraph import line_graph
+from rainbowline.triangles import EdgeDetachStep, TransformTrace
 
 
 def naive_rainbow_connected(g: Graph, colors: Sequence[int]) -> bool:
@@ -61,6 +65,32 @@ def brute_force_max_packing(g: Graph, triangles) -> int:
                 best = size
                 break
     return best
+
+
+def stepwise_project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
+    """Pull a coloring of L(final) back to L(source) one step at a time,
+    rebuilding the line graphs on both sides of every step."""
+    graphs = [trace.source] + [g for _, g in trace.steps]
+    assert coloring.graph == line_graph(graphs[-1]).l_graph
+    col = coloring
+    for i in reversed(range(len(trace.steps))):
+        step, g_after = trace.steps[i]
+        g_before = graphs[i]
+        lg_before = line_graph(g_before).l_graph
+        after_index = line_graph(g_after).l_graph.edge_index
+        out: list[int] = []
+        for f, h in lg_before.edges:
+            if isinstance(step, EdgeDetachStep):
+                (y,) = set(g_before.edges[f]) & set(g_before.edges[h])
+                renamed = [
+                    step.new_edge if e == step.edge and y == step.v else e for e in (f, h)
+                ]
+                out.append(col.colors[after_index[edge_key(*renamed)]])
+            else:
+                le = after_index.get(edge_key(f, h))
+                out.append(col.colors[le] if le is not None else 1)
+        col = EdgeColoring(lg_before, tuple(out), col.k)
+    return col
 
 
 def canonical_form(g: Graph) -> tuple:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from helpers import stepwise_project_coloring
 from rainbowline.coloring import (
     ColorPart,
     EdgeColoring,
@@ -20,6 +23,7 @@ from rainbowline.families import (
     connected_gnp,
     cycle_graph,
     path_graph,
+    random_cubic,
     shared_vertex_triangle_chain,
     triangle_ring,
 )
@@ -27,12 +31,16 @@ from rainbowline.graphs import Graph, build_graph, degree_profile, diameter, ind
 from rainbowline.linegraph import line_graph
 from rainbowline.oracle import exact_rc, is_rainbow_connected
 from rainbowline.triangles import (
+    PACK_MODES,
+    build_transformed,
     classify_structure,
     detach_edge,
     enumerate_triangles,
+    make_triangle,
     pack_edge_disjoint,
     split_vertex,
     TransformTrace,
+    VertexSplitStep,
 )
 
 BOWTIE = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
@@ -278,6 +286,119 @@ class TestProjection:
         projected = project_coloring(trace, split_col)
         assert projected.graph == line_graph(BOWTIE).l_graph
         assert is_rainbow_connected(projected.graph, projected)[0]
+
+
+def _random_coloring(g: Graph, rng: random.Random) -> EdgeColoring:
+    """Random coloring of L(g) from a palette of 2..6 colors."""
+    lg = line_graph(g).l_graph
+    k = rng.randint(2, 6)
+    return EdgeColoring(lg, tuple(rng.randint(1, k) for _ in range(lg.m)), k)
+
+
+def _random_split(g: Graph, rng: random.Random, at: list[int]):
+    """Split a random vertex of ``at`` lying in two edge-disjoint triangles."""
+    tris = enumerate_triangles(g)
+    for v in rng.sample(at, len(at)):
+        used: set[int] = set()
+        disjoint = []
+        for tri in rng.sample(tris, len(tris)):
+            if v in tri.vertices and not used & set(tri.edge_ids):
+                disjoint.append(tri)
+                used.update(tri.edge_ids)
+        if len(disjoint) >= 2:
+            cut = rng.randint(1, len(disjoint) - 1)
+            return split_vertex(g, v, disjoint[:cut], disjoint[cut:])
+    return None
+
+
+def _random_detach(g: Graph, rng: random.Random, at: list[int]):
+    """Detach a random edge with an end in ``at`` and both ends of degree >= 2."""
+    eligible = [
+        eid
+        for eid, (a, b) in enumerate(g.edges)
+        if (a in at or b in at) and g.degree(a) >= 2 and g.degree(b) >= 2
+    ]
+    return detach_edge(g, rng.choice(eligible)) if eligible else None
+
+
+def _mixed_trace(seed: int) -> TransformTrace:
+    """Seeded random detach/split sequence. Steps prefer the vertex the
+    previous step created or touched, so splits are followed by detaches at
+    the split's new vertex and detaches by splits at the detached edge's ends."""
+    rng = random.Random(seed)
+    g = connected_gnp(7 + seed % 4, 0.6, seed=9000 + seed)
+    cur = g
+    steps = []
+    focus = list(range(g.n))
+    for _ in range(rng.randint(2, 8)):
+        everywhere = list(range(cur.n))
+        moves = [_random_split, _random_detach]
+        rng.shuffle(moves)
+        made = None
+        for move in moves:
+            made = move(cur, rng, focus) or move(cur, rng, everywhere)
+            if made:
+                break
+        if made is None:
+            break
+        cur, step = made
+        steps.append((step, cur))
+        if isinstance(step, VertexSplitStep):
+            focus = [step.new_vertex] if rng.random() < 0.7 else everywhere
+        else:
+            focus = [step.u, step.v] if rng.random() < 0.7 else everywhere
+    return TransformTrace(source=g, steps=tuple(steps))
+
+
+def _assert_matches_stepwise(trace: TransformTrace, rng: random.Random) -> None:
+    col = _random_coloring(trace.final_graph, rng)
+    fast = project_coloring(trace, col)
+    slow = stepwise_project_coloring(trace, col)
+    assert fast.graph == slow.graph
+    assert fast.k == slow.k
+    assert fast.colors == slow.colors
+
+
+class TestProjectionMatchesStepwise:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("mode", PACK_MODES)
+    def test_build_transformed_traces(self, seed, mode):
+        g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
+        result = build_transformed(g, pack_edge_disjoint(g, mode))
+        _assert_matches_stepwise(result.trace, random.Random(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cubic_star_packing_traces(self, seed):
+        g = random_cubic(8 + 2 * seed, seed=seed)
+        lg = line_graph(g)
+        tris = [make_triangle(lg.l_graph, *lg.star_of[v]) for v in range(g.n)]
+        result = build_transformed(lg.l_graph, classify_structure(lg.l_graph, tris))
+        assert result.trace.split_count > 0
+        _assert_matches_stepwise(result.trace, random.Random(seed))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_mixed_traces(self, seed):
+        _assert_matches_stepwise(_mixed_trace(seed), random.Random(seed))
+
+    def test_trace_coverage(self):
+        """The seeded traces reach every case the forward pass distinguishes."""
+        split_then_detach = detach_then_split = 0
+        for seed in range(60):
+            steps = [step for step, _ in _mixed_trace(seed).steps]
+            for prev, step in zip(steps, steps[1:]):
+                if isinstance(prev, VertexSplitStep) and not isinstance(step, VertexSplitStep):
+                    split_then_detach += step.v == prev.new_vertex
+                if not isinstance(prev, VertexSplitStep) and isinstance(step, VertexSplitStep):
+                    detach_then_split += step.vertex in (prev.u, prev.v)
+        assert split_then_detach >= 10
+        assert detach_then_split >= 10
+        splits = detaches = 0
+        for seed in range(12):
+            g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
+            trace = build_transformed(g, pack_edge_disjoint(g, "greedy")).trace
+            splits += trace.split_count
+            detaches += len(trace.steps) - trace.split_count
+        assert splits >= 5 and detaches >= 20
 
 
 class TestEnsemble:
