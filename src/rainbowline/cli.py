@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: gen, linegraph, bound, exact, verify, color, bench.
-Exit codes: 0 success/verified, 2 verification failed, 3 input error,
-4 resource limit exceeded.
+Exit codes: 0 success/verified, 1 internal error (a defect, not bad input),
+2 verification failed, 3 input error, 4 resource limit exceeded.
 """
 
 import argparse
@@ -33,6 +33,7 @@ from .linegraph import iterated_line_graph, line_graph
 from .oracle import DEFAULT_EDGE_CAP, exact_rc, is_rainbow_connected, rc_lower_bound
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_UNVERIFIED = 2
 EXIT_INPUT = 3
 EXIT_LIMIT = 4
@@ -431,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -189,9 +189,9 @@ def color_triangle_tree(lg: LineGraphResult, tris: Sequence[Triangle]) -> ColorP
     return ColorPart(assign, used)
 
 
-def _structure_star_coloring(g_final: Graph, tris: Sequence[Triangle]) -> tuple[EdgeColoring, TrianglePacking]:
-    """Star-partition coloring of L(g_final) for an all-forest structure."""
-    lg = line_graph(g_final)
+def _structure_star_coloring(lg: LineGraphResult, tris: Sequence[Triangle]) -> EdgeColoring:
+    """Star-partition coloring of ``lg`` = L(g_final) for an all-forest structure."""
+    g_final = lg.source
     packing = classify_structure(g_final, tris)
     if not packing.all_forest:
         raise InvariantViolation("structure must be a triangle-forest at coloring time")
@@ -202,7 +202,7 @@ def _structure_star_coloring(g_final: Graph, tris: Sequence[Triangle]) -> tuple[
     for x in range(g_final.n):
         if g_final.degree(x) >= 2 and x not in packing.covered_vertices:
             parts.append(ColorPart({le: 1 for le in star_clique_edges(lg, x)}, 1))
-    return combine_colorings(lg.l_graph, parts), packing
+    return combine_colorings(lg.l_graph, parts)
 
 
 def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
@@ -222,7 +222,11 @@ def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColor
         raise InputError("coloring does not match the line graph of the trace's final graph")
     if not trace.steps:
         return coloring
-    lg = line_graph(trace.source)
+    return _pull_back(trace, coloring, line_graph(trace.source))
+
+
+def _pull_back(trace: TransformTrace, coloring: EdgeColoring, lg: LineGraphResult) -> EdgeColoring:
+    """``project_coloring`` without its input check, onto ``lg`` = L(trace.source)."""
     pairs = [list(p) for p in lg.l_graph.edges]
     # line_graph lists the pairs of each star together, vertices ascending
     bucket: dict[int, list[int]] = {}
@@ -270,11 +274,12 @@ def _check_colorable(g: Graph) -> None:
         raise InputError("line graph is trivial; rainbow connection is undefined on it")
 
 
-def _certify(g: Graph, coloring: EdgeColoring, bound_name: str, bound_value: int) -> ColoringCertificate:
+def _certify(g: Graph, lg: LineGraphResult, coloring: EdgeColoring, bound_name: str, bound_value: int) -> ColoringCertificate:
+    """Verify ``coloring`` as a coloring of ``lg``, which must be L(g)."""
     from .oracle import is_rainbow_connected
 
     ok, witness = is_rainbow_connected(coloring.graph, coloring)
-    if coloring.graph != line_graph(g).l_graph:
+    if lg.source != g or coloring.graph != lg.l_graph:
         raise InvariantViolation("certificate target does not match the source's line graph")
     return ColoringCertificate(
         bound_name=bound_name,
@@ -285,16 +290,27 @@ def _certify(g: Graph, coloring: EdgeColoring, bound_name: str, bound_value: int
     )
 
 
+def _flatten_and_color(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, LineGraphResult]:
+    """Flatten the structure, color the star cliques of L(final) and pull the
+    coloring back; returns it with L(g). Builds each line graph once: L(final)
+    is L(g) when the trace is empty."""
+    result = build_transformed(g, packing)
+    lg_final = line_graph(result.graph)
+    col_final = _structure_star_coloring(lg_final, result.triangles)
+    if not result.trace.steps:
+        return col_final, lg_final
+    lg = line_graph(g)
+    return _pull_back(result.trace, col_final, lg), lg
+
+
 def color_forest_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, ColoringCertificate]:
     """Rainbow coloring of L(g) with ``n2 - t`` colors from a forest packing."""
     _check_colorable(g)
     if not packing.all_forest:
         raise InputError("packing structure must be a triangle-forest; use color_packing instead")
-    result = build_transformed(g, packing)
-    col_final, _ = _structure_star_coloring(result.graph, result.triangles)
-    col = project_coloring(result.trace, col_final)
+    col, lg = _flatten_and_color(g, packing)
     bound = degree_profile(g).n2 - packing.t
-    cert = _certify(g, col, "n2 - t", bound)
+    cert = _certify(g, lg, col, "n2 - t", bound)
     return col, cert
 
 
@@ -305,11 +321,9 @@ def color_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Col
     forest bound.
     """
     _check_colorable(g)
-    result = build_transformed(g, packing)
-    col_final, _ = _structure_star_coloring(result.graph, result.triangles)
-    col = project_coloring(result.trace, col_final)
+    col, lg = _flatten_and_color(g, packing)
     bound = packing.t + packing.n2_prime + packing.c
-    cert = _certify(g, col, "t + n2' + c", bound)
+    cert = _certify(g, lg, col, "t + n2' + c", bound)
     return col, cert
 
 

@@ -1,15 +1,23 @@
 """Ground truth: exact rainbow-connectivity checking and exhaustive search.
 
-The checker explores (vertex, used-color-set) states per source vertex.
-Walks are allowed: a walk with pairwise-distinct edge colors has distinct
-edges and contains a rainbow path between its endpoints, so reachability is
-unaffected. States are pruned when an already-admitted state at the same
-vertex uses a subset of the colors; BFS order adds one color per step, so
-admitted masks per vertex form an antichain without ever needing removals.
+The checker searches (vertex, used-color-set) states from each source vertex
+``s``, one level at a time: level ``L`` holds the states reached by walks of
+``L`` edges with pairwise-distinct colors, and the next level extends each of
+them by one edge of an unused color. Walks are allowed: a walk with
+pairwise-distinct edge colors has distinct edges and contains a rainbow path
+between its endpoints, so reachability is unaffected. A new state is dropped
+when an already-admitted state at the same vertex uses a subset of its
+colors. Every level adds exactly one color, so the admitted masks at each
+vertex form an antichain without ever needing removals.
+
+Only the targets ``s+1..n-1`` matter for ``s`` (pairs are symmetric). They
+are counted down as they are first admitted, and the search from ``s`` stops
+the moment the last one is reached. When a source exhausts its states with
+targets left, the smallest of them is the witness: the pairs are tried in
+lexicographic order, so the first failing pair found is the smallest one.
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -48,33 +56,50 @@ class IteratedTightnessReport:
     exact: int | None
 
 
-def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, int] | None]:
-    n = g.n
-    if n <= 1:
-        return True, None
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
-        adj[u].append((v, bits[eid]))
-        adj[v].append((u, bits[eid]))
-    for s in range(n - 1):
-        remaining = set(range(s + 1, n))
-        visited: list[list[int]] = [[] for _ in range(n)]
-        visited[s].append(0)
-        queue = deque([(s, 0)])
-        while queue and remaining:
-            v, mask = queue.popleft()
+def _first_unreached(adj: list[list[tuple[int, int]]], s: int) -> int | None:
+    """Smallest target ``t > s`` with no rainbow path from ``s``, or ``None``
+    as soon as the last target is admitted."""
+    n = len(adj)
+    unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
+    left = n - s - 1
+    visited: list[list[int]] = [[] for _ in range(n)]
+    visited[s].append(0)
+    frontier = [(s, 0)]
+    while frontier:
+        nxt: list[tuple[int, int]] = []
+        for v, mask in frontier:
             for w, b in adj[v]:
                 if b & mask:
                     continue
                 nm = mask | b
                 admitted = visited[w]
-                if any(x & nm == x for x in admitted):
-                    continue
-                admitted.append(nm)
-                remaining.discard(w)
-                queue.append((w, nm))
-        if remaining:
-            return False, (s, min(remaining))
+                for x in admitted:
+                    if x & nm == x:
+                        break
+                else:
+                    admitted.append(nm)
+                    nxt.append((w, nm))
+                    if unreached[w]:
+                        left -= 1
+                        if not left:
+                            return None
+                        unreached[w] = 0
+        frontier = nxt
+    return unreached.index(1)
+
+
+def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, int] | None]:
+    n = g.n
+    if n <= 1:
+        return True, None
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), b in zip(g.edges, bits):
+        adj[u].append((v, b))
+        adj[v].append((u, b))
+    for s in range(n - 1):
+        t = _first_unreached(adj, s)
+        if t is not None:
+            return False, (s, t)
     return True, None
 
 

@@ -1,11 +1,12 @@
-"""Independent test oracles: naive path enumeration, brute-force packing,
-step-by-step coloring projection, and exhaustive small-graph generation up
-to isomorphism.
+"""Independent test oracles: naive path enumeration, the queue-based
+verifier, brute-force packing, step-by-step coloring projection, and
+exhaustive small-graph generation up to isomorphism.
 
 Everything here deliberately avoids the package's search machinery so the
 two sides of each check stay independent.
 """
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from typing import Sequence
@@ -16,11 +17,10 @@ from rainbowline.linegraph import line_graph
 from rainbowline.triangles import EdgeDetachStep, TransformTrace
 
 
-def naive_rainbow_connected(g: Graph, colors: Sequence[int]) -> bool:
-    """Enumerate every simple path per pair; accept iff one has distinct colors."""
+def naive_failing_pair(g: Graph, colors: Sequence[int]) -> tuple[int, int] | None:
+    """Lexicographically smallest pair with no rainbow simple path, found by
+    enumerating every simple path per pair; ``None`` when every pair has one."""
     n = g.n
-    if n <= 1:
-        return True
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(g.edges):
         adj[u].append((v, eid))
@@ -40,7 +40,49 @@ def naive_rainbow_connected(g: Graph, colors: Sequence[int]) -> bool:
                     stack.append((w, visited | {w}, eids + (e,)))
         return False
 
-    return all(pair_ok(s, t) for s in range(n) for t in range(s + 1, n))
+    for s in range(n):
+        for t in range(s + 1, n):
+            if not pair_ok(s, t):
+                return s, t
+    return None
+
+
+def naive_rainbow_connected(g: Graph, colors: Sequence[int]) -> bool:
+    """Enumerate every simple path per pair; accept iff one has distinct colors."""
+    return naive_failing_pair(g, colors) is None
+
+
+def queue_check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, int] | None]:
+    """Reference for ``oracle._check_all_pairs``: the same search over
+    (vertex, color mask) states with one FIFO queue per source and a set of
+    the targets left, run until the queue or the set is empty."""
+    n = g.n
+    if n <= 1:
+        return True, None
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(g.edges):
+        adj[u].append((v, bits[eid]))
+        adj[v].append((u, bits[eid]))
+    for s in range(n - 1):
+        remaining = set(range(s + 1, n))
+        visited: list[list[int]] = [[] for _ in range(n)]
+        visited[s].append(0)
+        queue = deque([(s, 0)])
+        while queue and remaining:
+            v, mask = queue.popleft()
+            for w, b in adj[v]:
+                if b & mask:
+                    continue
+                nm = mask | b
+                admitted = visited[w]
+                if any(x & nm == x for x in admitted):
+                    continue
+                admitted.append(nm)
+                remaining.discard(w)
+                queue.append((w, nm))
+        if remaining:
+            return False, (s, min(remaining))
+    return True, None
 
 
 def brute_force_max_packing(g: Graph, triangles) -> int:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from rainbowline.cli import main, run_bench
-from rainbowline.errors import InputError
+from rainbowline import coloring
+from rainbowline.cli import EXIT_INTERNAL, main, run_bench
+from rainbowline.errors import InputError, InvariantViolation
 from rainbowline.families import FAMILIES, complete_graph, cycle_graph, gen_family
 from rainbowline.formats import parse_edge_list, render_edge_list
 from rainbowline.graphs import diameter
@@ -161,6 +162,18 @@ class TestColorCommand:
 
     def test_requires_source(self, capsys):
         assert main(["color", "--theorem", "31"]) == 3
+
+    def test_invariant_violation_is_internal_error(self, capsys, monkeypatch):
+        def broken(g, packing):
+            raise InvariantViolation("trace lost an edge")
+
+        # raised inside color_packing, below the name the CLI imported
+        monkeypatch.setattr(coloring, "build_transformed", broken)
+        code = main(["color", "--family", "example32", "--k", "3", "--theorem", "32"])
+        assert code == EXIT_INTERNAL == 1
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: trace lost an edge\n"
+        assert captured.out == ""
 
     def test_cubic_rejects_non_cubic(self, capsys):
         assert main(["color", "--family", "path", "--n", "4", "--theorem", "cubic"]) == 3

@@ -3,19 +3,28 @@ from itertools import combinations
 
 import pytest
 
-from helpers import naive_rainbow_connected
-from rainbowline.coloring import EdgeColoring
+from helpers import (
+    connected_graphs_up_to,
+    naive_failing_pair,
+    naive_rainbow_connected,
+    queue_check_all_pairs,
+)
+from rainbowline.coloring import EdgeColoring, color_cubic_iterated, color_packing
 from rainbowline.errors import InputError, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
     complete_graph,
+    connected_gnp,
     cycle_graph,
     path_graph,
+    random_cubic,
     shared_vertex_triangle_chain,
 )
-from rainbowline.graphs import build_graph
+from rainbowline.graphs import Graph, build_graph
 from rainbowline.linegraph import line_graph
+from rainbowline.triangles import pack_edge_disjoint
 from rainbowline.oracle import (
+    _check_all_pairs,
     canonical_colorings,
     check_iterated_tightness,
     exact_rc,
@@ -128,6 +137,78 @@ class TestNaiveAgreement:
         colors = tuple(rng.randint(1, k) for _ in range(g.m))
         fast, _ = is_rainbow_connected(g, EdgeColoring(g, colors, k))
         assert fast == naive_rainbow_connected(g, colors)
+
+
+def _bits(colors):
+    return [1 << (c - 1) for c in colors]
+
+
+class TestLevelSearchMatchesQueue:
+    """The level-by-level search returns the verdict and witness of the
+    queue-based search in ``helpers.queue_check_all_pairs``."""
+
+    def test_random_palettes_on_gnp_line_graphs(self):
+        verdicts = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            lg = line_graph(connected_gnp(rng.randint(4, 9), rng.uniform(0.3, 0.7), seed)).l_graph
+            for _ in range(4):
+                k = rng.randint(2, 80)
+                bits = _bits(rng.randint(1, k) for _ in range(lg.m))
+                got = _check_all_pairs(lg, bits)
+                assert got == queue_check_all_pairs(lg, bits), (seed, k)
+                verdicts.add(got[0])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_certified_packing_colorings(self, seed):
+        g = connected_gnp(9, 0.45, seed)
+        col, cert = color_packing(g, pack_edge_disjoint(g, "greedy"))
+        assert cert.verified
+        bits = _bits(col.colors)
+        assert _check_all_pairs(col.graph, bits) == queue_check_all_pairs(col.graph, bits)
+
+    @pytest.mark.parametrize("g", [complete_graph(4), random_cubic(6, 1), random_cubic(8, 2)])
+    def test_certified_cubic_colorings(self, g):
+        col, cert = color_cubic_iterated(g)
+        assert cert.verified
+        bits = _bits(col.colors)
+        assert _check_all_pairs(col.graph, bits) == queue_check_all_pairs(col.graph, bits)
+
+    def test_witness_is_naive_smallest_failing_pair(self):
+        graphs = connected_graphs_up_to(6)
+        assert len(graphs) == 52
+        failing = 0
+        for g in graphs:
+            for k in range(1, min(3, g.m) + 1):
+                for colors in canonical_colorings(g.m, k):
+                    ok, witness = is_rainbow_connected(g, EdgeColoring(g, colors, k))
+                    assert witness == naive_failing_pair(g, colors)
+                    assert ok == (witness is None)
+                    failing += not ok
+        assert failing > 1000
+
+    def test_single_vertex(self):
+        assert _check_all_pairs(Graph(1, ()), []) == (True, None)
+
+    def test_two_vertices(self):
+        g = path_graph(2)
+        assert _check_all_pairs(g, [1]) == (True, None)
+        assert _check_all_pairs(Graph(2, ()), []) == (False, (0, 1))
+
+    def test_disconnected(self):
+        g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+        bits = _bits((1, 2, 1))
+        assert _check_all_pairs(g, bits) == (False, (0, 3))
+        assert queue_check_all_pairs(g, bits) == (False, (0, 3))
+
+    def test_only_last_pair_fails(self):
+        # star whose last two leaves share a color: only (3, 4) has no rainbow path
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        colors = (1, 2, 3, 3)
+        assert naive_failing_pair(g, colors) == (3, 4)
+        assert _check_all_pairs(g, _bits(colors)) == (False, (3, 4))
+        assert queue_check_all_pairs(g, _bits(colors)) == (False, (3, 4))
 
 
 class TestLowerBound:
