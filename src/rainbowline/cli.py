@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import sys
+from pathlib import Path
 
 from . import triangles
 from .coloring import (
@@ -56,7 +57,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     if len(sources) != 1:
         raise InputError("exactly one of --file, --family, or --model is required")
     if args.file:
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
+        text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
         return parse_edge_list(text), {"file": args.file}
     if args.model:
         if args.seed is None:
@@ -144,7 +145,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g, meta = _load_graph(args)
-    colors, k = parse_coloring(open(args.coloring).read(), g.m)
+    colors, k = parse_coloring(Path(args.coloring).read_text(), g.m)
     coloring = EdgeColoring(g, colors, k)
     ok, witness = is_rainbow_connected(g, coloring)
     print(f"verified = {str(ok).lower()}")

@@ -6,9 +6,10 @@ function, so results can be shared freely.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -47,11 +48,16 @@ class Graph:
         return tuple(tuple(i) for i in inc)
 
     @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        count = Counter(chain.from_iterable(self.edges))
+        return tuple(count[v] for v in range(self.n))
+
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {edge_key(u, v): eid for eid, (u, v) in enumerate(self.edges)}
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edge_index
@@ -295,7 +301,7 @@ def shrink(g: Graph, x: Iterable[int]) -> ShrinkResult:
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    degrees = tuple(g.degree(v) for v in range(g.n))
+    degrees = g.degrees
     inner = frozenset(v for v, d in enumerate(degrees) if d >= 2)
     n1 = sum(1 for d in degrees if d == 1)
     return DegreeProfile(degrees, n1, len(inner), inner)

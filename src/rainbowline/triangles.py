@@ -2,19 +2,24 @@
 
 A packing's induced subgraph splits into components; a component is a
 triangle-forest when every block of it is a single triangle, equivalently
-when it has ``2*t_i + 1`` vertices. Components that are not forests are
-flattened by repeatedly splitting a shared vertex (``split_vertex``), after
-first detaching every non-triangle edge between covered vertices
-(``detach_edge``). The number of splits needed is the structure defect
+when its triangle-vertex incidence graph is a tree, that is when it has
+``2*t_i + 1`` vertices. ``classify_structure`` tests the vertex count.
+
+``build_transformed`` first detaches every non-triangle edge between covered
+vertices (``detach_edge``), then flattens in one ascending sweep over the
+covered vertices: at each vertex ``v`` it moves to a fresh vertex
+(``split_vertex``) every triangle whose incidence with ``v`` lies on a cycle
+of the incidence graph. The number of splits is the number of incidences
+outside a spanning forest of that graph, the structure defect
 ``op = 2t + c - |covered|``.
 """
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
-from .graphs import Graph, blocks, degree_profile, induced_by_edges, is_connected
+from .graphs import Graph, degree_profile, edge_key, is_connected
 
 DEFAULT_EXACT_CAP = 24
 
@@ -121,9 +126,23 @@ def _edge_mask(tri: Triangle) -> int:
     return (1 << tri.edge_ids[0]) | (1 << tri.edge_ids[1]) | (1 << tri.edge_ids[2])
 
 
+def _is_current(g: Graph, tri: Triangle) -> bool:
+    """Are ``tri``'s edge ids the ids of its sides in ``g``? The fast path of
+    ``make_triangle(g, *tri.vertices) == tri`` for a simple graph."""
+    return all(
+        0 <= eid < g.m and edge_key(*g.edges[eid]) == side
+        for eid, side in zip(tri.edge_ids, combinations(tri.vertices, 2))
+    )
+
+
 class _DSU:
     def __init__(self):
         self.parent: dict[int, int] = {}
+
+    def copy(self) -> "_DSU":
+        out = _DSU()
+        out.parent = dict(self.parent)
+        return out
 
     def find(self, v: int) -> int:
         p = self.parent.setdefault(v, v)
@@ -138,46 +157,31 @@ class _DSU:
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
 
+    def add_triangle(self, tri: Triangle) -> None:
+        a, b, c = tri.vertices
+        self.union(a, b)
+        self.union(a, c)
 
-def _forest_ok(tri: Triangle, comp: dict[int, int]) -> bool:
-    """Adding ``tri`` keeps a triangle-forest iff its corners lie in three
-    distinct components of the current structure."""
-    roots = []
-    for v in tri.vertices:
-        r = v
-        while r in comp:
-            r = comp[r]
-        roots.append(r)
-    return len(set(roots)) == 3
-
-
-def _forest_add(tri: Triangle, comp: dict[int, int]) -> None:
-    roots = []
-    for v in tri.vertices:
-        r = v
-        while r in comp:
-            r = comp[r]
-        roots.append(r)
-    root = min(roots)
-    for r in roots:
-        if r != root:
-            comp[r] = root
+    def keeps_forest(self, tri: Triangle) -> bool:
+        """Adding ``tri`` keeps a triangle-forest iff its corners lie in three
+        distinct components of the current structure."""
+        return len({self.find(v) for v in tri.vertices}) == 3
 
 
 def _pack_greedy(tris: Sequence[Triangle], forest: bool) -> list[Triangle]:
     chosen: list[Triangle] = []
     used = 0
-    comp: dict[int, int] = {}
+    dsu = _DSU()
     for tri in tris:
         mask = _edge_mask(tri)
         if used & mask:
             continue
-        if forest and not _forest_ok(tri, comp):
+        if forest and not dsu.keeps_forest(tri):
             continue
         chosen.append(tri)
         used |= mask
         if forest:
-            _forest_add(tri, comp)
+            dsu.add_triangle(tri)
     return chosen
 
 
@@ -189,7 +193,7 @@ def _pack_exact(tris: Sequence[Triangle], forest: bool, cap: int) -> list[Triang
     n_t = len(tris)
     chosen: list[int] = []
 
-    def dfs(i: int, used: int, comp: dict[int, int]) -> None:
+    def dfs(i: int, used: int, dsu: _DSU) -> None:
         nonlocal best
         if len(chosen) + (n_t - i) <= len(best):
             return
@@ -197,17 +201,17 @@ def _pack_exact(tris: Sequence[Triangle], forest: bool, cap: int) -> list[Triang
             best = chosen.copy()
             return
         tri = tris[i]
-        if not (masks[i] & used) and (not forest or _forest_ok(tri, comp)):
-            comp2 = comp
+        if not (masks[i] & used) and (not forest or dsu.keeps_forest(tri)):
+            taken = dsu
             if forest:
-                comp2 = dict(comp)
-                _forest_add(tri, comp2)
+                taken = dsu.copy()
+                taken.add_triangle(tri)
             chosen.append(i)
-            dfs(i + 1, used | masks[i], comp2)
+            dfs(i + 1, used | masks[i], taken)
             chosen.pop()
-        dfs(i + 1, used, comp)
+        dfs(i + 1, used, dsu)
 
-    dfs(0, 0, {})
+    dfs(0, 0, _DSU())
     return [tris[i] for i in best]
 
 
@@ -234,8 +238,7 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
     tris = tuple(sorted(triangles))
     used = 0
     for tri in tris:
-        rebuilt = make_triangle(g, *tri.vertices)
-        if rebuilt != tri:
+        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
             raise InputError(f"triangle {tri.vertices} has stale edge ids for this graph")
         mask = _edge_mask(tri)
         if used & mask:
@@ -243,9 +246,7 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
         used |= mask
     dsu = _DSU()
     for tri in tris:
-        a, b, c = tri.vertices
-        dsu.union(a, b)
-        dsu.union(a, c)
+        dsu.add_triangle(tri)
     covered = frozenset(v for tri in tris for v in tri.vertices)
     roots = sorted({dsu.find(v) for v in covered})
     root_index = {r: i for i, r in enumerate(roots)}
@@ -253,13 +254,6 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
     for idx, tri in enumerate(tris):
         comp_tri[root_index[dsu.find(tri.vertices[0])]].append(idx)
     comp_verts = [frozenset(v for v in covered if dsu.find(v) == r) for r in roots]
-    forest_flags = []
-    for indices in comp_tri:
-        edge_ids = {eid for i in indices for eid in tris[i].edge_ids}
-        sub = induced_by_edges(g, edge_ids)
-        bd = blocks(sub.graph)
-        flag = all(len({v for e in blk for v in sub.graph.edges[e]}) == 3 for blk in bd.blocks)
-        forest_flags.append(flag)
     t = len(tris)
     c = len(roots)
     op = 2 * t + c - len(covered)
@@ -275,7 +269,7 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
         c=c,
         covered_vertices=covered,
         n2_prime=prof.n2 - len(covered),
-        is_forest=tuple(forest_flags),
+        is_forest=tuple(len(vs) == 2 * len(ix) + 1 for vs, ix in zip(comp_verts, comp_tri)),
         op=op,
     )
 
@@ -319,7 +313,7 @@ def split_vertex(
     for tri in list(keep) + list(move):
         if v not in tri.vertices:
             raise InputError(f"triangle {tri.vertices} does not contain vertex {v}")
-        if make_triangle(g, *tri.vertices) != tri:
+        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
             raise InputError(f"triangle {tri.vertices} is stale for this graph")
         mask = _edge_mask(tri)
         if used & mask:
@@ -356,76 +350,45 @@ def replay_trace(trace: TransformTrace) -> Graph:
     return cur
 
 
-def _structure_connected_after_move(
-    comp_tris: Sequence[Triangle], v: int, moved: Triangle, new_vertex: int
-) -> bool:
-    """Would this component's structure stay connected after the split?"""
-    adj: dict[int, set[int]] = {}
-
-    def link(a: int, b: int) -> None:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    for tri in comp_tris:
-        vs = tri.vertices
-        if tri == moved:
-            vs = tuple(new_vertex if x == v else x for x in vs)
-        link(vs[0], vs[1])
-        link(vs[0], vs[2])
-        link(vs[1], vs[2])
-    start = next(iter(adj))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return len(seen) == len(adj)
+def _moved_triangle(tri: Triangle, v: int, new_vertex: int) -> Triangle:
+    """``tri`` after a split moved its corner ``v`` to ``new_vertex``, the
+    highest vertex id. A split keeps every edge id."""
+    side = dict(zip(combinations(tri.vertices, 2), tri.edge_ids))
+    p, q = (x for x in tri.vertices if x != v)
+    return Triangle((p, q, new_vertex), (side[(p, q)], side[edge_key(p, v)], side[edge_key(q, v)]))
 
 
-def _pick_split(g: Graph, packing: TrianglePacking) -> tuple[int, Triangle, list[Triangle]]:
-    """Greedy split choice: lowest vertex in >= 2 triangles of a non-forest
-    block, then the lowest triangle through it that keeps the component's
-    structure connected."""
-    tris = packing.triangles
-    candidates: set[int] = set()
-    for comp_idx, indices in enumerate(packing.components):
-        if packing.is_forest[comp_idx]:
-            continue
-        edge_ids = {eid for i in indices for eid in tris[i].edge_ids}
-        sub = induced_by_edges(g, edge_ids)
-        bd = blocks(sub.graph)
-        eid_to_block: dict[int, int] = {}
-        for b_idx, blk in enumerate(bd.blocks):
-            for e in blk:
-                eid_to_block[sub.edge_to_parent[e]] = b_idx
-        block_sizes = [len({v for e in blk for v in sub.graph.edges[e]}) for blk in bd.blocks]
-        tri_counts: dict[tuple[int, int], int] = {}
-        for i in indices:
-            b_idx = eid_to_block[tris[i].edge_ids[0]]
-            if block_sizes[b_idx] == 3:
+def _on_cycle(tris: Sequence[Triangle], at: dict[int, list[int]], i: int, v: int) -> bool:
+    """Is the incidence of triangle ``i`` with its corner ``v`` on a cycle of
+    the triangle-vertex incidence graph, that is, does ``i`` still reach ``v``
+    through its other corners?"""
+    seen_tris = {i}
+    stack = [x for x in tris[i].vertices if x != v]
+    seen = set(stack)
+    while stack:
+        for j in at[stack.pop()]:
+            if j in seen_tris:
                 continue
-            for v in tris[i].vertices:
-                tri_counts[(b_idx, v)] = tri_counts.get((b_idx, v), 0) + 1
-        candidates.update(v for (_, v), cnt in tri_counts.items() if cnt >= 2)
-    if not candidates:
-        raise InvariantViolation("non-forest structure without a splittable vertex")
-    v = min(candidates)
-    comp_idx = next(i for i, verts in enumerate(packing.component_vertices) if v in verts)
-    comp_tris = [tris[i] for i in packing.components[comp_idx]]
-    at_v = sorted(t for t in comp_tris if v in t.vertices)
-    for tri in at_v:
-        if _structure_connected_after_move(comp_tris, v, tri, g.n):
-            keep = [t for t in at_v if t != tri]
-            return v, tri, keep
-    raise InvariantViolation(f"no split at vertex {v} preserves structure connectivity")
+            seen_tris.add(j)
+            for y in tris[j].vertices:
+                if y == v:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return False
 
 
 def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
-    """Detach chords inside each covered set, then split vertices until every
-    component is a triangle-forest. The split count must equal ``packing.op``."""
+    """Detach chords inside each covered set, then flatten every component
+    into a triangle-forest in one sweep.
+
+    The sweep visits the covered vertices in ascending order and, at each
+    vertex ``v``, its triangles in ascending order; a triangle whose
+    incidence with ``v`` lies on a cycle of the incidence graph moves to a
+    fresh vertex. A move only cuts cycles and leaves the new vertex a leaf,
+    so no vertex needs a second visit. The split count must equal
+    ``packing.op``."""
     if not is_connected(g):
         raise InputError("graph must be connected")
     steps: list[tuple[TraceStep, Graph]] = []
@@ -442,24 +405,29 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
             cur, step = detach_edge(cur, eid)
             steps.append((step, cur))
     tris = list(packing.triangles)
+    at: dict[int, list[int]] = {}
+    for i, tri in enumerate(tris):
+        for x in tri.vertices:
+            at.setdefault(x, []).append(i)
     splits = 0
-    while True:
-        current = classify_structure(cur, tris)
-        if current.all_forest:
-            break
-        if splits >= packing.op:
-            raise InvariantViolation(
-                f"needed more than op={packing.op} vertex splits; structure accounting is broken"
-            )
-        v, moved, keep = _pick_split(cur, current)
-        cur, step = split_vertex(cur, v, keep, [moved])
-        steps.append((step, cur))
-        splits += 1
-        new_vs = tuple(step.new_vertex if x == v else x for x in moved.vertices)
-        tris[tris.index(moved)] = make_triangle(cur, *new_vs)
+    for v in sorted(at):
+        for i in sorted(at[v], key=tris.__getitem__):
+            if len(at[v]) < 2:  # a corner of one triangle is a leaf
+                break
+            if not _on_cycle(tris, at, i, v):
+                continue
+            keep = sorted(tris[j] for j in at[v] if j != i)
+            cur, step = split_vertex(cur, v, keep, [tris[i]])
+            steps.append((step, cur))
+            splits += 1
+            at[v].remove(i)
+            at[step.new_vertex] = [i]
+            tris[i] = _moved_triangle(tris[i], v, step.new_vertex)
+    final = classify_structure(cur, tris)
+    if not final.all_forest:
+        raise InvariantViolation("vertex splits left a structure that is not a triangle-forest")
     if splits != packing.op:
         raise InvariantViolation(f"applied {splits} vertex splits, structure defect says {packing.op}")
-    final = classify_structure(cur, tris)
     if final.c != packing.c:
         raise InvariantViolation("vertex splits changed the component count")
     trace = TransformTrace(source=g, steps=tuple(steps))

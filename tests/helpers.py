@@ -1,6 +1,8 @@
 """Independent test oracles: naive path enumeration, the queue-based
-verifier, brute-force packing, step-by-step coloring projection, and
-exhaustive small-graph generation up to isomorphism.
+verifier, brute-force packing, the parent-map packing search, blocks-based
+forest classification, reclassify-until-forest flattening, step-by-step
+coloring projection, and exhaustive small-graph generation up to
+isomorphism.
 
 Everything here deliberately avoids the package's search machinery so the
 two sides of each check stay independent.
@@ -12,9 +14,21 @@ from itertools import combinations, groupby, permutations, product
 from typing import Sequence
 
 from rainbowline.coloring import EdgeColoring
-from rainbowline.graphs import Graph, build_graph, edge_key
+from rainbowline.errors import InputError, InvariantViolation
+from rainbowline.graphs import Graph, blocks, build_graph, edge_key, induced_by_edges, is_connected
 from rainbowline.linegraph import line_graph
-from rainbowline.triangles import EdgeDetachStep, TransformTrace
+from rainbowline.triangles import (
+    EdgeDetachStep,
+    TransformResult,
+    TransformTrace,
+    Triangle,
+    TrianglePacking,
+    classify_structure,
+    detach_edge,
+    enumerate_triangles,
+    make_triangle,
+    split_vertex,
+)
 
 
 def naive_failing_pair(g: Graph, colors: Sequence[int]) -> tuple[int, int] | None:
@@ -107,6 +121,178 @@ def brute_force_max_packing(g: Graph, triangles) -> int:
                 best = size
                 break
     return best
+
+
+def _triangle_mask(tri: Triangle) -> int:
+    return (1 << tri.edge_ids[0]) | (1 << tri.edge_ids[1]) | (1 << tri.edge_ids[2])
+
+
+def _comp_roots(tri: Triangle, comp: dict[int, int]) -> list[int]:
+    roots = []
+    for v in tri.vertices:
+        r = v
+        while r in comp:
+            r = comp[r]
+        roots.append(r)
+    return roots
+
+
+def _comp_forest_ok(tri: Triangle, comp: dict[int, int]) -> bool:
+    return len(set(_comp_roots(tri, comp))) == 3
+
+
+def _comp_forest_add(tri: Triangle, comp: dict[int, int]) -> None:
+    roots = _comp_roots(tri, comp)
+    root = min(roots)
+    for r in roots:
+        if r != root:
+            comp[r] = root
+
+
+def comp_map_pack(g: Graph, mode: str) -> tuple[Triangle, ...]:
+    """Reference for ``pack_edge_disjoint``'s choice: the same greedy scan and
+    exact search, with the forest test on a plain child-to-parent map that is
+    copied per branch. Returns the chosen triangles, sorted."""
+    tris = enumerate_triangles(g)
+    forest = mode.startswith("forest")
+
+    def greedy() -> list[Triangle]:
+        chosen, used, comp = [], 0, {}
+        for tri in tris:
+            mask = _triangle_mask(tri)
+            if used & mask or (forest and not _comp_forest_ok(tri, comp)):
+                continue
+            chosen.append(tri)
+            used |= mask
+            if forest:
+                _comp_forest_add(tri, comp)
+        return chosen
+
+    if mode.endswith("greedy"):
+        return tuple(sorted(greedy()))
+    masks = [_triangle_mask(t) for t in tris]
+    best = [tris.index(t) for t in greedy()]
+    chosen: list[int] = []
+
+    def dfs(i: int, used: int, comp: dict[int, int]) -> None:
+        nonlocal best
+        if len(chosen) + (len(tris) - i) <= len(best):
+            return
+        if i == len(tris):
+            best = chosen.copy()
+            return
+        if not (masks[i] & used) and (not forest or _comp_forest_ok(tris[i], comp)):
+            comp2 = comp
+            if forest:
+                comp2 = dict(comp)
+                _comp_forest_add(tris[i], comp2)
+            chosen.append(i)
+            dfs(i + 1, used | masks[i], comp2)
+            chosen.pop()
+        dfs(i + 1, used, comp)
+
+    dfs(0, 0, {})
+    return tuple(sorted(tris[i] for i in best))
+
+
+def blocks_is_forest(g: Graph, packing: TrianglePacking) -> tuple[bool, ...]:
+    """Per component: is every block of the structure a single triangle?"""
+    flags = []
+    for indices in packing.components:
+        edge_ids = {eid for i in indices for eid in packing.triangles[i].edge_ids}
+        sub = induced_by_edges(g, edge_ids)
+        flags.append(
+            all(
+                len({v for e in blk for v in sub.graph.edges[e]}) == 3
+                for blk in blocks(sub.graph).blocks
+            )
+        )
+    return tuple(flags)
+
+
+def _connected_after_move(
+    comp_tris: Sequence[Triangle], v: int, moved: Triangle, new_vertex: int
+) -> bool:
+    adj: dict[int, set[int]] = {}
+    for tri in comp_tris:
+        vs = tri.vertices
+        if tri == moved:
+            vs = tuple(new_vertex if x == v else x for x in vs)
+        for a, b in combinations(vs, 2):
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    start = next(iter(adj))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for b in adj[queue.popleft()]:
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return len(seen) == len(adj)
+
+
+def _pick_split(g: Graph, packing: TrianglePacking, forest: Sequence[bool]):
+    """Lowest vertex in >= 2 triangles of a block with more than three
+    vertices, then the lowest triangle through it whose move keeps the
+    component's structure connected."""
+    tris = packing.triangles
+    candidates: set[int] = set()
+    for comp_idx, indices in enumerate(packing.components):
+        if forest[comp_idx]:
+            continue
+        edge_ids = {eid for i in indices for eid in tris[i].edge_ids}
+        sub = induced_by_edges(g, edge_ids)
+        bd = blocks(sub.graph)
+        eid_to_block = {sub.edge_to_parent[e]: b for b, blk in enumerate(bd.blocks) for e in blk}
+        block_sizes = [len({v for e in blk for v in sub.graph.edges[e]}) for blk in bd.blocks]
+        tri_counts: dict[tuple[int, int], int] = {}
+        for i in indices:
+            b_idx = eid_to_block[tris[i].edge_ids[0]]
+            if block_sizes[b_idx] == 3:
+                continue
+            for v in tris[i].vertices:
+                tri_counts[(b_idx, v)] = tri_counts.get((b_idx, v), 0) + 1
+        candidates.update(v for (_, v), cnt in tri_counts.items() if cnt >= 2)
+    if not candidates:
+        raise InvariantViolation("non-forest structure without a splittable vertex")
+    v = min(candidates)
+    comp_idx = next(i for i, verts in enumerate(packing.component_vertices) if v in verts)
+    comp_tris = [tris[i] for i in packing.components[comp_idx]]
+    at_v = sorted(t for t in comp_tris if v in t.vertices)
+    for tri in at_v:
+        if _connected_after_move(comp_tris, v, tri, g.n):
+            return v, tri, [t for t in at_v if t != tri]
+    raise InvariantViolation(f"no split at vertex {v} preserves structure connectivity")
+
+
+def reclassify_build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
+    """Reference for ``build_transformed``: detach the chords, then repeat
+    "classify the whole structure by its blocks, split the greedy choice"
+    until every component is a triangle-forest."""
+    if not is_connected(g):
+        raise InputError("graph must be connected")
+    steps = []
+    cur = g
+    for comp_idx, indices in enumerate(packing.components):
+        verts = packing.component_vertices[comp_idx]
+        tri_edges = {eid for i in indices for eid in packing.triangles[i].edge_ids}
+        for eid, (a, b) in enumerate(g.edges):
+            if a in verts and b in verts and eid not in tri_edges:
+                cur, step = detach_edge(cur, eid)
+                steps.append((step, cur))
+    tris = list(packing.triangles)
+    while True:
+        current = classify_structure(cur, tris)
+        forest = blocks_is_forest(cur, current)
+        if all(forest):
+            break
+        v, moved, keep = _pick_split(cur, current, forest)
+        cur, step = split_vertex(cur, v, keep, [moved])
+        steps.append((step, cur))
+        new_vs = tuple(step.new_vertex if x == v else x for x in moved.vertices)
+        tris[tris.index(moved)] = make_triangle(cur, *new_vs)
+    return TransformResult(graph=cur, trace=TransformTrace(source=g, steps=tuple(steps)), triangles=tuple(tris))
 
 
 def stepwise_project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:

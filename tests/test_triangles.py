@@ -1,11 +1,18 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_max_packing, canonical_form
-from rainbowline.errors import InputError, LimitError
+from helpers import (
+    blocks_is_forest,
+    brute_force_max_packing,
+    canonical_form,
+    comp_map_pack,
+    reclassify_build_transformed,
+)
+from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
     complete_graph,
@@ -13,12 +20,17 @@ from rainbowline.families import (
     cycle_graph,
     friendship_graph,
     path_graph,
+    random_cubic,
     shared_vertex_triangle_chain,
     triangle_ring,
 )
 from rainbowline.graphs import build_graph, components, is_connected
+from rainbowline.linegraph import line_graph
 from rainbowline.triangles import (
+    DEFAULT_EXACT_CAP,
     PACK_MODES,
+    Triangle,
+    VertexSplitStep,
     build_transformed,
     classify_structure,
     detach_edge,
@@ -72,6 +84,20 @@ class TestPacking:
     def test_exact_cap(self):
         with pytest.raises(LimitError):
             pack_edge_disjoint(complete_graph(6), "exact", max_triangles=10)
+
+    @pytest.mark.parametrize("mode", PACK_MODES)
+    def test_matches_comp_map_search(self, mode):
+        # the union-find forest test chooses exactly the triangles the
+        # child-to-parent map did, in every mode
+        graphs = [connected_gnp(5 + seed % 6, 0.5, seed=5000 + seed) for seed in range(60)]
+        graphs = [g for g in graphs if len(enumerate_triangles(g)) <= DEFAULT_EXACT_CAP]
+        assert len(graphs) >= 50
+        for g in graphs:
+            assert pack_edge_disjoint(g, mode).triangles == comp_map_pack(g, mode)
+        if mode.startswith("forest"):
+            # the forest test rejects triangles the plain mode would take
+            plain = mode.removeprefix("forest_")
+            assert any(comp_map_pack(g, mode) != comp_map_pack(g, plain) for g in graphs)
 
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
@@ -141,6 +167,16 @@ class TestClassify:
             assert flag == expected
         assert (p.op == 0) == p.all_forest
 
+    def test_vertex_count_matches_blocks(self):
+        verdicts = set()
+        for seed in range(40):
+            g = connected_gnp(6 + seed % 6, 0.5, seed=6000 + seed)
+            for mode in PACK_MODES:
+                p = _pack(g, mode)
+                assert p.is_forest == blocks_is_forest(g, p)
+                verdicts.update(p.is_forest)
+        assert verdicts == {True, False}
+
 
 class TestDetachEdge:
     def test_triangle_edge(self):
@@ -207,6 +243,76 @@ class TestSplitVertex:
         with pytest.raises(InputError):
             split_vertex(BOWTIE, 1, [t1], [t2])
 
+    def test_rejects_stale_triangle(self):
+        t1, t2 = enumerate_triangles(BOWTIE)
+        swapped = Triangle(t1.vertices, t1.edge_ids[::-1])
+        with pytest.raises(InputError, match="is stale for this graph"):
+            split_vertex(BOWTIE, 0, [swapped], [t2])
+        with pytest.raises(InputError, match="has stale edge ids"):
+            classify_structure(BOWTIE, [swapped, t2])
+        out, _ = split_vertex(BOWTIE, 0, [t1], [t2])
+        with pytest.raises(InputError, match="is not a triangle of the graph"):
+            split_vertex(out, 0, [t1], [t2])
+
+
+def _pack(g, mode):
+    """Pack as ``rainbowline color`` does: exact modes fall back to greedy
+    past the triangle cap."""
+    try:
+        return pack_edge_disjoint(g, mode)
+    except LimitError:
+        return pack_edge_disjoint(g, mode.replace("exact", "greedy"))
+
+
+def _sweep_instances():
+    for seed in range(16):
+        g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
+        for mode in PACK_MODES:
+            yield f"gnp-{seed}-{mode}", g, _pack(g, mode)
+    for n in (8, 10, 20):
+        lg = line_graph(random_cubic(n, seed=n))
+        stars = [make_triangle(lg.l_graph, *lg.star_of[v]) for v in range(n)]
+        yield f"cubic-{n}", lg.l_graph, classify_structure(lg.l_graph, stars)
+    for name, g in (
+        ("example31", bridged_triangle_chain(6)),
+        ("example32", shared_vertex_triangle_chain(6)),
+        ("triangle_ring-3", triangle_ring(3)),
+        ("triangle_ring-8", triangle_ring(8)),
+    ):
+        yield name, g, pack_edge_disjoint(g, "exact")
+
+
+SWEEP_INSTANCES = {name: (g, p) for name, g, p in _sweep_instances()}
+
+
+class TestSweepMatchesReclassify:
+    @pytest.mark.parametrize("name", sorted(SWEEP_INSTANCES))
+    def test_same_result(self, name):
+        g, p = SWEEP_INSTANCES[name]
+        sweep = build_transformed(g, p)
+        reference = reclassify_build_transformed(g, p)
+        assert sweep.graph == reference.graph
+        assert sweep.trace.source == reference.trace.source
+        assert sweep.trace.steps == reference.trace.steps
+        assert sweep.triangles == reference.triangles
+        assert sweep.trace.split_count == p.op
+
+    def test_coverage(self):
+        """The instances split some vertex twice and move some triangle at
+        two different corners."""
+        repeated_vertex = two_corners = 0
+        for g, p in SWEEP_INSTANCES.values():
+            splits = [s for s, _ in build_transformed(g, p).trace.steps if isinstance(s, VertexSplitStep)]
+            vertices = [s.vertex for s in splits]
+            repeated_vertex += len(vertices) != len(set(vertices))
+            corners: dict[frozenset, set[int]] = {}
+            for s in splits:
+                (moved,) = s.moved_triangles
+                corners.setdefault(frozenset(moved.edge_ids), set()).add(s.vertex)
+            two_corners += any(len(c) > 1 for c in corners.values())
+        assert repeated_vertex >= 3
+        assert two_corners >= 3
+
 
 class TestBuildTransformed:
     def test_triangle_chain_needs_nothing(self):
@@ -238,6 +344,12 @@ class TestBuildTransformed:
         assert step.edge == g.edge_id(1, 3)
         assert res.graph.n == 7 and res.graph.m == 8
         assert replay_trace(res.trace) == res.graph
+
+    def test_wrong_defect_is_invariant_violation(self):
+        g = triangle_ring(3)
+        p = pack_edge_disjoint(g, "exact")
+        with pytest.raises(InvariantViolation, match="structure defect says 2"):
+            build_transformed(g, dataclasses.replace(p, op=p.op + 1))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_structures_flatten(self, seed):
