@@ -1,5 +1,5 @@
 """Rainbow edge colorings of (iterated) line graphs driven by edge-disjoint
-triangle structures, with an exact verifier and a brute-force oracle."""
+triangle structures, with an exact verifier and an exact rc search."""
 
 from .coloring import (
     ColoringCertificate,

@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--json", help="write a JSON report")
     p_bound.set_defaults(func=cmd_bound)
 
-    p_exact = sub.add_parser("exact", help="exact rc by exhaustive search")
+    p_exact = sub.add_parser("exact", help="exact rc by pruned search over colorings")
     _add_source_args(p_exact)
     p_exact.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP)
     p_exact.add_argument("--json", help="write a JSON report")

@@ -381,8 +381,4 @@ def color_iterated_baseline(g: Graph) -> tuple[EdgeColoring, ColoringCertificate
     bound = g.m - pendant_two_path_count(g)
     if col.k != bound:
         raise InvariantViolation(f"used {col.k} colors, pendant accounting says {bound}")
-    from .oracle import is_rainbow_connected
-
-    ok, witness = is_rainbow_connected(col.graph, col)
-    cert = ColoringCertificate("m - m1", bound, col.k, ok and col.k <= bound, witness)
-    return col, cert
+    return col, _certify(lg1.l_graph, lg2, col, "m - m1", bound)

@@ -5,10 +5,10 @@ header line "n m", then exactly m lines "u v" with 0-based vertex ids.
 """
 
 import json
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
-from .graphs import Graph, build_graph, edge_key
+from .graphs import Graph, build_graph
 
 REPORT_SCHEMA = 1
 
@@ -50,26 +50,20 @@ def parse_edge_list(text: str) -> Graph:
     if len(body) > m:
         extra_line = body[m][0]
         raise InputError(f"line {extra_line}: unexpected data after {m} edges")
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in body:
-        fields = line.split()
-        if len(fields) != 2:
-            raise InputError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: expected two integers, got {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"line {lineno}: vertex out of range in edge ({u}, {v})")
-        if u == v:
-            raise InputError(f"line {lineno}: loop edge ({u}, {v})")
-        key = edge_key(u, v)
-        if key in seen:
-            raise InputError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        pairs.append((u, v))
-    return build_graph(n, pairs)
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        for lineno, line in body:
+            fields = line.split()
+            if len(fields) != 2:
+                raise InputError(f"line {lineno}: expected 'u v', got {line!r}")
+            try:
+                u, v = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise InputError(f"line {lineno}: expected two integers, got {line!r}") from None
+            yield u, v
+
+    # lazy, so a format error is reported only after the lines above it pass
+    return build_graph(n, pairs(), lines=[lineno for lineno, _ in body])
 
 
 def render_edge_list(g: Graph) -> str:

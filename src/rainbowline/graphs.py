@@ -117,23 +117,30 @@ class ShrinkResult:
         return self.graph.n - 1
 
 
-def build_graph(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
-    """Validate and build a graph; edge ids follow input order."""
+def build_graph(
+    n: int, pairs: Iterable[Sequence[int]], lines: Sequence[int] | None = None
+) -> Graph:
+    """Validate and build a graph; edge ids follow input order. When given,
+    ``lines[i]`` is the input line of pair ``i`` and prefixes its errors."""
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pair in pairs:
         u, v = pair
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"vertex out of range in edge ({u}, {v})")
-        if u == v:
-            raise InputError(f"loop edge ({u}, {v})")
         key = edge_key(u, v)
-        if key in seen:
-            raise InputError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append((u, v))
+        if not (0 <= u < n and 0 <= v < n):
+            problem = "vertex out of range in edge"
+        elif u == v:
+            problem = "loop edge"
+        elif key in seen:
+            problem = "duplicate edge"
+        else:
+            seen.add(key)
+            edges.append((u, v))
+            continue
+        where = "" if lines is None else f"line {lines[len(edges)]}: "
+        raise InputError(f"{where}{problem} ({u}, {v})")
     return Graph(n, tuple(edges))
 
 

@@ -1,4 +1,4 @@
-"""Ground truth: exact rainbow-connectivity checking and exhaustive search.
+"""Ground truth: exact rainbow-connectivity checking and the exact rc search.
 
 The checker searches (vertex, used-color-set) states from each source vertex
 ``s``, one level at a time: level ``L`` holds the states reached by walks of
@@ -15,6 +15,16 @@ are counted down as they are first admitted, and the search from ``s`` stops
 the moment the last one is reached. When a source exhausts its states with
 targets left, the smallest of them is the witness: the pairs are tried in
 lexicographic order, so the first failing pair found is the smallest one.
+
+``exact_rc`` searches the canonical colorings for each palette size ``k``
+depth first, coloring the edges in id order, and checks every prefix with
+the same checker. While edge ``i`` is uncolored it carries a private color
+``1 << (k + i)`` that clashes with nothing. This only relaxes the prefix:
+a path that is rainbow under some completion of it uses distinct colors on
+its colored edges and at most one private color per uncolored edge, so it
+is rainbow under the relaxed coloring too. A prefix that fails the check
+therefore has no rainbow completion, and its whole subtree is cut. A full
+coloring is checked exactly, so the first ``k`` with a surviving leaf is rc.
 """
 
 import time
@@ -142,9 +152,13 @@ def exact_rc(
     max_edges: int = DEFAULT_EDGE_CAP,
     budget: float | None = None,
 ) -> int:
-    """Exact rainbow connection number by exhaustion over canonical colorings.
+    """Exact rainbow connection number by a pruned search over canonical
+    colorings.
 
-    Tries palette sizes upward from the diameter. Raises ``LimitError``
+    Tries palette sizes upward from the diameter. For each size ``k`` it
+    colors the edges in id order, depth first, in the order of
+    ``canonical_colorings``, and cuts every prefix that fails the relaxed
+    check (uncolored edges get private colors). Raises ``LimitError``
     carrying the proven bracket when the instance exceeds ``max_edges`` or
     the time ``budget`` (seconds).
     """
@@ -152,18 +166,36 @@ def exact_rc(
         raise InputError("exact search needs a connected graph on >= 2 vertices")
     lo = max(int(diameter(g)), 1)
     hi = min(g.m, g.n - 1)
-    if g.m > max_edges:
+    m = g.m
+    if m > max_edges:
         raise LimitError(
-            f"{g.m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
+            f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
     start = time.monotonic()
-    for k in range(lo, g.m + 1):
-        for colors in canonical_colorings(g.m, k):
-            if budget is not None and time.monotonic() - start > budget:
-                raise LimitError("time budget exceeded", lower=k, upper=hi)
-            ok, _ = _check_all_pairs(g, [1 << (c - 1) for c in colors])
-            if ok:
-                return k
+
+    def extends(i: int, top: int, k: int, bits: list[int]) -> bool:
+        """Whether the prefix ``bits[:i]`` using colors ``1..top`` extends to
+        a rainbow coloring with exactly ``k`` colors."""
+        if budget is not None and time.monotonic() - start > budget:
+            raise LimitError("time budget exceeded", lower=k, upper=hi)
+        if not _check_all_pairs(g, bits)[0]:
+            return False
+        if i == m:
+            return True
+        private = bits[i]
+        for c in range(1, min(top + 1, k) + 1):
+            t = max(top, c)
+            if k - t > m - i - 1:
+                continue
+            bits[i] = 1 << (c - 1)
+            if extends(i + 1, t, k, bits):
+                return True
+        bits[i] = private
+        return False
+
+    for k in range(lo, m + 1):
+        if extends(0, 0, k, [1 << (k + i) for i in range(m)]):
+            return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 

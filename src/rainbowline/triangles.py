@@ -248,12 +248,16 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
     for tri in tris:
         dsu.add_triangle(tri)
     covered = frozenset(v for tri in tris for v in tri.vertices)
-    roots = sorted({dsu.find(v) for v in covered})
+    root_of = {v: dsu.find(v) for v in covered}
+    roots = sorted(set(root_of.values()))
     root_index = {r: i for i, r in enumerate(roots)}
     comp_tri: list[list[int]] = [[] for _ in roots]
     for idx, tri in enumerate(tris):
-        comp_tri[root_index[dsu.find(tri.vertices[0])]].append(idx)
-    comp_verts = [frozenset(v for v in covered if dsu.find(v) == r) for r in roots]
+        comp_tri[root_index[root_of[tri.vertices[0]]]].append(idx)
+    buckets: list[list[int]] = [[] for _ in roots]
+    for v, r in root_of.items():
+        buckets[root_index[r]].append(v)
+    comp_verts = [frozenset(b) for b in buckets]
     t = len(tris)
     c = len(roots)
     op = 2 * t + c - len(covered)

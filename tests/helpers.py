@@ -1,8 +1,8 @@
 """Independent test oracles: naive path enumeration, the queue-based
-verifier, brute-force packing, the parent-map packing search, blocks-based
-forest classification, reclassify-until-forest flattening, step-by-step
-coloring projection, and exhaustive small-graph generation up to
-isomorphism.
+verifier, exact rc by checking every canonical coloring, brute-force
+packing, the parent-map packing search, blocks-based forest classification,
+reclassify-until-forest flattening, step-by-step coloring projection, and
+exhaustive small-graph generation up to isomorphism.
 
 Everything here deliberately avoids the package's search machinery so the
 two sides of each check stay independent.
@@ -15,8 +15,17 @@ from typing import Sequence
 
 from rainbowline.coloring import EdgeColoring
 from rainbowline.errors import InputError, InvariantViolation
-from rainbowline.graphs import Graph, blocks, build_graph, edge_key, induced_by_edges, is_connected
+from rainbowline.graphs import (
+    Graph,
+    blocks,
+    build_graph,
+    diameter,
+    edge_key,
+    induced_by_edges,
+    is_connected,
+)
 from rainbowline.linegraph import line_graph
+from rainbowline.oracle import canonical_colorings
 from rainbowline.triangles import (
     EdgeDetachStep,
     TransformResult,
@@ -97,6 +106,17 @@ def queue_check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[in
         if remaining:
             return False, (s, min(remaining))
     return True, None
+
+
+def enumerate_exact_rc(g: Graph) -> int:
+    """Reference for ``oracle.exact_rc`` on a connected graph with at least
+    two vertices: palette sizes upward from the diameter, each checking every
+    canonical coloring in full with ``queue_check_all_pairs``."""
+    for k in range(max(int(diameter(g)), 1), g.m + 1):
+        for colors in canonical_colorings(g.m, k):
+            if queue_check_all_pairs(g, [1 << (c - 1) for c in colors])[0]:
+                return k
+    raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
 def brute_force_max_packing(g: Graph, triangles) -> int:

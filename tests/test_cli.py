@@ -40,6 +40,20 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 x\n1 2\n")
 
     @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# c\n3 2\n0 3\n1 2\n", "line 3: vertex out of range in edge (0, 3)"),
+            ("3 3\n0 1\n\n1 0\n1 2\n", "line 4: duplicate edge (1, 0)"),
+            ("3 2\n1 1\n0 x\n", "line 2: loop edge (1, 1)"),
+            ("3 2\n0 x\n1 1\n", "line 2: expected two integers, got '0 x'"),
+        ],
+    )
+    def test_first_bad_line_is_reported(self, text, message):
+        with pytest.raises(InputError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "name,params",
         [
             ("example31", {"t": 3}),

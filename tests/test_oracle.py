@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     connected_graphs_up_to,
+    enumerate_exact_rc,
     naive_failing_pair,
     naive_rainbow_connected,
     queue_check_all_pairs,
@@ -20,7 +21,7 @@ from rainbowline.families import (
     random_cubic,
     shared_vertex_triangle_chain,
 )
-from rainbowline.graphs import Graph, build_graph
+from rainbowline.graphs import Graph, build_graph, is_connected
 from rainbowline.linegraph import line_graph
 from rainbowline.triangles import pack_edge_disjoint
 from rainbowline.oracle import (
@@ -122,6 +123,41 @@ class TestExactRc:
         with pytest.raises(LimitError) as exc:
             exact_rc(g, budget=0.0)
         assert exc.value.lower == 2 and exc.value.upper == 8
+
+
+def _random_connected(seed):
+    """Random spanning tree on 4..8 vertices plus chords, at most 10 edges."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    chords = [p for p in combinations(range(n), 2) if p not in pairs]
+    rng.shuffle(chords)
+    return build_graph(n, sorted(pairs) + chords[: rng.randint(0, 11 - n)])
+
+
+class TestPrunedSearchMatchesEnumeration:
+    """The pruned search returns the value of checking every canonical
+    coloring, ``helpers.enumerate_exact_rc``."""
+
+    def test_all_small_connected_graphs(self):
+        graphs = connected_graphs_up_to(6)
+        assert len(graphs) == 52
+        values = [exact_rc(g) for g in graphs]
+        assert values == [enumerate_exact_rc(g) for g in graphs]
+        assert sum(v > rc_lower_bound(g) for v, g in zip(values, graphs)) > 10
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_connected_graphs(self, chunk):
+        for seed in range(20 * chunk, 20 * chunk + 20):
+            g = _random_connected(seed)
+            assert g.m <= 10 and is_connected(g)
+            assert exact_rc(g) == enumerate_exact_rc(g), seed
+
+    def test_ensemble_line_graphs(self):
+        lgs = [line_graph(connected_gnp(7, 0.35, s * 1_000_003)).l_graph for s in range(1, 41)]
+        lgs = [lg for lg in lgs if lg.m <= 12]
+        assert len(lgs) == 14
+        assert [exact_rc(lg) for lg in lgs] == [enumerate_exact_rc(lg) for lg in lgs]
 
 
 class TestNaiveAgreement:
