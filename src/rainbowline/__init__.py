@@ -20,33 +20,25 @@ from .graphs import (
     BlockDecomposition,
     DegreeProfile,
     Graph,
-    InducedSubgraph,
-    ShrinkResult,
     blocks,
     build_graph,
     degree_profile,
     diameter,
-    induced_by_edges,
     is_connected,
-    shrink,
 )
 from .linegraph import (
-    CliqueGraphResult,
     LineGraphResult,
-    clique_graph,
     iterated_line_graph,
     line_graph,
     star_clique_edges,
 )
 from .oracle import (
     IteratedTightnessReport,
-    RcReport,
     canonical_colorings,
     check_iterated_tightness,
     exact_rc,
     is_rainbow_connected,
     rc_lower_bound,
-    rc_report,
 )
 from .triangles import (
     Triangle,

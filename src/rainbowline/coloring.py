@@ -9,6 +9,7 @@ transforms. Each public construction returns its coloring together with a
 certificate recording the bound, the palette size, and the verifier verdict.
 """
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -141,52 +142,61 @@ def color_single_triangle(lg: LineGraphResult) -> EdgeColoring:
     return EdgeColoring(lg.l_graph, tuple(assign[i] for i in range(lg.l_graph.m)), 2)
 
 
-def _peel_leaf(tris: Sequence[Triangle]) -> tuple[Triangle, int]:
-    """Lowest triangle sharing exactly one vertex with the rest of the structure."""
-    for idx, tri in enumerate(tris):
-        rest = {v for j, other in enumerate(tris) if j != idx for v in other.vertices}
-        shared = set(tri.vertices) & rest
-        if len(shared) == 1:
-            return tri, next(iter(shared))
-    raise InvariantViolation("no leaf triangle; component is not a tree structure")
-
-
-def _tree_assignment(lg: LineGraphResult, tris: Sequence[Triangle]) -> tuple[dict[int, int], int]:
-    if len(tris) == 1:
-        return _single_triangle_rules(lg, tris[0]), 2
-    leaf, u = _peel_leaf(tris)
-    v, w = sorted(set(leaf.vertices) - {u})
-    rest = [t for t in tris if t != leaf]
-    assign, used = _tree_assignment(lg, rest)
-    fresh = used + 1
-    g = lg.source
-    e1 = g.edge_id(u, w)
-    e2 = g.edge_id(u, v)
-    for le in star_clique_edges_at(lg, w, e1):
-        assign[le] = fresh
-    for le in star_clique_edges_at(lg, v, e2):
-        assign[le] = fresh
-    palette = sorted(set(assign.values()) - {fresh})
-    c1, c2 = palette[0], palette[1]
-    for le in star_clique_edges(lg, w):
-        assign.setdefault(le, c1)
-    for le in star_clique_edges(lg, v):
-        assign.setdefault(le, c2)
-    return assign, fresh
-
-
 def color_triangle_tree(lg: LineGraphResult, tris: Sequence[Triangle]) -> ColorPart:
     """Color the star-clique family of one triangle-tree component.
 
     Covers exactly the line-graph edges inside the stars of the component's
-    vertices, using ``t_i + 1`` colors: peel a leaf triangle, color the rest
-    recursively, spend one fresh color on the leaf's two stars toward the
-    shared vertex, and reuse the two lowest existing colors for the rest.
+    vertices, using ``t_i + 1`` colors. One pass over a leaf queue peels the
+    lowest leaf triangle (exactly one corner shared with the rest) until one
+    triangle is left; that one gets the two-color single-triangle rules.
+    Then the peeled leaves are colored in reverse peel order: each spends one
+    fresh color on its two stars toward the shared corner and reuses colors
+    1 and 2 for the rest of those stars. Cost: O(t_i) heap operations plus
+    the star-clique edges.
     """
     if not tris:
         raise InputError("component must contain at least one triangle")
-    assign, used = _tree_assignment(lg, sorted(tris))
-    return ColorPart(assign, used)
+    order = sorted(tris)
+    at: dict[int, list[int]] = {}
+    for i, tri in enumerate(order):
+        for x in tri.vertices:
+            at.setdefault(x, []).append(i)
+    count = {x: len(ts) for x, ts in at.items()}
+    shared = [sum(count[x] > 1 for x in tri.vertices) for tri in order]
+    leaves = [i for i, s in enumerate(shared) if s == 1]  # ascending, so a heap
+    alive = set(range(len(order)))
+    peels: list[tuple[Triangle, int]] = []
+    while len(alive) > 1:
+        # no leaf left: a cycle, or a triangle cut off from the rest
+        if not leaves or shared[leaves[0]] != 1:
+            raise InvariantViolation("no leaf triangle; component is not a tree structure")
+        i = heapq.heappop(leaves)
+        leaf = order[i]
+        alive.remove(i)
+        u = next(x for x in leaf.vertices if count[x] > 1)
+        peels.append((leaf, u))
+        count[u] -= 1
+        if count[u] == 1:
+            (j,) = (j for j in at[u] if j in alive)
+            shared[j] -= 1
+            if shared[j] == 1:
+                heapq.heappush(leaves, j)
+    (last,) = (order[i] for i in alive)
+    assign = _single_triangle_rules(lg, last)
+    g = lg.source
+    fresh = 2
+    for leaf, u in reversed(peels):
+        fresh += 1
+        v, w = (x for x in leaf.vertices if x != u)
+        for le in star_clique_edges_at(lg, w, g.edge_id(u, w)):
+            assign[le] = fresh
+        for le in star_clique_edges_at(lg, v, g.edge_id(u, v)):
+            assign[le] = fresh
+        for le in star_clique_edges(lg, w):
+            assign.setdefault(le, 1)
+        for le in star_clique_edges(lg, v):
+            assign.setdefault(le, 2)
+    return ColorPart(assign, fresh)
 
 
 def _structure_star_coloring(lg: LineGraphResult, tris: Sequence[Triangle]) -> EdgeColoring:
@@ -341,17 +351,11 @@ def color_cubic_iterated(g: Graph) -> tuple[EdgeColoring, ColoringCertificate]:
     lg1 = line_graph(g)
     tris = [make_triangle(lg1.l_graph, *lg1.star_of[v]) for v in range(g.n)]
     packing = classify_structure(lg1.l_graph, tris)
-    col, inner = color_packing(lg1.l_graph, packing)
     bound = g.n + 1
-    if inner.bound_value != bound:
+    if packing.t + packing.n2_prime + packing.c != bound:
         raise InvariantViolation("cubic star packing should give t=n, n2'=0, c=1")
-    return col, ColoringCertificate(
-        bound_name="n + 1",
-        bound_value=bound,
-        colors_used=col.k,
-        verified=inner.verified and col.k <= bound,
-        witness_failure=inner.witness_failure,
-    )
+    col, lg2 = _flatten_and_color(lg1.l_graph, packing)
+    return col, _certify(lg1.l_graph, lg2, col, "n + 1", bound)
 
 
 def pendant_two_path_count(g: Graph) -> int:

@@ -85,38 +85,6 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
 
 
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """Edge-induced subgraph plus maps from new ids back to the parent's."""
-
-    graph: Graph
-    vertex_to_parent: tuple[int, ...]
-    edge_to_parent: tuple[int, ...]
-
-    @cached_property
-    def parent_vertex(self) -> dict[int, int]:
-        return {old: new for new, old in enumerate(self.vertex_to_parent)}
-
-
-@dataclass(frozen=True)
-class ShrinkResult:
-    """Quotient graph after shrinking a vertex set into one vertex.
-
-    ``vertex_map[v]`` is the image of old vertex ``v``; ``edge_map[e]`` is the
-    image of old edge ``e``, ``None`` when the edge ran inside the shrunk set.
-    Parallel edges created by the identification are merged, so several old
-    edges may map to the same new id.
-    """
-
-    graph: Graph
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int | None, ...]
-
-    @property
-    def merged_vertex(self) -> int:
-        return self.graph.n - 1
-
-
 def build_graph(
     n: int, pairs: Iterable[Sequence[int]], lines: Sequence[int] | None = None
 ) -> Graph:
@@ -258,53 +226,6 @@ def blocks(g: Graph) -> BlockDecomposition:
         if root_children >= 2:
             cuts.add(root)
     return BlockDecomposition(tuple(out), frozenset(cuts))
-
-
-def induced_by_edges(g: Graph, edge_ids: Iterable[int]) -> InducedSubgraph:
-    """Subgraph on exactly the endpoints of the chosen edges."""
-    ids = sorted(set(edge_ids))
-    for eid in ids:
-        if not (0 <= eid < g.m):
-            raise InputError(f"edge id {eid} out of range")
-    verts = sorted({v for eid in ids for v in g.edges[eid]})
-    to_new = {old: new for new, old in enumerate(verts)}
-    edges = tuple(edge_key(to_new[g.edges[eid][0]], to_new[g.edges[eid][1]]) for eid in ids)
-    return InducedSubgraph(Graph(len(verts), edges), tuple(verts), tuple(ids))
-
-
-def shrink(g: Graph, x: Iterable[int]) -> ShrinkResult:
-    """Delete the edges inside ``x`` and identify ``x`` into one new vertex.
-
-    The quotient stays simple: parallel edges arising from the identification
-    are merged, which the edge map records.
-    """
-    xs = set(x)
-    if not xs or len(xs) >= g.n:
-        raise InputError("shrink set must be a proper nonempty subset of the vertices")
-    for v in xs:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range")
-    survivors = [v for v in range(g.n) if v not in xs]
-    w = len(survivors)
-    vmap = [w] * g.n
-    for new, old in enumerate(survivors):
-        vmap[old] = new
-    new_edges: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    emap: list[int | None] = []
-    for u, v in g.edges:
-        nu, nv = vmap[u], vmap[v]
-        if nu == nv:
-            emap.append(None)
-            continue
-        key = edge_key(nu, nv)
-        if key in seen:
-            emap.append(seen[key])
-            continue
-        seen[key] = len(new_edges)
-        emap.append(len(new_edges))
-        new_edges.append(key)
-    return ShrinkResult(Graph(w + 1, tuple(new_edges)), tuple(vmap), tuple(emap))
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -28,7 +28,7 @@ coloring is checked exactly, so the first ``k`` with a surviving leaf is rc.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
@@ -39,19 +39,6 @@ if TYPE_CHECKING:
 
 DEFAULT_COLOR_CAP = 64
 DEFAULT_EDGE_CAP = 12
-
-
-@dataclass(frozen=True)
-class RcReport:
-    """Summary of everything computed about one graph's rainbow connection."""
-
-    n: int
-    m: int
-    diameter: int
-    bounds: dict[str, int] = field(default_factory=dict)
-    colors_used: int | None = None
-    exact_rc: int | None = None
-    exact_limits_hit: bool = False
 
 
 @dataclass(frozen=True)
@@ -204,32 +191,6 @@ def rc_lower_bound(g: Graph) -> int:
     if not is_connected(g):
         raise InputError("lower bound needs a connected graph")
     return int(diameter(g))
-
-
-def rc_report(
-    g: Graph,
-    bounds: dict[str, int] | None = None,
-    colors_used: int | None = None,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    budget: float | None = None,
-) -> RcReport:
-    """Assemble the summary record, attempting the exact value within limits."""
-    d = rc_lower_bound(g)
-    exact: int | None = None
-    limits_hit = False
-    try:
-        exact = exact_rc(g, max_edges=max_edges, budget=budget)
-    except LimitError:
-        limits_hit = True
-    return RcReport(
-        n=g.n,
-        m=g.m,
-        diameter=d,
-        bounds=dict(bounds or {}),
-        colors_used=colors_used,
-        exact_rc=exact,
-        exact_limits_hit=limits_hit,
-    )
 
 
 def _is_path_of_length_ge3(g: Graph) -> bool:

@@ -7,7 +7,8 @@ when its triangle-vertex incidence graph is a tree, that is when it has
 
 ``build_transformed`` first detaches every non-triangle edge between covered
 vertices (``detach_edge``), then flattens in one ascending sweep over the
-covered vertices: at each vertex ``v`` it moves to a fresh vertex
+covered vertices of the components that are not forests: at each vertex
+``v`` it moves to a fresh vertex
 (``split_vertex``) every triangle whose incidence with ``v`` lies on a cycle
 of the incidence graph. The number of splits is the number of incidences
 outside a spanning forest of that graph, the structure defect
@@ -387,12 +388,12 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     """Detach chords inside each covered set, then flatten every component
     into a triangle-forest in one sweep.
 
-    The sweep visits the covered vertices in ascending order and, at each
-    vertex ``v``, its triangles in ascending order; a triangle whose
-    incidence with ``v`` lies on a cycle of the incidence graph moves to a
-    fresh vertex. A move only cuts cycles and leaves the new vertex a leaf,
-    so no vertex needs a second visit. The split count must equal
-    ``packing.op``."""
+    The sweep visits, in ascending order, the covered vertices of the
+    components that are not forests already and, at each vertex ``v``, its
+    triangles in ascending order; a triangle whose incidence with ``v`` lies
+    on a cycle of the incidence graph moves to a fresh vertex. A move only
+    cuts cycles and leaves the new vertex a leaf, so no vertex needs a
+    second visit. The split count must equal ``packing.op``."""
     if not is_connected(g):
         raise InputError("graph must be connected")
     steps: list[tuple[TraceStep, Graph]] = []
@@ -413,8 +414,10 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     for i, tri in enumerate(tris):
         for x in tri.vertices:
             at.setdefault(x, []).append(i)
+    # a forest component has no incidence on a cycle
+    forest = {v for vs, ok in zip(packing.component_vertices, packing.is_forest) if ok for v in vs}
     splits = 0
-    for v in sorted(at):
+    for v in sorted(at.keys() - forest):
         for i in sorted(at[v], key=tris.__getitem__):
             if len(at[v]) < 2:  # a corner of one triangle is a leaf
                 break

@@ -1,19 +1,22 @@
 """Independent test oracles: naive path enumeration, the queue-based
 verifier, exact rc by checking every canonical coloring, brute-force
 packing, the parent-map packing search, blocks-based forest classification,
-reclassify-until-forest flattening, step-by-step coloring projection, and
-exhaustive small-graph generation up to isomorphism.
+reclassify-until-forest flattening, step-by-step coloring projection,
+recursive triangle-tree coloring, and exhaustive small-graph generation up
+to isomorphism. Also the graph tools only tests use: edge-induced
+subgraphs and vertex-set shrinking.
 
 Everything here deliberately avoids the package's search machinery so the
 two sides of each check stay independent.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from rainbowline.coloring import EdgeColoring
+from rainbowline.coloring import ColorPart, EdgeColoring, _single_triangle_rules
 from rainbowline.errors import InputError, InvariantViolation
 from rainbowline.graphs import (
     Graph,
@@ -21,10 +24,14 @@ from rainbowline.graphs import (
     build_graph,
     diameter,
     edge_key,
-    induced_by_edges,
     is_connected,
 )
-from rainbowline.linegraph import line_graph
+from rainbowline.linegraph import (
+    LineGraphResult,
+    line_graph,
+    star_clique_edges,
+    star_clique_edges_at,
+)
 from rainbowline.oracle import canonical_colorings
 from rainbowline.triangles import (
     EdgeDetachStep,
@@ -38,6 +45,77 @@ from rainbowline.triangles import (
     make_triangle,
     split_vertex,
 )
+
+
+@dataclass(frozen=True)
+class InducedSubgraph:
+    """Edge-induced subgraph plus maps from new ids back to the parent's."""
+
+    graph: Graph
+    vertex_to_parent: tuple[int, ...]
+    edge_to_parent: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class ShrinkResult:
+    """Quotient graph after shrinking a vertex set into one vertex.
+
+    ``vertex_map[v]`` is the image of old vertex ``v``; ``edge_map[e]`` is the
+    image of old edge ``e``, ``None`` when the edge ran inside the shrunk set.
+    Parallel edges created by the identification are merged, so several old
+    edges may map to the same new id.
+    """
+
+    graph: Graph
+    vertex_map: tuple[int, ...]
+    edge_map: tuple[int | None, ...]
+
+
+def induced_by_edges(g: Graph, edge_ids: Iterable[int]) -> InducedSubgraph:
+    """Subgraph on exactly the endpoints of the chosen edges."""
+    ids = sorted(set(edge_ids))
+    for eid in ids:
+        if not (0 <= eid < g.m):
+            raise InputError(f"edge id {eid} out of range")
+    verts = sorted({v for eid in ids for v in g.edges[eid]})
+    to_new = {old: new for new, old in enumerate(verts)}
+    edges = tuple(edge_key(to_new[g.edges[eid][0]], to_new[g.edges[eid][1]]) for eid in ids)
+    return InducedSubgraph(Graph(len(verts), edges), tuple(verts), tuple(ids))
+
+
+def shrink(g: Graph, x: Iterable[int]) -> ShrinkResult:
+    """Delete the edges inside ``x`` and identify ``x`` into one new vertex.
+
+    The quotient stays simple: parallel edges arising from the identification
+    are merged, which the edge map records.
+    """
+    xs = set(x)
+    if not xs or len(xs) >= g.n:
+        raise InputError("shrink set must be a proper nonempty subset of the vertices")
+    for v in xs:
+        if not (0 <= v < g.n):
+            raise InputError(f"vertex {v} out of range")
+    survivors = [v for v in range(g.n) if v not in xs]
+    w = len(survivors)
+    vmap = [w] * g.n
+    for new, old in enumerate(survivors):
+        vmap[old] = new
+    new_edges: list[tuple[int, int]] = []
+    seen: dict[tuple[int, int], int] = {}
+    emap: list[int | None] = []
+    for u, v in g.edges:
+        nu, nv = vmap[u], vmap[v]
+        if nu == nv:
+            emap.append(None)
+            continue
+        key = edge_key(nu, nv)
+        if key in seen:
+            emap.append(seen[key])
+            continue
+        seen[key] = len(new_edges)
+        emap.append(len(new_edges))
+        new_edges.append(key)
+    return ShrinkResult(Graph(w + 1, tuple(new_edges)), tuple(vmap), tuple(emap))
 
 
 def naive_failing_pair(g: Graph, colors: Sequence[int]) -> tuple[int, int] | None:
@@ -339,6 +417,50 @@ def stepwise_project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> 
                 out.append(col.colors[le] if le is not None else 1)
         col = EdgeColoring(lg_before, tuple(out), col.k)
     return col
+
+
+def _peel_leaf(tris: Sequence[Triangle]) -> tuple[Triangle, int]:
+    """Lowest triangle sharing exactly one vertex with the rest of the structure."""
+    for idx, tri in enumerate(tris):
+        rest = {v for j, other in enumerate(tris) if j != idx for v in other.vertices}
+        shared = set(tri.vertices) & rest
+        if len(shared) == 1:
+            return tri, next(iter(shared))
+    raise InvariantViolation("no leaf triangle; component is not a tree structure")
+
+
+def recursive_tree_assignment(
+    lg: LineGraphResult, tris: Sequence[Triangle]
+) -> tuple[ColorPart, list[Triangle]]:
+    """Reference for ``color_triangle_tree``: peel the lowest leaf by
+    rescanning every triangle's corners, color the rest recursively, then
+    spend one fresh color on the leaf and reuse the two lowest colors of the
+    rest. Returns the part and the triangles in peel order."""
+    g = lg.source
+    peeled: list[Triangle] = []
+
+    def assign_tree(rest: list[Triangle]) -> tuple[dict[int, int], int]:
+        if len(rest) == 1:
+            return _single_triangle_rules(lg, rest[0]), 2
+        leaf, u = _peel_leaf(rest)
+        peeled.append(leaf)
+        v, w = sorted(set(leaf.vertices) - {u})
+        assign, used = assign_tree([t for t in rest if t != leaf])
+        fresh = used + 1
+        for le in star_clique_edges_at(lg, w, g.edge_id(u, w)):
+            assign[le] = fresh
+        for le in star_clique_edges_at(lg, v, g.edge_id(u, v)):
+            assign[le] = fresh
+        palette = sorted(set(assign.values()) - {fresh})
+        c1, c2 = palette[0], palette[1]
+        for le in star_clique_edges(lg, w):
+            assign.setdefault(le, c1)
+        for le in star_clique_edges(lg, v):
+            assign.setdefault(le, c2)
+        return assign, fresh
+
+    assign, used = assign_tree(sorted(tris))
+    return ColorPart(assign, used), peeled
 
 
 def canonical_form(g: Graph) -> tuple:

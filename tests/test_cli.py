@@ -192,6 +192,13 @@ class TestColorCommand:
     def test_cubic_rejects_non_cubic(self, capsys):
         assert main(["color", "--family", "path", "--n", "4", "--theorem", "cubic"]) == 3
 
+    def test_deep_triangle_tree_is_a_resource_limit(self, capsys):
+        # one triangle tree with t = 1099: colored without recursion, then
+        # stopped by the verifier's palette cap, not by a RecursionError
+        argv = ["color", "--family", "example32", "--k", "1100", "--theorem", "31"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("resource limit: ")
+
     def test_random_model_source(self, capsys):
         args = ["color", "--model", "gnp", "--n", "7", "--p", "0.4",
                 "--seed", "3", "--theorem", "32"]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import stepwise_project_coloring
+from helpers import induced_by_edges, recursive_tree_assignment, stepwise_project_coloring
 from rainbowline.coloring import (
     ColorPart,
     EdgeColoring,
@@ -16,18 +16,20 @@ from rainbowline.coloring import (
     pendant_two_path_count,
     project_coloring,
 )
-from rainbowline.errors import InputError, LimitError
+from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
     complete_graph,
     connected_gnp,
     cycle_graph,
+    friendship_graph,
+    gen_family,
     path_graph,
     random_cubic,
     shared_vertex_triangle_chain,
     triangle_ring,
 )
-from rainbowline.graphs import Graph, build_graph, degree_profile, diameter, induced_by_edges
+from rainbowline.graphs import Graph, build_graph, degree_profile, diameter
 from rainbowline.linegraph import line_graph
 from rainbowline.oracle import exact_rc, is_rainbow_connected
 from rainbowline.triangles import (
@@ -152,6 +154,14 @@ class TestTriangleTree:
         tris = [t for t in enumerate_triangles(g) if t.vertices != (0, 1, 2)]
         with pytest.raises(Exception):
             color_triangle_tree(line_graph(g), tris)
+
+    def test_rejects_two_components(self):
+        # a bowtie plus a triangle hanging off it by a bridge
+        g = build_graph(
+            8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)]
+        )
+        with pytest.raises(InvariantViolation, match="no leaf triangle"):
+            color_triangle_tree(line_graph(g), enumerate_triangles(g))
 
 
 class TestForestPackingBound:
@@ -399,6 +409,83 @@ class TestProjectionMatchesStepwise:
             splits += trace.split_count
             detaches += len(trace.steps) - trace.split_count
         assert splits >= 5 and detaches >= 20
+
+
+def _tree_components(g: Graph, packing) -> tuple:
+    """L(final) and the triangle lists of the flattened structure's components."""
+    result = build_transformed(g, packing)
+    flat = classify_structure(result.graph, result.triangles)
+    comps = [[flat.triangles[i] for i in comp] for comp in flat.components]
+    return line_graph(result.graph), comps
+
+
+def _cubic_star_packing(seed: int) -> tuple:
+    g = random_cubic(8 + 2 * seed, seed=seed)
+    lg = line_graph(g)
+    tris = [make_triangle(lg.l_graph, *lg.star_of[v]) for v in range(g.n)]
+    return lg.l_graph, classify_structure(lg.l_graph, tris)
+
+
+def _tree_instances():
+    for seed in range(12):
+        g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
+        for mode in PACK_MODES:
+            yield g, pack_edge_disjoint(g, mode)
+    for seed in range(4):
+        yield _cubic_star_packing(seed)
+    for g in (
+        [gen_family("example32", k=k) for k in (2, 3, 5, 12)]
+        + [triangle_ring(r) for r in range(3, 64)]
+        + [friendship_graph(f) for f in range(1, 7)]
+    ):
+        yield g, pack_edge_disjoint(g, "greedy")
+
+
+def _assert_matches_recursion(g: Graph, packing) -> None:
+    lg, comps = _tree_components(g, packing)
+    for tris in comps:
+        part = color_triangle_tree(lg, tris)
+        reference, _ = recursive_tree_assignment(lg, tris)
+        assert part == reference
+        assert part.k == len(tris) + 1
+
+
+class TestTreeColoringMatchesRecursion:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("mode", PACK_MODES)
+    def test_gnp_packings(self, seed, mode):
+        g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
+        _assert_matches_recursion(g, pack_edge_disjoint(g, mode))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cubic_star_packings(self, seed):
+        _assert_matches_recursion(*_cubic_star_packing(seed))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 12])
+    def test_example32(self, k):
+        g = gen_family("example32", k=k)
+        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
+
+    @pytest.mark.parametrize("r", range(3, 64))
+    def test_triangle_ring(self, r):
+        g = triangle_ring(r)
+        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
+
+    @pytest.mark.parametrize("f", range(1, 7))
+    def test_friendship(self, f):
+        g = friendship_graph(f)
+        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
+
+    def test_peel_order_coverage(self):
+        """Some components peel a triangle below one peeled earlier, so the
+        leaf queue takes in new leaves out of order."""
+        out_of_order = 0
+        for g, packing in _tree_instances():
+            lg, comps = _tree_components(g, packing)
+            for tris in comps:
+                _, peeled = recursive_tree_assignment(lg, tris)
+                out_of_order += peeled != sorted(peeled)
+        assert out_of_order >= 3
 
 
 class TestEnsemble:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import remove_vertex_components
+from helpers import induced_by_edges, remove_vertex_components, shrink
 from rainbowline.errors import InputError
 from rainbowline.families import bridged_triangle_chain, complete_graph, cycle_graph, path_graph
 from rainbowline.graphs import (
@@ -14,9 +14,7 @@ from rainbowline.graphs import (
     components,
     degree_profile,
     diameter,
-    induced_by_edges,
     is_connected,
-    shrink,
 )
 
 

@@ -6,16 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import canonical_form
-from rainbowline.errors import InputError, LimitError
+from rainbowline.errors import InputError
 from rainbowline.families import (
     complete_graph,
     cycle_graph,
-    friendship_graph,
     path_graph,
-    triangle_ring,
 )
 from rainbowline.graphs import build_graph, is_connected
-from rainbowline.linegraph import clique_graph, iterated_line_graph, line_graph, star_clique_edges
+from rainbowline.linegraph import iterated_line_graph, line_graph, star_clique_edges
 
 
 @st.composite
@@ -67,13 +65,6 @@ class TestLineGraph:
                 counts[e] += 1
         assert all(c == 2 for c in counts)
 
-    @given(small_graphs())
-    @settings(max_examples=40, deadline=None)
-    def test_bijection_round_trip(self, g):
-        lg = line_graph(g)
-        for e in range(g.m):
-            assert lg.vertex_to_edge[lg.edge_to_vertex[e]] == e
-
     @given(small_graphs(min_n=2))
     @settings(max_examples=60, deadline=None)
     def test_line_of_connected_is_connected(self, g):
@@ -98,38 +89,3 @@ class TestIteratedLineGraph:
         with pytest.raises(InputError, match="no edges"):
             iterated_line_graph(path_graph(3), 3)
 
-
-class TestCliqueGraph:
-    def test_bowtie(self):
-        bow = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-        res = clique_graph(bow)
-        assert len(res.maximal_cliques) == 2
-        assert res.k_graph.m == 1
-
-    def test_path3(self):
-        res = clique_graph(path_graph(3))
-        assert res.maximal_cliques == ((0, 1), (1, 2))
-        assert res.k_graph.m == 1
-
-    def test_friendship_clique_graph_is_c3(self):
-        res = clique_graph(friendship_graph(3))
-        assert len(res.maximal_cliques) == 3
-        assert canonical_form(res.k_graph) == canonical_form(cycle_graph(3))
-
-    def test_ring4_clique_graph_is_c4(self):
-        res = clique_graph(triangle_ring(4))
-        assert len(res.maximal_cliques) == 4
-        assert canonical_form(res.k_graph) == canonical_form(cycle_graph(4))
-
-    def test_ring3_has_extra_inner_clique(self):
-        # the three shared vertices of a 3-ring induce a fourth maximal triangle
-        res = clique_graph(triangle_ring(3))
-        assert len(res.maximal_cliques) == 4
-        assert (0, 1, 2) in res.maximal_cliques
-
-    def test_cap(self):
-        octahedron = build_graph(
-            6, [(u, v) for u, v in combinations(range(6), 2) if u + 3 != v]
-        )
-        with pytest.raises(LimitError):
-            clique_graph(octahedron, cap=5)

@@ -7,9 +7,10 @@ from itertools import combinations
 
 import pytest
 
+from helpers import shrink
 from rainbowline.coloring import ColorPart, EdgeColoring, combine_colorings, project_coloring
 from rainbowline.families import connected_gnp
-from rainbowline.graphs import blocks, is_connected, shrink
+from rainbowline.graphs import blocks, is_connected
 from rainbowline.linegraph import line_graph
 from rainbowline.oracle import exact_rc, is_rainbow_connected
 from rainbowline.triangles import (

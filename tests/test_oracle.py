@@ -31,7 +31,6 @@ from rainbowline.oracle import (
     exact_rc,
     is_rainbow_connected,
     rc_lower_bound,
-    rc_report,
 )
 
 
@@ -262,21 +261,6 @@ class TestLowerBound:
     def test_rejects_disconnected(self):
         with pytest.raises(InputError):
             rc_lower_bound(build_graph(3, [(0, 1)]))
-
-
-class TestRcReport:
-    def test_within_limits(self):
-        g = cycle_graph(5)
-        report = rc_report(g, bounds={"n2 - t": 5}, colors_used=5)
-        assert report.diameter == 2
-        assert report.exact_rc == 3 and not report.exact_limits_hit
-        assert report.diameter <= report.colors_used
-        assert report.diameter <= report.exact_rc <= g.m
-        assert report.colors_used >= report.exact_rc
-
-    def test_limits_hit(self):
-        report = rc_report(cycle_graph(14))
-        assert report.exact_rc is None and report.exact_limits_hit
 
 
 class TestIteratedTightness:
