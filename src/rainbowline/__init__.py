@@ -9,7 +9,6 @@ from .coloring import (
     color_forest_packing,
     color_iterated_baseline,
     color_packing,
-    color_single_triangle,
     color_triangle_tree,
     combine_colorings,
     pendant_two_path_count,
@@ -33,9 +32,7 @@ from .linegraph import (
     star_clique_edges,
 )
 from .oracle import (
-    IteratedTightnessReport,
     canonical_colorings,
-    check_iterated_tightness,
     exact_rc,
     is_rainbow_connected,
     rc_lower_bound,
@@ -51,7 +48,6 @@ from .triangles import (
     enumerate_triangles,
     make_triangle,
     pack_edge_disjoint,
-    replay_trace,
     split_vertex,
 )
 

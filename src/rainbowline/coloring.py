@@ -29,7 +29,6 @@ from .triangles import (
     TrianglePacking,
     build_transformed,
     classify_structure,
-    enumerate_triangles,
     make_triangle,
 )
 
@@ -119,29 +118,6 @@ def _single_triangle_rules(lg: LineGraphResult, tri: Triangle) -> dict[int, int]
     return assign
 
 
-def color_single_triangle(lg: LineGraphResult) -> EdgeColoring:
-    """Two-color rainbow coloring of L(G) when G is one triangle plus pendants."""
-    g = lg.source
-    tris = enumerate_triangles(g)
-    if len(tris) != 1:
-        raise InputError(f"graph must contain exactly one triangle, found {len(tris)}")
-    tri = tris[0]
-    corners = set(tri.vertices)
-    for eid, (a, b) in enumerate(g.edges):
-        if eid in tri.edge_ids:
-            continue
-        inside = (a in corners) + (b in corners)
-        outside = b if a in corners else a
-        if inside != 1 or g.degree(outside) != 1:
-            raise InputError(
-                f"edge ({a}, {b}) is neither the triangle nor pendant at a corner"
-            )
-    assign = _single_triangle_rules(lg, tri)
-    if len(assign) != lg.l_graph.m:
-        raise InvariantViolation("single-triangle rules left line-graph edges uncolored")
-    return EdgeColoring(lg.l_graph, tuple(assign[i] for i in range(lg.l_graph.m)), 2)
-
-
 def color_triangle_tree(lg: LineGraphResult, tris: Sequence[Triangle]) -> ColorPart:
     """Color the star-clique family of one triangle-tree component.
 
@@ -199,10 +175,10 @@ def color_triangle_tree(lg: LineGraphResult, tris: Sequence[Triangle]) -> ColorP
     return ColorPart(assign, fresh)
 
 
-def _structure_star_coloring(lg: LineGraphResult, tris: Sequence[Triangle]) -> EdgeColoring:
-    """Star-partition coloring of ``lg`` = L(g_final) for an all-forest structure."""
+def _structure_star_coloring(lg: LineGraphResult, packing: TrianglePacking) -> EdgeColoring:
+    """Star-partition coloring of ``lg`` = L(g_final) for ``packing``, an
+    all-forest structure classified in g_final."""
     g_final = lg.source
-    packing = classify_structure(g_final, tris)
     if not packing.all_forest:
         raise InvariantViolation("structure must be a triangle-forest at coloring time")
     parts = [
@@ -288,9 +264,9 @@ def _certify(g: Graph, lg: LineGraphResult, coloring: EdgeColoring, bound_name: 
     """Verify ``coloring`` as a coloring of ``lg``, which must be L(g)."""
     from .oracle import is_rainbow_connected
 
-    ok, witness = is_rainbow_connected(coloring.graph, coloring)
     if lg.source != g or coloring.graph != lg.l_graph:
         raise InvariantViolation("certificate target does not match the source's line graph")
+    ok, witness = is_rainbow_connected(coloring.graph, coloring)
     return ColoringCertificate(
         bound_name=bound_name,
         bound_value=bound_value,
@@ -306,7 +282,7 @@ def _flatten_and_color(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring
     is L(g) when the trace is empty."""
     result = build_transformed(g, packing)
     lg_final = line_graph(result.graph)
-    col_final = _structure_star_coloring(lg_final, result.triangles)
+    col_final = _structure_star_coloring(lg_final, result.packing)
     if not result.trace.steps:
         return col_final, lg_final
     lg = line_graph(g)

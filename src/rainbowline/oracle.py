@@ -10,6 +10,18 @@ when an already-admitted state at the same vertex uses a subset of its
 colors. Every level adds exactly one color, so the admitted masks at each
 vertex form an antichain without ever needing removals.
 
+The adjacency (``_adjacency``) groups each vertex's neighbours by the color
+of the edge to them: one ``[bit, neighbours]`` group per color, in order of
+first appearance. A state tests a color against its mask once per group and
+skips the whole group on a clash, so a color shared by a large star clique,
+which the constructions produce, costs one test instead of one per edge.
+The subset test and the target count still run per neighbour. The order of
+groups and neighbours cannot change a verdict or a witness: within one
+level every new mask has the same size, so an admitted mask at the same
+level is a subset of a new one only if it is equal to it. The states
+admitted at each level are therefore the same in any order, and so are the
+early exit and the targets left unreached.
+
 Only the targets ``s+1..n-1`` matter for ``s`` (pairs are symmetric). They
 are counted down as they are first admitted, and the search from ``s`` stops
 the moment the last one is reached. When a source exhausts its states with
@@ -25,10 +37,16 @@ its colored edges and at most one private color per uncolored edge, so it
 is rainbow under the relaxed coloring too. A prefix that fails the check
 therefore has no rainbow completion, and its whole subtree is cut. A full
 coloring is checked exactly, so the first ``k`` with a surviving leaf is rc.
+The adjacency is built once per ``k`` and recolored in place. At every
+vertex the groups of colored edges come first and the private groups of
+its uncolored edges follow in edge-id order, so at both ends of edge ``i``
+its private group is the first private one. Coloring edge ``i = uv`` moves
+``v`` from that group at ``u`` into ``u``'s group of the new color, and
+``u`` likewise at ``v`` (``_take_color``); backtracking moves them back
+(``_give_back``).
 """
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
@@ -41,19 +59,22 @@ DEFAULT_COLOR_CAP = 64
 DEFAULT_EDGE_CAP = 12
 
 
-@dataclass(frozen=True)
-class IteratedTightnessReport:
-    """Whether the ``m - m1`` construction on the twice-iterated line graph
-    is tight, checked against the exact oracle."""
+def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[list]]:
+    """Per vertex, its neighbours grouped by edge color: ``[bit, neighbours]``
+    groups in first-appearance order, neighbours in edge-id order."""
+    adj: list[list[list]] = [[] for _ in range(g.n)]
+    groups: list[dict[int, list]] = [{} for _ in range(g.n)]
+    for (u, v), b in zip(g.edges, bits):
+        for x, y in ((u, v), (v, u)):
+            group = groups[x].get(b)
+            if group is None:
+                group = groups[x][b] = [b, []]
+                adj[x].append(group)
+            group[1].append(y)
+    return adj
 
-    verdict: str  # "equality" | "strict" | "undecided"
-    is_long_path: bool
-    bound: int
-    colors_used: int
-    exact: int | None
 
-
-def _first_unreached(adj: list[list[tuple[int, int]]], s: int) -> int | None:
+def _first_unreached(adj: list[list[list]], s: int) -> int | None:
     """Smallest target ``t > s`` with no rainbow path from ``s``, or ``None``
     as soon as the last target is admitted."""
     n = len(adj)
@@ -65,39 +86,37 @@ def _first_unreached(adj: list[list[tuple[int, int]]], s: int) -> int | None:
     while frontier:
         nxt: list[tuple[int, int]] = []
         for v, mask in frontier:
-            for w, b in adj[v]:
+            for b, ws in adj[v]:
                 if b & mask:
                     continue
                 nm = mask | b
-                admitted = visited[w]
-                for x in admitted:
-                    if x & nm == x:
-                        break
-                else:
-                    admitted.append(nm)
-                    nxt.append((w, nm))
-                    if unreached[w]:
-                        left -= 1
-                        if not left:
-                            return None
-                        unreached[w] = 0
+                for w in ws:
+                    admitted = visited[w]
+                    for x in admitted:
+                        if x & nm == x:
+                            break
+                    else:
+                        admitted.append(nm)
+                        nxt.append((w, nm))
+                        if unreached[w]:
+                            left -= 1
+                            if not left:
+                                return None
+                            unreached[w] = 0
         frontier = nxt
     return unreached.index(1)
 
 
-def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, int] | None]:
-    n = g.n
-    if n <= 1:
-        return True, None
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), b in zip(g.edges, bits):
-        adj[u].append((v, b))
-        adj[v].append((u, b))
-    for s in range(n - 1):
+def _check_adjacency(adj: list[list[list]]) -> tuple[bool, tuple[int, int] | None]:
+    for s in range(len(adj) - 1):
         t = _first_unreached(adj, s)
         if t is not None:
             return False, (s, t)
     return True, None
+
+
+def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, int] | None]:
+    return _check_adjacency(_adjacency(g, bits))
 
 
 def is_rainbow_connected(
@@ -134,6 +153,32 @@ def canonical_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0, [])
 
 
+def _take_color(row: list[list], colored: dict[int, list], y: int, bit: int) -> list:
+    """Move neighbour ``y`` out of its private group, the first one after the
+    ``colored`` groups of ``row``, into the group of ``bit``. Returns the
+    private group for ``_give_back``."""
+    pos = len(colored)
+    private = row[pos]
+    group = colored.get(bit)
+    if group is None:
+        colored[bit] = row[pos] = [bit, [y]]
+    else:
+        group[1].append(y)
+        del row[pos]
+    return private
+
+
+def _give_back(row: list[list], colored: dict[int, list], bit: int, private: list) -> None:
+    """Undo the last ``_take_color(row, colored, y, bit)``."""
+    group = colored[bit]
+    if len(group[1]) == 1:
+        del colored[bit]
+        row[len(colored)] = private
+    else:
+        group[1].pop()
+        row.insert(len(colored), private)
+
+
 def exact_rc(
     g: Graph,
     max_edges: int = DEFAULT_EDGE_CAP,
@@ -159,29 +204,36 @@ def exact_rc(
             f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
     start = time.monotonic()
+    edges = g.edges
 
-    def extends(i: int, top: int, k: int, bits: list[int]) -> bool:
-        """Whether the prefix ``bits[:i]`` using colors ``1..top`` extends to
-        a rainbow coloring with exactly ``k`` colors."""
+    def extends(i: int, top: int, k: int, adj: list[list[list]], colored: list[dict[int, list]]) -> bool:
+        """Whether the prefix of edges ``0..i-1``, colored in ``adj`` with
+        colors ``1..top``, extends to a rainbow coloring with exactly ``k``
+        colors."""
         if budget is not None and time.monotonic() - start > budget:
             raise LimitError("time budget exceeded", lower=k, upper=hi)
-        if not _check_all_pairs(g, bits)[0]:
+        if not _check_adjacency(adj)[0]:
             return False
         if i == m:
             return True
-        private = bits[i]
+        u, v = edges[i]
         for c in range(1, min(top + 1, k) + 1):
             t = max(top, c)
             if k - t > m - i - 1:
                 continue
-            bits[i] = 1 << (c - 1)
-            if extends(i + 1, t, k, bits):
+            bit = 1 << (c - 1)
+            private_u = _take_color(adj[u], colored[u], v, bit)
+            private_v = _take_color(adj[v], colored[v], u, bit)
+            found = extends(i + 1, t, k, adj, colored)
+            _give_back(adj[v], colored[v], bit, private_v)
+            _give_back(adj[u], colored[u], bit, private_u)
+            if found:
                 return True
-        bits[i] = private
         return False
 
     for k in range(lo, m + 1):
-        if extends(0, 0, k, [1 << (k + i) for i in range(m)]):
+        adj = _adjacency(g, [1 << (k + i) for i in range(m)])
+        if extends(0, 0, k, adj, [{} for _ in range(g.n)]):
             return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
@@ -191,30 +243,3 @@ def rc_lower_bound(g: Graph) -> int:
     if not is_connected(g):
         raise InputError("lower bound needs a connected graph")
     return int(diameter(g))
-
-
-def _is_path_of_length_ge3(g: Graph) -> bool:
-    if g.n < 4 or g.m != g.n - 1 or not is_connected(g):
-        return False
-    degs = sorted(g.degree(v) for v in range(g.n))
-    return degs[0] == 1 and degs[1] == 1 and all(d == 2 for d in degs[2:])
-
-
-def check_iterated_tightness(
-    g: Graph, max_edges: int = DEFAULT_EDGE_CAP, budget: float | None = None
-) -> IteratedTightnessReport:
-    """Compare the ``m - m1`` construction against the exact oracle on the
-    twice-iterated line graph; equality should hold exactly for paths of
-    length at least 3."""
-    from .coloring import color_iterated_baseline
-
-    col, cert = color_iterated_baseline(g)
-    long_path = _is_path_of_length_ge3(g)
-    try:
-        exact = exact_rc(col.graph, max_edges=max_edges, budget=budget)
-    except LimitError:
-        return IteratedTightnessReport("undecided", long_path, cert.bound_value, col.k, None)
-    if exact > cert.bound_value:
-        raise InvariantViolation("exact value above a verified construction")
-    verdict = "equality" if exact == cert.bound_value else "strict"
-    return IteratedTightnessReport(verdict, long_path, cert.bound_value, col.k, exact)

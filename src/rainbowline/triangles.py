@@ -98,6 +98,7 @@ class TransformResult:
     graph: Graph
     trace: TransformTrace
     triangles: tuple[Triangle, ...]
+    packing: TrianglePacking  # the classified structure of ``triangles`` in ``graph``
 
 
 def make_triangle(g: Graph, a: int, b: int, c: int) -> Triangle:
@@ -342,19 +343,6 @@ def split_vertex(
     return Graph(g.n + 1, tuple(edges)), step
 
 
-def replay_trace(trace: TransformTrace) -> Graph:
-    """Re-apply every step from the source; errors if any recorded graph differs."""
-    cur = trace.source
-    for step, g_after in trace.steps:
-        if isinstance(step, EdgeDetachStep):
-            cur, _ = detach_edge(cur, step.edge)
-        else:
-            cur, _ = split_vertex(cur, step.vertex, step.kept_triangles, step.moved_triangles)
-        if cur != g_after:
-            raise InvariantViolation("trace replay diverged from the recorded graph")
-    return cur
-
-
 def _moved_triangle(tri: Triangle, v: int, new_vertex: int) -> Triangle:
     """``tri`` after a split moved its corner ``v`` to ``new_vertex``, the
     highest vertex id. A split keeps every edge id."""
@@ -393,7 +381,8 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     triangles in ascending order; a triangle whose incidence with ``v`` lies
     on a cycle of the incidence graph moves to a fresh vertex. A move only
     cuts cycles and leaves the new vertex a leaf, so no vertex needs a
-    second visit. The split count must equal ``packing.op``."""
+    second visit. The split count must equal ``packing.op``. The result
+    carries the flattened structure, classified in the final graph."""
     if not is_connected(g):
         raise InputError("graph must be connected")
     steps: list[tuple[TraceStep, Graph]] = []
@@ -438,4 +427,4 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     if final.c != packing.c:
         raise InvariantViolation("vertex splits changed the component count")
     trace = TransformTrace(source=g, steps=tuple(steps))
-    return TransformResult(graph=cur, trace=trace, triangles=tuple(tris))
+    return TransformResult(graph=cur, trace=trace, triangles=tuple(tris), packing=final)

@@ -3,8 +3,9 @@ verifier, exact rc by checking every canonical coloring, brute-force
 packing, the parent-map packing search, blocks-based forest classification,
 reclassify-until-forest flattening, step-by-step coloring projection,
 recursive triangle-tree coloring, and exhaustive small-graph generation up
-to isomorphism. Also the graph tools only tests use: edge-induced
-subgraphs and vertex-set shrinking.
+to isomorphism. Also the tools only tests use: edge-induced subgraphs,
+vertex-set shrinking, the two-color coloring of a lone triangle with
+pendants, trace replay, and the tightness check of the ``m - m1`` bound.
 
 Everything here deliberately avoids the package's search machinery so the
 two sides of each check stay independent.
@@ -16,8 +17,8 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from typing import Iterable, Sequence
 
-from rainbowline.coloring import ColorPart, EdgeColoring, _single_triangle_rules
-from rainbowline.errors import InputError, InvariantViolation
+from rainbowline.coloring import ColorPart, EdgeColoring, _single_triangle_rules, color_iterated_baseline
+from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.graphs import (
     Graph,
     blocks,
@@ -32,7 +33,7 @@ from rainbowline.linegraph import (
     star_clique_edges,
     star_clique_edges_at,
 )
-from rainbowline.oracle import canonical_colorings
+from rainbowline.oracle import DEFAULT_EDGE_CAP, canonical_colorings, exact_rc
 from rainbowline.triangles import (
     EdgeDetachStep,
     TransformResult,
@@ -390,7 +391,8 @@ def reclassify_build_transformed(g: Graph, packing: TrianglePacking) -> Transfor
         steps.append((step, cur))
         new_vs = tuple(step.new_vertex if x == v else x for x in moved.vertices)
         tris[tris.index(moved)] = make_triangle(cur, *new_vs)
-    return TransformResult(graph=cur, trace=TransformTrace(source=g, steps=tuple(steps)), triangles=tuple(tris))
+    trace = TransformTrace(source=g, steps=tuple(steps))
+    return TransformResult(graph=cur, trace=trace, triangles=tuple(tris), packing=current)
 
 
 def stepwise_project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
@@ -539,3 +541,76 @@ def remove_vertex_components(g: Graph, v: int) -> int:
                     seen.add(b)
                     stack.append(b)
     return count
+
+
+def color_single_triangle(lg: LineGraphResult) -> EdgeColoring:
+    """Two-color rainbow coloring of L(G) when G is one triangle plus pendants."""
+    g = lg.source
+    tris = enumerate_triangles(g)
+    if len(tris) != 1:
+        raise InputError(f"graph must contain exactly one triangle, found {len(tris)}")
+    tri = tris[0]
+    corners = set(tri.vertices)
+    for eid, (a, b) in enumerate(g.edges):
+        if eid in tri.edge_ids:
+            continue
+        inside = (a in corners) + (b in corners)
+        outside = b if a in corners else a
+        if inside != 1 or g.degree(outside) != 1:
+            raise InputError(
+                f"edge ({a}, {b}) is neither the triangle nor pendant at a corner"
+            )
+    assign = _single_triangle_rules(lg, tri)
+    if len(assign) != lg.l_graph.m:
+        raise InvariantViolation("single-triangle rules left line-graph edges uncolored")
+    return EdgeColoring(lg.l_graph, tuple(assign[i] for i in range(lg.l_graph.m)), 2)
+
+
+def replay_trace(trace: TransformTrace) -> Graph:
+    """Re-apply every step from the source; errors if any recorded graph differs."""
+    cur = trace.source
+    for step, g_after in trace.steps:
+        if isinstance(step, EdgeDetachStep):
+            cur, _ = detach_edge(cur, step.edge)
+        else:
+            cur, _ = split_vertex(cur, step.vertex, step.kept_triangles, step.moved_triangles)
+        if cur != g_after:
+            raise InvariantViolation("trace replay diverged from the recorded graph")
+    return cur
+
+
+@dataclass(frozen=True)
+class IteratedTightnessReport:
+    """Whether the ``m - m1`` construction on the twice-iterated line graph
+    is tight, checked against the exact oracle."""
+
+    verdict: str  # "equality" | "strict" | "undecided"
+    is_long_path: bool
+    bound: int
+    colors_used: int
+    exact: int | None
+
+
+def _is_path_of_length_ge3(g: Graph) -> bool:
+    if g.n < 4 or g.m != g.n - 1 or not is_connected(g):
+        return False
+    degs = sorted(g.degree(v) for v in range(g.n))
+    return degs[0] == 1 and degs[1] == 1 and all(d == 2 for d in degs[2:])
+
+
+def check_iterated_tightness(
+    g: Graph, max_edges: int = DEFAULT_EDGE_CAP, budget: float | None = None
+) -> IteratedTightnessReport:
+    """Compare the ``m - m1`` construction against the exact oracle on the
+    twice-iterated line graph; equality should hold exactly for paths of
+    length at least 3."""
+    col, cert = color_iterated_baseline(g)
+    long_path = _is_path_of_length_ge3(g)
+    try:
+        exact = exact_rc(col.graph, max_edges=max_edges, budget=budget)
+    except LimitError:
+        return IteratedTightnessReport("undecided", long_path, cert.bound_value, col.k, None)
+    if exact > cert.bound_value:
+        raise InvariantViolation("exact value above a verified construction")
+    verdict = "equality" if exact == cert.bound_value else "strict"
+    return IteratedTightnessReport(verdict, long_path, cert.bound_value, col.k, exact)

@@ -8,7 +8,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import connected_graphs_up_to, naive_rainbow_connected, small_trees
+from helpers import (
+    check_iterated_tightness,
+    connected_graphs_up_to,
+    naive_rainbow_connected,
+    replay_trace,
+    small_trees,
+)
 from rainbowline.coloring import (
     ColorPart,
     EdgeColoring,
@@ -30,13 +36,12 @@ from rainbowline.families import (
 )
 from rainbowline.graphs import blocks, build_graph, degree_profile, diameter
 from rainbowline.linegraph import line_graph
-from rainbowline.oracle import canonical_colorings, check_iterated_tightness, exact_rc, is_rainbow_connected
+from rainbowline.oracle import canonical_colorings, exact_rc, is_rainbow_connected
 from rainbowline.triangles import (
     TransformTrace,
     build_transformed,
     detach_edge,
     pack_edge_disjoint,
-    replay_trace,
 )
 
 K33 = build_graph(6, [(a, 3 + b) for a in range(3) for b in range(3)])

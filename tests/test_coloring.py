@@ -2,15 +2,21 @@ import random
 
 import pytest
 
-from helpers import induced_by_edges, recursive_tree_assignment, stepwise_project_coloring
+from helpers import (
+    color_single_triangle,
+    induced_by_edges,
+    recursive_tree_assignment,
+    stepwise_project_coloring,
+)
+from rainbowline import oracle
 from rainbowline.coloring import (
     ColorPart,
     EdgeColoring,
+    _certify,
     color_cubic_iterated,
     color_forest_packing,
     color_iterated_baseline,
     color_packing,
-    color_single_triangle,
     color_triangle_tree,
     combine_colorings,
     pendant_two_path_count,
@@ -222,6 +228,28 @@ class TestGeneralPackingBound:
         p = pack_edge_disjoint(g, "greedy")
         n2 = degree_profile(g).n2
         assert p.t + p.n2_prime + p.c == n2 + p.op - p.t
+
+
+class TestCertify:
+    def test_mismatched_target_raises_before_verifying(self, monkeypatch):
+        g = BOWTIE
+        col, cert = color_packing(g, pack_edge_disjoint(g, "greedy"))
+        lg = line_graph(g)
+        calls = []
+        check = oracle.is_rainbow_connected
+
+        def counted(h, c):
+            calls.append(h)
+            return check(h, c)
+
+        monkeypatch.setattr(oracle, "is_rainbow_connected", counted)
+        with pytest.raises(InvariantViolation, match="certificate target"):
+            _certify(path_graph(5), lg, col, cert.bound_name, cert.bound_value)
+        with pytest.raises(InvariantViolation, match="certificate target"):
+            _certify(g, line_graph(path_graph(5)), col, cert.bound_name, cert.bound_value)
+        assert calls == []
+        assert _certify(g, lg, col, cert.bound_name, cert.bound_value) == cert
+        assert calls == [lg.l_graph]
 
 
 class TestIterated:

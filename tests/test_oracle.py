@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    check_iterated_tightness,
     connected_graphs_up_to,
     enumerate_exact_rc,
     naive_failing_pair,
@@ -25,9 +26,9 @@ from rainbowline.graphs import Graph, build_graph, is_connected
 from rainbowline.linegraph import line_graph
 from rainbowline.triangles import pack_edge_disjoint
 from rainbowline.oracle import (
+    _adjacency,
     _check_all_pairs,
     canonical_colorings,
-    check_iterated_tightness,
     exact_rc,
     is_rainbow_connected,
     rc_lower_bound,
@@ -244,6 +245,68 @@ class TestLevelSearchMatchesQueue:
         assert naive_failing_pair(g, colors) == (3, 4)
         assert _check_all_pairs(g, _bits(colors)) == (False, (3, 4))
         assert queue_check_all_pairs(g, _bits(colors)) == (False, (3, 4))
+
+
+def _recolorings(col, rng, count):
+    """``count`` copies of ``col``, each with one random edge recolored to a
+    color already used at one of its ends, as bit lists."""
+    g = col.graph
+    at = [set() for _ in range(g.n)]
+    for (u, v), c in zip(g.edges, col.colors):
+        at[u].add(c)
+        at[v].add(c)
+    out = []
+    for eid in rng.sample(range(g.m), min(count, g.m)):
+        u, v = g.edges[eid]
+        other = sorted((at[u] | at[v]) - {col.colors[eid]})
+        if other:
+            colors = list(col.colors)
+            colors[eid] = rng.choice(other)
+            out.append(_bits(colors))
+    return out
+
+
+class TestGroupedSearch:
+    """The search over color-grouped neighbours returns the verdict and
+    witness of the per-edge queue search on the star-clique colorings the
+    constructions produce, with one edge moved into a neighbouring color
+    class so that some of them fail."""
+
+    def _assert_matches(self, cols, seed):
+        rng = random.Random(seed)
+        verdicts = set()
+        for col in cols:
+            for bits in _recolorings(col, rng, 12):
+                got = _check_all_pairs(col.graph, bits)
+                assert got == queue_check_all_pairs(col.graph, bits)
+                verdicts.add(got[0])
+        assert verdicts == {True, False}
+
+    def test_packing_colorings(self):
+        cols = []
+        for seed in range(8):
+            g = connected_gnp(9, 0.45, seed)
+            col, cert = color_packing(g, pack_edge_disjoint(g, "greedy"))
+            assert cert.verified
+            cols.append(col)
+        self._assert_matches(cols, 1)
+
+    def test_cubic_colorings(self):
+        cols = []
+        for g in (complete_graph(4), random_cubic(6, 1), random_cubic(8, 2)):
+            col, cert = color_cubic_iterated(g)
+            assert cert.verified
+            cols.append(col)
+        self._assert_matches(cols, 2)
+
+    def test_adjacency_groups_by_color(self):
+        # star 0-1, 0-2, 0-3, 0-4 plus 1-2, colors 1, 2, 1, 2, 2
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
+        adj = _adjacency(g, _bits((1, 2, 1, 2, 2)))
+        assert adj[0] == [[1, [1, 3]], [2, [2, 4]]]
+        assert adj[1] == [[1, [0]], [2, [2]]]
+        assert adj[2] == [[2, [0, 1]]]
+        assert adj[3] == [[1, [0]]] and adj[4] == [[2, [0]]]
 
 
 class TestLowerBound:

@@ -11,6 +11,7 @@ from helpers import (
     canonical_form,
     comp_map_pack,
     reclassify_build_transformed,
+    replay_trace,
 )
 from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.families import (
@@ -37,7 +38,6 @@ from rainbowline.triangles import (
     enumerate_triangles,
     make_triangle,
     pack_edge_disjoint,
-    replay_trace,
     split_vertex,
 )
 
@@ -295,6 +295,7 @@ class TestSweepMatchesReclassify:
         assert sweep.trace.source == reference.trace.source
         assert sweep.trace.steps == reference.trace.steps
         assert sweep.triangles == reference.triangles
+        assert sweep.packing == reference.packing
         assert sweep.trace.split_count == p.op
 
     def test_coverage(self):
