@@ -30,7 +30,7 @@ from .formats import (
     to_dot,
 )
 from .graphs import Graph, degree_profile, diameter
-from .linegraph import iterated_line_graph, line_graph
+from .linegraph import iterated_line_graph
 from .oracle import DEFAULT_EDGE_CAP, exact_rc, is_rainbow_connected, rc_lower_bound
 
 EXIT_OK = 0
@@ -277,7 +277,7 @@ def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> 
     row["c"] = general_pack.c
     row["n2_prime"] = general_pack.n2_prime
     row["op"] = general_pack.op
-    _, cert_f = color_forest_packing(g, forest_pack)
+    col_f, cert_f = color_forest_packing(g, forest_pack)
     row["bound_forest"] = cert_f.bound_value
     row["colors_forest"] = cert_f.colors_used
     row["verified_forest"] = cert_f.verified
@@ -292,7 +292,7 @@ def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> 
         row["verified_cubic"] = cert_c.verified
     else:
         row["bound_cubic"] = row["colors_cubic"] = row["verified_cubic"] = ""
-    lg = line_graph(g).l_graph
+    lg = col_f.graph  # L(g): _certify checked it
     row["diam_line"] = diameter(lg)
     try:
         row["exact_rc_line"] = exact_rc(lg, max_edges=max_edges)

@@ -11,6 +11,7 @@ certificate recording the bound, the palette size, and the verifier verdict.
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .errors import InputError, InvariantViolation
@@ -194,15 +195,16 @@ def _structure_star_coloring(lg: LineGraphResult, packing: TrianglePacking) -> E
 def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
     """Pull a coloring of L(final) back to L(source) along the trace.
 
-    One forward pass follows every L(source) edge, a pair of source edges at
-    a shared vertex, to the pair it becomes in L(final). Pairs are bucketed
-    by their current shared vertex, so a step touches only the pairs at its
-    own vertex. A detach renames the detached edge in the pairs at its ``v``
-    end (the ``u`` end keeps the id). A vertex split moves the pairs whose
-    edges both move and drops the pairs with one edge on each side: those
-    adjacencies only exist before the split and get color 1 (the split line
-    graph spans the original one). Survivors take their color from L(final).
-    Cost: O(|E(L(source))|) plus the pairs at each step's vertex.
+    An L(source) edge is a pair of source edges ``e, f`` meeting at a source
+    vertex ``x``. Each of those two edge ends lands on one edge and one
+    vertex of the final graph: the end keeps its edge id unless a detach
+    renamed it (the ``v`` end of a detached edge takes the new id, the ``u``
+    end keeps the old one), and it sits on the final vertex that descends
+    from ``x`` (a split copy descends from the vertex it was split off).
+    When both ends land on the same final vertex, the pair takes the color
+    of the L(final) edge joining their final ids. Otherwise a split cut the
+    adjacency; it gets color 1, since the split line graph spans the
+    original one. Cost: O(|E(L(source))|) plus one pass over the steps.
     """
     if coloring.graph != line_graph(trace.final_graph).l_graph:
         raise InputError("coloring does not match the line graph of the trace's final graph")
@@ -213,44 +215,27 @@ def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColor
 
 def _pull_back(trace: TransformTrace, coloring: EdgeColoring, lg: LineGraphResult) -> EdgeColoring:
     """``project_coloring`` without its input check, onto ``lg`` = L(trace.source)."""
-    pairs = [list(p) for p in lg.l_graph.edges]
-    # line_graph lists the pairs of each star together, vertices ascending
-    bucket: dict[int, list[int]] = {}
-    pos = 0
-    for y, star in enumerate(lg.star_of):
-        size = len(star) * (len(star) - 1) // 2
-        bucket[y] = list(range(pos, pos + size))
-        pos += size
-    dropped: set[int] = set()
+    origin = list(range(trace.source.n))  # final vertex -> its source vertex, -1 for none
+    renamed: dict[tuple[int, int], int] = {}  # (edge, origin of its v end) -> new id
     for step, _ in trace.steps:
         if isinstance(step, EdgeDetachStep):
-            for i in bucket.get(step.v, ()):
-                pair = pairs[i]
-                if pair[0] == step.edge:
-                    pair[0] = step.new_edge
-                elif pair[1] == step.edge:
-                    pair[1] = step.new_edge
+            renamed[step.edge, origin[step.v]] = step.new_edge
+            origin += (-1, -1)
         else:
-            moved = set(step.moved_edges)
-            stay: list[int] = []
-            go: list[int] = []
-            for i in bucket.get(step.vertex, ()):
-                f, h = pairs[i]
-                inside = (f in moved) + (h in moved)
-                if inside == 0:
-                    stay.append(i)
-                elif inside == 2:
-                    go.append(i)
-                else:
-                    dropped.add(i)
-            bucket[step.vertex] = stay
-            bucket[step.new_vertex] = go
+            origin.append(origin[step.vertex])
+    final = trace.final_graph.edges
     index = coloring.graph.edge_index
-    out = tuple(
-        1 if i in dropped else coloring.colors[index[edge_key(f, h)]]
-        for i, (f, h) in enumerate(pairs)
-    )
-    return EdgeColoring(lg.l_graph, out, coloring.k)
+    out: list[int] = []
+    # line_graph lists each star's pairs together, vertices ascending
+    for x, star in enumerate(lg.star_of):
+        ends = []
+        for e in star:
+            fe = renamed.get((e, x), e)
+            a, b = final[fe]
+            ends.append((fe, a if origin[a] == x else b))
+        for (e, y), (f, z) in combinations(ends, 2):
+            out.append(coloring.colors[index[edge_key(e, f)]] if y == z else 1)
+    return EdgeColoring(lg.l_graph, tuple(out), coloring.k)
 
 
 def _check_colorable(g: Graph) -> None:

@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class LimitError(RuntimeError):
-    """A configured resource limit (size cap, time budget) was exceeded.
+    """A configured resource limit (a size or palette cap) was exceeded.
 
     For exact-search limits, ``lower`` and ``upper`` carry the best bracket
     proven before giving up.

@@ -46,7 +46,6 @@ its private group is the first private one. Coloring edge ``i = uv`` moves
 (``_give_back``).
 """
 
-import time
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
@@ -179,11 +178,7 @@ def _give_back(row: list[list], colored: dict[int, list], bit: int, private: lis
         row.insert(len(colored), private)
 
 
-def exact_rc(
-    g: Graph,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    budget: float | None = None,
-) -> int:
+def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     """Exact rainbow connection number by a pruned search over canonical
     colorings.
 
@@ -191,8 +186,7 @@ def exact_rc(
     colors the edges in id order, depth first, in the order of
     ``canonical_colorings``, and cuts every prefix that fails the relaxed
     check (uncolored edges get private colors). Raises ``LimitError``
-    carrying the proven bracket when the instance exceeds ``max_edges`` or
-    the time ``budget`` (seconds).
+    carrying the proven bracket when the instance exceeds ``max_edges``.
     """
     if not is_connected(g) or g.n < 2:
         raise InputError("exact search needs a connected graph on >= 2 vertices")
@@ -203,15 +197,12 @@ def exact_rc(
         raise LimitError(
             f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
-    start = time.monotonic()
     edges = g.edges
 
     def extends(i: int, top: int, k: int, adj: list[list[list]], colored: list[dict[int, list]]) -> bool:
         """Whether the prefix of edges ``0..i-1``, colored in ``adj`` with
         colors ``1..top``, extends to a rainbow coloring with exactly ``k``
         colors."""
-        if budget is not None and time.monotonic() - start > budget:
-            raise LimitError("time budget exceeded", lower=k, upper=hi)
         if not _check_adjacency(adj)[0]:
             return False
         if i == m:

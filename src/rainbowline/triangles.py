@@ -387,17 +387,17 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
         raise InputError("graph must be connected")
     steps: list[tuple[TraceStep, Graph]] = []
     cur = g
-    for comp_idx, indices in enumerate(packing.components):
-        verts = packing.component_vertices[comp_idx]
-        tri_edges = {eid for i in indices for eid in packing.triangles[i].edge_ids}
-        chords = [
-            eid
-            for eid, (a, b) in enumerate(g.edges)
-            if a in verts and b in verts and eid not in tri_edges
-        ]
-        for eid in sorted(chords):
-            cur, step = detach_edge(cur, eid)
-            steps.append((step, cur))
+    comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
+    tri_edges = {eid for tri in packing.triangles for eid in tri.edge_ids}
+    # component by component, ascending edge id within each
+    chords = sorted(
+        (comp_of[a], eid)
+        for eid, (a, b) in enumerate(g.edges)
+        if a in comp_of and comp_of[a] == comp_of.get(b) and eid not in tri_edges
+    )
+    for _, eid in chords:
+        cur, step = detach_edge(cur, eid)
+        steps.append((step, cur))
     tris = list(packing.triangles)
     at: dict[int, list[int]] = {}
     for i, tri in enumerate(tris):

@@ -598,16 +598,14 @@ def _is_path_of_length_ge3(g: Graph) -> bool:
     return degs[0] == 1 and degs[1] == 1 and all(d == 2 for d in degs[2:])
 
 
-def check_iterated_tightness(
-    g: Graph, max_edges: int = DEFAULT_EDGE_CAP, budget: float | None = None
-) -> IteratedTightnessReport:
+def check_iterated_tightness(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> IteratedTightnessReport:
     """Compare the ``m - m1`` construction against the exact oracle on the
     twice-iterated line graph; equality should hold exactly for paths of
     length at least 3."""
     col, cert = color_iterated_baseline(g)
     long_path = _is_path_of_length_ge3(g)
     try:
-        exact = exact_rc(col.graph, max_edges=max_edges, budget=budget)
+        exact = exact_rc(col.graph, max_edges=max_edges)
     except LimitError:
         return IteratedTightnessReport("undecided", long_path, cert.bound_value, col.k, None)
     if exact > cert.bound_value:

@@ -43,6 +43,7 @@ from rainbowline.triangles import (
     build_transformed,
     classify_structure,
     detach_edge,
+    EdgeDetachStep,
     enumerate_triangles,
     make_triangle,
     pack_edge_disjoint,
@@ -388,6 +389,30 @@ def _mixed_trace(seed: int) -> TransformTrace:
     return TransformTrace(source=g, steps=tuple(steps))
 
 
+def _renamed_pair_fates(trace: TransformTrace) -> tuple[int, int]:
+    """Follow every L(source) pair through the trace's graphs, renaming an
+    edge when a detach at the pair's vertex gives it a new id there. Returns
+    how many pairs with a renamed end still meet in the final graph, and how
+    many a later split separates."""
+    kept = cut = 0
+    for f, h in line_graph(trace.source).l_graph.edges:
+        pair = [f, h]
+        (y,) = set(trace.source.edges[f]) & set(trace.source.edges[h])
+        renamed = False
+        for step, g_after in trace.steps:
+            if isinstance(step, EdgeDetachStep) and step.v == y and step.edge in pair:
+                pair[pair.index(step.edge)] = step.new_edge
+                renamed = True
+            shared = set(g_after.edges[pair[0]]) & set(g_after.edges[pair[1]])
+            if not shared:
+                cut += renamed
+                break
+            (y,) = shared
+        else:
+            kept += renamed
+    return kept, cut
+
+
 def _assert_matches_stepwise(trace: TransformTrace, rng: random.Random) -> None:
     col = _random_coloring(trace.final_graph, rng)
     fast = project_coloring(trace, col)
@@ -430,6 +455,11 @@ class TestProjectionMatchesStepwise:
                     detach_then_split += step.vertex in (prev.u, prev.v)
         assert split_then_detach >= 10
         assert detach_then_split >= 10
+        # pairs with an end a detach renamed: some keep an L(final) color,
+        # some are separated by a later split and get color 1
+        fates = [_renamed_pair_fates(_mixed_trace(seed)) for seed in range(60)]
+        assert sum(kept for kept, _ in fates) >= 10
+        assert sum(cut for _, cut in fates) >= 10
         splits = detaches = 0
         for seed in range(12):
             g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)

@@ -118,12 +118,6 @@ class TestExactRc:
             exact_rc(g, max_edges=12)
         assert exc.value.lower == 6 and exc.value.upper == 12
 
-    def test_budget_brackets(self):
-        g = build_graph(9, [(0, v) for v in range(1, 9)])
-        with pytest.raises(LimitError) as exc:
-            exact_rc(g, budget=0.0)
-        assert exc.value.lower == 2 and exc.value.upper == 8
-
 
 def _random_connected(seed):
     """Random spanning tree on 4..8 vertices plus chords, at most 10 edges."""

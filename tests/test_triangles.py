@@ -30,6 +30,7 @@ from rainbowline.linegraph import line_graph
 from rainbowline.triangles import (
     DEFAULT_EXACT_CAP,
     PACK_MODES,
+    EdgeDetachStep,
     Triangle,
     VertexSplitStep,
     build_transformed,
@@ -345,6 +346,23 @@ class TestBuildTransformed:
         assert step.edge == g.edge_id(1, 3)
         assert res.graph.n == 7 and res.graph.m == 8
         assert replay_trace(res.trace) == res.graph
+
+    def test_chords_detached_component_by_component(self):
+        # two rings of three triangles (each one split from a forest), joined
+        # by the edge 5-11; the chord of the first ring has the higher id
+        def ring(b):
+            return [(b, b + 1, b + 3), (b + 1, b + 2, b + 4), (b, b + 2, b + 5)]
+
+        corners = ring(0) + ring(6)
+        edges = [e for a, b, c in corners for e in ((a, b), (a, c), (b, c))]
+        g = build_graph(12, edges + [(5, 11), (9, 10), (3, 4)])
+        p = classify_structure(g, [make_triangle(g, *tri) for tri in corners])
+        assert p.c == 2 and p.op == 2
+        res = build_transformed(g, p)
+        detached = [step.edge for step, _ in res.trace.steps if isinstance(step, EdgeDetachStep)]
+        assert detached == [g.edge_id(3, 4), g.edge_id(9, 10)]
+        assert g.edge_id(3, 4) > g.edge_id(9, 10)
+        assert res.trace.split_count == 2
 
     def test_wrong_defect_is_invariant_violation(self):
         g = triangle_ring(3)
