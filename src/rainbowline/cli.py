@@ -216,7 +216,6 @@ def cmd_color(args: argparse.Namespace) -> int:
         coloring, cert = color_iterated_baseline(g)
         target_name = "L2"
     target = coloring.graph
-    lower = rc_lower_bound(target)
     print(f"bound {cert.bound_name} = {cert.bound_value}")
     print(f"colors used = {cert.colors_used}")
     print(f"verified = {str(cert.verified).lower()}")
@@ -239,7 +238,7 @@ def cmd_color(args: argparse.Namespace) -> int:
             "coloring": list(coloring.colors),
             "verified": cert.verified,
             "witness_failure": list(cert.witness_failure) if cert.witness_failure else None,
-            "diameter_lower_bound": lower,
+            "diameter_lower_bound": rc_lower_bound(target),
         }
         if packing is not None:
             payload["packing"] = _packing_payload(packing)

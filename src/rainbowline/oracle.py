@@ -28,6 +28,23 @@ the moment the last one is reached. When a source exhausts its states with
 targets left, the smallest of them is the witness: the pairs are tried in
 lexicographic order, so the first failing pair found is the smallest one.
 
+Before expanding level ``L`` the search may look one level ahead: if every
+target left has a neighbour ``w`` holding a level-``L`` state whose mask
+avoids the color of the edge from ``w`` (``_reaches``), level ``L + 1``
+admits all of them and the source is done without building it. This is
+exact. An unreached target holds no state, so nothing can dominate a new
+one there: it is admitted at level ``L + 1`` exactly when some level-``L``
+state has a free edge into it. An older state never qualifies, since it was
+expanded already and would have admitted the target then; so the scan of a
+vertex's masks, newest first, stops at the first mask below ``L`` colors.
+The look-ahead runs only when the frontier holds more states than the graph
+has vertices, so the level it may save expands more states than there are
+targets to check. ``L`` is then the popcount of any frontier mask
+(``int.bit_count`` needs Python 3.10, the oldest ``requires-python`` allows).
+It checks first the target that failed the last look-ahead, then the others
+in circular order, and stops at the first failure. A target that passes is
+admitted at the next level, so it passes at most once.
+
 ``exact_rc`` searches the canonical colorings for each palette size ``k``
 depth first, coloring the edges in id order, and checks every prefix with
 the same checker. While edge ``i`` is uncolored it carries a private color
@@ -73,16 +90,46 @@ def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[list]]:
     return adj
 
 
+def _reaches(row: list[list], visited: list[list[int]], level: int) -> bool:
+    """Whether a state of ``level`` colors at a neighbour of the vertex whose
+    color groups are ``row`` has a free edge into that vertex."""
+    for b, ws in row:
+        for w in ws:
+            for x in reversed(visited[w]):
+                if x.bit_count() < level:
+                    break
+                if not x & b:
+                    return True
+    return False
+
+
+def _next_target(unreached: bytearray, t: int) -> int:
+    """The first unreached target after ``t``, wrapping around."""
+    nxt = unreached.find(1, t + 1)
+    return nxt if nxt >= 0 else unreached.find(1)
+
+
 def _first_unreached(adj: list[list[list]], s: int) -> int | None:
     """Smallest target ``t > s`` with no rainbow path from ``s``, or ``None``
-    as soon as the last target is admitted."""
+    as soon as the last target is admitted or sure to be at the next level."""
     n = len(adj)
     unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
+    stuck = s + 1
     visited: list[list[int]] = [[] for _ in range(n)]
     visited[s].append(0)
     frontier = [(s, 0)]
     while frontier:
+        if len(frontier) > n:
+            level = frontier[0][1].bit_count()
+            t = stuck if unreached[stuck] else _next_target(unreached, stuck)
+            for _ in range(left):
+                if not _reaches(adj[t], visited, level):
+                    stuck = t
+                    break
+                t = _next_target(unreached, t)
+            else:
+                return None
         nxt: list[tuple[int, int]] = []
         for v, mask in frontier:
             for b, ws in adj[v]:

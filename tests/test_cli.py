@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rainbowline import coloring
+from rainbowline import cli, coloring
 from rainbowline.cli import EXIT_INTERNAL, main, run_bench
 from rainbowline.errors import InputError, InvariantViolation
 from rainbowline.families import FAMILIES, complete_graph, cycle_graph, gen_family
@@ -136,6 +136,23 @@ class TestColorCommand:
                 == 0
             )
         assert a.read_bytes() == b.read_bytes()
+
+    def test_diameter_only_for_json(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return diameter(g)
+
+        monkeypatch.setattr(cli, "rc_lower_bound", counted)
+        argv = ["color", "--family", "example31", "--t", "3", "--theorem", "31"]
+        assert main(argv) == 0
+        assert "verified = true" in capsys.readouterr().out
+        assert calls == []
+        report = tmp_path / "r.json"
+        assert main(argv + ["--json", str(report)]) == 0
+        assert len(calls) == 1
+        assert json.loads(report.read_text())["diameter_lower_bound"] == diameter(calls[0])
 
     def test_cubic_on_k4(self, capsys):
         assert main(["color", "--family", "complete", "--n", "4", "--theorem", "cubic"]) == 0

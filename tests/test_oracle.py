@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     naive_rainbow_connected,
     queue_check_all_pairs,
 )
+from rainbowline import oracle
 from rainbowline.coloring import EdgeColoring, color_cubic_iterated, color_packing
 from rainbowline.errors import InputError, LimitError
 from rainbowline.families import (
@@ -301,6 +303,83 @@ class TestGroupedSearch:
         assert adj[1] == [[1, [0]], [2, [2]]]
         assert adj[2] == [[2, [0, 1]]]
         assert adj[3] == [[1, [0]]] and adj[4] == [[2, [0]]]
+
+
+@cache
+def _look_ahead_inputs():
+    """Named sets of (graph, bits): the certified packing colorings of
+    gnp(40, 0.2), where the look-ahead fires; the same with one edge
+    recolored, so some fail; the same with a tail of two edges of one new
+    color hung at the last vertex, whose end no other vertex reaches; random
+    palettes on small gnp line graphs."""
+    sets = {"certified": [], "recolored": [], "tail": [], "small": []}
+    rng = random.Random(0)
+    for seed in (1, 2):
+        g = connected_gnp(40, 0.2, seed)
+        col, cert = color_packing(g, pack_edge_disjoint(g, "greedy"))
+        assert cert.verified
+        lg, bits = col.graph, _bits(col.colors)
+        sets["certified"].append((lg, bits))
+        sets["recolored"] += [(lg, recolored) for recolored in _recolorings(col, rng, 4)]
+        tail = ((lg.n - 1, lg.n), (lg.n, lg.n + 1))
+        new = 1 << max(col.colors)
+        sets["tail"].append((build_graph(lg.n + 2, lg.edges + tail), bits + [new, new]))
+    for seed in range(120):
+        rng = random.Random(seed)
+        lg = line_graph(connected_gnp(rng.randint(8, 12), rng.uniform(0.2, 0.6), seed)).l_graph
+        k = rng.randint(2, 12)
+        sets["small"].append((lg, _bits(rng.randint(1, k) for _ in range(lg.m))))
+    return sets
+
+
+class TestLookAheadMatchesQueue:
+    """Ending a source one level early, once every target left has a free
+    edge from a state of the current level, keeps the verdict and witness of
+    the queue search in ``helpers.queue_check_all_pairs``."""
+
+    @pytest.mark.parametrize(
+        "name, verdicts",
+        [("certified", {True}), ("recolored", {True, False}), ("tail", {False}),
+         ("small", {True, False})],
+    )
+    def test_matches_queue(self, name, verdicts):
+        seen = set()
+        for g, bits in _look_ahead_inputs()[name]:
+            got = _check_all_pairs(g, bits)
+            assert got == queue_check_all_pairs(g, bits)
+            seen.add(got[0])
+        assert seen == verdicts
+
+    def test_tail_end_is_the_witness(self):
+        # the tail's end is the last vertex, and source 0 reaches every other
+        for g, bits in _look_ahead_inputs()["tail"]:
+            assert _check_all_pairs(g, bits) == (False, (0, g.n - 1))
+
+    def test_look_ahead_ends_early_and_fails(self, monkeypatch):
+        checks: list[bool] = []
+        ended_early: list[bool] = []
+        failed: list[bool] = []
+        reaches = oracle._reaches
+        first_unreached = oracle._first_unreached
+
+        def counted_reaches(row, visited, level):
+            checks.append(reaches(row, visited, level))
+            return checks[-1]
+
+        def counted_search(adj, s):
+            checks.clear()
+            t = first_unreached(adj, s)
+            # a look-ahead in which every target passed ends the search
+            ended_early.append(t is None and checks[-1:] == [True])
+            failed.append(False in checks)
+            return t
+
+        monkeypatch.setattr(oracle, "_reaches", counted_reaches)
+        monkeypatch.setattr(oracle, "_first_unreached", counted_search)
+        for inputs in _look_ahead_inputs().values():
+            for g, bits in inputs:
+                _check_all_pairs(g, bits)
+        assert any(ended_early) and any(failed)
 
 
 class TestLowerBound:
