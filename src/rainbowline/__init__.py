@@ -44,11 +44,9 @@ from .triangles import (
     TransformTrace,
     build_transformed,
     classify_structure,
-    detach_edge,
     enumerate_triangles,
     make_triangle,
     pack_edge_disjoint,
-    split_vertex,
 )
 
 __version__ = "0.1.0"

@@ -198,6 +198,8 @@ def _packing_payload(p: triangles.TrianglePacking) -> dict:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    if args.pack and args.theorem not in _THEOREM_DEFAULT_PACK:
+        raise InputError("--pack applies only to theorems 31 and 32")
     g, meta = _load_graph(args)
     packing = None
     pack_mode = None

@@ -217,7 +217,7 @@ def _pull_back(trace: TransformTrace, coloring: EdgeColoring, lg: LineGraphResul
     """``project_coloring`` without its input check, onto ``lg`` = L(trace.source)."""
     origin = list(range(trace.source.n))  # final vertex -> its source vertex, -1 for none
     renamed: dict[tuple[int, int], int] = {}  # (edge, origin of its v end) -> new id
-    for step, _ in trace.steps:
+    for step in trace.steps:
         if isinstance(step, EdgeDetachStep):
             renamed[step.edge, origin[step.v]] = step.new_edge
             origin += (-1, -1)

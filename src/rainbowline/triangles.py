@@ -6,13 +6,14 @@ when its triangle-vertex incidence graph is a tree, that is when it has
 ``2*t_i + 1`` vertices. ``classify_structure`` tests the vertex count.
 
 ``build_transformed`` first detaches every non-triangle edge between covered
-vertices (``detach_edge``), then flattens in one ascending sweep over the
-covered vertices of the components that are not forests: at each vertex
-``v`` it moves to a fresh vertex
-(``split_vertex``) every triangle whose incidence with ``v`` lies on a cycle
-of the incidence graph. The number of splits is the number of incidences
-outside a spanning forest of that graph, the structure defect
-``op = 2t + c - |covered|``.
+vertices (an ``EdgeDetachStep``: two pendant edges replace it), then
+flattens in one ascending sweep over the covered vertices of the components
+that are not forests: at each vertex ``v`` it moves to a fresh vertex (a
+``VertexSplitStep``) every triangle whose incidence with ``v`` lies on a
+cycle of the incidence graph. Every step is planned on the packing's
+incidence structure alone and applied to one edge list, and the final graph
+is built once. The number of splits is the number of incidences outside a
+spanning forest of that graph, the structure defect ``op = 2t + c - |covered|``.
 """
 
 from dataclasses import dataclass
@@ -81,24 +82,26 @@ TraceStep = EdgeDetachStep | VertexSplitStep
 
 @dataclass(frozen=True)
 class TransformTrace:
-    source: Graph
-    steps: tuple[tuple[TraceStep, Graph], ...]
+    """The steps that turn ``source`` into ``final_graph``, in order."""
 
-    @property
-    def final_graph(self) -> Graph:
-        return self.steps[-1][1] if self.steps else self.source
+    source: Graph
+    steps: tuple[TraceStep, ...]
+    final_graph: Graph
 
     @property
     def split_count(self) -> int:
-        return sum(1 for step, _ in self.steps if isinstance(step, VertexSplitStep))
+        return sum(1 for step in self.steps if isinstance(step, VertexSplitStep))
 
 
 @dataclass(frozen=True)
 class TransformResult:
-    graph: Graph
     trace: TransformTrace
     triangles: tuple[Triangle, ...]
     packing: TrianglePacking  # the classified structure of ``triangles`` in ``graph``
+
+    @property
+    def graph(self) -> Graph:
+        return self.trace.final_graph
 
 
 def make_triangle(g: Graph, a: int, b: int, c: int) -> Triangle:
@@ -280,69 +283,6 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
     )
 
 
-def detach_edge(g: Graph, eid: int) -> tuple[Graph, EdgeDetachStep]:
-    """Replace edge ``u-v`` by pendant edges ``u-u_new`` and ``v-v_new``.
-
-    Surviving edges keep their ids; the ``u`` side reuses the detached id and
-    the ``v`` side gets a fresh one.
-    """
-    if not (0 <= eid < g.m):
-        raise InputError(f"edge id {eid} out of range")
-    u, v = g.edges[eid]
-    if g.degree(u) < 2 or g.degree(v) < 2:
-        raise InputError(f"both endpoints of edge {eid} must have degree >= 2")
-    u_new, v_new = g.n, g.n + 1
-    edges = list(g.edges)
-    edges[eid] = (u, u_new)
-    edges.append((v, v_new))
-    step = EdgeDetachStep(edge=eid, u=u, v=v, u_new=u_new, v_new=v_new, new_edge=g.m)
-    return Graph(g.n + 2, tuple(edges)), step
-
-
-def split_vertex(
-    g: Graph,
-    v: int,
-    keep: Sequence[Triangle],
-    move: Sequence[Triangle],
-) -> tuple[Graph, VertexSplitStep]:
-    """Split ``v`` into two nonadjacent copies partitioning its triangles.
-
-    The triangles in ``move`` (and only their edges at ``v``) are rerouted to
-    a new vertex; everything else at ``v``, including edges outside the
-    structure, stays put. Edge count and ids are unchanged.
-    """
-    if not keep or not move:
-        raise InputError("both sides of the split must contain a triangle")
-    if len(keep) + len(move) < 2:
-        raise InputError(f"vertex {v} must lie in at least two packing triangles")
-    used = 0
-    for tri in list(keep) + list(move):
-        if v not in tri.vertices:
-            raise InputError(f"triangle {tri.vertices} does not contain vertex {v}")
-        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
-            raise InputError(f"triangle {tri.vertices} is stale for this graph")
-        mask = _edge_mask(tri)
-        if used & mask:
-            raise InputError("split sides must be edge-disjoint triangles")
-        used |= mask
-    new_vertex = g.n
-    moved_edges = sorted(
-        eid for tri in move for eid in tri.edge_ids if v in g.edges[eid]
-    )
-    edges = list(g.edges)
-    for eid in moved_edges:
-        a, b = edges[eid]
-        edges[eid] = (new_vertex, b) if a == v else (a, new_vertex)
-    step = VertexSplitStep(
-        vertex=v,
-        new_vertex=new_vertex,
-        moved_edges=tuple(moved_edges),
-        kept_triangles=tuple(keep),
-        moved_triangles=tuple(move),
-    )
-    return Graph(g.n + 1, tuple(edges)), step
-
-
 def _moved_triangle(tri: Triangle, v: int, new_vertex: int) -> Triangle:
     """``tri`` after a split moved its corner ``v`` to ``new_vertex``, the
     highest vertex id. A split keeps every edge id."""
@@ -381,12 +321,17 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     triangles in ascending order; a triangle whose incidence with ``v`` lies
     on a cycle of the incidence graph moves to a fresh vertex. A move only
     cuts cycles and leaves the new vertex a leaf, so no vertex needs a
-    second visit. The split count must equal ``packing.op``. The result
-    carries the flattened structure, classified in the final graph."""
+    second visit. The split count must equal ``packing.op``. New vertices
+    and edges take the next free ids; a detach keeps the edge's id on its
+    ``u`` side, and a split keeps every edge id. The result carries the
+    flattened structure, classified in the final graph."""
     if not is_connected(g):
         raise InputError("graph must be connected")
-    steps: list[tuple[TraceStep, Graph]] = []
-    cur = g
+    for tri in packing.triangles:
+        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
+            raise InputError(f"triangle {tri.vertices} is stale for this graph")
+    n, edges = g.n, list(g.edges)
+    steps: list[TraceStep] = []
     comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
     tri_edges = {eid for tri in packing.triangles for eid in tri.edge_ids}
     # component by component, ascending edge id within each
@@ -395,9 +340,13 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
         for eid, (a, b) in enumerate(g.edges)
         if a in comp_of and comp_of[a] == comp_of.get(b) and eid not in tri_edges
     )
+    # a chord's ends are covered and triangle edges stay, so no end drops below degree 2
     for _, eid in chords:
-        cur, step = detach_edge(cur, eid)
-        steps.append((step, cur))
+        u, v = edges[eid]
+        steps.append(EdgeDetachStep(edge=eid, u=u, v=v, u_new=n, v_new=n + 1, new_edge=len(edges)))
+        edges[eid] = (u, n)
+        edges.append((v, n + 1))
+        n += 2
     tris = list(packing.triangles)
     at: dict[int, list[int]] = {}
     for i, tri in enumerate(tris):
@@ -412,19 +361,25 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
                 break
             if not _on_cycle(tris, at, i, v):
                 continue
-            keep = sorted(tris[j] for j in at[v] if j != i)
-            cur, step = split_vertex(cur, v, keep, [tris[i]])
-            steps.append((step, cur))
+            # reroute the moved triangle's two edges at ``v``
+            moved_edges = tuple(sorted(eid for eid in tris[i].edge_ids if v in edges[eid]))
+            for eid in moved_edges:
+                a, b = edges[eid]
+                edges[eid] = (n, b) if a == v else (a, n)
+            keep = tuple(sorted(tris[j] for j in at[v] if j != i))
+            steps.append(VertexSplitStep(v, n, moved_edges, keep, (tris[i],)))
             splits += 1
             at[v].remove(i)
-            at[step.new_vertex] = [i]
-            tris[i] = _moved_triangle(tris[i], v, step.new_vertex)
-    final = classify_structure(cur, tris)
+            at[n] = [i]
+            tris[i] = _moved_triangle(tris[i], v, n)
+            n += 1
+    flat = Graph(n, tuple(edges)) if steps else g
+    final = classify_structure(flat, tris)
     if not final.all_forest:
         raise InvariantViolation("vertex splits left a structure that is not a triangle-forest")
     if splits != packing.op:
         raise InvariantViolation(f"applied {splits} vertex splits, structure defect says {packing.op}")
     if final.c != packing.c:
         raise InvariantViolation("vertex splits changed the component count")
-    trace = TransformTrace(source=g, steps=tuple(steps))
-    return TransformResult(graph=cur, trace=trace, triangles=tuple(tris), packing=final)
+    trace = TransformTrace(source=g, steps=tuple(steps), final_graph=flat)
+    return TransformResult(trace=trace, triangles=tuple(tris), packing=final)

@@ -1,7 +1,8 @@
 """Independent test oracles: naive path enumeration, the queue-based
 verifier, exact rc by checking every canonical coloring, brute-force
 packing, the parent-map packing search, blocks-based forest classification,
-reclassify-until-forest flattening, step-by-step coloring projection,
+reclassify-until-forest flattening, the step-at-a-time transform steps
+``detach_edge`` and ``split_vertex``, step-by-step coloring projection,
 recursive triangle-tree coloring, and exhaustive small-graph generation up
 to isomorphism. Also the tools only tests use: edge-induced subgraphs,
 vertex-set shrinking, the two-color coloring of a lone triangle with
@@ -40,11 +41,12 @@ from rainbowline.triangles import (
     TransformTrace,
     Triangle,
     TrianglePacking,
+    VertexSplitStep,
+    _edge_mask,
+    _is_current,
     classify_structure,
-    detach_edge,
     enumerate_triangles,
     make_triangle,
-    split_vertex,
 )
 
 
@@ -365,44 +367,50 @@ def _pick_split(g: Graph, packing: TrianglePacking, forest: Sequence[bool]):
     raise InvariantViolation(f"no split at vertex {v} preserves structure connectivity")
 
 
-def reclassify_build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
+def reclassify_build_transformed(
+    g: Graph, packing: TrianglePacking
+) -> tuple[TransformResult, tuple[Graph, ...]]:
     """Reference for ``build_transformed``: detach the chords, then repeat
     "classify the whole structure by its blocks, split the greedy choice"
-    until every component is a triangle-forest."""
+    until every component is a triangle-forest. Also returns the source and
+    the graph after each step, built one step at a time."""
     if not is_connected(g):
         raise InputError("graph must be connected")
     steps = []
-    cur = g
+    graphs = [g]
     for comp_idx, indices in enumerate(packing.components):
         verts = packing.component_vertices[comp_idx]
         tri_edges = {eid for i in indices for eid in packing.triangles[i].edge_ids}
         for eid, (a, b) in enumerate(g.edges):
             if a in verts and b in verts and eid not in tri_edges:
-                cur, step = detach_edge(cur, eid)
-                steps.append((step, cur))
+                cur, step = detach_edge(graphs[-1], eid)
+                steps.append(step)
+                graphs.append(cur)
     tris = list(packing.triangles)
     while True:
+        cur = graphs[-1]
         current = classify_structure(cur, tris)
         forest = blocks_is_forest(cur, current)
         if all(forest):
             break
         v, moved, keep = _pick_split(cur, current, forest)
         cur, step = split_vertex(cur, v, keep, [moved])
-        steps.append((step, cur))
+        steps.append(step)
+        graphs.append(cur)
         new_vs = tuple(step.new_vertex if x == v else x for x in moved.vertices)
         tris[tris.index(moved)] = make_triangle(cur, *new_vs)
-    trace = TransformTrace(source=g, steps=tuple(steps))
-    return TransformResult(graph=cur, trace=trace, triangles=tuple(tris), packing=current)
+    trace = TransformTrace(source=g, steps=tuple(steps), final_graph=cur)
+    return TransformResult(trace=trace, triangles=tuple(tris), packing=current), tuple(graphs)
 
 
 def stepwise_project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
     """Pull a coloring of L(final) back to L(source) one step at a time,
     rebuilding the line graphs on both sides of every step."""
-    graphs = [trace.source] + [g for _, g in trace.steps]
+    graphs = replay_graphs(trace)
     assert coloring.graph == line_graph(graphs[-1]).l_graph
     col = coloring
     for i in reversed(range(len(trace.steps))):
-        step, g_after = trace.steps[i]
+        step, g_after = trace.steps[i], graphs[i + 1]
         g_before = graphs[i]
         lg_before = line_graph(g_before).l_graph
         after_index = line_graph(g_after).l_graph.edge_index
@@ -566,17 +574,91 @@ def color_single_triangle(lg: LineGraphResult) -> EdgeColoring:
     return EdgeColoring(lg.l_graph, tuple(assign[i] for i in range(lg.l_graph.m)), 2)
 
 
-def replay_trace(trace: TransformTrace) -> Graph:
-    """Re-apply every step from the source; errors if any recorded graph differs."""
-    cur = trace.source
-    for step, g_after in trace.steps:
+def detach_edge(g: Graph, eid: int) -> tuple[Graph, EdgeDetachStep]:
+    """Replace edge ``u-v`` by pendant edges ``u-u_new`` and ``v-v_new``.
+
+    Surviving edges keep their ids; the ``u`` side reuses the detached id and
+    the ``v`` side gets a fresh one.
+    """
+    if not (0 <= eid < g.m):
+        raise InputError(f"edge id {eid} out of range")
+    u, v = g.edges[eid]
+    if g.degree(u) < 2 or g.degree(v) < 2:
+        raise InputError(f"both endpoints of edge {eid} must have degree >= 2")
+    u_new, v_new = g.n, g.n + 1
+    edges = list(g.edges)
+    edges[eid] = (u, u_new)
+    edges.append((v, v_new))
+    step = EdgeDetachStep(edge=eid, u=u, v=v, u_new=u_new, v_new=v_new, new_edge=g.m)
+    return Graph(g.n + 2, tuple(edges)), step
+
+
+def split_vertex(
+    g: Graph,
+    v: int,
+    keep: Sequence[Triangle],
+    move: Sequence[Triangle],
+) -> tuple[Graph, VertexSplitStep]:
+    """Split ``v`` into two nonadjacent copies partitioning its triangles.
+
+    The triangles in ``move`` (and only their edges at ``v``) are rerouted to
+    a new vertex; everything else at ``v``, including edges outside the
+    structure, stays put. Edge count and ids are unchanged.
+    """
+    if not keep or not move:
+        raise InputError("both sides of the split must contain a triangle")
+    if len(keep) + len(move) < 2:
+        raise InputError(f"vertex {v} must lie in at least two packing triangles")
+    used = 0
+    for tri in list(keep) + list(move):
+        if v not in tri.vertices:
+            raise InputError(f"triangle {tri.vertices} does not contain vertex {v}")
+        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
+            raise InputError(f"triangle {tri.vertices} is stale for this graph")
+        mask = _edge_mask(tri)
+        if used & mask:
+            raise InputError("split sides must be edge-disjoint triangles")
+        used |= mask
+    new_vertex = g.n
+    moved_edges = sorted(
+        eid for tri in move for eid in tri.edge_ids if v in g.edges[eid]
+    )
+    edges = list(g.edges)
+    for eid in moved_edges:
+        a, b = edges[eid]
+        edges[eid] = (new_vertex, b) if a == v else (a, new_vertex)
+    step = VertexSplitStep(
+        vertex=v,
+        new_vertex=new_vertex,
+        moved_edges=tuple(moved_edges),
+        kept_triangles=tuple(keep),
+        moved_triangles=tuple(move),
+    )
+    return Graph(g.n + 1, tuple(edges)), step
+
+
+def replay_graphs(trace: TransformTrace) -> tuple[Graph, ...]:
+    """The source and the graph after each step, re-applied one step at a
+    time with ``detach_edge``/``split_vertex``; errors if a re-applied step
+    differs from the recorded one or the last graph from the final graph."""
+    graphs = [trace.source]
+    for step in trace.steps:
         if isinstance(step, EdgeDetachStep):
-            cur, _ = detach_edge(cur, step.edge)
+            cur, again = detach_edge(graphs[-1], step.edge)
         else:
-            cur, _ = split_vertex(cur, step.vertex, step.kept_triangles, step.moved_triangles)
-        if cur != g_after:
-            raise InvariantViolation("trace replay diverged from the recorded graph")
-    return cur
+            cur, again = split_vertex(graphs[-1], step.vertex, step.kept_triangles, step.moved_triangles)
+        if again != step:
+            raise InvariantViolation("trace replay diverged from the recorded step")
+        graphs.append(cur)
+    if graphs[-1] != trace.final_graph:
+        raise InvariantViolation("trace replay diverged from the recorded final graph")
+    return tuple(graphs)
+
+
+def replay_trace(trace: TransformTrace) -> Graph:
+    """Re-apply every step from the source; errors if it does not give the
+    trace's final graph."""
+    return replay_graphs(trace)[-1]
 
 
 @dataclass(frozen=True)

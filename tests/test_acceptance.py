@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     check_iterated_tightness,
     connected_graphs_up_to,
+    detach_edge,
     naive_rainbow_connected,
     replay_trace,
     small_trees,
@@ -40,7 +41,6 @@ from rainbowline.oracle import canonical_colorings, exact_rc, is_rainbow_connect
 from rainbowline.triangles import (
     TransformTrace,
     build_transformed,
-    detach_edge,
     pack_edge_disjoint,
 )
 
@@ -189,7 +189,7 @@ def test_8_observation_suite():
             ]
             if eligible:
                 g2, step = detach_edge(g, eligible[0])
-                trace = TransformTrace(source=g, steps=((step, g2),))
+                trace = TransformTrace(source=g, steps=(step,), final_graph=g2)
                 lg2 = line_graph(g2).l_graph
                 col = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), max(lg2.m, 1))
                 projected = project_coloring(trace, col)

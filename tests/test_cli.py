@@ -137,6 +137,17 @@ class TestColorCommand:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "theorem, pack", [("cubic", "forest_exact"), ("iterated", "greedy")]
+    )
+    def test_pack_only_for_packing_theorems(self, capsys, tmp_path, theorem, pack):
+        report = tmp_path / "r.json"
+        argv = ["color", "--model", "random_cubic", "--n", "8", "--seed", "1",
+                "--theorem", theorem, "--pack", pack, "--json", str(report)]
+        assert main(argv) == 3
+        assert "--pack applies only to theorems 31 and 32" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_diameter_only_for_json(self, capsys, monkeypatch, tmp_path):
         calls = []
 

@@ -4,8 +4,11 @@ import pytest
 
 from helpers import (
     color_single_triangle,
+    detach_edge,
     induced_by_edges,
     recursive_tree_assignment,
+    replay_graphs,
+    split_vertex,
     stepwise_project_coloring,
 )
 from rainbowline import oracle
@@ -42,12 +45,10 @@ from rainbowline.triangles import (
     PACK_MODES,
     build_transformed,
     classify_structure,
-    detach_edge,
     EdgeDetachStep,
     enumerate_triangles,
     make_triangle,
     pack_edge_disjoint,
-    split_vertex,
     TransformTrace,
     VertexSplitStep,
 )
@@ -300,13 +301,13 @@ class TestProjection:
         g = BOWTIE
         lg = line_graph(g)
         col = EdgeColoring(lg.l_graph, tuple(range(1, lg.l_graph.m + 1)), lg.l_graph.m)
-        out = project_coloring(TransformTrace(source=g, steps=()), col)
+        out = project_coloring(TransformTrace(source=g, steps=(), final_graph=g), col)
         assert out == col
 
     def test_detach_projection_verifies(self):
         g = complete_graph(4)
         g2, step = detach_edge(g, 0)
-        trace = TransformTrace(source=g, steps=((step, g2),))
+        trace = TransformTrace(source=g, steps=(step,), final_graph=g2)
         lg2 = line_graph(g2)
         distinct = EdgeColoring(lg2.l_graph, tuple(range(1, lg2.l_graph.m + 1)), lg2.l_graph.m)
         projected = project_coloring(trace, distinct)
@@ -316,7 +317,7 @@ class TestProjection:
     def test_split_projection_verifies(self):
         t1, t2 = enumerate_triangles(BOWTIE)
         g2, step = split_vertex(BOWTIE, 0, [t1], [t2])
-        trace = TransformTrace(source=BOWTIE, steps=((step, g2),))
+        trace = TransformTrace(source=BOWTIE, steps=(step,), final_graph=g2)
         lg2 = line_graph(g2)
         # distinct colors avoiding the fill color 1, so every component of the
         # split line graph is rainbow and cross pairs survive projection
@@ -381,25 +382,26 @@ def _mixed_trace(seed: int) -> TransformTrace:
         if made is None:
             break
         cur, step = made
-        steps.append((step, cur))
+        steps.append(step)
         if isinstance(step, VertexSplitStep):
             focus = [step.new_vertex] if rng.random() < 0.7 else everywhere
         else:
             focus = [step.u, step.v] if rng.random() < 0.7 else everywhere
-    return TransformTrace(source=g, steps=tuple(steps))
+    return TransformTrace(source=g, steps=tuple(steps), final_graph=cur)
 
 
 def _renamed_pair_fates(trace: TransformTrace) -> tuple[int, int]:
-    """Follow every L(source) pair through the trace's graphs, renaming an
-    edge when a detach at the pair's vertex gives it a new id there. Returns
-    how many pairs with a renamed end still meet in the final graph, and how
-    many a later split separates."""
+    """Follow every L(source) pair through the trace's replayed graphs,
+    renaming an edge when a detach at the pair's vertex gives it a new id
+    there. Returns how many pairs with a renamed end still meet in the final
+    graph, and how many a later split separates."""
     kept = cut = 0
+    graphs = replay_graphs(trace)
     for f, h in line_graph(trace.source).l_graph.edges:
         pair = [f, h]
         (y,) = set(trace.source.edges[f]) & set(trace.source.edges[h])
         renamed = False
-        for step, g_after in trace.steps:
+        for step, g_after in zip(trace.steps, graphs[1:]):
             if isinstance(step, EdgeDetachStep) and step.v == y and step.edge in pair:
                 pair[pair.index(step.edge)] = step.new_edge
                 renamed = True
@@ -447,7 +449,7 @@ class TestProjectionMatchesStepwise:
         """The seeded traces reach every case the forward pass distinguishes."""
         split_then_detach = detach_then_split = 0
         for seed in range(60):
-            steps = [step for step, _ in _mixed_trace(seed).steps]
+            steps = _mixed_trace(seed).steps
             for prev, step in zip(steps, steps[1:]):
                 if isinstance(prev, VertexSplitStep) and not isinstance(step, VertexSplitStep):
                     split_then_detach += step.v == prev.new_vertex

@@ -7,18 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from helpers import shrink
+from helpers import detach_edge, shrink, split_vertex
 from rainbowline.coloring import ColorPart, EdgeColoring, combine_colorings, project_coloring
 from rainbowline.families import connected_gnp
 from rainbowline.graphs import blocks, is_connected
 from rainbowline.linegraph import line_graph
 from rainbowline.oracle import exact_rc, is_rainbow_connected
-from rainbowline.triangles import (
-    TransformTrace,
-    detach_edge,
-    pack_edge_disjoint,
-    split_vertex,
-)
+from rainbowline.triangles import TransformTrace, pack_edge_disjoint
 
 
 def random_connected_edge_partition(g, rng):
@@ -109,7 +104,7 @@ class TestDetachProjection:
             pytest.skip("no detachable non-bridge edge")
         g2, step = detach_edge(g, eligible[0])
         assert is_connected(g2)
-        trace = TransformTrace(source=g, steps=((step, g2),))
+        trace = TransformTrace(source=g, steps=(step,), final_graph=g2)
         lg2 = line_graph(g2).l_graph
         k = max(lg2.m, 1)
         distinct = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), k)
@@ -139,7 +134,7 @@ class TestSplitProjection:
         if inst is None:
             pytest.skip("no connectivity-preserving split available")
         g, g2, step = inst
-        trace = TransformTrace(source=g, steps=((step, g2),))
+        trace = TransformTrace(source=g, steps=(step,), final_graph=g2)
         lg2 = line_graph(g2).l_graph
         k = max(lg2.m, 1)
         distinct = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), k)

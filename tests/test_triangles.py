@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from itertools import combinations
 
 import pytest
@@ -10,9 +11,13 @@ from helpers import (
     brute_force_max_packing,
     canonical_form,
     comp_map_pack,
+    detach_edge,
     reclassify_build_transformed,
+    replay_graphs,
     replay_trace,
+    split_vertex,
 )
+from rainbowline.coloring import color_packing
 from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
@@ -35,11 +40,9 @@ from rainbowline.triangles import (
     VertexSplitStep,
     build_transformed,
     classify_structure,
-    detach_edge,
     enumerate_triangles,
     make_triangle,
     pack_edge_disjoint,
-    split_vertex,
 )
 
 BOWTIE = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
@@ -291,10 +294,11 @@ class TestSweepMatchesReclassify:
     def test_same_result(self, name):
         g, p = SWEEP_INSTANCES[name]
         sweep = build_transformed(g, p)
-        reference = reclassify_build_transformed(g, p)
+        reference, reference_graphs = reclassify_build_transformed(g, p)
         assert sweep.graph == reference.graph
         assert sweep.trace.source == reference.trace.source
         assert sweep.trace.steps == reference.trace.steps
+        assert replay_graphs(sweep.trace) == reference_graphs
         assert sweep.triangles == reference.triangles
         assert sweep.packing == reference.packing
         assert sweep.trace.split_count == p.op
@@ -304,7 +308,7 @@ class TestSweepMatchesReclassify:
         two different corners."""
         repeated_vertex = two_corners = 0
         for g, p in SWEEP_INSTANCES.values():
-            splits = [s for s, _ in build_transformed(g, p).trace.steps if isinstance(s, VertexSplitStep)]
+            splits = [s for s in build_transformed(g, p).trace.steps if isinstance(s, VertexSplitStep)]
             vertices = [s.vertex for s in splits]
             repeated_vertex += len(vertices) != len(set(vertices))
             corners: dict[frozenset, set[int]] = {}
@@ -342,7 +346,7 @@ class TestBuildTransformed:
         p = classify_structure(g, [make_triangle(g, 0, 1, 2), make_triangle(g, 0, 3, 4)])
         res = build_transformed(g, p)
         assert len(res.trace.steps) == 1 and res.trace.split_count == 0
-        step = res.trace.steps[0][0]
+        step = res.trace.steps[0]
         assert step.edge == g.edge_id(1, 3)
         assert res.graph.n == 7 and res.graph.m == 8
         assert replay_trace(res.trace) == res.graph
@@ -359,10 +363,24 @@ class TestBuildTransformed:
         p = classify_structure(g, [make_triangle(g, *tri) for tri in corners])
         assert p.c == 2 and p.op == 2
         res = build_transformed(g, p)
-        detached = [step.edge for step, _ in res.trace.steps if isinstance(step, EdgeDetachStep)]
+        detached = [step.edge for step in res.trace.steps if isinstance(step, EdgeDetachStep)]
         assert detached == [g.edge_id(3, 4), g.edge_id(9, 10)]
         assert g.edge_id(3, 4) > g.edge_id(9, 10)
         assert res.trace.split_count == 2
+
+    @pytest.mark.parametrize("mode", ["greedy", "forest_greedy"])
+    def test_foreign_packing_is_input_error(self, mode):
+        """A packing built for another graph fails on one of its triangles,
+        whether the structure needs splits or not."""
+        g = connected_gnp(12, 0.5, seed=4)
+        p = pack_edge_disjoint(connected_gnp(12, 0.5, seed=5), mode)
+        assert (p.op > 0) == (mode == "greedy")
+        with pytest.raises(InputError, match=r"\(\d+, \d+, \d+\)") as err:
+            color_packing(g, p)
+        named = tuple(map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups()))
+        (tri,) = [t for t in p.triangles if t.vertices == named]
+        if all(g.has_edge(a, b) for a, b in combinations(named, 2)):
+            assert make_triangle(g, *named) != tri
 
     def test_wrong_defect_is_invariant_violation(self):
         g = triangle_ring(3)
