@@ -3,15 +3,11 @@ triangle structures, with an exact verifier and an exact rc search."""
 
 from .coloring import (
     ColoringCertificate,
-    ColorPart,
     EdgeColoring,
     color_cubic_iterated,
     color_forest_packing,
     color_iterated_baseline,
     color_packing,
-    color_triangle_tree,
-    combine_colorings,
-    pendant_two_path_count,
     project_coloring,
 )
 from .errors import InputError, InvariantViolation, LimitError

@@ -52,29 +52,40 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float, help=argparse.SUPPRESS)
 
 
+def _reject_unread(args: argparse.Namespace, source: str, reads: tuple[str, ...]) -> None:
+    """A source flag the chosen source does not read is an input error."""
+    for flag in ("seed", *_FAMILY_PARAM_FLAGS, "p"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise InputError(f"--{flag} does not apply to {source}")
+
+
 def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     sources = [s for s in (args.file, args.family, args.model) if s]
     if len(sources) != 1:
         raise InputError("exactly one of --file, --family, or --model is required")
     if args.file:
+        _reject_unread(args, "--file", ())
         text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
         return parse_edge_list(text), {"file": args.file}
     if args.model:
+        gnp = args.model == "gnp"
+        _reject_unread(args, f"--model {args.model}", ("seed", "n", "p") if gnp else ("seed", "n"))
         if args.seed is None:
             raise InputError("--seed is required for random models")
         if args.n is None:
             raise InputError("--n is required for random models")
         meta = {"model": args.model, "n": args.n, "seed": args.seed}
-        if args.model == "gnp":
+        if gnp:
             if args.p is None:
                 raise InputError("--p is required for the gnp model")
             meta["p"] = args.p
             return connected_gnp(args.n, args.p, args.seed), meta
         return random_cubic(args.n, args.seed), meta
+    _reject_unread(args, f"--family {args.family}", _FAMILY_PARAM_FLAGS)
     params = {
         flag: getattr(args, flag)
         for flag in _FAMILY_PARAM_FLAGS
-        if getattr(args, flag, None) is not None
+        if getattr(args, flag) is not None
     }
     return gen_family(args.family, **params), {"family": args.family, "params": params}
 
@@ -334,6 +345,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputError("--seed is required for random models")
     if args.model == "gnp" and args.p is None:
         raise InputError("--p is required for the gnp model")
+    if args.model == "random_cubic" and args.p is not None:
+        raise InputError("--p does not apply to --model random_cubic")
     if args.n is None:
         raise InputError("--n is required")
     rows = run_bench(args.model, args.n, args.p or 0.0, args.count, args.seed, args.max_edges)

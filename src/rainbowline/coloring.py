@@ -1,12 +1,13 @@
 """Constructive rainbow colorings of line graphs and iterated line graphs.
 
-The constructions all follow one recipe: partition the edges of the line
-graph into star cliques grouped by triangle-structure component, color each
-component's clique family with ``t_i + 1`` colors by peeling leaf triangles,
-give every star clique of an uncovered inner vertex one fresh color, and
-project the combined coloring back through the structure-flattening
-transforms. Each public construction returns its coloring together with a
-certificate recording the bound, the palette size, and the verifier verdict.
+All four bounds use one construction on a graph H and a packing: flatten the
+structure, partition L(H) into star cliques, color each forest component's
+cliques with ``t_i + 1`` colors by peeling leaf triangles, give every other
+inner vertex's star one fresh color, and project back. ``n2 - t`` and
+``t + n2' + c`` run it on G, ``n + 1`` on L(G) with its vertex-star
+triangles, and ``m - m1`` on L(G) with no triangles. Each public
+construction returns its coloring with a certificate recording the bound,
+the palette size, and the verifier verdict.
 """
 
 import heapq
@@ -18,7 +19,6 @@ from .errors import InputError, InvariantViolation
 from .graphs import Graph, degree_profile, edge_key, is_connected
 from .linegraph import (
     LineGraphResult,
-    iterated_line_graph,
     line_graph,
     star_clique_edges,
     star_clique_edges_at,
@@ -176,22 +176,6 @@ def color_triangle_tree(lg: LineGraphResult, tris: Sequence[Triangle]) -> ColorP
     return ColorPart(assign, fresh)
 
 
-def _structure_star_coloring(lg: LineGraphResult, packing: TrianglePacking) -> EdgeColoring:
-    """Star-partition coloring of ``lg`` = L(g_final) for ``packing``, an
-    all-forest structure classified in g_final."""
-    g_final = lg.source
-    if not packing.all_forest:
-        raise InvariantViolation("structure must be a triangle-forest at coloring time")
-    parts = [
-        color_triangle_tree(lg, [packing.triangles[i] for i in comp])
-        for comp in packing.components
-    ]
-    for x in range(g_final.n):
-        if g_final.degree(x) >= 2 and x not in packing.covered_vertices:
-            parts.append(ColorPart({le: 1 for le in star_clique_edges(lg, x)}, 1))
-    return combine_colorings(lg.l_graph, parts)
-
-
 def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
     """Pull a coloring of L(final) back to L(source) along the trace.
 
@@ -261,17 +245,24 @@ def _certify(g: Graph, lg: LineGraphResult, coloring: EdgeColoring, bound_name: 
     )
 
 
-def _flatten_and_color(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, LineGraphResult]:
-    """Flatten the structure, color the star cliques of L(final) and pull the
-    coloring back; returns it with L(g). Builds each line graph once: L(final)
-    is L(g) when the trace is empty."""
+def _construct(g: Graph, packing: TrianglePacking, bound_name: str, bound_value: int) -> tuple[EdgeColoring, ColoringCertificate]:
+    """The one construction behind every bound: flatten the structure, color
+    the star cliques of L(final), pull the coloring back to L(g) and certify
+    it. Each component of the flattened forest structure takes ``t_i + 1``
+    colors, each other inner vertex's star one. Builds each line graph once:
+    L(final) is L(g) when the trace is empty."""
     result = build_transformed(g, packing)
-    lg_final = line_graph(result.graph)
-    col_final = _structure_star_coloring(lg_final, result.packing)
-    if not result.trace.steps:
-        return col_final, lg_final
-    lg = line_graph(g)
-    return _pull_back(result.trace, col_final, lg), lg
+    final, flat = result.graph, result.packing
+    lg = line_graph(final)
+    parts = [color_triangle_tree(lg, [flat.triangles[i] for i in comp]) for comp in flat.components]
+    for x in range(final.n):
+        if final.degree(x) >= 2 and x not in flat.covered_vertices:
+            parts.append(ColorPart({le: 1 for le in star_clique_edges(lg, x)}, 1))
+    col = combine_colorings(lg.l_graph, parts)
+    if result.trace.steps:
+        lg = line_graph(g)
+        col = _pull_back(result.trace, col, lg)
+    return col, _certify(g, lg, col, bound_name, bound_value)
 
 
 def color_forest_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, ColoringCertificate]:
@@ -279,10 +270,7 @@ def color_forest_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColori
     _check_colorable(g)
     if not packing.all_forest:
         raise InputError("packing structure must be a triangle-forest; use color_packing instead")
-    col, lg = _flatten_and_color(g, packing)
-    bound = degree_profile(g).n2 - packing.t
-    cert = _certify(g, lg, col, "n2 - t", bound)
-    return col, cert
+    return _construct(g, packing, "n2 - t", degree_profile(g).n2 - packing.t)
 
 
 def color_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, ColoringCertificate]:
@@ -292,10 +280,7 @@ def color_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Col
     forest bound.
     """
     _check_colorable(g)
-    col, lg = _flatten_and_color(g, packing)
-    bound = packing.t + packing.n2_prime + packing.c
-    cert = _certify(g, lg, col, "t + n2' + c", bound)
-    return col, cert
+    return _construct(g, packing, "t + n2' + c", packing.t + packing.n2_prime + packing.c)
 
 
 def color_cubic_iterated(g: Graph) -> tuple[EdgeColoring, ColoringCertificate]:
@@ -315,8 +300,7 @@ def color_cubic_iterated(g: Graph) -> tuple[EdgeColoring, ColoringCertificate]:
     bound = g.n + 1
     if packing.t + packing.n2_prime + packing.c != bound:
         raise InvariantViolation("cubic star packing should give t=n, n2'=0, c=1")
-    col, lg2 = _flatten_and_color(lg1.l_graph, packing)
-    return col, _certify(lg1.l_graph, lg2, col, "n + 1", bound)
+    return _construct(lg1.l_graph, packing, "n + 1", bound)
 
 
 def pendant_two_path_count(g: Graph) -> int:
@@ -331,19 +315,21 @@ def pendant_two_path_count(g: Graph) -> int:
 def color_iterated_baseline(g: Graph) -> tuple[EdgeColoring, ColoringCertificate]:
     """Rainbow coloring of the twice-iterated line graph with ``m - m1`` colors.
 
-    One fresh color per star clique of each inner vertex of L(g); the count
-    is exact because L(g) has ``m`` vertices of which ``m1`` are pendant.
+    This is the ``t + n2' + c`` bound of L(g) with no triangles: every inner
+    vertex of L(g) keeps its star clique to one fresh color. The count is
+    ``m - m1`` because L(g) has ``m`` vertices of which ``m1`` are pendant.
     """
     if not is_connected(g):
         raise InputError("graph must be connected")
-    chain = iterated_line_graph(g, 2)
-    lg1, lg2 = chain
-    if lg2.l_graph.n < 2:
+    if g.m == 0:
+        raise InputError("iteration 1: graph has no edges")
+    lg = line_graph(g).l_graph
+    if lg.m == 0:
+        raise InputError("iteration 2: graph has no edges")
+    if lg.m == 1:
         raise InputError("twice-iterated line graph is trivial")
-    inner = [x for x in range(lg1.l_graph.n) if lg1.l_graph.degree(x) >= 2]
-    parts = [ColorPart({le: 1 for le in star_clique_edges(lg2, x)}, 1) for x in inner]
-    col = combine_colorings(lg2.l_graph, parts)
+    packing = classify_structure(lg, ())
     bound = g.m - pendant_two_path_count(g)
-    if col.k != bound:
-        raise InvariantViolation(f"used {col.k} colors, pendant accounting says {bound}")
-    return col, _certify(lg1.l_graph, lg2, col, "m - m1", bound)
+    if packing.n2_prime != bound:
+        raise InvariantViolation(f"L(G) has {packing.n2_prime} inner vertices, pendant accounting says {bound}")
+    return _construct(lg, packing, "m - m1", bound)

@@ -130,10 +130,12 @@ def gnp(n: int, p: float, rng: random.Random) -> Graph:
 
 def connected_gnp(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
     """Resample G(n, p) until connected; deterministic under the seed."""
+    if n < 2 or p <= 0:
+        raise InputError(f"no connected gnp({n}, {p}) graph exists; needs n >= 2 and p > 0")
     rng = random.Random(seed)
     for _ in range(max_tries):
         g = gnp(n, p, rng)
-        if is_connected(g) and g.n > 1:
+        if is_connected(g):
             return g
     raise LimitError(f"no connected gnp({n}, {p}) sample in {max_tries} tries")
 

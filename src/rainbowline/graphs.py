@@ -74,7 +74,6 @@ class DegreeProfile:
     degrees: tuple[int, ...]
     n1: int
     n2: int
-    inner_vertices: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -230,6 +229,5 @@ def blocks(g: Graph) -> BlockDecomposition:
 
 def degree_profile(g: Graph) -> DegreeProfile:
     degrees = g.degrees
-    inner = frozenset(v for v, d in enumerate(degrees) if d >= 2)
     n1 = sum(1 for d in degrees if d == 1)
-    return DegreeProfile(degrees, n1, len(inner), inner)
+    return DegreeProfile(degrees, n1, sum(1 for d in degrees if d >= 2))

@@ -63,10 +63,11 @@ its private group is the first private one. Coloring edge ``i = uv`` moves
 (``_give_back``).
 """
 
+import math
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
-from .graphs import Graph, diameter, is_connected
+from .graphs import Graph, diameter
 
 if TYPE_CHECKING:
     from .coloring import EdgeColoring
@@ -235,9 +236,10 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     check (uncolored edges get private colors). Raises ``LimitError``
     carrying the proven bracket when the instance exceeds ``max_edges``.
     """
-    if not is_connected(g) or g.n < 2:
+    diam = diameter(g)
+    if g.n < 2 or math.isinf(diam):
         raise InputError("exact search needs a connected graph on >= 2 vertices")
-    lo = max(int(diameter(g)), 1)
+    lo = max(int(diam), 1)
     hi = min(g.m, g.n - 1)
     m = g.m
     if m > max_edges:
@@ -278,6 +280,7 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
 
 def rc_lower_bound(g: Graph) -> int:
     """Diameter: no coloring can beat the longest shortest path."""
-    if not is_connected(g):
+    diam = diameter(g)
+    if math.isinf(diam):
         raise InputError("lower bound needs a connected graph")
-    return int(diameter(g))
+    return int(diam)

@@ -190,9 +190,9 @@ def _pack_greedy(tris: Sequence[Triangle], forest: bool) -> list[Triangle]:
     return chosen
 
 
-def _pack_exact(tris: Sequence[Triangle], forest: bool, cap: int) -> list[Triangle]:
-    if len(tris) > cap:
-        raise LimitError(f"exact packing capped at {cap} triangles, instance has {len(tris)}")
+def _pack_exact(tris: Sequence[Triangle], forest: bool) -> list[Triangle]:
+    if len(tris) > DEFAULT_EXACT_CAP:
+        raise LimitError(f"exact packing capped at {DEFAULT_EXACT_CAP} triangles, instance has {len(tris)}")
     masks = [_edge_mask(t) for t in tris]
     best = [tris.index(t) for t in _pack_greedy(tris, forest)]
     n_t = len(tris)
@@ -220,12 +220,12 @@ def _pack_exact(tris: Sequence[Triangle], forest: bool, cap: int) -> list[Triang
     return [tris[i] for i in best]
 
 
-def pack_edge_disjoint(g: Graph, mode: str = "greedy", max_triangles: int = DEFAULT_EXACT_CAP) -> TrianglePacking:
+def pack_edge_disjoint(g: Graph, mode: str = "greedy") -> TrianglePacking:
     """Pick pairwise edge-disjoint triangles and classify the structure.
 
     Greedy modes scan triangles in canonical order; exact modes search all
-    subsets (capped). Forest modes additionally keep the structure a
-    triangle-forest.
+    subsets and raise ``LimitError`` above ``DEFAULT_EXACT_CAP`` triangles.
+    Forest modes additionally keep the structure a triangle-forest.
     """
     if mode not in PACK_MODES:
         raise InputError(f"unknown packing mode {mode!r}")
@@ -234,7 +234,7 @@ def pack_edge_disjoint(g: Graph, mode: str = "greedy", max_triangles: int = DEFA
     if mode.endswith("greedy"):
         chosen = _pack_greedy(tris, forest)
     else:
-        chosen = _pack_exact(tris, forest, max_triangles)
+        chosen = _pack_exact(tris, forest)
     return classify_structure(g, chosen)
 
 

@@ -3,10 +3,11 @@ verifier, exact rc by checking every canonical coloring, brute-force
 packing, the parent-map packing search, blocks-based forest classification,
 reclassify-until-forest flattening, the step-at-a-time transform steps
 ``detach_edge`` and ``split_vertex``, step-by-step coloring projection,
-recursive triangle-tree coloring, and exhaustive small-graph generation up
-to isomorphism. Also the tools only tests use: edge-induced subgraphs,
-vertex-set shrinking, the two-color coloring of a lone triangle with
-pendants, trace replay, and the tightness check of the ``m - m1`` bound.
+recursive triangle-tree coloring, the hand-built ``m - m1`` coloring of
+L(L(G)), and exhaustive small-graph generation up to isomorphism. Also the
+tools only tests use: edge-induced subgraphs, vertex-set shrinking, the
+two-color coloring of a lone triangle with pendants, trace replay, and the
+tightness check of the ``m - m1`` bound.
 
 Everything here deliberately avoids the package's search machinery so the
 two sides of each check stay independent.
@@ -18,7 +19,14 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from typing import Iterable, Sequence
 
-from rainbowline.coloring import ColorPart, EdgeColoring, _single_triangle_rules, color_iterated_baseline
+from rainbowline.coloring import (
+    ColorPart,
+    EdgeColoring,
+    _single_triangle_rules,
+    color_iterated_baseline,
+    combine_colorings,
+    pendant_two_path_count,
+)
 from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.graphs import (
     Graph,
@@ -30,6 +38,7 @@ from rainbowline.graphs import (
 )
 from rainbowline.linegraph import (
     LineGraphResult,
+    iterated_line_graph,
     line_graph,
     star_clique_edges,
     star_clique_edges_at,
@@ -471,6 +480,23 @@ def recursive_tree_assignment(
 
     assign, used = assign_tree(sorted(tris))
     return ColorPart(assign, used), peeled
+
+
+def hand_built_iterated_baseline(g: Graph) -> tuple[EdgeColoring, LineGraphResult, int]:
+    """Reference for ``color_iterated_baseline``: one fresh color for the
+    star clique of each inner vertex of L(g), in vertex order, combined over
+    L(L(g)) from the twice-iterated chain. Returns the coloring, L(L(g)) and
+    the ``m - m1`` bound, uncertified."""
+    lg1, lg2 = iterated_line_graph(g, 2)
+    if lg2.l_graph.n < 2:
+        raise InputError("twice-iterated line graph is trivial")
+    inner = [x for x in range(lg1.l_graph.n) if lg1.l_graph.degree(x) >= 2]
+    parts = [ColorPart({le: 1 for le in star_clique_edges(lg2, x)}, 1) for x in inner]
+    col = combine_colorings(lg2.l_graph, parts)
+    bound = g.m - pendant_two_path_count(g)
+    if col.k != bound:
+        raise InvariantViolation(f"used {col.k} colors, pendant accounting says {bound}")
+    return col, lg2, bound
 
 
 def canonical_form(g: Graph) -> tuple:

@@ -95,6 +95,27 @@ class TestGenAndFamilies:
         assert main(["gen", "--family", "example31", "--t", "0"]) == 3
         assert main(["gen", "--family", "petersen", "--n", "5"]) == 3
 
+    @pytest.mark.parametrize("n, p", [("1", "0.5"), ("3", "0")])
+    def test_impossible_gnp_is_an_input_error(self, capsys, n, p):
+        # no connected sample exists, so this is bad input, not a resource limit
+        assert main(["gen", "--model", "gnp", "--n", n, "--p", p, "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"input error: no connected gnp({n}, {float(p)}) graph exists; needs n >= 2 and p > 0\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag, source",
+        [
+            (["--model", "gnp", "--n", "4", "--p", "0.9", "--seed", "1", "--k", "5"], "--k", "--model gnp"),
+            (["--model", "random_cubic", "--n", "8", "--seed", "1", "--p", "0.3"], "--p", "--model random_cubic"),
+            (["--family", "path", "--n", "3", "--seed", "9"], "--seed", "--family path"),
+            (["--family", "path", "--n", "3", "--p", "0.7"], "--p", "--family path"),
+            (["--file", "-", "--n", "3"], "--n", "--file"),
+        ],
+    )
+    def test_unread_source_flag_is_an_input_error(self, capsys, argv, flag, source):
+        assert main(["gen", *argv]) == 3
+        assert capsys.readouterr().err == f"input error: {flag} does not apply to {source}\n"
+
     def test_all_families_have_generators(self):
         params = {
             "example31": {"t": 2},
@@ -328,3 +349,13 @@ class TestBench:
 
     def test_seed_required(self, capsys):
         assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5"]) == 3
+
+    def test_single_vertex_gnp_is_an_input_error(self, capsys):
+        assert main(["bench", "--model", "gnp", "--n", "1", "--p", "0.5",
+                     "--count", "2", "--seed", "1"]) == 3
+        assert capsys.readouterr().err.startswith("input error: no connected gnp(1, 0.5) graph exists")
+
+    def test_cubic_rejects_p(self, capsys):
+        assert main(["bench", "--model", "random_cubic", "--n", "8", "--p", "0.3",
+                     "--count", "1", "--seed", "1"]) == 3
+        assert capsys.readouterr().err == "input error: --p does not apply to --model random_cubic\n"

@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
 
 from helpers import (
     color_single_triangle,
+    connected_graphs_up_to,
     detach_edge,
+    hand_built_iterated_baseline,
     induced_by_edges,
     recursive_tree_assignment,
     replay_graphs,
@@ -14,6 +17,7 @@ from helpers import (
 from rainbowline import oracle
 from rainbowline.coloring import (
     ColorPart,
+    ColoringCertificate,
     EdgeColoring,
     _certify,
     color_cubic_iterated,
@@ -294,6 +298,52 @@ class TestIterated:
         assert pendant_two_path_count(cycle_graph(4)) == 0
         spider = build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
         assert pendant_two_path_count(spider) == 3
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (build_graph(1, []), "iteration 1: graph has no edges"),
+            (path_graph(2), "iteration 2: graph has no edges"),
+            (path_graph(3), "twice-iterated line graph is trivial"),
+            (build_graph(4, [(0, 1), (2, 3)]), "graph must be connected"),
+        ],
+    )
+    def test_baseline_input_messages(self, g, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            color_iterated_baseline(g)
+
+    def test_baseline_matches_hand_built_reference(self, monkeypatch):
+        # m - m1 is the t + n2' + c bound of L(G) with no triangles, so the
+        # one construction must give the hand-built coloring and certificate
+        graphs = [
+            *(g for g in connected_graphs_up_to(7) if line_graph(g).l_graph.m >= 2),
+            *(connected_gnp(n, p, s) for n in (6, 10, 15, 25) for p in (0.2, 0.4) for s in range(1, 8)),
+            *(path_graph(n) for n in (4, 20, 40, 60)),
+            *(random_cubic(n, s) for n in (8, 12, 20) for s in (1, 2)),
+            gen_family("example31", t=4),
+            gen_family("example32", k=6),
+            triangle_ring(5),
+            friendship_graph(4),
+        ]
+        assert len(graphs) >= 199
+        capped = 0
+        for g in graphs:
+            ref_col, ref_lg, bound = hand_built_iterated_baseline(g)
+            try:
+                got = color_iterated_baseline(g)
+            except LimitError:
+                # palette over the verifier's cap: compare the coloring and
+                # the certificate's inputs with certification stubbed
+                assert bound > oracle.DEFAULT_COLOR_CAP
+                with monkeypatch.context() as patch:
+                    patch.setattr("rainbowline.coloring._certify", lambda *args: args)
+                    got = color_iterated_baseline(g)
+                assert got == (ref_col, (ref_lg.source, ref_lg, ref_col, "m - m1", bound))
+                capped += 1
+                continue
+            # the certificate the hand-built coloring earns: verified, m - m1 colors
+            assert got == (ref_col, ColoringCertificate("m - m1", bound, bound, True))
+        assert capped < len(graphs) // 10
 
 
 class TestProjection:

@@ -86,8 +86,10 @@ class TestPacking:
         assert p.t == 0 and p.n2_prime == 5
 
     def test_exact_cap(self):
+        # K7 has 35 triangles, over the default cap
+        assert len(enumerate_triangles(complete_graph(7))) > DEFAULT_EXACT_CAP
         with pytest.raises(LimitError):
-            pack_edge_disjoint(complete_graph(6), "exact", max_triangles=10)
+            pack_edge_disjoint(complete_graph(7), "exact")
 
     @pytest.mark.parametrize("mode", PACK_MODES)
     def test_matches_comp_map_search(self, mode):
