@@ -25,7 +25,6 @@ from .linegraph import (
     LineGraphResult,
     iterated_line_graph,
     line_graph,
-    star_clique_edges,
 )
 from .oracle import (
     canonical_colorings,

@@ -1,28 +1,27 @@
 """Constructive rainbow colorings of line graphs and iterated line graphs.
 
 All four bounds use one construction on a graph H and a packing: flatten the
-structure, partition L(H) into star cliques, color each forest component's
-cliques with ``t_i + 1`` colors by peeling leaf triangles, give every other
-inner vertex's star one fresh color, and project back. ``n2 - t`` and
-``t + n2' + c`` run it on G, ``n + 1`` on L(G) with its vertex-star
-triangles, and ``m - m1`` on L(G) with no triangles. Each public
-construction returns its coloring with a certificate recording the bound,
-the palette size, and the verifier verdict.
+structure, then color L(H) star clique by star clique. The star of each
+inner vertex ``x`` of the flattened graph follows one rule ``(s, a, b)``:
+pairs containing the special edge ``s`` get color ``a``, every other pair
+gets ``b``. Each forest component's stars take ``t_i + 1`` colors by peeling
+leaf triangles; every other inner vertex's star takes one fresh color, with
+no special edge and ``a = b``. Each pair of L(H) is colored by the rule of
+the flattened vertex it lands on, so the construction builds exactly one
+line graph, L(H). ``n2 - t`` and ``t + n2' + c`` run it on G, ``n + 1`` on
+L(G) with its vertex-star triangles, and ``m - m1`` on L(G) with no
+triangles. Each public construction returns its coloring with a certificate
+recording the bound, the palette size, and the verifier verdict.
 """
 
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, InvariantViolation
 from .graphs import Graph, degree_profile, edge_key, is_connected
-from .linegraph import (
-    LineGraphResult,
-    line_graph,
-    star_clique_edges,
-    star_clique_edges_at,
-)
+from .linegraph import LineGraphResult, line_graph
 from .triangles import (
     EdgeDetachStep,
     TransformTrace,
@@ -72,7 +71,10 @@ class ColoringCertificate:
 
 
 def combine_colorings(graph: Graph, parts: Sequence[ColorPart]) -> EdgeColoring:
-    """Concatenate disjoint palettes over an edge partition; ``k`` adds up."""
+    """Concatenate disjoint palettes over an edge partition; ``k`` adds up.
+
+    No construction calls this; it stays for the benchmark's tracer, which
+    looks it up here by name."""
     slots: list[int | None] = [None] * graph.m
     offset = 0
     for part in parts:
@@ -91,45 +93,16 @@ def combine_colorings(graph: Graph, parts: Sequence[ColorPart]) -> EdgeColoring:
     return EdgeColoring(graph, tuple(slots), offset)
 
 
-def _triangle_graph_edges(g: Graph, tri: Triangle) -> tuple[int, int, int]:
-    """Source-graph edge ids (uv, vw, uw) for sorted triangle corners u<v<w."""
-    u, v, w = tri.vertices
-    return g.edge_id(u, v), g.edge_id(v, w), g.edge_id(u, w)
+def color_triangle_tree(g: Graph, tris: Sequence[Triangle]) -> tuple[dict[int, tuple[int, int, int]], int]:
+    """Star rules ``x -> (s, a, b)`` for the vertices of one triangle-tree
+    component of ``g``, using ``t_i + 1`` colors.
 
-
-def _single_triangle_rules(lg: LineGraphResult, tri: Triangle) -> dict[int, int]:
-    """Two-color scheme on the three star cliques of a lone triangle.
-
-    Color 1 goes to the star edges at one chosen triangle corner per star;
-    everything else in those stars gets color 2. Where the two rules meet
-    (the triangle's own line-graph edges) color 1 wins.
-    """
-    u, v, w = tri.vertices
-    e1, e2, e3 = _triangle_graph_edges(lg.source, tri)
-    assign: dict[int, int] = {}
-    for sv, at in ((u, e1), (v, e2), (w, e3)):
-        for le in star_clique_edges_at(lg, sv, at):
-            assign[le] = 1
-    for sv, at in ((u, e3), (v, e1), (w, e2)):
-        for le in star_clique_edges_at(lg, sv, at):
-            assign.setdefault(le, 2)
-    for sv in (u, v, w):
-        for le in star_clique_edges(lg, sv):
-            assign.setdefault(le, 2)
-    return assign
-
-
-def color_triangle_tree(lg: LineGraphResult, tris: Sequence[Triangle]) -> ColorPart:
-    """Color the star-clique family of one triangle-tree component.
-
-    Covers exactly the line-graph edges inside the stars of the component's
-    vertices, using ``t_i + 1`` colors. One pass over a leaf queue peels the
-    lowest leaf triangle (exactly one corner shared with the rest) until one
-    triangle is left; that one gets the two-color single-triangle rules.
-    Then the peeled leaves are colored in reverse peel order: each spends one
-    fresh color on its two stars toward the shared corner and reuses colors
-    1 and 2 for the rest of those stars. Cost: O(t_i) heap operations plus
-    the star-clique edges.
+    One pass over a leaf queue peels the lowest leaf triangle (exactly one
+    corner shared with the rest) until one triangle ``uvw`` is left; it gets
+    ``u: (uv, 1, 2)``, ``v: (vw, 1, 2)`` and ``w: (uw, 1, 2)``. Then the
+    peeled leaves are colored in reverse peel order: a leaf with shared
+    corner ``u`` and other corners ``v < w`` spends one fresh color ``f`` on
+    ``v: (uv, f, 2)`` and ``w: (uw, f, 1)``. Cost: O(t_i) heap operations.
     """
     if not tris:
         raise InputError("component must contain at least one triangle")
@@ -159,25 +132,37 @@ def color_triangle_tree(lg: LineGraphResult, tris: Sequence[Triangle]) -> ColorP
             if shared[j] == 1:
                 heapq.heappush(leaves, j)
     (last,) = (order[i] for i in alive)
-    assign = _single_triangle_rules(lg, last)
-    g = lg.source
+    u, v, w = last.vertices
+    rules = {u: (g.edge_id(u, v), 1, 2), v: (g.edge_id(v, w), 1, 2), w: (g.edge_id(u, w), 1, 2)}
     fresh = 2
     for leaf, u in reversed(peels):
         fresh += 1
         v, w = (x for x in leaf.vertices if x != u)
-        for le in star_clique_edges_at(lg, w, g.edge_id(u, w)):
-            assign[le] = fresh
-        for le in star_clique_edges_at(lg, v, g.edge_id(u, v)):
-            assign[le] = fresh
-        for le in star_clique_edges(lg, w):
-            assign.setdefault(le, 1)
-        for le in star_clique_edges(lg, v):
-            assign.setdefault(le, 2)
-    return ColorPart(assign, fresh)
+        rules[v] = (g.edge_id(u, v), fresh, 2)
+        rules[w] = (g.edge_id(u, w), fresh, 1)
+    return rules, fresh
 
 
 def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
     """Pull a coloring of L(final) back to L(source) along the trace.
+
+    Each L(source) edge takes the color of the L(final) edge its two ends
+    land on (see ``_landings``), or color 1 when a split cut the adjacency,
+    since the split line graph spans the original one.
+    """
+    if coloring.graph != line_graph(trace.final_graph).l_graph:
+        raise InputError("coloring does not match the line graph of the trace's final graph")
+    lg = line_graph(trace.source)
+    index = coloring.graph.edge_index
+    colors = tuple(
+        1 if y is None else coloring.colors[index[edge_key(e, f)]]
+        for y, e, f in _landings(trace, lg)
+    )
+    return EdgeColoring(lg.l_graph, colors, coloring.k)
+
+
+def _landings(trace: TransformTrace, lg: LineGraphResult) -> Iterator[tuple[int | None, int, int]]:
+    """Where each edge of ``lg`` = L(trace.source) lands in the final graph.
 
     An L(source) edge is a pair of source edges ``e, f`` meeting at a source
     vertex ``x``. Each of those two edge ends lands on one edge and one
@@ -185,20 +170,10 @@ def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColor
     renamed it (the ``v`` end of a detached edge takes the new id, the ``u``
     end keeps the old one), and it sits on the final vertex that descends
     from ``x`` (a split copy descends from the vertex it was split off).
-    When both ends land on the same final vertex, the pair takes the color
-    of the L(final) edge joining their final ids. Otherwise a split cut the
-    adjacency; it gets color 1, since the split line graph spans the
-    original one. Cost: O(|E(L(source))|) plus one pass over the steps.
+    Yields, in L-edge id order, the final vertex both ends land on and their
+    final edge ids; the vertex is ``None`` when a split cut the pair apart.
+    Cost: O(|E(L(source))|) plus one pass over the steps.
     """
-    if coloring.graph != line_graph(trace.final_graph).l_graph:
-        raise InputError("coloring does not match the line graph of the trace's final graph")
-    if not trace.steps:
-        return coloring
-    return _pull_back(trace, coloring, line_graph(trace.source))
-
-
-def _pull_back(trace: TransformTrace, coloring: EdgeColoring, lg: LineGraphResult) -> EdgeColoring:
-    """``project_coloring`` without its input check, onto ``lg`` = L(trace.source)."""
     origin = list(range(trace.source.n))  # final vertex -> its source vertex, -1 for none
     renamed: dict[tuple[int, int], int] = {}  # (edge, origin of its v end) -> new id
     for step in trace.steps:
@@ -208,8 +183,6 @@ def _pull_back(trace: TransformTrace, coloring: EdgeColoring, lg: LineGraphResul
         else:
             origin.append(origin[step.vertex])
     final = trace.final_graph.edges
-    index = coloring.graph.edge_index
-    out: list[int] = []
     # line_graph lists each star's pairs together, vertices ascending
     for x, star in enumerate(lg.star_of):
         ends = []
@@ -218,8 +191,7 @@ def _pull_back(trace: TransformTrace, coloring: EdgeColoring, lg: LineGraphResul
             a, b = final[fe]
             ends.append((fe, a if origin[a] == x else b))
         for (e, y), (f, z) in combinations(ends, 2):
-            out.append(coloring.colors[index[edge_key(e, f)]] if y == z else 1)
-    return EdgeColoring(lg.l_graph, tuple(out), coloring.k)
+            yield (y if y == z else None), e, f
 
 
 def _check_colorable(g: Graph) -> None:
@@ -246,22 +218,34 @@ def _certify(g: Graph, lg: LineGraphResult, coloring: EdgeColoring, bound_name: 
 
 
 def _construct(g: Graph, packing: TrianglePacking, bound_name: str, bound_value: int) -> tuple[EdgeColoring, ColoringCertificate]:
-    """The one construction behind every bound: flatten the structure, color
-    the star cliques of L(final), pull the coloring back to L(g) and certify
-    it. Each component of the flattened forest structure takes ``t_i + 1``
-    colors, each other inner vertex's star one. Builds each line graph once:
-    L(final) is L(g) when the trace is empty."""
+    """The one construction behind every bound: flatten the structure, give
+    each inner vertex of the final graph a star rule ``(s, a, b)``, color
+    L(g) pair by pair from the rule of the final vertex the pair lands on,
+    and certify it. Each forest component's rules take ``t_i + 1`` colors,
+    each other inner vertex's one; a pair a split cut apart gets color 1.
+    Builds one line graph, L(g)."""
     result = build_transformed(g, packing)
     final, flat = result.graph, result.packing
-    lg = line_graph(final)
-    parts = [color_triangle_tree(lg, [flat.triangles[i] for i in comp]) for comp in flat.components]
+    rules: dict[int, tuple[int | None, int, int]] = {}
+    k = 0
+    for comp in flat.components:
+        tree, used = color_triangle_tree(final, [flat.triangles[i] for i in comp])
+        for x, (s, a, b) in tree.items():
+            rules[x] = (s, k + a, k + b)
+        k += used
     for x in range(final.n):
         if final.degree(x) >= 2 and x not in flat.covered_vertices:
-            parts.append(ColorPart({le: 1 for le in star_clique_edges(lg, x)}, 1))
-    col = combine_colorings(lg.l_graph, parts)
-    if result.trace.steps:
-        lg = line_graph(g)
-        col = _pull_back(result.trace, col, lg)
+            k += 1
+            rules[x] = (None, k, k)
+    lg = line_graph(g)
+    colors = []
+    for y, e, f in _landings(result.trace, lg):
+        if y is None:
+            colors.append(1)
+        else:
+            s, a, b = rules[y]
+            colors.append(a if s in (e, f) else b)
+    col = EdgeColoring(lg.l_graph, tuple(colors), k)
     return col, _certify(g, lg, col, bound_name, bound_value)
 
 

@@ -1,4 +1,4 @@
-"""Line graphs, iterated line graphs and star cliques.
+"""Line graphs and iterated line graphs.
 
 The line graph ``L(G)`` has one vertex per edge of ``G`` (same ids) and joins
 two of them whenever the edges share an endpoint. The star of a vertex ``v``
@@ -7,7 +7,6 @@ induces a clique in ``L(G)``; over all vertices these cliques cover each
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InputError
 from .graphs import Graph
@@ -49,17 +48,4 @@ def iterated_line_graph(g: Graph, k: int) -> list[LineGraphResult]:
         out.append(res)
         cur = res.l_graph
     return out
-
-
-def star_clique_edges(lg: LineGraphResult, v: int) -> list[int]:
-    """Ids of the ``L``-edges inside the star clique of source vertex ``v``."""
-    star = lg.star_of[v]
-    index = lg.l_graph.edge_index
-    return [index[(a, b)] for a, b in combinations(star, 2)]
-
-
-def star_clique_edges_at(lg: LineGraphResult, v: int, at: int) -> list[int]:
-    """Star-clique edges of ``v`` incident with the ``L``-vertex ``at``."""
-    index = lg.l_graph.edge_index
-    return [index[(min(at, o), max(at, o))] for o in lg.star_of[v] if o != at]
 

@@ -236,6 +236,8 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     check (uncolored edges get private colors). Raises ``LimitError``
     carrying the proven bracket when the instance exceeds ``max_edges``.
     """
+    if max_edges < 0:
+        raise InputError(f"edge cap must be non-negative, got {max_edges}")
     diam = diameter(g)
     if g.n < 2 or math.isinf(diam):
         raise InputError("exact search needs a connected graph on >= 2 vertices")

@@ -3,11 +3,12 @@ verifier, exact rc by checking every canonical coloring, brute-force
 packing, the parent-map packing search, blocks-based forest classification,
 reclassify-until-forest flattening, the step-at-a-time transform steps
 ``detach_edge`` and ``split_vertex``, step-by-step coloring projection,
-recursive triangle-tree coloring, the hand-built ``m - m1`` coloring of
-L(L(G)), and exhaustive small-graph generation up to isomorphism. Also the
-tools only tests use: edge-induced subgraphs, vertex-set shrinking, the
-two-color coloring of a lone triangle with pendants, trace replay, and the
-tightness check of the ``m - m1`` bound.
+recursive triangle-tree coloring, the part-by-part construction over
+L(final) with its pull-back, the hand-built ``m - m1`` coloring of L(L(G)),
+and exhaustive small-graph generation up to isomorphism. Also the tools only
+tests use: star-clique edge ids, edge-induced subgraphs, vertex-set
+shrinking, the two-color coloring of a lone triangle with pendants, trace
+replay, and the tightness check of the ``m - m1`` bound.
 
 Everything here deliberately avoids the package's search machinery so the
 two sides of each check stay independent.
@@ -22,7 +23,6 @@ from typing import Iterable, Sequence
 from rainbowline.coloring import (
     ColorPart,
     EdgeColoring,
-    _single_triangle_rules,
     color_iterated_baseline,
     combine_colorings,
     pendant_two_path_count,
@@ -36,13 +36,7 @@ from rainbowline.graphs import (
     edge_key,
     is_connected,
 )
-from rainbowline.linegraph import (
-    LineGraphResult,
-    iterated_line_graph,
-    line_graph,
-    star_clique_edges,
-    star_clique_edges_at,
-)
+from rainbowline.linegraph import LineGraphResult, iterated_line_graph, line_graph
 from rainbowline.oracle import DEFAULT_EDGE_CAP, canonical_colorings, exact_rc
 from rainbowline.triangles import (
     EdgeDetachStep,
@@ -53,6 +47,7 @@ from rainbowline.triangles import (
     VertexSplitStep,
     _edge_mask,
     _is_current,
+    build_transformed,
     classify_structure,
     enumerate_triangles,
     make_triangle,
@@ -438,6 +433,47 @@ def stepwise_project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> 
     return col
 
 
+def star_clique_edges(lg: LineGraphResult, v: int) -> list[int]:
+    """Ids of the ``L``-edges inside the star clique of source vertex ``v``."""
+    star = lg.star_of[v]
+    index = lg.l_graph.edge_index
+    return [index[(a, b)] for a, b in combinations(star, 2)]
+
+
+def star_clique_edges_at(lg: LineGraphResult, v: int, at: int) -> list[int]:
+    """Star-clique edges of ``v`` incident with the ``L``-vertex ``at``."""
+    index = lg.l_graph.edge_index
+    return [index[(min(at, o), max(at, o))] for o in lg.star_of[v] if o != at]
+
+
+def _triangle_graph_edges(g: Graph, tri: Triangle) -> tuple[int, int, int]:
+    """Source-graph edge ids (uv, vw, uw) for sorted triangle corners u<v<w."""
+    u, v, w = tri.vertices
+    return g.edge_id(u, v), g.edge_id(v, w), g.edge_id(u, w)
+
+
+def _single_triangle_rules(lg: LineGraphResult, tri: Triangle) -> dict[int, int]:
+    """Two-color scheme on the three star cliques of a lone triangle.
+
+    Color 1 goes to the star edges at one chosen triangle corner per star;
+    everything else in those stars gets color 2. Where the two rules meet
+    (the triangle's own line-graph edges) color 1 wins.
+    """
+    u, v, w = tri.vertices
+    e1, e2, e3 = _triangle_graph_edges(lg.source, tri)
+    assign: dict[int, int] = {}
+    for sv, at in ((u, e1), (v, e2), (w, e3)):
+        for le in star_clique_edges_at(lg, sv, at):
+            assign[le] = 1
+    for sv, at in ((u, e3), (v, e1), (w, e2)):
+        for le in star_clique_edges_at(lg, sv, at):
+            assign.setdefault(le, 2)
+    for sv in (u, v, w):
+        for le in star_clique_edges(lg, sv):
+            assign.setdefault(le, 2)
+    return assign
+
+
 def _peel_leaf(tris: Sequence[Triangle]) -> tuple[Triangle, int]:
     """Lowest triangle sharing exactly one vertex with the rest of the structure."""
     for idx, tri in enumerate(tris):
@@ -480,6 +516,52 @@ def recursive_tree_assignment(
 
     assign, used = assign_tree(sorted(tris))
     return ColorPart(assign, used), peeled
+
+
+def pull_back(trace: TransformTrace, coloring: EdgeColoring, lg: LineGraphResult) -> EdgeColoring:
+    """Pull a coloring of L(final) back to ``lg`` = L(trace.source) by
+    looking up the L(final) edge each pair's two ends land on; color 1 where
+    a split cut the pair apart."""
+    origin = list(range(trace.source.n))  # final vertex -> its source vertex, -1 for none
+    renamed: dict[tuple[int, int], int] = {}  # (edge, origin of its v end) -> new id
+    for step in trace.steps:
+        if isinstance(step, EdgeDetachStep):
+            renamed[step.edge, origin[step.v]] = step.new_edge
+            origin += (-1, -1)
+        else:
+            origin.append(origin[step.vertex])
+    final = trace.final_graph.edges
+    index = coloring.graph.edge_index
+    out: list[int] = []
+    for x, star in enumerate(lg.star_of):
+        ends = []
+        for e in star:
+            fe = renamed.get((e, x), e)
+            a, b = final[fe]
+            ends.append((fe, a if origin[a] == x else b))
+        for (e, y), (f, z) in combinations(ends, 2):
+            out.append(coloring.colors[index[edge_key(e, f)]] if y == z else 1)
+    return EdgeColoring(lg.l_graph, tuple(out), coloring.k)
+
+
+def part_by_part_construction(g: Graph, packing: TrianglePacking) -> EdgeColoring:
+    """Reference for ``coloring._construct``'s coloring: flatten, color
+    L(final) with one ``ColorPart`` per forest component (by
+    ``recursive_tree_assignment``) and one single-color part per other inner
+    vertex's star clique, concatenate the palettes with
+    ``combine_colorings``, and pull the result back to L(g) when the trace
+    has steps. Uncertified."""
+    result = build_transformed(g, packing)
+    final, flat = result.graph, result.packing
+    lg = line_graph(final)
+    parts = [recursive_tree_assignment(lg, [flat.triangles[i] for i in comp])[0] for comp in flat.components]
+    for x in range(final.n):
+        if final.degree(x) >= 2 and x not in flat.covered_vertices:
+            parts.append(ColorPart({le: 1 for le in star_clique_edges(lg, x)}, 1))
+    col = combine_colorings(lg.l_graph, parts)
+    if result.trace.steps:
+        col = pull_back(result.trace, col, line_graph(g))
+    return col
 
 
 def hand_built_iterated_baseline(g: Graph) -> tuple[EdgeColoring, LineGraphResult, int]:

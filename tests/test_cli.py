@@ -296,6 +296,10 @@ class TestExactAndBound:
         err = capsys.readouterr().err
         assert "resource limit" in err and "6..12" in err
 
+    def test_negative_edge_cap_is_an_input_error(self, capsys):
+        assert main(["exact", "--family", "cycle", "--n", "5", "--max-edges", "-1"]) == 3
+        assert capsys.readouterr().err == "input error: edge cap must be non-negative, got -1\n"
+
     def test_bound(self, capsys):
         assert main(["bound", "--family", "path", "--n", "5"]) == 0
         out = capsys.readouterr().out
@@ -354,6 +358,13 @@ class TestBench:
         assert main(["bench", "--model", "gnp", "--n", "1", "--p", "0.5",
                      "--count", "2", "--seed", "1"]) == 3
         assert capsys.readouterr().err.startswith("input error: no connected gnp(1, 0.5) graph exists")
+
+    def test_negative_edge_cap_is_an_input_error(self, capsys):
+        assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5",
+                     "--count", "2", "--seed", "1", "--max-edges", "-5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "input error: edge cap must be non-negative, got -5\n"
+        assert captured.out == ""
 
     def test_cubic_rejects_p(self, capsys):
         assert main(["bench", "--model", "random_cubic", "--n", "8", "--p", "0.3",

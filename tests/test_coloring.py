@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from helpers import (
     detach_edge,
     hand_built_iterated_baseline,
     induced_by_edges,
+    part_by_part_construction,
     recursive_tree_assignment,
     replay_graphs,
     split_vertex,
@@ -20,6 +22,7 @@ from rainbowline.coloring import (
     ColoringCertificate,
     EdgeColoring,
     _certify,
+    _construct,
     color_cubic_iterated,
     color_forest_packing,
     color_iterated_baseline,
@@ -43,7 +46,7 @@ from rainbowline.families import (
     triangle_ring,
 )
 from rainbowline.graphs import Graph, build_graph, degree_profile, diameter
-from rainbowline.linegraph import line_graph
+from rainbowline.linegraph import LineGraphResult, line_graph
 from rainbowline.oracle import exact_rc, is_rainbow_connected
 from rainbowline.triangles import (
     PACK_MODES,
@@ -67,6 +70,18 @@ def part_subgraph_rainbow(l_graph: Graph, part: ColorPart) -> bool:
     colors = tuple(part.edge_colors[old] for old in sub.edge_to_parent)
     ok, _ = is_rainbow_connected(sub.graph, EdgeColoring(sub.graph, colors, part.k))
     return ok
+
+
+def tree_part(lg: LineGraphResult, tris) -> ColorPart:
+    """``color_triangle_tree``'s star rules on ``lg.source``, spread over the
+    L-edges of the stars they name."""
+    rules, k = color_triangle_tree(lg.source, tris)
+    index = lg.l_graph.edge_index
+    colors = {}
+    for x, (s, a, b) in rules.items():
+        for e, f in combinations(lg.star_of[x], 2):
+            colors[index[e, f]] = a if s in (e, f) else b
+    return ColorPart(colors, k)
 
 
 class TestCombine:
@@ -139,13 +154,13 @@ class TestTriangleTree:
     def test_single_triangle_two_colors(self):
         g = complete_graph(3)
         lg = line_graph(g)
-        part = color_triangle_tree(lg, enumerate_triangles(g))
+        part = tree_part(lg, enumerate_triangles(g))
         assert part.k == 2
         assert part_subgraph_rainbow(lg.l_graph, part)
 
     def test_bowtie_three_colors(self):
         lg = line_graph(BOWTIE)
-        part = color_triangle_tree(lg, enumerate_triangles(BOWTIE))
+        part = tree_part(lg, enumerate_triangles(BOWTIE))
         assert part.k == 3
         assert part_subgraph_rainbow(lg.l_graph, part)
 
@@ -157,7 +172,7 @@ class TestTriangleTree:
             edges += [(a, b), (a, c), (b, c)]
         g = build_graph(11, edges)
         lg = line_graph(g)
-        part = color_triangle_tree(lg, enumerate_triangles(g))
+        part = tree_part(lg, enumerate_triangles(g))
         assert part.k == 6
         assert part_subgraph_rainbow(lg.l_graph, part)
 
@@ -165,7 +180,7 @@ class TestTriangleTree:
         g = triangle_ring(3)
         tris = [t for t in enumerate_triangles(g) if t.vertices != (0, 1, 2)]
         with pytest.raises(Exception):
-            color_triangle_tree(line_graph(g), tris)
+            tree_part(line_graph(g), tris)
 
     def test_rejects_two_components(self):
         # a bowtie plus a triangle hanging off it by a bridge
@@ -173,7 +188,7 @@ class TestTriangleTree:
             8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)]
         )
         with pytest.raises(InvariantViolation, match="no leaf triangle"):
-            color_triangle_tree(line_graph(g), enumerate_triangles(g))
+            tree_part(line_graph(g), enumerate_triangles(g))
 
 
 class TestForestPackingBound:
@@ -554,7 +569,7 @@ def _tree_instances():
 def _assert_matches_recursion(g: Graph, packing) -> None:
     lg, comps = _tree_components(g, packing)
     for tris in comps:
-        part = color_triangle_tree(lg, tris)
+        part = tree_part(lg, tris)
         reference, _ = recursive_tree_assignment(lg, tris)
         assert part == reference
         assert part.k == len(tris) + 1
@@ -596,6 +611,51 @@ class TestTreeColoringMatchesRecursion:
                 _, peeled = recursive_tree_assignment(lg, tris)
                 out_of_order += peeled != sorted(peeled)
         assert out_of_order >= 3
+
+
+def _construct_instances():
+    """(graph, packing) pairs: small graphs, gnp samples and the paper's
+    families in every packing mode under the exact-search cap, then cubic
+    star packings."""
+    graphs = [
+        *(g for g in connected_graphs_up_to(7) if g.m >= 2),
+        *(
+            connected_gnp(n, p, s)
+            for n, p in ((8, 0.4), (10, 0.4), (15, 0.3), (25, 0.2), (40, 0.2), (60, 0.14))
+            for s in range(1, 16)
+        ),
+        *(triangle_ring(r) for r in (3, 5, 8, 12)),
+        *(friendship_graph(f) for f in (1, 3, 6)),
+        *(gen_family("example31", t=t) for t in (2, 8)),
+        *(gen_family("example32", k=k) for k in (2, 6, 12)),
+        complete_graph(6),
+        complete_graph(7),
+    ]
+    for g in graphs:
+        for mode in PACK_MODES:
+            try:
+                yield g, pack_edge_disjoint(g, mode)
+            except LimitError:
+                pass
+    for n in (8, 12, 20, 40):
+        for seed in (1, 2, 3):
+            lg = line_graph(random_cubic(n, seed))
+            tris = [make_triangle(lg.l_graph, *lg.star_of[v]) for v in range(n)]
+            yield lg.l_graph, classify_structure(lg.l_graph, tris)
+
+
+class TestConstructMatchesReference:
+    def test_star_rules_match_part_by_part(self, monkeypatch):
+        # the verifier is not under test here
+        monkeypatch.setattr("rainbowline.coloring._certify", lambda *args: None)
+        count = splits = 0
+        for g, packing in _construct_instances():
+            col, _ = _construct(g, packing, "bound", 0)
+            assert col == part_by_part_construction(g, packing)
+            count += 1
+            splits += packing.op > 0
+        assert count >= 878
+        assert splits >= 50
 
 
 class TestEnsemble:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_form
+from helpers import canonical_form, star_clique_edges
 from rainbowline.errors import InputError
 from rainbowline.families import (
     complete_graph,
@@ -13,7 +13,7 @@ from rainbowline.families import (
     path_graph,
 )
 from rainbowline.graphs import build_graph, is_connected
-from rainbowline.linegraph import iterated_line_graph, line_graph, star_clique_edges
+from rainbowline.linegraph import iterated_line_graph, line_graph
 
 
 @st.composite

@@ -120,6 +120,11 @@ class TestExactRc:
             exact_rc(g, max_edges=12)
         assert exc.value.lower == 6 and exc.value.upper == 12
 
+    def test_negative_edge_cap_is_an_input_error(self):
+        exact_rc(cycle_graph(5), max_edges=5)  # a cap at m runs the search
+        with pytest.raises(InputError, match="edge cap must be non-negative"):
+            exact_rc(cycle_graph(5), max_edges=-1)
+
 
 def _random_connected(seed):
     """Random spanning tree on 4..8 vertices plus chords, at most 10 edges."""
