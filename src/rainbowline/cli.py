@@ -31,7 +31,7 @@ from .formats import (
 )
 from .graphs import Graph, degree_profile, diameter
 from .linegraph import iterated_line_graph
-from .oracle import DEFAULT_EDGE_CAP, exact_rc, is_rainbow_connected, rc_lower_bound
+from .oracle import DEFAULT_EDGE_CAP, check_edge_cap, exact_rc, is_rainbow_connected, rc_lower_bound
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -319,6 +319,7 @@ def run_bench(model: str, n: int, p: float, count: int, seed: int, max_edges: in
         raise InputError(f"unknown model {model!r}")
     if count < 0:
         raise InputError("count must be non-negative")
+    check_edge_cap(max_edges)
     rng_seed = seed
     rows = []
     for index in range(count):

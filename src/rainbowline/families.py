@@ -21,6 +21,10 @@ FAMILIES = (
     "friendship",
 )
 
+# Samples drawn before a seeded random model gives up with a LimitError.
+GNP_MAX_TRIES = 1000
+CUBIC_MAX_TRIES = 10_000
+
 
 def path_graph(n: int) -> Graph:
     if n < 1:
@@ -128,24 +132,24 @@ def gnp(n: int, p: float, rng: random.Random) -> Graph:
     return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
-def connected_gnp(n: int, p: float, seed: int, max_tries: int = 1000) -> Graph:
+def connected_gnp(n: int, p: float, seed: int) -> Graph:
     """Resample G(n, p) until connected; deterministic under the seed."""
     if n < 2 or p <= 0:
         raise InputError(f"no connected gnp({n}, {p}) graph exists; needs n >= 2 and p > 0")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(GNP_MAX_TRIES):
         g = gnp(n, p, rng)
         if is_connected(g):
             return g
-    raise LimitError(f"no connected gnp({n}, {p}) sample in {max_tries} tries")
+    raise LimitError(f"no connected gnp({n}, {p}) sample in {GNP_MAX_TRIES} tries")
 
 
-def random_cubic(n: int, seed: int, max_tries: int = 10_000) -> Graph:
+def random_cubic(n: int, seed: int) -> Graph:
     """Connected 3-regular graph via the pairing model; needs even n >= 4."""
     if n < 4 or n % 2:
         raise InputError(f"cubic graphs need even n >= 4, got {n}")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(CUBIC_MAX_TRIES):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
@@ -162,4 +166,4 @@ def random_cubic(n: int, seed: int, max_tries: int = 10_000) -> Graph:
         g = build_graph(n, pairs)
         if is_connected(g):
             return g
-    raise LimitError(f"no simple connected cubic sample on {n} vertices in {max_tries} tries")
+    raise LimitError(f"no simple connected cubic sample on {n} vertices in {CUBIC_MAX_TRIES} tries")

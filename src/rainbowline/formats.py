@@ -12,6 +12,8 @@ from .graphs import Graph, build_graph
 
 REPORT_SCHEMA = 1
 
+DOT_GRAPH_NAME = "L"
+
 # 12-entry palette; color ids above 12 wrap around.
 PALETTE = (
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231", "#911eb4",
@@ -89,9 +91,9 @@ def parse_coloring(text: str, m: int) -> tuple[tuple[int, ...], int]:
     return tuple(values), max(values, default=1)
 
 
-def to_dot(g: Graph, colors: Iterable[int] | None = None, name: str = "L") -> str:
+def to_dot(g: Graph, colors: Iterable[int] | None = None) -> str:
     """DOT text with an edge attribute color=<id> and a palette table."""
-    lines = [f"graph {name} {{"]
+    lines = [f"graph {DOT_GRAPH_NAME} {{"]
     col = list(colors) if colors is not None else None
     if col is not None:
         for c in sorted(set(col)):

@@ -48,19 +48,18 @@ admitted at the next level, so it passes at most once.
 ``exact_rc`` searches the canonical colorings for each palette size ``k``
 depth first, coloring the edges in id order, and checks every prefix with
 the same checker. While edge ``i`` is uncolored it carries a private color
-``1 << (k + i)`` that clashes with nothing. This only relaxes the prefix:
-a path that is rainbow under some completion of it uses distinct colors on
-its colored edges and at most one private color per uncolored edge, so it
-is rainbow under the relaxed coloring too. A prefix that fails the check
-therefore has no rainbow completion, and its whole subtree is cut. A full
-coloring is checked exactly, so the first ``k`` with a surviving leaf is rc.
-The adjacency is built once per ``k`` and recolored in place. At every
-vertex the groups of colored edges come first and the private groups of
-its uncolored edges follow in edge-id order, so at both ends of edge ``i``
-its private group is the first private one. Coloring edge ``i = uv`` moves
-``v`` from that group at ``u`` into ``u``'s group of the new color, and
-``u`` likewise at ``v`` (``_take_color``); backtracking moves them back
-(``_give_back``).
+``1 << (m + i)``, above every real color, that clashes with nothing. This
+only relaxes the prefix: a path that is rainbow under some completion of it
+uses distinct colors on its colored edges and at most one private color per
+uncolored edge, so it is rainbow under the relaxed coloring too. A prefix
+that fails the check therefore has no rainbow completion, and its whole
+subtree is cut. A full coloring is checked exactly, so the first ``k`` with
+a surviving leaf is rc.
+The adjacency is built once per call with every bit private, so each group
+holds one edge end. Coloring edge ``i`` relabels the bit of its two groups,
+and backtracking sets the private bit back. Groups that share a bit at one
+vertex give the same transitions as one merged group, and group order
+changes no verdict, so this checks exactly the merged grouping.
 """
 
 import math
@@ -200,30 +199,10 @@ def canonical_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0, [])
 
 
-def _take_color(row: list[list], colored: dict[int, list], y: int, bit: int) -> list:
-    """Move neighbour ``y`` out of its private group, the first one after the
-    ``colored`` groups of ``row``, into the group of ``bit``. Returns the
-    private group for ``_give_back``."""
-    pos = len(colored)
-    private = row[pos]
-    group = colored.get(bit)
-    if group is None:
-        colored[bit] = row[pos] = [bit, [y]]
-    else:
-        group[1].append(y)
-        del row[pos]
-    return private
-
-
-def _give_back(row: list[list], colored: dict[int, list], bit: int, private: list) -> None:
-    """Undo the last ``_take_color(row, colored, y, bit)``."""
-    group = colored[bit]
-    if len(group[1]) == 1:
-        del colored[bit]
-        row[len(colored)] = private
-    else:
-        group[1].pop()
-        row.insert(len(colored), private)
+def check_edge_cap(max_edges: int) -> None:
+    """Reject a negative ``exact_rc`` edge cap."""
+    if max_edges < 0:
+        raise InputError(f"edge cap must be non-negative, got {max_edges}")
 
 
 def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
@@ -233,11 +212,12 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     Tries palette sizes upward from the diameter. For each size ``k`` it
     colors the edges in id order, depth first, in the order of
     ``canonical_colorings``, and cuts every prefix that fails the relaxed
-    check (uncolored edges get private colors). Raises ``LimitError``
-    carrying the proven bracket when the instance exceeds ``max_edges``.
+    check (uncolored edge ``i`` keeps its private color ``1 << (m + i)``).
+    The adjacency is built once; coloring an edge relabels the bit of its
+    group at each end. Raises ``LimitError`` carrying the proven bracket
+    when the instance exceeds ``max_edges``.
     """
-    if max_edges < 0:
-        raise InputError(f"edge cap must be non-negative, got {max_edges}")
+    check_edge_cap(max_edges)
     diam = diameter(g)
     if g.n < 2 or math.isinf(diam):
         raise InputError("exact search needs a connected graph on >= 2 vertices")
@@ -248,9 +228,13 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
         raise LimitError(
             f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
-    edges = g.edges
+    adj = _adjacency(g, [1 << (m + i) for i in range(m)])
+    ends: list[list[list]] = [[] for _ in range(m)]
+    for row in adj:
+        for group in row:
+            ends[group[0].bit_length() - 1 - m].append(group)
 
-    def extends(i: int, top: int, k: int, adj: list[list[list]], colored: list[dict[int, list]]) -> bool:
+    def extends(i: int, top: int, k: int) -> bool:
         """Whether the prefix of edges ``0..i-1``, colored in ``adj`` with
         colors ``1..top``, extends to a rainbow coloring with exactly ``k``
         colors."""
@@ -258,24 +242,21 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
             return False
         if i == m:
             return True
-        u, v = edges[i]
+        at_u, at_v = ends[i]
+        private = at_u[0]
         for c in range(1, min(top + 1, k) + 1):
             t = max(top, c)
             if k - t > m - i - 1:
                 continue
-            bit = 1 << (c - 1)
-            private_u = _take_color(adj[u], colored[u], v, bit)
-            private_v = _take_color(adj[v], colored[v], u, bit)
-            found = extends(i + 1, t, k, adj, colored)
-            _give_back(adj[v], colored[v], bit, private_v)
-            _give_back(adj[u], colored[u], bit, private_u)
+            at_u[0] = at_v[0] = 1 << (c - 1)
+            found = extends(i + 1, t, k)
+            at_u[0] = at_v[0] = private
             if found:
                 return True
         return False
 
     for k in range(lo, m + 1):
-        adj = _adjacency(g, [1 << (k + i) for i in range(m)])
-        if extends(0, 0, k, adj, [{} for _ in range(g.n)]):
+        if extends(0, 0, k):
             return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 

@@ -1,5 +1,6 @@
 """Independent test oracles: naive path enumeration, the queue-based
-verifier, exact rc by checking every canonical coloring, brute-force
+verifier, exact rc by checking every canonical coloring, the earlier
+pruned exact-rc search that regroups neighbours by color, brute-force
 packing, the parent-map packing search, blocks-based forest classification,
 reclassify-until-forest flattening, the step-at-a-time transform steps
 ``detach_edge`` and ``split_vertex``, step-by-step coloring projection,
@@ -11,15 +12,19 @@ shrinking, the two-color coloring of a lone triangle with pendants, trace
 replay, and the tightness check of the ``m - m1`` bound.
 
 Everything here deliberately avoids the package's search machinery so the
-two sides of each check stay independent.
+two sides of each check stay independent. The one exception is
+``regroup_exact_rc``: it shares the package's checker, because it is
+compared with ``exact_rc`` verdict by verdict.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from typing import Iterable, Sequence
 
+from rainbowline import oracle
 from rainbowline.coloring import (
     ColorPart,
     EdgeColoring,
@@ -201,6 +206,92 @@ def enumerate_exact_rc(g: Graph) -> int:
         for colors in canonical_colorings(g.m, k):
             if queue_check_all_pairs(g, [1 << (c - 1) for c in colors])[0]:
                 return k
+    raise InvariantViolation("an all-distinct coloring must be rainbow")
+
+
+def _take_color(row: list[list], colored: dict[int, list], y: int, bit: int) -> list:
+    """Move neighbour ``y`` out of its private group, the first one after the
+    ``colored`` groups of ``row``, into the group of ``bit``. Returns the
+    private group for ``_give_back``."""
+    pos = len(colored)
+    private = row[pos]
+    group = colored.get(bit)
+    if group is None:
+        colored[bit] = row[pos] = [bit, [y]]
+    else:
+        group[1].append(y)
+        del row[pos]
+    return private
+
+
+def _give_back(row: list[list], colored: dict[int, list], bit: int, private: list) -> None:
+    """Undo the last ``_take_color(row, colored, y, bit)``."""
+    group = colored[bit]
+    if len(group[1]) == 1:
+        del colored[bit]
+        row[len(colored)] = private
+    else:
+        group[1].pop()
+        row.insert(len(colored), private)
+
+
+def regroup_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
+    """Reference for ``oracle.exact_rc``: the same pruned search, but the
+    adjacency is rebuilt for every palette size ``k`` and recolored by moving
+    neighbours between color groups (``_take_color``/``_give_back``). At
+    every vertex the groups of colored edges come first and the private
+    groups of its uncolored edges follow in edge-id order, so at both ends of
+    edge ``i`` its private group is the first private one. It checks each
+    prefix through ``oracle._check_adjacency``, so a test can record the
+    verdicts of both searches.
+
+    Tries palette sizes upward from the diameter. For each size ``k`` it
+    colors the edges in id order, depth first, in the order of
+    ``canonical_colorings``, and cuts every prefix that fails the relaxed
+    check (uncolored edges get private colors). Raises ``LimitError``
+    carrying the proven bracket when the instance exceeds ``max_edges``.
+    """
+    if max_edges < 0:
+        raise InputError(f"edge cap must be non-negative, got {max_edges}")
+    diam = diameter(g)
+    if g.n < 2 or math.isinf(diam):
+        raise InputError("exact search needs a connected graph on >= 2 vertices")
+    lo = max(int(diam), 1)
+    hi = min(g.m, g.n - 1)
+    m = g.m
+    if m > max_edges:
+        raise LimitError(
+            f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
+        )
+    edges = g.edges
+
+    def extends(i: int, top: int, k: int, adj: list[list[list]], colored: list[dict[int, list]]) -> bool:
+        """Whether the prefix of edges ``0..i-1``, colored in ``adj`` with
+        colors ``1..top``, extends to a rainbow coloring with exactly ``k``
+        colors."""
+        if not oracle._check_adjacency(adj)[0]:
+            return False
+        if i == m:
+            return True
+        u, v = edges[i]
+        for c in range(1, min(top + 1, k) + 1):
+            t = max(top, c)
+            if k - t > m - i - 1:
+                continue
+            bit = 1 << (c - 1)
+            private_u = _take_color(adj[u], colored[u], v, bit)
+            private_v = _take_color(adj[v], colored[v], u, bit)
+            found = extends(i + 1, t, k, adj, colored)
+            _give_back(adj[v], colored[v], bit, private_v)
+            _give_back(adj[u], colored[u], bit, private_u)
+            if found:
+                return True
+        return False
+
+    for k in range(lo, m + 1):
+        adj = oracle._adjacency(g, [1 << (k + i) for i in range(m)])
+        if extends(0, 0, k, adj, [{} for _ in range(g.n)]):
+            return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 

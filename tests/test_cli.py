@@ -359,9 +359,10 @@ class TestBench:
                      "--count", "2", "--seed", "1"]) == 3
         assert capsys.readouterr().err.startswith("input error: no connected gnp(1, 0.5) graph exists")
 
-    def test_negative_edge_cap_is_an_input_error(self, capsys):
+    @pytest.mark.parametrize("count", ["2", "0"])  # "0": no row reaches exact_rc
+    def test_negative_edge_cap_is_an_input_error(self, capsys, count):
         assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5",
-                     "--count", "2", "--seed", "1", "--max-edges", "-5"]) == 3
+                     "--count", count, "--seed", "1", "--max-edges", "-5"]) == 3
         captured = capsys.readouterr()
         assert captured.err == "input error: edge cap must be non-negative, got -5\n"
         assert captured.out == ""

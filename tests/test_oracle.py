@@ -11,6 +11,7 @@ from helpers import (
     naive_failing_pair,
     naive_rainbow_connected,
     queue_check_all_pairs,
+    regroup_exact_rc,
 )
 from rainbowline import oracle
 from rainbowline.coloring import EdgeColoring, color_cubic_iterated, color_packing
@@ -159,6 +160,63 @@ class TestPrunedSearchMatchesEnumeration:
         lgs = [lg for lg in lgs if lg.m <= 12]
         assert len(lgs) == 14
         assert [exact_rc(lg) for lg in lgs] == [enumerate_exact_rc(lg) for lg in lgs]
+
+
+@cache
+def _relabel_sets():
+    """The graphs both exact searches are compared on, with how many of them
+    fit the default edge cap."""
+    small = [g for g in connected_graphs_up_to(7) if g.n >= 2]
+    seeds = [s * 1_000_003 for s in range(1, 41)]
+    return {
+        "small": (small, 131),
+        "small_line": ([line_graph(g).l_graph for g in small if g.m >= 2], 112),
+        "ensemble": (
+            [line_graph(connected_gnp(7, 0.35, s)).l_graph for s in seeds]
+            + [line_graph(random_cubic(8, s)).l_graph for s in seeds],
+            14,
+        ),
+        "cycles": ([cycle_graph(n) for n in range(3, 13)], 10),
+    }
+
+
+class TestRelabelMatchesRegroup:
+    """``exact_rc`` relabels one group per edge end; ``helpers.regroup_exact_rc``
+    moves neighbours between color groups. Both make the same prefix checks
+    with the same verdicts, in the same order, and return the same value (a
+    ``LimitError`` by its bracket)."""
+
+    @pytest.mark.parametrize(
+        "name, size", [("small", 131), ("small_line", 130), ("ensemble", 80), ("cycles", 10)]
+    )
+    def test_same_values_and_verdicts(self, monkeypatch, name, size):
+        graphs, resolving = _relabel_sets()[name]
+        assert len(graphs) == size
+        check = oracle._check_adjacency
+        verdicts = []
+
+        def record(adj):
+            verdict = check(adj)
+            verdicts.append(verdict)
+            return verdict
+
+        def run(search, g):
+            verdicts.clear()
+            try:
+                value = search(g)
+            except LimitError as exc:
+                value = (exc.lower, exc.upper)
+            return value, list(verdicts)
+
+        monkeypatch.setattr(oracle, "_check_adjacency", record)
+        resolved = 0
+        for g in graphs:
+            relabel = run(exact_rc, g)
+            assert relabel == run(regroup_exact_rc, g), g.edges
+            if isinstance(relabel[0], int):
+                resolved += 1
+                assert relabel[1]  # the recorder saw the prefix checks
+        assert resolved == resolving
 
 
 class TestNaiveAgreement:
