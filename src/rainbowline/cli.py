@@ -53,10 +53,22 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _reject_unread(args: argparse.Namespace, source: str, reads: tuple[str, ...]) -> None:
-    """A source flag the chosen source does not read is an input error."""
+    """A source flag the chosen source does not read, if defined, is an input error."""
     for flag in ("seed", *_FAMILY_PARAM_FLAGS, "p"):
-        if flag not in reads and getattr(args, flag) is not None:
+        if flag not in reads and getattr(args, flag, None) is not None:
             raise InputError(f"--{flag} does not apply to {source}")
+
+
+def _check_model_flags(args: argparse.Namespace) -> None:
+    """A random model needs ``--seed``, ``--n`` and (gnp) ``--p``, and no other source flag."""
+    gnp = args.model == "gnp"
+    _reject_unread(args, f"--model {args.model}", ("seed", "n", "p") if gnp else ("seed", "n"))
+    if args.seed is None:
+        raise InputError("--seed is required for random models")
+    if args.n is None:
+        raise InputError("--n is required for random models")
+    if gnp and args.p is None:
+        raise InputError("--p is required for the gnp model")
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
@@ -68,16 +80,9 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
         text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
         return parse_edge_list(text), {"file": args.file}
     if args.model:
-        gnp = args.model == "gnp"
-        _reject_unread(args, f"--model {args.model}", ("seed", "n", "p") if gnp else ("seed", "n"))
-        if args.seed is None:
-            raise InputError("--seed is required for random models")
-        if args.n is None:
-            raise InputError("--n is required for random models")
+        _check_model_flags(args)
         meta = {"model": args.model, "n": args.n, "seed": args.seed}
-        if gnp:
-            if args.p is None:
-                raise InputError("--p is required for the gnp model")
+        if args.model == "gnp":
             meta["p"] = args.p
             return connected_gnp(args.n, args.p, args.seed), meta
         return random_cubic(args.n, args.seed), meta
@@ -342,14 +347,7 @@ def _bench_csv(rows: list[dict]) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise InputError("--seed is required for random models")
-    if args.model == "gnp" and args.p is None:
-        raise InputError("--p is required for the gnp model")
-    if args.model == "random_cubic" and args.p is not None:
-        raise InputError("--p does not apply to --model random_cubic")
-    if args.n is None:
-        raise InputError("--n is required")
+    _check_model_flags(args)
     rows = run_bench(args.model, args.n, args.p or 0.0, args.count, args.seed, args.max_edges)
     text = _bench_csv(rows)
     if args.csv:

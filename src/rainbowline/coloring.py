@@ -6,12 +6,14 @@ inner vertex ``x`` of the flattened graph follows one rule ``(s, a, b)``:
 pairs containing the special edge ``s`` get color ``a``, every other pair
 gets ``b``. Each forest component's stars take ``t_i + 1`` colors by peeling
 leaf triangles; every other inner vertex's star takes one fresh color, with
-no special edge and ``a = b``. Each pair of L(H) is colored by the rule of
-the flattened vertex it lands on, so the construction builds exactly one
-line graph, L(H). ``n2 - t`` and ``t + n2' + c`` run it on G, ``n + 1`` on
-L(G) with its vertex-star triangles, and ``m - m1`` on L(G) with no
-triangles. Each public construction returns its coloring with a certificate
-recording the bound, the palette size, and the verifier verdict.
+no special edge and ``a = b``. Components and inner vertices are read from
+the input packing and graph, so the structure is classified once. Each pair
+of L(H) is colored by the rule of the flattened vertex it lands on, so the
+construction builds exactly one line graph, L(H). ``n2 - t`` and
+``t + n2' + c`` run it on G, ``n + 1`` on L(G) with its vertex-star
+triangles, and ``m - m1`` on L(G) with no triangles. Each public
+construction returns its coloring with a certificate recording the bound,
+the palette size, and the verifier verdict.
 """
 
 import heapq
@@ -223,18 +225,18 @@ def _construct(g: Graph, packing: TrianglePacking, bound_name: str, bound_value:
     L(g) pair by pair from the rule of the final vertex the pair lands on,
     and certify it. Each forest component's rules take ``t_i + 1`` colors,
     each other inner vertex's one; a pair a split cut apart gets color 1.
-    Builds one line graph, L(g)."""
+    Components are ``packing``'s over the flattened triangles, and a cycle
+    left in one fails in ``color_triangle_tree``. Builds one line graph, L(g)."""
     result = build_transformed(g, packing)
-    final, flat = result.graph, result.packing
     rules: dict[int, tuple[int | None, int, int]] = {}
     k = 0
-    for comp in flat.components:
-        tree, used = color_triangle_tree(final, [flat.triangles[i] for i in comp])
+    for comp in packing.components:
+        tree, used = color_triangle_tree(result.graph, [result.triangles[i] for i in comp])
         for x, (s, a, b) in tree.items():
             rules[x] = (s, k + a, k + b)
         k += used
-    for x in range(final.n):
-        if final.degree(x) >= 2 and x not in flat.covered_vertices:
+    for x in range(g.n):
+        if g.degree(x) >= 2 and x not in packing.covered_vertices:
             k += 1
             rules[x] = (None, k, k)
     lg = line_graph(g)

@@ -165,15 +165,13 @@ def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, in
     return _check_adjacency(_adjacency(g, bits))
 
 
-def is_rainbow_connected(
-    g: Graph, col: "EdgeColoring", max_colors: int = DEFAULT_COLOR_CAP
-) -> tuple[bool, tuple[int, int] | None]:
+def is_rainbow_connected(g: Graph, col: "EdgeColoring") -> tuple[bool, tuple[int, int] | None]:
     """Exact check; on failure returns the lexicographically smallest
     vertex pair with no rainbow path."""
     if col.graph != g:
         raise InputError("coloring belongs to a different graph")
-    if col.k > max_colors:
-        raise LimitError(f"palette of {col.k} colors exceeds the search cap {max_colors}")
+    if col.k > DEFAULT_COLOR_CAP:
+        raise LimitError(f"palette of {col.k} colors exceeds the search cap {DEFAULT_COLOR_CAP}")
     return _check_all_pairs(g, [1 << (c - 1) for c in col.colors])
 
 

@@ -14,6 +14,8 @@ cycle of the incidence graph. Every step is planned on the packing's
 incidence structure alone and applied to one edge list, and the final graph
 is built once. The number of splits is the number of incidences outside a
 spanning forest of that graph, the structure defect ``op = 2t + c - |covered|``.
+The flattened structure is not classified again: it keeps the packing's
+components, in the same order, and its uncovered inner vertices.
 """
 
 from dataclasses import dataclass
@@ -96,8 +98,7 @@ class TransformTrace:
 @dataclass(frozen=True)
 class TransformResult:
     trace: TransformTrace
-    triangles: tuple[Triangle, ...]
-    packing: TrianglePacking  # the classified structure of ``triangles`` in ``graph``
+    triangles: tuple[Triangle, ...]  # index-aligned with the packing's triangles
 
     @property
     def graph(self) -> Graph:
@@ -138,6 +139,13 @@ def _is_current(g: Graph, tri: Triangle) -> bool:
         0 <= eid < g.m and edge_key(*g.edges[eid]) == side
         for eid, side in zip(tri.edge_ids, combinations(tri.vertices, 2))
     )
+
+
+def _check_current(g: Graph, tris: Iterable[Triangle]) -> None:
+    """``InputError`` on the first triangle whose edge ids are not its sides in ``g``."""
+    for tri in tris:
+        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
+            raise InputError(f"triangle {tri.vertices} has stale edge ids for this graph")
 
 
 class _DSU:
@@ -241,10 +249,9 @@ def pack_edge_disjoint(g: Graph, mode: str = "greedy") -> TrianglePacking:
 def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacking:
     """Complete the structure statistics for a set of edge-disjoint triangles."""
     tris = tuple(sorted(triangles))
+    _check_current(g, tris)
     used = 0
     for tri in tris:
-        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
-            raise InputError(f"triangle {tri.vertices} has stale edge ids for this graph")
         mask = _edge_mask(tri)
         if used & mask:
             raise InputError(f"triangle {tri.vertices} shares an edge with another")
@@ -323,13 +330,13 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     cuts cycles and leaves the new vertex a leaf, so no vertex needs a
     second visit. The split count must equal ``packing.op``. New vertices
     and edges take the next free ids; a detach keeps the edge's id on its
-    ``u`` side, and a split keeps every edge id. The result carries the
-    flattened structure, classified in the final graph."""
+    ``u`` side, and a split keeps every edge id. The result's triangles are
+    the packing's, index for index, with moved corners renamed. A split never
+    moves a component's lowest vertex and a new vertex is covered or a leaf,
+    so ``packing`` still gives the components and uncovered inner vertices."""
     if not is_connected(g):
         raise InputError("graph must be connected")
-    for tri in packing.triangles:
-        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
-            raise InputError(f"triangle {tri.vertices} is stale for this graph")
+    _check_current(g, packing.triangles)
     n, edges = g.n, list(g.edges)
     steps: list[TraceStep] = []
     comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
@@ -373,13 +380,7 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
             at[n] = [i]
             tris[i] = _moved_triangle(tris[i], v, n)
             n += 1
-    flat = Graph(n, tuple(edges)) if steps else g
-    final = classify_structure(flat, tris)
-    if not final.all_forest:
-        raise InvariantViolation("vertex splits left a structure that is not a triangle-forest")
     if splits != packing.op:
         raise InvariantViolation(f"applied {splits} vertex splits, structure defect says {packing.op}")
-    if final.c != packing.c:
-        raise InvariantViolation("vertex splits changed the component count")
-    trace = TransformTrace(source=g, steps=tuple(steps), final_graph=flat)
-    return TransformResult(trace=trace, triangles=tuple(tris), packing=final)
+    flat = Graph(n, tuple(edges)) if steps else g
+    return TransformResult(TransformTrace(source=g, steps=tuple(steps), final_graph=flat), tuple(tris))

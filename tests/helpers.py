@@ -495,7 +495,7 @@ def reclassify_build_transformed(
         new_vs = tuple(step.new_vertex if x == v else x for x in moved.vertices)
         tris[tris.index(moved)] = make_triangle(cur, *new_vs)
     trace = TransformTrace(source=g, steps=tuple(steps), final_graph=cur)
-    return TransformResult(trace=trace, triangles=tuple(tris), packing=current), tuple(graphs)
+    return TransformResult(trace, tuple(tris)), tuple(graphs)
 
 
 def stepwise_project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
@@ -643,7 +643,9 @@ def part_by_part_construction(g: Graph, packing: TrianglePacking) -> EdgeColorin
     ``combine_colorings``, and pull the result back to L(g) when the trace
     has steps. Uncertified."""
     result = build_transformed(g, packing)
-    final, flat = result.graph, result.packing
+    final = result.graph
+    flat = classify_structure(final, result.triangles)
+    assert flat.all_forest and flat.c == packing.c
     lg = line_graph(final)
     parts = [recursive_tree_assignment(lg, [flat.triangles[i] for i in comp])[0] for comp in flat.components]
     for x in range(final.n):

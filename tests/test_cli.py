@@ -354,6 +354,12 @@ class TestBench:
     def test_seed_required(self, capsys):
         assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5"]) == 3
 
+    @pytest.mark.parametrize("command", ["bench", "gen"])
+    def test_n_required(self, capsys, command):
+        """``bench`` and ``gen`` share the model-flag checks and message."""
+        assert main([command, "--model", "gnp", "--p", "0.5", "--seed", "1"]) == 3
+        assert capsys.readouterr().err == "input error: --n is required for random models\n"
+
     def test_single_vertex_gnp_is_an_input_error(self, capsys):
         assert main(["bench", "--model", "gnp", "--n", "1", "--p", "0.5",
                      "--count", "2", "--seed", "1"]) == 3

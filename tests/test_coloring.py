@@ -56,6 +56,7 @@ from rainbowline.triangles import (
     enumerate_triangles,
     make_triangle,
     pack_edge_disjoint,
+    TransformResult,
     TransformTrace,
     VertexSplitStep,
 )
@@ -179,7 +180,7 @@ class TestTriangleTree:
     def test_rejects_cycle_structure(self):
         g = triangle_ring(3)
         tris = [t for t in enumerate_triangles(g) if t.vertices != (0, 1, 2)]
-        with pytest.raises(Exception):
+        with pytest.raises(InvariantViolation, match="no leaf triangle"):
             tree_part(line_graph(g), tris)
 
     def test_rejects_two_components(self):
@@ -235,6 +236,17 @@ class TestGeneralPackingBound:
         p = pack_edge_disjoint(g, "exact")
         col, cert = color_packing(g, p)
         assert cert.bound_value == 4 and cert.verified
+
+    def test_unflattened_structure_is_invariant_violation(self, monkeypatch):
+        """The flattened structure is not classified again, so a component
+        that is still a cycle fails when its stars are colored."""
+        g = triangle_ring(3)
+        p = pack_edge_disjoint(g, "exact")
+        assert p.op == 1
+        unflattened = TransformResult(TransformTrace(source=g, steps=(), final_graph=g), p.triangles)
+        monkeypatch.setattr("rainbowline.coloring.build_transformed", lambda *args: unflattened)
+        with pytest.raises(InvariantViolation, match="no leaf triangle"):
+            color_packing(g, p)
 
     def test_bound_identity_on_forest(self):
         # t + n2' + c equals n2 + op - t when op = 0

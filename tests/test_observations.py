@@ -12,7 +12,7 @@ from rainbowline.coloring import ColorPart, EdgeColoring, combine_colorings, pro
 from rainbowline.families import connected_gnp
 from rainbowline.graphs import blocks, is_connected
 from rainbowline.linegraph import line_graph
-from rainbowline.oracle import exact_rc, is_rainbow_connected
+from rainbowline.oracle import _check_all_pairs, exact_rc, is_rainbow_connected
 from rainbowline.triangles import TransformTrace, pack_edge_disjoint
 
 
@@ -108,9 +108,9 @@ class TestDetachProjection:
         lg2 = line_graph(g2).l_graph
         k = max(lg2.m, 1)
         distinct = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), k)
-        assert is_rainbow_connected(lg2, distinct, max_colors=k)[0]
+        assert _check_all_pairs(lg2, [1 << (c - 1) for c in distinct.colors])[0]
         projected = project_coloring(trace, distinct)
-        assert is_rainbow_connected(projected.graph, projected, max_colors=k)[0]
+        assert _check_all_pairs(projected.graph, [1 << (c - 1) for c in projected.colors])[0]
 
 
 class TestSplitProjection:
@@ -138,9 +138,9 @@ class TestSplitProjection:
         lg2 = line_graph(g2).l_graph
         k = max(lg2.m, 1)
         distinct = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), k)
-        assert is_rainbow_connected(lg2, distinct, max_colors=k)[0]
+        assert _check_all_pairs(lg2, [1 << (c - 1) for c in distinct.colors])[0]
         projected = project_coloring(trace, distinct)
-        assert is_rainbow_connected(projected.graph, projected, max_colors=k)[0]
+        assert _check_all_pairs(projected.graph, [1 << (c - 1) for c in projected.colors])[0]
 
     def test_split_coverage(self):
         found = sum(1 for seed in range(40) if self._split_instance(seed) is not None)

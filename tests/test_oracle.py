@@ -67,8 +67,8 @@ class TestIsRainbowConnected:
 
     def test_color_cap(self):
         g = path_graph(3)
-        with pytest.raises(LimitError):
-            is_rainbow_connected(g, EdgeColoring(g, (1, 2), 70), max_colors=64)
+        with pytest.raises(LimitError, match="palette of 70 colors exceeds the search cap 64"):
+            is_rainbow_connected(g, EdgeColoring(g, (1, 2), 70))
 
     def test_wrong_graph_rejected(self):
         g = path_graph(3)

@@ -254,8 +254,12 @@ class TestSplitVertex:
         swapped = Triangle(t1.vertices, t1.edge_ids[::-1])
         with pytest.raises(InputError, match="is stale for this graph"):
             split_vertex(BOWTIE, 0, [swapped], [t2])
-        with pytest.raises(InputError, match="has stale edge ids"):
+        with pytest.raises(InputError, match="has stale edge ids for this graph"):
             classify_structure(BOWTIE, [swapped, t2])
+        packing = classify_structure(BOWTIE, [t1, t2])
+        stale = dataclasses.replace(packing, triangles=(swapped, t2))
+        with pytest.raises(InputError, match="has stale edge ids for this graph"):
+            build_transformed(BOWTIE, stale)
         out, _ = split_vertex(BOWTIE, 0, [t1], [t2])
         with pytest.raises(InputError, match="is not a triangle of the graph"):
             split_vertex(out, 0, [t1], [t2])
@@ -302,7 +306,9 @@ class TestSweepMatchesReclassify:
         assert sweep.trace.steps == reference.trace.steps
         assert replay_graphs(sweep.trace) == reference_graphs
         assert sweep.triangles == reference.triangles
-        assert sweep.packing == reference.packing
+        final = classify_structure(sweep.graph, sweep.triangles)
+        assert final.all_forest
+        assert final.c == p.c
         assert sweep.trace.split_count == p.op
 
     def test_coverage(self):
