@@ -8,14 +8,11 @@ from .coloring import (
     color_forest_packing,
     color_iterated_baseline,
     color_packing,
-    project_coloring,
 )
 from .errors import InputError, InvariantViolation, LimitError
 from .graphs import (
-    BlockDecomposition,
     DegreeProfile,
     Graph,
-    blocks,
     build_graph,
     degree_profile,
     diameter,
@@ -26,12 +23,7 @@ from .linegraph import (
     iterated_line_graph,
     line_graph,
 )
-from .oracle import (
-    canonical_colorings,
-    exact_rc,
-    is_rainbow_connected,
-    rc_lower_bound,
-)
+from .oracle import exact_rc, is_rainbow_connected, rc_lower_bound
 from .triangles import (
     Triangle,
     TrianglePacking,

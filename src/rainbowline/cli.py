@@ -163,7 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g, meta = _load_graph(args)
     colors, k = parse_coloring(Path(args.coloring).read_text(), g.m)
     coloring = EdgeColoring(g, colors, k)
-    ok, witness = is_rainbow_connected(g, coloring)
+    ok, witness = is_rainbow_connected(coloring)
     print(f"verified = {str(ok).lower()}")
     if witness:
         print(f"failing pair = {witness[0]} {witness[1]}")

@@ -209,7 +209,7 @@ def _certify(g: Graph, lg: LineGraphResult, coloring: EdgeColoring, bound_name: 
 
     if lg.source != g or coloring.graph != lg.l_graph:
         raise InvariantViolation("certificate target does not match the source's line graph")
-    ok, witness = is_rainbow_connected(coloring.graph, coloring)
+    ok, witness = is_rainbow_connected(coloring)
     return ColoringCertificate(
         bound_name=bound_name,
         bound_value=bound_value,

@@ -41,9 +41,9 @@ The look-ahead runs only when the frontier holds more states than the graph
 has vertices, so the level it may save expands more states than there are
 targets to check. ``L`` is then the popcount of any frontier mask
 (``int.bit_count`` needs Python 3.10, the oldest ``requires-python`` allows).
-It checks first the target that failed the last look-ahead, then the others
-in circular order, and stops at the first failure. A target that passes is
-admitted at the next level, so it passes at most once.
+It checks the targets left in ascending order and stops at the first
+failure. A target that passes is admitted at the next level, so the
+smallest target left is where the last look-ahead stopped.
 
 ``exact_rc`` searches the canonical colorings for each palette size ``k``
 depth first, coloring the edges in id order, and checks every prefix with
@@ -103,32 +103,22 @@ def _reaches(row: list[list], visited: list[list[int]], level: int) -> bool:
     return False
 
 
-def _next_target(unreached: bytearray, t: int) -> int:
-    """The first unreached target after ``t``, wrapping around."""
-    nxt = unreached.find(1, t + 1)
-    return nxt if nxt >= 0 else unreached.find(1)
-
-
 def _first_unreached(adj: list[list[list]], s: int) -> int | None:
     """Smallest target ``t > s`` with no rainbow path from ``s``, or ``None``
     as soon as the last target is admitted or sure to be at the next level."""
     n = len(adj)
     unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
-    stuck = s + 1
     visited: list[list[int]] = [[] for _ in range(n)]
     visited[s].append(0)
     frontier = [(s, 0)]
     while frontier:
         if len(frontier) > n:
             level = frontier[0][1].bit_count()
-            t = stuck if unreached[stuck] else _next_target(unreached, stuck)
-            for _ in range(left):
-                if not _reaches(adj[t], visited, level):
-                    stuck = t
-                    break
-                t = _next_target(unreached, t)
-            else:
+            t = unreached.find(1)
+            while t >= 0 and _reaches(adj[t], visited, level):
+                t = unreached.find(1, t + 1)
+            if t < 0:
                 return None
         nxt: list[tuple[int, int]] = []
         for v, mask in frontier:
@@ -165,14 +155,12 @@ def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, in
     return _check_adjacency(_adjacency(g, bits))
 
 
-def is_rainbow_connected(g: Graph, col: "EdgeColoring") -> tuple[bool, tuple[int, int] | None]:
-    """Exact check; on failure returns the lexicographically smallest
-    vertex pair with no rainbow path."""
-    if col.graph != g:
-        raise InputError("coloring belongs to a different graph")
+def is_rainbow_connected(col: "EdgeColoring") -> tuple[bool, tuple[int, int] | None]:
+    """Exact check of ``col`` on its own graph; on failure returns the
+    lexicographically smallest vertex pair with no rainbow path."""
     if col.k > DEFAULT_COLOR_CAP:
         raise LimitError(f"palette of {col.k} colors exceeds the search cap {DEFAULT_COLOR_CAP}")
-    return _check_all_pairs(g, [1 << (c - 1) for c in col.colors])
+    return _check_all_pairs(col.graph, [1 << (c - 1) for c in col.colors])
 
 
 def canonical_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Independent test oracles: naive path enumeration, the queue-based
-verifier, exact rc by checking every canonical coloring, the earlier
-pruned exact-rc search that regroups neighbours by color, brute-force
+verifier, the earlier circular look-ahead of the level search, exact rc
+by checking every canonical coloring, the earlier pruned exact-rc search
+that regroups neighbours by color, brute-force
 packing, the parent-map packing search, blocks-based forest classification,
 reclassify-until-forest flattening, the step-at-a-time transform steps
 ``detach_edge`` and ``split_vertex``, step-by-step coloring projection,
@@ -12,9 +13,12 @@ shrinking, the two-color coloring of a lone triangle with pendants, trace
 replay, and the tightness check of the ``m - m1`` bound.
 
 Everything here deliberately avoids the package's search machinery so the
-two sides of each check stay independent. The one exception is
-``regroup_exact_rc``: it shares the package's checker, because it is
-compared with ``exact_rc`` verdict by verdict.
+two sides of each check stay independent. The two exceptions are
+``regroup_exact_rc``, which shares the package's checker because it is
+compared with ``exact_rc`` verdict by verdict, and
+``circular_first_unreached``, the earlier look-ahead order, which shares
+``oracle._reaches`` because it is compared with ``oracle._first_unreached``
+check by check.
 """
 
 import math
@@ -293,6 +297,59 @@ def regroup_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
         if extends(0, 0, k, adj, [{} for _ in range(g.n)]):
             return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
+
+
+def _next_target(unreached: bytearray, t: int) -> int:
+    """The first unreached target after ``t``, wrapping around."""
+    nxt = unreached.find(1, t + 1)
+    return nxt if nxt >= 0 else unreached.find(1)
+
+
+def circular_first_unreached(adj: list[list[list]], s: int) -> int | None:
+    """Reference for ``oracle._first_unreached``: the same level search, but
+    each look-ahead checks first the target that failed the last one, then
+    the others in circular order, and stops at the first failure. It calls
+    ``oracle._reaches`` through the module, so a test can record the checks
+    of both look-aheads."""
+    n = len(adj)
+    unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
+    left = n - s - 1
+    stuck = s + 1
+    visited: list[list[int]] = [[] for _ in range(n)]
+    visited[s].append(0)
+    frontier = [(s, 0)]
+    while frontier:
+        if len(frontier) > n:
+            level = frontier[0][1].bit_count()
+            t = stuck if unreached[stuck] else _next_target(unreached, stuck)
+            for _ in range(left):
+                if not oracle._reaches(adj[t], visited, level):
+                    stuck = t
+                    break
+                t = _next_target(unreached, t)
+            else:
+                return None
+        nxt: list[tuple[int, int]] = []
+        for v, mask in frontier:
+            for b, ws in adj[v]:
+                if b & mask:
+                    continue
+                nm = mask | b
+                for w in ws:
+                    admitted = visited[w]
+                    for x in admitted:
+                        if x & nm == x:
+                            break
+                    else:
+                        admitted.append(nm)
+                        nxt.append((w, nm))
+                        if unreached[w]:
+                            left -= 1
+                            if not left:
+                                return None
+                            unreached[w] = 0
+        frontier = nxt
+    return unreached.index(1)
 
 
 def brute_force_max_packing(g: Graph, triangles) -> int:

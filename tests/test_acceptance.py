@@ -245,7 +245,7 @@ def test_9_double_implementation_agreement():
             for k in range(1, min(3, g.m) + 1):
                 for colors in canonical_colorings(g.m, k):
                     coloring = EdgeColoring(g, colors, k)
-                    fast, _ = is_rainbow_connected(g, coloring)
+                    fast, _ = is_rainbow_connected(coloring)
                     assert fast == naive_rainbow_connected(g, colors)
                     checked += 1
         assert checked > 3000

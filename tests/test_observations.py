@@ -63,7 +63,7 @@ class TestPartitionCombination:
         ]
         combined = combine_colorings(g, parts)
         assert combined.k == g.m
-        ok, witness = is_rainbow_connected(g, combined)
+        ok, witness = is_rainbow_connected(combined)
         assert ok, (g, groups, witness)
 
 

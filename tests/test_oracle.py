@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     check_iterated_tightness,
+    circular_first_unreached,
     connected_graphs_up_to,
     enumerate_exact_rc,
     naive_failing_pair,
@@ -41,40 +42,34 @@ from rainbowline.oracle import (
 class TestIsRainbowConnected:
     def test_monochromatic_complete(self):
         g = complete_graph(4)
-        ok, witness = is_rainbow_connected(g, EdgeColoring(g, (1,) * 6, 1))
+        ok, witness = is_rainbow_connected(EdgeColoring(g, (1,) * 6, 1))
         assert ok and witness is None
 
     def test_path_one_color_fails_on_endpoints(self):
         g = path_graph(3)
-        ok, witness = is_rainbow_connected(g, EdgeColoring(g, (1, 1), 1))
+        ok, witness = is_rainbow_connected(EdgeColoring(g, (1, 1), 1))
         assert not ok and witness == (0, 2)
 
     def test_alternating_cycle(self):
         g = cycle_graph(4)
-        ok, _ = is_rainbow_connected(g, EdgeColoring(g, (1, 2, 1, 2), 2))
+        ok, _ = is_rainbow_connected(EdgeColoring(g, (1, 2, 1, 2), 2))
         assert ok
 
     def test_smallest_failing_pair(self):
         # star with one color: every leaf pair fails; (1, 2) is smallest
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        ok, witness = is_rainbow_connected(g, EdgeColoring(g, (1, 1, 1), 1))
+        ok, witness = is_rainbow_connected(EdgeColoring(g, (1, 1, 1), 1))
         assert not ok and witness == (1, 2)
 
     def test_disconnected_fails(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        ok, witness = is_rainbow_connected(g, EdgeColoring(g, (1, 2), 2))
+        ok, witness = is_rainbow_connected(EdgeColoring(g, (1, 2), 2))
         assert not ok and witness == (0, 2)
 
     def test_color_cap(self):
         g = path_graph(3)
         with pytest.raises(LimitError, match="palette of 70 colors exceeds the search cap 64"):
-            is_rainbow_connected(g, EdgeColoring(g, (1, 2), 70))
-
-    def test_wrong_graph_rejected(self):
-        g = path_graph(3)
-        other = path_graph(4)
-        with pytest.raises(InputError):
-            is_rainbow_connected(other, EdgeColoring(g, (1, 2), 2))
+            is_rainbow_connected(EdgeColoring(g, (1, 2), 70))
 
 
 class TestCanonicalColorings:
@@ -230,7 +225,7 @@ class TestNaiveAgreement:
         g = build_graph(n, sorted(pairs[:m]))
         k = rng.randint(1, 3)
         colors = tuple(rng.randint(1, k) for _ in range(g.m))
-        fast, _ = is_rainbow_connected(g, EdgeColoring(g, colors, k))
+        fast, _ = is_rainbow_connected(EdgeColoring(g, colors, k))
         assert fast == naive_rainbow_connected(g, colors)
 
 
@@ -277,7 +272,7 @@ class TestLevelSearchMatchesQueue:
         for g in graphs:
             for k in range(1, min(3, g.m) + 1):
                 for colors in canonical_colorings(g.m, k):
-                    ok, witness = is_rainbow_connected(g, EdgeColoring(g, colors, k))
+                    ok, witness = is_rainbow_connected(EdgeColoring(g, colors, k))
                     assert witness == naive_failing_pair(g, colors)
                     assert ok == (witness is None)
                     failing += not ok
@@ -443,6 +438,77 @@ class TestLookAheadMatchesQueue:
             for g, bits in inputs:
                 _check_all_pairs(g, bits)
         assert any(ended_early) and any(failed)
+
+
+_real_reaches, _real_check, _ascending = oracle._reaches, oracle._check_adjacency, oracle._first_unreached
+
+
+def _checks_in_both_orders(adj):
+    """Check ``adj`` with ``oracle._first_unreached`` and again with
+    ``helpers.circular_first_unreached``; assert the same verdict and the
+    same ``_reaches`` checks, one list of ``(target, level, passed)`` per
+    source. Returns the verdict and the lists."""
+    target = {id(row): t for t, row in enumerate(adj)}
+
+    def run(first_unreached):
+        sources = []
+
+        def recorded(row, visited, level):
+            passed = _real_reaches(row, visited, level)
+            sources[-1].append((target[id(row)], level, passed))
+            return passed
+
+        def search(adj, s):
+            sources.append([])
+            return first_unreached(adj, s)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_reaches", recorded)
+            patch.setattr(oracle, "_first_unreached", search)
+            return _real_check(adj), sources
+
+    got = run(_ascending)
+    assert got == run(circular_first_unreached)
+    return got
+
+
+def _resumes(checks):
+    """Whether a look-ahead failed and a later one ran in the same source."""
+    return any(not passed for _, _, passed in checks[:-1])
+
+
+class TestLookAheadOrder:
+    """Scanning the targets left in ascending order makes the same
+    ``_reaches`` checks, in the same order, as resuming at the target that
+    failed the last look-ahead and going round (``circular_first_unreached``):
+    every target below that one passed and was admitted, so it is the
+    smallest target left."""
+
+    def test_look_ahead_inputs(self):
+        verdicts, seen = set(), []
+        for inputs in _look_ahead_inputs().values():
+            for g, bits in inputs:
+                (ok, _), checks = _checks_in_both_orders(_adjacency(g, bits))
+                verdicts.add(ok)
+                seen += checks
+        assert verdicts == {True, False}
+        assert any(_resumes(checks) for checks in seen)
+
+    def test_exact_rc_prefix_checks(self, monkeypatch):
+        seen = []
+
+        def check(adj):
+            verdict, checks = _checks_in_both_orders(adj)
+            seen.extend(checks)
+            return verdict
+
+        lgs = [line_graph(connected_gnp(7, 0.35, s * 1_000_003)).l_graph for s in range(1, 9)]
+        lgs = [lg for lg in lgs if lg.m <= 12]
+        assert len(lgs) == 4
+        monkeypatch.setattr(oracle, "_check_adjacency", check)
+        for lg in lgs:
+            exact_rc(lg)
+        assert any(_resumes(checks) for checks in seen)
 
 
 class TestLowerBound:
