@@ -1,7 +1,8 @@
 """Independent test oracles: naive path enumeration, the queue-based
 verifier, the earlier circular look-ahead of the level search, exact rc
-by checking every canonical coloring, the earlier pruned exact-rc search
-that regroups neighbours by color, brute-force
+by checking every canonical coloring, the two earlier pruned exact-rc
+searches with a private color per uncolored edge (one relabels a group per
+edge end, one regroups neighbours by color), brute-force
 packing, the parent-map packing search, blocks-based forest classification,
 reclassify-until-forest flattening, the step-at-a-time transform steps
 ``detach_edge`` and ``split_vertex``, step-by-step coloring projection,
@@ -13,9 +14,9 @@ shrinking, the two-color coloring of a lone triangle with pendants, trace
 replay, and the tightness check of the ``m - m1`` bound.
 
 Everything here deliberately avoids the package's search machinery so the
-two sides of each check stay independent. The two exceptions are
-``regroup_exact_rc``, which shares the package's checker because it is
-compared with ``exact_rc`` verdict by verdict, and
+two sides of each check stay independent. The exceptions are
+``relabel_exact_rc`` and ``regroup_exact_rc``, which share the package's
+checker because they are compared with each other verdict by verdict, and
 ``circular_first_unreached``, the earlier look-ahead order, which shares
 ``oracle._reaches`` because it is compared with ``oracle._first_unreached``
 check by check.
@@ -240,7 +241,7 @@ def _give_back(row: list[list], colored: dict[int, list], bit: int, private: lis
 
 
 def regroup_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
-    """Reference for ``oracle.exact_rc``: the same pruned search, but the
+    """Reference for ``relabel_exact_rc``: the same pruned search, but the
     adjacency is rebuilt for every palette size ``k`` and recolored by moving
     neighbours between color groups (``_take_color``/``_give_back``). At
     every vertex the groups of colored edges come first and the private
@@ -295,6 +296,64 @@ def regroup_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     for k in range(lo, m + 1):
         adj = oracle._adjacency(g, [1 << (k + i) for i in range(m)])
         if extends(0, 0, k, adj, [{} for _ in range(g.n)]):
+            return k
+    raise InvariantViolation("an all-distinct coloring must be rainbow")
+
+
+def relabel_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
+    """Reference for ``oracle.exact_rc``: the same pruned search, but each
+    prefix check gives every uncolored edge ``i`` a private color
+    ``1 << (m + i)`` that clashes with nothing, and allows walks of any
+    length. It checks each prefix through ``oracle._check_adjacency``, so a
+    test can record the verdicts.
+
+    Tries palette sizes upward from the diameter. For each size ``k`` it
+    colors the edges in id order, depth first, in the order of
+    ``canonical_colorings``, and cuts every prefix that fails the relaxed
+    check. The adjacency is built once; coloring an edge relabels the bit of
+    its group at each end. Raises ``LimitError`` carrying the proven bracket
+    when the instance exceeds ``max_edges``.
+    """
+    oracle.check_edge_cap(max_edges)
+    diam = diameter(g)
+    if g.n < 2 or math.isinf(diam):
+        raise InputError("exact search needs a connected graph on >= 2 vertices")
+    lo = max(int(diam), 1)
+    hi = min(g.m, g.n - 1)
+    m = g.m
+    if m > max_edges:
+        raise LimitError(
+            f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
+        )
+    adj = oracle._adjacency(g, [1 << (m + i) for i in range(m)])
+    ends: list[list[list]] = [[] for _ in range(m)]
+    for row in adj:
+        for group in row:
+            ends[group[0].bit_length() - 1 - m].append(group)
+
+    def extends(i: int, top: int, k: int) -> bool:
+        """Whether the prefix of edges ``0..i-1``, colored in ``adj`` with
+        colors ``1..top``, extends to a rainbow coloring with exactly ``k``
+        colors."""
+        if not oracle._check_adjacency(adj)[0]:
+            return False
+        if i == m:
+            return True
+        at_u, at_v = ends[i]
+        private = at_u[0]
+        for c in range(1, min(top + 1, k) + 1):
+            t = max(top, c)
+            if k - t > m - i - 1:
+                continue
+            at_u[0] = at_v[0] = 1 << (c - 1)
+            found = extends(i + 1, t, k)
+            at_u[0] = at_v[0] = private
+            if found:
+                return True
+        return False
+
+    for k in range(lo, m + 1):
+        if extends(0, 0, k):
             return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 

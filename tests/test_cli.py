@@ -305,6 +305,13 @@ class TestExactAndBound:
         out = capsys.readouterr().out
         assert "rc lower bound = 4" in out
 
+    @pytest.mark.parametrize("command", ["bound", "exact"])
+    def test_single_vertex_is_an_input_error(self, capsys, command):
+        assert main([command, "--family", "path", "--n", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: exact search needs a connected graph on >= 2 vertices\n"
+
 
 class TestLinegraphCommand:
     def test_output_matches_library(self, capsys):

@@ -13,9 +13,15 @@ from helpers import (
     naive_rainbow_connected,
     queue_check_all_pairs,
     regroup_exact_rc,
+    relabel_exact_rc,
 )
 from rainbowline import oracle
-from rainbowline.coloring import EdgeColoring, color_cubic_iterated, color_packing
+from rainbowline.coloring import (
+    EdgeColoring,
+    color_cubic_iterated,
+    color_forest_packing,
+    color_packing,
+)
 from rainbowline.errors import InputError, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
@@ -122,6 +128,32 @@ class TestExactRc:
             exact_rc(cycle_graph(5), max_edges=-1)
 
 
+class TestSharpPastTheCap:
+    """With ``max_edges`` raised to the edge count, the exact search reaches
+    the paper's sharpness examples and long cycles beyond the default cap,
+    and rc equals the bound the construction certifies."""
+
+    @pytest.mark.parametrize("t, rc", [(3, 6), (4, 8), (6, 12)])
+    def test_example31_line_graphs(self, t, rc):
+        g = bridged_triangle_chain(t)
+        coloring, cert = color_forest_packing(g, pack_edge_disjoint(g, "forest_exact"))
+        lg = coloring.graph
+        assert lg.m > oracle.DEFAULT_EDGE_CAP
+        assert exact_rc(lg, max_edges=lg.m) == cert.bound_value == rc  # n2 - t
+
+    @pytest.mark.parametrize("k, rc", [(3, 4), (4, 5), (6, 7)])
+    def test_example32_line_graphs(self, k, rc):
+        g = shared_vertex_triangle_chain(k)
+        coloring, cert = color_packing(g, pack_edge_disjoint(g, "exact"))
+        lg = coloring.graph
+        assert lg.m > oracle.DEFAULT_EDGE_CAP
+        assert exact_rc(lg, max_edges=lg.m) == cert.bound_value == rc  # t + n2' + c
+
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_long_cycles(self, n):
+        assert exact_rc(cycle_graph(n), max_edges=n) == (n + 1) // 2
+
+
 def _random_connected(seed):
     """Random spanning tree on 4..8 vertices plus chords, at most 10 edges."""
     rng = random.Random(seed)
@@ -176,10 +208,10 @@ def _relabel_sets():
 
 
 class TestRelabelMatchesRegroup:
-    """``exact_rc`` relabels one group per edge end; ``helpers.regroup_exact_rc``
-    moves neighbours between color groups. Both make the same prefix checks
-    with the same verdicts, in the same order, and return the same value (a
-    ``LimitError`` by its bracket)."""
+    """``helpers.relabel_exact_rc`` relabels one group per edge end;
+    ``helpers.regroup_exact_rc`` moves neighbours between color groups. Both
+    make the same prefix checks with the same verdicts, in the same order,
+    and return the same value (a ``LimitError`` by its bracket)."""
 
     @pytest.mark.parametrize(
         "name, size", [("small", 131), ("small_line", 130), ("ensemble", 80), ("cycles", 10)]
@@ -206,12 +238,68 @@ class TestRelabelMatchesRegroup:
         monkeypatch.setattr(oracle, "_check_adjacency", record)
         resolved = 0
         for g in graphs:
-            relabel = run(exact_rc, g)
+            relabel = run(relabel_exact_rc, g)
             assert relabel == run(regroup_exact_rc, g), g.edges
             if isinstance(relabel[0], int):
                 resolved += 1
                 assert relabel[1]  # the recorder saw the prefix checks
         assert resolved == resolving
+
+
+class TestCountedMatchesRelabel:
+    """``exact_rc`` counts the uncolored edges of a walk and caps its length
+    at ``k``; ``helpers.relabel_exact_rc`` gives each uncolored edge a private
+    color and allows any length. Both return the same value (a
+    ``LimitError`` by its bracket), and the counted search makes no more
+    prefix checks on any graph: a walk that passes the counted check
+    contains a path that passes the private-color one, so it cuts every
+    prefix the other cuts. The totals are pinned because a counted search
+    without the length cap makes exactly the private-color checks."""
+
+    @pytest.mark.parametrize(
+        "name, counted_total, private_total",
+        [
+            ("small", 6377, 7861),
+            ("small_line", 2593, 5613),
+            ("ensemble", 569, 6950),
+            ("cycles", 1073, 7632),
+        ],
+    )
+    def test_same_values_no_more_prefix_checks(self, monkeypatch, name, counted_total, private_total):
+        graphs, resolving = _relabel_sets()[name]
+        counted_reaches, check = oracle._counted_reaches, oracle._check_adjacency
+        checks = []
+
+        def record_counted(adj, s, k):
+            checks.append(s)  # every prefix check starts at source 0
+            return counted_reaches(adj, s, k)
+
+        def record_private(adj):
+            checks.append(0)
+            return check(adj)
+
+        def run(search, g):
+            checks.clear()
+            try:
+                value = search(g)
+            except LimitError as exc:
+                value = (exc.lower, exc.upper)
+            return value, checks.count(0)
+
+        monkeypatch.setattr(oracle, "_counted_reaches", record_counted)
+        monkeypatch.setattr(oracle, "_check_adjacency", record_private)
+        totals = [0, 0]
+        resolved = 0
+        for g in graphs:
+            value, counted = run(exact_rc, g)
+            reference, private = run(relabel_exact_rc, g)
+            assert value == reference, g.edges
+            assert counted <= private, g.edges
+            totals[0] += counted
+            totals[1] += private
+            resolved += isinstance(value, int)
+        assert resolved == resolving
+        assert totals == [counted_total, private_total]
 
 
 class TestNaiveAgreement:
@@ -507,7 +595,7 @@ class TestLookAheadOrder:
         assert len(lgs) == 4
         monkeypatch.setattr(oracle, "_check_adjacency", check)
         for lg in lgs:
-            exact_rc(lg)
+            relabel_exact_rc(lg)
         assert any(_resumes(checks) for checks in seen)
 
 
@@ -526,6 +614,10 @@ class TestLowerBound:
     def test_rejects_disconnected(self):
         with pytest.raises(InputError):
             rc_lower_bound(build_graph(3, [(0, 1)]))
+
+    def test_rejects_single_vertex(self):
+        with pytest.raises(InputError, match="connected graph on >= 2 vertices"):
+            rc_lower_bound(path_graph(1))
 
 
 class TestIteratedTightness:
