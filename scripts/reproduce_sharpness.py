@@ -10,7 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from rainbowline.coloring import color_cubic_iterated, color_forest_packing, color_packing
+from rainbowline.coloring import color
 from rainbowline.families import (
     bridged_triangle_chain,
     complete_graph,
@@ -18,7 +18,6 @@ from rainbowline.families import (
     shared_vertex_triangle_chain,
 )
 from rainbowline.graphs import build_graph, diameter
-from rainbowline.triangles import pack_edge_disjoint
 
 
 def main() -> None:
@@ -26,23 +25,25 @@ def main() -> None:
     print("t  diam(L)  colors  verified")
     for t in range(2, 6):
         g = bridged_triangle_chain(t)
-        col, cert = color_forest_packing(g, pack_edge_disjoint(g, "forest_exact"))
-        print(f"{t}  {diameter(col.graph):7d}  {cert.colors_used:6d}  {cert.verified}")
+        run = color(g, "31")
+        cert = run.certificate
+        print(f"{t}  {diameter(run.coloring.graph):7d}  {cert.colors_used:6d}  {cert.verified}")
 
     print()
     print("general bound t + n2' + c on shared-vertex chains")
     print("k  diam(L)  colors  verified")
     for k in range(2, 8):
         g = shared_vertex_triangle_chain(k)
-        col, cert = color_packing(g, pack_edge_disjoint(g, "exact"))
-        print(f"{k}  {diameter(col.graph):7d}  {cert.colors_used:6d}  {cert.verified}")
+        run = color(g, "32")
+        cert = run.certificate
+        print(f"{k}  {diameter(run.coloring.graph):7d}  {cert.colors_used:6d}  {cert.verified}")
 
     print()
     print("n + 1 bound on twice-iterated line graphs of cubic graphs")
     print("graph      n   bound  colors  verified")
     k33 = build_graph(6, [(a, 3 + b) for a in range(3) for b in range(3)])
     for name, g in (("K4", complete_graph(4)), ("K3,3", k33), ("Petersen", petersen_graph())):
-        col, cert = color_cubic_iterated(g)
+        cert = color(g, "cubic").certificate
         print(f"{name:9s} {g.n:3d}  {cert.bound_value:5d}  {cert.colors_used:6d}  {cert.verified}")
 
 

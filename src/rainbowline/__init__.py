@@ -1,14 +1,7 @@
 """Rainbow edge colorings of (iterated) line graphs driven by edge-disjoint
 triangle structures, with an exact verifier and an exact rc search."""
 
-from .coloring import (
-    ColoringCertificate,
-    EdgeColoring,
-    color_cubic_iterated,
-    color_forest_packing,
-    color_iterated_baseline,
-    color_packing,
-)
+from .coloring import ColoringCertificate, EdgeColoring, Run, color
 from .errors import InputError, InvariantViolation, LimitError
 from .graphs import (
     DegreeProfile,
@@ -27,9 +20,6 @@ from .oracle import exact_rc, is_rainbow_connected, rc_lower_bound
 from .triangles import (
     Triangle,
     TrianglePacking,
-    TransformResult,
-    TransformTrace,
-    build_transformed,
     classify_structure,
     enumerate_triangles,
     make_triangle,

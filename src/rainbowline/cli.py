@@ -12,13 +12,7 @@ import sys
 from pathlib import Path
 
 from . import triangles
-from .coloring import (
-    EdgeColoring,
-    color_cubic_iterated,
-    color_forest_packing,
-    color_iterated_baseline,
-    color_packing,
-)
+from .coloring import THEOREMS, EdgeColoring, color
 from .errors import InputError, InvariantViolation, LimitError
 from .families import FAMILIES, connected_gnp, gen_family, random_cubic
 from .formats import (
@@ -185,23 +179,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_UNVERIFIED
 
 
-_THEOREM_DEFAULT_PACK = {"31": "forest_exact", "32": "exact"}
-_GREEDY_FALLBACK = {"forest_exact": "forest_greedy", "exact": "greedy"}
-
-
-def _pick_packing(g: Graph, theorem: str, requested: str | None) -> tuple:
-    """Packing for the chosen bound: the requested mode verbatim, else the
-    exact default with a greedy fallback when the search cap trips."""
-    if requested:
-        return triangles.pack_edge_disjoint(g, requested), requested
-    mode = _THEOREM_DEFAULT_PACK[theorem]
-    try:
-        return triangles.pack_edge_disjoint(g, mode), mode
-    except LimitError:
-        fallback = _GREEDY_FALLBACK[mode]
-        return triangles.pack_edge_disjoint(g, fallback), fallback
-
-
 def _packing_payload(p: triangles.TrianglePacking) -> dict:
     return {
         "t": p.t,
@@ -214,25 +191,9 @@ def _packing_payload(p: triangles.TrianglePacking) -> dict:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    if args.pack and args.theorem not in _THEOREM_DEFAULT_PACK:
-        raise InputError("--pack applies only to theorems 31 and 32")
     g, meta = _load_graph(args)
-    packing = None
-    pack_mode = None
-    if args.theorem == "31":
-        packing, pack_mode = _pick_packing(g, "31", args.pack)
-        coloring, cert = color_forest_packing(g, packing)
-        target_name = "L"
-    elif args.theorem == "32":
-        packing, pack_mode = _pick_packing(g, "32", args.pack)
-        coloring, cert = color_packing(g, packing)
-        target_name = "L"
-    elif args.theorem == "cubic":
-        coloring, cert = color_cubic_iterated(g)
-        target_name = "L2"
-    else:
-        coloring, cert = color_iterated_baseline(g)
-        target_name = "L2"
+    run = color(g, args.theorem, args.pack)
+    packing, coloring, cert = run.packing, run.coloring, run.certificate
     target = coloring.graph
     print(f"bound {cert.bound_name} = {cert.bound_value}")
     print(f"colors used = {cert.colors_used}")
@@ -242,14 +203,14 @@ def cmd_color(args: argparse.Namespace) -> int:
     if packing is not None:
         print(
             f"packing: t={packing.t} c={packing.c} n2'={packing.n2_prime} "
-            f"op={packing.op} mode={pack_mode}"
+            f"op={packing.op} mode={run.mode}"
         )
     if args.json:
         payload = {
             "command": "color",
-            "instance": {**meta, "theorem": args.theorem, "pack": pack_mode},
+            "instance": {**meta, "theorem": args.theorem, "pack": run.mode},
             "source_graph": graph_payload(g),
-            "target": target_name,
+            "target": "L2" if packing is None else "L",
             "target_graph": graph_payload(target),
             "bound": {"name": cert.bound_name, "value": cert.bound_value},
             "colors_used": cert.colors_used,
@@ -280,36 +241,30 @@ _BENCH_FIELDS = [
 def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> dict:
     prof = degree_profile(g)
     row: dict = {"index": index, "seed": seed, "n": g.n, "m": g.m, "n2": prof.n2}
-    packs: dict[str, triangles.TrianglePacking | None] = {}
+    runs = {"forest": color(g, "31"), "general": color(g, "32")}
+    used = {run.mode: run.packing for run in runs.values()}
     for mode in triangles.PACK_MODES:
-        try:
-            packs[mode] = triangles.pack_edge_disjoint(g, mode)
-        except LimitError:
-            packs[mode] = None
-        row[f"t_{mode}"] = packs[mode].t if packs[mode] else ""
-    forest_pack = packs["forest_exact"] or packs["forest_greedy"]
-    general_pack = packs["exact"] or packs["greedy"]
-    if forest_pack is None or general_pack is None:
-        raise InvariantViolation("greedy packing modes must never hit the exact search cap")
+        packing = used.get(mode)
+        if packing is None:
+            try:
+                packing = triangles.pack_edge_disjoint(g, mode)
+            except LimitError:  # the exact search's cap tripped
+                pass
+        row[f"t_{mode}"] = packing.t if packing else ""
+    general_pack = runs["general"].packing
     row["c"] = general_pack.c
     row["n2_prime"] = general_pack.n2_prime
     row["op"] = general_pack.op
-    col_f, cert_f = color_forest_packing(g, forest_pack)
-    row["bound_forest"] = cert_f.bound_value
-    row["colors_forest"] = cert_f.colors_used
-    row["verified_forest"] = cert_f.verified
-    _, cert_g = color_packing(g, general_pack)
-    row["bound_general"] = cert_g.bound_value
-    row["colors_general"] = cert_g.colors_used
-    row["verified_general"] = cert_g.verified
     if cubic:
-        _, cert_c = color_cubic_iterated(g)
-        row["bound_cubic"] = cert_c.bound_value
-        row["colors_cubic"] = cert_c.colors_used
-        row["verified_cubic"] = cert_c.verified
+        runs["cubic"] = color(g, "cubic")
     else:
         row["bound_cubic"] = row["colors_cubic"] = row["verified_cubic"] = ""
-    lg = col_f.graph  # L(g): _certify checked it
+    for name, run in runs.items():
+        cert = run.certificate
+        row[f"bound_{name}"] = cert.bound_value
+        row[f"colors_{name}"] = cert.colors_used
+        row[f"verified_{name}"] = cert.verified
+    lg = runs["forest"].coloring.graph  # L(g): _certify checked it
     row["diam_line"] = diameter(lg)
     try:
         row["exact_rc_line"] = exact_rc(lg, max_edges=max_edges)
@@ -409,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_color = sub.add_parser("color", help="build and verify a rainbow coloring")
     _add_source_args(p_color)
-    p_color.add_argument("--theorem", choices=("31", "32", "cubic", "iterated"), required=True)
+    p_color.add_argument("--theorem", choices=THEOREMS, required=True)
     p_color.add_argument("--pack", choices=triangles.PACK_MODES)
     p_color.add_argument("--json", help="write a JSON report")
     p_color.add_argument("--dot", help="write the colored target graph as DOT")

@@ -11,9 +11,10 @@ the input packing and graph, so the structure is classified once. Each pair
 of L(H) is colored by the rule of the flattened vertex it lands on, so the
 construction builds exactly one line graph, L(H). ``n2 - t`` and
 ``t + n2' + c`` run it on G, ``n + 1`` on L(G) with its vertex-star
-triangles, and ``m - m1`` on L(G) with no triangles. Each public
-construction returns its coloring with a certificate recording the bound,
-the palette size, and the verifier verdict.
+triangles, and ``m - m1`` on L(G) with no triangles. Each of these four
+back ends returns its coloring with a certificate recording the bound, the
+palette size, and the verifier verdict. ``color`` is the entry point: it picks
+the packing for ``31`` and ``32`` and dispatches to the back end.
 """
 
 import heapq
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, LimitError
 from .graphs import Graph, degree_profile, edge_key, is_connected
 from .linegraph import LineGraphResult, line_graph
 from .triangles import (
@@ -32,7 +33,14 @@ from .triangles import (
     build_transformed,
     classify_structure,
     make_triangle,
+    pack_edge_disjoint,
 )
+
+THEOREMS = ("31", "32", "cubic", "iterated")
+# The packing mode each packing theorem uses unless one is requested, and the
+# greedy mode it falls back to when the exact search's triangle cap trips.
+DEFAULT_PACK = {"31": "forest_exact", "32": "exact"}
+GREEDY_FALLBACK = {"forest_exact": "forest_greedy", "exact": "greedy"}
 
 
 @dataclass(frozen=True)
@@ -255,7 +263,7 @@ def color_forest_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColori
     """Rainbow coloring of L(g) with ``n2 - t`` colors from a forest packing."""
     _check_colorable(g)
     if not packing.all_forest:
-        raise InputError("packing structure must be a triangle-forest; use color_packing instead")
+        raise InputError("packing structure must be a triangle-forest; theorem 32 takes any packing")
     return _construct(g, packing, "n2 - t", degree_profile(g).n2 - packing.t)
 
 
@@ -319,3 +327,43 @@ def color_iterated_baseline(g: Graph) -> tuple[EdgeColoring, ColoringCertificate
     if packing.n2_prime != bound:
         raise InvariantViolation(f"L(G) has {packing.n2_prime} inner vertices, pendant accounting says {bound}")
     return _construct(lg, packing, "m - m1", bound)
+
+
+@dataclass(frozen=True)
+class Run:
+    """One bound's construction. ``packing`` and ``mode`` are ``None`` for
+    ``cubic`` and ``iterated``, which take no packing."""
+
+    packing: TrianglePacking | None
+    mode: str | None
+    coloring: EdgeColoring
+    certificate: ColoringCertificate
+
+
+def color(g: Graph, theorem: str, pack: str | None = None) -> Run:
+    """Color L(g) (``31``, ``32``) or L(L(g)) (``cubic``, ``iterated``) within
+    the theorem's bound and certify it.
+
+    ``31`` and ``32`` pack with ``pack`` if given, and a ``LimitError`` from
+    that mode propagates. Otherwise they use ``DEFAULT_PACK``'s exact mode and
+    its ``GREEDY_FALLBACK`` when the instance has more triangles than the
+    exact search's cap. ``cubic`` and ``iterated`` take no packing, so a
+    ``pack`` with them is an ``InputError``, as is an unknown theorem.
+    """
+    if theorem not in THEOREMS:
+        raise InputError(f"unknown theorem {theorem!r}; expected one of {', '.join(THEOREMS)}")
+    if theorem not in DEFAULT_PACK:
+        if pack is not None:
+            raise InputError(f"theorem {theorem} takes no packing; pack applies only to theorems 31 and 32")
+        build = color_cubic_iterated if theorem == "cubic" else color_iterated_baseline
+        return Run(None, None, *build(g))
+    mode = DEFAULT_PACK[theorem] if pack is None else pack
+    try:
+        packing = pack_edge_disjoint(g, mode)
+    except LimitError:
+        if pack is not None:
+            raise
+        mode = GREEDY_FALLBACK[mode]
+        packing = pack_edge_disjoint(g, mode)
+    build = color_forest_packing if theorem == "31" else color_packing
+    return Run(packing, mode, *build(g, packing))

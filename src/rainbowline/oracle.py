@@ -294,5 +294,5 @@ def rc_lower_bound(g: Graph) -> int:
     the graphs on which rc is defined."""
     diam = diameter(g)
     if g.n < 2 or math.isinf(diam):
-        raise InputError("exact search needs a connected graph on >= 2 vertices")
+        raise InputError("rc is defined only on connected graphs with at least 2 vertices")
     return int(diam)

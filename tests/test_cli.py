@@ -166,8 +166,22 @@ class TestColorCommand:
         argv = ["color", "--model", "random_cubic", "--n", "8", "--seed", "1",
                 "--theorem", theorem, "--pack", pack, "--json", str(report)]
         assert main(argv) == 3
-        assert "--pack applies only to theorems 31 and 32" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"input error: theorem {theorem} takes no packing; "
+            "pack applies only to theorems 31 and 32\n"
+        )
         assert not report.exists()
+
+    def test_forest_theorem_rejects_a_non_forest_packing(self, capsys):
+        argv = ["color", "--family", "triangle_ring", "--r", "4", "--theorem", "31",
+                "--pack", "greedy"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: packing structure must be a triangle-forest; "
+            "theorem 32 takes any packing\n"
+        )
 
     def test_diameter_only_for_json(self, capsys, monkeypatch, tmp_path):
         calls = []
@@ -310,7 +324,7 @@ class TestExactAndBound:
         assert main([command, "--family", "path", "--n", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "input error: exact search needs a connected graph on >= 2 vertices\n"
+        assert captured.err == "input error: rc is defined only on connected graphs with at least 2 vertices\n"
 
 
 class TestLinegraphCommand:
@@ -356,6 +370,18 @@ class TestBench:
         rows = run_bench("random_cubic", 6, 0.0, 3, seed=5, max_edges=12)
         assert all(r["bound_cubic"] == 7 for r in rows)
         assert all(r["verified_cubic"] is True for r in rows)
+        assert all(r["verified_forest"] is True and r["verified_general"] is True for r in rows)
+
+    def test_rows_past_the_exact_cap_fall_back_to_greedy(self):
+        """gnp(9, 0.9) has more triangles than the exact search's cap, so
+        both exact columns are empty and both bounds use the greedy modes."""
+        rows = run_bench("gnp", 9, 0.9, 2, seed=1, max_edges=0)
+        assert [r["t_exact"] for r in rows] == ["", ""]
+        assert [r["t_forest_exact"] for r in rows] == ["", ""]
+        assert [r["t_greedy"] for r in rows] == [8, 8]
+        assert [r["t_forest_greedy"] for r in rows] == [4, 3]
+        assert [r["colors_forest"] for r in rows] == [5, 6]
+        assert [r["colors_general"] for r in rows] == [9, 9]
         assert all(r["verified_forest"] is True and r["verified_general"] is True for r in rows)
 
     def test_seed_required(self, capsys):

@@ -23,6 +23,7 @@ from rainbowline.coloring import (
     EdgeColoring,
     _certify,
     _construct,
+    color,
     color_cubic_iterated,
     color_forest_packing,
     color_iterated_baseline,
@@ -692,3 +693,61 @@ class TestEnsemble:
         assert cert2.colors_used <= p2.t + p2.n2_prime + p2.c
         assert cert2.colors_used <= n2 + p2.op - p2.t
         assert diameter(col2.graph) <= cert2.colors_used
+
+
+_BACK_ENDS = {
+    "31": color_forest_packing,
+    "32": color_packing,
+    "cubic": lambda g, packing: color_cubic_iterated(g),
+    "iterated": lambda g, packing: color_iterated_baseline(g),
+}
+
+
+class TestColorEntryPoint:
+    @pytest.mark.parametrize(
+        "theorem, g, mode",
+        [
+            ("31", gen_family("example31", t=3), "forest_exact"),
+            ("31", gen_family("triangle_ring", r=5), "forest_exact"),
+            ("32", gen_family("example32", k=4), "exact"),
+            ("32", gen_family("triangle_ring", r=5), "exact"),
+            ("32", gen_family("example31", t=3), "greedy"),
+            ("31", gen_family("example32", k=4), "forest_greedy"),
+            ("cubic", random_cubic(8, 1), None),
+            ("iterated", path_graph(6), None),
+        ],
+    )
+    def test_run_matches_back_end(self, theorem, g, mode):
+        """The run equals its back end called on the same packing; ``mode``
+        is the default, or a requested one where it is not."""
+        requested = None if mode in (None, "forest_exact", "exact") else mode
+        run = color(g, theorem, requested)
+        packing = None if mode is None else pack_edge_disjoint(g, mode)
+        assert run.mode == mode
+        assert run.packing == packing
+        assert (run.coloring, run.certificate) == _BACK_ENDS[theorem](g, packing)
+        assert run.certificate.verified
+
+    @pytest.mark.parametrize(
+        "theorem, mode, t, colors", [("31", "forest_greedy", 4, 5), ("32", "greedy", 8, 9)]
+    )
+    def test_falls_back_to_greedy_past_the_exact_cap(self, theorem, mode, t, colors):
+        g = complete_graph(9)  # 84 triangles, over the exact search's cap of 24
+        run = color(g, theorem)
+        assert (run.mode, run.packing.t, run.certificate.colors_used) == (mode, t, colors)
+        assert run.packing == pack_edge_disjoint(g, mode)
+        assert run.certificate.verified
+
+    @pytest.mark.parametrize("theorem, pack", [("31", "forest_exact"), ("32", "exact")])
+    def test_requested_exact_mode_raises_past_the_cap(self, theorem, pack):
+        with pytest.raises(LimitError, match="exact packing capped at 24 triangles"):
+            color(complete_graph(9), theorem, pack)
+
+    @pytest.mark.parametrize("theorem", ["cubic", "iterated"])
+    def test_pack_with_an_iterated_theorem_is_an_input_error(self, theorem):
+        with pytest.raises(InputError, match=f"theorem {theorem} takes no packing"):
+            color(random_cubic(8, 1), theorem, "greedy")
+
+    def test_unknown_theorem_is_an_input_error(self):
+        with pytest.raises(InputError, match="unknown theorem '33'"):
+            color(BOWTIE, "33")

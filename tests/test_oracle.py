@@ -616,7 +616,7 @@ class TestLowerBound:
             rc_lower_bound(build_graph(3, [(0, 1)]))
 
     def test_rejects_single_vertex(self):
-        with pytest.raises(InputError, match="connected graph on >= 2 vertices"):
+        with pytest.raises(InputError, match="connected graphs with at least 2 vertices"):
             rc_lower_bound(path_graph(1))
 
 

@@ -1,4 +1,5 @@
-"""The README's list of exported names is the package's public API."""
+"""The README's list of exported names is the package's public API, and its
+Library example runs."""
 
 import inspect
 import pathlib
@@ -25,3 +26,9 @@ def test_exported_names_match_readme():
     listed = readme_exported_names()
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == public
+
+
+def test_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out == "(True, None)\n3\n"
