@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import triangles
-from .coloring import THEOREMS, EdgeColoring, color
+from .coloring import GREEDY_FALLBACK, THEOREMS, EdgeColoring, color
 from .errors import InputError, InvariantViolation, LimitError
 from .families import FAMILIES, connected_gnp, gen_family, random_cubic
 from .formats import (
@@ -245,11 +245,10 @@ def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> 
     used = {run.mode: run.packing for run in runs.values()}
     for mode in triangles.PACK_MODES:
         packing = used.get(mode)
-        if packing is None:
-            try:
-                packing = triangles.pack_edge_disjoint(g, mode)
-            except LimitError:  # the exact search's cap tripped
-                pass
+        # ``color`` used an exact mode's greedy fallback only because that
+        # exact mode's cap tripped, so its column stays empty
+        if packing is None and GREEDY_FALLBACK.get(mode) not in used:
+            packing = triangles.pack_edge_disjoint(g, mode)
         row[f"t_{mode}"] = packing.t if packing else ""
     general_pack = runs["general"].packing
     row["c"] = general_pack.c

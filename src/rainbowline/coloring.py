@@ -103,9 +103,10 @@ def combine_colorings(graph: Graph, parts: Sequence[ColorPart]) -> EdgeColoring:
     return EdgeColoring(graph, tuple(slots), offset)
 
 
-def color_triangle_tree(g: Graph, tris: Sequence[Triangle]) -> tuple[dict[int, tuple[int, int, int]], int]:
+def color_triangle_tree(tris: Sequence[Triangle]) -> tuple[dict[int, tuple[int, int, int]], int]:
     """Star rules ``x -> (s, a, b)`` for the vertices of one triangle-tree
-    component of ``g``, using ``t_i + 1`` colors.
+    component, using ``t_i + 1`` colors. Each special edge ``s`` is a side of
+    a triangle, read with ``Triangle.opposite``.
 
     One pass over a leaf queue peels the lowest leaf triangle (exactly one
     corner shared with the rest) until one triangle ``uvw`` is left; it gets
@@ -143,13 +144,13 @@ def color_triangle_tree(g: Graph, tris: Sequence[Triangle]) -> tuple[dict[int, t
                 heapq.heappush(leaves, j)
     (last,) = (order[i] for i in alive)
     u, v, w = last.vertices
-    rules = {u: (g.edge_id(u, v), 1, 2), v: (g.edge_id(v, w), 1, 2), w: (g.edge_id(u, w), 1, 2)}
+    rules = {u: (last.opposite(w), 1, 2), v: (last.opposite(u), 1, 2), w: (last.opposite(v), 1, 2)}
     fresh = 2
     for leaf, u in reversed(peels):
         fresh += 1
         v, w = (x for x in leaf.vertices if x != u)
-        rules[v] = (g.edge_id(u, v), fresh, 2)
-        rules[w] = (g.edge_id(u, w), fresh, 1)
+        rules[v] = (leaf.opposite(w), fresh, 2)
+        rules[w] = (leaf.opposite(v), fresh, 1)
     return rules, fresh
 
 
@@ -239,7 +240,7 @@ def _construct(g: Graph, packing: TrianglePacking, bound_name: str, bound_value:
     rules: dict[int, tuple[int | None, int, int]] = {}
     k = 0
     for comp in packing.components:
-        tree, used = color_triangle_tree(result.graph, [result.triangles[i] for i in comp])
+        tree, used = color_triangle_tree([result.triangles[i] for i in comp])
         for x, (s, a, b) in tree.items():
             rules[x] = (s, k + a, k + b)
         k += used

@@ -51,23 +51,23 @@ fails a relaxed check (``_counted_reaches``). A coloring with ``k`` colors
 has no rainbow path of more than ``k`` edges, and a path that is rainbow
 under some completion of a prefix uses distinct colors on its colored edges.
 So the relaxation asks, for every pair, for a walk of at most ``k`` edges
-whose colored edges have distinct colors; its uncolored edges are only
-counted. A prefix that fails it has no rainbow completion, and its whole
-subtree is cut. A full coloring has no uncolored edges and no rainbow walk
-longer than ``k``, so its check is exact and the first ``k`` with a
-surviving leaf is rc.
-A state of this search carries the real colors of its walk in bits
-``0..k-1`` and the count of its uncolored edges as thermometer bits from
-bit ``k`` up: crossing an uncolored edge adds bit ``k + count``. Every level
-still adds one bit, so the level is the popcount, the search stops after
-level ``k``, and the subset test ``x & nm == x`` still drops a state whose
-colors and count are both no smaller than an admitted one's. The adjacency
-holds one ``[bit, neighbour]`` pair per edge end, built once per call with
-``bit = 0`` (uncolored); coloring edge ``i`` sets the bit at its two ends and
-backtracking clears it. The search is a loop of its own and shares no code
-with the verifier's: with the uncolored branch and the level cap in one
-shared loop, the verifier took 10-17% longer on the ``sharp`` benchmark's
-inputs (repeated timings, 2-vCPU Xeon, Python 3.11.7).
+whose colored edges have distinct colors; its uncolored edges are free. A
+prefix that fails it has no rainbow completion, and its whole subtree is
+cut. A full coloring has no uncolored edges and no rainbow walk longer than
+``k``, so its check is exact and the first ``k`` with a surviving leaf is rc.
+A state of this search holds only the real colors of its walk: crossing an
+uncolored edge keeps the mask. The walk length is the level, and the loop
+stops after level ``k``. Levels are expanded in order, so an admitted state
+whose mask is a subset of a new state's came in at an earlier or equal
+level: every walk that extends the new state extends the admitted one
+within the same ``k`` edges, and the subset test ``x & nm == x`` drops the
+new state without a length of its own. The adjacency holds one
+``[bit, neighbour]`` pair per edge end, built once per call with ``bit = 0`` (uncolored);
+coloring edge ``i`` sets the bit at its two ends and backtracking clears it.
+The search is a loop of its own and shares no code with the verifier's,
+which groups neighbours by color and has no level cap: a loop shared by
+both made the verifier 10-17% slower on the ``sharp`` benchmark's inputs
+(repeated timings, 2-vCPU Xeon, Python 3.11.7).
 """
 
 import math
@@ -213,11 +213,10 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> bool:
     for _ in range(k):
         nxt: list[tuple[int, int]] = []
         for v, mask in frontier:
-            count = ((mask >> k) + 1) << k
             for b, w in adj[v]:
                 if b & mask:
                     continue
-                nm = mask | (b or count)
+                nm = mask | b
                 admitted = visited[w]
                 for x in admitted:
                     if x & nm == x:

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
-from .graphs import Graph, degree_profile, edge_key, is_connected
+from .graphs import Graph, degree_profile, edge_key
 
 DEFAULT_EXACT_CAP = 24
 
@@ -32,8 +32,14 @@ PACK_MODES = ("greedy", "exact", "forest_greedy", "forest_exact")
 
 @dataclass(frozen=True, order=True)
 class Triangle:
+    """Corners ``a < b < c`` and the ids of the sides ``(ab, ac, bc)``."""
+
     vertices: tuple[int, int, int]
     edge_ids: tuple[int, int, int]
+
+    def opposite(self, x: int) -> int:
+        """The id of the side not at corner ``x``."""
+        return self.edge_ids[2 - self.vertices.index(x)]
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,6 @@ class TransformTrace:
 class TransformResult:
     trace: TransformTrace
     triangles: tuple[Triangle, ...]  # index-aligned with the packing's triangles
-
-    @property
-    def graph(self) -> Graph:
-        return self.trace.final_graph
 
 
 def make_triangle(g: Graph, a: int, b: int, c: int) -> Triangle:
@@ -293,9 +295,8 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
 def _moved_triangle(tri: Triangle, v: int, new_vertex: int) -> Triangle:
     """``tri`` after a split moved its corner ``v`` to ``new_vertex``, the
     highest vertex id. A split keeps every edge id."""
-    side = dict(zip(combinations(tri.vertices, 2), tri.edge_ids))
     p, q = (x for x in tri.vertices if x != v)
-    return Triangle((p, q, new_vertex), (side[(p, q)], side[edge_key(p, v)], side[edge_key(q, v)]))
+    return Triangle((p, q, new_vertex), (tri.opposite(v), tri.opposite(q), tri.opposite(p)))
 
 
 def _on_cycle(tris: Sequence[Triangle], at: dict[int, list[int]], i: int, v: int) -> bool:
@@ -333,9 +334,8 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     ``u`` side, and a split keeps every edge id. The result's triangles are
     the packing's, index for index, with moved corners renamed. A split never
     moves a component's lowest vertex and a new vertex is covered or a leaf,
-    so ``packing`` still gives the components and uncovered inner vertices."""
-    if not is_connected(g):
-        raise InputError("graph must be connected")
+    so ``packing`` still gives the components and uncovered inner vertices.
+    ``g`` is not checked for connectivity: every back end has checked it."""
     _check_current(g, packing.triangles)
     n, edges = g.n, list(g.edges)
     steps: list[TraceStep] = []
@@ -368,8 +368,8 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
                 break
             if not _on_cycle(tris, at, i, v):
                 continue
-            # reroute the moved triangle's two edges at ``v``
-            moved_edges = tuple(sorted(eid for eid in tris[i].edge_ids if v in edges[eid]))
+            # reroute the moved triangle's two sides at ``v``
+            moved_edges = tuple(sorted(eid for eid in tris[i].edge_ids if eid != tris[i].opposite(v)))
             for eid in moved_edges:
                 a, b = edges[eid]
                 edges[eid] = (n, b) if a == v else (a, n)

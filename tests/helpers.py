@@ -759,7 +759,7 @@ def part_by_part_construction(g: Graph, packing: TrianglePacking) -> EdgeColorin
     ``combine_colorings``, and pull the result back to L(g) when the trace
     has steps. Uncertified."""
     result = build_transformed(g, packing)
-    final = result.graph
+    final = result.trace.final_graph
     flat = classify_structure(final, result.triangles)
     assert flat.all_forest and flat.c == packing.c
     lg = line_graph(final)

@@ -128,7 +128,7 @@ def test_5_general_pipeline_ensemble():
             # defect accounting: replayed split count matches the formula
             result = build_transformed(g, packing)
             assert result.trace.split_count == packing.op
-            assert replay_trace(result.trace) == result.graph
+            assert replay_trace(result.trace) == result.trace.final_graph
 
 
 def test_6_cubic_iterated_bounds():
@@ -198,7 +198,7 @@ def test_8_observation_suite():
             if not packing.all_forest:
                 result = build_transformed(g, packing)
                 if result.trace.split_count:
-                    lgf = line_graph(result.graph).l_graph
+                    lgf = line_graph(result.trace.final_graph).l_graph
                     col = EdgeColoring(lgf, tuple(range(1, lgf.m + 1)), max(lgf.m, 1))
                     projected = project_coloring(result.trace, col)
                     assert _check_all_pairs(projected.graph, [1 << (c - 1) for c in projected.colors])[0]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rainbowline import cli, coloring
+from rainbowline import cli, coloring, triangles
 from rainbowline.cli import EXIT_INTERNAL, main, run_bench
 from rainbowline.errors import InputError, InvariantViolation
 from rainbowline.families import FAMILIES, complete_graph, cycle_graph, gen_family
@@ -383,6 +383,23 @@ class TestBench:
         assert [r["colors_forest"] for r in rows] == [5, 6]
         assert [r["colors_general"] for r in rows] == [9, 9]
         assert all(r["verified_forest"] is True and r["verified_general"] is True for r in rows)
+
+    def test_fallback_rows_pack_each_exact_mode_once(self, monkeypatch):
+        """A row whose bounds fell back to greedy packs 4 times: each bound
+        tries its exact mode and then the greedy one, and the exact columns
+        reuse the trip instead of packing again. The rows are unchanged."""
+        calls = []
+
+        def counted(g, mode="greedy"):
+            calls.append(mode)
+            return pack_edge_disjoint(g, mode)
+
+        expected = run_bench("gnp", 9, 0.9, 2, seed=1, max_edges=0)
+        monkeypatch.setattr(triangles, "pack_edge_disjoint", counted)
+        monkeypatch.setattr(coloring, "pack_edge_disjoint", counted)
+        assert run_bench("gnp", 9, 0.9, 2, seed=1, max_edges=0) == expected
+        assert len(calls) == 8
+        assert calls.count("exact") == calls.count("forest_exact") == 2
 
     def test_seed_required(self, capsys):
         assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5"]) == 3

@@ -77,7 +77,7 @@ def part_subgraph_rainbow(l_graph: Graph, part: ColorPart) -> bool:
 def tree_part(lg: LineGraphResult, tris) -> ColorPart:
     """``color_triangle_tree``'s star rules on ``lg.source``, spread over the
     L-edges of the stars they name."""
-    rules, k = color_triangle_tree(lg.source, tris)
+    rules, k = color_triangle_tree(tris)
     index = lg.l_graph.edge_index
     colors = {}
     for x, (s, a, b) in rules.items():
@@ -552,9 +552,9 @@ class TestProjectionMatchesStepwise:
 def _tree_components(g: Graph, packing) -> tuple:
     """L(final) and the triangle lists of the flattened structure's components."""
     result = build_transformed(g, packing)
-    flat = classify_structure(result.graph, result.triangles)
+    flat = classify_structure(result.trace.final_graph, result.triangles)
     comps = [[flat.triangles[i] for i in comp] for comp in flat.components]
-    return line_graph(result.graph), comps
+    return line_graph(result.trace.final_graph), comps
 
 
 def _cubic_star_packing(seed: int) -> tuple:
@@ -676,19 +676,13 @@ class TestEnsemble:
     def test_both_pipelines_verify(self, seed):
         g = connected_gnp(5 + seed % 5, 0.3 if seed % 2 else 0.5, seed=4000 + seed)
         n2 = degree_profile(g).n2
-        try:
-            p1 = pack_edge_disjoint(g, "forest_exact")
-        except LimitError:
-            p1 = pack_edge_disjoint(g, "forest_greedy")
-        col1, cert1 = color_forest_packing(g, p1)
+        run1 = color(g, "31")
+        p1, col1, cert1 = run1.packing, run1.coloring, run1.certificate
         assert cert1.verified
         assert cert1.colors_used <= n2 - p1.t
         assert diameter(col1.graph) <= cert1.colors_used
-        try:
-            p2 = pack_edge_disjoint(g, "exact")
-        except LimitError:
-            p2 = pack_edge_disjoint(g, "greedy")
-        col2, cert2 = color_packing(g, p2)
+        run2 = color(g, "32")
+        p2, col2, cert2 = run2.packing, run2.coloring, run2.certificate
         assert cert2.verified
         assert cert2.colors_used <= p2.t + p2.n2_prime + p2.c
         assert cert2.colors_used <= n2 + p2.op - p2.t

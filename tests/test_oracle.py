@@ -247,13 +247,13 @@ class TestRelabelMatchesRegroup:
 
 
 class TestCountedMatchesRelabel:
-    """``exact_rc`` counts the uncolored edges of a walk and caps its length
-    at ``k``; ``helpers.relabel_exact_rc`` gives each uncolored edge a private
-    color and allows any length. Both return the same value (a
-    ``LimitError`` by its bracket), and the counted search makes no more
-    prefix checks on any graph: a walk that passes the counted check
-    contains a path that passes the private-color one, so it cuts every
-    prefix the other cuts. The totals are pinned because a counted search
+    """``exact_rc`` lets a walk cross uncolored edges freely and caps its
+    length at ``k`` by the search level; ``helpers.relabel_exact_rc`` gives
+    each uncolored edge a private color and allows any length. Both return
+    the same value (a ``LimitError`` by its bracket), and the capped search
+    makes no more prefix checks on any graph: a walk that passes the capped
+    check contains a path that passes the private-color one, so it cuts
+    every prefix the other cuts. The totals are pinned because the search
     without the length cap makes exactly the private-color checks."""
 
     @pytest.mark.parametrize(

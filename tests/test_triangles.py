@@ -301,15 +301,28 @@ class TestSweepMatchesReclassify:
         g, p = SWEEP_INSTANCES[name]
         sweep = build_transformed(g, p)
         reference, reference_graphs = reclassify_build_transformed(g, p)
-        assert sweep.graph == reference.graph
+        assert sweep.trace.final_graph == reference.trace.final_graph
         assert sweep.trace.source == reference.trace.source
         assert sweep.trace.steps == reference.trace.steps
         assert replay_graphs(sweep.trace) == reference_graphs
         assert sweep.triangles == reference.triangles
-        final = classify_structure(sweep.graph, sweep.triangles)
+        final = classify_structure(sweep.trace.final_graph, sweep.triangles)
         assert final.all_forest
         assert final.c == p.c
         assert sweep.trace.split_count == p.op
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_INSTANCES))
+    def test_opposite_sides_after_renames(self, name):
+        """Every flattened triangle's ``opposite(x)`` is the final graph's edge
+        between its other two corners, so the star rules can read their
+        special edges from the triangles' sides."""
+        g, p = SWEEP_INSTANCES[name]
+        result = build_transformed(g, p)
+        final = result.trace.final_graph
+        for tri in result.triangles:
+            for x in tri.vertices:
+                y, z = (w for w in tri.vertices if w != x)
+                assert tri.opposite(x) == final.edge_id(y, z)
 
     def test_coverage(self):
         """The instances split some vertex twice and move some triangle at
@@ -333,7 +346,7 @@ class TestBuildTransformed:
         g = bridged_triangle_chain(3)
         res = build_transformed(g, pack_edge_disjoint(g, "exact"))
         assert not res.trace.steps
-        assert res.graph == g
+        assert res.trace.final_graph == g
 
     def test_k4_has_no_chords_inside_cover(self):
         g = complete_graph(4)
@@ -345,8 +358,8 @@ class TestBuildTransformed:
         p = pack_edge_disjoint(g, "exact")
         res = build_transformed(g, p)
         assert res.trace.split_count == 1 == p.op
-        assert classify_structure(res.graph, res.triangles).all_forest
-        assert replay_trace(res.trace) == res.graph
+        assert classify_structure(res.trace.final_graph, res.triangles).all_forest
+        assert replay_trace(res.trace) == res.trace.final_graph
 
     def test_chord_detached(self):
         # bowtie plus a chord (1, 3) between the two triangles' outer corners
@@ -356,8 +369,9 @@ class TestBuildTransformed:
         assert len(res.trace.steps) == 1 and res.trace.split_count == 0
         step = res.trace.steps[0]
         assert step.edge == g.edge_id(1, 3)
-        assert res.graph.n == 7 and res.graph.m == 8
-        assert replay_trace(res.trace) == res.graph
+        flat = res.trace.final_graph
+        assert flat.n == 7 and flat.m == 8
+        assert replay_trace(res.trace) == flat
 
     def test_chords_detached_component_by_component(self):
         # two rings of three triangles (each one split from a forest), joined
@@ -401,14 +415,15 @@ class TestBuildTransformed:
         g = connected_gnp(6 + seed % 4, 0.5, seed=9000 + seed)
         p = pack_edge_disjoint(g, "greedy")
         res = build_transformed(g, p)
-        final = classify_structure(res.graph, res.triangles)
+        flat = res.trace.final_graph
+        final = classify_structure(flat, res.triangles)
         assert final.all_forest
         assert res.trace.split_count == p.op
         assert final.c == p.c
-        assert replay_trace(res.trace) == res.graph
-        assert is_connected(res.graph)
+        assert replay_trace(res.trace) == flat
+        assert is_connected(flat)
         detaches = len(res.trace.steps) - res.trace.split_count
         # detaching adds one edge and two leaves; splitting adds one vertex
-        assert res.graph.m == g.m + detaches
-        assert res.graph.n == g.n + 2 * detaches + res.trace.split_count
+        assert flat.m == g.m + detaches
+        assert flat.n == g.n + 2 * detaches + res.trace.split_count
         assert len(final.covered_vertices) == 2 * final.t + final.c
