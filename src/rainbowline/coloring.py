@@ -159,48 +159,47 @@ def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColor
 
     Each L(source) edge takes the color of the L(final) edge its two ends
     land on (see ``_landings``), or color 1 when a split cut the adjacency,
-    since the split line graph spans the original one.
+    since the split line graph spans the original one. Each L(final) edge is
+    the landing of exactly one uncut L(source) edge, so ``coloring``'s graph
+    is checked against the landings, with no final graph. No construction
+    calls this; the benchmark's tracer looks it up here by name.
     """
-    if coloring.graph != line_graph(trace.final_graph).l_graph:
-        raise InputError("coloring does not match the line graph of the trace's final graph")
     lg = line_graph(trace.source)
+    landed = [(y, edge_key(e, f)) for y, e, f in _landings(trace, lg)]
+    kept = {pair for y, pair in landed if y is not None}
     index = coloring.graph.edge_index
-    colors = tuple(
-        1 if y is None else coloring.colors[index[edge_key(e, f)]]
-        for y, e, f in _landings(trace, lg)
-    )
+    size = (trace.source.m + len(trace.steps) - trace.split_count, len(kept))
+    if (coloring.graph.n, coloring.graph.m) != size or not kept <= index.keys():
+        raise InputError("coloring does not match the line graph of the trace's final graph")
+    colors = tuple(1 if y is None else coloring.colors[index[pair]] for y, pair in landed)
     return EdgeColoring(lg.l_graph, colors, coloring.k)
 
 
 def _landings(trace: TransformTrace, lg: LineGraphResult) -> Iterator[tuple[int | None, int, int]]:
-    """Where each edge of ``lg`` = L(trace.source) lands in the final graph.
+    """Where each edge of ``lg`` = L(trace.source) lands in the flattened graph.
 
     An L(source) edge is a pair of source edges ``e, f`` meeting at a source
     vertex ``x``. Each of those two edge ends lands on one edge and one
-    vertex of the final graph: the end keeps its edge id unless a detach
-    renamed it (the ``v`` end of a detached edge takes the new id, the ``u``
-    end keeps the old one), and it sits on the final vertex that descends
-    from ``x`` (a split copy descends from the vertex it was split off).
-    Yields, in L-edge id order, the final vertex both ends land on and their
-    final edge ids; the vertex is ``None`` when a split cut the pair apart.
+    vertex of the flattened graph, read straight off the steps: a detach
+    renames the ``v`` end of its edge to the new id (the ``u`` end keeps the
+    old one), and a split moves the ends of its moved edges at its vertex to
+    the new vertex; every other end stays put. This is exact for the traces
+    ``build_transformed`` makes (see ``TransformTrace``). Yields, in L-edge
+    id order, the flattened vertex both ends land on and their flattened
+    edge ids; the vertex is ``None`` when a split cut the pair apart.
     Cost: O(|E(L(source))|) plus one pass over the steps.
     """
-    origin = list(range(trace.source.n))  # final vertex -> its source vertex, -1 for none
-    renamed: dict[tuple[int, int], int] = {}  # (edge, origin of its v end) -> new id
+    renamed: dict[tuple[int, int], int] = {}  # (edge, vertex) -> new edge id
+    moved: dict[tuple[int, int], int] = {}  # (edge, vertex) -> new vertex
     for step in trace.steps:
         if isinstance(step, EdgeDetachStep):
-            renamed[step.edge, origin[step.v]] = step.new_edge
-            origin += (-1, -1)
+            renamed[step.edge, step.v] = step.new_edge
         else:
-            origin.append(origin[step.vertex])
-    final = trace.final_graph.edges
+            for e in step.moved_edges:
+                moved[e, step.vertex] = step.new_vertex
     # line_graph lists each star's pairs together, vertices ascending
     for x, star in enumerate(lg.star_of):
-        ends = []
-        for e in star:
-            fe = renamed.get((e, x), e)
-            a, b = final[fe]
-            ends.append((fe, a if origin[a] == x else b))
+        ends = [(renamed.get((e, x), e), moved.get((e, x), x)) for e in star]
         for (e, y), (f, z) in combinations(ends, 2):
             yield (y if y == z else None), e, f
 
@@ -285,8 +284,7 @@ def color_cubic_iterated(g: Graph) -> tuple[EdgeColoring, ColoringCertificate]:
     edge-disjoint and cover everything, so the general packing bound gives
     ``n + 1`` colors.
     """
-    if not is_connected(g):
-        raise InputError("graph must be connected")
+    _check_colorable(g)
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise InputError("every vertex must have degree exactly 3")
     lg1 = line_graph(g)

@@ -11,15 +11,15 @@ flattens in one ascending sweep over the covered vertices of the components
 that are not forests: at each vertex ``v`` it moves to a fresh vertex (a
 ``VertexSplitStep``) every triangle whose incidence with ``v`` lies on a
 cycle of the incidence graph. Every step is planned on the packing's
-incidence structure alone and applied to one edge list, and the final graph
-is built once. The number of splits is the number of incidences outside a
-spanning forest of that graph, the structure defect ``op = 2t + c - |covered|``.
-The flattened structure is not classified again: it keeps the packing's
-components, in the same order, and its uncovered inner vertices.
+incidence structure alone and only records which edge ends it renames or
+moves; the flattened graph is never built. The number of splits is the
+number of incidences outside a spanning forest of that graph, the structure
+defect ``op = 2t + c - |covered|``. The flattened structure is not
+classified again: it keeps the packing's components, in the same order, and
+its uncovered inner vertices.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
@@ -90,11 +90,15 @@ TraceStep = EdgeDetachStep | VertexSplitStep
 
 @dataclass(frozen=True)
 class TransformTrace:
-    """The steps that turn ``source`` into ``final_graph``, in order."""
+    """The steps that flatten ``source``, in order; no flattened graph is kept.
+
+    ``coloring._landings`` reads each edge end's landing straight off the
+    steps. That is exact for the traces ``build_transformed`` makes: the
+    detaches come first, every step acts on a vertex of ``source``, and a
+    split moves only triangle sides, never a chord."""
 
     source: Graph
     steps: tuple[TraceStep, ...]
-    final_graph: Graph
 
     @property
     def split_count(self) -> int:
@@ -137,9 +141,10 @@ def _edge_mask(tri: Triangle) -> int:
 def _is_current(g: Graph, tri: Triangle) -> bool:
     """Are ``tri``'s edge ids the ids of its sides in ``g``? The fast path of
     ``make_triangle(g, *tri.vertices) == tri`` for a simple graph."""
+    a, b, c = tri.vertices
     return all(
-        0 <= eid < g.m and edge_key(*g.edges[eid]) == side
-        for eid, side in zip(tri.edge_ids, combinations(tri.vertices, 2))
+        0 <= (eid := tri.opposite(x)) < g.m and edge_key(*g.edges[eid]) == side
+        for x, side in ((a, (b, c)), (b, (a, c)), (c, (a, b)))
     )
 
 
@@ -337,7 +342,6 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     so ``packing`` still gives the components and uncovered inner vertices.
     ``g`` is not checked for connectivity: every back end has checked it."""
     _check_current(g, packing.triangles)
-    n, edges = g.n, list(g.edges)
     steps: list[TraceStep] = []
     comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
     tri_edges = {eid for tri in packing.triangles for eid in tri.edge_ids}
@@ -347,12 +351,11 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
         for eid, (a, b) in enumerate(g.edges)
         if a in comp_of and comp_of[a] == comp_of.get(b) and eid not in tri_edges
     )
+    n = g.n
     # a chord's ends are covered and triangle edges stay, so no end drops below degree 2
-    for _, eid in chords:
-        u, v = edges[eid]
-        steps.append(EdgeDetachStep(edge=eid, u=u, v=v, u_new=n, v_new=n + 1, new_edge=len(edges)))
-        edges[eid] = (u, n)
-        edges.append((v, n + 1))
+    for new_edge, (_, eid) in enumerate(chords, g.m):
+        u, v = g.edges[eid]
+        steps.append(EdgeDetachStep(edge=eid, u=u, v=v, u_new=n, v_new=n + 1, new_edge=new_edge))
         n += 2
     tris = list(packing.triangles)
     at: dict[int, list[int]] = {}
@@ -368,11 +371,7 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
                 break
             if not _on_cycle(tris, at, i, v):
                 continue
-            # reroute the moved triangle's two sides at ``v``
             moved_edges = tuple(sorted(eid for eid in tris[i].edge_ids if eid != tris[i].opposite(v)))
-            for eid in moved_edges:
-                a, b = edges[eid]
-                edges[eid] = (n, b) if a == v else (a, n)
             keep = tuple(sorted(tris[j] for j in at[v] if j != i))
             steps.append(VertexSplitStep(v, n, moved_edges, keep, (tris[i],)))
             splits += 1
@@ -382,5 +381,4 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
             n += 1
     if splits != packing.op:
         raise InvariantViolation(f"applied {splits} vertex splits, structure defect says {packing.op}")
-    flat = Graph(n, tuple(edges)) if steps else g
-    return TransformResult(TransformTrace(source=g, steps=tuple(steps), final_graph=flat), tuple(tris))
+    return TransformResult(TransformTrace(source=g, steps=tuple(steps)), tuple(tris))

@@ -41,6 +41,7 @@ from rainbowline.oracle import _check_all_pairs, canonical_colorings, exact_rc, 
 from rainbowline.triangles import (
     TransformTrace,
     build_transformed,
+    classify_structure,
     pack_edge_disjoint,
 )
 
@@ -128,7 +129,7 @@ def test_5_general_pipeline_ensemble():
             # defect accounting: replayed split count matches the formula
             result = build_transformed(g, packing)
             assert result.trace.split_count == packing.op
-            assert replay_trace(result.trace) == result.trace.final_graph
+            assert classify_structure(replay_trace(result.trace), result.triangles).all_forest
 
 
 def test_6_cubic_iterated_bounds():
@@ -189,7 +190,7 @@ def test_8_observation_suite():
             ]
             if eligible:
                 g2, step = detach_edge(g, eligible[0])
-                trace = TransformTrace(source=g, steps=(step,), final_graph=g2)
+                trace = TransformTrace(source=g, steps=(step,))
                 lg2 = line_graph(g2).l_graph
                 col = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), max(lg2.m, 1))
                 projected = project_coloring(trace, col)
@@ -198,7 +199,7 @@ def test_8_observation_suite():
             if not packing.all_forest:
                 result = build_transformed(g, packing)
                 if result.trace.split_count:
-                    lgf = line_graph(result.trace.final_graph).l_graph
+                    lgf = line_graph(replay_trace(result.trace)).l_graph
                     col = EdgeColoring(lgf, tuple(range(1, lgf.m + 1)), max(lgf.m, 1))
                     projected = project_coloring(result.trace, col)
                     assert _check_all_pairs(projected.graph, [1 << (c - 1) for c in projected.colors])[0]

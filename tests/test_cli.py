@@ -255,6 +255,15 @@ class TestColorCommand:
     def test_cubic_rejects_non_cubic(self, capsys):
         assert main(["color", "--family", "path", "--n", "4", "--theorem", "cubic"]) == 3
 
+    def test_cubic_on_empty_graph_is_input_error(self, capsys, tmp_path):
+        # no vertices, so the degree-3 test passes vacuously
+        path = tmp_path / "g.txt"
+        path.write_text("0 0\n")
+        assert main(["color", "--file", str(path), "--theorem", "cubic"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: line graph is trivial; rainbow connection is undefined on it\n"
+
     def test_deep_triangle_tree_is_a_resource_limit(self, capsys):
         # one triangle tree with t = 1099: colored without recursion, then
         # stopped by the verifier's palette cap, not by a RecursionError

@@ -13,6 +13,7 @@ from helpers import (
     part_by_part_construction,
     recursive_tree_assignment,
     replay_graphs,
+    replay_trace,
     split_vertex,
     stepwise_project_coloring,
 )
@@ -59,7 +60,6 @@ from rainbowline.triangles import (
     pack_edge_disjoint,
     TransformResult,
     TransformTrace,
-    VertexSplitStep,
 )
 
 BOWTIE = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
@@ -244,7 +244,7 @@ class TestGeneralPackingBound:
         g = triangle_ring(3)
         p = pack_edge_disjoint(g, "exact")
         assert p.op == 1
-        unflattened = TransformResult(TransformTrace(source=g, steps=(), final_graph=g), p.triangles)
+        unflattened = TransformResult(TransformTrace(source=g, steps=()), p.triangles)
         monkeypatch.setattr("rainbowline.coloring.build_transformed", lambda *args: unflattened)
         with pytest.raises(InvariantViolation, match="no leaf triangle"):
             color_packing(g, p)
@@ -379,13 +379,13 @@ class TestProjection:
         g = BOWTIE
         lg = line_graph(g)
         col = EdgeColoring(lg.l_graph, tuple(range(1, lg.l_graph.m + 1)), lg.l_graph.m)
-        out = project_coloring(TransformTrace(source=g, steps=(), final_graph=g), col)
+        out = project_coloring(TransformTrace(source=g, steps=()), col)
         assert out == col
 
     def test_detach_projection_verifies(self):
         g = complete_graph(4)
         g2, step = detach_edge(g, 0)
-        trace = TransformTrace(source=g, steps=(step,), final_graph=g2)
+        trace = TransformTrace(source=g, steps=(step,))
         lg2 = line_graph(g2)
         distinct = EdgeColoring(lg2.l_graph, tuple(range(1, lg2.l_graph.m + 1)), lg2.l_graph.m)
         projected = project_coloring(trace, distinct)
@@ -395,7 +395,7 @@ class TestProjection:
     def test_split_projection_verifies(self):
         t1, t2 = enumerate_triangles(BOWTIE)
         g2, step = split_vertex(BOWTIE, 0, [t1], [t2])
-        trace = TransformTrace(source=BOWTIE, steps=(step,), final_graph=g2)
+        trace = TransformTrace(source=BOWTIE, steps=(step,))
         lg2 = line_graph(g2)
         # distinct colors avoiding the fill color 1, so every component of the
         # split line graph is rainbow and cross pairs survive projection
@@ -405,67 +405,35 @@ class TestProjection:
         assert projected.graph == line_graph(BOWTIE).l_graph
         assert is_rainbow_connected(projected)[0]
 
+    @pytest.mark.parametrize("g", [BOWTIE, triangle_ring(3), complete_graph(6)], ids=["bowtie", "ring3", "k6"])
+    def test_source_coloring_on_split_trace_is_input_error(self, g):
+        """A coloring of L(source) is not one of L(final) once a split cut
+        some pair, whether or not a detach added vertices (K6's does)."""
+        packing = pack_edge_disjoint(g, "exact")
+        if g is BOWTIE:
+            t1, t2 = packing.triangles
+            trace = TransformTrace(source=g, steps=(split_vertex(g, 0, [t1], [t2])[1],))
+        else:
+            trace = build_transformed(g, packing).trace
+        assert trace.split_count > 0
+        lg = line_graph(g).l_graph
+        col = EdgeColoring(lg, tuple(range(1, lg.m + 1)), lg.m)
+        with pytest.raises(InputError, match="does not match the line graph"):
+            project_coloring(trace, col)
+        # same vertex and edge counts as L(final), but other edges
+        final = line_graph(replay_trace(trace)).l_graph
+        shifted = build_graph(final.n, [((a + 1) % final.n, (b + 1) % final.n) for a, b in final.edges])
+        assert set(shifted.edges) != set(final.edges)
+        with pytest.raises(InputError, match="does not match the line graph"):
+            project_coloring(trace, EdgeColoring(shifted, (1,) * shifted.m, 1))
+        assert project_coloring(trace, EdgeColoring(final, (1,) * final.m, 1)).graph == lg
+
 
 def _random_coloring(g: Graph, rng: random.Random) -> EdgeColoring:
     """Random coloring of L(g) from a palette of 2..6 colors."""
     lg = line_graph(g).l_graph
     k = rng.randint(2, 6)
     return EdgeColoring(lg, tuple(rng.randint(1, k) for _ in range(lg.m)), k)
-
-
-def _random_split(g: Graph, rng: random.Random, at: list[int]):
-    """Split a random vertex of ``at`` lying in two edge-disjoint triangles."""
-    tris = enumerate_triangles(g)
-    for v in rng.sample(at, len(at)):
-        used: set[int] = set()
-        disjoint = []
-        for tri in rng.sample(tris, len(tris)):
-            if v in tri.vertices and not used & set(tri.edge_ids):
-                disjoint.append(tri)
-                used.update(tri.edge_ids)
-        if len(disjoint) >= 2:
-            cut = rng.randint(1, len(disjoint) - 1)
-            return split_vertex(g, v, disjoint[:cut], disjoint[cut:])
-    return None
-
-
-def _random_detach(g: Graph, rng: random.Random, at: list[int]):
-    """Detach a random edge with an end in ``at`` and both ends of degree >= 2."""
-    eligible = [
-        eid
-        for eid, (a, b) in enumerate(g.edges)
-        if (a in at or b in at) and g.degree(a) >= 2 and g.degree(b) >= 2
-    ]
-    return detach_edge(g, rng.choice(eligible)) if eligible else None
-
-
-def _mixed_trace(seed: int) -> TransformTrace:
-    """Seeded random detach/split sequence. Steps prefer the vertex the
-    previous step created or touched, so splits are followed by detaches at
-    the split's new vertex and detaches by splits at the detached edge's ends."""
-    rng = random.Random(seed)
-    g = connected_gnp(7 + seed % 4, 0.6, seed=9000 + seed)
-    cur = g
-    steps = []
-    focus = list(range(g.n))
-    for _ in range(rng.randint(2, 8)):
-        everywhere = list(range(cur.n))
-        moves = [_random_split, _random_detach]
-        rng.shuffle(moves)
-        made = None
-        for move in moves:
-            made = move(cur, rng, focus) or move(cur, rng, everywhere)
-            if made:
-                break
-        if made is None:
-            break
-        cur, step = made
-        steps.append(step)
-        if isinstance(step, VertexSplitStep):
-            focus = [step.new_vertex] if rng.random() < 0.7 else everywhere
-        else:
-            focus = [step.u, step.v] if rng.random() < 0.7 else everywhere
-    return TransformTrace(source=g, steps=tuple(steps), final_graph=cur)
 
 
 def _renamed_pair_fates(trace: TransformTrace) -> tuple[int, int]:
@@ -494,7 +462,7 @@ def _renamed_pair_fates(trace: TransformTrace) -> tuple[int, int]:
 
 
 def _assert_matches_stepwise(trace: TransformTrace, rng: random.Random) -> None:
-    col = _random_coloring(trace.final_graph, rng)
+    col = _random_coloring(replay_trace(trace), rng)
     fast = project_coloring(trace, col)
     slow = stepwise_project_coloring(trace, col)
     assert fast.graph == slow.graph
@@ -519,42 +487,31 @@ class TestProjectionMatchesStepwise:
         assert result.trace.split_count > 0
         _assert_matches_stepwise(result.trace, random.Random(seed))
 
-    @pytest.mark.parametrize("seed", range(60))
-    def test_mixed_traces(self, seed):
-        _assert_matches_stepwise(_mixed_trace(seed), random.Random(seed))
-
     def test_trace_coverage(self):
-        """The seeded traces reach every case the forward pass distinguishes."""
-        split_then_detach = detach_then_split = 0
-        for seed in range(60):
-            steps = _mixed_trace(seed).steps
-            for prev, step in zip(steps, steps[1:]):
-                if isinstance(prev, VertexSplitStep) and not isinstance(step, VertexSplitStep):
-                    split_then_detach += step.v == prev.new_vertex
-                if not isinstance(prev, VertexSplitStep) and isinstance(step, VertexSplitStep):
-                    detach_then_split += step.vertex in (prev.u, prev.v)
-        assert split_then_detach >= 10
-        assert detach_then_split >= 10
-        # pairs with an end a detach renamed: some keep an L(final) color,
-        # some are separated by a later split and get color 1
-        fates = [_renamed_pair_fates(_mixed_trace(seed)) for seed in range(60)]
-        assert sum(kept for kept, _ in fates) >= 10
-        assert sum(cut for _, cut in fates) >= 10
-        splits = detaches = 0
+        """The traces of ``test_build_transformed_traces`` reach every case
+        the landing distinguishes: pairs with an end a detach renamed keep an
+        L(final) color, or a later split separates them and they get color 1."""
+        kept = cut = splits = detaches = 0
         for seed in range(12):
             g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
-            trace = build_transformed(g, pack_edge_disjoint(g, "greedy")).trace
-            splits += trace.split_count
-            detaches += len(trace.steps) - trace.split_count
+            for mode in PACK_MODES:
+                trace = build_transformed(g, pack_edge_disjoint(g, mode)).trace
+                fates = _renamed_pair_fates(trace)
+                kept += fates[0]
+                cut += fates[1]
+                splits += trace.split_count
+                detaches += len(trace.steps) - trace.split_count
+        assert kept >= 100 and cut >= 5
         assert splits >= 5 and detaches >= 20
 
 
 def _tree_components(g: Graph, packing) -> tuple:
     """L(final) and the triangle lists of the flattened structure's components."""
     result = build_transformed(g, packing)
-    flat = classify_structure(result.trace.final_graph, result.triangles)
+    final = replay_trace(result.trace)
+    flat = classify_structure(final, result.triangles)
     comps = [[flat.triangles[i] for i in comp] for comp in flat.components]
-    return line_graph(result.trace.final_graph), comps
+    return line_graph(final), comps
 
 
 def _cubic_star_packing(seed: int) -> tuple:

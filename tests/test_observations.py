@@ -104,7 +104,7 @@ class TestDetachProjection:
             pytest.skip("no detachable non-bridge edge")
         g2, step = detach_edge(g, eligible[0])
         assert is_connected(g2)
-        trace = TransformTrace(source=g, steps=(step,), final_graph=g2)
+        trace = TransformTrace(source=g, steps=(step,))
         lg2 = line_graph(g2).l_graph
         k = max(lg2.m, 1)
         distinct = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), k)
@@ -134,7 +134,7 @@ class TestSplitProjection:
         if inst is None:
             pytest.skip("no connectivity-preserving split available")
         g, g2, step = inst
-        trace = TransformTrace(source=g, steps=(step,), final_graph=g2)
+        trace = TransformTrace(source=g, steps=(step,))
         lg2 = line_graph(g2).l_graph
         k = max(lg2.m, 1)
         distinct = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), k)
