@@ -11,6 +11,7 @@ from helpers import (
     hand_built_iterated_baseline,
     induced_by_edges,
     part_by_part_construction,
+    pull_back,
     recursive_tree_assignment,
     replay_graphs,
     replay_trace,
@@ -486,6 +487,36 @@ class TestProjectionMatchesStepwise:
         result = build_transformed(lg.l_graph, classify_structure(lg.l_graph, tris))
         assert result.trace.split_count > 0
         _assert_matches_stepwise(result.trace, random.Random(seed))
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("mode", ["greedy", "forest_greedy"])
+    def test_dense_traces(self, seed, mode):
+        """Dense graphs, whose traces split vertices that a detach touched,
+        against two references: the stepwise pull-back, and ``pull_back``,
+        which replays each vertex's origin and reads the flattened graph's
+        edges."""
+        g = connected_gnp(7 + seed % 5, 0.7, seed=9000 + seed)
+        trace = build_transformed(g, pack_edge_disjoint(g, mode)).trace
+        col = _random_coloring(replay_trace(trace), random.Random(seed))
+        assert project_coloring(trace, col) == pull_back(trace, col, line_graph(g))
+        _assert_matches_stepwise(trace, random.Random(seed))
+
+    def test_dense_trace_coverage(self):
+        """The traces of ``test_dense_traces`` split vertices at an end of an
+        earlier detach, and a split separates pairs with a renamed end."""
+        at_detach = kept = cut = 0
+        for seed in range(30):
+            g = connected_gnp(7 + seed % 5, 0.7, seed=9000 + seed)
+            for mode in ("greedy", "forest_greedy"):
+                trace = build_transformed(g, pack_edge_disjoint(g, mode)).trace
+                detaches = trace.steps[: len(trace.steps) - trace.split_count]
+                ends = {x for step in detaches for x in (step.u, step.v)}
+                at_detach += sum(step.vertex in ends for step in trace.steps[len(detaches) :])
+                fates = _renamed_pair_fates(trace)
+                kept += fates[0]
+                cut += fates[1]
+        assert at_detach >= 50
+        assert kept >= 1000 and cut >= 10
 
     def test_trace_coverage(self):
         """The traces of ``test_build_transformed_traces`` reach every case
