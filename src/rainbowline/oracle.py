@@ -165,10 +165,13 @@ def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, in
 
 def is_rainbow_connected(col: "EdgeColoring") -> tuple[bool, tuple[int, int] | None]:
     """Exact check of ``col`` on its own graph; on failure returns the
-    lexicographically smallest vertex pair with no rainbow path."""
-    if col.k > DEFAULT_COLOR_CAP:
-        raise LimitError(f"palette of {col.k} colors exceeds the search cap {DEFAULT_COLOR_CAP}")
-    return _check_all_pairs(col.graph, [1 << (c - 1) for c in col.colors])
+    lexicographically smallest vertex pair with no rainbow path. Each
+    distinct color gets one bit, in ascending id order, so the cap counts
+    the colors used, not the largest id: gaps in the ids cost nothing."""
+    bit = {c: 1 << i for i, c in enumerate(sorted(set(col.colors)))}
+    if len(bit) > DEFAULT_COLOR_CAP:
+        raise LimitError(f"palette of {len(bit)} colors exceeds the search cap {DEFAULT_COLOR_CAP}")
+    return _check_all_pairs(col.graph, [bit[c] for c in col.colors])
 
 
 def canonical_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -7,14 +7,16 @@ when its triangle-vertex incidence graph is a tree, that is when it has
 
 ``build_transformed`` first detaches every non-triangle edge between covered
 vertices (an ``EdgeDetachStep``: two pendant edges replace it), then
-flattens in one ascending sweep over the covered vertices of the components
-that are not forests: at each vertex ``v`` it moves to a fresh vertex (a
-``VertexSplitStep``) every triangle whose incidence with ``v`` lies on a
-cycle of the incidence graph. Every step is planned on the packing's
-incidence structure alone and only records which edge ends it renames or
-moves; the flattened graph is never built. The number of splits is the
-number of incidences outside a spanning forest of that graph, the structure
-defect ``op = 2t + c - |covered|``. The flattened structure is not
+flattens in one ascending sweep over the covered vertices: at each vertex
+``v`` it moves to a fresh vertex (a ``VertexSplitStep``) every triangle
+whose incidence with ``v`` still lies on a cycle of the incidence graph.
+No cycle is searched for: one union-find pass over the vertices, from the
+highest down, records which of ``v``'s triangles meet above ``v``, and that
+decides every split. Every step is planned on the packing's incidence
+structure alone and only records which edge ends it renames or moves; the
+flattened graph is never built. The number of splits is the number of
+incidences outside a spanning forest of that graph, the structure defect
+``op = 2t + c - |covered|``. The flattened structure is not
 classified again: it keeps the packing's components, in the same order, and
 its uncovered inner vertices.
 """
@@ -304,43 +306,32 @@ def _moved_triangle(tri: Triangle, v: int, new_vertex: int) -> Triangle:
     return Triangle((p, q, new_vertex), (tri.opposite(v), tri.opposite(q), tri.opposite(p)))
 
 
-def _on_cycle(tris: Sequence[Triangle], at: dict[int, list[int]], i: int, v: int) -> bool:
-    """Is the incidence of triangle ``i`` with its corner ``v`` on a cycle of
-    the triangle-vertex incidence graph, that is, does ``i`` still reach ``v``
-    through its other corners?"""
-    seen_tris = {i}
-    stack = [x for x in tris[i].vertices if x != v]
-    seen = set(stack)
-    while stack:
-        for j in at[stack.pop()]:
-            if j in seen_tris:
-                continue
-            seen_tris.add(j)
-            for y in tris[j].vertices:
-                if y == v:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return False
-
-
 def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     """Detach chords inside each covered set, then flatten every component
     into a triangle-forest in one sweep.
 
-    The sweep visits, in ascending order, the covered vertices of the
-    components that are not forests already and, at each vertex ``v``, its
-    triangles in ascending order; a triangle whose incidence with ``v`` lies
-    on a cycle of the incidence graph moves to a fresh vertex. A move only
-    cuts cycles and leaves the new vertex a leaf, so no vertex needs a
-    second visit. The split count must equal ``packing.op``. New vertices
-    and edges take the next free ids; a detach keeps the edge's id on its
-    ``u`` side, and a split keeps every edge id. The result's triangles are
-    the packing's, index for index, with moved corners renamed. A split never
-    moves a component's lowest vertex and a new vertex is covered or a leaf,
-    so ``packing`` still gives the components and uncovered inner vertices.
-    ``g`` is not checked for connectivity: every back end has checked it."""
+    The sweep visits the covered vertices in ascending order and, at each
+    vertex ``v``, its triangles in ascending order; a triangle whose incidence
+    with ``v`` still lies on a cycle of the incidence graph moves to a fresh
+    leaf vertex. That is reverse-delete: a kept incidence was a bridge when
+    visited, so no later cycle uses it, and by the cycle property ``(v, i)``
+    is split exactly when triangle ``i`` reaches ``v`` through incidences
+    later in the sweep. ``v`` has only its own incidences, so that is when a
+    later triangle at ``v`` shares ``i``'s component in the incidence graph
+    on the vertices above ``v``, whatever their order. One union-find pass,
+    descending, records that root for each triangle at each corner, and at
+    ``v`` every triangle but the last of each root moves. The order at ``v``
+    is that of the current triangles, not the packing's: a triangle moved at
+    a lower corner has a new, highest corner and sorts again. The split
+    count must equal ``packing.op``.
+
+    New vertices and edges take the next free ids; a detach keeps the edge's
+    id on its ``u`` side, and a split keeps every edge id. The result's
+    triangles are the packing's, index for index, with moved corners renamed.
+    A split never moves a component's lowest vertex and a new vertex is
+    covered or a leaf, so ``packing`` still gives the components and
+    uncovered inner vertices. ``g`` is not checked for connectivity: every
+    back end has checked it."""
     _check_current(g, packing.triangles)
     steps: list[TraceStep] = []
     comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
@@ -362,23 +353,26 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     for i, tri in enumerate(tris):
         for x in tri.vertices:
             at.setdefault(x, []).append(i)
-    # a forest component has no incidence on a cycle
-    forest = {v for vs, ok in zip(packing.component_vertices, packing.is_forest) if ok for v in vs}
-    splits = 0
-    for v in sorted(at.keys() - forest):
-        for i in sorted(at[v], key=tris.__getitem__):
-            if len(at[v]) < 2:  # a corner of one triangle is a leaf
-                break
-            if not _on_cycle(tris, at, i, v):
+    # union-find nodes: vertex v and triangle ~i
+    dsu = _DSU()
+    root: dict[int, dict[int, int]] = {}
+    for v in sorted(at, reverse=True):
+        root[v] = {i: dsu.find(~i) for i in at[v]}
+        for i in at[v]:
+            dsu.union(v, ~i)
+    for v in sorted(at):
+        order = sorted(at[v], key=tris.__getitem__)
+        last = {root[v][i]: i for i in order}  # the last triangle of each root stays
+        keep = [tris[i] for i in order]
+        for i in order:
+            if last[root[v][i]] == i:
                 continue
+            keep.remove(tris[i])
             moved_edges = tuple(sorted(eid for eid in tris[i].edge_ids if eid != tris[i].opposite(v)))
-            keep = tuple(sorted(tris[j] for j in at[v] if j != i))
-            steps.append(VertexSplitStep(v, n, moved_edges, keep, (tris[i],)))
-            splits += 1
-            at[v].remove(i)
-            at[n] = [i]
+            steps.append(VertexSplitStep(v, n, moved_edges, tuple(keep), (tris[i],)))
             tris[i] = _moved_triangle(tris[i], v, n)
             n += 1
+    splits = len(steps) - len(chords)
     if splits != packing.op:
         raise InvariantViolation(f"applied {splits} vertex splits, structure defect says {packing.op}")
     return TransformResult(TransformTrace(source=g, steps=tuple(steps)), tuple(tris))

@@ -1,3 +1,4 @@
+import pathlib
 import random
 from functools import cache
 from itertools import combinations
@@ -44,6 +45,8 @@ from rainbowline.oracle import (
     rc_lower_bound,
 )
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
 
 class TestIsRainbowConnected:
     def test_monochromatic_complete(self):
@@ -73,9 +76,44 @@ class TestIsRainbowConnected:
         assert not ok and witness == (0, 2)
 
     def test_color_cap(self):
-        g = path_graph(3)
+        """The cap counts distinct colors: 64 of them pass, 70 exceed it."""
+        assert is_rainbow_connected(EdgeColoring(path_graph(65), tuple(range(1, 65)), 64)) == (True, None)
+        g = path_graph(71)
         with pytest.raises(LimitError, match="palette of 70 colors exceeds the search cap 64"):
-            is_rainbow_connected(EdgeColoring(g, (1, 2), 70))
+            is_rainbow_connected(EdgeColoring(g, tuple(range(1, 71)), 70))
+
+
+def _dense(colors):
+    """``colors`` with its distinct ids renamed ``1..k`` in ascending order."""
+    rank = {c: i for i, c in enumerate(sorted(set(colors)), 1)}
+    return tuple(rank[c] for c in colors)
+
+
+class TestGappedColorIds:
+    """A coloring's verdict and witness do not depend on its color ids, only
+    on which edges share a color."""
+
+    @pytest.mark.parametrize("name", ["rainbow", "unrainbow", "sparse"])
+    def test_cycle_7_files(self, name):
+        text = (DATA / f"coloring_cycle_7_{name}.txt").read_text()
+        colors = tuple(int(c) for c in text.split())
+        g = cycle_graph(7)
+        dense = _dense(colors)
+        want = is_rainbow_connected(EdgeColoring(g, dense, max(dense)))
+        for gapped in (colors, tuple(c * c for c in dense), tuple(100 - c for c in dense)):
+            assert is_rainbow_connected(EdgeColoring(g, gapped, max(gapped))) == want
+        assert want == {"rainbow": (True, None), "unrainbow": (False, (0, 3)), "sparse": (True, None)}[name]
+
+    def test_random_gaps(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            g = connected_gnp(rng.randint(4, 8), 0.5, seed=rng.randrange(10**6))
+            dense = _dense([rng.randint(1, 4) for _ in range(g.m)])
+            ids = rng.sample(range(1, 500), max(dense))
+            gapped = tuple(ids[c - 1] for c in dense)
+            assert is_rainbow_connected(EdgeColoring(g, gapped, max(gapped))) == is_rainbow_connected(
+                EdgeColoring(g, dense, max(dense))
+            )
 
 
 class TestCanonicalColorings:

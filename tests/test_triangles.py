@@ -327,10 +327,13 @@ class TestSweepMatchesReclassify:
                 assert tri.opposite(x) == final.edge_id(y, z)
 
     def test_coverage(self):
-        """The instances split some vertex twice and move some triangle at
-        two different corners."""
-        repeated_vertex = two_corners = 0
+        """The instances split some vertex twice, move some triangle at two
+        different corners, and split at some vertex whose triangles, after
+        moves at lower corners, sort differently from their packing indices:
+        a sweep in packing-index order can choose other splits there."""
+        repeated_vertex = two_corners = reordered = 0
         for g, p in SWEEP_INSTANCES.values():
+            index = {frozenset(tri.edge_ids): i for i, tri in enumerate(p.triangles)}
             splits = [s for s in build_transformed(g, p).trace.steps if isinstance(s, VertexSplitStep)]
             vertices = [s.vertex for s in splits]
             repeated_vertex += len(vertices) != len(set(vertices))
@@ -339,8 +342,15 @@ class TestSweepMatchesReclassify:
                 (moved,) = s.moved_triangles
                 corners.setdefault(frozenset(moved.edge_ids), set()).add(s.vertex)
             two_corners += any(len(c) > 1 for c in corners.values())
+            # the first split at a vertex sees all of its triangles
+            orders = [
+                [index[frozenset(tri.edge_ids)] for tri in sorted(s.kept_triangles + s.moved_triangles)]
+                for s in {s.vertex: s for s in reversed(splits)}.values()
+            ]
+            reordered += any(ix != sorted(ix) for ix in orders)
         assert repeated_vertex >= 3
         assert two_corners >= 3
+        assert reordered >= 3
 
 
 class TestBuildTransformed:
