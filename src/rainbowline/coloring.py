@@ -14,11 +14,12 @@ construction builds exactly one line graph, L(H). ``n2 - t`` and
 triangles, and ``m - m1`` on L(G) with no triangles. Each of these four
 back ends returns its coloring with a certificate recording the bound, the
 palette size, and the verifier verdict. ``color`` is the entry point: it picks
-the packing for ``31`` and ``32`` and dispatches to the back end.
+the packing for ``31`` and ``32`` (``pick_packing``) and dispatches to the
+back end.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -274,7 +275,11 @@ def color_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Col
     forest bound.
     """
     _check_colorable(g)
-    return _construct(g, packing, "t + n2' + c", packing.t + packing.n2_prime + packing.c)
+    return _construct(g, packing, *_general_bound(packing))
+
+
+def _general_bound(packing: TrianglePacking) -> tuple[str, int]:
+    return "t + n2' + c", packing.t + packing.n2_prime + packing.c
 
 
 def color_cubic_iterated(g: Graph) -> tuple[EdgeColoring, ColoringCertificate]:
@@ -343,11 +348,9 @@ def color(g: Graph, theorem: str, pack: str | None = None) -> Run:
     """Color L(g) (``31``, ``32``) or L(L(g)) (``cubic``, ``iterated``) within
     the theorem's bound and certify it.
 
-    ``31`` and ``32`` pack with ``pack`` if given, and a ``LimitError`` from
-    that mode propagates. Otherwise they use ``DEFAULT_PACK``'s exact mode and
-    its ``GREEDY_FALLBACK`` when the instance has more triangles than the
-    exact search's cap. ``cubic`` and ``iterated`` take no packing, so a
-    ``pack`` with them is an ``InputError``, as is an unknown theorem.
+    ``31`` and ``32`` pack as ``pick_packing`` says. ``cubic`` and
+    ``iterated`` take no packing, so a ``pack`` with them is an
+    ``InputError``, as is an unknown theorem.
     """
     if theorem not in THEOREMS:
         raise InputError(f"unknown theorem {theorem!r}; expected one of {', '.join(THEOREMS)}")
@@ -356,13 +359,40 @@ def color(g: Graph, theorem: str, pack: str | None = None) -> Run:
             raise InputError(f"theorem {theorem} takes no packing; pack applies only to theorems 31 and 32")
         build = color_cubic_iterated if theorem == "cubic" else color_iterated_baseline
         return Run(None, None, *build(g))
+    packing, mode = pick_packing(g, theorem, pack)
+    build = color_forest_packing if theorem == "31" else color_packing
+    return Run(packing, mode, *build(g, packing))
+
+
+def pick_packing(g: Graph, theorem: str, pack: str | None = None) -> tuple[TrianglePacking, str]:
+    """The packing ``color`` uses for theorem ``31`` or ``32``, and its mode.
+
+    ``pack`` if given, and a ``LimitError`` from that mode propagates.
+    Otherwise ``DEFAULT_PACK``'s exact mode, or its ``GREEDY_FALLBACK`` when
+    the instance has more triangles than the exact search's cap.
+    """
     mode = DEFAULT_PACK[theorem] if pack is None else pack
     try:
-        packing = pack_edge_disjoint(g, mode)
+        return pack_edge_disjoint(g, mode), mode
     except LimitError:
         if pack is not None:
             raise
         mode = GREEDY_FALLBACK[mode]
-        packing = pack_edge_disjoint(g, mode)
-    build = color_forest_packing if theorem == "31" else color_packing
-    return Run(packing, mode, *build(g, packing))
+        return pack_edge_disjoint(g, mode), mode
+
+
+def general_from_forest(forest: Run, mode: str) -> Run:
+    """Theorem ``32``'s run on the packing of ``forest``, a theorem ``31``
+    run, without building its coloring again.
+
+    A triangle-forest packing has ``op = 0``, so ``t + n2' + c = n2 - t``
+    and the general construction on it is exactly the forest one: the same
+    coloring, the same verdict. The certificate carries the general bound's
+    own name and value. ``mode`` is the mode that picked the packing for
+    ``32``.
+    """
+    packing, cert = forest.packing, forest.certificate
+    name, value = _general_bound(packing)
+    if value != cert.bound_value:
+        raise InvariantViolation(f"{name} = {value} differs from the forest bound {cert.bound_value}")
+    return Run(packing, mode, forest.coloring, replace(cert, bound_name=name))

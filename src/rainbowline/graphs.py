@@ -21,7 +21,12 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: no loops, no parallel edges."""
+    """Immutable simple graph: no loops, no parallel edges.
+
+    Derived values are computed on first use and cached on the instance:
+    ``adjacency``, ``incident_edges``, ``degrees``, ``edge_index`` and
+    ``diameter``.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -55,6 +60,39 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {edge_key(u, v): eid for eid, (u, v) in enumerate(self.edges)}
+
+    @cached_property
+    def diameter(self) -> int | float:
+        """Max shortest-path length over vertex pairs; ``math.inf`` if
+        disconnected, 0 for at most one vertex. One BFS per source, a level
+        at a time: the number of levels is the source's eccentricity."""
+        if self.n <= 1:
+            return 0
+        adj = self.adjacency
+        best = 0
+        for s in range(self.n):
+            seen = bytearray(self.n)
+            seen[s] = 1
+            frontier = [s]
+            reached = 1
+            depth = 0
+            while True:
+                nxt = []
+                for v in frontier:
+                    for w in adj[v]:
+                        if not seen[w]:
+                            seen[w] = 1
+                            nxt.append(w)
+                if not nxt:
+                    break
+                depth += 1
+                reached += len(nxt)
+                frontier = nxt
+            if reached < self.n:
+                return math.inf
+            if depth > best:
+                best = depth
+        return best
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -111,21 +149,6 @@ def build_graph(
     return Graph(n, tuple(edges))
 
 
-def bfs_distances(g: Graph, source: int) -> list[float]:
-    """Unweighted shortest-path distances; ``math.inf`` if unreachable."""
-    dist: list[float] = [math.inf] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for w in g.adjacency[v]:
-            if math.isinf(dist[w]):
-                dist[w] = d
-                queue.append(w)
-    return dist
-
-
 def components(g: Graph) -> list[list[int]]:
     seen = [False] * g.n
     out: list[list[int]] = []
@@ -151,17 +174,9 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> int | float:
-    """Max shortest-path length over vertex pairs; ``math.inf`` if disconnected."""
-    if g.n <= 1:
-        return 0
-    best = 0
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        worst = max(dist)
-        if math.isinf(worst):
-            return math.inf
-        best = max(best, int(worst))
-    return best
+    """Max shortest-path length over vertex pairs; ``math.inf`` if
+    disconnected. Computed once per graph and cached (``Graph.diameter``)."""
+    return g.diameter
 
 
 def blocks(g: Graph) -> BlockDecomposition:

@@ -1,13 +1,15 @@
+import functools
 import json
+from dataclasses import replace
 
 import pytest
 
-from rainbowline import cli, coloring, triangles
+from rainbowline import cli, coloring, oracle, triangles
 from rainbowline.cli import EXIT_INTERNAL, main, run_bench
 from rainbowline.errors import InputError, InvariantViolation
 from rainbowline.families import FAMILIES, complete_graph, cycle_graph, gen_family
 from rainbowline.formats import parse_edge_list, render_edge_list
-from rainbowline.graphs import diameter
+from rainbowline.graphs import Graph, diameter
 from rainbowline.linegraph import line_graph
 from rainbowline.triangles import pack_edge_disjoint
 
@@ -409,6 +411,61 @@ class TestBench:
         assert run_bench("gnp", 9, 0.9, 2, seed=1, max_edges=0) == expected
         assert len(calls) == 8
         assert calls.count("exact") == calls.count("forest_exact") == 2
+
+    @pytest.mark.parametrize(
+        "model, n, p, seed, checks, shared",
+        [
+            ("gnp", 8, 0.4, 7, 3, 3),  # every row's two packings agree
+            ("gnp", 7, 0.6, 1, 6, 0),  # op = 2, 4, 1: the packings differ
+            ("random_cubic", 8, 0.0, 7, 6, 3),  # shared, plus the cubic bound
+        ],
+    )
+    def test_work_per_row(self, monkeypatch, model, n, p, seed, checks, shared):
+        """A row certifies each distinct coloring once and sweeps L(G)'s
+        diameter once; ``diam_line`` and ``exact_rc`` share the sweep. A
+        shared general certificate keeps its own bound name. The rows are
+        unchanged."""
+        expected = run_bench(model, n, p, 3, seed=seed, max_edges=12)
+        real_check, real_sweep, real_share = (
+            oracle.is_rainbow_connected, Graph.diameter.func, cli.general_from_forest
+        )
+        verified, sweeps, general = [], [], []
+
+        def counted_check(col):
+            verified.append(col)
+            return real_check(col)
+
+        def counted_sweep(g):
+            sweeps.append(g)
+            return real_sweep(g)
+
+        def recorded_general(forest, mode):
+            general.append(real_share(forest, mode))
+            return general[-1]
+
+        counted = functools.cached_property(counted_sweep)
+        counted.__set_name__(Graph, "diameter")
+        monkeypatch.setattr(oracle, "is_rainbow_connected", counted_check)
+        monkeypatch.setattr(Graph, "diameter", counted)
+        monkeypatch.setattr(cli, "general_from_forest", recorded_general)
+        assert run_bench(model, n, p, 3, seed=seed, max_edges=12) == expected
+        assert len(verified) == checks
+        assert len(sweeps) == 3
+        assert len(general) == shared
+        assert all(run.certificate.bound_name == "t + n2' + c" for run in general)
+
+    def test_unverified_cubic_row_exits_2(self, monkeypatch, capsys):
+        real = coloring.color_cubic_iterated
+
+        def unverified(g):
+            col, cert = real(g)
+            return col, replace(cert, verified=False)
+
+        monkeypatch.setattr(coloring, "color_cubic_iterated", unverified)
+        argv = ["bench", "--model", "random_cubic", "--n", "8", "--count", "2", "--seed", "1"]
+        assert main(argv) == 2
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[20] for row in rows] == ["False", "False"]
 
     def test_seed_required(self, capsys):
         assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5"]) == 3

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -32,7 +33,9 @@ from rainbowline.coloring import (
     color_packing,
     color_triangle_tree,
     combine_colorings,
+    general_from_forest,
     pendant_two_path_count,
+    pick_packing,
     project_coloring,
 )
 from rainbowline.errors import InputError, InvariantViolation, LimitError
@@ -733,3 +736,30 @@ class TestColorEntryPoint:
     def test_unknown_theorem_is_an_input_error(self):
         with pytest.raises(InputError, match="unknown theorem '33'"):
             color(BOWTIE, "33")
+
+
+class TestGeneralFromForest:
+    """``general_from_forest`` is theorem 32's run without a second
+    construction when both theorems pick the same packing."""
+
+    def test_equals_the_general_run(self):
+        shared = 0
+        graphs = [connected_gnp(n, 0.4, seed) for n in (6, 7, 8) for seed in range(1, 11)]
+        graphs += [gen_family("example31", t=3), gen_family("friendship", f=4), BOWTIE]
+        for g in graphs:
+            forest, general = color(g, "31"), color(g, "32")
+            assert pick_packing(g, "32") == (general.packing, general.mode)
+            if general.packing != forest.packing:
+                continue
+            shared += 1
+            run = general_from_forest(forest, general.mode)
+            assert run == general
+            assert run.certificate.bound_name == "t + n2' + c"
+            assert run.coloring is forest.coloring
+        assert shared >= 10
+
+    def test_a_bound_mismatch_is_an_invariant_violation(self):
+        forest = color(BOWTIE, "31")
+        cert = replace(forest.certificate, bound_value=forest.certificate.bound_value + 1)
+        with pytest.raises(InvariantViolation, match="differs from the forest bound"):
+            general_from_forest(replace(forest, certificate=cert), "exact")

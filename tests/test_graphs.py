@@ -62,6 +62,18 @@ class TestDiameter:
     def test_single_vertex(self):
         assert diameter(build_graph(1, [])) == 0
 
+    def test_empty_graph(self):
+        assert diameter(build_graph(0, [])) == 0
+
+    def test_cached_on_the_graph(self):
+        """The first call sweeps and stores the value on the graph, like
+        ``adjacency`` and ``degrees``; later calls read it back."""
+        g = cycle_graph(7)
+        assert "diameter" not in vars(g)
+        assert diameter(g) == 3
+        assert vars(g)["diameter"] == 3
+        assert diameter(g) == g.diameter == 3
+
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_floyd_warshall(self, g):
