@@ -24,8 +24,8 @@ class Graph:
     """Immutable simple graph: no loops, no parallel edges.
 
     Derived values are computed on first use and cached on the instance:
-    ``adjacency``, ``incident_edges``, ``degrees``, ``edge_index`` and
-    ``diameter``.
+    ``adjacency``, ``incident_edges``, ``degrees``, ``edge_index``,
+    ``is_connected`` and ``diameter``.
     """
 
     n: int
@@ -60,6 +60,22 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {edge_key(u, v): eid for eid, (u, v) in enumerate(self.edges)}
+
+    @cached_property
+    def is_connected(self) -> bool:
+        """Whether one search from vertex 0 reaches every vertex; true for
+        at most one vertex."""
+        if self.n <= 1:
+            return True
+        adj = self.adjacency
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.n
 
     @cached_property
     def diameter(self) -> int | float:
@@ -170,7 +186,8 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    """Computed once per graph and cached (``Graph.is_connected``)."""
+    return g.is_connected
 
 
 def diameter(g: Graph) -> int | float:

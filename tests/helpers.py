@@ -1,32 +1,54 @@
-"""Independent test oracles: naive path enumeration, the queue-based
-verifier, the earlier circular look-ahead of the level search, exact rc
-by checking every canonical coloring, the two earlier pruned exact-rc
-searches with a private color per uncolored edge (one relabels a group per
-edge end, one regroups neighbours by color), brute-force
-packing, the parent-map packing search, blocks-based forest classification,
-reclassify-until-forest flattening, the step-at-a-time transform steps
-``detach_edge`` and ``split_vertex``, step-by-step coloring projection,
-recursive triangle-tree coloring, the part-by-part construction over
-L(final) with its pull-back, the hand-built ``m - m1`` coloring of L(L(G)),
-and exhaustive small-graph generation up to isomorphism. Also the tools only
-tests use: star-clique edge ids, edge-induced subgraphs, vertex-set
-shrinking, the two-color coloring of a lone triangle with pendants, trace
-replay, and the tightness check of the ``m - m1`` bound.
+"""Independent references, one per layer, each compared with the package
+directly. The instance sets they run on are in ``tests/corpus.py``.
 
-Everything here deliberately avoids the package's search machinery so the
-two sides of each check stay independent. The exceptions are
-``relabel_exact_rc`` and ``regroup_exact_rc``, which share the package's
-checker because they are compared with each other verdict by verdict, and
-``circular_first_unreached``, the earlier look-ahead order, which shares
-``oracle._reaches`` because it is compared with ``oracle._first_unreached``
-check by check.
+Layer -> reference -> the test that compares it with the package:
+
+- verifier (``oracle._check_all_pairs``): ``naive_failing_pair``, which
+  enumerates every simple path, on small graphs -> ``test_oracle.py``
+  ``TestNaiveAgreement`` and ``test_acceptance.py``
+  ``test_9_double_implementation_agreement`` (verdicts and witnesses);
+  ``queue_check_all_pairs``, the same state search with a FIFO queue, on
+  large ones -> ``TestLevelSearchMatchesQueue``, ``TestGroupedSearch`` and
+  ``TestLookAheadMatchesQueue``; ``circular_first_unreached``, the earlier
+  look-ahead order, check by check -> ``TestLookAheadOrder``.
+- exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, every canonical
+  coloring in full -> ``TestPrunedSearchMatchesEnumeration``;
+  ``relabel_exact_rc``, the search with a private color per uncolored edge,
+  value and prefix-check totals -> ``TestCountedMatchesRelabel``.
+- packing (``triangles.pack_edge_disjoint``): ``comp_map_pack``, the chosen
+  triangles in every mode -> ``test_triangles.py`` ``TestPacking``
+  ``test_matches_comp_map_search``; ``brute_force_max_packing``, the exact
+  modes' optimum -> ``test_exact_matches_brute_force``.
+- structure (``TrianglePacking.is_forest``): ``blocks_is_forest`` ->
+  ``TestClassify.test_vertex_count_matches_blocks``.
+- flattening (``triangles.build_transformed``):
+  ``reclassify_build_transformed``, built from ``detach_edge`` and
+  ``split_vertex`` -> ``TestSweepMatchesReclassify``.
+- projection (``coloring.project_coloring``): ``pull_back``, which replays
+  each vertex's origin and reads the flattened graph's edges ->
+  ``test_coloring.py`` ``TestProjectionMatchesPullBack``.
+- construction (``coloring._construct``, the star rules of
+  ``color_triangle_tree`` included): ``part_by_part_construction``, by
+  ``recursive_tree_assignment`` per forest component and ``pull_back`` ->
+  ``TestConstructMatchesReference``.
+- ``m - m1`` (``coloring.color_iterated_baseline``):
+  ``hand_built_iterated_baseline`` -> ``TestIterated``.
+
+Everything here avoids the package's search machinery so the two sides of
+each check stay independent. The exceptions are ``relabel_exact_rc``, which
+checks each prefix through ``oracle._check_adjacency`` so that a test can
+count the checks, and ``circular_first_unreached``, which shares
+``oracle._reaches`` so that a test can record the look-ahead checks of both
+orders. Also the tools only tests use: edge-induced subgraphs, vertex-set
+shrinking, star-clique edge ids, the two-color coloring of a lone triangle
+with pendants, trace replay, and the tightness check of the ``m - m1``
+bound.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from rainbowline import oracle
@@ -41,7 +63,6 @@ from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.graphs import (
     Graph,
     blocks,
-    build_graph,
     diameter,
     edge_key,
     is_connected,
@@ -211,92 +232,6 @@ def enumerate_exact_rc(g: Graph) -> int:
         for colors in canonical_colorings(g.m, k):
             if queue_check_all_pairs(g, [1 << (c - 1) for c in colors])[0]:
                 return k
-    raise InvariantViolation("an all-distinct coloring must be rainbow")
-
-
-def _take_color(row: list[list], colored: dict[int, list], y: int, bit: int) -> list:
-    """Move neighbour ``y`` out of its private group, the first one after the
-    ``colored`` groups of ``row``, into the group of ``bit``. Returns the
-    private group for ``_give_back``."""
-    pos = len(colored)
-    private = row[pos]
-    group = colored.get(bit)
-    if group is None:
-        colored[bit] = row[pos] = [bit, [y]]
-    else:
-        group[1].append(y)
-        del row[pos]
-    return private
-
-
-def _give_back(row: list[list], colored: dict[int, list], bit: int, private: list) -> None:
-    """Undo the last ``_take_color(row, colored, y, bit)``."""
-    group = colored[bit]
-    if len(group[1]) == 1:
-        del colored[bit]
-        row[len(colored)] = private
-    else:
-        group[1].pop()
-        row.insert(len(colored), private)
-
-
-def regroup_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
-    """Reference for ``relabel_exact_rc``: the same pruned search, but the
-    adjacency is rebuilt for every palette size ``k`` and recolored by moving
-    neighbours between color groups (``_take_color``/``_give_back``). At
-    every vertex the groups of colored edges come first and the private
-    groups of its uncolored edges follow in edge-id order, so at both ends of
-    edge ``i`` its private group is the first private one. It checks each
-    prefix through ``oracle._check_adjacency``, so a test can record the
-    verdicts of both searches.
-
-    Tries palette sizes upward from the diameter. For each size ``k`` it
-    colors the edges in id order, depth first, in the order of
-    ``canonical_colorings``, and cuts every prefix that fails the relaxed
-    check (uncolored edges get private colors). Raises ``LimitError``
-    carrying the proven bracket when the instance exceeds ``max_edges``.
-    """
-    if max_edges < 0:
-        raise InputError(f"edge cap must be non-negative, got {max_edges}")
-    diam = diameter(g)
-    if g.n < 2 or math.isinf(diam):
-        raise InputError("exact search needs a connected graph on >= 2 vertices")
-    lo = max(int(diam), 1)
-    hi = min(g.m, g.n - 1)
-    m = g.m
-    if m > max_edges:
-        raise LimitError(
-            f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
-        )
-    edges = g.edges
-
-    def extends(i: int, top: int, k: int, adj: list[list[list]], colored: list[dict[int, list]]) -> bool:
-        """Whether the prefix of edges ``0..i-1``, colored in ``adj`` with
-        colors ``1..top``, extends to a rainbow coloring with exactly ``k``
-        colors."""
-        if not oracle._check_adjacency(adj)[0]:
-            return False
-        if i == m:
-            return True
-        u, v = edges[i]
-        for c in range(1, min(top + 1, k) + 1):
-            t = max(top, c)
-            if k - t > m - i - 1:
-                continue
-            bit = 1 << (c - 1)
-            private_u = _take_color(adj[u], colored[u], v, bit)
-            private_v = _take_color(adj[v], colored[v], u, bit)
-            found = extends(i + 1, t, k, adj, colored)
-            _give_back(adj[v], colored[v], bit, private_v)
-            _give_back(adj[u], colored[u], bit, private_u)
-            if found:
-                return True
-        return False
-
-    for k in range(lo, m + 1):
-        adj = oracle._adjacency(g, [1 << (k + i) for i in range(m)])
-        if extends(0, 0, k, adj, [{} for _ in range(g.n)]):
-            return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
@@ -614,32 +549,6 @@ def reclassify_build_transformed(
     return TransformResult(trace, tuple(tris)), tuple(graphs)
 
 
-def stepwise_project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
-    """Pull a coloring of L(final) back to L(source) one step at a time,
-    rebuilding the line graphs on both sides of every step."""
-    graphs = replay_graphs(trace)
-    assert coloring.graph == line_graph(graphs[-1]).l_graph
-    col = coloring
-    for i in reversed(range(len(trace.steps))):
-        step, g_after = trace.steps[i], graphs[i + 1]
-        g_before = graphs[i]
-        lg_before = line_graph(g_before).l_graph
-        after_index = line_graph(g_after).l_graph.edge_index
-        out: list[int] = []
-        for f, h in lg_before.edges:
-            if isinstance(step, EdgeDetachStep):
-                (y,) = set(g_before.edges[f]) & set(g_before.edges[h])
-                renamed = [
-                    step.new_edge if e == step.edge and y == step.v else e for e in (f, h)
-                ]
-                out.append(col.colors[after_index[edge_key(*renamed)]])
-            else:
-                le = after_index.get(edge_key(f, h))
-                out.append(col.colors[le] if le is not None else 1)
-        col = EdgeColoring(lg_before, tuple(out), col.k)
-    return col
-
-
 def star_clique_edges(lg: LineGraphResult, v: int) -> list[int]:
     """Ids of the ``L``-edges inside the star clique of source vertex ``v``."""
     star = lg.star_of[v]
@@ -790,65 +699,6 @@ def hand_built_iterated_baseline(g: Graph) -> tuple[EdgeColoring, LineGraphResul
     if col.k != bound:
         raise InvariantViolation(f"used {col.k} colors, pendant accounting says {bound}")
     return col, lg2, bound
-
-
-def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-invariant form: positions blocked by degree class, minimum
-    edge tuple over within-class relabelings."""
-    degs = [g.degree(v) for v in range(g.n)]
-    order = sorted(range(g.n), key=lambda v: degs[v])
-    classes = [list(grp) for _, grp in groupby(order, key=lambda v: degs[v])]
-    best = None
-    for parts in product(*[permutations(cls) for cls in classes]):
-        mapping = {}
-        pos = 0
-        for part in parts:
-            for v in part:
-                mapping[v] = pos
-                pos += 1
-        form = tuple(sorted(edge_key(mapping[u], mapping[v]) for u, v in g.edges))
-        if best is None or form < best:
-            best = form
-    return (g.n, best)
-
-
-@lru_cache(maxsize=None)
-def connected_graphs_up_to(max_edges: int) -> tuple[Graph, ...]:
-    """Every connected graph with 1..max_edges edges, one per isomorphism
-    class, grown by adding chords and pendant vertices."""
-    start = build_graph(2, [(0, 1)])
-    seen = {canonical_form(start)}
-    out = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            if g.m >= max_edges:
-                continue
-            candidates = [
-                build_graph(g.n, list(g.edges) + [(u, v)])
-                for u, v in combinations(range(g.n), 2)
-                if not g.has_edge(u, v)
-            ]
-            candidates += [
-                build_graph(g.n + 1, list(g.edges) + [(u, g.n)]) for u in range(g.n)
-            ]
-            for h in candidates:
-                cf = canonical_form(h)
-                if cf not in seen:
-                    seen.add(cf)
-                    out.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return tuple(out)
-
-
-def small_trees(max_vertices: int) -> list[Graph]:
-    return [
-        g
-        for g in connected_graphs_up_to(max_vertices - 1)
-        if g.m == g.n - 1 and g.n <= max_vertices
-    ]
 
 
 def remove_vertex_components(g: Graph, v: int) -> int:

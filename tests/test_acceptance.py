@@ -8,13 +8,12 @@ from contextlib import contextmanager
 
 import pytest
 
+from corpus import acceptance_gnp, connected_graphs_up_to, random_edge_partition, small_trees
 from helpers import (
     check_iterated_tightness,
-    connected_graphs_up_to,
     detach_edge,
-    naive_rainbow_connected,
+    naive_failing_pair,
     replay_trace,
-    small_trees,
 )
 from rainbowline.coloring import (
     ColorPart,
@@ -23,9 +22,9 @@ from rainbowline.coloring import (
     color_forest_packing,
     color_packing,
     combine_colorings,
+    pick_packing,
     project_coloring,
 )
-from rainbowline.errors import LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
     complete_graph,
@@ -56,20 +55,6 @@ def acceptance(label):
         print(f"[acceptance] {label}: FAIL")
         raise
     print(f"[acceptance] {label}: PASS")
-
-
-def _pack(g, mode):
-    try:
-        return pack_edge_disjoint(g, mode)
-    except LimitError:
-        return pack_edge_disjoint(g, mode.replace("exact", "greedy"))
-
-
-def _ensemble(count=100):
-    for i in range(count):
-        n = 5 + (i % 5)
-        p = 0.3 if i % 2 == 0 else 0.5
-        yield connected_gnp(n, p, seed=1000 + i)
 
 
 def test_1_forest_bound_sharp_on_triangle_chains():
@@ -109,8 +94,8 @@ def test_3_oracle_calibration():
 
 def test_4_forest_pipeline_ensemble():
     with acceptance("forest pipeline verified on 100 seeded gnp instances"):
-        for g in _ensemble():
-            packing = _pack(g, "forest_exact")
+        for g in acceptance_gnp():
+            packing, _ = pick_packing(g, "31")
             assert packing.all_forest
             coloring, cert = color_forest_packing(g, packing)
             assert cert.verified, (g, cert)
@@ -119,8 +104,8 @@ def test_4_forest_pipeline_ensemble():
 
 def test_5_general_pipeline_ensemble():
     with acceptance("general pipeline verified on 100 seeded gnp instances"):
-        for g in _ensemble():
-            packing = _pack(g, "exact")
+        for g in acceptance_gnp():
+            packing, _ = pick_packing(g, "32")
             coloring, cert = color_packing(g, packing)
             assert cert.verified, (g, cert)
             n2 = degree_profile(g).n2
@@ -174,7 +159,7 @@ def test_8_observation_suite():
             g = _partition_instance(i)
             rng = random.Random(i)
             # (a) connected edge partition, one distinct palette per part
-            groups = _random_partition(g, rng)
+            groups = random_edge_partition(g, rng)
             parts = [
                 ColorPart({eid: j + 1 for j, eid in enumerate(group)}, len(group))
                 for group in groups
@@ -207,46 +192,17 @@ def test_8_observation_suite():
         assert split_checked >= 5
 
 
-def _random_partition(g, rng):
-    start = rng.randrange(g.m)
-    size = rng.randint(1, g.m)
-    part = {start}
-    frontier = [start]
-    while frontier and len(part) < size:
-        eid = frontier.pop()
-        for w in g.edges[eid]:
-            for other in g.incident_edges[w]:
-                if other not in part and len(part) < size:
-                    part.add(other)
-                    frontier.append(other)
-    groups = [sorted(part)]
-    unassigned = set(range(g.m)) - part
-    while unassigned:
-        seed_edge = min(unassigned)
-        grp = {seed_edge}
-        stack = [seed_edge]
-        while stack:
-            eid = stack.pop()
-            for w in g.edges[eid]:
-                for other in g.incident_edges[w]:
-                    if other in unassigned and other not in grp:
-                        grp.add(other)
-                        stack.append(other)
-        unassigned -= grp
-        groups.append(sorted(grp))
-    return groups
-
-
 def test_9_double_implementation_agreement():
-    with acceptance("state search agrees with naive path enumeration (52 graphs)"):
+    with acceptance("state search agrees with naive path enumeration, witness included (52 graphs)"):
         graphs = connected_graphs_up_to(6)
         assert len(graphs) == 52
-        checked = 0
+        checked = failing = 0
         for g in graphs:
             for k in range(1, min(3, g.m) + 1):
                 for colors in canonical_colorings(g.m, k):
-                    coloring = EdgeColoring(g, colors, k)
-                    fast, _ = is_rainbow_connected(coloring)
-                    assert fast == naive_rainbow_connected(g, colors)
+                    ok, witness = is_rainbow_connected(EdgeColoring(g, colors, k))
+                    assert witness == naive_failing_pair(g, colors)
+                    assert ok == (witness is None)
                     checked += 1
-        assert checked > 3000
+                    failing += not ok
+        assert checked > 3000 and failing > 1000

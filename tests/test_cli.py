@@ -454,6 +454,27 @@ class TestBench:
         assert len(general) == shared
         assert all(run.certificate.bound_name == "t + n2' + c" for run in general)
 
+    @pytest.mark.parametrize(
+        "model, n, p, seed", [("gnp", 8, 0.4, 7), ("gnp", 7, 0.6, 1), ("random_cubic", 8, 0.0, 7)]
+    )
+    def test_one_connectivity_search_per_graph(self, monkeypatch, model, n, p, seed):
+        """The sampler and every back end of a row ask whether its graph is
+        connected; one search per graph answers them all. The rows are
+        unchanged."""
+        expected = run_bench(model, n, p, 3, seed=seed, max_edges=12)
+        real_search = Graph.is_connected.func
+        searched = []
+
+        def counted_search(g):
+            searched.append(g)
+            return real_search(g)
+
+        counted = functools.cached_property(counted_search)
+        counted.__set_name__(Graph, "is_connected")
+        monkeypatch.setattr(Graph, "is_connected", counted)
+        assert run_bench(model, n, p, 3, seed=seed, max_edges=12) == expected
+        assert len(searched) == len(set(searched)) == 3
+
     def test_unverified_cubic_row_exits_2(self, monkeypatch, capsys):
         real = coloring.color_cubic_iterated
 

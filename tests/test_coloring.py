@@ -5,9 +5,16 @@ from itertools import combinations
 
 import pytest
 
+import helpers
+from corpus import (
+    connected_graphs_up_to,
+    construct_instances,
+    cubic_star_packing,
+    dense_gnp,
+    sample_gnp,
+)
 from helpers import (
     color_single_triangle,
-    connected_graphs_up_to,
     detach_edge,
     hand_built_iterated_baseline,
     induced_by_edges,
@@ -17,7 +24,6 @@ from helpers import (
     replay_graphs,
     replay_trace,
     split_vertex,
-    stepwise_project_coloring,
 )
 from rainbowline import oracle
 from rainbowline.coloring import (
@@ -60,7 +66,6 @@ from rainbowline.triangles import (
     classify_structure,
     EdgeDetachStep,
     enumerate_triangles,
-    make_triangle,
     pack_edge_disjoint,
     TransformResult,
     TransformTrace,
@@ -262,7 +267,7 @@ class TestGeneralPackingBound:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_bound_identity_random(self, seed):
-        g = connected_gnp(5 + seed % 4, 0.5, seed=7000 + seed)
+        g = sample_gnp(seed)
         p = pack_edge_disjoint(g, "greedy")
         n2 = degree_profile(g).n2
         assert p.t + p.n2_prime + p.c == n2 + p.op - p.t
@@ -465,51 +470,40 @@ def _renamed_pair_fates(trace: TransformTrace) -> tuple[int, int]:
     return kept, cut
 
 
-def _assert_matches_stepwise(trace: TransformTrace, rng: random.Random) -> None:
-    col = _random_coloring(replay_trace(trace), rng)
-    fast = project_coloring(trace, col)
-    slow = stepwise_project_coloring(trace, col)
-    assert fast.graph == slow.graph
-    assert fast.k == slow.k
-    assert fast.colors == slow.colors
+def _assert_matches_pull_back(trace: TransformTrace, seed: int) -> None:
+    col = _random_coloring(replay_trace(trace), random.Random(seed))
+    assert project_coloring(trace, col) == pull_back(trace, col, line_graph(trace.source))
 
 
-class TestProjectionMatchesStepwise:
+class TestProjectionMatchesPullBack:
+    """``project_coloring`` against ``helpers.pull_back``, which replays each
+    flattened vertex's origin and reads the flattened graph's edges."""
+
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("mode", PACK_MODES)
     def test_build_transformed_traces(self, seed, mode):
-        g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
-        result = build_transformed(g, pack_edge_disjoint(g, mode))
-        _assert_matches_stepwise(result.trace, random.Random(seed))
+        g = sample_gnp(seed)
+        _assert_matches_pull_back(build_transformed(g, pack_edge_disjoint(g, mode)).trace, seed)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cubic_star_packing_traces(self, seed):
-        g = random_cubic(8 + 2 * seed, seed=seed)
-        lg = line_graph(g)
-        tris = [make_triangle(lg.l_graph, *lg.star_of[v]) for v in range(g.n)]
-        result = build_transformed(lg.l_graph, classify_structure(lg.l_graph, tris))
-        assert result.trace.split_count > 0
-        _assert_matches_stepwise(result.trace, random.Random(seed))
+        trace = build_transformed(*cubic_star_packing(8 + 2 * seed, seed)).trace
+        assert trace.split_count > 0
+        _assert_matches_pull_back(trace, seed)
 
     @pytest.mark.parametrize("seed", range(30))
     @pytest.mark.parametrize("mode", ["greedy", "forest_greedy"])
     def test_dense_traces(self, seed, mode):
-        """Dense graphs, whose traces split vertices that a detach touched,
-        against two references: the stepwise pull-back, and ``pull_back``,
-        which replays each vertex's origin and reads the flattened graph's
-        edges."""
-        g = connected_gnp(7 + seed % 5, 0.7, seed=9000 + seed)
-        trace = build_transformed(g, pack_edge_disjoint(g, mode)).trace
-        col = _random_coloring(replay_trace(trace), random.Random(seed))
-        assert project_coloring(trace, col) == pull_back(trace, col, line_graph(g))
-        _assert_matches_stepwise(trace, random.Random(seed))
+        """Dense graphs, whose traces split vertices that a detach touched."""
+        g = dense_gnp(seed)
+        _assert_matches_pull_back(build_transformed(g, pack_edge_disjoint(g, mode)).trace, seed)
 
     def test_dense_trace_coverage(self):
         """The traces of ``test_dense_traces`` split vertices at an end of an
         earlier detach, and a split separates pairs with a renamed end."""
         at_detach = kept = cut = 0
         for seed in range(30):
-            g = connected_gnp(7 + seed % 5, 0.7, seed=9000 + seed)
+            g = dense_gnp(seed)
             for mode in ("greedy", "forest_greedy"):
                 trace = build_transformed(g, pack_edge_disjoint(g, mode)).trace
                 detaches = trace.steps[: len(trace.steps) - trace.split_count]
@@ -527,7 +521,7 @@ class TestProjectionMatchesStepwise:
         L(final) color, or a later split separates them and they get color 1."""
         kept = cut = splits = detaches = 0
         for seed in range(12):
-            g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
+            g = sample_gnp(seed)
             for mode in PACK_MODES:
                 trace = build_transformed(g, pack_edge_disjoint(g, mode)).trace
                 fates = _renamed_pair_fates(trace)
@@ -539,127 +533,32 @@ class TestProjectionMatchesStepwise:
         assert splits >= 5 and detaches >= 20
 
 
-def _tree_components(g: Graph, packing) -> tuple:
-    """L(final) and the triangle lists of the flattened structure's components."""
-    result = build_transformed(g, packing)
-    final = replay_trace(result.trace)
-    flat = classify_structure(final, result.triangles)
-    comps = [[flat.triangles[i] for i in comp] for comp in flat.components]
-    return line_graph(final), comps
-
-
-def _cubic_star_packing(seed: int) -> tuple:
-    g = random_cubic(8 + 2 * seed, seed=seed)
-    lg = line_graph(g)
-    tris = [make_triangle(lg.l_graph, *lg.star_of[v]) for v in range(g.n)]
-    return lg.l_graph, classify_structure(lg.l_graph, tris)
-
-
-def _tree_instances():
-    for seed in range(12):
-        g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
-        for mode in PACK_MODES:
-            yield g, pack_edge_disjoint(g, mode)
-    for seed in range(4):
-        yield _cubic_star_packing(seed)
-    for g in (
-        [gen_family("example32", k=k) for k in (2, 3, 5, 12)]
-        + [triangle_ring(r) for r in range(3, 64)]
-        + [friendship_graph(f) for f in range(1, 7)]
-    ):
-        yield g, pack_edge_disjoint(g, "greedy")
-
-
-def _assert_matches_recursion(g: Graph, packing) -> None:
-    lg, comps = _tree_components(g, packing)
-    for tris in comps:
-        part = tree_part(lg, tris)
-        reference, _ = recursive_tree_assignment(lg, tris)
-        assert part == reference
-        assert part.k == len(tris) + 1
-
-
-class TestTreeColoringMatchesRecursion:
-    @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("mode", PACK_MODES)
-    def test_gnp_packings(self, seed, mode):
-        g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
-        _assert_matches_recursion(g, pack_edge_disjoint(g, mode))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cubic_star_packings(self, seed):
-        _assert_matches_recursion(*_cubic_star_packing(seed))
-
-    @pytest.mark.parametrize("k", [2, 3, 5, 12])
-    def test_example32(self, k):
-        g = gen_family("example32", k=k)
-        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
-
-    @pytest.mark.parametrize("r", range(3, 64))
-    def test_triangle_ring(self, r):
-        g = triangle_ring(r)
-        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
-
-    @pytest.mark.parametrize("f", range(1, 7))
-    def test_friendship(self, f):
-        g = friendship_graph(f)
-        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
-
-    def test_peel_order_coverage(self):
-        """Some components peel a triangle below one peeled earlier, so the
-        leaf queue takes in new leaves out of order."""
-        out_of_order = 0
-        for g, packing in _tree_instances():
-            lg, comps = _tree_components(g, packing)
-            for tris in comps:
-                _, peeled = recursive_tree_assignment(lg, tris)
-                out_of_order += peeled != sorted(peeled)
-        assert out_of_order >= 3
-
-
-def _construct_instances():
-    """(graph, packing) pairs: small graphs, gnp samples and the paper's
-    families in every packing mode under the exact-search cap, then cubic
-    star packings."""
-    graphs = [
-        *(g for g in connected_graphs_up_to(7) if g.m >= 2),
-        *(
-            connected_gnp(n, p, s)
-            for n, p in ((8, 0.4), (10, 0.4), (15, 0.3), (25, 0.2), (40, 0.2), (60, 0.14))
-            for s in range(1, 16)
-        ),
-        *(triangle_ring(r) for r in (3, 5, 8, 12)),
-        *(friendship_graph(f) for f in (1, 3, 6)),
-        *(gen_family("example31", t=t) for t in (2, 8)),
-        *(gen_family("example32", k=k) for k in (2, 6, 12)),
-        complete_graph(6),
-        complete_graph(7),
-    ]
-    for g in graphs:
-        for mode in PACK_MODES:
-            try:
-                yield g, pack_edge_disjoint(g, mode)
-            except LimitError:
-                pass
-    for n in (8, 12, 20, 40):
-        for seed in (1, 2, 3):
-            lg = line_graph(random_cubic(n, seed))
-            tris = [make_triangle(lg.l_graph, *lg.star_of[v]) for v in range(n)]
-            yield lg.l_graph, classify_structure(lg.l_graph, tris)
-
-
 class TestConstructMatchesReference:
     def test_star_rules_match_part_by_part(self, monkeypatch):
+        """``_construct`` gives ``helpers.part_by_part_construction``'s
+        coloring, whose forest components are colored by
+        ``recursive_tree_assignment``. Some components peel a triangle below
+        one peeled earlier, so the leaf queue takes in new leaves out of
+        order."""
         # the verifier is not under test here
         monkeypatch.setattr("rainbowline.coloring._certify", lambda *args: None)
+        peel_orders = []
+
+        def recorded(lg, tris):
+            part, peeled = recursive_tree_assignment(lg, tris)
+            peel_orders.append(peeled)
+            return part, peeled
+
+        monkeypatch.setattr(helpers, "recursive_tree_assignment", recorded)
         count = splits = 0
-        for g, packing in _construct_instances():
+        for g, packing in construct_instances():
             col, _ = _construct(g, packing, "bound", 0)
             assert col == part_by_part_construction(g, packing)
             count += 1
             splits += packing.op > 0
-        assert count >= 878
-        assert splits >= 50
+        assert count >= 1099
+        assert splits >= 200
+        assert sum(peeled != sorted(peeled) for peeled in peel_orders) >= 3
 
 
 class TestEnsemble:

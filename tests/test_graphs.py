@@ -1,10 +1,9 @@
 import math
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from corpus import small_graphs
 from helpers import induced_by_edges, remove_vertex_components, shrink
 from rainbowline.errors import InputError
 from rainbowline.families import bridged_triangle_chain, complete_graph, cycle_graph, path_graph
@@ -16,16 +15,6 @@ from rainbowline.graphs import (
     diameter,
     is_connected,
 )
-
-
-@st.composite
-def small_graphs(draw, min_n=1, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    pairs = list(combinations(range(n), 2))
-    if not pairs:
-        return build_graph(n, [])
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    return build_graph(n, sorted(chosen))
 
 
 class TestBuildGraph:
@@ -208,3 +197,13 @@ def test_connected_helpers():
     assert is_connected(complete_graph(1))
     assert is_connected(cycle_graph(5))
     assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
+    assert is_connected(build_graph(0, []))
+    g = cycle_graph(6)
+    assert "is_connected" not in vars(g)
+    assert is_connected(g) and vars(g)["is_connected"] is True
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_connected_iff_one_component(g):
+    assert is_connected(g) == (len(components(g)) <= 1)

@@ -1,11 +1,10 @@
-from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from helpers import canonical_form, star_clique_edges
+from corpus import canonical_form, small_graphs
+from helpers import star_clique_edges
 from rainbowline.errors import InputError
 from rainbowline.families import (
     complete_graph,
@@ -14,16 +13,6 @@ from rainbowline.families import (
 )
 from rainbowline.graphs import build_graph, is_connected
 from rainbowline.linegraph import iterated_line_graph, line_graph
-
-
-@st.composite
-def small_graphs(draw, min_n=1, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    pairs = list(combinations(range(n), 2))
-    if not pairs:
-        return build_graph(n, [])
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    return build_graph(n, sorted(chosen))
 
 
 class TestLineGraph:

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from corpus import random_edge_partition
 from helpers import detach_edge, shrink, split_vertex
 from rainbowline.coloring import ColorPart, EdgeColoring, combine_colorings, project_coloring
 from rainbowline.families import connected_gnp
@@ -16,47 +17,12 @@ from rainbowline.oracle import _check_all_pairs, exact_rc, is_rainbow_connected
 from rainbowline.triangles import TransformTrace, pack_edge_disjoint
 
 
-def random_connected_edge_partition(g, rng):
-    """Split the edge ids into connected groups: grow one part along shared
-    endpoints, then take the connected pieces of what is left."""
-    start = rng.randrange(g.m)
-    size = rng.randint(1, g.m)
-    part = {start}
-    frontier = [start]
-    while frontier and len(part) < size:
-        eid = frontier.pop()
-        u, v = g.edges[eid]
-        for w in (u, v):
-            for other in g.incident_edges[w]:
-                if other not in part and len(part) < size:
-                    part.add(other)
-                    frontier.append(other)
-    rest = [e for e in range(g.m) if e not in part]
-    groups = [sorted(part)]
-    unassigned = set(rest)
-    while unassigned:
-        seed = min(unassigned)
-        grp = {seed}
-        stack = [seed]
-        while stack:
-            eid = stack.pop()
-            u, v = g.edges[eid]
-            for w in (u, v):
-                for other in g.incident_edges[w]:
-                    if other in unassigned and other not in grp:
-                        grp.add(other)
-                        stack.append(other)
-        unassigned -= grp
-        groups.append(sorted(grp))
-    return groups
-
-
 class TestPartitionCombination:
     @pytest.mark.parametrize("seed", range(25))
     def test_connected_parts_with_distinct_palettes_verify(self, seed):
         rng = random.Random(seed)
         g = connected_gnp(5 + seed % 4, 0.5, seed=2000 + seed)
-        groups = random_connected_edge_partition(g, rng)
+        groups = random_edge_partition(g, rng)
         parts = [
             ColorPart({eid: i + 1 for i, eid in enumerate(group)}, len(group))
             for group in groups

@@ -1,28 +1,29 @@
 import pathlib
 import random
-from functools import cache
 from itertools import combinations
 
 import pytest
 
+from corpus import (
+    certified_colorings,
+    color_bits,
+    connected_graphs_up_to,
+    ensemble_line_graphs,
+    exact_search_sets,
+    look_ahead_inputs,
+    recolorings,
+)
 from helpers import (
     check_iterated_tightness,
     circular_first_unreached,
-    connected_graphs_up_to,
     enumerate_exact_rc,
     naive_failing_pair,
     naive_rainbow_connected,
     queue_check_all_pairs,
-    regroup_exact_rc,
     relabel_exact_rc,
 )
 from rainbowline import oracle
-from rainbowline.coloring import (
-    EdgeColoring,
-    color_cubic_iterated,
-    color_forest_packing,
-    color_packing,
-)
+from rainbowline.coloring import EdgeColoring, color_forest_packing, color_packing
 from rainbowline.errors import InputError, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
@@ -30,7 +31,6 @@ from rainbowline.families import (
     connected_gnp,
     cycle_graph,
     path_graph,
-    random_cubic,
     shared_vertex_triangle_chain,
 )
 from rainbowline.graphs import Graph, build_graph, is_connected
@@ -221,67 +221,9 @@ class TestPrunedSearchMatchesEnumeration:
             assert exact_rc(g) == enumerate_exact_rc(g), seed
 
     def test_ensemble_line_graphs(self):
-        lgs = [line_graph(connected_gnp(7, 0.35, s * 1_000_003)).l_graph for s in range(1, 41)]
-        lgs = [lg for lg in lgs if lg.m <= 12]
+        lgs = [lg for lg in ensemble_line_graphs() if lg.m <= 12]
         assert len(lgs) == 14
         assert [exact_rc(lg) for lg in lgs] == [enumerate_exact_rc(lg) for lg in lgs]
-
-
-@cache
-def _relabel_sets():
-    """The graphs both exact searches are compared on, with how many of them
-    fit the default edge cap."""
-    small = [g for g in connected_graphs_up_to(7) if g.n >= 2]
-    seeds = [s * 1_000_003 for s in range(1, 41)]
-    return {
-        "small": (small, 131),
-        "small_line": ([line_graph(g).l_graph for g in small if g.m >= 2], 112),
-        "ensemble": (
-            [line_graph(connected_gnp(7, 0.35, s)).l_graph for s in seeds]
-            + [line_graph(random_cubic(8, s)).l_graph for s in seeds],
-            14,
-        ),
-        "cycles": ([cycle_graph(n) for n in range(3, 13)], 10),
-    }
-
-
-class TestRelabelMatchesRegroup:
-    """``helpers.relabel_exact_rc`` relabels one group per edge end;
-    ``helpers.regroup_exact_rc`` moves neighbours between color groups. Both
-    make the same prefix checks with the same verdicts, in the same order,
-    and return the same value (a ``LimitError`` by its bracket)."""
-
-    @pytest.mark.parametrize(
-        "name, size", [("small", 131), ("small_line", 130), ("ensemble", 80), ("cycles", 10)]
-    )
-    def test_same_values_and_verdicts(self, monkeypatch, name, size):
-        graphs, resolving = _relabel_sets()[name]
-        assert len(graphs) == size
-        check = oracle._check_adjacency
-        verdicts = []
-
-        def record(adj):
-            verdict = check(adj)
-            verdicts.append(verdict)
-            return verdict
-
-        def run(search, g):
-            verdicts.clear()
-            try:
-                value = search(g)
-            except LimitError as exc:
-                value = (exc.lower, exc.upper)
-            return value, list(verdicts)
-
-        monkeypatch.setattr(oracle, "_check_adjacency", record)
-        resolved = 0
-        for g in graphs:
-            relabel = run(relabel_exact_rc, g)
-            assert relabel == run(regroup_exact_rc, g), g.edges
-            if isinstance(relabel[0], int):
-                resolved += 1
-                assert relabel[1]  # the recorder saw the prefix checks
-        assert resolved == resolving
 
 
 class TestCountedMatchesRelabel:
@@ -304,7 +246,8 @@ class TestCountedMatchesRelabel:
         ],
     )
     def test_same_values_no_more_prefix_checks(self, monkeypatch, name, counted_total, private_total):
-        graphs, resolving = _relabel_sets()[name]
+        graphs, resolving = exact_search_sets()[name]
+        assert len(graphs) == {"small": 131, "small_line": 130, "ensemble": 80, "cycles": 10}[name]
         counted_reaches, check = oracle._counted_reaches, oracle._check_adjacency
         checks = []
 
@@ -355,10 +298,6 @@ class TestNaiveAgreement:
         assert fast == naive_rainbow_connected(g, colors)
 
 
-def _bits(colors):
-    return [1 << (c - 1) for c in colors]
-
-
 class TestLevelSearchMatchesQueue:
     """The level-by-level search returns the verdict and witness of the
     queue-based search in ``helpers.queue_check_all_pairs``."""
@@ -370,39 +309,18 @@ class TestLevelSearchMatchesQueue:
             lg = line_graph(connected_gnp(rng.randint(4, 9), rng.uniform(0.3, 0.7), seed)).l_graph
             for _ in range(4):
                 k = rng.randint(2, 80)
-                bits = _bits(rng.randint(1, k) for _ in range(lg.m))
+                bits = color_bits(rng.randint(1, k) for _ in range(lg.m))
                 got = _check_all_pairs(lg, bits)
                 assert got == queue_check_all_pairs(lg, bits), (seed, k)
                 verdicts.add(got[0])
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_certified_packing_colorings(self, seed):
-        g = connected_gnp(9, 0.45, seed)
-        col, cert = color_packing(g, pack_edge_disjoint(g, "greedy"))
+    @pytest.mark.parametrize("kind, i", [("packing", i) for i in range(8)] + [("cubic", i) for i in range(3)])
+    def test_certified_colorings(self, kind, i):
+        col, cert = certified_colorings()[kind][i]
         assert cert.verified
-        bits = _bits(col.colors)
+        bits = color_bits(col.colors)
         assert _check_all_pairs(col.graph, bits) == queue_check_all_pairs(col.graph, bits)
-
-    @pytest.mark.parametrize("g", [complete_graph(4), random_cubic(6, 1), random_cubic(8, 2)])
-    def test_certified_cubic_colorings(self, g):
-        col, cert = color_cubic_iterated(g)
-        assert cert.verified
-        bits = _bits(col.colors)
-        assert _check_all_pairs(col.graph, bits) == queue_check_all_pairs(col.graph, bits)
-
-    def test_witness_is_naive_smallest_failing_pair(self):
-        graphs = connected_graphs_up_to(6)
-        assert len(graphs) == 52
-        failing = 0
-        for g in graphs:
-            for k in range(1, min(3, g.m) + 1):
-                for colors in canonical_colorings(g.m, k):
-                    ok, witness = is_rainbow_connected(EdgeColoring(g, colors, k))
-                    assert witness == naive_failing_pair(g, colors)
-                    assert ok == (witness is None)
-                    failing += not ok
-        assert failing > 1000
 
     def test_single_vertex(self):
         assert _check_all_pairs(Graph(1, ()), []) == (True, None)
@@ -414,7 +332,7 @@ class TestLevelSearchMatchesQueue:
 
     def test_disconnected(self):
         g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-        bits = _bits((1, 2, 1))
+        bits = color_bits((1, 2, 1))
         assert _check_all_pairs(g, bits) == (False, (0, 3))
         assert queue_check_all_pairs(g, bits) == (False, (0, 3))
 
@@ -423,27 +341,8 @@ class TestLevelSearchMatchesQueue:
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         colors = (1, 2, 3, 3)
         assert naive_failing_pair(g, colors) == (3, 4)
-        assert _check_all_pairs(g, _bits(colors)) == (False, (3, 4))
-        assert queue_check_all_pairs(g, _bits(colors)) == (False, (3, 4))
-
-
-def _recolorings(col, rng, count):
-    """``count`` copies of ``col``, each with one random edge recolored to a
-    color already used at one of its ends, as bit lists."""
-    g = col.graph
-    at = [set() for _ in range(g.n)]
-    for (u, v), c in zip(g.edges, col.colors):
-        at[u].add(c)
-        at[v].add(c)
-    out = []
-    for eid in rng.sample(range(g.m), min(count, g.m)):
-        u, v = g.edges[eid]
-        other = sorted((at[u] | at[v]) - {col.colors[eid]})
-        if other:
-            colors = list(col.colors)
-            colors[eid] = rng.choice(other)
-            out.append(_bits(colors))
-    return out
+        assert _check_all_pairs(g, color_bits(colors)) == (False, (3, 4))
+        assert queue_check_all_pairs(g, color_bits(colors)) == (False, (3, 4))
 
 
 class TestGroupedSearch:
@@ -452,68 +351,26 @@ class TestGroupedSearch:
     constructions produce, with one edge moved into a neighbouring color
     class so that some of them fail."""
 
-    def _assert_matches(self, cols, seed):
+    @pytest.mark.parametrize("kind, seed", [("packing", 1), ("cubic", 2)])
+    def test_recolored_colorings(self, kind, seed):
         rng = random.Random(seed)
         verdicts = set()
-        for col in cols:
-            for bits in _recolorings(col, rng, 12):
+        for col, cert in certified_colorings()[kind]:
+            assert cert.verified
+            for bits in recolorings(col, rng, 12):
                 got = _check_all_pairs(col.graph, bits)
                 assert got == queue_check_all_pairs(col.graph, bits)
                 verdicts.add(got[0])
         assert verdicts == {True, False}
 
-    def test_packing_colorings(self):
-        cols = []
-        for seed in range(8):
-            g = connected_gnp(9, 0.45, seed)
-            col, cert = color_packing(g, pack_edge_disjoint(g, "greedy"))
-            assert cert.verified
-            cols.append(col)
-        self._assert_matches(cols, 1)
-
-    def test_cubic_colorings(self):
-        cols = []
-        for g in (complete_graph(4), random_cubic(6, 1), random_cubic(8, 2)):
-            col, cert = color_cubic_iterated(g)
-            assert cert.verified
-            cols.append(col)
-        self._assert_matches(cols, 2)
-
     def test_adjacency_groups_by_color(self):
         # star 0-1, 0-2, 0-3, 0-4 plus 1-2, colors 1, 2, 1, 2, 2
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
-        adj = _adjacency(g, _bits((1, 2, 1, 2, 2)))
+        adj = _adjacency(g, color_bits((1, 2, 1, 2, 2)))
         assert adj[0] == [[1, [1, 3]], [2, [2, 4]]]
         assert adj[1] == [[1, [0]], [2, [2]]]
         assert adj[2] == [[2, [0, 1]]]
         assert adj[3] == [[1, [0]]] and adj[4] == [[2, [0]]]
-
-
-@cache
-def _look_ahead_inputs():
-    """Named sets of (graph, bits): the certified packing colorings of
-    gnp(40, 0.2), where the look-ahead fires; the same with one edge
-    recolored, so some fail; the same with a tail of two edges of one new
-    color hung at the last vertex, whose end no other vertex reaches; random
-    palettes on small gnp line graphs."""
-    sets = {"certified": [], "recolored": [], "tail": [], "small": []}
-    rng = random.Random(0)
-    for seed in (1, 2):
-        g = connected_gnp(40, 0.2, seed)
-        col, cert = color_packing(g, pack_edge_disjoint(g, "greedy"))
-        assert cert.verified
-        lg, bits = col.graph, _bits(col.colors)
-        sets["certified"].append((lg, bits))
-        sets["recolored"] += [(lg, recolored) for recolored in _recolorings(col, rng, 4)]
-        tail = ((lg.n - 1, lg.n), (lg.n, lg.n + 1))
-        new = 1 << max(col.colors)
-        sets["tail"].append((build_graph(lg.n + 2, lg.edges + tail), bits + [new, new]))
-    for seed in range(120):
-        rng = random.Random(seed)
-        lg = line_graph(connected_gnp(rng.randint(8, 12), rng.uniform(0.2, 0.6), seed)).l_graph
-        k = rng.randint(2, 12)
-        sets["small"].append((lg, _bits(rng.randint(1, k) for _ in range(lg.m))))
-    return sets
 
 
 class TestLookAheadMatchesQueue:
@@ -528,7 +385,7 @@ class TestLookAheadMatchesQueue:
     )
     def test_matches_queue(self, name, verdicts):
         seen = set()
-        for g, bits in _look_ahead_inputs()[name]:
+        for g, bits in look_ahead_inputs()[name]:
             got = _check_all_pairs(g, bits)
             assert got == queue_check_all_pairs(g, bits)
             seen.add(got[0])
@@ -536,7 +393,7 @@ class TestLookAheadMatchesQueue:
 
     def test_tail_end_is_the_witness(self):
         # the tail's end is the last vertex, and source 0 reaches every other
-        for g, bits in _look_ahead_inputs()["tail"]:
+        for g, bits in look_ahead_inputs()["tail"]:
             assert _check_all_pairs(g, bits) == (False, (0, g.n - 1))
 
     def test_look_ahead_ends_early_and_fails(self, monkeypatch):
@@ -560,7 +417,7 @@ class TestLookAheadMatchesQueue:
 
         monkeypatch.setattr(oracle, "_reaches", counted_reaches)
         monkeypatch.setattr(oracle, "_first_unreached", counted_search)
-        for inputs in _look_ahead_inputs().values():
+        for inputs in look_ahead_inputs().values():
             for g, bits in inputs:
                 _check_all_pairs(g, bits)
         assert any(ended_early) and any(failed)
@@ -612,7 +469,7 @@ class TestLookAheadOrder:
 
     def test_look_ahead_inputs(self):
         verdicts, seen = set(), []
-        for inputs in _look_ahead_inputs().values():
+        for inputs in look_ahead_inputs().values():
             for g, bits in inputs:
                 (ok, _), checks = _checks_in_both_orders(_adjacency(g, bits))
                 verdicts.add(ok)
@@ -628,8 +485,7 @@ class TestLookAheadOrder:
             seen.extend(checks)
             return verdict
 
-        lgs = [line_graph(connected_gnp(7, 0.35, s * 1_000_003)).l_graph for s in range(1, 9)]
-        lgs = [lg for lg in lgs if lg.m <= 12]
+        lgs = [lg for lg in ensemble_line_graphs()[:8] if lg.m <= 12]
         assert len(lgs) == 4
         monkeypatch.setattr(oracle, "_check_adjacency", check)
         for lg in lgs:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corpus import canonical_form, pack_as_color, small_graphs, sweep_instances
 from helpers import (
     blocks_is_forest,
     brute_force_max_packing,
-    canonical_form,
     comp_map_pack,
     detach_edge,
     reclassify_build_transformed,
@@ -26,12 +26,10 @@ from rainbowline.families import (
     cycle_graph,
     friendship_graph,
     path_graph,
-    random_cubic,
     shared_vertex_triangle_chain,
     triangle_ring,
 )
 from rainbowline.graphs import build_graph, components, is_connected
-from rainbowline.linegraph import line_graph
 from rainbowline.triangles import (
     DEFAULT_EXACT_CAP,
     PACK_MODES,
@@ -46,14 +44,6 @@ from rainbowline.triangles import (
 )
 
 BOWTIE = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-
-
-@st.composite
-def small_graphs(draw, min_n=3, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    pairs = list(combinations(range(n), 2))
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    return build_graph(n, sorted(chosen))
 
 
 class TestEnumerate:
@@ -105,14 +95,14 @@ class TestPacking:
             plain = mode.removeprefix("forest_")
             assert any(comp_map_pack(g, mode) != comp_map_pack(g, plain) for g in graphs)
 
-    @given(small_graphs())
+    @given(small_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_exact_matches_brute_force(self, g):
         tris = enumerate_triangles(g)
         assume(len(tris) <= 10)
         assert pack_edge_disjoint(g, "exact").t == brute_force_max_packing(g, tris)
 
-    @given(small_graphs())
+    @given(small_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_exact_at_least_greedy(self, g):
         assume(len(enumerate_triangles(g)) <= 12)
@@ -122,7 +112,7 @@ class TestPacking:
             >= pack_edge_disjoint(g, "forest_greedy").t
         )
 
-    @given(small_graphs(), st.sampled_from(PACK_MODES))
+    @given(small_graphs(min_n=3), st.sampled_from(PACK_MODES))
     @settings(max_examples=60, deadline=None)
     def test_packing_is_edge_disjoint(self, g, mode):
         assume(len(enumerate_triangles(g)) <= 12)
@@ -162,7 +152,7 @@ class TestClassify:
         with pytest.raises(InputError, match="shares an edge"):
             classify_structure(g, tris[:2])
 
-    @given(small_graphs())
+    @given(small_graphs(min_n=3))
     @settings(max_examples=60, deadline=None)
     def test_forest_iff_vertex_count(self, g):
         # independent characterization: 2*t_i + 1 vertices per component
@@ -178,7 +168,7 @@ class TestClassify:
         for seed in range(40):
             g = connected_gnp(6 + seed % 6, 0.5, seed=6000 + seed)
             for mode in PACK_MODES:
-                p = _pack(g, mode)
+                p = pack_as_color(g, mode)
                 assert p.is_forest == blocks_is_forest(g, p)
                 verdicts.update(p.is_forest)
         assert verdicts == {True, False}
@@ -201,7 +191,7 @@ class TestDetachEdge:
         out, _ = detach_edge(g, 0)
         assert canonical_form(out) == canonical_form(path_graph(6))
 
-    @given(small_graphs())
+    @given(small_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
     def test_edge_count_grows_by_one(self, g):
         eligible = [
@@ -268,40 +258,10 @@ class TestSplitVertex:
             split_vertex(out, 0, [t1], [t2])
 
 
-def _pack(g, mode):
-    """Pack as ``rainbowline color`` does: exact modes fall back to greedy
-    past the triangle cap."""
-    try:
-        return pack_edge_disjoint(g, mode)
-    except LimitError:
-        return pack_edge_disjoint(g, mode.replace("exact", "greedy"))
-
-
-def _sweep_instances():
-    for seed in range(16):
-        g = connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
-        for mode in PACK_MODES:
-            yield f"gnp-{seed}-{mode}", g, _pack(g, mode)
-    for n in (8, 10, 20):
-        lg = line_graph(random_cubic(n, seed=n))
-        stars = [make_triangle(lg.l_graph, *lg.star_of[v]) for v in range(n)]
-        yield f"cubic-{n}", lg.l_graph, classify_structure(lg.l_graph, stars)
-    for name, g in (
-        ("example31", bridged_triangle_chain(6)),
-        ("example32", shared_vertex_triangle_chain(6)),
-        ("triangle_ring-3", triangle_ring(3)),
-        ("triangle_ring-8", triangle_ring(8)),
-    ):
-        yield name, g, pack_edge_disjoint(g, "exact")
-
-
-SWEEP_INSTANCES = {name: (g, p) for name, g, p in _sweep_instances()}
-
-
 class TestSweepMatchesReclassify:
-    @pytest.mark.parametrize("name", sorted(SWEEP_INSTANCES))
+    @pytest.mark.parametrize("name", sorted(sweep_instances()))
     def test_same_result(self, name):
-        g, p = SWEEP_INSTANCES[name]
+        g, p = sweep_instances()[name]
         sweep = build_transformed(g, p)
         reference, reference_graphs = reclassify_build_transformed(g, p)
         assert sweep.trace.source == reference.trace.source
@@ -313,12 +273,12 @@ class TestSweepMatchesReclassify:
         assert final.c == p.c
         assert sweep.trace.split_count == p.op
 
-    @pytest.mark.parametrize("name", sorted(SWEEP_INSTANCES))
+    @pytest.mark.parametrize("name", sorted(sweep_instances()))
     def test_opposite_sides_after_renames(self, name):
         """Every flattened triangle's ``opposite(x)`` is the final graph's edge
         between its other two corners, so the star rules can read their
         special edges from the triangles' sides."""
-        g, p = SWEEP_INSTANCES[name]
+        g, p = sweep_instances()[name]
         result = build_transformed(g, p)
         final = replay_trace(result.trace)
         for tri in result.triangles:
@@ -332,7 +292,7 @@ class TestSweepMatchesReclassify:
         moves at lower corners, sort differently from their packing indices:
         a sweep in packing-index order can choose other splits there."""
         repeated_vertex = two_corners = reordered = 0
-        for g, p in SWEEP_INSTANCES.values():
+        for g, p in sweep_instances().values():
             index = {frozenset(tri.edge_ids): i for i, tri in enumerate(p.triangles)}
             splits = [s for s in build_transformed(g, p).trace.steps if isinstance(s, VertexSplitStep)]
             vertices = [s.vertex for s in splits]
