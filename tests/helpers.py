@@ -30,7 +30,8 @@ Layer -> reference -> the test that compares it with the package:
 - construction (``coloring._construct``, the star rules of
   ``color_triangle_tree`` included): ``part_by_part_construction``, by
   ``recursive_tree_assignment`` per forest component and ``pull_back`` ->
-  ``TestConstructMatchesReference``.
+  ``TestConstructMatchesReference``; the star rules alone, one case per
+  instance -> ``TestTreeColoringMatchesRecursion``.
 - ``m - m1`` (``coloring.color_iterated_baseline``):
   ``hand_built_iterated_baseline`` -> ``TestIterated``.
 

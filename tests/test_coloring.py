@@ -533,6 +533,50 @@ class TestProjectionMatchesPullBack:
         assert splits >= 5 and detaches >= 20
 
 
+def _assert_matches_recursion(g: Graph, packing) -> None:
+    result = build_transformed(g, packing)
+    final = replay_trace(result.trace)
+    flat = classify_structure(final, result.triangles)
+    lg = line_graph(final)
+    for comp in flat.components:
+        tris = [flat.triangles[i] for i in comp]
+        part = tree_part(lg, tris)
+        assert part == recursive_tree_assignment(lg, tris)[0]
+        assert part.k == len(tris) + 1
+
+
+class TestTreeColoringMatchesRecursion:
+    """``color_triangle_tree`` against ``helpers.recursive_tree_assignment``
+    on every forest component of the flattened structure, one case per
+    instance, so a failure names its graph; ``TestConstructMatchesReference``
+    runs the same reference through ``part_by_part_construction``."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("mode", PACK_MODES)
+    def test_gnp_packings(self, seed, mode):
+        g = sample_gnp(seed)
+        _assert_matches_recursion(g, pack_edge_disjoint(g, mode))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cubic_star_packings(self, seed):
+        _assert_matches_recursion(*cubic_star_packing(8 + 2 * seed, seed))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 12])
+    def test_example32(self, k):
+        g = gen_family("example32", k=k)
+        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
+
+    @pytest.mark.parametrize("r", range(3, 64))
+    def test_triangle_ring(self, r):
+        g = triangle_ring(r)
+        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
+
+    @pytest.mark.parametrize("f", range(1, 7))
+    def test_friendship(self, f):
+        g = friendship_graph(f)
+        _assert_matches_recursion(g, pack_edge_disjoint(g, "greedy"))
+
+
 class TestConstructMatchesReference:
     def test_star_rules_match_part_by_part(self, monkeypatch):
         """``_construct`` gives ``helpers.part_by_part_construction``'s
