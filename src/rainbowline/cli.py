@@ -13,14 +13,14 @@ from pathlib import Path
 
 from . import triangles
 from .coloring import (
-    GREEDY_FALLBACK,
     THEOREMS,
     EdgeColoring,
     Run,
+    choose_packing,
     color,
+    color_forest_packing,
     color_packing,
     general_from_forest,
-    pick_packing,
 )
 from .errors import InputError, InvariantViolation, LimitError
 from .families import FAMILIES, connected_gnp, gen_family, random_cubic
@@ -250,22 +250,19 @@ _BENCH_FIELDS = [
 def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> dict:
     prof = degree_profile(g)
     row: dict = {"index": index, "seed": seed, "n": g.n, "m": g.m, "n2": prof.n2}
-    forest = color(g, "31")
-    general_pack, general_mode = pick_packing(g, "32")
-    if general_pack == forest.packing:
+    packings = triangles.pack_modes(g)
+    forest_pack, forest_mode = choose_packing(packings.__getitem__, "31")
+    forest = Run(forest_pack, forest_mode, *color_forest_packing(g, forest_pack))
+    general_pack, general_mode = choose_packing(packings.__getitem__, "32")
+    if general_pack == forest_pack:
         # a triangle-forest, so op = 0 and theorem 32 builds theorem 31's coloring
         general = general_from_forest(forest, general_mode)
     else:
         general = Run(general_pack, general_mode, *color_packing(g, general_pack))
     runs = {"forest": forest, "general": general}
-    used = {run.mode: run.packing for run in runs.values()}
-    for mode in triangles.PACK_MODES:
-        packing = used.get(mode)
-        # ``color`` used an exact mode's greedy fallback only because that
-        # exact mode's cap tripped, so its column stays empty
-        if packing is None and GREEDY_FALLBACK.get(mode) not in used:
-            packing = triangles.pack_edge_disjoint(g, mode)
-        row[f"t_{mode}"] = packing.t if packing else ""
+    for mode, packing in packings.items():
+        # an exact column past the search's cap stays empty
+        row[f"t_{mode}"] = "" if packing is None else packing.t
     row["c"] = general_pack.c
     row["n2_prime"] = general_pack.n2_prime
     row["op"] = general_pack.op

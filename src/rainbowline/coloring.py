@@ -14,16 +14,16 @@ construction builds exactly one line graph, L(H). ``n2 - t`` and
 triangles, and ``m - m1`` on L(G) with no triangles. Each of these four
 back ends returns its coloring with a certificate recording the bound, the
 palette size, and the verifier verdict. ``color`` is the entry point: it picks
-the packing for ``31`` and ``32`` (``pick_packing``) and dispatches to the
-back end.
+the packing for ``31`` and ``32`` (``pick_packing``, whose fallback rule
+``choose_packing`` the bench rows share) and dispatches to the back end.
 """
 
 import heapq
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .errors import InputError, InvariantViolation, LimitError
+from .errors import InputError, InvariantViolation
 from .graphs import Graph, degree_profile, edge_key, is_connected
 from .linegraph import LineGraphResult, line_graph
 from .triangles import (
@@ -35,6 +35,7 @@ from .triangles import (
     classify_structure,
     make_triangle,
     pack_edge_disjoint,
+    pack_modes,
 )
 
 THEOREMS = ("31", "32", "cubic", "iterated")
@@ -368,17 +369,25 @@ def pick_packing(g: Graph, theorem: str, pack: str | None = None) -> tuple[Trian
     """The packing ``color`` uses for theorem ``31`` or ``32``, and its mode.
 
     ``pack`` if given, and a ``LimitError`` from that mode propagates.
-    Otherwise ``DEFAULT_PACK``'s exact mode, or its ``GREEDY_FALLBACK`` when
-    the instance has more triangles than the exact search's cap.
+    Otherwise ``choose_packing`` on ``g``'s packings, each packed only when
+    the rule reads it.
     """
-    mode = DEFAULT_PACK[theorem] if pack is None else pack
-    try:
-        return pack_edge_disjoint(g, mode), mode
-    except LimitError:
-        if pack is not None:
-            raise
+    if pack is not None:
+        return pack_edge_disjoint(g, pack), pack
+    return choose_packing(lambda mode: pack_modes(g, (mode,))[mode], theorem)
+
+
+def choose_packing(packed: Callable[[str], TrianglePacking | None], theorem: str) -> tuple[TrianglePacking, str]:
+    """The default packing of theorem ``31`` or ``32`` and its mode, given
+    each mode's packing (``None`` past the exact search's cap, as in
+    ``pack_modes``): ``DEFAULT_PACK``'s exact mode, or its
+    ``GREEDY_FALLBACK`` when that packing is ``None``.
+    """
+    mode = DEFAULT_PACK[theorem]
+    if (packing := packed(mode)) is None:
         mode = GREEDY_FALLBACK[mode]
-        return pack_edge_disjoint(g, mode), mode
+        packing = packed(mode)
+    return packing, mode
 
 
 def general_from_forest(forest: Run, mode: str) -> Run:

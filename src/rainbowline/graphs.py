@@ -6,7 +6,7 @@ function, so results can be shared freely.
 """
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -163,26 +163,6 @@ def build_graph(
         where = "" if lines is None else f"line {lines[len(edges)]}: "
         raise InputError(f"{where}{problem} ({u}, {v})")
     return Graph(n, tuple(edges))
-
-
-def components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    out: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out
 
 
 def is_connected(g: Graph) -> bool:

@@ -4,6 +4,8 @@ A packing's induced subgraph splits into components; a component is a
 triangle-forest when every block of it is a single triangle, equivalently
 when its triangle-vertex incidence graph is a tree, that is when it has
 ``2*t_i + 1`` vertices. ``classify_structure`` tests the vertex count.
+``pack_edge_disjoint`` packs in one mode; ``pack_modes`` packs in several
+from one enumeration and classifies each distinct pick once.
 
 ``build_transformed`` first detaches every non-triangle edge between covered
 vertices (an ``EdgeDetachStep``: two pendant edges replace it), then
@@ -237,6 +239,13 @@ def _pack_exact(tris: Sequence[Triangle], forest: bool) -> list[Triangle]:
     return [tris[i] for i in best]
 
 
+def _select(tris: Sequence[Triangle], mode: str) -> list[Triangle]:
+    if mode not in PACK_MODES:
+        raise InputError(f"unknown packing mode {mode!r}")
+    forest = mode.startswith("forest")
+    return _pack_greedy(tris, forest) if mode.endswith("greedy") else _pack_exact(tris, forest)
+
+
 def pack_edge_disjoint(g: Graph, mode: str = "greedy") -> TrianglePacking:
     """Pick pairwise edge-disjoint triangles and classify the structure.
 
@@ -244,15 +253,27 @@ def pack_edge_disjoint(g: Graph, mode: str = "greedy") -> TrianglePacking:
     subsets and raise ``LimitError`` above ``DEFAULT_EXACT_CAP`` triangles.
     Forest modes additionally keep the structure a triangle-forest.
     """
-    if mode not in PACK_MODES:
-        raise InputError(f"unknown packing mode {mode!r}")
+    return classify_structure(g, _select(enumerate_triangles(g), mode))
+
+
+def pack_modes(g: Graph, modes: Sequence[str] = PACK_MODES) -> dict[str, TrianglePacking | None]:
+    """``pack_edge_disjoint(g, mode)`` for each mode, from one enumeration of
+    the triangles, with ``None`` for an exact mode past ``DEFAULT_EXACT_CAP``.
+    Each distinct triangle set is classified once: modes that pick the same
+    triangles share one packing."""
     tris = enumerate_triangles(g)
-    forest = mode.startswith("forest")
-    if mode.endswith("greedy"):
-        chosen = _pack_greedy(tris, forest)
-    else:
-        chosen = _pack_exact(tris, forest)
-    return classify_structure(g, chosen)
+    out: dict[str, TrianglePacking | None] = {}
+    classified: dict[tuple[Triangle, ...], TrianglePacking] = {}
+    for mode in modes:
+        try:
+            chosen = tuple(sorted(_select(tris, mode)))
+        except LimitError:
+            out[mode] = None
+            continue
+        if chosen not in classified:
+            classified[chosen] = classify_structure(g, chosen)
+        out[mode] = classified[chosen]
+    return out
 
 
 def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacking:

@@ -3,7 +3,7 @@
 A set read by more than one test is a cached function: it is built on first
 use and shared by every test module after that. The sets: the exhaustive
 small connected graphs, the benchmark's ``ensemble`` line graphs, the layer
-tests' gnp sample, the cubic vertex-star packings, the certified colorings,
+tests' gnp sample, the packing tests' gnp graphs, the cubic vertex-star packings, the certified colorings,
 and the named inputs of the exact search, the flattening sweep, the
 construction and the verifier's look-ahead. Also the generators that make
 them: the isomorphism-free graph growth, a hypothesis strategy for small
@@ -128,6 +128,12 @@ def ensemble_line_graphs() -> tuple[Graph, ...]:
 def sample_gnp(seed: int) -> Graph:
     """The gnp sample the layer tests share, n = 8..12 as the seed goes."""
     return connected_gnp(8 + seed % 5, 0.45, seed=7000 + seed)
+
+
+@cache
+def packing_gnp() -> tuple[Graph, ...]:
+    """The packing tests' 60 gnp graphs, n = 5..10 at p = 0.5."""
+    return tuple(connected_gnp(5 + seed % 6, 0.5, seed=5000 + seed) for seed in range(60))
 
 
 @cache

@@ -34,6 +34,8 @@ Layer -> reference -> the test that compares it with the package:
   instance -> ``TestTreeColoringMatchesRecursion``.
 - ``m - m1`` (``coloring.color_iterated_baseline``):
   ``hand_built_iterated_baseline`` -> ``TestIterated``.
+- connectivity (``graphs.is_connected``): ``components`` ->
+  ``test_graphs.py`` ``test_connected_iff_one_component``.
 
 Everything here avoids the package's search machinery so the two sides of
 each check stay independent. The exceptions are ``relabel_exact_rc``, which
@@ -42,8 +44,9 @@ count the checks, and ``circular_first_unreached``, which shares
 ``oracle._reaches`` so that a test can record the look-ahead checks of both
 orders. Also the tools only tests use: edge-induced subgraphs, vertex-set
 shrinking, star-clique edge ids, the two-color coloring of a lone triangle
-with pendants, trace replay, and the tightness check of the ``m - m1``
-bound.
+with pendants, trace replay, the tightness check of the ``m - m1``
+bound, and a recorder of the triangle enumerations and classifications a
+call makes.
 """
 
 import math
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from rainbowline import oracle
+from rainbowline import coloring, oracle, triangles
 from rainbowline.coloring import (
     ColorPart,
     EdgeColoring,
@@ -702,6 +705,27 @@ def hand_built_iterated_baseline(g: Graph) -> tuple[EdgeColoring, LineGraphResul
     return col, lg2, bound
 
 
+def components(g: Graph) -> list[list[int]]:
+    """The vertex sets of g's components, each sorted, by breadth-first search."""
+    seen = [False] * g.n
+    out: list[list[int]] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in g.adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        out.append(sorted(comp))
+    return out
+
+
 def remove_vertex_components(g: Graph, v: int) -> int:
     """Component count of g - v, for cut-vertex checks."""
     seen = {v}
@@ -719,6 +743,28 @@ def remove_vertex_components(g: Graph, v: int) -> int:
                     seen.add(b)
                     stack.append(b)
     return count
+
+
+def count_packing_work(monkeypatch):
+    """Record the graph of each triangle enumeration and the graph and
+    sorted triangles of each structure classification from here on, for
+    the tests that pin how often the package packs."""
+    enumerated, classified = [], []
+    real_enumerate, real_classify = triangles.enumerate_triangles, triangles.classify_structure
+
+    def counted_enumerate(g):
+        enumerated.append(g)
+        return real_enumerate(g)
+
+    def counted_classify(g, tris):
+        tris = tuple(sorted(tris))
+        classified.append((g, tris))
+        return real_classify(g, tris)
+
+    monkeypatch.setattr(triangles, "enumerate_triangles", counted_enumerate)
+    for module in (triangles, coloring):
+        monkeypatch.setattr(module, "classify_structure", counted_classify)
+    return enumerated, classified
 
 
 def color_single_triangle(lg: LineGraphResult) -> EdgeColoring:

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import count_packing_work
 from rainbowline import cli, coloring, oracle, triangles
 from rainbowline.cli import EXIT_INTERNAL, main, run_bench
-from rainbowline.errors import InputError, InvariantViolation
+from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.families import FAMILIES, complete_graph, cycle_graph, gen_family
 from rainbowline.formats import parse_edge_list, render_edge_list
 from rainbowline.graphs import Graph, diameter
@@ -350,6 +351,24 @@ class TestLinegraphCommand:
         assert g.n == 2 and g.m == 1
 
 
+def _assert_packed_once(enumerated, classified, cubic):
+    """One enumeration per row graph, and each distinct triangle set the
+    packing modes pick on it classified exactly once; a cubic row also
+    classifies its line graph's star packing once."""
+    assert len(enumerated) == len(set(map(id, enumerated)))
+    for g in enumerated:
+        picks = set()
+        for mode in triangles.PACK_MODES:
+            try:
+                picks.add(pack_edge_disjoint(g, mode).triangles)
+            except LimitError:
+                pass
+        on_g = [tris for h, tris in classified if h is g]
+        assert sorted(on_g) == sorted(picks)
+    others = [h for h, _ in classified if all(h is not g for g in enumerated)]
+    assert len(others) == (len(enumerated) if cubic else 0)
+
+
 class TestBench:
     def test_gnp_rows_verified(self, capsys):
         assert (
@@ -396,21 +415,15 @@ class TestBench:
         assert all(r["verified_forest"] is True and r["verified_general"] is True for r in rows)
 
     def test_fallback_rows_pack_each_exact_mode_once(self, monkeypatch):
-        """A row whose bounds fell back to greedy packs 4 times: each bound
-        tries its exact mode and then the greedy one, and the exact columns
-        reuse the trip instead of packing again. The rows are unchanged."""
-        calls = []
-
-        def counted(g, mode="greedy"):
-            calls.append(mode)
-            return pack_edge_disjoint(g, mode)
-
+        """A row past the exact cap enumerates its triangles once and
+        classifies each distinct greedy pick once; no mode is packed again
+        for its column. The rows are unchanged."""
         expected = run_bench("gnp", 9, 0.9, 2, seed=1, max_edges=0)
-        monkeypatch.setattr(triangles, "pack_edge_disjoint", counted)
-        monkeypatch.setattr(coloring, "pack_edge_disjoint", counted)
+        enumerated, classified = count_packing_work(monkeypatch)
         assert run_bench("gnp", 9, 0.9, 2, seed=1, max_edges=0) == expected
-        assert len(calls) == 8
-        assert calls.count("exact") == calls.count("forest_exact") == 2
+        assert len(enumerated) == 2 and len(classified) == 4  # t_greedy 8, t_forest_greedy 4 / 3
+        monkeypatch.undo()
+        _assert_packed_once(enumerated, classified, cubic=False)
 
     @pytest.mark.parametrize(
         "model, n, p, seed, checks, shared",
@@ -423,8 +436,9 @@ class TestBench:
     def test_work_per_row(self, monkeypatch, model, n, p, seed, checks, shared):
         """A row certifies each distinct coloring once and sweeps L(G)'s
         diameter once; ``diam_line`` and ``exact_rc`` share the sweep. A
-        shared general certificate keeps its own bound name. The rows are
-        unchanged."""
+        shared general certificate keeps its own bound name. It enumerates
+        its triangles once and classifies each distinct pick once. The rows
+        are unchanged."""
         expected = run_bench(model, n, p, 3, seed=seed, max_edges=12)
         real_check, real_sweep, real_share = (
             oracle.is_rainbow_connected, Graph.diameter.func, cli.general_from_forest
@@ -448,11 +462,15 @@ class TestBench:
         monkeypatch.setattr(oracle, "is_rainbow_connected", counted_check)
         monkeypatch.setattr(Graph, "diameter", counted)
         monkeypatch.setattr(cli, "general_from_forest", recorded_general)
+        enumerated, classified = count_packing_work(monkeypatch)
         assert run_bench(model, n, p, 3, seed=seed, max_edges=12) == expected
         assert len(verified) == checks
         assert len(sweeps) == 3
         assert len(general) == shared
         assert all(run.certificate.bound_name == "t + n2' + c" for run in general)
+        assert len(enumerated) == 3
+        monkeypatch.undo()
+        _assert_packed_once(enumerated, classified, cubic=model == "random_cubic")
 
     @pytest.mark.parametrize(
         "model, n, p, seed", [("gnp", 8, 0.4, 7), ("gnp", 7, 0.6, 1), ("random_cubic", 8, 0.0, 7)]

@@ -15,6 +15,7 @@ from corpus import (
 )
 from helpers import (
     color_single_triangle,
+    count_packing_work,
     detach_edge,
     hand_built_iterated_baseline,
     induced_by_edges,
@@ -665,6 +666,26 @@ class TestColorEntryPoint:
         assert (run.mode, run.packing.t, run.certificate.colors_used) == (mode, t, colors)
         assert run.packing == pack_edge_disjoint(g, mode)
         assert run.certificate.verified
+
+    @pytest.mark.parametrize(
+        "theorem, g, enumerations",
+        [
+            ("31", gen_family("triangle_ring", r=5), 1),
+            ("32", gen_family("triangle_ring", r=5), 1),
+            ("31", complete_graph(9), 2),  # the exact mode trips its cap, then greedy
+            ("32", complete_graph(9), 2),
+        ],
+    )
+    def test_packs_only_what_it_returns(self, monkeypatch, theorem, g, enumerations):
+        """``color`` packs only the mode it returns, plus the tripped exact
+        mode on a fallback: one or two enumerations and one classification,
+        of the returned packing."""
+        expected = color(g, theorem)
+        enumerated, classified = count_packing_work(monkeypatch)
+        run = color(g, theorem)
+        assert run == expected
+        assert len(enumerated) == enumerations and all(h is g for h in enumerated)
+        assert classified == [(g, run.packing.triangles)]
 
     @pytest.mark.parametrize("theorem, pack", [("31", "forest_exact"), ("32", "exact")])
     def test_requested_exact_mode_raises_past_the_cap(self, theorem, pack):

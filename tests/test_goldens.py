@@ -30,6 +30,8 @@ COMMANDS = {
     "verify_cycle_7_sparse.json": ("verify --family cycle --n 7 --coloring {data}/coloring_cycle_7_sparse.txt", 0),
     # op = 2, 4 and 1: theorem 32 picks a packing other than theorem 31's
     "bench_gnp_7_seed1.csv": ("bench --model gnp --n 7 --p 0.6 --count 3 --seed 1", 0),
+    # both rows are past the exact search's cap: every column of a fallback row
+    "bench_gnp_9_fallback.csv": ("bench --model gnp --n 9 --p 0.9 --count 2 --seed 1 --max-edges 0", 0),
     "run_bench_3_7.txt": ("scripts/run_bench.py 3 7", 0),
     "reproduce_sharpness.txt": ("scripts/reproduce_sharpness.py", 0),
 }

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 from corpus import small_graphs
-from helpers import induced_by_edges, remove_vertex_components, shrink
+from helpers import components, induced_by_edges, remove_vertex_components, shrink
 from rainbowline.errors import InputError
 from rainbowline.families import bridged_triangle_chain, complete_graph, cycle_graph, path_graph
 from rainbowline.graphs import (
     blocks,
     build_graph,
-    components,
     degree_profile,
     diameter,
     is_connected,

@@ -6,11 +6,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import canonical_form, pack_as_color, small_graphs, sweep_instances
+from corpus import (
+    canonical_form,
+    connected_graphs_up_to,
+    dense_gnp,
+    pack_as_color,
+    packing_gnp,
+    sample_gnp,
+    small_graphs,
+    sweep_instances,
+)
 from helpers import (
     blocks_is_forest,
     brute_force_max_packing,
     comp_map_pack,
+    components,
     detach_edge,
     reclassify_build_transformed,
     replay_graphs,
@@ -29,7 +39,7 @@ from rainbowline.families import (
     shared_vertex_triangle_chain,
     triangle_ring,
 )
-from rainbowline.graphs import build_graph, components, is_connected
+from rainbowline.graphs import build_graph, is_connected
 from rainbowline.triangles import (
     DEFAULT_EXACT_CAP,
     PACK_MODES,
@@ -41,6 +51,7 @@ from rainbowline.triangles import (
     enumerate_triangles,
     make_triangle,
     pack_edge_disjoint,
+    pack_modes,
 )
 
 BOWTIE = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
@@ -85,8 +96,7 @@ class TestPacking:
     def test_matches_comp_map_search(self, mode):
         # the union-find forest test chooses exactly the triangles the
         # child-to-parent map did, in every mode
-        graphs = [connected_gnp(5 + seed % 6, 0.5, seed=5000 + seed) for seed in range(60)]
-        graphs = [g for g in graphs if len(enumerate_triangles(g)) <= DEFAULT_EXACT_CAP]
+        graphs = [g for g in packing_gnp() if len(enumerate_triangles(g)) <= DEFAULT_EXACT_CAP]
         assert len(graphs) >= 50
         for g in graphs:
             assert pack_edge_disjoint(g, mode).triangles == comp_map_pack(g, mode)
@@ -95,12 +105,16 @@ class TestPacking:
             plain = mode.removeprefix("forest_")
             assert any(comp_map_pack(g, mode) != comp_map_pack(g, plain) for g in graphs)
 
-    @given(small_graphs(min_n=3))
-    @settings(max_examples=40, deadline=None)
-    def test_exact_matches_brute_force(self, g):
-        tris = enumerate_triangles(g)
-        assume(len(tris) <= 10)
-        assert pack_edge_disjoint(g, "exact").t == brute_force_max_packing(g, tris)
+    def test_exact_matches_brute_force(self):
+        """Every connected graph with up to 7 edges and the gnp graphs with
+        at most 10 triangles: a fixed set, so a search bug that shows on
+        one of them fails every run."""
+        gnp = [g for g in packing_gnp() if len(enumerate_triangles(g)) <= 10]
+        graphs = [*connected_graphs_up_to(7), *gnp]
+        assert len(graphs) == 173
+        for g in graphs:
+            tris = enumerate_triangles(g)
+            assert pack_edge_disjoint(g, "exact").t == brute_force_max_packing(g, tris)
 
     @given(small_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
@@ -123,6 +137,49 @@ class TestPacking:
             used.update(tri.edge_ids)
         if mode.startswith("forest"):
             assert p.all_forest
+
+
+class TestPackModes:
+    """``pack_modes`` gives each mode's ``pack_edge_disjoint`` result from
+    one enumeration, ``None`` where that call raises ``LimitError``, and one
+    shared packing per distinct triangle set."""
+
+    GRAPHS = (
+        *(sample_gnp(seed) for seed in range(48)),
+        *(dense_gnp(seed) for seed in range(30)),
+        complete_graph(7),  # 35 triangles, past the exact search's cap
+    )
+
+    def test_matches_pack_edge_disjoint(self):
+        shared = capped = 0
+        for g in self.GRAPHS:
+            packings = pack_modes(g)
+            assert list(packings) == list(PACK_MODES)
+            for mode, packing in packings.items():
+                try:
+                    expected = pack_edge_disjoint(g, mode)
+                except LimitError:
+                    assert packing is None
+                    capped += 1
+                    continue
+                assert packing == expected
+            picked = [p for p in packings.values() if p is not None]
+            for p, q in combinations(picked, 2):
+                assert (p is q) == (p.triangles == q.triangles)
+                shared += p is q
+        # K7 and 25 dense graphs are past the cap in both exact modes
+        assert capped == 2 * 26 and shared >= 100
+
+    def test_subset_of_modes(self):
+        g = dense_gnp(0)
+        assert pack_modes(g, ("forest_greedy",)) == {"forest_greedy": pack_edge_disjoint(g, "forest_greedy")}
+        assert pack_modes(g, ()) == {}
+
+    def test_unknown_mode_is_an_input_error(self):
+        with pytest.raises(InputError, match="unknown packing mode 'fastest'"):
+            pack_modes(BOWTIE, ("greedy", "fastest"))
+        with pytest.raises(InputError, match="unknown packing mode 'fastest'"):
+            pack_edge_disjoint(BOWTIE, "fastest")
 
 
 class TestClassify:
