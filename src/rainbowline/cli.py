@@ -16,10 +16,10 @@ from .coloring import (
     THEOREMS,
     EdgeColoring,
     Run,
-    choose_packing,
     color,
     color_forest_packing,
     color_packing,
+    default_mode,
     general_from_forest,
 )
 from .errors import InputError, InvariantViolation, LimitError
@@ -164,7 +164,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g, meta = _load_graph(args)
-    colors, k = parse_coloring(Path(args.coloring).read_text(), g.m)
+    colors, k = parse_coloring(Path(args.coloring).read_text())
     coloring = EdgeColoring(g, colors, k)
     ok, witness = is_rainbow_connected(coloring)
     print(f"verified = {str(ok).lower()}")
@@ -250,22 +250,23 @@ _BENCH_FIELDS = [
 def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> dict:
     prof = degree_profile(g)
     row: dict = {"index": index, "seed": seed, "n": g.n, "m": g.m, "n2": prof.n2}
-    packings = triangles.pack_modes(g)
-    forest_pack, forest_mode = choose_packing(packings.__getitem__, "31")
+    picks = triangles.pack_modes(g)
+    forest_mode, general_mode = default_mode(picks, "31"), default_mode(picks, "32")
+    forest_pack = triangles.classify_structure(g, picks[forest_mode])
     forest = Run(forest_pack, forest_mode, *color_forest_packing(g, forest_pack))
-    general_pack, general_mode = choose_packing(packings.__getitem__, "32")
-    if general_pack == forest_pack:
+    if picks[general_mode] == picks[forest_mode]:
         # a triangle-forest, so op = 0 and theorem 32 builds theorem 31's coloring
         general = general_from_forest(forest, general_mode)
     else:
+        general_pack = triangles.classify_structure(g, picks[general_mode])
         general = Run(general_pack, general_mode, *color_packing(g, general_pack))
     runs = {"forest": forest, "general": general}
-    for mode, packing in packings.items():
+    for mode, pick in picks.items():
         # an exact column past the search's cap stays empty
-        row[f"t_{mode}"] = "" if packing is None else packing.t
-    row["c"] = general_pack.c
-    row["n2_prime"] = general_pack.n2_prime
-    row["op"] = general_pack.op
+        row[f"t_{mode}"] = "" if pick is None else len(pick)
+    row["c"] = general.packing.c
+    row["n2_prime"] = general.packing.n2_prime
+    row["op"] = general.packing.op
     if cubic:
         runs["cubic"] = color(g, "cubic")
     else:

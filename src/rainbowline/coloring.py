@@ -15,13 +15,13 @@ triangles, and ``m - m1`` on L(G) with no triangles. Each of these four
 back ends returns its coloring with a certificate recording the bound, the
 palette size, and the verifier verdict. ``color`` is the entry point: it picks
 the packing for ``31`` and ``32`` (``pick_packing``, whose fallback rule
-``choose_packing`` the bench rows share) and dispatches to the back end.
+``default_mode`` the bench rows share) and dispatches to the back end.
 """
 
 import heapq
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, InvariantViolation
 from .graphs import Graph, degree_profile, edge_key, is_connected
@@ -369,25 +369,25 @@ def pick_packing(g: Graph, theorem: str, pack: str | None = None) -> tuple[Trian
     """The packing ``color`` uses for theorem ``31`` or ``32``, and its mode.
 
     ``pack`` if given, and a ``LimitError`` from that mode propagates.
-    Otherwise ``choose_packing`` on ``g``'s packings, each packed only when
-    the rule reads it.
+    Otherwise the ``default_mode`` of the exact mode's and its fallback's
+    picks, from one enumeration; only the chosen pick is classified.
     """
     if pack is not None:
         return pack_edge_disjoint(g, pack), pack
-    return choose_packing(lambda mode: pack_modes(g, (mode,))[mode], theorem)
+    exact = DEFAULT_PACK[theorem]
+    picks = pack_modes(g, (exact, GREEDY_FALLBACK[exact]))
+    mode = default_mode(picks, theorem)
+    return classify_structure(g, picks[mode]), mode
 
 
-def choose_packing(packed: Callable[[str], TrianglePacking | None], theorem: str) -> tuple[TrianglePacking, str]:
-    """The default packing of theorem ``31`` or ``32`` and its mode, given
-    each mode's packing (``None`` past the exact search's cap, as in
+def default_mode(picks: dict[str, tuple[Triangle, ...] | None], theorem: str) -> str:
+    """The default packing mode of theorem ``31`` or ``32``, given each
+    mode's pick (``None`` past the exact search's cap, as in
     ``pack_modes``): ``DEFAULT_PACK``'s exact mode, or its
-    ``GREEDY_FALLBACK`` when that packing is ``None``.
+    ``GREEDY_FALLBACK`` when that pick is ``None``.
     """
     mode = DEFAULT_PACK[theorem]
-    if (packing := packed(mode)) is None:
-        mode = GREEDY_FALLBACK[mode]
-        packing = packed(mode)
-    return packing, mode
+    return mode if picks[mode] is not None else GREEDY_FALLBACK[mode]
 
 
 def general_from_forest(forest: Run, mode: str) -> Run:

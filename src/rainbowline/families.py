@@ -152,18 +152,10 @@ def random_cubic(n: int, seed: int) -> Graph:
     for _ in range(CUBIC_MAX_TRIES):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
-        pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
-        seen = set()
-        simple = True
-        for u, v in pairs:
-            key = (min(u, v), max(u, v))
-            if u == v or key in seen:
-                simple = False
-                break
-            seen.add(key)
-        if not simple:
+        try:
+            g = build_graph(n, zip(stubs[::2], stubs[1::2]))
+        except InputError:  # a loop or a repeated edge: not simple
             continue
-        g = build_graph(n, pairs)
         if is_connected(g):
             return g
     raise LimitError(f"no simple connected cubic sample on {n} vertices in {CUBIC_MAX_TRIES} tries")

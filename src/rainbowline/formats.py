@@ -74,9 +74,10 @@ def render_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_coloring(text: str, m: int) -> tuple[tuple[int, ...], int]:
+def parse_coloring(text: str) -> tuple[tuple[int, ...], int]:
     """Whitespace-separated color ids, one per edge in id order; '#' comments
-    allowed. Returns (colors, k) with k the largest color."""
+    allowed. Returns (colors, k) with k the largest color; ``EdgeColoring``
+    checks the count against the graph."""
     values: list[int] = []
     for lineno, line in _data_lines(text):
         for tok in line.split():
@@ -84,8 +85,6 @@ def parse_coloring(text: str, m: int) -> tuple[tuple[int, ...], int]:
                 values.append(int(tok))
             except ValueError:
                 raise InputError(f"line {lineno}: bad color {tok!r}") from None
-    if len(values) != m:
-        raise InputError(f"coloring has {len(values)} entries for {m} edges")
     if any(c < 1 for c in values):
         raise InputError("colors must be positive integers")
     return tuple(values), max(values, default=1)

@@ -4,8 +4,9 @@ A packing's induced subgraph splits into components; a component is a
 triangle-forest when every block of it is a single triangle, equivalently
 when its triangle-vertex incidence graph is a tree, that is when it has
 ``2*t_i + 1`` vertices. ``classify_structure`` tests the vertex count.
-``pack_edge_disjoint`` packs in one mode; ``pack_modes`` packs in several
-from one enumeration and classifies each distinct pick once.
+``pack_edge_disjoint`` packs in one mode and classifies the pick;
+``pack_modes`` picks in several modes from one enumeration and classifies
+nothing, so a caller classifies only the pick it builds on.
 
 ``build_transformed`` first detaches every non-triangle edge between covered
 vertices (an ``EdgeDetachStep``: two pendant edges replace it), then
@@ -54,7 +55,6 @@ class TrianglePacking:
     components: tuple[tuple[int, ...], ...]
     component_vertices: tuple[frozenset[int], ...]
     t: int
-    t_i: tuple[int, ...]
     c: int
     covered_vertices: frozenset[int]
     n2_prime: int
@@ -256,23 +256,17 @@ def pack_edge_disjoint(g: Graph, mode: str = "greedy") -> TrianglePacking:
     return classify_structure(g, _select(enumerate_triangles(g), mode))
 
 
-def pack_modes(g: Graph, modes: Sequence[str] = PACK_MODES) -> dict[str, TrianglePacking | None]:
-    """``pack_edge_disjoint(g, mode)`` for each mode, from one enumeration of
-    the triangles, with ``None`` for an exact mode past ``DEFAULT_EXACT_CAP``.
-    Each distinct triangle set is classified once: modes that pick the same
-    triangles share one packing."""
+def pack_modes(g: Graph, modes: Sequence[str] = PACK_MODES) -> dict[str, tuple[Triangle, ...] | None]:
+    """Each mode's pick, ``pack_edge_disjoint(g, mode).triangles``, from one
+    enumeration of the triangles, with ``None`` for an exact mode past
+    ``DEFAULT_EXACT_CAP``. Nothing is classified."""
     tris = enumerate_triangles(g)
-    out: dict[str, TrianglePacking | None] = {}
-    classified: dict[tuple[Triangle, ...], TrianglePacking] = {}
+    out: dict[str, tuple[Triangle, ...] | None] = {}
     for mode in modes:
         try:
-            chosen = tuple(sorted(_select(tris, mode)))
+            out[mode] = tuple(sorted(_select(tris, mode)))
         except LimitError:
             out[mode] = None
-            continue
-        if chosen not in classified:
-            classified[chosen] = classify_structure(g, chosen)
-        out[mode] = classified[chosen]
     return out
 
 
@@ -311,7 +305,6 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
         components=tuple(tuple(ix) for ix in comp_tri),
         component_vertices=tuple(comp_verts),
         t=t,
-        t_i=tuple(len(ix) for ix in comp_tri),
         c=c,
         covered_vertices=covered,
         n2_prime=prof.n2 - len(covered),

@@ -45,8 +45,10 @@ count the checks, and ``circular_first_unreached``, which shares
 orders. Also the tools only tests use: edge-induced subgraphs, vertex-set
 shrinking, star-clique edge ids, the two-color coloring of a lone triangle
 with pendants, trace replay, the tightness check of the ``m - m1``
-bound, and a recorder of the triangle enumerations and classifications a
-call makes.
+bound, a recorder of the triangle enumerations and classifications a
+call makes, and the partition-combination and detach-projection checks
+that ``test_observations.py`` and ``test_acceptance.py`` run on their own
+instances.
 """
 
 import math
@@ -873,6 +875,39 @@ def replay_trace(trace: TransformTrace) -> Graph:
     """The flattened graph: every step re-applied from the source. A trace
     keeps no flattened graph, so the tests build it here."""
     return replay_graphs(trace)[-1]
+
+
+def check_partition_combination(g: Graph, groups: Sequence[Sequence[int]]) -> None:
+    """A partition of ``g``'s edges into connected groups, one distinct
+    palette per group, combines to a rainbow coloring with ``g.m`` colors."""
+    parts = [ColorPart({eid: i + 1 for i, eid in enumerate(group)}, len(group)) for group in groups]
+    combined = combine_colorings(g, parts)
+    assert combined.k == g.m
+    ok, witness = oracle.is_rainbow_connected(combined)
+    assert ok, (g, groups, witness)
+
+
+def check_detach_projection(g: Graph) -> bool:
+    """Detach ``g``'s first non-bridge edge with both ends of degree >= 2: the
+    result stays connected, and the distinct coloring of its line graph is
+    rainbow and projects to a rainbow coloring of L(g). False when ``g`` has
+    no such edge, so nothing was checked."""
+    bridge_ids = {next(iter(blk)) for blk in blocks(g).blocks if len(blk) == 1}
+    eligible = [
+        eid
+        for eid, (u, v) in enumerate(g.edges)
+        if g.degree(u) >= 2 and g.degree(v) >= 2 and eid not in bridge_ids
+    ]
+    if not eligible:
+        return False
+    g2, step = detach_edge(g, eligible[0])
+    assert is_connected(g2)
+    lg2 = line_graph(g2).l_graph
+    distinct = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), max(lg2.m, 1))
+    assert oracle._check_all_pairs(lg2, [1 << (c - 1) for c in distinct.colors])[0]
+    projected = coloring.project_coloring(TransformTrace(source=g, steps=(step,)), distinct)
+    assert oracle._check_all_pairs(projected.graph, [1 << (c - 1) for c in projected.colors])[0]
+    return True
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,17 @@ import pytest
 
 from corpus import acceptance_gnp, connected_graphs_up_to, random_edge_partition, small_trees
 from helpers import (
+    check_detach_projection,
     check_iterated_tightness,
-    detach_edge,
+    check_partition_combination,
     naive_failing_pair,
     replay_trace,
 )
 from rainbowline.coloring import (
-    ColorPart,
     EdgeColoring,
     color_cubic_iterated,
     color_forest_packing,
     color_packing,
-    combine_colorings,
     pick_packing,
     project_coloring,
 )
@@ -34,11 +33,10 @@ from rainbowline.families import (
     petersen_graph,
     shared_vertex_triangle_chain,
 )
-from rainbowline.graphs import blocks, build_graph, degree_profile, diameter
+from rainbowline.graphs import build_graph, degree_profile, diameter
 from rainbowline.linegraph import line_graph
 from rainbowline.oracle import _check_all_pairs, canonical_colorings, exact_rc, is_rainbow_connected
 from rainbowline.triangles import (
-    TransformTrace,
     build_transformed,
     classify_structure,
     pack_edge_disjoint,
@@ -157,29 +155,10 @@ def test_8_observation_suite():
         split_checked = 0
         for i in range(50):
             g = _partition_instance(i)
-            rng = random.Random(i)
             # (a) connected edge partition, one distinct palette per part
-            groups = random_edge_partition(g, rng)
-            parts = [
-                ColorPart({eid: j + 1 for j, eid in enumerate(group)}, len(group))
-                for group in groups
-            ]
-            combined = combine_colorings(g, parts)
-            assert _check_all_pairs(g, [1 << (c - 1) for c in combined.colors])[0]
-            # (b) single-step projections
-            bridge_ids = {next(iter(blk)) for blk in blocks(g).blocks if len(blk) == 1}
-            eligible = [
-                eid
-                for eid, (u, v) in enumerate(g.edges)
-                if g.degree(u) >= 2 and g.degree(v) >= 2 and eid not in bridge_ids
-            ]
-            if eligible:
-                g2, step = detach_edge(g, eligible[0])
-                trace = TransformTrace(source=g, steps=(step,))
-                lg2 = line_graph(g2).l_graph
-                col = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), max(lg2.m, 1))
-                projected = project_coloring(trace, col)
-                assert _check_all_pairs(projected.graph, [1 << (c - 1) for c in projected.colors])[0]
+            check_partition_combination(g, random_edge_partition(g, random.Random(i)))
+            # (b) projections through one detach, then through a build's splits
+            check_detach_projection(g)
             packing = pack_edge_disjoint(g, "greedy")
             if not packing.all_forest:
                 result = build_transformed(g, packing)

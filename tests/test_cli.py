@@ -5,9 +5,9 @@ from dataclasses import replace
 import pytest
 
 from helpers import count_packing_work
-from rainbowline import cli, coloring, oracle, triangles
+from rainbowline import cli, coloring, oracle
 from rainbowline.cli import EXIT_INTERNAL, main, run_bench
-from rainbowline.errors import InputError, InvariantViolation, LimitError
+from rainbowline.errors import InputError, InvariantViolation
 from rainbowline.families import FAMILIES, complete_graph, cycle_graph, gen_family
 from rainbowline.formats import parse_edge_list, render_edge_list
 from rainbowline.graphs import Graph, diameter
@@ -310,6 +310,7 @@ class TestVerifyCommand:
         c = tmp_path / "c.txt"
         c.write_text("1\n")
         assert main(["verify", "--file", str(g), "--coloring", str(c)]) == 3
+        assert capsys.readouterr().err == "input error: coloring has 1 entries for 2 edges\n"
 
 
 class TestExactAndBound:
@@ -352,19 +353,15 @@ class TestLinegraphCommand:
 
 
 def _assert_packed_once(enumerated, classified, cubic):
-    """One enumeration per row graph, and each distinct triangle set the
-    packing modes pick on it classified exactly once; a cubic row also
-    classifies its line graph's star packing once."""
+    """One enumeration per row graph, and on it one classification per
+    distinct pick a bound is colored from: theorem 31's, and theorem 32's
+    where it differs. A cubic row also classifies its line graph's star
+    packing once."""
     assert len(enumerated) == len(set(map(id, enumerated)))
     for g in enumerated:
-        picks = set()
-        for mode in triangles.PACK_MODES:
-            try:
-                picks.add(pack_edge_disjoint(g, mode).triangles)
-            except LimitError:
-                pass
+        colored = {coloring.color(g, theorem).packing.triangles for theorem in ("31", "32")}
         on_g = [tris for h, tris in classified if h is g]
-        assert sorted(on_g) == sorted(picks)
+        assert sorted(on_g) == sorted(colored)
     others = [h for h, _ in classified if all(h is not g for g in enumerated)]
     assert len(others) == (len(enumerated) if cubic else 0)
 
@@ -416,8 +413,8 @@ class TestBench:
 
     def test_fallback_rows_pack_each_exact_mode_once(self, monkeypatch):
         """A row past the exact cap enumerates its triangles once and
-        classifies each distinct greedy pick once; no mode is packed again
-        for its column. The rows are unchanged."""
+        classifies the two greedy picks its bounds are colored from; no mode
+        is packed again for its column. The rows are unchanged."""
         expected = run_bench("gnp", 9, 0.9, 2, seed=1, max_edges=0)
         enumerated, classified = count_packing_work(monkeypatch)
         assert run_bench("gnp", 9, 0.9, 2, seed=1, max_edges=0) == expected
@@ -437,8 +434,8 @@ class TestBench:
         """A row certifies each distinct coloring once and sweeps L(G)'s
         diameter once; ``diam_line`` and ``exact_rc`` share the sweep. A
         shared general certificate keeps its own bound name. It enumerates
-        its triangles once and classifies each distinct pick once. The rows
-        are unchanged."""
+        its triangles once and classifies only the picks it colors, each
+        once. The rows are unchanged."""
         expected = run_bench(model, n, p, 3, seed=seed, max_edges=12)
         real_check, real_sweep, real_share = (
             oracle.is_rainbow_connected, Graph.diameter.func, cli.general_from_forest

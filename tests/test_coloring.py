@@ -668,23 +668,25 @@ class TestColorEntryPoint:
         assert run.certificate.verified
 
     @pytest.mark.parametrize(
-        "theorem, g, enumerations",
+        "theorem, g",
         [
-            ("31", gen_family("triangle_ring", r=5), 1),
-            ("32", gen_family("triangle_ring", r=5), 1),
-            ("31", complete_graph(9), 2),  # the exact mode trips its cap, then greedy
-            ("32", complete_graph(9), 2),
+            ("31", gen_family("triangle_ring", r=5)),
+            ("32", gen_family("triangle_ring", r=5)),
+            ("31", sample_gnp(15)),  # the greedy fallback picks other triangles
+            ("32", sample_gnp(15)),
+            ("31", complete_graph(9)),  # the exact mode trips its cap, then greedy
+            ("32", complete_graph(9)),
         ],
     )
-    def test_packs_only_what_it_returns(self, monkeypatch, theorem, g, enumerations):
-        """``color`` packs only the mode it returns, plus the tripped exact
-        mode on a fallback: one or two enumerations and one classification,
-        of the returned packing."""
+    def test_packs_only_what_it_returns(self, monkeypatch, theorem, g):
+        """``color`` picks the exact mode and its fallback from one
+        enumeration and classifies only the returned pick, also when the
+        two picks differ or the exact mode trips its cap."""
         expected = color(g, theorem)
         enumerated, classified = count_packing_work(monkeypatch)
         run = color(g, theorem)
         assert run == expected
-        assert len(enumerated) == enumerations and all(h is g for h in enumerated)
+        assert len(enumerated) == 1 and enumerated[0] is g
         assert classified == [(g, run.packing.triangles)]
 
     @pytest.mark.parametrize("theorem, pack", [("31", "forest_exact"), ("32", "exact")])

@@ -8,29 +8,20 @@ from itertools import combinations
 import pytest
 
 from corpus import random_edge_partition
-from helpers import detach_edge, shrink, split_vertex
-from rainbowline.coloring import ColorPart, EdgeColoring, combine_colorings, project_coloring
+from helpers import check_detach_projection, check_partition_combination, shrink, split_vertex
+from rainbowline.coloring import EdgeColoring, project_coloring
 from rainbowline.families import connected_gnp
-from rainbowline.graphs import blocks, is_connected
+from rainbowline.graphs import is_connected
 from rainbowline.linegraph import line_graph
-from rainbowline.oracle import _check_all_pairs, exact_rc, is_rainbow_connected
+from rainbowline.oracle import _check_all_pairs, exact_rc
 from rainbowline.triangles import TransformTrace, pack_edge_disjoint
 
 
 class TestPartitionCombination:
     @pytest.mark.parametrize("seed", range(25))
     def test_connected_parts_with_distinct_palettes_verify(self, seed):
-        rng = random.Random(seed)
         g = connected_gnp(5 + seed % 4, 0.5, seed=2000 + seed)
-        groups = random_edge_partition(g, rng)
-        parts = [
-            ColorPart({eid: i + 1 for i, eid in enumerate(group)}, len(group))
-            for group in groups
-        ]
-        combined = combine_colorings(g, parts)
-        assert combined.k == g.m
-        ok, witness = is_rainbow_connected(combined)
-        assert ok, (g, groups, witness)
+        check_partition_combination(g, random_edge_partition(g, random.Random(seed)))
 
 
 class TestShrinkMonotone:
@@ -59,24 +50,8 @@ class TestShrinkMonotone:
 class TestDetachProjection:
     @pytest.mark.parametrize("seed", range(25))
     def test_projected_rainbow_survives(self, seed):
-        g = connected_gnp(5 + seed % 4, 0.5, seed=2500 + seed)
-        bridge_ids = {next(iter(blk)) for blk in blocks(g).blocks if len(blk) == 1}
-        eligible = [
-            eid
-            for eid, (u, v) in enumerate(g.edges)
-            if g.degree(u) >= 2 and g.degree(v) >= 2 and eid not in bridge_ids
-        ]
-        if not eligible:
+        if not check_detach_projection(connected_gnp(5 + seed % 4, 0.5, seed=2500 + seed)):
             pytest.skip("no detachable non-bridge edge")
-        g2, step = detach_edge(g, eligible[0])
-        assert is_connected(g2)
-        trace = TransformTrace(source=g, steps=(step,))
-        lg2 = line_graph(g2).l_graph
-        k = max(lg2.m, 1)
-        distinct = EdgeColoring(lg2, tuple(range(1, lg2.m + 1)), k)
-        assert _check_all_pairs(lg2, [1 << (c - 1) for c in distinct.colors])[0]
-        projected = project_coloring(trace, distinct)
-        assert _check_all_pairs(projected.graph, [1 << (c - 1) for c in projected.colors])[0]
 
 
 class TestSplitProjection:
