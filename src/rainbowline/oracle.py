@@ -41,9 +41,19 @@ The look-ahead runs only when the frontier holds more states than the graph
 has vertices, so the level it may save expands more states than there are
 targets to check. ``L`` is then the popcount of any frontier mask
 (``int.bit_count`` needs Python 3.10, the oldest ``requires-python`` allows).
-It checks the targets left in ascending order and stops at the first
-failure. A target that passes is admitted at the next level, so the
-smallest target left is where the last look-ahead stopped.
+A target that ``_reaches`` rejects gets a second check, ``_reaches_in_two``:
+whether an admitted state, at any level, sits at a vertex ``u`` with a walk
+``u - w - t`` of two distinct colors that its mask avoids. Every admitted
+mask is the color set of a walk from ``s`` with distinct colors, so the
+extended walk has distinct colors too and contains a rainbow path to ``t``.
+If every target left passes one check or the other, the source is done;
+otherwise the level is expanded as before. The second check can only end a
+source whose targets are all reachable, never declare a target
+unreachable, so verdicts and witnesses are unchanged. The look-ahead
+checks the targets left in ascending order and stops at the first one both
+checks reject. A target that passes ``_reaches`` is admitted at the next
+level and one that fails it is not, so no target is left below the first
+one ``_reaches`` rejected in the last look-ahead.
 
 ``exact_rc`` searches the canonical colorings for each palette size ``k``
 depth first, coloring the edges in id order, and cuts every prefix that
@@ -111,6 +121,22 @@ def _reaches(row: list[list], visited: list[list[int]], level: int) -> bool:
     return False
 
 
+def _reaches_in_two(adj: list[list[list]], t: int, visited: list[list[int]]) -> bool:
+    """Whether an admitted state at some vertex ``u`` reaches ``t`` by two
+    edges ``u - w - t`` of distinct colors that its mask avoids."""
+    for c1, ws in adj[t]:
+        for w in ws:
+            for c2, us in adj[w]:
+                if c2 == c1:
+                    continue
+                b = c1 | c2
+                for u in us:
+                    for x in visited[u]:
+                        if not x & b:
+                            return True
+    return False
+
+
 def _first_unreached(adj: list[list[list]], s: int) -> int | None:
     """Smallest target ``t > s`` with no rainbow path from ``s``, or ``None``
     as soon as the last target is admitted or sure to be at the next level."""
@@ -124,7 +150,9 @@ def _first_unreached(adj: list[list[list]], s: int) -> int | None:
         if len(frontier) > n:
             level = frontier[0][1].bit_count()
             t = unreached.find(1)
-            while t >= 0 and _reaches(adj[t], visited, level):
+            while t >= 0 and (
+                _reaches(adj[t], visited, level) or _reaches_in_two(adj, t, visited)
+            ):
                 t = unreached.find(1, t + 1)
             if t < 0:
                 return None

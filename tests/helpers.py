@@ -41,14 +41,14 @@ Everything here avoids the package's search machinery so the two sides of
 each check stay independent. The exceptions are ``relabel_exact_rc``, which
 checks each prefix through ``oracle._check_adjacency`` so that a test can
 count the checks, and ``circular_first_unreached``, which shares
-``oracle._reaches`` so that a test can record the look-ahead checks of both
-orders. Also the tools only tests use: edge-induced subgraphs, vertex-set
-shrinking, star-clique edge ids, the two-color coloring of a lone triangle
-with pendants, trace replay, the tightness check of the ``m - m1``
-bound, a recorder of the triangle enumerations and classifications a
-call makes, and the partition-combination and detach-projection checks
-that ``test_observations.py`` and ``test_acceptance.py`` run on their own
-instances.
+``oracle._reaches`` and ``oracle._reaches_in_two`` so that a test can record
+the look-ahead checks of both orders. Also the tools only tests use:
+edge-induced subgraphs, vertex-set shrinking, star-clique edge ids, the
+two-color coloring of a lone triangle with pendants, trace replay, the
+tightness check of the ``m - m1`` bound, a recorder of the triangle
+enumerations and classifications a call makes, and the partition-combination
+and detach-projection checks that ``test_observations.py`` and
+``test_acceptance.py`` run on their own instances.
 """
 
 import math
@@ -306,10 +306,12 @@ def _next_target(unreached: bytearray, t: int) -> int:
 
 
 def circular_first_unreached(adj: list[list[list]], s: int) -> int | None:
-    """Reference for ``oracle._first_unreached``: the same level search, but
-    each look-ahead checks first the target that failed the last one, then
-    the others in circular order, and stops at the first failure. It calls
-    ``oracle._reaches`` through the module, so a test can record the checks
+    """Reference for ``oracle._first_unreached``: the same level search and
+    the same two checks per target, ``oracle._reaches`` and then
+    ``oracle._reaches_in_two``, but each look-ahead starts at the first
+    target that ``_reaches`` rejected in the last one, goes round the others
+    in circular order, and stops at the first target both checks reject. It
+    calls both checks through the module, so a test can record the checks
     of both look-aheads."""
     n = len(adj)
     unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
@@ -322,10 +324,13 @@ def circular_first_unreached(adj: list[list[list]], s: int) -> int | None:
         if len(frontier) > n:
             level = frontier[0][1].bit_count()
             t = stuck if unreached[stuck] else _next_target(unreached, stuck)
+            rejected = []
             for _ in range(left):
                 if not oracle._reaches(adj[t], visited, level):
-                    stuck = t
-                    break
+                    rejected.append(t)
+                    if not oracle._reaches_in_two(adj, t, visited):
+                        stuck = rejected[0]
+                        break
                 t = _next_target(unreached, t)
             else:
                 return None

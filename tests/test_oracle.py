@@ -39,6 +39,7 @@ from rainbowline.triangles import pack_edge_disjoint
 from rainbowline.oracle import (
     _adjacency,
     _check_all_pairs,
+    _reaches_in_two,
     canonical_colorings,
     exact_rc,
     is_rainbow_connected,
@@ -373,10 +374,39 @@ class TestGroupedSearch:
         assert adj[3] == [[1, [0]]] and adj[4] == [[2, [0]]]
 
 
+class TestReachesInTwo:
+    """``_reaches_in_two`` on the path t = 0, w = 1, u = 2 with one admitted
+    mask at ``u``: the walk u - w - t needs two distinct colors, both free
+    in the mask."""
+
+    @staticmethod
+    def reaches(c1, c2, mask):
+        adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [c1, c2])
+        return _reaches_in_two(adj, 0, [[], [], [mask]])
+
+    def test_mask_avoiding_both_colors_passes(self):
+        assert self.reaches(0b001, 0b010, 0b100)
+        assert self.reaches(0b001, 0b010, 0)
+
+    def test_mask_holding_either_color_fails(self):
+        assert not self.reaches(0b001, 0b010, 0b110)
+        assert not self.reaches(0b001, 0b010, 0b101)
+
+    def test_one_color_twice_fails(self):
+        assert not self.reaches(0b001, 0b001, 0)
+        assert not self.reaches(0b001, 0b001, 0b100)
+
+    def test_no_mask_two_edges_away_fails(self):
+        # a mask at t's neighbour is one edge away, not two
+        adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [0b001, 0b010])
+        assert not _reaches_in_two(adj, 0, [[], [0], []])
+
+
 class TestLookAheadMatchesQueue:
-    """Ending a source one level early, once every target left has a free
-    edge from a state of the current level, keeps the verdict and witness of
-    the queue search in ``helpers.queue_check_all_pairs``."""
+    """Ending a source early, once every target left has a free edge from a
+    state of the current level or a two-edge walk of distinct free colors
+    from an admitted state, keeps the verdict and witness of the queue
+    search in ``helpers.queue_check_all_pairs``."""
 
     @pytest.mark.parametrize(
         "name, verdicts",
@@ -397,40 +427,49 @@ class TestLookAheadMatchesQueue:
             assert _check_all_pairs(g, bits) == (False, (0, g.n - 1))
 
     def test_look_ahead_ends_early_and_fails(self, monkeypatch):
-        checks: list[bool] = []
-        ended_early: list[bool] = []
+        checks: list[tuple[str, bool]] = []
+        ended_on: list[str | None] = []
         failed: list[bool] = []
-        reaches = oracle._reaches
+        reaches, reaches_in_two = oracle._reaches, oracle._reaches_in_two
         first_unreached = oracle._first_unreached
 
         def counted_reaches(row, visited, level):
-            checks.append(reaches(row, visited, level))
-            return checks[-1]
+            checks.append(("one edge", reaches(row, visited, level)))
+            return checks[-1][1]
+
+        def counted_in_two(adj, t, visited):
+            checks.append(("two edges", reaches_in_two(adj, t, visited)))
+            return checks[-1][1]
 
         def counted_search(adj, s):
             checks.clear()
             t = first_unreached(adj, s)
-            # a look-ahead in which every target passed ends the search
-            ended_early.append(t is None and checks[-1:] == [True])
-            failed.append(False in checks)
+            # a look-ahead in which every target passed ends the search; a
+            # failed one ends on a target that both checks reject
+            ended = t is None and checks and checks[-1][1]
+            ended_on.append(checks[-1][0] if ended else None)
+            failed.append(("two edges", False) in checks)
             return t
 
         monkeypatch.setattr(oracle, "_reaches", counted_reaches)
+        monkeypatch.setattr(oracle, "_reaches_in_two", counted_in_two)
         monkeypatch.setattr(oracle, "_first_unreached", counted_search)
         for inputs in look_ahead_inputs().values():
             for g, bits in inputs:
                 _check_all_pairs(g, bits)
-        assert any(ended_early) and any(failed)
+        assert {"one edge", "two edges"} <= set(ended_on) and any(failed)
 
 
 _real_reaches, _real_check, _ascending = oracle._reaches, oracle._check_adjacency, oracle._first_unreached
+_real_in_two = oracle._reaches_in_two
 
 
 def _checks_in_both_orders(adj):
     """Check ``adj`` with ``oracle._first_unreached`` and again with
     ``helpers.circular_first_unreached``; assert the same verdict and the
-    same ``_reaches`` checks, one list of ``(target, level, passed)`` per
-    source. Returns the verdict and the lists."""
+    same checks, one list per source of ``(target, level, passed)`` for each
+    ``_reaches`` check and ``(target, None, passed)`` for each
+    ``_reaches_in_two`` check. Returns the verdict and the lists."""
     target = {id(row): t for t, row in enumerate(adj)}
 
     def run(first_unreached):
@@ -441,12 +480,18 @@ def _checks_in_both_orders(adj):
             sources[-1].append((target[id(row)], level, passed))
             return passed
 
+        def recorded_in_two(adj, t, visited):
+            passed = _real_in_two(adj, t, visited)
+            sources[-1].append((t, None, passed))
+            return passed
+
         def search(adj, s):
             sources.append([])
             return first_unreached(adj, s)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_reaches", recorded)
+            patch.setattr(oracle, "_reaches_in_two", recorded_in_two)
             patch.setattr(oracle, "_first_unreached", search)
             return _real_check(adj), sources
 
@@ -456,16 +501,33 @@ def _checks_in_both_orders(adj):
 
 
 def _resumes(checks):
-    """Whether a look-ahead failed and a later one ran in the same source."""
-    return any(not passed for _, _, passed in checks[:-1])
+    """Whether a look-ahead failed and a later one ran in the same source. A
+    look-ahead fails on a target that ``_reaches_in_two`` rejects."""
+    return any(level is None and not passed for _, level, passed in checks[:-1])
+
+
+def _resumes_past_two_edge_pass(checks):
+    """Whether a look-ahead in which some target passed only the two-edge
+    check failed, and a later one ran in the same source. That target is
+    not admitted at the next level, so the next look-ahead starts at it,
+    not at the target the failed one stopped at."""
+    passed_in_two = False
+    for _, level, passed in checks[:-1]:
+        if level is None:
+            if not passed and passed_in_two:
+                return True
+            # a failure ends the look-ahead, so the next one starts afresh
+            passed_in_two = passed
+    return False
 
 
 class TestLookAheadOrder:
     """Scanning the targets left in ascending order makes the same
-    ``_reaches`` checks, in the same order, as resuming at the target that
-    failed the last look-ahead and going round (``circular_first_unreached``):
-    every target below that one passed and was admitted, so it is the
-    smallest target left."""
+    ``_reaches`` and ``_reaches_in_two`` checks, in the same order, as
+    resuming at the first target that ``_reaches`` rejected in the last
+    look-ahead and going round (``circular_first_unreached``): every target
+    below that one passed ``_reaches`` and was admitted at the next level,
+    so it is the smallest target left."""
 
     def test_look_ahead_inputs(self):
         verdicts, seen = set(), []
@@ -476,6 +538,7 @@ class TestLookAheadOrder:
                 seen += checks
         assert verdicts == {True, False}
         assert any(_resumes(checks) for checks in seen)
+        assert any(_resumes_past_two_edge_pass(checks) for checks in seen)
 
     def test_exact_rc_prefix_checks(self, monkeypatch):
         seen = []
