@@ -37,9 +37,16 @@ one there: it is admitted at level ``L + 1`` exactly when some level-``L``
 state has a free edge into it. An older state never qualifies, since it was
 expanded already and would have admitted the target then; so the scan of a
 vertex's masks, newest first, stops at the first mask below ``L`` colors.
-The look-ahead runs only when the frontier holds more states than the graph
-has vertices, so the level it may save expands more states than there are
-targets to check. ``L`` is then the popcount of any frontier mask
+The look-ahead runs once the frontier holds more than ``_LOOK_AHEAD_FACTOR``
+states per target left. It scans about one neighbourhood per target left,
+and the level it may save scans one per frontier state, so it costs a
+fraction of what it can save. Both sides are read from the search; the
+graph's vertex count only bounds the targets left, and a rule read from it
+never fires on long sparse line graphs. A factor above 1 keeps the check
+off deep, narrow searches, whose levels are cheap. The trigger only decides
+when the check runs: the check reads ``visited`` and marks nothing, and when
+it fails the level is expanded as before, so verdicts and witnesses do not
+depend on it. ``L`` is then the popcount of any frontier mask
 (``int.bit_count`` needs Python 3.10, the oldest ``requires-python`` allows).
 A target that ``_reaches`` rejects gets a second check, ``_reaches_in_two``:
 whether an admitted state, at any level, sits at a vertex ``u`` with a walk
@@ -91,6 +98,9 @@ if TYPE_CHECKING:
 
 DEFAULT_COLOR_CAP = 64
 DEFAULT_EDGE_CAP = 12
+# The verifier looks one level ahead once the frontier holds more than this
+# many states per target left (see the module docstring).
+_LOOK_AHEAD_FACTOR = 4
 
 
 def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[list]]:
@@ -147,7 +157,7 @@ def _first_unreached(adj: list[list[list]], s: int) -> int | None:
     visited[s].append(0)
     frontier = [(s, 0)]
     while frontier:
-        if len(frontier) > n:
+        if len(frontier) > _LOOK_AHEAD_FACTOR * left:
             level = frontier[0][1].bit_count()
             t = unreached.find(1)
             while t >= 0 and (

@@ -10,7 +10,9 @@ Layer -> reference -> the test that compares it with the package:
   ``queue_check_all_pairs``, the same state search with a FIFO queue, on
   large ones -> ``TestLevelSearchMatchesQueue``, ``TestGroupedSearch`` and
   ``TestLookAheadMatchesQueue``; ``circular_first_unreached``, the earlier
-  look-ahead order, check by check -> ``TestLookAheadOrder``.
+  look-ahead order, check by check -> ``TestLookAheadOrder``, and with a
+  look-ahead before every level or none, verdicts and witnesses ->
+  ``TestLookAheadTrigger``.
 - exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, every canonical
   coloring in full -> ``TestPrunedSearchMatchesEnumeration``;
   ``relabel_exact_rc``, the search with a private color per uncolored edge,
@@ -55,7 +57,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from rainbowline import coloring, oracle, triangles
 from rainbowline.coloring import (
@@ -74,7 +76,7 @@ from rainbowline.graphs import (
     is_connected,
 )
 from rainbowline.linegraph import LineGraphResult, iterated_line_graph, line_graph
-from rainbowline.oracle import DEFAULT_EDGE_CAP, canonical_colorings, exact_rc
+from rainbowline.oracle import _LOOK_AHEAD_FACTOR, DEFAULT_EDGE_CAP, canonical_colorings, exact_rc
 from rainbowline.triangles import (
     EdgeDetachStep,
     TransformResult,
@@ -305,14 +307,26 @@ def _next_target(unreached: bytearray, t: int) -> int:
     return nxt if nxt >= 0 else unreached.find(1)
 
 
-def circular_first_unreached(adj: list[list[list]], s: int) -> int | None:
+def look_ahead_trigger(states: int, left: int) -> bool:
+    """The package's rule for a look-ahead: the frontier holds more than
+    ``oracle._LOOK_AHEAD_FACTOR`` states per target left."""
+    return states > _LOOK_AHEAD_FACTOR * left
+
+
+def circular_first_unreached(
+    adj: list[list[list]],
+    s: int,
+    trigger: Callable[[int, int], bool] = look_ahead_trigger,
+) -> int | None:
     """Reference for ``oracle._first_unreached``: the same level search and
     the same two checks per target, ``oracle._reaches`` and then
     ``oracle._reaches_in_two``, but each look-ahead starts at the first
     target that ``_reaches`` rejected in the last one, goes round the others
     in circular order, and stops at the first target both checks reject. It
     calls both checks through the module, so a test can record the checks
-    of both look-aheads."""
+    of both look-aheads. A look-ahead runs before a level when
+    ``trigger(frontier states, targets left)`` holds; the default is the
+    package's rule, and a test may pass another one."""
     n = len(adj)
     unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
@@ -321,7 +335,7 @@ def circular_first_unreached(adj: list[list[list]], s: int) -> int | None:
     visited[s].append(0)
     frontier = [(s, 0)]
     while frontier:
-        if len(frontier) > n:
+        if trigger(len(frontier), left):
             level = frontier[0][1].bit_count()
             t = stuck if unreached[stuck] else _next_target(unreached, stuck)
             rejected = []

@@ -1,5 +1,6 @@
 import pathlib
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -23,7 +24,7 @@ from helpers import (
     relabel_exact_rc,
 )
 from rainbowline import oracle
-from rainbowline.coloring import EdgeColoring, color_forest_packing, color_packing
+from rainbowline.coloring import EdgeColoring, color, color_forest_packing, color_packing
 from rainbowline.errors import InputError, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
@@ -32,6 +33,7 @@ from rainbowline.families import (
     cycle_graph,
     path_graph,
     shared_vertex_triangle_chain,
+    triangle_ring,
 )
 from rainbowline.graphs import Graph, build_graph, is_connected
 from rainbowline.linegraph import line_graph
@@ -554,6 +556,44 @@ class TestLookAheadOrder:
         for lg in lgs:
             relabel_exact_rc(lg)
         assert any(_resumes(checks) for checks in seen)
+
+
+def _ring_coloring() -> EdgeColoring:
+    """The theorem-32 coloring of L(triangle_ring(12)), a rung of the
+    ``sharp`` benchmark: a long sparse line graph on 36 vertices."""
+    return color(triangle_ring(12), "32").coloring
+
+
+class TestLookAheadTrigger:
+    """The trigger only decides when a look-ahead runs: a look-ahead marks
+    nothing, and when it fails the level is expanded as before."""
+
+    def test_trigger_cannot_change_a_verdict(self, monkeypatch):
+        ring = _ring_coloring()
+        inputs = [(ring.graph, color_bits(ring.colors))]
+        inputs += [x for xs in look_ahead_inputs().values() for x in xs]
+        every_level = partial(circular_first_unreached, trigger=lambda states, left: True)
+        never = partial(circular_first_unreached, trigger=lambda states, left: False)
+        for g, bits in inputs:
+            expected = queue_check_all_pairs(g, bits)
+            for first_unreached in (every_level, never):
+                monkeypatch.setattr(oracle, "_first_unreached", first_unreached)
+                assert _check_all_pairs(g, bits) == expected
+
+    def test_look_ahead_fires_on_a_long_sparse_line_graph(self, monkeypatch):
+        levels = []
+        reaches = oracle._reaches
+
+        def counted(row, visited, level):
+            levels.append(level)
+            return reaches(row, visited, level)
+
+        monkeypatch.setattr(oracle, "_reaches", counted)
+        ring = _ring_coloring()
+        assert is_rainbow_connected(ring) == (True, None)
+        # a rule read off the vertex count would never fire here, and one that
+        # fires before every level checks at least one target per source
+        assert 0 < len(levels) < ring.graph.n - 1
 
 
 class TestLowerBound:
