@@ -63,7 +63,7 @@ level and one that fails it is not, so no target is left below the first
 one ``_reaches`` rejected in the last look-ahead.
 
 ``exact_rc`` searches the canonical colorings for each palette size ``k``
-depth first, coloring the edges in id order, and cuts every prefix that
+depth first, coloring the edges in a fixed order, and cuts every prefix that
 fails a relaxed check (``_counted_reaches``). A coloring with ``k`` colors
 has no rainbow path of more than ``k`` edges, and a path that is rainbow
 under some completion of a prefix uses distinct colors on its colored edges.
@@ -81,6 +81,41 @@ within the same ``k`` edges, and the subset test ``x & nm == x`` drops the
 new state without a length of its own. The adjacency holds one
 ``[bit, neighbour]`` pair per edge end, built once per call with ``bit = 0`` (uncolored);
 coloring edge ``i`` sets the bit at its two ends and backtracking clears it.
+
+A child that gives edge ``i`` a fresh color, one above every color of its
+prefix, is not checked: it passes whenever its parent passed. A shortest
+walk that passes the relaxed check is a path, since cutting out a closed
+sub-walk keeps the colored edges distinct and the length within ``k``; so
+it crosses edge ``i`` at most once, and a color used on no other edge
+cannot clash. A full coloring reached this way still passes the exact
+check, since its parent's walks do. A reused color can clash, so its child
+is checked. The search tree and the value are unchanged.
+
+The edge order sets the cost by orders of magnitude and no static order wins
+everywhere, so each ``k`` is tried in two orders. Geodesic-first sorts the
+edges by how many diametral vertex pairs have a shortest path through them,
+most first, ties by id (``_geodesic_order``): at ``k`` equal to the diameter
+a diametral pair needs a rainbow shortest path, so prefixes of those edges
+fail first. The second is id order. They take turns under a work budget of
+``_FIRST_BUDGET`` units that doubles after every round, each turn starting
+afresh, and the first to settle ``k``, by a coloring or by a refutation,
+decides it. Each order visits one coloring per partition of the edges into
+``k`` color classes, so both decide the same question and the answer does
+not depend on which one settles. If the better order needs ``W`` units, the
+last round's budget is below ``max(2W, _FIRST_BUDGET)`` and all rounds of
+both orders sum to at most four times that, plus each turn's overrun. The
+unit is work inside ``_counted_reaches``: one per candidate state plus one
+per admitted mask at its vertex, the masks its subset test may scan. A level
+that leaves the budget negative raises ``_OutOfBudget``; a check that passes
+mid-level pays for its work, and the next level to finish raises, so a turn
+overruns its budget by at most about two levels. Prefix checks cannot be the
+unit: their cost spans orders of magnitude with the order. Geodesic-first
+alone on L(example31, t = 12) made 259 ``_counted_reaches`` calls in 20 s,
+648 M units, without settling, while the whole id-order search takes 0.21 s
+(2-vCPU Xeon, Python 3.11.7). An aborted turn restores the bits of every
+edge it colored on the way out (``try``/``finally``), so the next turn
+starts from an uncolored graph.
+
 The search is a loop of its own and shares no code with the verifier's,
 which groups neighbours by color and has no level cap: a loop shared by
 both made the verifier 10-17% slower on the ``sharp`` benchmark's inputs
@@ -88,7 +123,7 @@ both made the verifier 10-17% slower on the ``sharp`` benchmark's inputs
 """
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
 from .graphs import Graph, diameter
@@ -101,6 +136,9 @@ DEFAULT_EDGE_CAP = 12
 # The verifier looks one level ahead once the frontier holds more than this
 # many states per target left (see the module docstring).
 _LOOK_AHEAD_FACTOR = 4
+# exact_rc's first work budget per edge order and palette size, in the units
+# of _counted_reaches; it doubles every round (see the module docstring).
+_FIRST_BUDGET = 65536
 
 
 def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[list]]:
@@ -240,11 +278,18 @@ def check_edge_cap(max_edges: int) -> None:
         raise InputError(f"edge cap must be non-negative, got {max_edges}")
 
 
-def _counted_reaches(adj: list[list[list]], s: int, k: int) -> bool:
+class _OutOfBudget(Exception):
+    """An ``exact_rc`` attempt spent its work budget; caught in
+    ``_settles``, so it never leaves the module."""
+
+
+def _counted_reaches(adj: list[list[list]], s: int, k: int, budget: list) -> bool:
     """Whether every target ``t > s`` has a walk from ``s`` of at most ``k``
     edges whose colored edges have distinct colors. ``adj`` holds one
     ``[bit, neighbour]`` pair per edge end, with ``bit = 0`` while the edge
-    is uncolored."""
+    is uncolored. ``budget[0]`` is the work left: each candidate state costs
+    one unit plus one per admitted mask at its vertex, and a level that
+    leaves it negative raises ``_OutOfBudget``."""
     n = len(adj)
     unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
@@ -253,12 +298,14 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> bool:
     frontier = [(s, 0)]
     for _ in range(k):
         nxt: list[tuple[int, int]] = []
+        work = 0
         for v, mask in frontier:
             for b, w in adj[v]:
                 if b & mask:
                     continue
                 nm = mask | b
                 admitted = visited[w]
+                work += 1 + len(admitted)
                 for x in admitted:
                     if x & nm == x:
                         break
@@ -268,10 +315,121 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> bool:
                     if unreached[w]:
                         left -= 1
                         if not left:
+                            budget[0] -= work
                             return True
                         unreached[w] = 0
+        budget[0] -= work
+        if budget[0] < 0:
+            raise _OutOfBudget
         frontier = nxt
     return False
+
+
+def _geodesic_order(g: Graph) -> list[int]:
+    """Edge ids by how many diametral vertex pairs have a shortest path
+    through the edge, most first, ties by id."""
+    dist = []
+    for s in range(g.n):
+        d = [-1] * g.n
+        d[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in g.adjacency[v]:
+                    if d[w] < 0:
+                        d[w] = d[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        dist.append(d)
+    diam = diameter(g)
+    pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if dist[a][b] == diam]
+    through = [
+        sum(
+            dist[a][u] + 1 + dist[v][b] == diam or dist[a][v] + 1 + dist[u][b] == diam
+            for a, b in pairs
+        )
+        for u, v in g.edges
+    ]
+    return sorted(range(g.m), key=lambda i: -through[i])
+
+
+def _edge_orders(g: Graph) -> list[list[int]]:
+    """The orders ``exact_rc`` tries: geodesic-first, then id order unless
+    it is the same."""
+    ids = list(range(g.m))
+    geodesic = _geodesic_order(g)
+    return [geodesic] if geodesic == ids else [geodesic, ids]
+
+
+def _extends(
+    ends: Sequence[tuple[list, list]], order: Sequence[int], k: int, passes: Callable[[], bool]
+) -> bool:
+    """Whether the edges, colored in ``order`` depth first in the order of
+    ``canonical_colorings``, have a coloring with exactly ``k`` colors all
+    of whose prefixes pass ``passes()``. A child that gives its edge a fresh
+    color is not checked: it passes whenever its parent does (see the module
+    docstring). ``ends[i]`` holds the two mutable ``[bit, ...]`` ends of
+    edge ``i`` in the adjacency ``passes`` reads; coloring the edge sets
+    both bits, and leaving the child, by an exception too, restores them."""
+    m = len(order)
+
+    def extends(j: int, top: int) -> bool:
+        """Whether the prefix ``order[:j]``, colored with ``1..top``,
+        extends."""
+        if j == m:
+            return True
+        at_u, at_v = ends[order[j]]
+        blank = at_u[0]
+        for c in range(1, min(top + 1, k) + 1):
+            t = max(top, c)
+            if k - t > m - j - 1:
+                continue
+            at_u[0] = at_v[0] = 1 << (c - 1)
+            try:
+                found = (c > top or passes()) and extends(j + 1, t)
+            finally:
+                at_u[0] = at_v[0] = blank
+            if found:
+                return True
+        return False
+
+    return passes() and extends(0, 0)
+
+
+def _settles(
+    ends: Sequence[tuple[list, list]],
+    orders: Sequence[Sequence[int]],
+    k: int,
+    passes: Callable[[int, list], bool],
+) -> bool:
+    """Whether some coloring with exactly ``k`` colors passes every prefix
+    check ``passes(k, budget)``. The orders take turns, each with a fresh
+    budget of ``_FIRST_BUDGET`` work units that doubles after every round,
+    and the first to settle ``k``, by a coloring or by a refutation, decides
+    it. A lone order runs unbudgeted."""
+    budget = _FIRST_BUDGET if len(orders) > 1 else math.inf
+    while True:
+        for order in orders:
+            left = [budget]
+            try:
+                return _extends(ends, order, k, lambda: passes(k, left))
+            except _OutOfBudget:
+                pass
+        budget *= 2
+
+
+def _search_rc(
+    lo: int,
+    ends: Sequence[tuple[list, list]],
+    orders: Sequence[Sequence[int]],
+    passes: Callable[[int, list], bool],
+) -> int:
+    """The least ``k >= lo`` that ``_settles``."""
+    for k in range(lo, len(ends) + 1):
+        if _settles(ends, orders, k, passes):
+            return k
+    raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
 def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
@@ -279,20 +437,22 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     colorings.
 
     Tries palette sizes upward from the diameter. For each size ``k`` it
-    colors the edges in id order, depth first, in the order of
-    ``canonical_colorings``, and cuts every prefix in which some pair has no
-    walk of at most ``k`` edges with distinct colors on its colored edges
-    (``_counted_reaches``). The adjacency is built once; coloring an edge
-    sets the bit at its two ends. Raises ``LimitError`` carrying the proven
-    bracket when the instance exceeds ``max_edges``.
+    colors the edges depth first, in the order of ``canonical_colorings``,
+    and cuts every prefix in which some pair has no walk of at most ``k``
+    edges with distinct colors on its colored edges (``_counted_reaches``);
+    a child that takes a fresh color needs no check. Two edge orders take
+    turns under a doubling work budget, geodesic-first and id order, and
+    the first to settle ``k`` decides it (see the module docstring). The
+    adjacency is built once; coloring an edge sets the bit at its two ends.
+    Raises ``LimitError`` carrying the proven bracket when the instance
+    exceeds ``max_edges``.
     """
     check_edge_cap(max_edges)
     lo = rc_lower_bound(g)
     hi = min(g.m, g.n - 1)
-    m = g.m
-    if m > max_edges:
+    if g.m > max_edges:
         raise LimitError(
-            f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
+            f"{g.m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
     adj: list[list[list]] = [[] for _ in range(g.n)]
     ends = []
@@ -301,31 +461,12 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
         adj[u].append(at_u)
         adj[v].append(at_v)
         ends.append((at_u, at_v))
+    sources = range(g.n - 1)
 
-    def extends(i: int, top: int, k: int) -> bool:
-        """Whether the prefix of edges ``0..i-1``, colored in ``adj`` with
-        colors ``1..top``, extends to a rainbow coloring with exactly ``k``
-        colors."""
-        if not all(_counted_reaches(adj, s, k) for s in range(g.n - 1)):
-            return False
-        if i == m:
-            return True
-        at_u, at_v = ends[i]
-        for c in range(1, min(top + 1, k) + 1):
-            t = max(top, c)
-            if k - t > m - i - 1:
-                continue
-            at_u[0] = at_v[0] = 1 << (c - 1)
-            found = extends(i + 1, t, k)
-            at_u[0] = at_v[0] = 0
-            if found:
-                return True
-        return False
+    def passes(k: int, budget: list) -> bool:
+        return all(_counted_reaches(adj, s, k, budget) for s in sources)
 
-    for k in range(lo, m + 1):
-        if extends(0, 0, k):
-            return k
-    raise InvariantViolation("an all-distinct coloring must be rainbow")
+    return _search_rc(lo, ends, _edge_orders(g), passes)
 
 
 def rc_lower_bound(g: Graph) -> int:

@@ -16,7 +16,8 @@ Layer -> reference -> the test that compares it with the package:
 - exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, every canonical
   coloring in full -> ``TestPrunedSearchMatchesEnumeration``;
   ``relabel_exact_rc``, the search with a private color per uncolored edge,
-  value and prefix-check totals -> ``TestCountedMatchesRelabel``.
+  value and prefix-check totals per edge order ->
+  ``TestCountedMatchesRelabel``.
 - packing (``triangles.pack_edge_disjoint``): ``comp_map_pack``, the chosen
   triangles in every mode -> ``test_triangles.py`` ``TestPacking``
   ``test_matches_comp_map_search``; ``brute_force_max_packing``, the exact
@@ -41,8 +42,9 @@ Layer -> reference -> the test that compares it with the package:
 
 Everything here avoids the package's search machinery so the two sides of
 each check stay independent. The exceptions are ``relabel_exact_rc``, which
-checks each prefix through ``oracle._check_adjacency`` so that a test can
-count the checks, and ``circular_first_unreached``, which shares
+runs ``oracle._search_rc`` (the search ``exact_rc`` runs) and checks each
+prefix through ``oracle._check_adjacency`` so that a test can count the
+checks in one edge order, and ``circular_first_unreached``, which shares
 ``oracle._reaches`` and ``oracle._reaches_in_two`` so that a test can record
 the look-ahead checks of both orders. Also the tools only tests use:
 edge-induced subgraphs, vertex-set shrinking, star-clique edge ids, the
@@ -243,19 +245,22 @@ def enumerate_exact_rc(g: Graph) -> int:
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
-def relabel_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
-    """Reference for ``oracle.exact_rc``: the same pruned search, but each
-    prefix check gives every uncolored edge ``i`` a private color
-    ``1 << (m + i)`` that clashes with nothing, and allows walks of any
-    length. It checks each prefix through ``oracle._check_adjacency``, so a
-    test can record the verdicts.
+def relabel_exact_rc(
+    g: Graph, order: Sequence[int] | None = None, max_edges: int = DEFAULT_EDGE_CAP
+) -> int:
+    """Reference for ``oracle.exact_rc``: the same pruned search, in one
+    edge ``order`` (id order by default), but each prefix check gives every
+    uncolored edge ``i`` a private color ``1 << (m + i)`` that clashes with
+    nothing, and allows walks of any length. It checks each prefix through
+    ``oracle._check_adjacency``, so a test can record the verdicts.
 
-    Tries palette sizes upward from the diameter. For each size ``k`` it
-    colors the edges in id order, depth first, in the order of
-    ``canonical_colorings``, and cuts every prefix that fails the relaxed
-    check. The adjacency is built once; coloring an edge relabels the bit of
-    its group at each end. Raises ``LimitError`` carrying the proven bracket
-    when the instance exceeds ``max_edges``.
+    The search is ``oracle._search_rc``, the entry ``exact_rc`` runs with
+    its two orders: palette sizes upward from the diameter, the edges
+    colored depth first in the order of ``canonical_colorings``, every
+    prefix that fails the relaxed check cut, and no check on a child that
+    takes a fresh color. The adjacency is built once; coloring an edge
+    relabels the bit of its group at each end. Raises ``LimitError``
+    carrying the proven bracket when the instance exceeds ``max_edges``.
     """
     oracle.check_edge_cap(max_edges)
     diam = diameter(g)
@@ -273,32 +278,8 @@ def relabel_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     for row in adj:
         for group in row:
             ends[group[0].bit_length() - 1 - m].append(group)
-
-    def extends(i: int, top: int, k: int) -> bool:
-        """Whether the prefix of edges ``0..i-1``, colored in ``adj`` with
-        colors ``1..top``, extends to a rainbow coloring with exactly ``k``
-        colors."""
-        if not oracle._check_adjacency(adj)[0]:
-            return False
-        if i == m:
-            return True
-        at_u, at_v = ends[i]
-        private = at_u[0]
-        for c in range(1, min(top + 1, k) + 1):
-            t = max(top, c)
-            if k - t > m - i - 1:
-                continue
-            at_u[0] = at_v[0] = 1 << (c - 1)
-            found = extends(i + 1, t, k)
-            at_u[0] = at_v[0] = private
-            if found:
-                return True
-        return False
-
-    for k in range(lo, m + 1):
-        if extends(0, 0, k):
-            return k
-    raise InvariantViolation("an all-distinct coloring must be rainbow")
+    order = range(m) if order is None else order
+    return oracle._search_rc(lo, ends, [order], lambda k, budget: oracle._check_adjacency(adj)[0])
 
 
 def _next_target(unreached: bytearray, t: int) -> int:

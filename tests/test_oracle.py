@@ -229,34 +229,40 @@ class TestPrunedSearchMatchesEnumeration:
         assert [exact_rc(lg) for lg in lgs] == [enumerate_exact_rc(lg) for lg in lgs]
 
 
+EDGE_ORDERS = {"geodesic": oracle._geodesic_order, "id": lambda g: list(range(g.m))}
+
+
 class TestCountedMatchesRelabel:
     """``exact_rc`` lets a walk cross uncolored edges freely and caps its
     length at ``k`` by the search level; ``helpers.relabel_exact_rc`` gives
-    each uncolored edge a private color and allows any length. Both return
-    the same value (a ``LimitError`` by its bracket), and the capped search
-    makes no more prefix checks on any graph: a walk that passes the capped
-    check contains a path that passes the private-color one, so it cuts
-    every prefix the other cuts. The totals are pinned because the search
-    without the length cap makes exactly the private-color checks."""
+    each uncolored edge a private color and allows any length. Run in the
+    same edge order, through the same search entry with the same skip of
+    fresh-color children, both return the same value (a ``LimitError`` by
+    its bracket), and the capped search makes no more prefix checks on any
+    graph: a walk that passes the capped check contains a path that passes
+    the private-color one, so it cuts every prefix the other cuts. The
+    totals are pinned per order because the search without the length cap
+    makes exactly the private-color checks. ``exact_rc`` with both orders
+    returns the same value."""
 
     @pytest.mark.parametrize(
-        "name, counted_total, private_total",
+        "name, pinned",
         [
-            ("small", 6377, 7861),
-            ("small_line", 2593, 5613),
-            ("ensemble", 569, 6950),
-            ("cycles", 1073, 7632),
+            ("small", {"geodesic": (3541, 6012), "id": (4847, 6171)}),
+            ("small_line", {"geodesic": (1661, 67527), "id": (2140, 4903)}),
+            ("ensemble", {"geodesic": (304, 41221), "id": (513, 6784)}),
+            ("cycles", {"geodesic": (972, 6852), "id": (972, 6852)}),
         ],
     )
-    def test_same_values_no_more_prefix_checks(self, monkeypatch, name, counted_total, private_total):
+    def test_same_values_no_more_prefix_checks(self, monkeypatch, name, pinned):
         graphs, resolving = exact_search_sets()[name]
         assert len(graphs) == {"small": 131, "small_line": 130, "ensemble": 80, "cycles": 10}[name]
         counted_reaches, check = oracle._counted_reaches, oracle._check_adjacency
         checks = []
 
-        def record_counted(adj, s, k):
+        def record_counted(adj, s, k, budget):
             checks.append(s)  # every prefix check starts at source 0
-            return counted_reaches(adj, s, k)
+            return counted_reaches(adj, s, k, budget)
 
         def record_private(adj):
             checks.append(0)
@@ -272,18 +278,98 @@ class TestCountedMatchesRelabel:
 
         monkeypatch.setattr(oracle, "_counted_reaches", record_counted)
         monkeypatch.setattr(oracle, "_check_adjacency", record_private)
-        totals = [0, 0]
+        totals = {order: [0, 0] for order in EDGE_ORDERS}
         resolved = 0
         for g in graphs:
-            value, counted = run(exact_rc, g)
-            reference, private = run(relabel_exact_rc, g)
-            assert value == reference, g.edges
-            assert counted <= private, g.edges
-            totals[0] += counted
-            totals[1] += private
-            resolved += isinstance(value, int)
+            both, _ = run(exact_rc, g)
+            for order, order_of in EDGE_ORDERS.items():
+                edges = order_of(g)
+                with monkeypatch.context() as one_order:
+                    one_order.setattr(oracle, "_edge_orders", lambda g: [edges])
+                    value, counted = run(exact_rc, g)
+                reference, private = run(partial(relabel_exact_rc, order=edges), g)
+                assert value == reference == both, (order, g.edges)
+                assert counted <= private, (order, g.edges)
+                totals[order][0] += counted
+                totals[order][1] += private
+            resolved += isinstance(both, int)
         assert resolved == resolving
-        assert totals == [counted_total, private_total]
+        assert {order: tuple(t) for order, t in totals.items()} == pinned
+
+
+class TestEdgeOrders:
+    """``exact_rc`` tries the geodesic-first order and the id order under a
+    doubling work budget, and the first to settle a palette size decides
+    it."""
+
+    @staticmethod
+    def _attempts(monkeypatch) -> list[tuple[int, str, object]]:
+        """Record ``(k, order, outcome)`` per attempt, where the outcome is
+        whether ``k`` extends, or ``"spent"`` when the budget ran out."""
+        extends, attempts = oracle._extends, []
+
+        def record(ends, order, k, passes):
+            name = "id" if list(order) == list(range(len(order))) else "geodesic"
+            try:
+                found = extends(ends, order, k, passes)
+            except oracle._OutOfBudget:
+                attempts.append((k, name, "spent"))
+                raise
+            attempts.append((k, name, found))
+            return found
+
+        monkeypatch.setattr(oracle, "_extends", record)
+        return attempts
+
+    def test_geodesic_first_settles_ring4(self, monkeypatch):
+        """The id order makes 95,775 ``_counted_reaches`` calls here."""
+        counted_reaches, calls = oracle._counted_reaches, []
+
+        def record(adj, s, k, budget):
+            calls.append(s)
+            return counted_reaches(adj, s, k, budget)
+
+        monkeypatch.setattr(oracle, "_counted_reaches", record)
+        attempts = self._attempts(monkeypatch)
+        lg = line_graph(triangle_ring(4)).l_graph
+        assert exact_rc(lg, max_edges=28) == 3
+        assert len(calls) < 2000
+        assert attempts[-1] == (3, "geodesic", True)
+
+    def test_id_order_settles_example31(self, monkeypatch):
+        """The geodesic-first order spends its budget on L(example31, t = 6)
+        and the id order settles every palette size."""
+        attempts = self._attempts(monkeypatch)
+        lg = line_graph(bridged_triangle_chain(6)).l_graph
+        assert exact_rc(lg, max_edges=lg.m) == 12
+        assert (12, "geodesic", "spent") in attempts
+        assert attempts[-1] == (12, "id", True)
+
+    def test_aborted_attempt_restores_its_bits(self, monkeypatch):
+        """Every edge end is uncolored again after each attempt."""
+        extends, seen = oracle._extends, []
+
+        def record(ends, order, k, passes):
+            try:
+                return extends(ends, order, k, passes)
+            finally:
+                seen.append([at[0] for pair in ends for at in pair])
+
+        monkeypatch.setattr(oracle, "_extends", record)
+        lg = line_graph(bridged_triangle_chain(6)).l_graph
+        exact_rc(lg, max_edges=lg.m)
+        assert len(seen) > 2
+        assert all(not any(bits) for bits in seen)
+
+    def test_geodesic_order(self):
+        """On the path 0 - 1 - 2 - 3 plus the pendant 1 - 4, the diametral
+        pairs are (0, 3) and (3, 4), and the edges 1 - 2 and 2 - 3 lie on
+        shortest paths of both."""
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+        assert [g.edges[i] for i in oracle._geodesic_order(g)] == [
+            (1, 2), (2, 3), (0, 1), (1, 4)
+        ]
+        assert oracle._edge_orders(path_graph(4)) == [[0, 1, 2]]
 
 
 class TestNaiveAgreement:
