@@ -79,8 +79,9 @@ whose mask is a subset of a new state's came in at an earlier or equal
 level: every walk that extends the new state extends the admitted one
 within the same ``k`` edges, and the subset test ``x & nm == x`` drops the
 new state without a length of its own. The adjacency holds one
-``[bit, neighbour]`` pair per edge end, built once per call with ``bit = 0`` (uncolored);
-coloring edge ``i`` sets the bit at its two ends and backtracking clears it.
+``[bit, neighbour]`` pair per edge end, with ``bit = 0`` while the edge is
+uncolored; coloring edge ``i`` sets the bit at its two ends and
+backtracking clears it.
 
 A child that gives edge ``i`` a fresh color, one above every color of its
 prefix, is not checked: it passes whenever its parent passed. A shortest
@@ -96,25 +97,27 @@ everywhere, so each ``k`` is tried in two orders. Geodesic-first sorts the
 edges by how many diametral vertex pairs have a shortest path through them,
 most first, ties by id (``_geodesic_order``): at ``k`` equal to the diameter
 a diametral pair needs a rainbow shortest path, so prefixes of those edges
-fail first. The second is id order. They take turns under a work budget of
-``_FIRST_BUDGET`` units that doubles after every round, each turn starting
-afresh, and the first to settle ``k``, by a coloring or by a refutation,
-decides it. Each order visits one coloring per partition of the edges into
-``k`` color classes, so both decide the same question and the answer does
-not depend on which one settles. If the better order needs ``W`` units, the
-last round's budget is below ``max(2W, _FIRST_BUDGET)`` and all rounds of
-both orders sum to at most four times that, plus each turn's overrun. The
-unit is work inside ``_counted_reaches``: one per candidate state plus one
-per admitted mask at its vertex, the masks its subset test may scan. A level
-that leaves the budget negative raises ``_OutOfBudget``; a check that passes
-mid-level pays for its work, and the next level to finish raises, so a turn
-overruns its budget by at most about two levels. Prefix checks cannot be the
-unit: their cost spans orders of magnitude with the order. Geodesic-first
-alone on L(example31, t = 12) made 259 ``_counted_reaches`` calls in 20 s,
-648 M units, without settling, while the whole id-order search takes 0.21 s
-(2-vCPU Xeon, Python 3.11.7). An aborted turn restores the bits of every
-edge it colored on the way out (``try``/``finally``), so the next turn
-starts from an uncolored graph.
+fail first. The second is id order. Each order's search is a generator
+(``_extends``) on an adjacency of its own, built when its first turn
+starts: it yields the work of each prefix check and returns whether ``k``
+extends. The orders take turns of ``_TURN`` work units (``_settles``); each
+resumes where it paused, a turn that overruns starts the order's next turn
+in debt, and the first order to settle ``k``, by a coloring or by a
+refutation, decides it. Each order visits one coloring per partition of the
+edges into ``k`` color classes, so both decide the same question and the
+answer does not depend on which one settles. No work is redone, so if the
+better order needs ``W`` units it settles within ``W / _TURN + 1`` turns,
+over which the other order spends at most ``W`` units plus one turn plus
+its last prefix check: the total is at most ``2W``, plus one turn, plus one
+prefix check. The unit is work inside ``_counted_reaches``: one per
+candidate state plus one per admitted mask at its vertex, the masks its
+subset test may scan. A turn ends only between prefix checks, so a check is
+never cut short and nothing is undone. Prefix checks cannot be the unit:
+their cost spans orders of magnitude with the order. Geodesic-first alone
+on L(example31, t = 12) made 259 ``_counted_reaches`` calls in 20 s, 648 M
+units, without settling, while the whole id-order search takes 0.12 s
+(2-vCPU Xeon, Python 3.11.7). The depth-first path is an explicit stack,
+not recursion, so a yield leaves one frame, not one per colored edge.
 
 The search is a loop of its own and shares no code with the verifier's,
 which groups neighbours by color and has no level cap: a loop shared by
@@ -123,7 +126,7 @@ both made the verifier 10-17% slower on the ``sharp`` benchmark's inputs
 """
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterator, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
 from .graphs import Graph, diameter
@@ -136,9 +139,9 @@ DEFAULT_EDGE_CAP = 12
 # The verifier looks one level ahead once the frontier holds more than this
 # many states per target left (see the module docstring).
 _LOOK_AHEAD_FACTOR = 4
-# exact_rc's first work budget per edge order and palette size, in the units
-# of _counted_reaches; it doubles every round (see the module docstring).
-_FIRST_BUDGET = 65536
+# The work units of one exact_rc turn per edge order, in the units of
+# _counted_reaches (see the module docstring).
+_TURN = 65536
 
 
 def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[list]]:
@@ -278,27 +281,21 @@ def check_edge_cap(max_edges: int) -> None:
         raise InputError(f"edge cap must be non-negative, got {max_edges}")
 
 
-class _OutOfBudget(Exception):
-    """An ``exact_rc`` attempt spent its work budget; caught in
-    ``_settles``, so it never leaves the module."""
-
-
-def _counted_reaches(adj: list[list[list]], s: int, k: int, budget: list) -> bool:
+def _counted_reaches(adj: list[list[list]], s: int, k: int) -> tuple[bool, int]:
     """Whether every target ``t > s`` has a walk from ``s`` of at most ``k``
-    edges whose colored edges have distinct colors. ``adj`` holds one
-    ``[bit, neighbour]`` pair per edge end, with ``bit = 0`` while the edge
-    is uncolored. ``budget[0]`` is the work left: each candidate state costs
-    one unit plus one per admitted mask at its vertex, and a level that
-    leaves it negative raises ``_OutOfBudget``."""
+    edges whose colored edges have distinct colors, and the work spent.
+    ``adj`` holds one ``[bit, neighbour]`` pair per edge end, with
+    ``bit = 0`` while the edge is uncolored. Each candidate state costs one
+    unit of work plus one per admitted mask at its vertex."""
     n = len(adj)
     unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
     visited: list[list[int]] = [[] for _ in range(n)]
     visited[s].append(0)
     frontier = [(s, 0)]
+    work = 0
     for _ in range(k):
         nxt: list[tuple[int, int]] = []
-        work = 0
         for v, mask in frontier:
             for b, w in adj[v]:
                 if b & mask:
@@ -315,14 +312,10 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int, budget: list) -> boo
                     if unreached[w]:
                         left -= 1
                         if not left:
-                            budget[0] -= work
-                            return True
+                            return True, work
                         unreached[w] = 0
-        budget[0] -= work
-        if budget[0] < 0:
-            raise _OutOfBudget
         frontier = nxt
-    return False
+    return False, work
 
 
 def _geodesic_order(g: Graph) -> list[int]:
@@ -362,72 +355,76 @@ def _edge_orders(g: Graph) -> list[list[int]]:
     return [geodesic] if geodesic == ids else [geodesic, ids]
 
 
-def _extends(
-    ends: Sequence[tuple[list, list]], order: Sequence[int], k: int, passes: Callable[[], bool]
-) -> bool:
+# Builds one search's edge ends and its check of a palette size ``k``, which
+# returns whether the prefix passes and the work spent (see ``_extends``).
+_Build = Callable[[], tuple[Sequence[Sequence[list]], Callable[[int], tuple[bool, int]]]]
+
+
+def _extends(build: _Build, order: Sequence[int], k: int) -> Generator[int, None, bool]:
     """Whether the edges, colored in ``order`` depth first in the order of
     ``canonical_colorings``, have a coloring with exactly ``k`` colors all
-    of whose prefixes pass ``passes()``. A child that gives its edge a fresh
+    of whose prefixes pass ``check(k)``. A generator: it yields the work of
+    each prefix check and returns the answer, so ``_settles`` can pause and
+    resume it. ``build()``, run on the first resume, gives this search its
+    own ``ends`` and ``check``: ``ends[i]`` holds the two mutable
+    ``[bit, ...]`` ends of edge ``i`` in the adjacency ``check`` reads, and
+    coloring the edge sets both bits. A child that gives its edge a fresh
     color is not checked: it passes whenever its parent does (see the module
-    docstring). ``ends[i]`` holds the two mutable ``[bit, ...]`` ends of
-    edge ``i`` in the adjacency ``passes`` reads; coloring the edge sets
-    both bits, and leaving the child, by an exception too, restores them."""
-    m = len(order)
-
-    def extends(j: int, top: int) -> bool:
-        """Whether the prefix ``order[:j]``, colored with ``1..top``,
-        extends."""
-        if j == m:
-            return True
-        at_u, at_v = ends[order[j]]
-        blank = at_u[0]
-        for c in range(1, min(top + 1, k) + 1):
-            t = max(top, c)
-            if k - t > m - j - 1:
-                continue
-            at_u[0] = at_v[0] = 1 << (c - 1)
-            try:
-                found = (c > top or passes()) and extends(j + 1, t)
-            finally:
-                at_u[0] = at_v[0] = blank
-            if found:
-                return True
+    docstring). The depth-first path is an explicit stack: at depth ``j``,
+    ``tops[j]`` colors are used by the prefix ``order[:j]`` and edge
+    ``order[j]`` has color ``colors[j]``."""
+    ends, check = build()
+    passed, work = check(k)
+    yield work
+    if not passed:
         return False
+    m, ends = len(order), [ends[i] for i in order]
+    blank = [at_u[0] for at_u, _ in ends]
+    tops, colors = [0], [0]
+    while colors:
+        j = len(colors) - 1
+        top, c = tops[j], colors[j] + 1
+        at_u, at_v = ends[j]
+        if c > min(top + 1, k):
+            at_u[0] = at_v[0] = blank[j]
+            del tops[j], colors[j]
+            continue
+        colors[j] = c
+        at_u[0] = at_v[0] = 1 << (c - 1)
+        if c <= top:
+            passed, work = check(k)
+            yield work
+            if not passed:
+                continue
+        if j + 1 == m:
+            return True
+        t = max(top, c)
+        tops.append(t)
+        # With as many colors left to use as edges, each takes a fresh one.
+        colors.append(t if k - t == m - j - 1 else 0)
+    return False
 
-    return passes() and extends(0, 0)
 
-
-def _settles(
-    ends: Sequence[tuple[list, list]],
-    orders: Sequence[Sequence[int]],
-    k: int,
-    passes: Callable[[int, list], bool],
-) -> bool:
-    """Whether some coloring with exactly ``k`` colors passes every prefix
-    check ``passes(k, budget)``. The orders take turns, each with a fresh
-    budget of ``_FIRST_BUDGET`` work units that doubles after every round,
-    and the first to settle ``k``, by a coloring or by a refutation, decides
-    it. A lone order runs unbudgeted."""
-    budget = _FIRST_BUDGET if len(orders) > 1 else math.inf
+def _settles(searches: Sequence[Generator[int, None, bool]]) -> bool:
+    """The answer of the first search in ``searches`` to finish. They take
+    turns of ``_TURN`` work units, each resuming where it paused, and a
+    search that overruns its turn starts the next one in debt."""
+    credit = [0] * len(searches)
     while True:
-        for order in orders:
-            left = [budget]
+        for i, search in enumerate(searches):
+            credit[i] += _TURN
             try:
-                return _extends(ends, order, k, lambda: passes(k, left))
-            except _OutOfBudget:
-                pass
-        budget *= 2
+                while credit[i] > 0:
+                    credit[i] -= next(search)
+            except StopIteration as settled:
+                return settled.value
 
 
-def _search_rc(
-    lo: int,
-    ends: Sequence[tuple[list, list]],
-    orders: Sequence[Sequence[int]],
-    passes: Callable[[int, list], bool],
-) -> int:
-    """The least ``k >= lo`` that ``_settles``."""
-    for k in range(lo, len(ends) + 1):
-        if _settles(ends, orders, k, passes):
+def _search_rc(lo: int, orders: Sequence[Sequence[int]], build: _Build) -> int:
+    """The least ``k >= lo`` that ``_settles``: one search per edge order,
+    each on a fresh ``build()``."""
+    for k in range(lo, len(orders[0]) + 1):
+        if _settles([_extends(build, order, k) for order in orders]):
             return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
@@ -440,12 +437,13 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     colors the edges depth first, in the order of ``canonical_colorings``,
     and cuts every prefix in which some pair has no walk of at most ``k``
     edges with distinct colors on its colored edges (``_counted_reaches``);
-    a child that takes a fresh color needs no check. Two edge orders take
-    turns under a doubling work budget, geodesic-first and id order, and
-    the first to settle ``k`` decides it (see the module docstring). The
-    adjacency is built once; coloring an edge sets the bit at its two ends.
-    Raises ``LimitError`` carrying the proven bracket when the instance
-    exceeds ``max_edges``.
+    a child that takes a fresh color needs no check. Two edge orders,
+    geodesic-first and id order, take turns of ``_TURN`` work units, each
+    resuming where it paused, and the first to settle ``k`` decides it (see
+    the module docstring). Each order builds its own adjacency for each
+    ``k``; coloring an edge sets the bit at its two ends. Raises
+    ``LimitError`` carrying the proven bracket when the instance exceeds
+    ``max_edges``.
     """
     check_edge_cap(max_edges)
     lo = rc_lower_bound(g)
@@ -454,19 +452,26 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
         raise LimitError(
             f"{g.m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
-    adj: list[list[list]] = [[] for _ in range(g.n)]
-    ends = []
-    for u, v in g.edges:
-        at_u, at_v = [0, v], [0, u]
-        adj[u].append(at_u)
-        adj[v].append(at_v)
-        ends.append((at_u, at_v))
-    sources = range(g.n - 1)
 
-    def passes(k: int, budget: list) -> bool:
-        return all(_counted_reaches(adj, s, k, budget) for s in sources)
+    def build() -> tuple[list[tuple[list, list]], Callable[[int], tuple[bool, int]]]:
+        ends = [([0, v], [0, u]) for u, v in g.edges]
+        adj: list[list[list]] = [[] for _ in range(g.n)]
+        for (u, v), (at_u, at_v) in zip(g.edges, ends):
+            adj[u].append(at_u)
+            adj[v].append(at_v)
 
-    return _search_rc(lo, ends, _edge_orders(g), passes)
+        def check(k: int) -> tuple[bool, int]:
+            work = 0
+            for s in range(g.n - 1):
+                passed, spent = _counted_reaches(adj, s, k)
+                work += spent
+                if not passed:
+                    break
+            return passed, work
+
+        return ends, check
+
+    return _search_rc(lo, _edge_orders(g), build)
 
 
 def rc_lower_bound(g: Graph) -> int:

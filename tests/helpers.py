@@ -258,9 +258,11 @@ def relabel_exact_rc(
     its two orders: palette sizes upward from the diameter, the edges
     colored depth first in the order of ``canonical_colorings``, every
     prefix that fails the relaxed check cut, and no check on a child that
-    takes a fresh color. The adjacency is built once; coloring an edge
-    relabels the bit of its group at each end. Raises ``LimitError``
-    carrying the proven bracket when the instance exceeds ``max_edges``.
+    takes a fresh color. Each palette size builds its adjacency afresh;
+    coloring an edge relabels the bit of its group at each end. A check
+    counts as one unit of work: with one order the search runs to the end
+    however its turns fall. Raises ``LimitError`` carrying the proven
+    bracket when the instance exceeds ``max_edges``.
     """
     oracle.check_edge_cap(max_edges)
     diam = diameter(g)
@@ -273,13 +275,16 @@ def relabel_exact_rc(
         raise LimitError(
             f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
-    adj = oracle._adjacency(g, [1 << (m + i) for i in range(m)])
-    ends: list[list[list]] = [[] for _ in range(m)]
-    for row in adj:
-        for group in row:
-            ends[group[0].bit_length() - 1 - m].append(group)
-    order = range(m) if order is None else order
-    return oracle._search_rc(lo, ends, [order], lambda k, budget: oracle._check_adjacency(adj)[0])
+
+    def build() -> tuple[list[list[list]], Callable[[int], tuple[bool, int]]]:
+        adj = oracle._adjacency(g, [1 << (m + i) for i in range(m)])
+        ends: list[list[list]] = [[] for _ in range(m)]
+        for row in adj:
+            for group in row:
+                ends[group[0].bit_length() - 1 - m].append(group)
+        return ends, lambda k: (oracle._check_adjacency(adj)[0], 1)
+
+    return oracle._search_rc(lo, [range(m) if order is None else order], build)
 
 
 def _next_target(unreached: bytearray, t: int) -> int:

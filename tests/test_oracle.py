@@ -260,9 +260,9 @@ class TestCountedMatchesRelabel:
         counted_reaches, check = oracle._counted_reaches, oracle._check_adjacency
         checks = []
 
-        def record_counted(adj, s, k, budget):
+        def record_counted(adj, s, k):
             checks.append(s)  # every prefix check starts at source 0
-            return counted_reaches(adj, s, k, budget)
+            return counted_reaches(adj, s, k)
 
         def record_private(adj):
             checks.append(0)
@@ -298,68 +298,83 @@ class TestCountedMatchesRelabel:
 
 
 class TestEdgeOrders:
-    """``exact_rc`` tries the geodesic-first order and the id order under a
-    doubling work budget, and the first to settle a palette size decides
-    it."""
+    """``exact_rc`` runs the geodesic-first order and the id order in turns
+    of ``_TURN`` work units, each resuming where it paused, and the first to
+    settle a palette size decides it."""
 
     @staticmethod
-    def _attempts(monkeypatch) -> list[tuple[int, str, object]]:
-        """Record ``(k, order, outcome)`` per attempt, where the outcome is
-        whether ``k`` extends, or ``"spent"`` when the budget ran out."""
-        extends, attempts = oracle._extends, []
+    def _turns(monkeypatch, current: list | None = None) -> list[tuple[int, str, object]]:
+        """Record ``(k, order, outcome)`` per turn, a run of consecutive
+        prefix checks of one order: whether ``k`` extends for the turn
+        that settles it, ``"paused"`` for the others. ``current[0]``, if
+        given, names the order whose search is running."""
+        extends, turns = oracle._extends, []
 
-        def record(ends, order, k, passes):
+        def record(build, order, k):
             name = "id" if list(order) == list(range(len(order))) else "geodesic"
-            try:
-                found = extends(ends, order, k, passes)
-            except oracle._OutOfBudget:
-                attempts.append((k, name, "spent"))
-                raise
-            attempts.append((k, name, found))
-            return found
+            paused, search = (k, name, "paused"), extends(build, order, k)
+            while True:
+                if current is not None:
+                    current[0] = name
+                try:
+                    work = next(search)
+                except StopIteration as settled:
+                    if turns[-1:] == [paused]:
+                        turns.pop()
+                    turns.append((k, name, settled.value))
+                    return settled.value
+                if turns[-1:] != [paused]:
+                    turns.append(paused)
+                yield work
 
         monkeypatch.setattr(oracle, "_extends", record)
-        return attempts
+        return turns
 
     def test_geodesic_first_settles_ring4(self, monkeypatch):
         """The id order makes 95,775 ``_counted_reaches`` calls here."""
         counted_reaches, calls = oracle._counted_reaches, []
 
-        def record(adj, s, k, budget):
+        def record(adj, s, k):
             calls.append(s)
-            return counted_reaches(adj, s, k, budget)
+            return counted_reaches(adj, s, k)
 
         monkeypatch.setattr(oracle, "_counted_reaches", record)
-        attempts = self._attempts(monkeypatch)
+        turns = self._turns(monkeypatch)
         lg = line_graph(triangle_ring(4)).l_graph
         assert exact_rc(lg, max_edges=28) == 3
         assert len(calls) < 2000
-        assert attempts[-1] == (3, "geodesic", True)
+        assert turns[-1] == (3, "geodesic", True)
 
     def test_id_order_settles_example31(self, monkeypatch):
-        """The geodesic-first order spends its budget on L(example31, t = 6)
-        and the id order settles every palette size."""
-        attempts = self._attempts(monkeypatch)
+        """The geodesic-first order pauses on L(example31, t = 6) and the id
+        order settles every palette size."""
+        turns = self._turns(monkeypatch)
         lg = line_graph(bridged_triangle_chain(6)).l_graph
         assert exact_rc(lg, max_edges=lg.m) == 12
-        assert (12, "geodesic", "spent") in attempts
-        assert attempts[-1] == (12, "id", True)
+        assert (12, "geodesic", "paused") in turns
+        assert turns[-1] == (12, "id", True)
 
-    def test_aborted_attempt_restores_its_bits(self, monkeypatch):
-        """Every edge end is uncolored again after each attempt."""
-        extends, seen = oracle._extends, []
+    def test_no_prefix_checked_twice(self, monkeypatch):
+        """On L(example31, t = 6), where both orders pause and resume, no
+        order checks the same palette size and prefix twice: a paused search
+        resumes instead of starting over."""
+        current, seen = [None], []
+        turns = self._turns(monkeypatch, current)
+        counted_reaches = oracle._counted_reaches
 
-        def record(ends, order, k, passes):
-            try:
-                return extends(ends, order, k, passes)
-            finally:
-                seen.append([at[0] for pair in ends for at in pair])
+        def record(adj, s, k):
+            if s == 0:  # every prefix check starts at source 0
+                seen.append((current[0], k, tuple(b for row in adj for b, _ in row)))
+            return counted_reaches(adj, s, k)
 
-        monkeypatch.setattr(oracle, "_extends", record)
+        monkeypatch.setattr(oracle, "_counted_reaches", record)
         lg = line_graph(bridged_triangle_chain(6)).l_graph
-        exact_rc(lg, max_edges=lg.m)
-        assert len(seen) > 2
-        assert all(not any(bits) for bits in seen)
+        assert exact_rc(lg, max_edges=lg.m) == 12
+        # Both orders are resumed after a pause.
+        assert turns.count((12, "geodesic", "paused")) > 1
+        assert (12, "id", "paused") in turns and turns[-1] == (12, "id", True)
+        assert len(seen) > 100
+        assert len(set(seen)) == len(seen)
 
     def test_geodesic_order(self):
         """On the path 0 - 1 - 2 - 3 plus the pendant 1 - 4, the diametral
