@@ -25,7 +25,8 @@ class Graph:
 
     Derived values are computed on first use and cached on the instance:
     ``adjacency``, ``incident_edges``, ``degrees``, ``edge_index``,
-    ``is_connected`` and ``diameter``.
+    ``is_connected`` and ``diameter``. The last two read the module's one
+    breadth-first search, ``distances``.
     """
 
     n: int
@@ -63,51 +64,21 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        """Whether one search from vertex 0 reaches every vertex; true for
-        at most one vertex."""
-        if self.n <= 1:
-            return True
-        adj = self.adjacency
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        """Whether a search from vertex 0 reaches every vertex; true for at
+        most one vertex."""
+        return self.n <= 1 or -1 not in distances(self, 0)
 
     @cached_property
     def diameter(self) -> int | float:
         """Max shortest-path length over vertex pairs; ``math.inf`` if
-        disconnected, 0 for at most one vertex. One BFS per source, a level
-        at a time: the number of levels is the source's eccentricity."""
-        if self.n <= 1:
-            return 0
-        adj = self.adjacency
+        disconnected, 0 for at most one vertex. One ``distances`` search per
+        source."""
         best = 0
         for s in range(self.n):
-            seen = bytearray(self.n)
-            seen[s] = 1
-            frontier = [s]
-            reached = 1
-            depth = 0
-            while True:
-                nxt = []
-                for v in frontier:
-                    for w in adj[v]:
-                        if not seen[w]:
-                            seen[w] = 1
-                            nxt.append(w)
-                if not nxt:
-                    break
-                depth += 1
-                reached += len(nxt)
-                frontier = nxt
-            if reached < self.n:
+            dist = distances(self, s)
+            if -1 in dist:
                 return math.inf
-            if depth > best:
-                best = depth
+            best = max(best, *dist)
         return best
 
     def degree(self, v: int) -> int:
@@ -163,6 +134,24 @@ def build_graph(
         where = "" if lines is None else f"line {lines[len(edges)]}: "
         raise InputError(f"{where}{problem} ({u}, {v})")
     return Graph(n, tuple(edges))
+
+
+def distances(g: Graph, s: int) -> list[int]:
+    """Shortest-path lengths from ``s`` by breadth-first search, a level at
+    a time; -1 for a vertex it does not reach."""
+    adj = g.adjacency
+    dist = [-1] * g.n
+    dist[s] = 0
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def is_connected(g: Graph) -> bool:

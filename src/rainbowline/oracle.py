@@ -90,7 +90,10 @@ sub-walk keeps the colored edges distinct and the length within ``k``; so
 it crosses edge ``i`` at most once, and a color used on no other edge
 cannot clash. A full coloring reached this way still passes the exact
 check, since its parent's walks do. A reused color can clash, so its child
-is checked. The search tree and the value are unchanged.
+is checked. The search tree and the value are unchanged. The empty prefix
+is not checked either: with every edge uncolored, a shortest path joins each
+pair in at most diam <= ``k`` edges, none of them colored, so the check
+always passes.
 
 The edge order sets the cost by orders of magnitude and no static order wins
 everywhere, so each ``k`` is tried in two orders. Geodesic-first sorts the
@@ -126,10 +129,10 @@ both made the verifier 10-17% slower on the ``sharp`` benchmark's inputs
 """
 
 import math
-from typing import TYPE_CHECKING, Callable, Generator, Iterator, Sequence
+from typing import TYPE_CHECKING, Generator, Iterator, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
-from .graphs import Graph, diameter
+from .graphs import Graph, diameter, distances
 
 if TYPE_CHECKING:
     from .coloring import EdgeColoring
@@ -321,20 +324,7 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> tuple[bool, int]:
 def _geodesic_order(g: Graph) -> list[int]:
     """Edge ids by how many diametral vertex pairs have a shortest path
     through the edge, most first, ties by id."""
-    dist = []
-    for s in range(g.n):
-        d = [-1] * g.n
-        d[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in g.adjacency[v]:
-                    if d[w] < 0:
-                        d[w] = d[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        dist.append(d)
+    dist = [distances(g, s) for s in range(g.n)]
     diam = diameter(g)
     pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if dist[a][b] == diam]
     through = [
@@ -355,44 +345,43 @@ def _edge_orders(g: Graph) -> list[list[int]]:
     return [geodesic] if geodesic == ids else [geodesic, ids]
 
 
-# Builds one search's edge ends and its check of a palette size ``k``, which
-# returns whether the prefix passes and the work spent (see ``_extends``).
-_Build = Callable[[], tuple[Sequence[Sequence[list]], Callable[[int], tuple[bool, int]]]]
-
-
-def _extends(build: _Build, order: Sequence[int], k: int) -> Generator[int, None, bool]:
-    """Whether the edges, colored in ``order`` depth first in the order of
-    ``canonical_colorings``, have a coloring with exactly ``k`` colors all
-    of whose prefixes pass ``check(k)``. A generator: it yields the work of
-    each prefix check and returns the answer, so ``_settles`` can pause and
-    resume it. ``build()``, run on the first resume, gives this search its
-    own ``ends`` and ``check``: ``ends[i]`` holds the two mutable
-    ``[bit, ...]`` ends of edge ``i`` in the adjacency ``check`` reads, and
-    coloring the edge sets both bits. A child that gives its edge a fresh
-    color is not checked: it passes whenever its parent does (see the module
-    docstring). The depth-first path is an explicit stack: at depth ``j``,
-    ``tops[j]`` colors are used by the prefix ``order[:j]`` and edge
-    ``order[j]`` has color ``colors[j]``."""
-    ends, check = build()
-    passed, work = check(k)
-    yield work
-    if not passed:
-        return False
+def _extends(g: Graph, order: Sequence[int], k: int) -> Generator[int, None, bool]:
+    """Whether the edges of ``g``, colored in ``order`` depth first in the
+    order of ``canonical_colorings``, have a coloring with exactly ``k``
+    colors all of whose prefixes pass ``_counted_reaches`` from every
+    source. A generator: it yields the work of each prefix check and
+    returns the answer, so ``_settles`` can pause and resume it. On its
+    first resume it builds its own adjacency, one ``[bit, neighbour]`` end
+    per edge end with ``bit = 0`` while the edge is uncolored; coloring an
+    edge sets the bit at both ends and backtracking clears it. The empty
+    prefix and a child that gives its edge a fresh color are not checked
+    (see the module docstring). The depth-first path is an explicit stack:
+    at depth ``j``, ``tops[j]`` colors are used by the prefix ``order[:j]``
+    and edge ``order[j]`` has color ``colors[j]``."""
+    ends = [([0, v], [0, u]) for u, v in g.edges]
+    adj: list[list[list]] = [[] for _ in range(g.n)]
+    for (u, v), (at_u, at_v) in zip(g.edges, ends):
+        adj[u].append(at_u)
+        adj[v].append(at_v)
     m, ends = len(order), [ends[i] for i in order]
-    blank = [at_u[0] for at_u, _ in ends]
     tops, colors = [0], [0]
     while colors:
         j = len(colors) - 1
         top, c = tops[j], colors[j] + 1
         at_u, at_v = ends[j]
         if c > min(top + 1, k):
-            at_u[0] = at_v[0] = blank[j]
+            at_u[0] = at_v[0] = 0
             del tops[j], colors[j]
             continue
         colors[j] = c
         at_u[0] = at_v[0] = 1 << (c - 1)
         if c <= top:
-            passed, work = check(k)
+            work = 0
+            for s in range(g.n - 1):
+                passed, spent = _counted_reaches(adj, s, k)
+                work += spent
+                if not passed:
+                    break
             yield work
             if not passed:
                 continue
@@ -420,15 +409,6 @@ def _settles(searches: Sequence[Generator[int, None, bool]]) -> bool:
                 return settled.value
 
 
-def _search_rc(lo: int, orders: Sequence[Sequence[int]], build: _Build) -> int:
-    """The least ``k >= lo`` that ``_settles``: one search per edge order,
-    each on a fresh ``build()``."""
-    for k in range(lo, len(orders[0]) + 1):
-        if _settles([_extends(build, order, k) for order in orders]):
-            return k
-    raise InvariantViolation("an all-distinct coloring must be rainbow")
-
-
 def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     """Exact rainbow connection number by a pruned search over canonical
     colorings.
@@ -437,11 +417,11 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     colors the edges depth first, in the order of ``canonical_colorings``,
     and cuts every prefix in which some pair has no walk of at most ``k``
     edges with distinct colors on its colored edges (``_counted_reaches``);
-    a child that takes a fresh color needs no check. Two edge orders,
-    geodesic-first and id order, take turns of ``_TURN`` work units, each
-    resuming where it paused, and the first to settle ``k`` decides it (see
-    the module docstring). Each order builds its own adjacency for each
-    ``k``; coloring an edge sets the bit at its two ends. Raises
+    neither the empty prefix nor a child that takes a fresh color needs a
+    check. Two edge orders, geodesic-first and id order, take turns of
+    ``_TURN`` work units, each resuming where it paused, and the first to
+    settle ``k`` decides it (see the module docstring). Each order's search
+    (``_extends``) builds its own adjacency for each ``k``. Raises
     ``LimitError`` carrying the proven bracket when the instance exceeds
     ``max_edges``.
     """
@@ -453,25 +433,11 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
             f"{g.m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
 
-    def build() -> tuple[list[tuple[list, list]], Callable[[int], tuple[bool, int]]]:
-        ends = [([0, v], [0, u]) for u, v in g.edges]
-        adj: list[list[list]] = [[] for _ in range(g.n)]
-        for (u, v), (at_u, at_v) in zip(g.edges, ends):
-            adj[u].append(at_u)
-            adj[v].append(at_v)
-
-        def check(k: int) -> tuple[bool, int]:
-            work = 0
-            for s in range(g.n - 1):
-                passed, spent = _counted_reaches(adj, s, k)
-                work += spent
-                if not passed:
-                    break
-            return passed, work
-
-        return ends, check
-
-    return _search_rc(lo, _edge_orders(g), build)
+    orders = _edge_orders(g)
+    for k in range(lo, g.m + 1):
+        if _settles([_extends(g, order, k) for order in orders]):
+            return k
+    raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
 def rc_lower_bound(g: Graph) -> int:

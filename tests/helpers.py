@@ -15,8 +15,8 @@ Layer -> reference -> the test that compares it with the package:
   ``TestLookAheadTrigger``.
 - exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, every canonical
   coloring in full -> ``TestPrunedSearchMatchesEnumeration``;
-  ``relabel_exact_rc``, the search with a private color per uncolored edge,
-  value and prefix-check totals per edge order ->
+  ``relabel_exact_rc``, its own recursion with a private color per
+  uncolored edge, value and prefix-check totals per edge order ->
   ``TestCountedMatchesRelabel``.
 - packing (``triangles.pack_edge_disjoint``): ``comp_map_pack``, the chosen
   triangles in every mode -> ``test_triangles.py`` ``TestPacking``
@@ -41,12 +41,12 @@ Layer -> reference -> the test that compares it with the package:
   ``test_graphs.py`` ``test_connected_iff_one_component``.
 
 Everything here avoids the package's search machinery so the two sides of
-each check stay independent. The exceptions are ``relabel_exact_rc``, which
-runs ``oracle._search_rc`` (the search ``exact_rc`` runs) and checks each
-prefix through ``oracle._check_adjacency`` so that a test can count the
-checks in one edge order, and ``circular_first_unreached``, which shares
-``oracle._reaches`` and ``oracle._reaches_in_two`` so that a test can record
-the look-ahead checks of both orders. Also the tools only tests use:
+each check stay independent. ``relabel_exact_rc`` runs a search of its own
+and takes from the oracle only the verifier (``_adjacency`` and
+``_check_adjacency``, which a test patches to count its prefix checks) and
+the edge-cap check. The exception is ``circular_first_unreached``, which
+shares ``oracle._reaches`` and ``oracle._reaches_in_two`` so that a test can
+record the look-ahead checks of both orders. Also the tools only tests use:
 edge-induced subgraphs, vertex-set shrinking, star-clique edge ids, the
 two-color coloring of a lone triangle with pendants, trace replay, the
 tightness check of the ``m - m1`` bound, a recorder of the triangle
@@ -254,15 +254,12 @@ def relabel_exact_rc(
     nothing, and allows walks of any length. It checks each prefix through
     ``oracle._check_adjacency``, so a test can record the verdicts.
 
-    The search is ``oracle._search_rc``, the entry ``exact_rc`` runs with
-    its two orders: palette sizes upward from the diameter, the edges
+    Its own recursion: palette sizes upward from the diameter, the edges
     colored depth first in the order of ``canonical_colorings``, every
-    prefix that fails the relaxed check cut, and no check on a child that
-    takes a fresh color. Each palette size builds its adjacency afresh;
-    coloring an edge relabels the bit of its group at each end. A check
-    counts as one unit of work: with one order the search runs to the end
-    however its turns fall. Raises ``LimitError`` carrying the proven
-    bracket when the instance exceeds ``max_edges``.
+    prefix that fails the check cut, no check on the empty prefix or on a
+    child that takes a fresh color, and a fresh color for every edge once
+    as many colors are left to use as edges. Raises ``LimitError`` carrying
+    the proven bracket when the instance exceeds ``max_edges``.
     """
     oracle.check_edge_cap(max_edges)
     diam = diameter(g)
@@ -275,16 +272,26 @@ def relabel_exact_rc(
         raise LimitError(
             f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
+    order = range(m) if order is None else order
+    bits = [1 << (m + i) for i in range(m)]
 
-    def build() -> tuple[list[list[list]], Callable[[int], tuple[bool, int]]]:
-        adj = oracle._adjacency(g, [1 << (m + i) for i in range(m)])
-        ends: list[list[list]] = [[] for _ in range(m)]
-        for row in adj:
-            for group in row:
-                ends[group[0].bit_length() - 1 - m].append(group)
-        return ends, lambda k: (oracle._check_adjacency(adj)[0], 1)
+    def extends(j: int, top: int, k: int) -> bool:
+        if j == m:
+            return True
+        i = order[j]
+        for c in range(top + 1 if k - top == m - j else 1, min(top + 1, k) + 1):
+            bits[i] = 1 << (c - 1)
+            if c <= top and not oracle._check_adjacency(oracle._adjacency(g, bits))[0]:
+                continue
+            if extends(j + 1, max(top, c), k):
+                return True
+        bits[i] = 1 << (m + i)
+        return False
 
-    return oracle._search_rc(lo, [range(m) if order is None else order], build)
+    for k in range(lo, m + 1):
+        if extends(0, 0, k):
+            return k
+    raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
 def _next_target(unreached: bytearray, t: int) -> int:

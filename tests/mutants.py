@@ -1,0 +1,150 @@
+"""A catalogue of mutants of the package, each with the tests that kill it.
+
+Run it from anywhere with ``python tests/mutants.py``. It is not part of the
+Tier-1 suite. The runner first runs every killing test once on an unmutated
+copy, where each must pass. Then, for each mutant, it copies ``src/``,
+``tests/`` and ``pyproject.toml`` to a temporary directory, replaces the
+mutant's snippet there and runs only its killing tests. The copy matters:
+pytest's ``pythonpath = ["src"]`` would otherwise import the unmutated
+package. It exits 1 if a mutant survives, if its snippet no longer occurs
+exactly once, or if the unmutated run fails. A refactor that moves a
+snippet must update its entry along with the code.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE = "src/rainbowline/oracle.py"
+GRAPHS = "src/rainbowline/graphs.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    killers: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "exact_rc: the fresh-color skip applied to reused colors",
+        ORACLE,
+        "        if c <= top:\n            work = 0\n",
+        "        if c > top:\n            work = 0\n",
+        (
+            "tests/test_oracle.py::TestExactRc::test_cycle5",
+            "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+        ),
+    ),
+    Mutant(
+        "exact_rc: the geodesic order reversed",
+        ORACLE,
+        "key=lambda i: -through[i])",
+        "key=lambda i: through[i])",
+        ("tests/test_oracle.py::TestEdgeOrders::test_geodesic_order",),
+    ),
+    Mutant(
+        "exact_rc: the forced-fresh tail dropped",
+        ORACLE,
+        "colors.append(t if k - t == m - j - 1 else 0)",
+        "colors.append(0)",
+        (
+            "tests/test_oracle.py::TestCountedMatchesRelabel::"
+            "test_same_values_no_more_prefix_checks[cycles-pinned3]",
+        ),
+    ),
+    Mutant(
+        "exact_rc: a turn too large to ever pause",
+        ORACLE,
+        "_TURN = 65536\n",
+        "_TURN = 1 << 62\n",
+        ("tests/test_oracle.py::TestEdgeOrders::test_id_order_settles_example31",),
+    ),
+    Mutant(
+        "exact_rc: a backtracked edge keeps its color",
+        ORACLE,
+        "            at_u[0] = at_v[0] = 0\n            del tops[j], colors[j]\n",
+        "            del tops[j], colors[j]\n",
+        (
+            "tests/test_oracle.py::TestSharpPastTheCap::test_long_cycles",
+            "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+        ),
+    ),
+    Mutant(
+        "graphs: the diameter read from the last source alone",
+        GRAPHS,
+        "best = max(best, *dist)",
+        "best = max(dist)",
+        ("tests/test_graphs.py::TestDiameter::test_matches_floyd_warshall",),
+    ),
+)
+
+# Deterministic runs: a fixed hypothesis seed, and no cache or bytecode
+# written into the copy.
+PYTEST = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
+
+
+def _copy(into: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def _pytest(root: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, *PYTEST, *tests], cwd=root, env=env, capture_output=True, text=True
+    )
+
+
+def _outcome(mutant: Mutant) -> str:
+    """``"killed"``, ``"survived"`` or a reason the mutant could not run."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        root = Path(tmp)
+        _copy(root)
+        target = root / mutant.path
+        text = target.read_text()
+        found = text.count(mutant.snippet)
+        if found != 1:
+            return f"snippet found {found} times in {mutant.path}"
+        target.write_text(text.replace(mutant.snippet, mutant.replacement))
+        run = _pytest(root, mutant.killers)
+    if run.returncode == 0:
+        return "survived"
+    if run.returncode == 1:
+        return "killed"
+    return f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}"
+
+
+def main() -> int:
+    killers = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.killers))
+    with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
+        _copy(Path(tmp))
+        run = _pytest(Path(tmp), killers)
+    if run.returncode != 0:
+        print(f"the killing tests fail on the unmutated copy:\n{run.stdout}{run.stderr}")
+        return 1
+    failed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome = _outcome(mutant)
+        print(f"{outcome.splitlines()[0]:<9} {time.perf_counter() - start:5.1f} s  {mutant.name}")
+        if outcome != "killed":
+            failed += 1
+            if "\n" in outcome:
+                print(outcome.split("\n", 1)[1])
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

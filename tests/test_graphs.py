@@ -12,6 +12,7 @@ from rainbowline.graphs import (
     build_graph,
     degree_profile,
     diameter,
+    distances,
     is_connected,
 )
 
@@ -77,6 +78,9 @@ class TestDiameter:
                         dist[i][j] = dist[i][k] + dist[k][j]
         expected = max((dist[i][j] for i in range(n) for j in range(n)), default=0)
         assert diameter(g) == expected
+        for s, row in enumerate(dist):
+            assert distances(g, s) == [-1 if d == inf else d for d in row]
+        assert is_connected(g) == all(inf not in row for row in dist)
 
 
 class TestBlocks:

@@ -234,24 +234,24 @@ EDGE_ORDERS = {"geodesic": oracle._geodesic_order, "id": lambda g: list(range(g.
 
 class TestCountedMatchesRelabel:
     """``exact_rc`` lets a walk cross uncolored edges freely and caps its
-    length at ``k`` by the search level; ``helpers.relabel_exact_rc`` gives
-    each uncolored edge a private color and allows any length. Run in the
-    same edge order, through the same search entry with the same skip of
-    fresh-color children, both return the same value (a ``LimitError`` by
-    its bracket), and the capped search makes no more prefix checks on any
-    graph: a walk that passes the capped check contains a path that passes
-    the private-color one, so it cuts every prefix the other cuts. The
-    totals are pinned per order because the search without the length cap
-    makes exactly the private-color checks. ``exact_rc`` with both orders
-    returns the same value."""
+    length at ``k`` by the search level; ``helpers.relabel_exact_rc``, a
+    search of its own, gives each uncolored edge a private color and allows
+    any length. Run in the same edge order, with the same skips of the empty
+    prefix and of fresh-color children, both return the same value (a
+    ``LimitError`` by its bracket), and the capped search makes no more
+    prefix checks on any graph: a walk that passes the capped check contains
+    a path that passes the private-color one, so it cuts every prefix the
+    other cuts. The totals are pinned per order because the search without
+    the length cap makes exactly the private-color checks. ``exact_rc`` with
+    both orders returns the same value."""
 
     @pytest.mark.parametrize(
         "name, pinned",
         [
-            ("small", {"geodesic": (3541, 6012), "id": (4847, 6171)}),
-            ("small_line", {"geodesic": (1661, 67527), "id": (2140, 4903)}),
-            ("ensemble", {"geodesic": (304, 41221), "id": (513, 6784)}),
-            ("cycles", {"geodesic": (972, 6852), "id": (972, 6852)}),
+            ("small", {"geodesic": (3287, 5758), "id": (4593, 5917)}),
+            ("small_line", {"geodesic": (1546, 67412), "id": (2025, 4788)}),
+            ("ensemble", {"geodesic": (290, 41207), "id": (499, 6770)}),
+            ("cycles", {"geodesic": (958, 6838), "id": (958, 6838)}),
         ],
     )
     def test_same_values_no_more_prefix_checks(self, monkeypatch, name, pinned):
@@ -310,9 +310,9 @@ class TestEdgeOrders:
         given, names the order whose search is running."""
         extends, turns = oracle._extends, []
 
-        def record(build, order, k):
+        def record(g, order, k):
             name = "id" if list(order) == list(range(len(order))) else "geodesic"
-            paused, search = (k, name, "paused"), extends(build, order, k)
+            paused, search = (k, name, "paused"), extends(g, order, k)
             while True:
                 if current is not None:
                     current[0] = name
@@ -375,6 +375,28 @@ class TestEdgeOrders:
         assert (12, "id", "paused") in turns and turns[-1] == (12, "id", True)
         assert len(seen) > 100
         assert len(set(seen)) == len(seen)
+
+    def test_empty_prefix_not_checked(self, monkeypatch):
+        """With every edge uncolored a shortest path joins each pair in at
+        most diam <= ``k`` edges, so the empty prefix always passes and no
+        prefix check sees an all-uncolored adjacency."""
+        counted_reaches, empty = oracle._counted_reaches, []
+
+        def record(adj, s, k):
+            if s == 0:  # every prefix check starts at source 0
+                empty.append(not any(b for row in adj for b, _ in row))
+            return counted_reaches(adj, s, k)
+
+        monkeypatch.setattr(oracle, "_counted_reaches", record)
+        lg = line_graph(bridged_triangle_chain(6)).l_graph
+        assert exact_rc(lg, max_edges=lg.m) == 12
+        graphs, resolving = exact_search_sets()["ensemble"]
+        resolved = [g for g in graphs if g.m <= oracle.DEFAULT_EDGE_CAP]
+        assert len(resolved) == resolving
+        for g in resolved:
+            exact_rc(g)
+        assert len(empty) > 100
+        assert not any(empty)
 
     def test_geodesic_order(self):
         """On the path 0 - 1 - 2 - 3 plus the pendant 1 - 4, the diametral
