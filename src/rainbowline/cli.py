@@ -74,13 +74,24 @@ def _check_model_flags(args: argparse.Namespace) -> None:
         raise InputError("--p is required for the gnp model")
 
 
+def _read(path: str, stdin: bool = False) -> str:
+    """The file ``path``, or stdin if ``stdin``, decoded as UTF-8; other
+    bytes are an input error that names the file."""
+    data = sys.stdin.buffer.read() if stdin else Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        name = "stdin" if stdin else path
+        raise InputError(f"{name}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
 def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     sources = [s for s in (args.file, args.family, args.model) if s]
     if len(sources) != 1:
         raise InputError("exactly one of --file, --family, or --model is required")
     if args.file:
         _reject_unread(args, "--file", ())
-        text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
+        text = _read(args.file, stdin=args.file == "-")
         return parse_edge_list(text), {"file": args.file}
     if args.model:
         _check_model_flags(args)
@@ -164,7 +175,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g, meta = _load_graph(args)
-    colors, k = parse_coloring(Path(args.coloring).read_text())
+    colors, k = parse_coloring(_read(args.coloring))
     coloring = EdgeColoring(g, colors, k)
     ok, witness = is_rainbow_connected(coloring)
     print(f"verified = {str(ok).lower()}")

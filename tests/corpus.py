@@ -2,22 +2,25 @@
 
 A set read by more than one test is a cached function: it is built on first
 use and shared by every test module after that. The sets: the exhaustive
-small connected graphs, the benchmark's ``ensemble`` line graphs, the layer
-tests' gnp sample, the packing tests' gnp graphs, the cubic vertex-star packings, the certified colorings,
-and the named inputs of the exact search, the flattening sweep, the
-construction and the verifier's look-ahead. Also the generators that make
-them: the isomorphism-free graph growth, a hypothesis strategy for small
-graphs, random edge partitions and recolorings, and packing as ``color``
-does.
+small connected graphs, the graphs the graph layer is compared with
+networkx on, the benchmark's ``ensemble`` line graphs, the layer tests' gnp
+sample, the packing tests' gnp graphs, the cubic vertex-star packings, the
+certified colorings, and the named inputs of the exact search, the
+flattening sweep, the construction and the verifier's look-ahead. Also the
+generators that make them: the isomorphism-free graph growth (networkx
+decides each isomorphism), a hypothesis strategy for small graphs, random
+edge partitions and recolorings, and packing as ``color`` does.
 """
 
 import random
 from functools import cache
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations
 from typing import Iterable
 
+import networkx as nx
 from hypothesis import strategies as st
 
+from helpers import nx_graph
 from rainbowline.coloring import (
     ColoringCertificate,
     EdgeColoring,
@@ -37,37 +40,30 @@ from rainbowline.families import (
     shared_vertex_triangle_chain,
     triangle_ring,
 )
-from rainbowline.graphs import Graph, build_graph, edge_key
+from rainbowline.graphs import Graph, build_graph
 from rainbowline.linegraph import line_graph
 from rainbowline.triangles import PACK_MODES, TrianglePacking, classify_structure, make_triangle, pack_edge_disjoint
 
 
-def canonical_form(g: Graph) -> tuple:
-    """Isomorphism-invariant form: positions blocked by degree class, minimum
-    edge tuple over within-class relabelings."""
-    degs = [g.degree(v) for v in range(g.n)]
-    order = sorted(range(g.n), key=lambda v: degs[v])
-    classes = [list(grp) for _, grp in groupby(order, key=lambda v: degs[v])]
-    best = None
-    for parts in product(*[permutations(cls) for cls in classes]):
-        mapping = {}
-        pos = 0
-        for part in parts:
-            for v in part:
-                mapping[v] = pos
-                pos += 1
-        form = tuple(sorted(edge_key(mapping[u], mapping[v]) for u, v in g.edges))
-        if best is None or form < best:
-            best = form
-    return (g.n, best)
+def _is_new(h: Graph, seen: dict[tuple[int, ...], list]) -> bool:
+    """Record ``h`` unless it is isomorphic to a graph already in ``seen``.
+    The degree sequence picks the bucket; ``nx.is_isomorphic`` decides."""
+    bucket = seen.setdefault(tuple(sorted(h.degrees)), [])
+    hx = nx_graph(h)
+    if any(nx.is_isomorphic(hx, other) for other in bucket):
+        return False
+    bucket.append(hx)
+    return True
 
 
 @cache
 def connected_graphs_up_to(max_edges: int) -> tuple[Graph, ...]:
     """Every connected graph with 1..max_edges edges, one per isomorphism
-    class, grown by adding chords and pendant vertices."""
+    class, grown by adding chords and pendant vertices; the first graph
+    grown in each class represents it."""
     start = build_graph(2, [(0, 1)])
-    seen = {canonical_form(start)}
+    seen: dict[tuple[int, ...], list] = {}
+    _is_new(start, seen)
     out = [start]
     frontier = [start]
     while frontier:
@@ -84,9 +80,7 @@ def connected_graphs_up_to(max_edges: int) -> tuple[Graph, ...]:
                 build_graph(g.n + 1, list(g.edges) + [(u, g.n)]) for u in range(g.n)
             ]
             for h in candidates:
-                cf = canonical_form(h)
-                if cf not in seen:
-                    seen.add(cf)
+                if _is_new(h, seen):
                     out.append(h)
                     nxt.append(h)
         frontier = nxt
@@ -110,6 +104,22 @@ def small_trees(max_vertices: int) -> list[Graph]:
         for g in connected_graphs_up_to(max_vertices - 1)
         if g.m == g.n - 1 and g.n <= max_vertices
     ]
+
+
+@cache
+def graph_layer_graphs() -> tuple[Graph, ...]:
+    """The graphs ``line_graph``, ``enumerate_triangles``, the breadth-first
+    search and ``blocks`` are compared with networkx on: connected_gnp with
+    n = 4..40 at p = 0.15, 0.3 and 0.5, random_cubic(n, 1) for n = 8, 20 and
+    40, the disjoint union of six pairs of them, the empty graph, one vertex,
+    and one edge beside an isolated vertex."""
+    connected = [connected_gnp(n, p, seed=n) for n in range(4, 41) for p in (0.15, 0.3, 0.5)]
+    connected += [random_cubic(n, 1) for n in (8, 20, 40)]
+    unions = [
+        build_graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+        for g, h in zip(connected[::20], connected[1::20])
+    ]
+    return (build_graph(0, []), build_graph(1, []), build_graph(3, [(0, 1)]), *connected, *unions)
 
 
 @cache
@@ -291,7 +301,8 @@ def look_ahead_inputs() -> dict[str, list[tuple[Graph, list[int]]]]:
 
 def random_edge_partition(g: Graph, rng: random.Random) -> list[list[int]]:
     """Split the edge ids into connected groups: grow one part along shared
-    endpoints, then take the connected pieces of what is left."""
+    endpoints, then take the connected pieces of what is left (networkx's
+    components), each in order of its lowest edge id."""
     start = rng.randrange(g.m)
     size = rng.randint(1, g.m)
     part = {start}
@@ -302,17 +313,13 @@ def random_edge_partition(g: Graph, rng: random.Random) -> list[list[int]]:
                 if other not in part and len(part) < size:
                     part.add(other)
                     frontier.append(other)
-    groups = [sorted(part)]
-    unassigned = set(range(g.m)) - part
-    while unassigned:
-        grp = {min(unassigned)}
-        stack = list(grp)
-        while stack:
-            for w in g.edges[stack.pop()]:
-                for other in g.incident_edges[w]:
-                    if other in unassigned and other not in grp:
-                        grp.add(other)
-                        stack.append(other)
-        unassigned -= grp
-        groups.append(sorted(grp))
-    return groups
+    rest = [eid for eid in range(g.m) if eid not in part]
+    piece_of = {
+        v: i
+        for i, piece in enumerate(nx.connected_components(nx.Graph(g.edges[eid] for eid in rest)))
+        for v in piece
+    }
+    pieces: dict[int, list[int]] = {}
+    for eid in rest:
+        pieces.setdefault(piece_of[g.edges[eid][0]], []).append(eid)
+    return [sorted(part), *pieces.values()]

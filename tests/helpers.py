@@ -1,7 +1,22 @@
 """Independent references, one per layer, each compared with the package
 directly. The instance sets they run on are in ``tests/corpus.py``.
 
-Layer -> reference -> the test that compares it with the package:
+Layer -> reference -> the test that compares it with the package. The
+graph layer's references are networkx's, compared on
+``corpus.graph_layer_graphs()`` by ``test_graphs.py``
+``TestMatchesNetworkx``:
+
+- line graph (``linegraph.line_graph``): ``nx.line_graph``, its nodes read
+  as edge ids -> ``test_line_graph``.
+- triangles (``triangles.enumerate_triangles``): the 3-cliques of
+  ``nx.enumerate_all_cliques`` -> ``test_triangles``.
+- breadth-first search (``graphs.distances``, ``Graph.diameter``,
+  ``Graph.is_connected``): ``nx.all_pairs_shortest_path_length`` ->
+  ``test_distances``.
+- blocks (``graphs.blocks``): ``nx.biconnected_component_edges``, and
+  ``nx.articulation_points`` for the cut vertices -> ``test_blocks``.
+
+The other layers:
 
 - verifier (``oracle._check_all_pairs``): ``naive_failing_pair``, which
   enumerates every simple path, on small graphs -> ``test_oracle.py``
@@ -22,11 +37,13 @@ Layer -> reference -> the test that compares it with the package:
   triangles in every mode -> ``test_triangles.py`` ``TestPacking``
   ``test_matches_comp_map_search``; ``brute_force_max_packing``, the exact
   modes' optimum -> ``test_exact_matches_brute_force``.
-- structure (``TrianglePacking.is_forest``): ``blocks_is_forest`` ->
+- structure (``TrianglePacking.is_forest``): ``blocks_is_forest``, on
+  networkx's blocks -> ``test_triangles.py``
   ``TestClassify.test_vertex_count_matches_blocks``.
 - flattening (``triangles.build_transformed``):
   ``reclassify_build_transformed``, built from ``detach_edge`` and
-  ``split_vertex`` -> ``TestSweepMatchesReclassify``.
+  ``split_vertex`` on networkx's blocks and connectivity ->
+  ``TestSweepMatchesReclassify``.
 - projection (``coloring.project_coloring``): ``pull_back``, which replays
   each vertex's origin and reads the flattened graph's edges ->
   ``test_coloring.py`` ``TestProjectionMatchesPullBack``.
@@ -37,22 +54,23 @@ Layer -> reference -> the test that compares it with the package:
   instance -> ``TestTreeColoringMatchesRecursion``.
 - ``m - m1`` (``coloring.color_iterated_baseline``):
   ``hand_built_iterated_baseline`` -> ``TestIterated``.
-- connectivity (``graphs.is_connected``): ``components`` ->
-  ``test_graphs.py`` ``test_connected_iff_one_component``.
 
 Everything here avoids the package's search machinery so the two sides of
-each check stay independent. ``relabel_exact_rc`` runs a search of its own
-and takes from the oracle only the verifier (``_adjacency`` and
-``_check_adjacency``, which a test patches to count its prefix checks) and
-the edge-cap check. The exception is ``circular_first_unreached``, which
-shares ``oracle._reaches`` and ``oracle._reaches_in_two`` so that a test can
-record the look-ahead checks of both orders. Also the tools only tests use:
+each check stay independent; the graph searches the tests need (blocks,
+bridges, connectivity, isomorphism, distances) are networkx's, run on
+``nx_graph(g)``. ``relabel_exact_rc`` runs a search of its own and takes
+from the oracle only the verifier (``_adjacency`` and ``_check_adjacency``,
+which a test patches to count its prefix checks) and the edge-cap check.
+The exception is ``circular_first_unreached``, which shares
+``oracle._reaches`` and ``oracle._reaches_in_two`` so that a test can record
+the look-ahead checks of both orders. Also the tools only tests use:
 edge-induced subgraphs, vertex-set shrinking, star-clique edge ids, the
-two-color coloring of a lone triangle with pendants, trace replay, the
-tightness check of the ``m - m1`` bound, a recorder of the triangle
-enumerations and classifications a call makes, and the partition-combination
-and detach-projection checks that ``test_observations.py`` and
-``test_acceptance.py`` run on their own instances.
+two-color coloring of a lone triangle with pendants, the networkx copy of a
+graph, trace replay, the tightness check of the ``m - m1`` bound, a recorder
+of the triangle enumerations and classifications a call makes, and the
+partition-combination and detach-projection checks that
+``test_observations.py`` and ``test_acceptance.py`` run on their own
+instances.
 """
 
 import math
@@ -60,6 +78,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
+
+import networkx as nx
 
 from rainbowline import coloring, oracle, triangles
 from rainbowline.coloring import (
@@ -70,13 +90,7 @@ from rainbowline.coloring import (
     pendant_two_path_count,
 )
 from rainbowline.errors import InputError, InvariantViolation, LimitError
-from rainbowline.graphs import (
-    Graph,
-    blocks,
-    diameter,
-    edge_key,
-    is_connected,
-)
+from rainbowline.graphs import Graph, diameter, edge_key, is_connected
 from rainbowline.linegraph import LineGraphResult, iterated_line_graph, line_graph
 from rainbowline.oracle import _LOOK_AHEAD_FACTOR, DEFAULT_EDGE_CAP, canonical_colorings, exact_rc
 from rainbowline.triangles import (
@@ -460,64 +474,47 @@ def comp_map_pack(g: Graph, mode: str) -> tuple[Triangle, ...]:
     return tuple(sorted(tris[i] for i in best))
 
 
+def _structure(g: Graph, tris: Iterable[Triangle]) -> nx.Graph:
+    """The triangles' sides as a networkx graph."""
+    return nx.Graph(g.edges[eid] for tri in tris for eid in tri.edge_ids)
+
+
 def blocks_is_forest(g: Graph, packing: TrianglePacking) -> tuple[bool, ...]:
-    """Per component: is every block of the structure a single triangle?"""
-    flags = []
-    for indices in packing.components:
-        edge_ids = {eid for i in indices for eid in packing.triangles[i].edge_ids}
-        sub = induced_by_edges(g, edge_ids)
-        flags.append(
-            all(
-                len({v for e in blk for v in sub.graph.edges[e]}) == 3
-                for blk in blocks(sub.graph).blocks
+    """Per component: is every block of the structure a single triangle?
+    The blocks are networkx's ``biconnected_component_edges``."""
+    return tuple(
+        all(
+            len({v for e in blk for v in e}) == 3
+            for blk in nx.biconnected_component_edges(
+                _structure(g, (packing.triangles[i] for i in indices))
             )
         )
-    return tuple(flags)
-
-
-def _connected_after_move(
-    comp_tris: Sequence[Triangle], v: int, moved: Triangle, new_vertex: int
-) -> bool:
-    adj: dict[int, set[int]] = {}
-    for tri in comp_tris:
-        vs = tri.vertices
-        if tri == moved:
-            vs = tuple(new_vertex if x == v else x for x in vs)
-        for a, b in combinations(vs, 2):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    start = next(iter(adj))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for b in adj[queue.popleft()]:
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return len(seen) == len(adj)
+        for indices in packing.components
+    )
 
 
 def _pick_split(g: Graph, packing: TrianglePacking, forest: Sequence[bool]):
     """Lowest vertex in >= 2 triangles of a block with more than three
     vertices, then the lowest triangle through it whose move keeps the
-    component's structure connected."""
+    component's structure connected. Blocks and connectivity are
+    networkx's."""
     tris = packing.triangles
     candidates: set[int] = set()
     for comp_idx, indices in enumerate(packing.components):
         if forest[comp_idx]:
             continue
-        edge_ids = {eid for i in indices for eid in tris[i].edge_ids}
-        sub = induced_by_edges(g, edge_ids)
-        bd = blocks(sub.graph)
-        eid_to_block = {sub.edge_to_parent[e]: b for b, blk in enumerate(bd.blocks) for e in blk}
-        block_sizes = [len({v for e in blk for v in sub.graph.edges[e]}) for blk in bd.blocks]
+        comp_tris = [tris[i] for i in indices]
+        block_of: dict[tuple[int, int], tuple[int, int]] = {}  # side -> (block, its vertex count)
+        for b, blk in enumerate(nx.biconnected_component_edges(_structure(g, comp_tris))):
+            size = len({v for e in blk for v in e})
+            block_of.update((edge_key(*e), (b, size)) for e in blk)
         tri_counts: dict[tuple[int, int], int] = {}
-        for i in indices:
-            b_idx = eid_to_block[tris[i].edge_ids[0]]
-            if block_sizes[b_idx] == 3:
+        for tri in comp_tris:
+            b, size = block_of[tri.vertices[:2]]
+            if size == 3:
                 continue
-            for v in tris[i].vertices:
-                tri_counts[(b_idx, v)] = tri_counts.get((b_idx, v), 0) + 1
+            for v in tri.vertices:
+                tri_counts[(b, v)] = tri_counts.get((b, v), 0) + 1
         candidates.update(v for (_, v), cnt in tri_counts.items() if cnt >= 2)
     if not candidates:
         raise InvariantViolation("non-forest structure without a splittable vertex")
@@ -526,7 +523,11 @@ def _pick_split(g: Graph, packing: TrianglePacking, forest: Sequence[bool]):
     comp_tris = [tris[i] for i in packing.components[comp_idx]]
     at_v = sorted(t for t in comp_tris if v in t.vertices)
     for tri in at_v:
-        if _connected_after_move(comp_tris, v, tri, g.n):
+        corners = [
+            tuple(g.n if x == v else x for x in t.vertices) if t == tri else t.vertices
+            for t in comp_tris
+        ]
+        if nx.is_connected(nx.Graph(e for vs in corners for e in combinations(vs, 2))):
             return v, tri, [t for t in at_v if t != tri]
     raise InvariantViolation(f"no split at vertex {v} preserves structure connectivity")
 
@@ -719,44 +720,12 @@ def hand_built_iterated_baseline(g: Graph) -> tuple[EdgeColoring, LineGraphResul
     return col, lg2, bound
 
 
-def components(g: Graph) -> list[list[int]]:
-    """The vertex sets of g's components, each sorted, by breadth-first search."""
-    seen = [False] * g.n
-    out: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
+def nx_graph(g: Graph) -> nx.Graph:
+    """``g`` as a networkx graph on the nodes ``0..n-1``."""
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
     return out
-
-
-def remove_vertex_components(g: Graph, v: int) -> int:
-    """Component count of g - v, for cut-vertex checks."""
-    seen = {v}
-    count = 0
-    for s in range(g.n):
-        if s in seen:
-            continue
-        count += 1
-        stack = [s]
-        seen.add(s)
-        while stack:
-            a = stack.pop()
-            for b in g.adjacency[a]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-    return count
 
 
 def count_packing_work(monkeypatch):
@@ -903,12 +872,12 @@ def check_detach_projection(g: Graph) -> bool:
     """Detach ``g``'s first non-bridge edge with both ends of degree >= 2: the
     result stays connected, and the distinct coloring of its line graph is
     rainbow and projects to a rainbow coloring of L(g). False when ``g`` has
-    no such edge, so nothing was checked."""
-    bridge_ids = {next(iter(blk)) for blk in blocks(g).blocks if len(blk) == 1}
+    no such edge, so nothing was checked. The bridges are networkx's."""
+    bridges = {edge_key(*e) for e in nx.bridges(nx_graph(g))}
     eligible = [
         eid
         for eid, (u, v) in enumerate(g.edges)
-        if g.degree(u) >= 2 and g.degree(v) >= 2 and eid not in bridge_ids
+        if g.degree(u) >= 2 and g.degree(v) >= 2 and edge_key(u, v) not in bridges
     ]
     if not eligible:
         return False

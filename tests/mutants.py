@@ -23,6 +23,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/rainbowline/oracle.py"
 GRAPHS = "src/rainbowline/graphs.py"
+LINEGRAPH = "src/rainbowline/linegraph.py"
+TRIANGLES = "src/rainbowline/triangles.py"
+NETWORKX = "tests/test_graphs.py::TestMatchesNetworkx::"
 
 
 class Mutant(NamedTuple):
@@ -83,7 +86,35 @@ MUTANTS = (
         GRAPHS,
         "best = max(best, *dist)",
         "best = max(dist)",
-        ("tests/test_graphs.py::TestDiameter::test_matches_floyd_warshall",),
+        (NETWORKX + "test_distances",),
+    ),
+    Mutant(
+        "graphs: the search revisits the source",
+        GRAPHS,
+        "if dist[w] < 0:",
+        "if dist[w] <= 0:",
+        (NETWORKX + "test_distances",),
+    ),
+    Mutant(
+        "graphs: a block that closes at its first vertex is not cut off",
+        GRAPHS,
+        "if low[v] >= disc[p]:",
+        "if low[v] > disc[p]:",
+        (NETWORKX + "test_blocks",),
+    ),
+    Mutant(
+        "line_graph: consecutive edges of a star left unjoined",
+        LINEGRAPH,
+        "for j in range(i + 1, len(inc)):",
+        "for j in range(i + 2, len(inc)):",
+        (NETWORKX + "test_line_graph",),
+    ),
+    Mutant(
+        "enumerate_triangles: a triangle found from two of its sides",
+        TRIANGLES,
+        "            if w > v:\n",
+        "            if w > u:\n",
+        (NETWORKX + "test_triangles",),
     ),
 )
 

@@ -1,5 +1,7 @@
 import functools
+import io
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -283,6 +285,21 @@ class TestColorCommand:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "source, theorem, colors",
+        [
+            (["--model", "gnp", "--n", "60", "--p", "0.14"], "32", 50),
+            (["--model", "random_cubic", "--n", "40"], "cubic", 41),
+        ],
+    )
+    def test_flatten_instances_certify(self, capsys, source, theorem, colors):
+        """Two instances of the ``flatten`` benchmark, seed 1: the verifier's
+        look-ahead runs on both line graphs, and both colorings certify."""
+        assert main(["color", *source, "--seed", "1", "--theorem", theorem]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"colors used = {colors}" in out
+        assert "verified = true" in out
+
     def test_model_needs_seed(self, capsys):
         assert main(["color", "--model", "gnp", "--n", "7", "--p", "0.4",
                      "--theorem", "32"]) == 3
@@ -313,10 +330,45 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == "input error: coloring has 1 entries for 2 edges\n"
 
 
+def _stdin(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 are an input error naming the file, from
+    each source the commands read."""
+
+    def test_edge_list_file(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"\xff3 2\n0 1\n1 2\n")
+        assert main(["gen", "--file", str(f)]) == 3
+        assert capsys.readouterr().err == f"input error: {f}: byte 0 is not UTF-8 (invalid start byte)\n"
+
+    def test_stdin(self, capsys, monkeypatch):
+        _stdin(monkeypatch, b"3 2\n0 1\n1 \xff\n")
+        assert main(["gen", "--file", "-"]) == 3
+        assert capsys.readouterr().err == "input error: stdin: byte 10 is not UTF-8 (invalid start byte)\n"
+
+    def test_coloring_file(self, capsys, tmp_path):
+        c = tmp_path / "c.txt"
+        c.write_bytes(b"1 1 \xff\n")
+        assert main(["verify", "--family", "cycle", "--n", "3", "--coloring", str(c)]) == 3
+        assert capsys.readouterr().err == f"input error: {c}: byte 4 is not UTF-8 (invalid start byte)\n"
+
+
 class TestExactAndBound:
     def test_exact_cycle(self, capsys):
         assert main(["exact", "--family", "cycle", "--n", "5"]) == 0
         assert "exact rc = 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("family, param, rc", [("example31", "--t", 4), ("example32", "--k", 3)])
+    def test_line_graph_through_stdin(self, capsys, monkeypatch, family, param, rc):
+        """``linegraph | exact --file -``: rc of the paper's smallest
+        sharpness examples, L(G) read back from stdin."""
+        assert main(["linegraph", "--family", family, param, "2"]) == 0
+        _stdin(monkeypatch, capsys.readouterr().out.encode())
+        assert main(["exact", "--file", "-"]) == 0
+        assert capsys.readouterr().out == f"exact rc = {rc}\n"
 
     def test_exact_over_cap(self, capsys):
         assert main(["exact", "--family", "cycle", "--n", "13"]) == 4

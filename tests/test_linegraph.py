@@ -1,10 +1,11 @@
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 
-from corpus import canonical_form, small_graphs
-from helpers import star_clique_edges
+from corpus import small_graphs
+from helpers import nx_graph, star_clique_edges
 from rainbowline.errors import InputError
 from rainbowline.families import (
     complete_graph,
@@ -22,12 +23,12 @@ class TestLineGraph:
 
     def test_triangle_is_self_line_graph(self):
         lg = line_graph(complete_graph(3))
-        assert canonical_form(lg.l_graph) == canonical_form(complete_graph(3))
+        assert nx.is_isomorphic(nx_graph(lg.l_graph), nx_graph(complete_graph(3)))
 
     def test_claw_gives_triangle(self):
         star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         lg = line_graph(star)
-        assert canonical_form(lg.l_graph) == canonical_form(complete_graph(3))
+        assert nx.is_isomorphic(nx_graph(lg.l_graph), nx_graph(complete_graph(3)))
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
@@ -68,7 +69,7 @@ class TestIteratedLineGraph:
 
     def test_cycles_are_fixed_points(self):
         chain = iterated_line_graph(cycle_graph(5), 2)
-        assert canonical_form(chain[-1].l_graph) == canonical_form(cycle_graph(5))
+        assert nx.is_isomorphic(nx_graph(chain[-1].l_graph), nx_graph(cycle_graph(5)))
 
     def test_path3_twice_is_single_vertex(self):
         chain = iterated_line_graph(path_graph(3), 2)

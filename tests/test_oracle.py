@@ -174,7 +174,7 @@ class TestSharpPastTheCap:
     the paper's sharpness examples and long cycles beyond the default cap,
     and rc equals the bound the construction certifies."""
 
-    @pytest.mark.parametrize("t, rc", [(3, 6), (4, 8), (6, 12)])
+    @pytest.mark.parametrize("t, rc", [(3, 6), (4, 8), (6, 12), (8, 16), (12, 24)])
     def test_example31_line_graphs(self, t, rc):
         g = bridged_triangle_chain(t)
         coloring, cert = color_forest_packing(g, pack_edge_disjoint(g, "forest_exact"))
@@ -182,7 +182,7 @@ class TestSharpPastTheCap:
         assert lg.m > oracle.DEFAULT_EDGE_CAP
         assert exact_rc(lg, max_edges=lg.m) == cert.bound_value == rc  # n2 - t
 
-    @pytest.mark.parametrize("k, rc", [(3, 4), (4, 5), (6, 7)])
+    @pytest.mark.parametrize("k, rc", [(3, 4), (4, 5), (6, 7), (8, 9)])
     def test_example32_line_graphs(self, k, rc):
         g = shared_vertex_triangle_chain(k)
         coloring, cert = color_packing(g, pack_edge_disjoint(g, "exact"))
@@ -330,8 +330,12 @@ class TestEdgeOrders:
         monkeypatch.setattr(oracle, "_extends", record)
         return turns
 
-    def test_geodesic_first_settles_ring4(self, monkeypatch):
-        """The id order makes 95,775 ``_counted_reaches`` calls here."""
+    @pytest.mark.parametrize("r, rc, limit", [(4, 3, 2000), (6, 4, 12_000)])
+    def test_geodesic_first_settles_triangle_rings(self, monkeypatch, r, rc, limit):
+        """On L(triangle_ring(r)) the geodesic-first order settles in fewer
+        than ``limit`` ``_counted_reaches`` calls: 406 for r = 4, where the
+        id order makes 95,775, and 11,274 for r = 6, where the id order alone
+        does not finish in a minute."""
         counted_reaches, calls = oracle._counted_reaches, []
 
         def record(adj, s, k):
@@ -340,10 +344,10 @@ class TestEdgeOrders:
 
         monkeypatch.setattr(oracle, "_counted_reaches", record)
         turns = self._turns(monkeypatch)
-        lg = line_graph(triangle_ring(4)).l_graph
-        assert exact_rc(lg, max_edges=28) == 3
-        assert len(calls) < 2000
-        assert turns[-1] == (3, "geodesic", True)
+        lg = line_graph(triangle_ring(r)).l_graph
+        assert exact_rc(lg, max_edges=lg.m) == rc
+        assert len(calls) < limit
+        assert turns[-1] == (rc, "geodesic", True)
 
     def test_id_order_settles_example31(self, monkeypatch):
         """The geodesic-first order pauses on L(example31, t = 6) and the id

@@ -2,12 +2,12 @@ import dataclasses
 import re
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
-    canonical_form,
     connected_graphs_up_to,
     dense_gnp,
     pack_as_color,
@@ -20,8 +20,8 @@ from helpers import (
     blocks_is_forest,
     brute_force_max_packing,
     comp_map_pack,
-    components,
     detach_edge,
+    nx_graph,
     reclassify_build_transformed,
     replay_graphs,
     replay_trace,
@@ -241,7 +241,7 @@ class TestDetachEdge:
     def test_cycle4_becomes_path(self):
         g = cycle_graph(4)
         out, _ = detach_edge(g, 0)
-        assert canonical_form(out) == canonical_form(path_graph(6))
+        assert nx.is_isomorphic(nx_graph(out), nx_graph(path_graph(6)))
 
     @given(small_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
@@ -259,13 +259,13 @@ class TestSplitVertex:
         t1, t2 = enumerate_triangles(BOWTIE)
         out, step = split_vertex(BOWTIE, 0, [t1], [t2])
         assert out.n == 6 and out.m == BOWTIE.m
-        assert len(components(out)) == 2
+        assert nx.number_connected_components(nx_graph(out)) == 2
 
     def test_friendship_split_off_one(self):
         g = friendship_graph(3)
         tris = enumerate_triangles(g)
         out, _ = split_vertex(g, 0, [tris[0]], tris[1:])
-        comps = sorted(len(c) for c in components(out))
+        comps = sorted(len(c) for c in nx.connected_components(nx_graph(out)))
         assert comps == [3, 5]
 
     def test_ring3_split_restores_forest(self):
