@@ -12,9 +12,14 @@ graph layer's references are networkx's, compared on
   ``nx.enumerate_all_cliques`` -> ``test_triangles``.
 - breadth-first search (``graphs.distances``, ``Graph.diameter``,
   ``Graph.is_connected``): ``nx.all_pairs_shortest_path_length`` ->
-  ``test_distances``.
+  ``test_distances``; on hypothesis small graphs also ``TestDiameter``
+  ``test_matches_networkx`` and, with ``nx.number_connected_components``,
+  ``test_connected_iff_one_component``.
 - blocks (``graphs.blocks``): ``nx.biconnected_component_edges``, and
-  ``nx.articulation_points`` for the cut vertices -> ``test_blocks``.
+  ``nx.articulation_points`` for the cut vertices -> ``test_blocks``; on
+  hypothesis small graphs, a cut vertex is one whose deletion raises
+  ``nx.number_connected_components`` -> ``TestBlocks``
+  ``test_cut_vertices_disconnect``.
 
 The other layers:
 

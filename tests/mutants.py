@@ -86,7 +86,20 @@ MUTANTS = (
         GRAPHS,
         "best = max(best, *dist)",
         "best = max(dist)",
-        (NETWORKX + "test_distances",),
+        (
+            NETWORKX + "test_distances",
+            "tests/test_graphs.py::TestDiameter::test_matches_networkx",
+        ),
+    ),
+    Mutant(
+        "graphs: two isolated vertices called connected",
+        GRAPHS,
+        "return self.n <= 1 or",
+        "return self.n <= 2 or",
+        (
+            "tests/test_graphs.py::TestDiameter::test_matches_networkx",
+            "tests/test_graphs.py::test_connected_iff_one_component",
+        ),
     ),
     Mutant(
         "graphs: the search revisits the source",

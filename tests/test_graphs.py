@@ -111,6 +111,17 @@ class TestDiameter:
         assert vars(g)["diameter"] == 3
         assert diameter(g) == g.diameter == 3
 
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_networkx(self, g):
+        rows = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+        connected = all(len(row) == g.n for row in rows.values())
+        longest = max((d for row in rows.values() for d in row.values()), default=0)
+        assert diameter(g) == (longest if connected else math.inf)
+        for s in range(g.n):
+            assert distances(g, s) == [rows[s].get(v, -1) for v in range(g.n)]
+        assert is_connected(g) == connected
+
 
 class TestBlocks:
     def test_bowtie(self):
@@ -135,6 +146,17 @@ class TestBlocks:
         bd = blocks(g)
         all_ids = [eid for blk in bd.blocks for eid in blk]
         assert sorted(all_ids) == list(range(g.m))
+
+    @given(small_graphs(min_n=2))
+    @settings(max_examples=60, deadline=None)
+    def test_cut_vertices_disconnect(self, g):
+        # v is a cut vertex exactly when deleting it increases the component count
+        bd = blocks(g)
+        gx = nx_graph(g)
+        base = nx.number_connected_components(gx)
+        for v in range(g.n):
+            after = nx.number_connected_components(gx.subgraph(set(gx) - {v}))
+            assert (v in bd.cut_vertices) == (after > base)
 
 
 class TestInducedByEdges:
@@ -223,3 +245,9 @@ def test_connected_helpers():
     g = cycle_graph(6)
     assert "is_connected" not in vars(g)
     assert is_connected(g) and vars(g)["is_connected"] is True
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_connected_iff_one_component(g):
+    assert is_connected(g) == (nx.number_connected_components(nx_graph(g)) <= 1)
