@@ -95,32 +95,31 @@ is not checked either: with every edge uncolored, a shortest path joins each
 pair in at most diam <= ``k`` edges, none of them colored, so the check
 always passes.
 
-The edge order sets the cost by orders of magnitude and no static order wins
-everywhere, so each ``k`` is tried in two orders. Geodesic-first sorts the
-edges by how many diametral vertex pairs have a shortest path through them,
-most first, ties by id (``_geodesic_order``): at ``k`` equal to the diameter
-a diametral pair needs a rainbow shortest path, so prefixes of those edges
-fail first. The second is id order. Each order's search is a generator
-(``_extends``) on an adjacency of its own, built when its first turn
-starts: it yields the work of each prefix check and returns whether ``k``
-extends. The orders take turns of ``_TURN`` work units (``_settles``); each
-resumes where it paused, a turn that overruns starts the order's next turn
-in debt, and the first order to settle ``k``, by a coloring or by a
-refutation, decides it. Each order visits one coloring per partition of the
-edges into ``k`` color classes, so both decide the same question and the
-answer does not depend on which one settles. No work is redone, so if the
-better order needs ``W`` units it settles within ``W / _TURN + 1`` turns,
-over which the other order spends at most ``W`` units plus one turn plus
-its last prefix check: the total is at most ``2W``, plus one turn, plus one
-prefix check. The unit is work inside ``_counted_reaches``: one per
-candidate state plus one per admitted mask at its vertex, the masks its
-subset test may scan. A turn ends only between prefix checks, so a check is
-never cut short and nothing is undone. Prefix checks cannot be the unit:
-their cost spans orders of magnitude with the order. Geodesic-first alone
-on L(example31, t = 12) made 259 ``_counted_reaches`` calls in 20 s, 648 M
-units, without settling, while the whole id-order search takes 0.12 s
-(2-vCPU Xeon, Python 3.11.7). The depth-first path is an explicit stack,
-not recursion, so a yield leaves one frame, not one per colored edge.
+The edge order sets the cost by orders of magnitude and no fixed order wins
+everywhere, so the search picks each node's edge as it goes (``_extends``):
+the uncolored edge with the most failed prefix checks so far at this ``k``,
+each failure counted against the edge whose coloring failed. This is
+fail-first variable choice (Haralick and Elliott, Artif. Intell. 14, 1980)
+with failure counts as the weights (Boussemart, Hemery, Lecoutre and Sais,
+ECAI 2004): an edge whose colorings keep failing moves up to where its
+failures cut the largest subtrees. Ties go to the edge whose nearer end is
+closest to vertex 0, then to the lower id, an order computed once per
+``exact_rc`` call. With ties by id alone the ``ensemble`` row L(gnp7-s38)
+took 3.9 k work units instead of 1.8 k; the unit is work inside
+``_counted_reaches``, one per candidate state plus one per admitted mask at
+its vertex, the masks its subset test may scan. Canonical colors stay sound
+under any edge choice made at a node: the colors its prefix has not used
+are interchangeable, so giving the node's edge a used color or the first
+unused one, ``top + 1``, reaches every partition of the edges into ``k``
+color classes once, whichever edge the node colors. The skips and the
+forced-fresh tail do not depend on the order either, so the value does not.
+The uncolored edges wait in a list sorted by weight, the best last. Only
+the edge being tried gains failures, and it is out of the list until it is
+backtracked, when it goes back in by bisection; so a pick is a pop, not a
+scan of every edge. On L(gnp(11, 0.3, 1)) the search takes 52 k units and
+10-11 ms, where the geodesic-first and id orders run in turns took 23 M
+units and 6.8 s; on L(``triangle_ring(6)``) it takes 1.07 M units against
+their 0.83 M (2-vCPU Xeon, Python 3.11.7).
 
 The search is a loop of its own and shares no code with the verifier's,
 which groups neighbours by color and has no level cap: a loop shared by
@@ -129,7 +128,8 @@ both made the verifier 10-17% slower on the ``sharp`` benchmark's inputs
 """
 
 import math
-from typing import TYPE_CHECKING, Generator, Iterator, Sequence
+from bisect import insort
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
 from .graphs import Graph, diameter, distances
@@ -142,9 +142,6 @@ DEFAULT_EDGE_CAP = 12
 # The verifier looks one level ahead once the frontier holds more than this
 # many states per target left (see the module docstring).
 _LOOK_AHEAD_FACTOR = 4
-# The work units of one exact_rc turn per edge order, in the units of
-# _counted_reaches (see the module docstring).
-_TURN = 65536
 
 
 def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[list]]:
@@ -321,92 +318,50 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> tuple[bool, int]:
     return False, work
 
 
-def _geodesic_order(g: Graph) -> list[int]:
-    """Edge ids by how many diametral vertex pairs have a shortest path
-    through the edge, most first, ties by id."""
-    dist = [distances(g, s) for s in range(g.n)]
-    diam = diameter(g)
-    pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if dist[a][b] == diam]
-    through = [
-        sum(
-            dist[a][u] + 1 + dist[v][b] == diam or dist[a][v] + 1 + dist[u][b] == diam
-            for a, b in pairs
-        )
-        for u, v in g.edges
-    ]
-    return sorted(range(g.m), key=lambda i: -through[i])
-
-
-def _edge_orders(g: Graph) -> list[list[int]]:
-    """The orders ``exact_rc`` tries: geodesic-first, then id order unless
-    it is the same."""
-    ids = list(range(g.m))
-    geodesic = _geodesic_order(g)
-    return [geodesic] if geodesic == ids else [geodesic, ids]
-
-
-def _extends(g: Graph, order: Sequence[int], k: int) -> Generator[int, None, bool]:
-    """Whether the edges of ``g``, colored in ``order`` depth first in the
-    order of ``canonical_colorings``, have a coloring with exactly ``k``
-    colors all of whose prefixes pass ``_counted_reaches`` from every
-    source. A generator: it yields the work of each prefix check and
-    returns the answer, so ``_settles`` can pause and resume it. On its
-    first resume it builds its own adjacency, one ``[bit, neighbour]`` end
-    per edge end with ``bit = 0`` while the edge is uncolored; coloring an
-    edge sets the bit at both ends and backtracking clears it. The empty
-    prefix and a child that gives its edge a fresh color are not checked
-    (see the module docstring). The depth-first path is an explicit stack:
-    at depth ``j``, ``tops[j]`` colors are used by the prefix ``order[:j]``
-    and edge ``order[j]`` has color ``colors[j]``."""
+def _extends(g: Graph, order: Sequence[int], k: int) -> bool:
+    """Whether the edges of ``g`` have a coloring with exactly ``k`` colors,
+    canonical in the order the edges are colored, all of whose prefixes
+    pass ``_counted_reaches`` from every source. Depth first: each node
+    colors the uncolored edge with the most failed prefix checks so far,
+    ties by ``order``. One ``[bit, neighbour]`` end per edge end, with
+    ``bit = 0`` while the edge is uncolored; coloring an edge sets the bit
+    at both ends and backtracking clears it. The empty prefix and a child
+    that gives its edge a fresh color are not checked (see the module
+    docstring). At depth ``j`` the path colors edge ``order[path[j]]`` with
+    ``colors[j]``, after a prefix using ``tops[j]`` colors."""
     ends = [([0, v], [0, u]) for u, v in g.edges]
     adj: list[list[list]] = [[] for _ in range(g.n)]
     for (u, v), (at_u, at_v) in zip(g.edges, ends):
         adj[u].append(at_u)
         adj[v].append(at_v)
+    # Edges by their place in ``order``. A failed check adds ``m`` to the
+    # edge's weight, so a weight orders by failures, then by ``order``.
     m, ends = len(order), [ends[i] for i in order]
-    tops, colors = [0], [0]
-    while colors:
-        j = len(colors) - 1
-        top, c = tops[j], colors[j] + 1
-        at_u, at_v = ends[j]
+    weight = [-j for j in range(m)]
+    free = list(range(m - 1, -1, -1))  # uncolored, by weight: the best is last
+    path, tops, colors = [free.pop()], [0], [0]
+    while path:
+        j = len(path) - 1
+        i, top, c = path[j], tops[j], colors[j] + 1
+        at_u, at_v = ends[i]
         if c > min(top + 1, k):
             at_u[0] = at_v[0] = 0
-            del tops[j], colors[j]
+            insort(free, i, key=weight.__getitem__)
+            del path[j], tops[j], colors[j]
             continue
         colors[j] = c
         at_u[0] = at_v[0] = 1 << (c - 1)
-        if c <= top:
-            work = 0
-            for s in range(g.n - 1):
-                passed, spent = _counted_reaches(adj, s, k)
-                work += spent
-                if not passed:
-                    break
-            yield work
-            if not passed:
-                continue
+        if c <= top and not all(_counted_reaches(adj, s, k)[0] for s in range(g.n - 1)):
+            weight[i] += m
+            continue
         if j + 1 == m:
             return True
         t = max(top, c)
+        path.append(free.pop())
         tops.append(t)
         # With as many colors left to use as edges, each takes a fresh one.
         colors.append(t if k - t == m - j - 1 else 0)
     return False
-
-
-def _settles(searches: Sequence[Generator[int, None, bool]]) -> bool:
-    """The answer of the first search in ``searches`` to finish. They take
-    turns of ``_TURN`` work units, each resuming where it paused, and a
-    search that overruns its turn starts the next one in debt."""
-    credit = [0] * len(searches)
-    while True:
-        for i, search in enumerate(searches):
-            credit[i] += _TURN
-            try:
-                while credit[i] > 0:
-                    credit[i] -= next(search)
-            except StopIteration as settled:
-                return settled.value
 
 
 def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
@@ -414,16 +369,14 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     colorings.
 
     Tries palette sizes upward from the diameter. For each size ``k`` it
-    colors the edges depth first, in the order of ``canonical_colorings``,
-    and cuts every prefix in which some pair has no walk of at most ``k``
-    edges with distinct colors on its colored edges (``_counted_reaches``);
-    neither the empty prefix nor a child that takes a fresh color needs a
-    check. Two edge orders, geodesic-first and id order, take turns of
-    ``_TURN`` work units, each resuming where it paused, and the first to
-    settle ``k`` decides it (see the module docstring). Each order's search
-    (``_extends``) builds its own adjacency for each ``k``. Raises
-    ``LimitError`` carrying the proven bracket when the instance exceeds
-    ``max_edges``.
+    colors the edges depth first with canonical colors and cuts every
+    prefix in which some pair has no walk of at most ``k`` edges with
+    distinct colors on its colored edges (``_counted_reaches``); neither
+    the empty prefix nor a child that takes a fresh color needs a check.
+    Each node colors the uncolored edge with the most failed prefix checks
+    so far at this ``k``, ties by the distance of its nearer end from vertex
+    0, then by id (see the module docstring). Raises ``LimitError`` carrying
+    the proven bracket when the instance exceeds ``max_edges``.
     """
     check_edge_cap(max_edges)
     lo = rc_lower_bound(g)
@@ -433,9 +386,10 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
             f"{g.m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
 
-    orders = _edge_orders(g)
+    dist = distances(g, 0)
+    order = sorted(range(g.m), key=lambda i: min(dist[u] for u in g.edges[i]))
     for k in range(lo, g.m + 1):
-        if _settles([_extends(g, order, k) for order in orders]):
+        if _extends(g, order, k):
             return k
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 

@@ -35,9 +35,8 @@ The other layers:
   ``TestLookAheadTrigger``.
 - exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, every canonical
   coloring in full -> ``TestPrunedSearchMatchesEnumeration``;
-  ``relabel_exact_rc``, its own recursion with a private color per
-  uncolored edge, value and prefix-check totals per edge order ->
-  ``TestCountedMatchesRelabel``.
+  ``relabel_exact_rc``, its own recursion in edge-id order with a private
+  color per uncolored edge, values -> ``TestCountedMatchesRelabel``.
 - packing (``triangles.pack_edge_disjoint``): ``comp_map_pack``, the chosen
   triangles in every mode -> ``test_triangles.py`` ``TestPacking``
   ``test_matches_comp_map_search``; ``brute_force_max_packing``, the exact
@@ -65,7 +64,7 @@ each check stay independent; the graph searches the tests need (blocks,
 bridges, connectivity, isomorphism, distances) are networkx's, run on
 ``nx_graph(g)``. ``relabel_exact_rc`` runs a search of its own and takes
 from the oracle only the verifier (``_adjacency`` and ``_check_adjacency``,
-which a test patches to count its prefix checks) and the edge-cap check.
+which a test patches to record its prefix checks) and the edge-cap check.
 The exception is ``circular_first_unreached``, which shares
 ``oracle._reaches`` and ``oracle._reaches_in_two`` so that a test can record
 the look-ahead checks of both orders. Also the tools only tests use:
@@ -264,14 +263,12 @@ def enumerate_exact_rc(g: Graph) -> int:
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
-def relabel_exact_rc(
-    g: Graph, order: Sequence[int] | None = None, max_edges: int = DEFAULT_EDGE_CAP
-) -> int:
-    """Reference for ``oracle.exact_rc``: the same pruned search, in one
-    edge ``order`` (id order by default), but each prefix check gives every
-    uncolored edge ``i`` a private color ``1 << (m + i)`` that clashes with
-    nothing, and allows walks of any length. It checks each prefix through
-    ``oracle._check_adjacency``, so a test can record the verdicts.
+def relabel_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
+    """Reference for ``oracle.exact_rc``: a pruned search in edge-id order
+    whose prefix check gives every uncolored edge ``i`` a private color
+    ``1 << (m + i)`` that clashes with nothing, and allows walks of any
+    length. It checks each prefix through ``oracle._check_adjacency``, so a
+    test can record the verdicts.
 
     Its own recursion: palette sizes upward from the diameter, the edges
     colored depth first in the order of ``canonical_colorings``, every
@@ -291,20 +288,18 @@ def relabel_exact_rc(
         raise LimitError(
             f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
         )
-    order = range(m) if order is None else order
     bits = [1 << (m + i) for i in range(m)]
 
     def extends(j: int, top: int, k: int) -> bool:
         if j == m:
             return True
-        i = order[j]
         for c in range(top + 1 if k - top == m - j else 1, min(top + 1, k) + 1):
-            bits[i] = 1 << (c - 1)
+            bits[j] = 1 << (c - 1)
             if c <= top and not oracle._check_adjacency(oracle._adjacency(g, bits))[0]:
                 continue
             if extends(j + 1, max(top, c), k):
                 return True
-        bits[i] = 1 << (m + i)
+        bits[j] = 1 << (m + j)
         return False
 
     for k in range(lo, m + 1):

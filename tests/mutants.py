@@ -40,46 +40,54 @@ MUTANTS = (
     Mutant(
         "exact_rc: the fresh-color skip applied to reused colors",
         ORACLE,
-        "        if c <= top:\n            work = 0\n",
-        "        if c > top:\n            work = 0\n",
+        "if c <= top and not all(",
+        "if c > top and not all(",
         (
             "tests/test_oracle.py::TestExactRc::test_cycle5",
             "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
         ),
     ),
     Mutant(
-        "exact_rc: the geodesic order reversed",
-        ORACLE,
-        "key=lambda i: -through[i])",
-        "key=lambda i: through[i])",
-        ("tests/test_oracle.py::TestEdgeOrders::test_geodesic_order",),
-    ),
-    Mutant(
         "exact_rc: the forced-fresh tail dropped",
         ORACLE,
         "colors.append(t if k - t == m - j - 1 else 0)",
         "colors.append(0)",
-        (
-            "tests/test_oracle.py::TestCountedMatchesRelabel::"
-            "test_same_values_no_more_prefix_checks[cycles-pinned3]",
-        ),
-    ),
-    Mutant(
-        "exact_rc: a turn too large to ever pause",
-        ORACLE,
-        "_TURN = 65536\n",
-        "_TURN = 1 << 62\n",
-        ("tests/test_oracle.py::TestEdgeOrders::test_id_order_settles_example31",),
+        ("tests/test_oracle.py::TestEdgeOrders::test_checked_prefixes_can_reach_k_colors",),
     ),
     Mutant(
         "exact_rc: a backtracked edge keeps its color",
         ORACLE,
-        "            at_u[0] = at_v[0] = 0\n            del tops[j], colors[j]\n",
-        "            del tops[j], colors[j]\n",
+        "            at_u[0] = at_v[0] = 0\n            insort(",
+        "            insort(",
         (
             "tests/test_oracle.py::TestSharpPastTheCap::test_long_cycles",
             "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+            "tests/test_oracle.py::TestEdgeOrders::test_failed_palette_size_leaves_edges_uncolored",
         ),
+    ),
+    Mutant(
+        "exact_rc: failure counts never incremented",
+        ORACLE,
+        "            weight[i] += m\n",
+        "",
+        ("tests/test_oracle.py::TestEdgeOrders::test_call_budget[gnp11-s1]",),
+    ),
+    Mutant(
+        "exact_rc: a backtracked edge never offered again",
+        ORACLE,
+        "            insort(free, i, key=weight.__getitem__)\n",
+        "",
+        (
+            "tests/test_oracle.py::TestExactRc::test_cycle5",
+            "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+        ),
+    ),
+    Mutant(
+        "exact_rc: ties by edge id alone",
+        ORACLE,
+        "key=lambda i: min(dist[u] for u in g.edges[i]))",
+        "key=lambda i: i)",
+        ("tests/test_oracle.py::TestEdgeOrders::test_call_budget[gnp11-s1]",),
     ),
     Mutant(
         "graphs: the diameter read from the last source alone",

@@ -1,7 +1,9 @@
 import pathlib
 import random
-from functools import partial
+from collections import Counter
+from functools import partial, reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -229,113 +231,86 @@ class TestPrunedSearchMatchesEnumeration:
         assert [exact_rc(lg) for lg in lgs] == [enumerate_exact_rc(lg) for lg in lgs]
 
 
-EDGE_ORDERS = {"geodesic": oracle._geodesic_order, "id": lambda g: list(range(g.m))}
+def _value(search, g):
+    """``search(g)``, or its ``LimitError`` bracket."""
+    try:
+        return search(g)
+    except LimitError as exc:
+        return exc.lower, exc.upper
+
+
+def _prefixes(g: Graph, k: int, rng: random.Random):
+    """The prefixes of a random coloring of ``g`` with at most ``k``
+    colors, canonical in a random edge order, as one color bit per edge
+    with 0 for an uncolored edge."""
+    order, first = rng.sample(range(g.m), g.m), {}
+    bits = [0] * g.m
+    for i in order:
+        bits[i] = 1 << first.setdefault(rng.randint(1, k), len(first))
+        yield list(bits)
 
 
 class TestCountedMatchesRelabel:
     """``exact_rc`` lets a walk cross uncolored edges freely and caps its
     length at ``k`` by the search level; ``helpers.relabel_exact_rc``, a
-    search of its own, gives each uncolored edge a private color and allows
-    any length. Run in the same edge order, with the same skips of the empty
-    prefix and of fresh-color children, both return the same value (a
-    ``LimitError`` by its bracket), and the capped search makes no more
-    prefix checks on any graph: a walk that passes the capped check contains
-    a path that passes the private-color one, so it cuts every prefix the
-    other cuts. The totals are pinned per order because the search without
-    the length cap makes exactly the private-color checks. ``exact_rc`` with
-    both orders returns the same value."""
+    search of its own in edge-id order, gives each uncolored edge a private
+    color and allows any length. A walk that passes the capped check
+    contains a path that passes the private-color one, so the capped check
+    cuts every prefix the other cuts, and both searches return the same
+    value (a ``LimitError`` by its bracket)."""
 
-    @pytest.mark.parametrize(
-        "name, pinned",
-        [
-            ("small", {"geodesic": (3287, 5758), "id": (4593, 5917)}),
-            ("small_line", {"geodesic": (1546, 67412), "id": (2025, 4788)}),
-            ("ensemble", {"geodesic": (290, 41207), "id": (499, 6770)}),
-            ("cycles", {"geodesic": (958, 6838), "id": (958, 6838)}),
-        ],
-    )
-    def test_same_values_no_more_prefix_checks(self, monkeypatch, name, pinned):
+    @pytest.mark.parametrize("name", ["small", "small_line", "ensemble", "cycles"])
+    def test_same_values(self, name):
         graphs, resolving = exact_search_sets()[name]
         assert len(graphs) == {"small": 131, "small_line": 130, "ensemble": 80, "cycles": 10}[name]
-        counted_reaches, check = oracle._counted_reaches, oracle._check_adjacency
-        checks = []
+        values = [_value(exact_rc, g) for g in graphs]
+        assert values == [_value(relabel_exact_rc, g) for g in graphs]
+        assert sum(isinstance(v, int) for v in values) == resolving
 
-        def record_counted(adj, s, k):
-            checks.append(s)  # every prefix check starts at source 0
-            return counted_reaches(adj, s, k)
+    @pytest.mark.parametrize("name", ["small_line", "ensemble"])
+    def test_counted_pass_implies_private_pass(self, name):
+        """Wherever a prefix passes ``_counted_reaches`` from every source,
+        it passes the private-color ``_check_adjacency`` too."""
+        rng = random.Random(name)
+        outcomes = Counter()
+        for g in exact_search_sets()[name][0]:
+            lo = rc_lower_bound(g)
+            for k in range(lo, min(lo + 1, g.m) + 1):
+                for bits in _prefixes(g, k, rng):
+                    ends = [[] for _ in range(g.n)]
+                    for (u, v), b in zip(g.edges, bits):
+                        ends[u].append([b, v])
+                        ends[v].append([b, u])
+                    counted = all(oracle._counted_reaches(ends, s, k)[0] for s in range(g.n - 1))
+                    private = [b or 1 << (g.m + i) for i, b in enumerate(bits)]
+                    outcomes[counted, oracle._check_adjacency(_adjacency(g, private))[0]] += 1
+        assert outcomes[True, False] == 0
+        assert min(outcomes[True, True], outcomes[False, True], outcomes[False, False]) > 50, outcomes
 
-        def record_private(adj):
-            checks.append(0)
-            return check(adj)
 
-        def run(search, g):
-            checks.clear()
-            try:
-                value = search(g)
-            except LimitError as exc:
-                value = (exc.lower, exc.upper)
-            return value, checks.count(0)
-
-        monkeypatch.setattr(oracle, "_counted_reaches", record_counted)
-        monkeypatch.setattr(oracle, "_check_adjacency", record_private)
-        totals = {order: [0, 0] for order in EDGE_ORDERS}
-        resolved = 0
-        for g in graphs:
-            both, _ = run(exact_rc, g)
-            for order, order_of in EDGE_ORDERS.items():
-                edges = order_of(g)
-                with monkeypatch.context() as one_order:
-                    one_order.setattr(oracle, "_edge_orders", lambda g: [edges])
-                    value, counted = run(exact_rc, g)
-                reference, private = run(partial(relabel_exact_rc, order=edges), g)
-                assert value == reference == both, (order, g.edges)
-                assert counted <= private, (order, g.edges)
-                totals[order][0] += counted
-                totals[order][1] += private
-            resolved += isinstance(both, int)
-        assert resolved == resolving
-        assert {order: tuple(t) for order, t in totals.items()} == pinned
+def _l(g: Graph) -> Graph:
+    return line_graph(g).l_graph
 
 
 class TestEdgeOrders:
-    """``exact_rc`` runs the geodesic-first order and the id order in turns
-    of ``_TURN`` work units, each resuming where it paused, and the first to
-    settle a palette size decides it."""
+    """``exact_rc`` colors next the uncolored edge with the most failed
+    prefix checks so far at this palette size, ties by the distance of its
+    nearer end from vertex 0, then by id."""
 
-    @staticmethod
-    def _turns(monkeypatch, current: list | None = None) -> list[tuple[int, str, object]]:
-        """Record ``(k, order, outcome)`` per turn, a run of consecutive
-        prefix checks of one order: whether ``k`` extends for the turn
-        that settles it, ``"paused"`` for the others. ``current[0]``, if
-        given, names the order whose search is running."""
-        extends, turns = oracle._extends, []
-
-        def record(g, order, k):
-            name = "id" if list(order) == list(range(len(order))) else "geodesic"
-            paused, search = (k, name, "paused"), extends(g, order, k)
-            while True:
-                if current is not None:
-                    current[0] = name
-                try:
-                    work = next(search)
-                except StopIteration as settled:
-                    if turns[-1:] == [paused]:
-                        turns.pop()
-                    turns.append((k, name, settled.value))
-                    return settled.value
-                if turns[-1:] != [paused]:
-                    turns.append(paused)
-                yield work
-
-        monkeypatch.setattr(oracle, "_extends", record)
-        return turns
-
-    @pytest.mark.parametrize("r, rc, limit", [(4, 3, 2000), (6, 4, 12_000)])
-    def test_geodesic_first_settles_triangle_rings(self, monkeypatch, r, rc, limit):
-        """On L(triangle_ring(r)) the geodesic-first order settles in fewer
-        than ``limit`` ``_counted_reaches`` calls: 406 for r = 4, where the
-        id order makes 95,775, and 11,274 for r = 6, where the id order alone
-        does not finish in a minute."""
+    @pytest.mark.parametrize(
+        "g, rc, budget",
+        [
+            (_l(connected_gnp(11, 0.3, 1)), 3, 1_500),
+            (_l(triangle_ring(6)), 4, 15_000),
+            (_l(bridged_triangle_chain(12)), 24, 4_000),
+        ],
+        ids=["gnp11-s1", "triangle_ring6", "example31-t12"],
+    )
+    def test_call_budget(self, monkeypatch, g, rc, budget):
+        """``exact_rc`` settles within ``budget`` ``_counted_reaches`` calls:
+        1,209 on L(gnp(11, 0.3, 1)), where the two fixed edge orders taken
+        in turns made 440,637; 12,443 on L(triangle_ring(6)); and 3,135 on
+        L(example31, t = 12)."""
         counted_reaches, calls = oracle._counted_reaches, []
 
         def record(adj, s, k):
@@ -343,42 +318,52 @@ class TestEdgeOrders:
             return counted_reaches(adj, s, k)
 
         monkeypatch.setattr(oracle, "_counted_reaches", record)
-        turns = self._turns(monkeypatch)
-        lg = line_graph(triangle_ring(r)).l_graph
-        assert exact_rc(lg, max_edges=lg.m) == rc
-        assert len(calls) < limit
-        assert turns[-1] == (rc, "geodesic", True)
+        assert exact_rc(g, max_edges=g.m) == rc
+        assert len(calls) <= budget
 
-    def test_id_order_settles_example31(self, monkeypatch):
-        """The geodesic-first order pauses on L(example31, t = 6) and the id
-        order settles every palette size."""
-        turns = self._turns(monkeypatch)
-        lg = line_graph(bridged_triangle_chain(6)).l_graph
-        assert exact_rc(lg, max_edges=lg.m) == 12
-        assert (12, "geodesic", "paused") in turns
-        assert turns[-1] == (12, "id", True)
+    def test_failed_palette_size_leaves_edges_uncolored(self, monkeypatch):
+        """After every palette size that does not extend, every edge end is
+        back to bit 0: backtracking clears each edge it colored."""
+        extends, counted_reaches = oracle._extends, oracle._counted_reaches
+        last, failed = [None], []
 
-    def test_no_prefix_checked_twice(self, monkeypatch):
-        """On L(example31, t = 6), where both orders pause and resume, no
-        order checks the same palette size and prefix twice: a paused search
-        resumes instead of starting over."""
-        current, seen = [None], []
-        turns = self._turns(monkeypatch, current)
-        counted_reaches = oracle._counted_reaches
+        def record_adjacency(adj, s, k):
+            last[0] = adj
+            return counted_reaches(adj, s, k)
+
+        def record(g, order, k):
+            last[0] = None
+            extended = extends(g, order, k)
+            if not extended:
+                failed.append(k)
+                assert last[0] is not None
+                assert not any(b for row in last[0] for b, _ in row), k
+            return extended
+
+        monkeypatch.setattr(oracle, "_counted_reaches", record_adjacency)
+        monkeypatch.setattr(oracle, "_extends", record)
+        for g in connected_graphs_up_to(7):
+            exact_rc(g)
+        assert len(failed) > 10
+
+    def test_checked_prefixes_can_reach_k_colors(self, monkeypatch):
+        """Once as many colors are left to use as edges, each edge takes a
+        fresh color unchecked, so no checked prefix with ``top`` colors
+        leaves fewer than ``k - top`` edges uncolored."""
+        counted_reaches, short = oracle._counted_reaches, []
 
         def record(adj, s, k):
             if s == 0:  # every prefix check starts at source 0
-                seen.append((current[0], k, tuple(b for row in adj for b, _ in row)))
+                bits = [b for row in adj for b, _ in row]
+                top = reduce(or_, bits).bit_count()
+                short.append(k - top > bits.count(0) // 2)
             return counted_reaches(adj, s, k)
 
         monkeypatch.setattr(oracle, "_counted_reaches", record)
-        lg = line_graph(bridged_triangle_chain(6)).l_graph
-        assert exact_rc(lg, max_edges=lg.m) == 12
-        # Both orders are resumed after a pause.
-        assert turns.count((12, "geodesic", "paused")) > 1
-        assert (12, "id", "paused") in turns and turns[-1] == (12, "id", True)
-        assert len(seen) > 100
-        assert len(set(seen)) == len(seen)
+        for g in connected_graphs_up_to(7):
+            exact_rc(g)
+        assert len(short) > 1000
+        assert not any(short)
 
     def test_empty_prefix_not_checked(self, monkeypatch):
         """With every edge uncolored a shortest path joins each pair in at
@@ -401,16 +386,6 @@ class TestEdgeOrders:
             exact_rc(g)
         assert len(empty) > 100
         assert not any(empty)
-
-    def test_geodesic_order(self):
-        """On the path 0 - 1 - 2 - 3 plus the pendant 1 - 4, the diametral
-        pairs are (0, 3) and (3, 4), and the edges 1 - 2 and 2 - 3 lie on
-        shortest paths of both."""
-        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
-        assert [g.edges[i] for i in oracle._geodesic_order(g)] == [
-            (1, 2), (2, 3), (0, 1), (1, 4)
-        ]
-        assert oracle._edge_orders(path_graph(4)) == [[0, 1, 2]]
 
 
 class TestNaiveAgreement:
