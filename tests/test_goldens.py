@@ -28,11 +28,15 @@ COMMANDS = {
     "verify_cycle_7_rainbow.json": ("verify --family cycle --n 7 --coloring {data}/coloring_cycle_7_rainbow.txt", 0),
     "verify_cycle_7_unrainbow.json": ("verify --family cycle --n 7 --coloring {data}/coloring_cycle_7_unrainbow.txt", 2),
     "verify_cycle_7_sparse.json": ("verify --family cycle --n 7 --coloring {data}/coloring_cycle_7_sparse.txt", 0),
+    "bound_example31_3.json": ("bound --family example31 --t 3", 0),
+    "exact_cycle_7.json": ("exact --family cycle --n 7", 0),
+    "bench_gnp_7_seed1.json": ("bench --model gnp --n 7 --p 0.6 --count 3 --seed 1", 0),
     # op = 2, 4 and 1: theorem 32 picks a packing other than theorem 31's
     "bench_gnp_7_seed1.csv": ("bench --model gnp --n 7 --p 0.6 --count 3 --seed 1", 0),
     # both rows are past the exact search's cap: every column of a fallback row
     "bench_gnp_9_fallback.csv": ("bench --model gnp --n 9 --p 0.9 --count 2 --seed 1 --max-edges 0", 0),
-    "run_bench_3_7.txt": ("scripts/run_bench.py 3 7", 0),
+    "bench_gnp_8_seed7.csv": ("bench --model gnp --n 8 --p 0.4 --count 3 --seed 7", 0),
+    "bench_random_cubic_8_seed7.csv": ("bench --model random_cubic --n 8 --count 3 --seed 7", 0),
     "reproduce_sharpness.txt": ("scripts/reproduce_sharpness.py", 0),
 }
 
