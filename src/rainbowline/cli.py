@@ -2,7 +2,8 @@
 
 Subcommands: gen, linegraph, bound, exact, verify, color, bench.
 Exit codes: 0 success/verified, 1 internal error (a defect, not bad input),
-2 verification failed, 3 input error, 4 resource limit exceeded.
+2 verification failed, 3 input error (usage errors included), 4 resource
+limit exceeded.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .coloring import (
     general_from_forest,
 )
 from .errors import InputError, InvariantViolation, LimitError
-from .families import FAMILIES, connected_gnp, gen_family, random_cubic
+from .families import FAMILIES, FAMILY_TABLE, connected_gnp, gen_family, random_cubic
 from .formats import (
     dump_report,
     graph_payload,
@@ -42,36 +43,56 @@ EXIT_UNVERIFIED = 2
 EXIT_INPUT = 3
 EXIT_LIMIT = 4
 
-_FAMILY_PARAM_FLAGS = ("t", "k", "n", "r", "f")
+# Each random model's sampler, called as (n, p, seed), and the flags it reads
+# besides --seed and --n, which every model reads.
+_MODELS = {
+    "gnp": (connected_gnp, ("p",)),
+    "random_cubic": (lambda n, p, seed: random_cubic(n, seed), ()),
+}
+# The families' parameter letters, each once, in FAMILY_TABLE's order.
+_FAMILY_FLAGS = tuple(dict.fromkeys(key for key, _ in FAMILY_TABLE.values() if key))
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error is an input error (exit 3), not argparse's exit 2."""
+        self.print_usage(sys.stderr)
+        raise InputError(message)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", help="edge-list file ('-' for stdin)")
     p.add_argument("--family", choices=FAMILIES, help="generated family")
-    p.add_argument("--model", choices=("gnp", "random_cubic"), help="random model source")
+    p.add_argument("--model", choices=tuple(_MODELS), help="random model source")
     p.add_argument("--seed", type=int, help="seed, mandatory with --model")
-    for flag in _FAMILY_PARAM_FLAGS:
+    for flag in _FAMILY_FLAGS:
         p.add_argument(f"--{flag}", type=int, help=argparse.SUPPRESS)
     p.add_argument("--p", type=float, help=argparse.SUPPRESS)
 
 
 def _reject_unread(args: argparse.Namespace, source: str, reads: tuple[str, ...]) -> None:
     """A source flag the chosen source does not read, if defined, is an input error."""
-    for flag in ("seed", *_FAMILY_PARAM_FLAGS, "p"):
+    for flag in ("seed", *_FAMILY_FLAGS, "p"):
         if flag not in reads and getattr(args, flag, None) is not None:
             raise InputError(f"--{flag} does not apply to {source}")
 
 
-def _check_model_flags(args: argparse.Namespace) -> None:
-    """A random model needs ``--seed``, ``--n`` and (gnp) ``--p``, and no other source flag."""
-    gnp = args.model == "gnp"
-    _reject_unread(args, f"--model {args.model}", ("seed", "n", "p") if gnp else ("seed", "n"))
-    if args.seed is None:
-        raise InputError("--seed is required for random models")
-    if args.n is None:
-        raise InputError("--n is required for random models")
-    if gnp and args.p is None:
-        raise InputError("--p is required for the gnp model")
+def _check_model_flags(args: argparse.Namespace) -> tuple[str, ...]:
+    """A random model needs ``--seed``, ``--n`` and its own flags, and no other
+    source flag. Returns the flags it reads."""
+    _, own = _MODELS[args.model]
+    reads = ("seed", "n", *own)
+    _reject_unread(args, f"--model {args.model}", reads)
+    for flag in reads:
+        if getattr(args, flag) is None:
+            whom = f"the {args.model} model" if flag in own else "random models"
+            raise InputError(f"--{flag} is required for {whom}")
+    return reads
+
+
+def _sample(model: str, n: int, p: float, seed: int) -> Graph:
+    sampler, _ = _MODELS[model]
+    return sampler(n, p, seed)
 
 
 def _read(path: str, stdin: bool = False) -> str:
@@ -94,24 +115,22 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
         text = _read(args.file, stdin=args.file == "-")
         return parse_edge_list(text), {"file": args.file}
     if args.model:
-        _check_model_flags(args)
-        meta = {"model": args.model, "n": args.n, "seed": args.seed}
-        if args.model == "gnp":
-            meta["p"] = args.p
-            return connected_gnp(args.n, args.p, args.seed), meta
-        return random_cubic(args.n, args.seed), meta
-    _reject_unread(args, f"--family {args.family}", _FAMILY_PARAM_FLAGS)
-    params = {
-        flag: getattr(args, flag)
-        for flag in _FAMILY_PARAM_FLAGS
-        if getattr(args, flag) is not None
-    }
+        meta = {flag: getattr(args, flag) for flag in ("model", *_check_model_flags(args))}
+        return _sample(args.model, args.n, args.p, args.seed), meta
+    _reject_unread(args, f"--family {args.family}", _FAMILY_FLAGS)
+    params = {flag: getattr(args, flag) for flag in _FAMILY_FLAGS if getattr(args, flag) is not None}
     return gen_family(args.family, **params), {"family": args.family, "params": params}
 
 
 def _write(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _report(args: argparse.Namespace, payload: dict) -> None:
+    """Write ``payload`` under the command's name to the ``--json`` path, if given."""
+    if args.json:
+        _write(args.json, dump_report({"command": args.command, **payload}))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -137,20 +156,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     print(f"diameter = {lower}")
     print(f"rc lower bound = {lower}")
     print(f"rc upper bound (spanning tree) = {upper}")
-    if args.json:
-        _write(
-            args.json,
-            dump_report(
-                {
-                    "command": "bound",
-                    "instance": meta,
-                    "graph": graph_payload(g),
-                    "diameter": lower,
-                    "rc_lower": lower,
-                    "rc_upper": upper,
-                }
-            ),
-        )
+    _report(
+        args,
+        {"instance": meta, "graph": graph_payload(g), "diameter": lower, "rc_lower": lower, "rc_upper": upper},
+    )
     return EXIT_OK
 
 
@@ -158,18 +167,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     g, meta = _load_graph(args)
     value = exact_rc(g, max_edges=args.max_edges)
     print(f"exact rc = {value}")
-    if args.json:
-        _write(
-            args.json,
-            dump_report(
-                {
-                    "command": "exact",
-                    "instance": meta,
-                    "graph": graph_payload(g),
-                    "exact_rc": value,
-                }
-            ),
-        )
+    _report(args, {"instance": meta, "graph": graph_payload(g), "exact_rc": value})
     return EXIT_OK
 
 
@@ -181,21 +179,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"verified = {str(ok).lower()}")
     if witness:
         print(f"failing pair = {witness[0]} {witness[1]}")
-    if args.json:
-        _write(
-            args.json,
-            dump_report(
-                {
-                    "command": "verify",
-                    "instance": meta,
-                    "graph": graph_payload(g),
-                    "coloring": list(colors),
-                    "k": k,
-                    "verified": ok,
-                    "witness_failure": list(witness) if witness else None,
-                }
-            ),
-        )
+    _report(
+        args,
+        {
+            "instance": meta,
+            "graph": graph_payload(g),
+            "coloring": list(colors),
+            "k": k,
+            "verified": ok,
+            "witness_failure": list(witness) if witness else None,
+        },
+    )
     return EXIT_OK if ok else EXIT_UNVERIFIED
 
 
@@ -225,9 +219,8 @@ def cmd_color(args: argparse.Namespace) -> int:
             f"packing: t={packing.t} c={packing.c} n2'={packing.n2_prime} "
             f"op={packing.op} mode={run.mode}"
         )
-    if args.json:
+    if args.json:  # the target's diameter is computed only for the report
         payload = {
-            "command": "color",
             "instance": {**meta, "theorem": args.theorem, "pack": run.mode},
             "source_graph": graph_payload(g),
             "target": "L2" if packing is None else "L",
@@ -241,7 +234,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         }
         if packing is not None:
             payload["packing"] = _packing_payload(packing)
-        _write(args.json, dump_report(payload))
+        _report(args, payload)
     if args.dot:
         _write(args.dot, to_dot(target, coloring.colors))
     return EXIT_OK if cert.verified else EXIT_UNVERIFIED
@@ -259,6 +252,9 @@ _BENCH_FIELDS = [
 
 
 def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> dict:
+    """One row: G's triangles are enumerated once (``pack_modes``), and only
+    the picks a bound is colored from are classified. When both theorems pick
+    the same triangles, the row certifies one coloring for both bounds."""
     prof = degree_profile(g)
     row: dict = {"index": index, "seed": seed, "n": g.n, "m": g.m, "n2": prof.n2}
     picks = triangles.pack_modes(g)
@@ -298,19 +294,15 @@ def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> 
 
 def run_bench(model: str, n: int, p: float, count: int, seed: int, max_edges: int) -> list[dict]:
     """Seeded benchmark rows; connected samples only, deterministic per seed."""
-    if model not in ("gnp", "random_cubic"):
+    if model not in _MODELS:
         raise InputError(f"unknown model {model!r}")
     if count < 0:
         raise InputError("count must be non-negative")
     check_edge_cap(max_edges)
-    rng_seed = seed
     rows = []
     for index in range(count):
-        instance_seed = rng_seed * 1_000_003 + index
-        if model == "gnp":
-            g = connected_gnp(n, p, instance_seed)
-        else:
-            g = random_cubic(n, instance_seed)
+        instance_seed = seed * 1_000_003 + index
+        g = _sample(model, n, p, instance_seed)
         rows.append(_bench_row(index, instance_seed, g, model == "random_cubic", max_edges))
     return rows
 
@@ -332,86 +324,58 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _write(args.csv, text)
     else:
         sys.stdout.write(text)
-    if args.json:
-        _write(
-            args.json,
-            dump_report(
-                {
-                    "command": "bench",
-                    "model": args.model,
-                    "n": args.n,
-                    "p": args.p,
-                    "count": args.count,
-                    "seed": args.seed,
-                    "rows": rows,
-                }
-            ),
-        )
-    checked = ["forest", "general"] + (["cubic"] if args.model == "random_cubic" else [])
-    bad = [r for r in rows if any(r[f"verified_{name}"] is not True for name in checked)]
-    return EXIT_UNVERIFIED if bad else EXIT_OK
+    _report(
+        args,
+        {"model": args.model, "n": args.n, "p": args.p, "count": args.count, "seed": args.seed, "rows": rows},
+    )
+    # a bound the row does not build leaves its verdict cell empty
+    verdicts = [row[field] for row in rows for field in _BENCH_FIELDS if field.startswith("verified_")]
+    return EXIT_UNVERIFIED if False in verdicts else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rainbowline",
         description="Rainbow colorings of (iterated) line graphs from triangle structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="print a family graph as an edge list")
-    _add_source_args(p_gen)
-    p_gen.set_defaults(func=cmd_gen)
+    def command(name: str, func, text: str, source: bool = True, report: bool = True):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if source:
+            _add_source_args(p)
+        if report:
+            p.add_argument("--json", help="write a JSON report")
+        return p
 
-    p_lg = sub.add_parser("linegraph", help="print the (iterated) line graph")
-    _add_source_args(p_lg)
+    command("gen", cmd_gen, "print a family graph as an edge list", report=False)
+    p_lg = command("linegraph", cmd_linegraph, "print the (iterated) line graph", report=False)
     p_lg.add_argument("--iterations", type=int, default=1)
     p_lg.add_argument("--dot", help="write the result as DOT")
-    p_lg.set_defaults(func=cmd_linegraph)
-
-    p_bound = sub.add_parser("bound", help="diameter lower bound for rc")
-    _add_source_args(p_bound)
-    p_bound.add_argument("--json", help="write a JSON report")
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_exact = sub.add_parser("exact", help="exact rc by pruned search over colorings")
-    _add_source_args(p_exact)
+    command("bound", cmd_bound, "diameter lower bound for rc")
+    p_exact = command("exact", cmd_exact, "exact rc by pruned search over colorings")
     p_exact.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP)
-    p_exact.add_argument("--json", help="write a JSON report")
-    p_exact.set_defaults(func=cmd_exact)
-
-    p_verify = sub.add_parser("verify", help="check a coloring for rainbow connectivity")
-    _add_source_args(p_verify)
+    p_verify = command("verify", cmd_verify, "check a coloring for rainbow connectivity")
     p_verify.add_argument("--coloring", required=True, help="file with one color per edge")
-    p_verify.add_argument("--json", help="write a JSON report")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_color = sub.add_parser("color", help="build and verify a rainbow coloring")
-    _add_source_args(p_color)
+    p_color = command("color", cmd_color, "build and verify a rainbow coloring")
     p_color.add_argument("--theorem", choices=THEOREMS, required=True)
     p_color.add_argument("--pack", choices=triangles.PACK_MODES)
-    p_color.add_argument("--json", help="write a JSON report")
     p_color.add_argument("--dot", help="write the colored target graph as DOT")
-    p_color.set_defaults(func=cmd_color)
-
-    p_bench = sub.add_parser("bench", help="seeded random ensembles with all bounds")
-    p_bench.add_argument("--model", choices=("gnp", "random_cubic"), required=True)
+    p_bench = command("bench", cmd_bench, "seeded random ensembles with all bounds", source=False)
+    p_bench.add_argument("--model", choices=tuple(_MODELS), required=True)
     p_bench.add_argument("--n", type=int)
     p_bench.add_argument("--p", type=float)
     p_bench.add_argument("--count", type=int, default=10)
     p_bench.add_argument("--seed", type=int)
     p_bench.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP)
     p_bench.add_argument("--csv", help="write the table as CSV")
-    p_bench.add_argument("--json", help="write the table as JSON")
-    p_bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

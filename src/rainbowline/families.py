@@ -10,17 +10,6 @@ from itertools import combinations
 from .errors import InputError, LimitError
 from .graphs import Graph, build_graph, is_connected
 
-FAMILIES = (
-    "example31",
-    "example32",
-    "path",
-    "cycle",
-    "complete",
-    "petersen",
-    "triangle_ring",
-    "friendship",
-)
-
 # Samples drawn before a seeded random model gives up with a LimitError.
 GNP_MAX_TRIES = 1000
 CUBIC_MAX_TRIES = 10_000
@@ -103,24 +92,29 @@ def friendship_graph(f: int) -> Graph:
     return build_graph(2 * f + 1, edges)
 
 
+# Each family's builder, with the parameter letter it takes (None: none).
+FAMILY_TABLE = {
+    "example31": ("t", bridged_triangle_chain),
+    "example32": ("k", shared_vertex_triangle_chain),
+    "path": ("n", path_graph),
+    "cycle": ("n", cycle_graph),
+    "complete": ("n", complete_graph),
+    "petersen": (None, petersen_graph),
+    "triangle_ring": ("r", triangle_ring),
+    "friendship": ("f", friendship_graph),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+
+
 def gen_family(name: str, **params: int) -> Graph:
     """Dispatch on the family name; unknown names or parameters are rejected."""
-    builders = {
-        "example31": ("t", bridged_triangle_chain),
-        "example32": ("k", shared_vertex_triangle_chain),
-        "path": ("n", path_graph),
-        "cycle": ("n", cycle_graph),
-        "complete": ("n", complete_graph),
-        "triangle_ring": ("r", triangle_ring),
-        "friendship": ("f", friendship_graph),
-    }
-    if name == "petersen":
-        if params:
-            raise InputError("petersen takes no parameters")
-        return petersen_graph()
-    if name not in builders:
+    if name not in FAMILY_TABLE:
         raise InputError(f"unknown family {name!r}; available: {', '.join(FAMILIES)}")
-    key, builder = builders[name]
+    key, builder = FAMILY_TABLE[name]
+    if key is None:
+        if params:
+            raise InputError(f"{name} takes no parameters")
+        return builder()
     if set(params) != {key}:
         raise InputError(f"family {name!r} takes exactly the parameter {key!r}")
     return builder(params[key])

@@ -1,6 +1,9 @@
 import functools
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -390,6 +393,52 @@ class TestExactAndBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "input error: rc is defined only on connected graphs with at least 2 vertices\n"
+
+
+class TestUsageErrors:
+    """argparse's own errors are input errors (exit 3), and the message
+    names the argument; ``--help`` still exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["bench", "--model", "gnp", "--n", "7", "--p", "0.5", "--seed", "1", "--t", "3"], "--t 3"),
+            (["exact", "--family", "cycle", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+            (["color", "--family", "cycle", "--n", "5"], "required: --theorem"),
+            (["exact", "--family", "nosuch", "--n", "5"], "argument --family: invalid choice: 'nosuch'"),
+        ],
+    )
+    def test_usage_error_exits_3(self, capsys, argv, named):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: rainbowline")
+        assert "\ninput error: " in captured.err and named in captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["exact", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rainbowline")
+
+
+def test_out_of_process_exit_codes():
+    """``python -m rainbowline.cli`` as a user runs it: C12's rc is printed
+    and exits 0, C13 is past the edge cap (exit 4), a usage error exits 3."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        cmd = [sys.executable, "-m", "rainbowline.cli", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    c12 = run("exact", "--family", "cycle", "--n", "12")
+    assert (c12.returncode, c12.stdout) == (0, "exact rc = 6\n")
+    c13 = run("exact", "--family", "cycle", "--n", "13")
+    assert c13.returncode == 4 and "resource limit" in c13.stderr
+    usage = run("exact", "--family", "cycle", "--n", "abc")
+    assert usage.returncode == 3 and "argument --n: invalid int value" in usage.stderr
 
 
 class TestLinegraphCommand:
