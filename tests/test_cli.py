@@ -124,7 +124,8 @@ class TestGenAndFamilies:
         assert main(["gen", *argv]) == 3
         assert capsys.readouterr().err == f"input error: {flag} does not apply to {source}\n"
 
-    def test_all_families_have_generators(self):
+    def test_all_families_have_generators(self, capsys):
+        """Each family builds, and ``gen`` takes its parameter letter as a flag."""
         params = {
             "example31": {"t": 2},
             "example32": {"k": 2},
@@ -137,7 +138,11 @@ class TestGenAndFamilies:
         }
         assert set(params) == set(FAMILIES)
         for name, kw in params.items():
-            assert gen_family(name, **kw).m > 0
+            g = gen_family(name, **kw)
+            assert g.m > 0
+            flags = [arg for key, value in kw.items() for arg in (f"--{key}", str(value))]
+            assert main(["gen", "--family", name, *flags]) == 0
+            assert capsys.readouterr().out == render_edge_list(g)
 
 
 class TestColorCommand:
