@@ -96,11 +96,12 @@ def _sample(model: str, n: int, p: float, seed: int) -> Graph:
 
 
 def _read(path: str, stdin: bool = False) -> str:
-    """The file ``path``, or stdin if ``stdin``, decoded as UTF-8; other
-    bytes are an input error that names the file."""
+    """The file ``path``, or stdin if ``stdin``, decoded as UTF-8 without a
+    leading byte-order mark; other bytes are an input error that names the
+    file and the offset from its start."""
     data = sys.stdin.buffer.read() if stdin else Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         name = "stdin" if stdin else path
         raise InputError(f"{name}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, func, text: str, source: bool = True, report: bool = True):
         p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         if source:
             _add_source_args(p)
         if report:
@@ -375,7 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            # reported by the subcommand, so its usage line is printed
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -104,22 +104,20 @@ with failure counts as the weights (Boussemart, Hemery, Lecoutre and Sais,
 ECAI 2004): an edge whose colorings keep failing moves up to where its
 failures cut the largest subtrees. Ties go to the edge whose nearer end is
 closest to vertex 0, then to the lower id, an order computed once per
-``exact_rc`` call. With ties by id alone the ``ensemble`` row L(gnp7-s38)
-took 3.9 k work units instead of 1.8 k; the unit is work inside
-``_counted_reaches``, one per candidate state plus one per admitted mask at
-its vertex, the masks its subset test may scan. Canonical colors stay sound
-under any edge choice made at a node: the colors its prefix has not used
-are interchangeable, so giving the node's edge a used color or the first
-unused one, ``top + 1``, reaches every partition of the edges into ``k``
-color classes once, whichever edge the node colors. The skips and the
-forced-fresh tail do not depend on the order either, so the value does not.
+``exact_rc`` call. With ties by id alone the ``ensemble`` benchmark's
+``call_tail_rel`` rose from 0.48 to 0.63, past its bound (ROADMAP item
+11). Canonical colors stay sound under any edge choice made at a node: the
+colors its prefix has not used are interchangeable, so giving the node's
+edge a used color or the first unused one, ``top + 1``, reaches every
+partition of the edges into ``k`` color classes once, whichever edge the
+node colors. The skips and the forced-fresh tail do not depend on the
+order either, so the value does not.
 The uncolored edges wait in a list sorted by weight, the best last. Only
 the edge being tried gains failures, and it is out of the list until it is
 backtracked, when it goes back in by bisection; so a pick is a pop, not a
-scan of every edge. On L(gnp(11, 0.3, 1)) the search takes 52 k units and
-10-11 ms, where the geodesic-first and id orders run in turns took 23 M
-units and 6.8 s; on L(``triangle_ring(6)``) it takes 1.07 M units against
-their 0.83 M (2-vCPU Xeon, Python 3.11.7).
+scan of every edge. The search keeps one stack of ``[edge, top, color]``
+frames and no recursion, so a raised edge cap cannot reach Python's
+recursion limit.
 
 The search is a loop of its own and shares no code with the verifier's,
 which groups neighbours by color and has no level cap: a loop shared by
@@ -281,19 +279,17 @@ def check_edge_cap(max_edges: int) -> None:
         raise InputError(f"edge cap must be non-negative, got {max_edges}")
 
 
-def _counted_reaches(adj: list[list[list]], s: int, k: int) -> tuple[bool, int]:
+def _counted_reaches(adj: list[list[list]], s: int, k: int) -> bool:
     """Whether every target ``t > s`` has a walk from ``s`` of at most ``k``
-    edges whose colored edges have distinct colors, and the work spent.
-    ``adj`` holds one ``[bit, neighbour]`` pair per edge end, with
-    ``bit = 0`` while the edge is uncolored. Each candidate state costs one
-    unit of work plus one per admitted mask at its vertex."""
+    edges whose colored edges have distinct colors. ``adj`` holds one
+    ``[bit, neighbour]`` pair per edge end, with ``bit = 0`` while the edge
+    is uncolored."""
     n = len(adj)
     unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
     visited: list[list[int]] = [[] for _ in range(n)]
     visited[s].append(0)
     frontier = [(s, 0)]
-    work = 0
     for _ in range(k):
         nxt: list[tuple[int, int]] = []
         for v, mask in frontier:
@@ -302,7 +298,6 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> tuple[bool, int]:
                     continue
                 nm = mask | b
                 admitted = visited[w]
-                work += 1 + len(admitted)
                 for x in admitted:
                     if x & nm == x:
                         break
@@ -312,10 +307,10 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> tuple[bool, int]:
                     if unreached[w]:
                         left -= 1
                         if not left:
-                            return True, work
+                            return True
                         unreached[w] = 0
         frontier = nxt
-    return False, work
+    return False
 
 
 def _extends(g: Graph, order: Sequence[int], k: int) -> bool:
@@ -327,8 +322,8 @@ def _extends(g: Graph, order: Sequence[int], k: int) -> bool:
     ``bit = 0`` while the edge is uncolored; coloring an edge sets the bit
     at both ends and backtracking clears it. The empty prefix and a child
     that gives its edge a fresh color are not checked (see the module
-    docstring). At depth ``j`` the path colors edge ``order[path[j]]`` with
-    ``colors[j]``, after a prefix using ``tops[j]`` colors."""
+    docstring). Each frame ``[i, top, c]`` of the stack colors edge
+    ``order[i]`` with ``c`` after a prefix using ``top`` colors."""
     ends = [([0, v], [0, u]) for u, v in g.edges]
     adj: list[list[list]] = [[] for _ in range(g.n)]
     for (u, v), (at_u, at_v) in zip(g.edges, ends):
@@ -339,28 +334,26 @@ def _extends(g: Graph, order: Sequence[int], k: int) -> bool:
     m, ends = len(order), [ends[i] for i in order]
     weight = [-j for j in range(m)]
     free = list(range(m - 1, -1, -1))  # uncolored, by weight: the best is last
-    path, tops, colors = [free.pop()], [0], [0]
-    while path:
-        j = len(path) - 1
-        i, top, c = path[j], tops[j], colors[j] + 1
+    stack = [[free.pop(), 0, 0]]
+    while stack:
+        frame = stack[-1]
+        frame[2] += 1
+        i, top, c = frame
         at_u, at_v = ends[i]
         if c > min(top + 1, k):
             at_u[0] = at_v[0] = 0
             insort(free, i, key=weight.__getitem__)
-            del path[j], tops[j], colors[j]
+            stack.pop()
             continue
-        colors[j] = c
         at_u[0] = at_v[0] = 1 << (c - 1)
-        if c <= top and not all(_counted_reaches(adj, s, k)[0] for s in range(g.n - 1)):
+        if c <= top and not all(_counted_reaches(adj, s, k) for s in range(g.n - 1)):
             weight[i] += m
             continue
-        if j + 1 == m:
+        if len(stack) == m:
             return True
         t = max(top, c)
-        path.append(free.pop())
-        tops.append(t)
         # With as many colors left to use as edges, each takes a fresh one.
-        colors.append(t if k - t == m - j - 1 else 0)
+        stack.append([free.pop(), t, t if k - t == m - len(stack) else 0])
     return False
 
 
@@ -380,7 +373,7 @@ def exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     """
     check_edge_cap(max_edges)
     lo = rc_lower_bound(g)
-    hi = min(g.m, g.n - 1)
+    hi = g.n - 1
     if g.m > max_edges:
         raise LimitError(
             f"{g.m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi

@@ -26,6 +26,11 @@ GRAPHS = "src/rainbowline/graphs.py"
 LINEGRAPH = "src/rainbowline/linegraph.py"
 TRIANGLES = "src/rainbowline/triangles.py"
 NETWORKX = "tests/test_graphs.py::TestMatchesNetworkx::"
+IN_TWO = "tests/test_oracle.py::TestReachesInTwo::"
+LOOK_AHEAD = "tests/test_oracle.py::TestLookAheadMatchesQueue::"
+ORDER = "tests/test_oracle.py::TestLookAheadOrder::"
+FIRES = "tests/test_oracle.py::TestLookAheadTrigger::test_look_ahead_fires_on_a_long_sparse_line_graph"
+TRIGGER = "if len(frontier) > _LOOK_AHEAD_FACTOR * left:"
 
 
 class Mutant(NamedTuple):
@@ -50,8 +55,8 @@ MUTANTS = (
     Mutant(
         "exact_rc: the forced-fresh tail dropped",
         ORACLE,
-        "colors.append(t if k - t == m - j - 1 else 0)",
-        "colors.append(0)",
+        "stack.append([free.pop(), t, t if k - t == m - len(stack) else 0])",
+        "stack.append([free.pop(), t, 0])",
         ("tests/test_oracle.py::TestEdgeOrders::test_checked_prefixes_can_reach_k_colors",),
     ),
     Mutant(
@@ -78,7 +83,7 @@ MUTANTS = (
         "            insort(free, i, key=weight.__getitem__)\n",
         "",
         (
-            "tests/test_oracle.py::TestExactRc::test_cycle5",
+            "tests/test_oracle.py::TestSharpPastTheCap::test_long_cycles",
             "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
         ),
     ),
@@ -88,6 +93,76 @@ MUTANTS = (
         "key=lambda i: min(dist[u] for u in g.edges[i]))",
         "key=lambda i: i)",
         ("tests/test_oracle.py::TestEdgeOrders::test_call_budget[gnp11-s1]",),
+    ),
+    Mutant(
+        "exact_rc: the search stops one edge short of a full coloring",
+        ORACLE,
+        "if len(stack) == m:",
+        "if len(stack) == m - 1:",
+        (
+            "tests/test_oracle.py::TestExactRc::test_cycle5",
+            "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+        ),
+    ),
+    Mutant(
+        "look-ahead: a two-edge walk may repeat a color",
+        ORACLE,
+        "                if c2 == c1:\n                    continue\n",
+        "",
+        (
+            IN_TWO + "test_one_color_twice_fails",
+            LOOK_AHEAD + "test_matches_queue[tail-verdicts2]",
+            LOOK_AHEAD + "test_tail_end_is_the_witness",
+        ),
+    ),
+    Mutant(
+        "look-ahead: a two-edge walk checks only the color next to the target",
+        ORACLE,
+        "b = c1 | c2",
+        "b = c1",
+        (IN_TWO + "test_mask_holding_either_color_fails", LOOK_AHEAD + "test_matches_queue[small-verdicts3]"),
+    ),
+    Mutant(
+        "look-ahead: the two-edge check passes when it finds nothing",
+        ORACLE,
+        "                            return True\n    return False\n\n\ndef _first_unreached",
+        "                            return True\n    return True\n\n\ndef _first_unreached",
+        (
+            IN_TWO + "test_mask_holding_either_color_fails",
+            IN_TWO + "test_one_color_twice_fails",
+            IN_TWO + "test_no_mask_two_edges_away_fails",
+            LOOK_AHEAD + "test_matches_queue[tail-verdicts2]",
+            LOOK_AHEAD + "test_tail_end_is_the_witness",
+            LOOK_AHEAD + "test_look_ahead_ends_early_and_fails",
+            ORDER + "test_look_ahead_inputs",
+            ORDER + "test_exact_rc_prefix_checks",
+        ),
+    ),
+    Mutant(
+        "look-ahead: the trigger read from the vertex count",
+        ORACLE,
+        TRIGGER,
+        "if len(frontier) > len(adj):",
+        (FIRES, ORDER + "test_look_ahead_inputs", ORDER + "test_exact_rc_prefix_checks"),
+    ),
+    Mutant(
+        "look-ahead: never runs",
+        ORACLE,
+        TRIGGER,
+        "if False:",
+        (
+            FIRES,
+            LOOK_AHEAD + "test_look_ahead_ends_early_and_fails",
+            ORDER + "test_look_ahead_inputs",
+            ORDER + "test_exact_rc_prefix_checks",
+        ),
+    ),
+    Mutant(
+        "look-ahead: runs before every level",
+        ORACLE,
+        TRIGGER,
+        "if True:",
+        (FIRES, ORDER + "test_look_ahead_inputs", ORDER + "test_exact_rc_prefix_checks"),
     ),
     Mutant(
         "graphs: the diameter read from the last source alone",

@@ -364,6 +364,56 @@ class TestUndecodableInput:
         assert capsys.readouterr().err == f"input error: {c}: byte 4 is not UTF-8 (invalid start byte)\n"
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is not part of the text: each source
+    the commands read gives the same output with or without one, and an
+    undecodable byte's offset still counts from the start of the file."""
+
+    @staticmethod
+    def _same_output(capsys, run, data: bytes):
+        outputs = []
+        for prefix in (b"", BOM):
+            outputs.append((run(prefix + data), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        return outputs[0]
+
+    def test_edge_list_file(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+
+        def run(data):
+            f.write_bytes(data)
+            return main(["gen", "--file", str(f)])
+
+        code, captured = self._same_output(capsys, run, b"3 2\n0 1\n1 2\n")
+        assert (code, captured.out) == (0, "3 2\n0 1\n1 2\n")
+
+    def test_stdin(self, capsys, monkeypatch):
+        def run(data):
+            _stdin(monkeypatch, data)
+            return main(["exact", "--file", "-"])
+
+        code, captured = self._same_output(capsys, run, b"3 3\n0 1\n1 2\n0 2\n")
+        assert (code, captured.out) == (0, "exact rc = 1\n")
+
+    def test_coloring_file(self, capsys, tmp_path):
+        c = tmp_path / "c.txt"
+
+        def run(data):
+            c.write_bytes(data)
+            return main(["verify", "--family", "cycle", "--n", "3", "--coloring", str(c)])
+
+        code, captured = self._same_output(capsys, run, b"1 1 1\n")
+        assert code == 0 and "verified = true" in captured.out
+
+    def test_undecodable_offset_counts_the_mark(self, capsys, monkeypatch):
+        _stdin(monkeypatch, BOM + b"3 2\n0 1\n1 \xff\n")
+        assert main(["gen", "--file", "-"]) == 3
+        assert capsys.readouterr().err == "input error: stdin: byte 13 is not UTF-8 (invalid start byte)\n"
+
+
 class TestExactAndBound:
     def test_exact_cycle(self, capsys):
         assert main(["exact", "--family", "cycle", "--n", "5"]) == 0
@@ -411,14 +461,23 @@ class TestUsageErrors:
             (["exact", "--family", "cycle", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
             (["color", "--family", "cycle", "--n", "5"], "required: --theorem"),
             (["exact", "--family", "nosuch", "--n", "5"], "argument --family: invalid choice: 'nosuch'"),
+            (["color", "--family", "cycle", "--n", "5", "--theorem", "cubic", "--bogus"], "unrecognized arguments: --bogus"),
         ],
     )
     def test_usage_error_exits_3(self, capsys, argv, named):
+        """Each error prints its subcommand's usage line, an unknown flag's
+        included."""
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: rainbowline")
+        assert captured.err.startswith(f"usage: rainbowline {argv[0]} ")
         assert "\ninput error: " in captured.err and named in captured.err.splitlines()[-1]
+
+    def test_missing_subcommand_prints_the_root_usage(self, capsys):
+        assert main([]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rainbowline [-h] {")
+        assert err.splitlines()[-1].startswith("input error: the following arguments are required")
 
     @pytest.mark.parametrize("argv", [["--help"], ["exact", "--help"]])
     def test_help_exits_0(self, capsys, argv):

@@ -34,6 +34,7 @@ from rainbowline.families import (
     connected_gnp,
     cycle_graph,
     path_graph,
+    petersen_graph,
     shared_vertex_triangle_chain,
     triangle_ring,
 )
@@ -281,7 +282,7 @@ class TestCountedMatchesRelabel:
                     for (u, v), b in zip(g.edges, bits):
                         ends[u].append([b, v])
                         ends[v].append([b, u])
-                    counted = all(oracle._counted_reaches(ends, s, k)[0] for s in range(g.n - 1))
+                    counted = all(oracle._counted_reaches(ends, s, k) for s in range(g.n - 1))
                     private = [b or 1 << (g.m + i) for i, b in enumerate(bits)]
                     outcomes[counted, oracle._check_adjacency(_adjacency(g, private))[0]] += 1
         assert outcomes[True, False] == 0
@@ -303,14 +304,17 @@ class TestEdgeOrders:
             (_l(connected_gnp(11, 0.3, 1)), 3, 1_500),
             (_l(triangle_ring(6)), 4, 15_000),
             (_l(bridged_triangle_chain(12)), 24, 4_000),
+            (_l(petersen_graph()), 3, 5_500),
+            (_l(triangle_ring(7)), 4, 14_000),
         ],
-        ids=["gnp11-s1", "triangle_ring6", "example31-t12"],
+        ids=["gnp11-s1", "triangle_ring6", "example31-t12", "petersen", "triangle_ring7"],
     )
     def test_call_budget(self, monkeypatch, g, rc, budget):
         """``exact_rc`` settles within ``budget`` ``_counted_reaches`` calls:
         1,209 on L(gnp(11, 0.3, 1)), where the two fixed edge orders taken
-        in turns made 440,637; 12,443 on L(triangle_ring(6)); and 3,135 on
-        L(example31, t = 12)."""
+        in turns made 440,637; 12,443 on L(triangle_ring(6)); 3,135 on
+        L(example31, t = 12); 4,364 on L(petersen); and 11,056 on
+        L(triangle_ring(7))."""
         counted_reaches, calls = oracle._counted_reaches, []
 
         def record(adj, s, k):
