@@ -10,8 +10,20 @@ when an already-admitted state at the same vertex uses a subset of its
 colors. Every level adds exactly one color, so the admitted masks at each
 vertex form an antichain without ever needing removals.
 
+Each source keeps its admitted masks in two flat lists: ``first[v]``, the
+first mask admitted at ``v`` (``-1`` while ``v`` holds none), and
+``more[v]``, the later ones in admission order (``None`` while there are
+none). On long sparse line graphs a source admits about one mask per
+vertex, so a candidate state nearly always meets a vertex with no mask,
+where it is admitted by one store, or with one mask, which one ``&`` tests;
+only a vertex holding more runs a loop. A target is counted down on its
+first visit (``w > s``) and a repeat admission needs no count, since a
+vertex holding a mask is already reached. Every color bit is nonzero and
+``-1`` holds every bit, so an empty vertex fails the look-ahead's test
+``not x & b`` with no test of its own.
+
 The adjacency (``_adjacency``) groups each vertex's neighbours by the color
-of the edge to them: one ``[bit, neighbours]`` group per color, in order of
+of the edge to them: one ``(bit, neighbours)`` group per color, in order of
 first appearance. A state tests a color against its mask once per group and
 skips the whole group on a clash, so a color shared by a large star clique,
 which the constructions produce, costs one test instead of one per edge.
@@ -35,8 +47,9 @@ admits all of them and the source is done without building it. This is
 exact. An unreached target holds no state, so nothing can dominate a new
 one there: it is admitted at level ``L + 1`` exactly when some level-``L``
 state has a free edge into it. An older state never qualifies, since it was
-expanded already and would have admitted the target then; so the scan of a
-vertex's masks, newest first, stops at the first mask below ``L`` colors.
+expanded already and would have admitted the target then; so the scan of
+``more[w]``, newest first, stops at the first mask below ``L`` colors, and
+``first[w]``, the oldest, counts only with ``L`` colors.
 The look-ahead runs once the frontier holds more than ``_LOOK_AHEAD_FACTOR``
 states per target left. It scans about one neighbourhood per target left,
 and the level it may save scans one per frontier state, so it costs a
@@ -44,10 +57,11 @@ fraction of what it can save. Both sides are read from the search; the
 graph's vertex count only bounds the targets left, and a rule read from it
 never fires on long sparse line graphs. A factor above 1 keeps the check
 off deep, narrow searches, whose levels are cheap. The trigger only decides
-when the check runs: the check reads ``visited`` and marks nothing, and when
-it fails the level is expanded as before, so verdicts and witnesses do not
-depend on it. ``L`` is then the popcount of any frontier mask
-(``int.bit_count`` needs Python 3.10, the oldest ``requires-python`` allows).
+when the check runs: the check reads ``first`` and ``more`` and marks
+nothing, and when it fails the level is expanded as before, so verdicts
+and witnesses do not depend on it. ``L`` is then the popcount of any
+frontier mask (``int.bit_count`` needs Python 3.10, the oldest
+``requires-python`` allows).
 A target that ``_reaches`` rejects gets a second check, ``_reaches_in_two``:
 whether an admitted state, at any level, sits at a vertex ``u`` with a walk
 ``u - w - t`` of two distinct colors that its mask avoids. Every admitted
@@ -81,7 +95,8 @@ within the same ``k`` edges, and the subset test ``x & nm == x`` drops the
 new state without a length of its own. The adjacency holds one
 ``[bit, neighbour]`` pair per edge end, with ``bit = 0`` while the edge is
 uncolored; coloring edge ``i`` sets the bit at its two ends and
-backtracking clears it.
+backtracking clears it. The masks are kept in ``first`` and ``more`` as
+in the verifier.
 
 A child that gives edge ``i`` a fresh color, one above every color of its
 prefix, is not checked: it passes whenever its parent passed. A shortest
@@ -142,35 +157,39 @@ DEFAULT_EDGE_CAP = 12
 _LOOK_AHEAD_FACTOR = 4
 
 
-def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[list]]:
-    """Per vertex, its neighbours grouped by edge color: ``[bit, neighbours]``
+def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[tuple[int, list[int]]]]:
+    """Per vertex, its neighbours grouped by edge color: ``(bit, neighbours)``
     groups in first-appearance order, neighbours in edge-id order."""
-    adj: list[list[list]] = [[] for _ in range(g.n)]
-    groups: list[dict[int, list]] = [{} for _ in range(g.n)]
+    groups: list[dict[int, list[int]]] = [{} for _ in range(g.n)]
     for (u, v), b in zip(g.edges, bits):
-        for x, y in ((u, v), (v, u)):
-            group = groups[x].get(b)
-            if group is None:
-                group = groups[x][b] = [b, []]
-                adj[x].append(group)
-            group[1].append(y)
-    return adj
+        groups[u].setdefault(b, []).append(v)
+        groups[v].setdefault(b, []).append(u)
+    return [list(d.items()) for d in groups]
 
 
-def _reaches(row: list[list], visited: list[list[int]], level: int) -> bool:
+def _reaches(
+    row: list[tuple[int, list[int]]], first: list[int], more: list[list[int] | None], level: int
+) -> bool:
     """Whether a state of ``level`` colors at a neighbour of the vertex whose
     color groups are ``row`` has a free edge into that vertex."""
     for b, ws in row:
         for w in ws:
-            for x in reversed(visited[w]):
-                if x.bit_count() < level:
-                    break
-                if not x & b:
-                    return True
+            xs = more[w]
+            if xs is not None:
+                for x in reversed(xs):
+                    if x.bit_count() < level:
+                        break
+                    if not x & b:
+                        return True
+            x = first[w]
+            if not x & b and x.bit_count() >= level:
+                return True
     return False
 
 
-def _reaches_in_two(adj: list[list[list]], t: int, visited: list[list[int]]) -> bool:
+def _reaches_in_two(
+    adj: list[list[tuple[int, list[int]]]], t: int, first: list[int], more: list[list[int] | None]
+) -> bool:
     """Whether an admitted state at some vertex ``u`` reaches ``t`` by two
     edges ``u - w - t`` of distinct colors that its mask avoids."""
     for c1, ws in adj[t]:
@@ -180,27 +199,32 @@ def _reaches_in_two(adj: list[list[list]], t: int, visited: list[list[int]]) -> 
                     continue
                 b = c1 | c2
                 for u in us:
-                    for x in visited[u]:
-                        if not x & b:
-                            return True
+                    if not first[u] & b:
+                        return True
+                    xs = more[u]
+                    if xs is not None:
+                        for x in xs:
+                            if not x & b:
+                                return True
     return False
 
 
-def _first_unreached(adj: list[list[list]], s: int) -> int | None:
+def _first_unreached(adj: list[list[tuple[int, list[int]]]], s: int) -> int | None:
     """Smallest target ``t > s`` with no rainbow path from ``s``, or ``None``
     as soon as the last target is admitted or sure to be at the next level."""
     n = len(adj)
     unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
-    visited: list[list[int]] = [[] for _ in range(n)]
-    visited[s].append(0)
+    first = [-1] * n
+    more: list[list[int] | None] = [None] * n
+    first[s] = 0
     frontier = [(s, 0)]
     while frontier:
         if len(frontier) > _LOOK_AHEAD_FACTOR * left:
             level = frontier[0][1].bit_count()
             t = unreached.find(1)
             while t >= 0 and (
-                _reaches(adj[t], visited, level) or _reaches_in_two(adj, t, visited)
+                _reaches(adj[t], first, more, level) or _reaches_in_two(adj, t, first, more)
             ):
                 t = unreached.find(1, t + 1)
             if t < 0:
@@ -212,23 +236,32 @@ def _first_unreached(adj: list[list[list]], s: int) -> int | None:
                     continue
                 nm = mask | b
                 for w in ws:
-                    admitted = visited[w]
-                    for x in admitted:
-                        if x & nm == x:
-                            break
-                    else:
-                        admitted.append(nm)
+                    x = first[w]
+                    if x < 0:
+                        first[w] = nm
                         nxt.append((w, nm))
-                        if unreached[w]:
+                        if w > s:
                             left -= 1
                             if not left:
                                 return None
                             unreached[w] = 0
+                    elif x & nm != x:
+                        xs = more[w]
+                        if xs is None:
+                            more[w] = [nm]
+                            nxt.append((w, nm))
+                        else:
+                            for x in xs:
+                                if x & nm == x:
+                                    break
+                            else:
+                                xs.append(nm)
+                                nxt.append((w, nm))
         frontier = nxt
     return unreached.index(1)
 
 
-def _check_adjacency(adj: list[list[list]]) -> tuple[bool, tuple[int, int] | None]:
+def _check_adjacency(adj: list[list[tuple[int, list[int]]]]) -> tuple[bool, tuple[int, int] | None]:
     for s in range(len(adj) - 1):
         t = _first_unreached(adj, s)
         if t is not None:
@@ -285,10 +318,10 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> bool:
     ``[bit, neighbour]`` pair per edge end, with ``bit = 0`` while the edge
     is uncolored."""
     n = len(adj)
-    unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
-    visited: list[list[int]] = [[] for _ in range(n)]
-    visited[s].append(0)
+    first = [-1] * n
+    more: list[list[int] | None] = [None] * n
+    first[s] = 0
     frontier = [(s, 0)]
     for _ in range(k):
         nxt: list[tuple[int, int]] = []
@@ -297,18 +330,26 @@ def _counted_reaches(adj: list[list[list]], s: int, k: int) -> bool:
                 if b & mask:
                     continue
                 nm = mask | b
-                admitted = visited[w]
-                for x in admitted:
-                    if x & nm == x:
-                        break
-                else:
-                    admitted.append(nm)
+                x = first[w]
+                if x < 0:
+                    first[w] = nm
                     nxt.append((w, nm))
-                    if unreached[w]:
+                    if w > s:
                         left -= 1
                         if not left:
                             return True
-                        unreached[w] = 0
+                elif x & nm != x:
+                    xs = more[w]
+                    if xs is None:
+                        more[w] = [nm]
+                        nxt.append((w, nm))
+                    else:
+                        for x in xs:
+                            if x & nm == x:
+                                break
+                        else:
+                            xs.append(nm)
+                            nxt.append((w, nm))
         frontier = nxt
     return False
 

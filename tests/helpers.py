@@ -321,7 +321,7 @@ def look_ahead_trigger(states: int, left: int) -> bool:
 
 
 def circular_first_unreached(
-    adj: list[list[list]],
+    adj: list[list[tuple[int, list[int]]]],
     s: int,
     trigger: Callable[[int, int], bool] = look_ahead_trigger,
 ) -> int | None:
@@ -331,7 +331,10 @@ def circular_first_unreached(
     target that ``_reaches`` rejected in the last one, goes round the others
     in circular order, and stops at the first target both checks reject. It
     calls both checks through the module, so a test can record the checks
-    of both look-aheads. A look-ahead runs before a level when
+    of both look-aheads. It keeps each vertex's admitted masks in one list,
+    in admission order, and hands the checks the package's state read off
+    it: each vertex's first mask (``-1`` if none) and its later masks
+    (``None`` if none). A look-ahead runs before a level when
     ``trigger(frontier states, targets left)`` holds; the default is the
     package's rule, and a test may pass another one."""
     n = len(adj)
@@ -344,12 +347,14 @@ def circular_first_unreached(
     while frontier:
         if trigger(len(frontier), left):
             level = frontier[0][1].bit_count()
+            first = [xs[0] if xs else -1 for xs in visited]
+            more = [xs[1:] or None for xs in visited]
             t = stuck if unreached[stuck] else _next_target(unreached, stuck)
             rejected = []
             for _ in range(left):
-                if not oracle._reaches(adj[t], visited, level):
+                if not oracle._reaches(adj[t], first, more, level):
                     rejected.append(t)
-                    if not oracle._reaches_in_two(adj, t, visited):
+                    if not oracle._reaches_in_two(adj, t, first, more):
                         stuck = rejected[0]
                         break
                 t = _next_target(unreached, t)

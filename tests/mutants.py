@@ -4,11 +4,13 @@ Run it from anywhere with ``python tests/mutants.py``. It is not part of the
 Tier-1 suite. The runner first runs every killing test once on an unmutated
 copy, where each must pass. Then, for each mutant, it copies ``src/``,
 ``tests/`` and ``pyproject.toml`` to a temporary directory, replaces the
-mutant's snippet there and runs only its killing tests. The copy matters:
-pytest's ``pythonpath = ["src"]`` would otherwise import the unmutated
-package. It exits 1 if a mutant survives, if its snippet no longer occurs
-exactly once, or if the unmutated run fails. A refactor that moves a
-snippet must update its entry along with the code.
+mutant's snippet there and runs each of its killing tests alone, in a
+pytest run of its own. The copy matters: pytest's ``pythonpath = ["src"]``
+would otherwise import the unmutated package. It exits 1 if a listed test
+does not kill its mutant on its own, if a snippet no longer occurs exactly
+once, or if the unmutated run fails. A refactor that moves a snippet must
+update its entry along with the code, and a test that stops killing its
+mutant must be replaced by one that does.
 """
 
 import os
@@ -125,8 +127,8 @@ MUTANTS = (
     Mutant(
         "look-ahead: the two-edge check passes when it finds nothing",
         ORACLE,
-        "                            return True\n    return False\n\n\ndef _first_unreached",
-        "                            return True\n    return True\n\n\ndef _first_unreached",
+        "                                return True\n    return False\n\n\ndef _first_unreached",
+        "                                return True\n    return True\n\n\ndef _first_unreached",
         (
             IN_TWO + "test_mask_holding_either_color_fails",
             IN_TWO + "test_one_color_twice_fails",
@@ -137,6 +139,41 @@ MUTANTS = (
             ORDER + "test_look_ahead_inputs",
             ORDER + "test_exact_rc_prefix_checks",
         ),
+    ),
+    Mutant(
+        "look-ahead: a neighbour's first mask skipped once it has later ones",
+        ORACLE,
+        "if not x & b and x.bit_count() >= level:",
+        "if xs is None and not x & b and x.bit_count() >= level:",
+        ("tests/test_oracle.py::TestReaches::test_first_mask_beside_later_ones",),
+    ),
+    Mutant(
+        "verifier: the first visit of target s + 1 not counted",
+        ORACLE,
+        "                        if w > s:\n                            left -= 1",
+        "                        if w > s + 1:\n                            left -= 1",
+        (
+            "tests/test_oracle.py::TestIsRainbowConnected::test_monochromatic_complete",
+            "tests/test_oracle.py::TestNaiveAgreement::test_random_small_instances[2]",
+        ),
+    ),
+    Mutant(
+        "relaxed check: the first visit of target s + 1 not counted",
+        ORACLE,
+        "                    if w > s:\n                        left -= 1",
+        "                    if w > s + 1:\n                        left -= 1",
+        (
+            "tests/test_oracle.py::TestCountedReaches::test_uncolored_edge_reaches_the_next_vertex",
+            "tests/test_oracle.py::TestExactRc::test_cycle5",
+        ),
+    ),
+    Mutant(
+        "relaxed check: a later mask admitted without the subset scan",
+        ORACLE,
+        "\n                        for x in xs:\n                            if x & nm == x:\n"
+        "                                break\n                        else:\n",
+        "\n                        if True:\n",
+        ("tests/test_oracle.py::TestCountedReaches::test_superset_of_a_later_mask_is_dropped",),
     ),
     Mutant(
         "look-ahead: the trigger read from the vertex count",
@@ -233,8 +270,9 @@ def _pytest(root: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
     )
 
 
-def _outcome(mutant: Mutant) -> str:
-    """``"killed"``, ``"survived"`` or a reason the mutant could not run."""
+def _outcomes(mutant: Mutant) -> dict[str, str]:
+    """Per killing test, ``"killed"``, ``"survived"`` or a reason it could
+    not run; a snippet that does not occur exactly once fails them all."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp)
         _copy(root)
@@ -242,18 +280,23 @@ def _outcome(mutant: Mutant) -> str:
         text = target.read_text()
         found = text.count(mutant.snippet)
         if found != 1:
-            return f"snippet found {found} times in {mutant.path}"
+            return dict.fromkeys(mutant.killers, f"snippet found {found} times in {mutant.path}")
         target.write_text(text.replace(mutant.snippet, mutant.replacement))
-        run = _pytest(root, mutant.killers)
-    if run.returncode == 0:
-        return "survived"
-    if run.returncode == 1:
-        return "killed"
-    return f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}"
+        outcomes = {}
+        for test in mutant.killers:
+            run = _pytest(root, (test,))
+            if run.returncode == 0:
+                outcomes[test] = "survived"
+            elif run.returncode == 1:
+                outcomes[test] = "killed"
+            else:
+                outcomes[test] = f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}"
+    return outcomes
 
 
 def main() -> int:
     killers = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.killers))
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
         _copy(Path(tmp))
         run = _pytest(Path(tmp), killers)
@@ -262,14 +305,20 @@ def main() -> int:
         return 1
     failed = 0
     for mutant in MUTANTS:
-        start = time.perf_counter()
-        outcome = _outcome(mutant)
-        print(f"{outcome.splitlines()[0]:<9} {time.perf_counter() - start:5.1f} s  {mutant.name}")
-        if outcome != "killed":
+        began = time.perf_counter()
+        outcomes = _outcomes(mutant)
+        kills = sum(outcome == "killed" for outcome in outcomes.values())
+        verdict = "killed" if kills == len(outcomes) else "FAILED"
+        print(f"{verdict:<7} {kills}/{len(outcomes)} {time.perf_counter() - began:5.1f} s  {mutant.name}")
+        if kills < len(outcomes):
             failed += 1
-            if "\n" in outcome:
-                print(outcome.split("\n", 1)[1])
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+            for test, outcome in outcomes.items():
+                if outcome != "killed":
+                    print(f"    {outcome}: {test}")
+    print(
+        f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed by each of their tests"
+        f" in {time.perf_counter() - start:.1f} s"
+    )
     return 1 if failed else 0
 
 

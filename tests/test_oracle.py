@@ -44,6 +44,8 @@ from rainbowline.triangles import pack_edge_disjoint
 from rainbowline.oracle import (
     _adjacency,
     _check_all_pairs,
+    _counted_reaches,
+    _reaches,
     _reaches_in_two,
     canonical_colorings,
     exact_rc,
@@ -289,6 +291,46 @@ class TestCountedMatchesRelabel:
         assert min(outcomes[True, True], outcomes[False, True], outcomes[False, False]) > 50, outcomes
 
 
+class _Row(list):
+    """One vertex's ``[bit, neighbour]`` ends that count, in ``expanded``,
+    how often the search expands a state at the vertex."""
+
+    def __init__(self, vertex: int, ends: list[list[int]], expanded: Counter):
+        super().__init__(ends)
+        self.vertex, self.expanded = vertex, expanded
+
+    def __iter__(self):
+        self.expanded[self.vertex] += 1
+        return super().__iter__()
+
+
+class TestCountedReaches:
+    """``_counted_reaches`` on hand-built adjacencies: ``bit = 0`` marks an
+    uncolored edge, which a walk crosses without using a color."""
+
+    def test_uncolored_edge_reaches_the_next_vertex(self):
+        assert _counted_reaches([[[0, 1]], [[0, 0]]], 0, 1)
+        assert not _counted_reaches([[[0, 1]], [[0, 0]], []], 0, 1)
+
+    def test_superset_of_a_later_mask_is_dropped(self):
+        # vertex 3 admits 0b001 (via 1), then 0b010 (via 2); 0b110 (via 4)
+        # holds 0b010 and is dropped; vertex 5 is never reached, so every
+        # one of the k = 3 levels is expanded
+        a, b, c = 0b001, 0b010, 0b100
+        ends = [
+            [[a, 1], [b, 2], [c, 4]],
+            [[a, 0], [0, 3]],
+            [[b, 0], [0, 3]],
+            [[0, 1], [0, 2], [b, 4]],
+            [[c, 0], [b, 3]],
+            [],
+        ]
+        expanded = Counter()
+        adj = [_Row(v, row, expanded) for v, row in enumerate(ends)]
+        assert not _counted_reaches(adj, 0, 3)
+        assert expanded[3] == 2
+
+
 def _l(g: Graph) -> Graph:
     return line_graph(g).l_graph
 
@@ -476,10 +518,37 @@ class TestGroupedSearch:
         # star 0-1, 0-2, 0-3, 0-4 plus 1-2, colors 1, 2, 1, 2, 2
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
         adj = _adjacency(g, color_bits((1, 2, 1, 2, 2)))
-        assert adj[0] == [[1, [1, 3]], [2, [2, 4]]]
-        assert adj[1] == [[1, [0]], [2, [2]]]
-        assert adj[2] == [[2, [0, 1]]]
-        assert adj[3] == [[1, [0]]] and adj[4] == [[2, [0]]]
+        assert adj[0] == [(1, [1, 3]), (2, [2, 4])]
+        assert adj[1] == [(1, [0]), (2, [2])]
+        assert adj[2] == [(2, [0, 1])]
+        assert adj[3] == [(1, [0])] and adj[4] == [(2, [0])]
+
+
+class TestReaches:
+    """``_reaches`` on the path t = 0, w = 1 with color ``0b001``: a state
+    at ``w`` with the level's number of colors and a mask free of that
+    color passes, whether it is the first mask at ``w`` or a later one."""
+
+    @staticmethod
+    def reaches(first, more, level):
+        adj = _adjacency(build_graph(2, [(0, 1)]), [0b001])
+        return _reaches(adj[0], [-1, first], [None, more], level)
+
+    def test_first_mask(self):
+        assert self.reaches(0b010, None, 1)
+        assert not self.reaches(0b011, None, 1)
+
+    def test_first_mask_beside_later_ones(self):
+        assert self.reaches(0b0110, [0b1001], 2)
+        assert self.reaches(0b1001, [0b0110], 2)
+        assert not self.reaches(0b1001, [0b0101], 2)
+
+    def test_mask_below_the_level_fails(self):
+        assert not self.reaches(0b010, None, 2)
+        assert not self.reaches(0b0110, [0b1010], 3)
+
+    def test_unreached_neighbour_fails(self):
+        assert not self.reaches(-1, None, 0)
 
 
 class TestReachesInTwo:
@@ -490,7 +559,7 @@ class TestReachesInTwo:
     @staticmethod
     def reaches(c1, c2, mask):
         adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [c1, c2])
-        return _reaches_in_two(adj, 0, [[], [], [mask]])
+        return _reaches_in_two(adj, 0, [-1, -1, mask], [None] * 3)
 
     def test_mask_avoiding_both_colors_passes(self):
         assert self.reaches(0b001, 0b010, 0b100)
@@ -507,7 +576,12 @@ class TestReachesInTwo:
     def test_no_mask_two_edges_away_fails(self):
         # a mask at t's neighbour is one edge away, not two
         adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [0b001, 0b010])
-        assert not _reaches_in_two(adj, 0, [[], [0], []])
+        assert not _reaches_in_two(adj, 0, [-1, 0, -1], [None] * 3)
+
+    def test_later_mask_passes(self):
+        adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [0b001, 0b010])
+        assert _reaches_in_two(adj, 0, [-1, -1, 0b101], [None, None, [0b110, 0b100]])
+        assert not _reaches_in_two(adj, 0, [-1, -1, 0b101], [None, None, [0b110]])
 
 
 class TestLookAheadMatchesQueue:
@@ -541,12 +615,12 @@ class TestLookAheadMatchesQueue:
         reaches, reaches_in_two = oracle._reaches, oracle._reaches_in_two
         first_unreached = oracle._first_unreached
 
-        def counted_reaches(row, visited, level):
-            checks.append(("one edge", reaches(row, visited, level)))
+        def counted_reaches(row, first, more, level):
+            checks.append(("one edge", reaches(row, first, more, level)))
             return checks[-1][1]
 
-        def counted_in_two(adj, t, visited):
-            checks.append(("two edges", reaches_in_two(adj, t, visited)))
+        def counted_in_two(adj, t, first, more):
+            checks.append(("two edges", reaches_in_two(adj, t, first, more)))
             return checks[-1][1]
 
         def counted_search(adj, s):
@@ -583,13 +657,13 @@ def _checks_in_both_orders(adj):
     def run(first_unreached):
         sources = []
 
-        def recorded(row, visited, level):
-            passed = _real_reaches(row, visited, level)
+        def recorded(row, first, more, level):
+            passed = _real_reaches(row, first, more, level)
             sources[-1].append((target[id(row)], level, passed))
             return passed
 
-        def recorded_in_two(adj, t, visited):
-            passed = _real_in_two(adj, t, visited)
+        def recorded_in_two(adj, t, first, more):
+            passed = _real_in_two(adj, t, first, more)
             sources[-1].append((t, None, passed))
             return passed
 
@@ -690,9 +764,9 @@ class TestLookAheadTrigger:
         levels = []
         reaches = oracle._reaches
 
-        def counted(row, visited, level):
+        def counted(row, first, more, level):
             levels.append(level)
-            return reaches(row, visited, level)
+            return reaches(row, first, more, level)
 
         monkeypatch.setattr(oracle, "_reaches", counted)
         ring = _ring_coloring()
