@@ -7,6 +7,7 @@ induces a clique in ``L(G)``; over all vertices these cliques cover each
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InputError
 from .graphs import Graph
@@ -23,11 +24,8 @@ def line_graph(g: Graph) -> LineGraphResult:
     """Build ``L(g)``, whose vertex ``i`` is edge ``i`` of ``g``, with the
     star-clique map."""
     l_edges: list[tuple[int, int]] = []
-    for v in range(g.n):
-        inc = g.incident_edges[v]
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                l_edges.append((inc[i], inc[j]))
+    for inc in g.incident_edges:
+        l_edges.extend(combinations(inc, 2))
     return LineGraphResult(
         source=g,
         l_graph=Graph(g.m, tuple(l_edges)),

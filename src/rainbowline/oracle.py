@@ -10,17 +10,20 @@ when an already-admitted state at the same vertex uses a subset of its
 colors. Every level adds exactly one color, so the admitted masks at each
 vertex form an antichain without ever needing removals.
 
-Each source keeps its admitted masks in two flat lists: ``first[v]``, the
-first mask admitted at ``v`` (``-1`` while ``v`` holds none), and
-``more[v]``, the later ones in admission order (``None`` while there are
-none). On long sparse line graphs a source admits about one mask per
-vertex, so a candidate state nearly always meets a vertex with no mask,
-where it is admitted by one store, or with one mask, which one ``&`` tests;
-only a vertex holding more runs a loop. A target is counted down on its
-first visit (``w > s``) and a repeat admission needs no count, since a
-vertex holding a mask is already reached. Every color bit is nonzero and
-``-1`` holds every bit, so an empty vertex fails the look-ahead's test
-``not x & b`` with no test of its own.
+Both searches, the verifier and ``exact_rc``'s relaxed check, keep three
+records per source: ``first[v]``, the first mask admitted at ``v`` (``-1``
+while ``v`` holds none); ``more[v]``, the later ones in admission order
+(``None`` while there are none); and ``left``, the count of targets left. On
+long sparse line graphs a source admits about one mask per vertex, so a
+candidate state nearly always meets a vertex with no mask, where it is
+admitted by one store, or with one mask, which one ``&`` tests; only a
+vertex holding more runs a loop. A target is counted down on its first visit
+(``w > s``); a repeat admission needs no count, since the vertex is already
+reached. Masks are never negative, so the targets left are the ``t > s``
+with ``first[t] == -1``: the verifier reads them, and its witness, off
+``first``, whose last slot, past vertex ``n - 1``, stays ``-1`` to end each
+scan. Every color bit is nonzero and ``-1`` holds every bit, so an empty
+vertex fails the look-ahead's test ``not x & b`` with no test of its own.
 
 The adjacency (``_adjacency``) groups each vertex's neighbours by the color
 of the edge to them: one ``(bit, neighbours)`` group per color, in order of
@@ -34,11 +37,11 @@ level is a subset of a new one only if it is equal to it. The states
 admitted at each level are therefore the same in any order, and so are the
 early exit and the targets left unreached.
 
-Only the targets ``s+1..n-1`` matter for ``s`` (pairs are symmetric). They
-are counted down as they are first admitted, and the search from ``s`` stops
-the moment the last one is reached. When a source exhausts its states with
-targets left, the smallest of them is the witness: the pairs are tried in
-lexicographic order, so the first failing pair found is the smallest one.
+Only the targets ``s+1..n-1`` matter for ``s`` (pairs are symmetric), and
+the search from ``s`` stops the moment the last one is reached. When a
+source exhausts its states with targets left, the smallest of them is the
+witness: the pairs are tried in lexicographic order, so the first failing
+pair found is the smallest one.
 
 Before expanding level ``L`` the search may look one level ahead: if every
 target left has a neighbour ``w`` holding a level-``L`` state whose mask
@@ -95,8 +98,7 @@ within the same ``k`` edges, and the subset test ``x & nm == x`` drops the
 new state without a length of its own. The adjacency holds one
 ``[bit, neighbour]`` pair per edge end, with ``bit = 0`` while the edge is
 uncolored; coloring edge ``i`` sets the bit at its two ends and
-backtracking clears it. The masks are kept in ``first`` and ``more`` as
-in the verifier.
+backtracking clears it.
 
 A child that gives edge ``i`` a fresh color, one above every color of its
 prefix, is not checked: it passes whenever its parent passed. A shortest
@@ -213,21 +215,20 @@ def _first_unreached(adj: list[list[tuple[int, list[int]]]], s: int) -> int | No
     """Smallest target ``t > s`` with no rainbow path from ``s``, or ``None``
     as soon as the last target is admitted or sure to be at the next level."""
     n = len(adj)
-    unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
     left = n - s - 1
-    first = [-1] * n
+    first = [-1] * (n + 1)
     more: list[list[int] | None] = [None] * n
     first[s] = 0
     frontier = [(s, 0)]
     while frontier:
         if len(frontier) > _LOOK_AHEAD_FACTOR * left:
             level = frontier[0][1].bit_count()
-            t = unreached.find(1)
-            while t >= 0 and (
+            t = first.index(-1, s + 1)
+            while t < n and (
                 _reaches(adj[t], first, more, level) or _reaches_in_two(adj, t, first, more)
             ):
-                t = unreached.find(1, t + 1)
-            if t < 0:
+                t = first.index(-1, t + 1)
+            if t == n:
                 return None
         nxt: list[tuple[int, int]] = []
         for v, mask in frontier:
@@ -244,7 +245,6 @@ def _first_unreached(adj: list[list[tuple[int, list[int]]]], s: int) -> int | No
                             left -= 1
                             if not left:
                                 return None
-                            unreached[w] = 0
                     elif x & nm != x:
                         xs = more[w]
                         if xs is None:
@@ -258,7 +258,7 @@ def _first_unreached(adj: list[list[tuple[int, list[int]]]], s: int) -> int | No
                                 xs.append(nm)
                                 nxt.append((w, nm))
         frontier = nxt
-    return unreached.index(1)
+    return first.index(-1, s + 1)
 
 
 def _check_adjacency(adj: list[list[tuple[int, list[int]]]]) -> tuple[bool, tuple[int, int] | None]:

@@ -213,7 +213,8 @@ def _pack_exact(tris: Sequence[Triangle], forest: bool) -> list[Triangle]:
     if len(tris) > DEFAULT_EXACT_CAP:
         raise LimitError(f"exact packing capped at {DEFAULT_EXACT_CAP} triangles, instance has {len(tris)}")
     masks = [_edge_mask(t) for t in tris]
-    best = [tris.index(t) for t in _pack_greedy(tris, forest)]
+    index = {t: i for i, t in enumerate(tris)}
+    best = [index[t] for t in _pack_greedy(tris, forest)]
     n_t = len(tris)
     chosen: list[int] = []
 

@@ -31,6 +31,7 @@ NETWORKX = "tests/test_graphs.py::TestMatchesNetworkx::"
 IN_TWO = "tests/test_oracle.py::TestReachesInTwo::"
 LOOK_AHEAD = "tests/test_oracle.py::TestLookAheadMatchesQueue::"
 ORDER = "tests/test_oracle.py::TestLookAheadOrder::"
+SCAN = "tests/test_oracle.py::TestTargetScan::"
 FIRES = "tests/test_oracle.py::TestLookAheadTrigger::test_look_ahead_fires_on_a_long_sparse_line_graph"
 TRIGGER = "if len(frontier) > _LOOK_AHEAD_FACTOR * left:"
 
@@ -148,6 +149,30 @@ MUTANTS = (
         ("tests/test_oracle.py::TestReaches::test_first_mask_beside_later_ones",),
     ),
     Mutant(
+        "look-ahead: the next target read from t + 2",
+        ORACLE,
+        "t = first.index(-1, t + 1)",
+        "t = first.index(-1, t + 2)",
+        (SCAN + "test_unreachable_target_after_a_reachable_one", LOOK_AHEAD + "test_tail_end_is_the_witness"),
+    ),
+    Mutant(
+        "verifier: no slot past the last vertex to end a scan",
+        ORACLE,
+        "first = [-1] * (n + 1)",
+        "first = [-1] * n",
+        (
+            SCAN + "test_scan_past_every_target_left_ends_the_source",
+            LOOK_AHEAD + "test_matches_queue[certified-verdicts0]",
+        ),
+    ),
+    Mutant(
+        "look-ahead: the scan's end read one slot early",
+        ORACLE,
+        "if t == n:",
+        "if t == n - 1:",
+        (SCAN + "test_only_target_left_is_the_last_vertex", LOOK_AHEAD + "test_tail_end_is_the_witness"),
+    ),
+    Mutant(
         "verifier: the first visit of target s + 1 not counted",
         ORACLE,
         "                        if w > s:\n                            left -= 1",
@@ -238,8 +263,8 @@ MUTANTS = (
     Mutant(
         "line_graph: consecutive edges of a star left unjoined",
         LINEGRAPH,
-        "for j in range(i + 1, len(inc)):",
-        "for j in range(i + 2, len(inc)):",
+        "l_edges.extend(combinations(inc, 2))",
+        "l_edges.extend((a, b) for i, a in enumerate(inc) for b in inc[i + 2 :])",
         (NETWORKX + "test_line_graph",),
     ),
     Mutant(

@@ -292,8 +292,8 @@ class TestCountedMatchesRelabel:
 
 
 class _Row(list):
-    """One vertex's ``[bit, neighbour]`` ends that count, in ``expanded``,
-    how often the search expands a state at the vertex."""
+    """One vertex's adjacency row that counts, in ``expanded``, how often it
+    is iterated, as a search does to expand a state at the vertex."""
 
     def __init__(self, vertex: int, ends: list[list[int]], expanded: Counter):
         super().__init__(ends)
@@ -582,6 +582,36 @@ class TestReachesInTwo:
         adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [0b001, 0b010])
         assert _reaches_in_two(adj, 0, [-1, -1, 0b101], [None, None, [0b110, 0b100]])
         assert not _reaches_in_two(adj, 0, [-1, -1, 0b101], [None, None, [0b110]])
+
+
+class TestTargetScan:
+    """The verifier reads the targets left, and its witness, off ``first``,
+    whose last slot, past vertex ``n - 1``, ends each scan. Each graph is a
+    star from source 0 to the leaves 1..9 in colors 1..9, so the look-ahead
+    runs before level 2, plus the edges ``(u, t, color)`` given."""
+
+    @staticmethod
+    def search(extra, expanded=None):
+        edges = [(0, v, v) for v in range(1, 10)] + extra
+        g = build_graph(1 + max(t for _, t, _ in extra), [(u, v) for u, v, _ in edges])
+        adj = _adjacency(g, color_bits(c for _, _, c in edges))
+        if expanded is not None:
+            adj = [_Row(v, row, expanded) for v, row in enumerate(adj)]
+        return oracle._first_unreached(adj, 0)
+
+    def test_only_target_left_is_the_last_vertex(self):
+        # 10 hangs off leaf 9 by color 9 again, so no walk reaches it
+        assert self.search([(9, 10, 9)]) == 10
+
+    def test_scan_past_every_target_left_ends_the_source(self):
+        expanded = Counter()
+        assert self.search([(1, 10, 10), (2, 11, 11)], expanded) is None
+        # both targets pass the look-ahead, so no leaf is expanded
+        assert not any(expanded[v] for v in range(1, 10))
+
+    def test_unreachable_target_after_a_reachable_one(self):
+        # 10 passes the look-ahead; 11 hangs off leaf 3 by color 3 again
+        assert self.search([(1, 10, 10), (3, 11, 3)]) == 11
 
 
 class TestLookAheadMatchesQueue:
