@@ -33,6 +33,11 @@ The other layers:
   look-ahead order, check by check -> ``TestLookAheadOrder``, and with a
   look-ahead before every level or none, verdicts and witnesses ->
   ``TestLookAheadTrigger``.
+- look-ahead (``oracle._reaches_within_two``): ``reaches_at_level``, a free
+  edge from a state of the frontier's level, or else ``reaches_in_two``, a
+  two-edge walk of distinct free colors from any admitted state ->
+  ``TestReachesWithinTwo.test_matches_the_references``, at every look-ahead
+  the verifier makes.
 - exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, every canonical
   coloring in full -> ``TestPrunedSearchMatchesEnumeration``;
   ``relabel_exact_rc``, its own recursion in edge-id order with a private
@@ -65,12 +70,9 @@ bridges, connectivity, isomorphism, distances) are networkx's, run on
 ``nx_graph(g)``. ``relabel_exact_rc`` runs a search of its own and takes
 from the oracle only the verifier (``_adjacency`` and ``_check_adjacency``,
 which a test patches to record its prefix checks) and the edge-cap check.
-The exception is ``circular_first_unreached``, which shares
-``oracle._reaches`` and ``oracle._reaches_in_two`` so that a test can record
-the look-ahead checks of both orders. Also the tools only tests use:
-edge-induced subgraphs, vertex-set shrinking, star-clique edge ids, the
-two-color coloring of a lone triangle with pendants, the networkx copy of a
-graph, trace replay, the tightness check of the ``m - m1`` bound, a recorder
+Also the tools only tests use: edge-induced subgraphs, vertex-set
+shrinking, star-clique edge ids, the two-color coloring of a lone triangle
+with pendants, the networkx copy of a graph, trace replay, the tightness check of the ``m - m1`` bound, a recorder
 of the triangle enumerations and classifications a call makes, and the
 partition-combination and detach-projection checks that
 ``test_observations.py`` and ``test_acceptance.py`` run on their own
@@ -320,21 +322,58 @@ def look_ahead_trigger(states: int, left: int) -> bool:
     return states > _LOOK_AHEAD_FACTOR * left
 
 
+def admitted_masks(first: list[int], more: list[list[int] | None], v: int) -> list[int]:
+    """The masks admitted at ``v``, read off the verifier's ``first`` and
+    ``more``."""
+    return [first[v], *(more[v] or ())] if first[v] >= 0 else []
+
+
+def reaches_at_level(
+    row: list[tuple[int, list[int]]], first: list[int], more: list[list[int] | None], level: int
+) -> bool:
+    """The look-ahead's one-edge check with the level: whether a state of
+    ``level`` colors at a neighbour of the vertex whose color groups are
+    ``row`` has a free edge into that vertex."""
+    return any(
+        x.bit_count() == level and not x & b
+        for b, ws in row
+        for w in ws
+        for x in admitted_masks(first, more, w)
+    )
+
+
+def reaches_in_two(
+    adj: list[list[tuple[int, list[int]]]], t: int, first: list[int], more: list[list[int] | None]
+) -> bool:
+    """The look-ahead's two-edge check: whether an admitted state at some
+    vertex ``u`` reaches ``t`` by two edges ``u - w - t`` of distinct colors
+    that its mask avoids."""
+    return any(
+        not x & (c1 | c2)
+        for c1, ws in adj[t]
+        for w in ws
+        for c2, us in adj[w]
+        if c2 != c1
+        for u in us
+        for x in admitted_masks(first, more, u)
+    )
+
+
 def circular_first_unreached(
     adj: list[list[tuple[int, list[int]]]],
     s: int,
     trigger: Callable[[int, int], bool] = look_ahead_trigger,
 ) -> int | None:
-    """Reference for ``oracle._first_unreached``: the same level search and
-    the same two checks per target, ``oracle._reaches`` and then
-    ``oracle._reaches_in_two``, but each look-ahead starts at the first
-    target that ``_reaches`` rejected in the last one, goes round the others
-    in circular order, and stops at the first target both checks reject. It
-    calls both checks through the module, so a test can record the checks
-    of both look-aheads. It keeps each vertex's admitted masks in one list,
-    in admission order, and hands the checks the package's state read off
-    it: each vertex's first mask (``-1`` if none) and its later masks
-    (``None`` if none). A look-ahead runs before a level when
+    """Reference for ``oracle._first_unreached``: the same level search, but
+    each look-ahead checks a target with ``reaches_at_level`` at the
+    frontier's level and then, if that rejects it, with ``reaches_in_two``.
+    Each look-ahead starts at the first target that ``reaches_at_level``
+    rejected in the last one, goes round the others in circular order, and
+    stops at the first target both checks reject. It calls both checks
+    through this module, so a test can record them. It keeps each vertex's
+    admitted masks in one list, in admission order, and hands the checks
+    the verifier's layout read off it: each vertex's first mask (``-1`` if
+    none) and its later masks (``None`` if none). A look-ahead runs before a level when
     ``trigger(frontier states, targets left)`` holds; the default is the
     package's rule, and a test may pass another one."""
     n = len(adj)
@@ -352,9 +391,9 @@ def circular_first_unreached(
             t = stuck if unreached[stuck] else _next_target(unreached, stuck)
             rejected = []
             for _ in range(left):
-                if not oracle._reaches(adj[t], first, more, level):
+                if not reaches_at_level(adj[t], first, more, level):
                     rejected.append(t)
-                    if not oracle._reaches_in_two(adj, t, first, more):
+                    if not reaches_in_two(adj, t, first, more):
                         stuck = rejected[0]
                         break
                 t = _next_target(unreached, t)

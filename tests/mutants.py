@@ -28,7 +28,8 @@ GRAPHS = "src/rainbowline/graphs.py"
 LINEGRAPH = "src/rainbowline/linegraph.py"
 TRIANGLES = "src/rainbowline/triangles.py"
 NETWORKX = "tests/test_graphs.py::TestMatchesNetworkx::"
-IN_TWO = "tests/test_oracle.py::TestReachesInTwo::"
+WITHIN_TWO = "tests/test_oracle.py::TestReachesWithinTwo::"
+REFERENCES = WITHIN_TWO + "test_matches_the_references"
 LOOK_AHEAD = "tests/test_oracle.py::TestLookAheadMatchesQueue::"
 ORDER = "tests/test_oracle.py::TestLookAheadOrder::"
 SCAN = "tests/test_oracle.py::TestTargetScan::"
@@ -108,32 +109,39 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "look-ahead: a two-edge walk may repeat a color",
+        "look-ahead: the two-edge phase allows c2 == c1",
         ORACLE,
         "                if c2 == c1:\n                    continue\n",
         "",
         (
-            IN_TWO + "test_one_color_twice_fails",
+            WITHIN_TWO + "test_one_color_twice_fails",
+            REFERENCES,
             LOOK_AHEAD + "test_matches_queue[tail-verdicts2]",
             LOOK_AHEAD + "test_tail_end_is_the_witness",
         ),
     ),
     Mutant(
-        "look-ahead: a two-edge walk checks only the color next to the target",
+        "look-ahead: the two-edge phase tests only c1, the color next to the target",
         ORACLE,
         "b = c1 | c2",
         "b = c1",
-        (IN_TWO + "test_mask_holding_either_color_fails", LOOK_AHEAD + "test_matches_queue[small-verdicts3]"),
+        (
+            WITHIN_TWO + "test_mask_holding_either_color_fails",
+            REFERENCES,
+            LOOK_AHEAD + "test_matches_queue[small-verdicts3]",
+        ),
     ),
     Mutant(
-        "look-ahead: the two-edge check passes when it finds nothing",
+        "look-ahead: a target passes when neither phase finds a walk",
         ORACLE,
         "                                return True\n    return False\n\n\ndef _first_unreached",
         "                                return True\n    return True\n\n\ndef _first_unreached",
         (
-            IN_TWO + "test_mask_holding_either_color_fails",
-            IN_TWO + "test_one_color_twice_fails",
-            IN_TWO + "test_no_mask_two_edges_away_fails",
+            WITHIN_TWO + "test_mask_holding_either_color_fails",
+            WITHIN_TWO + "test_one_color_twice_fails",
+            WITHIN_TWO + "test_no_mask_two_edges_away_fails",
+            WITHIN_TWO + "test_unreached_neighbour_fails",
+            REFERENCES,
             LOOK_AHEAD + "test_matches_queue[tail-verdicts2]",
             LOOK_AHEAD + "test_tail_end_is_the_witness",
             LOOK_AHEAD + "test_look_ahead_ends_early_and_fails",
@@ -141,12 +149,22 @@ MUTANTS = (
             ORDER + "test_exact_rc_prefix_checks",
         ),
     ),
+    # Only hand-built states kill the next two: in the search, a frontier
+    # state with a free edge into a target came from a state whose two-edge
+    # walk passes the same target, so no verdict changes.
     Mutant(
-        "look-ahead: a neighbour's first mask skipped once it has later ones",
+        "look-ahead: the one-edge phase skips first[w] once w has later masks",
         ORACLE,
-        "if not x & b and x.bit_count() >= level:",
-        "if xs is None and not x & b and x.bit_count() >= level:",
-        ("tests/test_oracle.py::TestReaches::test_first_mask_beside_later_ones",),
+        "if not first[w] & b:",
+        "if more[w] is None and not first[w] & b:",
+        (WITHIN_TWO + "test_first_mask_beside_later_ones",),
+    ),
+    Mutant(
+        "look-ahead: the one-edge phase skips more[w]",
+        ORACLE,
+        "            xs = more[w]\n            if xs is not None:",
+        "            xs = None\n            if xs is not None:",
+        (WITHIN_TWO + "test_first_mask_beside_later_ones",),
     ),
     Mutant(
         "look-ahead: the next target read from t + 2",

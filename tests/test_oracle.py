@@ -16,13 +16,17 @@ from corpus import (
     look_ahead_inputs,
     recolorings,
 )
+import helpers
 from helpers import (
+    admitted_masks,
     check_iterated_tightness,
     circular_first_unreached,
     enumerate_exact_rc,
     naive_failing_pair,
     naive_rainbow_connected,
     queue_check_all_pairs,
+    reaches_at_level,
+    reaches_in_two,
     relabel_exact_rc,
 )
 from rainbowline import oracle
@@ -45,8 +49,7 @@ from rainbowline.oracle import (
     _adjacency,
     _check_all_pairs,
     _counted_reaches,
-    _reaches,
-    _reaches_in_two,
+    _reaches_within_two,
     canonical_colorings,
     exact_rc,
     is_rainbow_connected,
@@ -348,15 +351,17 @@ class TestEdgeOrders:
             (_l(bridged_triangle_chain(12)), 24, 4_000),
             (_l(petersen_graph()), 3, 5_500),
             (_l(triangle_ring(7)), 4, 14_000),
+            (cycle_graph(19), 10, 45_000),
         ],
-        ids=["gnp11-s1", "triangle_ring6", "example31-t12", "petersen", "triangle_ring7"],
+        ids=["gnp11-s1", "triangle_ring6", "example31-t12", "petersen", "triangle_ring7", "C19"],
     )
     def test_call_budget(self, monkeypatch, g, rc, budget):
         """``exact_rc`` settles within ``budget`` ``_counted_reaches`` calls:
         1,209 on L(gnp(11, 0.3, 1)), where the two fixed edge orders taken
         in turns made 440,637; 12,443 on L(triangle_ring(6)); 3,135 on
-        L(example31, t = 12); 4,364 on L(petersen); and 11,056 on
-        L(triangle_ring(7))."""
+        L(example31, t = 12); 4,364 on L(petersen); 11,056 on
+        L(triangle_ring(7)); and 36,117 on C19. L(petersen) and C19 are the
+        rows where fail-first did more work than the fixed orders."""
         counted_reaches, calls = oracle._counted_reaches, []
 
         def record(adj, s, k):
@@ -524,64 +529,107 @@ class TestGroupedSearch:
         assert adj[3] == [(1, [0])] and adj[4] == [(2, [0])]
 
 
-class TestReaches:
-    """``_reaches`` on the path t = 0, w = 1 with color ``0b001``: a state
-    at ``w`` with the level's number of colors and a mask free of that
-    color passes, whether it is the first mask at ``w`` or a later one."""
+def _frontier_level(first, more):
+    """The popcount of the frontier's masks: each level adds one color to
+    the masks it admits, so no admitted mask has more colors than the
+    newest ones."""
+    return max(x.bit_count() for v in range(len(more)) for x in admitted_masks(first, more, v))
+
+
+def _passed_by(adj, t, first, more):
+    """``"one edge"`` if ``helpers.reaches_at_level`` passes ``t`` at the
+    frontier's level, else ``"two edges"`` if ``helpers.reaches_in_two``
+    does, else ``None``."""
+    if reaches_at_level(adj[t], first, more, _frontier_level(first, more)):
+        return "one edge"
+    return "two edges" if reaches_in_two(adj, t, first, more) else None
+
+
+class TestReachesWithinTwo:
+    """``_reaches_within_two`` on hand-built paths, and at every look-ahead
+    check the verifier makes. One edge: on the path t = 0, w = 1 with color
+    ``0b001``, a mask at ``w`` free of that color passes, whether it is the
+    first mask at ``w`` or a later one. Two edges: on the path t = 0, w = 1,
+    u = 2, the walk u - w - t needs two distinct colors, both free in a mask
+    at ``u``."""
 
     @staticmethod
-    def reaches(first, more, level):
+    def one_edge(first, more):
         adj = _adjacency(build_graph(2, [(0, 1)]), [0b001])
-        return _reaches(adj[0], [-1, first], [None, more], level)
+        return _reaches_within_two(adj, 0, [-1, first], [None, more])
+
+    @staticmethod
+    def two_edges(c1, c2, first, more=None):
+        adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [c1, c2])
+        return _reaches_within_two(adj, 0, [-1, -1, first], [None, None, more])
 
     def test_first_mask(self):
-        assert self.reaches(0b010, None, 1)
-        assert not self.reaches(0b011, None, 1)
+        assert self.one_edge(0b010, None)
+        assert not self.one_edge(0b011, None)
 
     def test_first_mask_beside_later_ones(self):
-        assert self.reaches(0b0110, [0b1001], 2)
-        assert self.reaches(0b1001, [0b0110], 2)
-        assert not self.reaches(0b1001, [0b0101], 2)
-
-    def test_mask_below_the_level_fails(self):
-        assert not self.reaches(0b010, None, 2)
-        assert not self.reaches(0b0110, [0b1010], 3)
+        assert self.one_edge(0b0110, [0b1001])
+        assert self.one_edge(0b1001, [0b0110])
+        assert not self.one_edge(0b1001, [0b0101])
 
     def test_unreached_neighbour_fails(self):
-        assert not self.reaches(-1, None, 0)
-
-
-class TestReachesInTwo:
-    """``_reaches_in_two`` on the path t = 0, w = 1, u = 2 with one admitted
-    mask at ``u``: the walk u - w - t needs two distinct colors, both free
-    in the mask."""
-
-    @staticmethod
-    def reaches(c1, c2, mask):
-        adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [c1, c2])
-        return _reaches_in_two(adj, 0, [-1, -1, mask], [None] * 3)
+        assert not self.one_edge(-1, None)
 
     def test_mask_avoiding_both_colors_passes(self):
-        assert self.reaches(0b001, 0b010, 0b100)
-        assert self.reaches(0b001, 0b010, 0)
+        assert self.two_edges(0b001, 0b010, 0b100)
+        assert self.two_edges(0b001, 0b010, 0)
 
     def test_mask_holding_either_color_fails(self):
-        assert not self.reaches(0b001, 0b010, 0b110)
-        assert not self.reaches(0b001, 0b010, 0b101)
+        assert not self.two_edges(0b001, 0b010, 0b110)
+        assert not self.two_edges(0b001, 0b010, 0b101)
 
     def test_one_color_twice_fails(self):
-        assert not self.reaches(0b001, 0b001, 0)
-        assert not self.reaches(0b001, 0b001, 0b100)
+        assert not self.two_edges(0b001, 0b001, 0)
+        assert not self.two_edges(0b001, 0b001, 0b100)
 
     def test_no_mask_two_edges_away_fails(self):
-        # a mask at t's neighbour is one edge away, not two
+        # the mask at t's neighbour holds the color into t, so it fails the
+        # one-edge walk, and it is not two edges away
         adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [0b001, 0b010])
-        assert not _reaches_in_two(adj, 0, [-1, 0, -1], [None] * 3)
+        assert not _reaches_within_two(adj, 0, [-1, 0b001, -1], [None] * 3)
 
     def test_later_mask_passes(self):
-        adj = _adjacency(build_graph(3, [(0, 1), (1, 2)]), [0b001, 0b010])
-        assert _reaches_in_two(adj, 0, [-1, -1, 0b101], [None, None, [0b110, 0b100]])
-        assert not _reaches_in_two(adj, 0, [-1, -1, 0b101], [None, None, [0b110]])
+        assert self.two_edges(0b001, 0b010, 0b101, [0b110, 0b100])
+        assert not self.two_edges(0b001, 0b010, 0b101, [0b110])
+
+    def test_matches_the_references(self, monkeypatch):
+        """At every look-ahead check on ``look_ahead_inputs()`` and the ring
+        coloring, the verdict is ``reaches_at_level`` at the frontier's
+        level or ``reaches_in_two``. Every admitted mask with a free edge
+        into the target has the frontier's popcount: an older state was
+        expanded already and would have admitted the target then, so the
+        one-edge walk needs no level. A target that passes by one edge
+        passes by two as well, from the state one edge back."""
+        within_two, seen = oracle._reaches_within_two, Counter()
+
+        def recorded(adj, t, first, more):
+            level = _frontier_level(first, more)
+            by = _passed_by(adj, t, first, more)
+            passed = within_two(adj, t, first, more)
+            assert passed == (by is not None)
+            assert by != "one edge" or reaches_in_two(adj, t, first, more)
+            for b, ws in adj[t]:
+                for w in ws:
+                    for x in admitted_masks(first, more, w):
+                        if not x & b:
+                            assert x.bit_count() == level
+                        elif x.bit_count() < level:
+                            seen["older mask"] += 1
+            seen[by] += 1
+            return passed
+
+        monkeypatch.setattr(oracle, "_reaches_within_two", recorded)
+        ring = _ring_coloring()
+        inputs = [(ring.graph, color_bits(ring.colors))]
+        inputs += [x for xs in look_ahead_inputs().values() for x in xs]
+        for g, bits in inputs:
+            _check_all_pairs(g, bits)
+        assert all(seen[k] for k in ("one edge", "two edges", None, "older mask")), seen
 
 
 class TestTargetScan:
@@ -639,32 +687,29 @@ class TestLookAheadMatchesQueue:
             assert _check_all_pairs(g, bits) == (False, (0, g.n - 1))
 
     def test_look_ahead_ends_early_and_fails(self, monkeypatch):
-        checks: list[tuple[str, bool]] = []
+        """Some source ends on a look-ahead whose last target passed by one
+        edge, some on one whose last target passed by two (as the references
+        in ``tests/helpers.py`` split them), and some look-ahead fails."""
+        checks: list[tuple[str | None, bool]] = []
         ended_on: list[str | None] = []
         failed: list[bool] = []
-        reaches, reaches_in_two = oracle._reaches, oracle._reaches_in_two
-        first_unreached = oracle._first_unreached
+        within_two, first_unreached = oracle._reaches_within_two, oracle._first_unreached
 
-        def counted_reaches(row, first, more, level):
-            checks.append(("one edge", reaches(row, first, more, level)))
-            return checks[-1][1]
-
-        def counted_in_two(adj, t, first, more):
-            checks.append(("two edges", reaches_in_two(adj, t, first, more)))
+        def counted(adj, t, first, more):
+            checks.append((_passed_by(adj, t, first, more), within_two(adj, t, first, more)))
             return checks[-1][1]
 
         def counted_search(adj, s):
             checks.clear()
             t = first_unreached(adj, s)
             # a look-ahead in which every target passed ends the search; a
-            # failed one ends on a target that both checks reject
+            # failed one ends on a target that it rejects
             ended = t is None and checks and checks[-1][1]
             ended_on.append(checks[-1][0] if ended else None)
-            failed.append(("two edges", False) in checks)
+            failed.append(any(not passed for _, passed in checks))
             return t
 
-        monkeypatch.setattr(oracle, "_reaches", counted_reaches)
-        monkeypatch.setattr(oracle, "_reaches_in_two", counted_in_two)
+        monkeypatch.setattr(oracle, "_reaches_within_two", counted)
         monkeypatch.setattr(oracle, "_first_unreached", counted_search)
         for inputs in look_ahead_inputs().values():
             for g, bits in inputs:
@@ -672,50 +717,59 @@ class TestLookAheadMatchesQueue:
         assert {"one edge", "two edges"} <= set(ended_on) and any(failed)
 
 
-_real_reaches, _real_check, _ascending = oracle._reaches, oracle._check_adjacency, oracle._first_unreached
-_real_in_two = oracle._reaches_in_two
+_real_within_two, _real_check, _ascending = (
+    oracle._reaches_within_two, oracle._check_adjacency, oracle._first_unreached
+)
 
 
 def _checks_in_both_orders(adj):
     """Check ``adj`` with ``oracle._first_unreached`` and again with
     ``helpers.circular_first_unreached``; assert the same verdict and the
-    same checks, one list per source of ``(target, level, passed)`` for each
-    ``_reaches`` check and ``(target, None, passed)`` for each
-    ``_reaches_in_two`` check. Returns the verdict and the lists."""
+    same checks, one list per source of ``(target, passed)`` per check: each
+    ``_reaches_within_two`` call of the package, and each target the
+    reference checks, by ``reaches_at_level`` and, if that rejects it, by
+    ``reaches_in_two``. Returns the verdict and the reference's lists, of
+    ``(target, passed, by_two)``, where ``by_two`` marks a target that
+    ``reaches_at_level`` rejected."""
     target = {id(row): t for t, row in enumerate(adj)}
+    package, reference = [], []
 
-    def run(first_unreached):
-        sources = []
+    def within_two(adj, t, first, more):
+        package[-1].append((t, _real_within_two(adj, t, first, more)))
+        return package[-1][-1][1]
 
-        def recorded(row, first, more, level):
-            passed = _real_reaches(row, first, more, level)
-            sources[-1].append((target[id(row)], level, passed))
-            return passed
+    def at_level(row, first, more, level):
+        passed = reaches_at_level(row, first, more, level)
+        reference[-1].append((target[id(row)], passed, False))
+        return passed
 
-        def recorded_in_two(adj, t, first, more):
-            passed = _real_in_two(adj, t, first, more)
-            sources[-1].append((t, None, passed))
-            return passed
+    def in_two(adj, t, first, more):
+        passed = reaches_in_two(adj, t, first, more)
+        reference[-1][-1] = (t, passed, True)
+        return passed
 
+    def run(first_unreached, sources):
         def search(adj, s):
             sources.append([])
             return first_unreached(adj, s)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_reaches", recorded)
-            patch.setattr(oracle, "_reaches_in_two", recorded_in_two)
             patch.setattr(oracle, "_first_unreached", search)
-            return _real_check(adj), sources
+            return _real_check(adj)
 
-    got = run(_ascending)
-    assert got == run(circular_first_unreached)
-    return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_reaches_within_two", within_two)
+        patch.setattr(helpers, "reaches_at_level", at_level)
+        patch.setattr(helpers, "reaches_in_two", in_two)
+        verdict = run(_ascending, package)
+        assert run(circular_first_unreached, reference) == verdict
+    assert [[(t, passed) for t, passed, _ in checks] for checks in reference] == package
+    return verdict, reference
 
 
 def _resumes(checks):
-    """Whether a look-ahead failed and a later one ran in the same source. A
-    look-ahead fails on a target that ``_reaches_in_two`` rejects."""
-    return any(level is None and not passed for _, level, passed in checks[:-1])
+    """Whether a look-ahead failed and a later one ran in the same source."""
+    return any(not passed for _, passed, _ in checks[:-1])
 
 
 def _resumes_past_two_edge_pass(checks):
@@ -724,8 +778,8 @@ def _resumes_past_two_edge_pass(checks):
     not admitted at the next level, so the next look-ahead starts at it,
     not at the target the failed one stopped at."""
     passed_in_two = False
-    for _, level, passed in checks[:-1]:
-        if level is None:
+    for _, passed, by_two in checks[:-1]:
+        if by_two:
             if not passed and passed_in_two:
                 return True
             # a failure ends the look-ahead, so the next one starts afresh
@@ -734,12 +788,12 @@ def _resumes_past_two_edge_pass(checks):
 
 
 class TestLookAheadOrder:
-    """Scanning the targets left in ascending order makes the same
-    ``_reaches`` and ``_reaches_in_two`` checks, in the same order, as
-    resuming at the first target that ``_reaches`` rejected in the last
-    look-ahead and going round (``circular_first_unreached``): every target
-    below that one passed ``_reaches`` and was admitted at the next level,
-    so it is the smallest target left."""
+    """Scanning the targets left in ascending order makes the same checks,
+    with the same outcomes and in the same order, as resuming at the first
+    target that the one-edge check rejected in the last look-ahead and
+    going round (``circular_first_unreached``): every target below that one
+    passed by one edge and was admitted at the next level, so it is the
+    smallest target left."""
 
     def test_look_ahead_inputs(self):
         verdicts, seen = set(), []
@@ -791,19 +845,19 @@ class TestLookAheadTrigger:
                 assert _check_all_pairs(g, bits) == expected
 
     def test_look_ahead_fires_on_a_long_sparse_line_graph(self, monkeypatch):
-        levels = []
-        reaches = oracle._reaches
+        calls = []
+        within_two = oracle._reaches_within_two
 
-        def counted(row, first, more, level):
-            levels.append(level)
-            return reaches(row, first, more, level)
+        def counted(adj, t, first, more):
+            calls.append(t)
+            return within_two(adj, t, first, more)
 
-        monkeypatch.setattr(oracle, "_reaches", counted)
+        monkeypatch.setattr(oracle, "_reaches_within_two", counted)
         ring = _ring_coloring()
         assert is_rainbow_connected(ring) == (True, None)
         # a rule read off the vertex count would never fire here, and one that
         # fires before every level checks at least one target per source
-        assert 0 < len(levels) < ring.graph.n - 1
+        assert 0 < len(calls) < ring.graph.n - 1
 
 
 class TestLowerBound:
