@@ -27,7 +27,6 @@ from .errors import InputError, InvariantViolation
 from .graphs import Graph, degree_profile, edge_key, is_connected
 from .linegraph import LineGraphResult, line_graph
 from .triangles import (
-    EdgeDetachStep,
     TransformTrace,
     Triangle,
     TrianglePacking,
@@ -159,12 +158,15 @@ def color_triangle_tree(tris: Sequence[Triangle]) -> tuple[dict[int, tuple[int, 
 def project_coloring(trace: TransformTrace, coloring: EdgeColoring) -> EdgeColoring:
     """Pull a coloring of L(final) back to L(source) along the trace.
 
-    Each L(source) edge takes the color of the L(final) edge its two ends
-    land on (see ``_landings``), or color 1 when a split cut the adjacency,
-    since the split line graph spans the original one. Each L(final) edge is
-    the landing of exactly one uncut L(source) edge, so ``coloring``'s graph
-    is checked against the landings, with no final graph. No construction
-    calls this; the benchmark's tracer looks it up here by name.
+    Each L(source) edge is two edge ends at one source vertex, and
+    ``trace.moved_ends()`` says where each end lands (``_landings`` reads
+    it). The edge takes the color of the L(final) edge between the two
+    landed ends, or color 1 when they land on different vertices, a pair a
+    split cut, since the split line graph spans the original one. Each
+    L(final) edge is the landing of exactly one uncut L(source) edge, so
+    ``coloring``'s graph is checked against the landings, with no final
+    graph. No construction calls this; the benchmark's tracer looks it up
+    here by name.
     """
     lg = line_graph(trace.source)
     landed = [(y, edge_key(e, f)) for y, e, f in _landings(trace, lg)]
@@ -181,27 +183,16 @@ def _landings(trace: TransformTrace, lg: LineGraphResult) -> Iterator[tuple[int 
     """Where each edge of ``lg`` = L(trace.source) lands in the flattened graph.
 
     An L(source) edge is a pair of source edges ``e, f`` meeting at a source
-    vertex ``x``. Each of those two edge ends lands on one edge and one
-    vertex of the flattened graph, read straight off the steps: a detach
-    renames the ``v`` end of its edge to the new id (the ``u`` end keeps the
-    old one), and a split moves the ends of its moved edges at its vertex to
-    the new vertex; every other end stays put. This is exact for the traces
-    ``build_transformed`` makes (see ``TransformTrace``). Yields, in L-edge
+    vertex ``x``. Each of the two edge ends ``(e, x)`` and ``(f, x)`` lands
+    where ``trace.moved_ends()`` sends it, or stays put. Yields, in L-edge
     id order, the flattened vertex both ends land on and their flattened
     edge ids; the vertex is ``None`` when a split cut the pair apart.
     Cost: O(|E(L(source))|) plus one pass over the steps.
     """
-    renamed: dict[tuple[int, int], int] = {}  # (edge, vertex) -> new edge id
-    moved: dict[tuple[int, int], int] = {}  # (edge, vertex) -> new vertex
-    for step in trace.steps:
-        if isinstance(step, EdgeDetachStep):
-            renamed[step.edge, step.v] = step.new_edge
-        else:
-            for e in step.moved_edges:
-                moved[e, step.vertex] = step.new_vertex
+    moved = trace.moved_ends()
     # line_graph lists each star's pairs together, vertices ascending
     for x, star in enumerate(lg.star_of):
-        ends = [(renamed.get((e, x), e), moved.get((e, x), x)) for e in star]
+        ends = [moved.get((e, x), (e, x)) for e in star]
         for (e, y), (f, z) in combinations(ends, 2):
             yield (y if y == z else None), e, f
 

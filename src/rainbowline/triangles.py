@@ -16,12 +16,13 @@ whose incidence with ``v`` still lies on a cycle of the incidence graph.
 No cycle is searched for: one union-find pass over the vertices, from the
 highest down, records which of ``v``'s triangles meet above ``v``, and that
 decides every split. Every step is planned on the packing's incidence
-structure alone and only records which edge ends it renames or moves; the
-flattened graph is never built. The number of splits is the number of
-incidences outside a spanning forest of that graph, the structure defect
-``op = 2t + c - |covered|``. The flattened structure is not
-classified again: it keeps the packing's components, in the same order, and
-its uncovered inner vertices.
+structure alone and only records which edge ends it renames or moves;
+``TransformTrace.moved_ends`` decodes them into one map, and the flattened
+graph is never built. The number of splits is the number of incidences
+outside a spanning forest of that graph, the structure defect
+``op = 2t + c - |covered|``. The flattened structure is not classified
+again: it keeps the packing's components, in the same order, and its
+uncovered inner vertices.
 """
 
 from dataclasses import dataclass
@@ -94,12 +95,8 @@ TraceStep = EdgeDetachStep | VertexSplitStep
 
 @dataclass(frozen=True)
 class TransformTrace:
-    """The steps that flatten ``source``, in order; no flattened graph is kept.
-
-    ``coloring._landings`` reads each edge end's landing straight off the
-    steps. That is exact for the traces ``build_transformed`` makes: the
-    detaches come first, every step acts on a vertex of ``source``, and a
-    split moves only triangle sides, never a chord."""
+    """The steps that flatten ``source``, in order; no flattened graph is
+    kept. ``moved_ends`` says where they take each edge end."""
 
     source: Graph
     steps: tuple[TraceStep, ...]
@@ -107,6 +104,28 @@ class TransformTrace:
     @property
     def split_count(self) -> int:
         return sum(1 for step in self.steps if isinstance(step, VertexSplitStep))
+
+    def moved_ends(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each edge end a step moves, ``(edge, vertex)`` in ``source``, mapped
+        to where it lands in the flattened graph, ``(edge, vertex)``; every
+        other end stays put. A detach sends its edge's ``v`` end to
+        ``(new_edge, v)`` (the ``u`` end keeps the old id), and a split sends
+        each moved side's end at its vertex to ``(side, new_vertex)``.
+
+        One map serves both kinds of step because detaches touch only chords
+        and splits move only triangle sides, each side at most once per
+        corner, so no end is moved twice. Reading it straight off the steps
+        is exact for the traces ``build_transformed`` makes: the detaches
+        come first and every step acts on a vertex of ``source``, so each key
+        names an end of ``source``.
+        """
+        moved = {}
+        for step in self.steps:
+            if isinstance(step, EdgeDetachStep):
+                moved[step.edge, step.v] = (step.new_edge, step.v)
+            else:
+                moved.update(((e, step.vertex), (e, step.new_vertex)) for e in step.moved_edges)
+        return moved
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,18 @@ ORACLE = "src/rainbowline/oracle.py"
 GRAPHS = "src/rainbowline/graphs.py"
 LINEGRAPH = "src/rainbowline/linegraph.py"
 TRIANGLES = "src/rainbowline/triangles.py"
+COLORING = "src/rainbowline/coloring.py"
 NETWORKX = "tests/test_graphs.py::TestMatchesNetworkx::"
 WITHIN_TWO = "tests/test_oracle.py::TestReachesWithinTwo::"
 REFERENCES = WITHIN_TWO + "test_matches_the_references"
 LOOK_AHEAD = "tests/test_oracle.py::TestLookAheadMatchesQueue::"
 ORDER = "tests/test_oracle.py::TestLookAheadOrder::"
 SCAN = "tests/test_oracle.py::TestTargetScan::"
+PROJECTION = "tests/test_coloring.py::TestProjection::"
+PULL_BACK = "tests/test_coloring.py::TestProjectionMatchesPullBack::"
+RECURSION = "tests/test_coloring.py::TestTreeColoringMatchesRecursion::"
+CONSTRUCT = "tests/test_coloring.py::TestConstructMatchesReference::test_star_rules_match_part_by_part"
+GOLDEN = "tests/test_goldens.py::test_report_is_byte_identical"
 FIRES = "tests/test_oracle.py::TestLookAheadTrigger::test_look_ahead_fires_on_a_long_sparse_line_graph"
 TRIGGER = "if len(frontier) > _LOOK_AHEAD_FACTOR * left:"
 
@@ -291,6 +297,62 @@ MUTANTS = (
         "            if w > v:\n",
         "            if w > u:\n",
         (NETWORKX + "test_triangles",),
+    ),
+    # A detach changes no color, so only the projection tests see the next one.
+    Mutant(
+        "moved_ends: a detach moves its edge's u end, not its v end",
+        TRIANGLES,
+        "moved[step.edge, step.v] = (step.new_edge, step.v)",
+        "moved[step.edge, step.u] = (step.new_edge, step.u)",
+        (PROJECTION + "test_detach_projection_verifies", PULL_BACK + "test_build_transformed_traces[greedy-0]"),
+    ),
+    Mutant(
+        "moved_ends: a split leaves its moved ends at the old vertex",
+        TRIANGLES,
+        "(e, step.new_vertex)",
+        "(e, step.vertex)",
+        (
+            PROJECTION + "test_split_projection_verifies",
+            PULL_BACK + "test_cubic_star_packing_traces[0]",
+            CONSTRUCT,
+            GOLDEN + "[color_triangle_ring_8.json]",
+        ),
+    ),
+    Mutant(
+        "construction: a pair a split cut gets color 2",
+        COLORING,
+        "colors.append(1)",
+        "colors.append(2)",
+        (CONSTRUCT, GOLDEN + "[color_triangle_ring_8.json]"),
+    ),
+    Mutant(
+        "construction: the star rule gives the special edge's pairs color b",
+        COLORING,
+        "colors.append(a if s in (e, f) else b)",
+        "colors.append(b if s in (e, f) else a)",
+        (
+            CONSTRUCT,
+            "tests/test_coloring.py::TestForestPackingBound::test_bowtie",
+            GOLDEN + "[color_friendship_5_t31.json]",
+        ),
+    ),
+    Mutant(
+        "color_triangle_tree: the highest leaf peeled first",
+        COLORING,
+        "        i = heapq.heappop(leaves)\n",
+        "        leaves.sort()\n        i = leaves.pop()\n",
+        (RECURSION + "test_example32[5]", CONSTRUCT, GOLDEN + "[color_gnp_30_seed2_t31.json]"),
+    ),
+    Mutant(
+        "construction: an uncovered inner vertex reuses the previous color",
+        COLORING,
+        "            k += 1\n            rules[x] = (None, k, k)",
+        "            rules[x] = (None, max(k, 1), max(k, 1))",
+        (
+            CONSTRUCT,
+            "tests/test_coloring.py::TestForestPackingBound::test_triangle_free_uses_inner_count",
+            GOLDEN + "[color_path_20_iterated.json]",
+        ),
     ),
 )
 

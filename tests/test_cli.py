@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,10 +11,10 @@ from dataclasses import replace
 import pytest
 
 from helpers import count_packing_work
-from rainbowline import cli, coloring, oracle
+from rainbowline import cli, coloring, families, oracle
 from rainbowline.cli import EXIT_INTERNAL, main, run_bench
-from rainbowline.errors import InputError, InvariantViolation
-from rainbowline.families import FAMILIES, complete_graph, cycle_graph, gen_family
+from rainbowline.errors import InputError, InvariantViolation, LimitError
+from rainbowline.families import FAMILIES, complete_graph, connected_gnp, cycle_graph, gen_family, random_cubic
 from rainbowline.formats import parse_edge_list, render_edge_list
 from rainbowline.graphs import Graph, diameter
 from rainbowline.linegraph import line_graph
@@ -109,6 +110,19 @@ class TestGenAndFamilies:
         assert main(["gen", "--model", "gnp", "--n", n, "--p", p, "--seed", "1"]) == 3
         err = capsys.readouterr().err
         assert err == f"input error: no connected gnp({n}, {float(p)}) graph exists; needs n >= 2 and p > 0\n"
+
+    def test_unlikely_gnp_is_a_resource_limit(self, capsys):
+        # a connected sample exists, but not within GNP_MAX_TRIES draws
+        message = "no connected gnp(30, 0.01) sample in 1000 tries"
+        with pytest.raises(LimitError, match=re.escape(message)):
+            connected_gnp(30, 0.01, 1)
+        assert main(["gen", "--model", "gnp", "--n", "30", "--p", "0.01", "--seed", "1"]) == 4
+        assert capsys.readouterr().err == f"resource limit: {message}\n"
+
+    def test_cubic_sampler_out_of_tries_is_a_resource_limit(self, monkeypatch):
+        monkeypatch.setattr(families, "CUBIC_MAX_TRIES", 0)
+        with pytest.raises(LimitError, match="no simple connected cubic sample on 8 vertices in 0 tries"):
+            random_cubic(8, 1)
 
     @pytest.mark.parametrize(
         "argv, flag, source",

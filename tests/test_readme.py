@@ -1,11 +1,15 @@
-"""The README's list of exported names is the package's public API, and its
-Library example runs."""
+"""The README's list of exported names is the package's public API, its
+Library example runs, and so does each of its ``rainbowline`` commands."""
 
 import inspect
 import pathlib
 import re
+import shlex
+
+import pytest
 
 import rainbowline
+from rainbowline.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,3 +36,37 @@ def test_library_example_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out == "(True, None)\n3\n"
+
+
+def readme_blocks() -> list[str]:
+    """The README's plain (untagged) code blocks."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.M | re.S)
+    return [block for tag, block in blocks if not tag]
+
+
+def readme_commands() -> list[str]:
+    """Every ``rainbowline`` command in the README's plain code blocks: end of
+    line comments dropped, continuation lines joined to their command, and
+    bracketed optional flags dropped."""
+    commands = []
+    for block in readme_blocks():
+        block = re.sub(r"\n[ \t]+", " ", re.sub(r"[ \t]+#.*", "", block))
+        lines = (line for line in block.splitlines() if line.startswith("rainbowline "))
+        commands += [re.sub(r" *\[[^]]*\]", "", line) for line in lines]
+    return commands
+
+
+def test_readme_lists_nine_commands():
+    # seven in the CLI block, two bench runs under "Experiment scripts"
+    assert len(readme_commands()) == 9
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_runs(command, capsys, monkeypatch, tmp_path):
+    """In a directory holding ``g.txt``, the README's bowtie edge list, and
+    ``c.txt``, a coloring of it, the command exits 0."""
+    (bowtie,) = (block for block in readme_blocks() if block.startswith("# bowtie\n"))
+    (tmp_path / "g.txt").write_text(bowtie)
+    (tmp_path / "c.txt").write_text("1 2 3 4 5 6\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err
