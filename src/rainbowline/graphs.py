@@ -25,8 +25,9 @@ class Graph:
 
     Derived values are computed on first use and cached on the instance:
     ``adjacency``, ``incident_edges``, ``degrees``, ``edge_index``,
-    ``is_connected`` and ``diameter``. The last two read the module's one
-    breadth-first search, ``distances``.
+    ``is_connected`` and ``diameter``. ``is_connected`` reads the module's
+    one breadth-first search, ``distances``; ``diameter`` grows every
+    vertex's ball at once as an int bitset and runs no search.
     """
 
     n: int
@@ -71,15 +72,29 @@ class Graph:
     @cached_property
     def diameter(self) -> int | float:
         """Max shortest-path length over vertex pairs; ``math.inf`` if
-        disconnected, 0 for at most one vertex. One ``distances`` search per
-        source."""
-        best = 0
-        for s in range(self.n):
-            dist = distances(self, s)
-            if -1 in dist:
-                return math.inf
-            best = max(best, *dist)
-        return best
+        disconnected, 0 for at most one vertex.
+
+        Bit ``w`` of ``balls[v]`` is set when ``w`` is within the current
+        radius of ``v``. Each round ORs every ball with its neighbours'
+        balls of the round before, so the radius grows by one; a round in
+        which no ball grows ends it. The rounds that grew are the largest
+        eccentricity within a component, and a ball that is not then full
+        means the graph is disconnected."""
+        adj = self.adjacency
+        balls = [1 << v for v in range(self.n)]
+        rounds = 0
+        while True:
+            grown = []
+            for ball, near in zip(balls, adj):
+                for w in near:
+                    ball |= balls[w]
+                grown.append(ball)
+            if grown == balls:
+                break
+            balls = grown
+            rounds += 1
+        full = (1 << self.n) - 1
+        return rounds if all(ball == full for ball in balls) else math.inf
 
     def degree(self, v: int) -> int:
         return self.degrees[v]

@@ -20,16 +20,18 @@ structure alone and only records which edge ends it renames or moves;
 ``TransformTrace.moved_ends`` decodes them into one map, and the flattened
 graph is never built. The number of splits is the number of incidences
 outside a spanning forest of that graph, the structure defect
-``op = 2t + c - |covered|``. The flattened structure is not classified
-again: it keeps the packing's components, in the same order, and its
-uncovered inner vertices.
+``op = 2t + c - |covered|``: with ``3t`` incidences, ``|covered| + t`` nodes
+and ``c`` components, that is the graph's cycle rank, so at ``op = 0``
+nothing can split and the sweep is skipped. The flattened structure is not
+classified again: it keeps the packing's components, in the same order, and
+its uncovered inner vertices.
 """
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
-from .graphs import Graph, degree_profile, edge_key
+from .graphs import Graph, degree_profile
 
 DEFAULT_EXACT_CAP = 24
 
@@ -148,13 +150,12 @@ def make_triangle(g: Graph, a: int, b: int, c: int) -> Triangle:
 def enumerate_triangles(g: Graph) -> list[Triangle]:
     """Every 3-clique exactly once, in canonical vertex order."""
     adj = [set(g.adjacency[v]) for v in range(g.n)]
-    out = []
-    for u, v in (sorted(e) for e in g.edges):
-        for w in sorted(adj[u] & adj[v]):
-            if w > v:
-                out.append(make_triangle(g, u, v, w))
-    out.sort()
-    return out
+    corners = sorted(
+        (u, v, w) for u, v in (sorted(e) for e in g.edges) for w in adj[u] & adj[v] if w > v
+    )
+    ids = g.edge_index
+    # corners come sorted and distinct and every side is an edge: no make_triangle checks
+    return [Triangle((a, b, c), (ids[a, b], ids[a, c], ids[b, c])) for a, b, c in corners]
 
 
 def _edge_mask(tri: Triangle) -> int:
@@ -165,10 +166,9 @@ def _is_current(g: Graph, tri: Triangle) -> bool:
     """Are ``tri``'s edge ids the ids of its sides in ``g``? The fast path of
     ``make_triangle(g, *tri.vertices) == tri`` for a simple graph."""
     a, b, c = tri.vertices
-    return all(
-        0 <= (eid := tri.opposite(x)) < g.m and edge_key(*g.edges[eid]) == side
-        for x, side in ((a, (b, c)), (b, (a, c)), (c, (a, b)))
-    )
+    ab, ac, bc = tri.edge_ids
+    ids = g.edge_index
+    return ids.get((a, b)) == ab and ids.get((a, c)) == ac and ids.get((b, c)) == bc
 
 
 def _check_current(g: Graph, tris: Iterable[Triangle]) -> None:
@@ -357,7 +357,10 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     ``v`` every triangle but the last of each root moves. The order at ``v``
     is that of the current triangles, not the packing's: a triangle moved at
     a lower corner has a new, highest corner and sorts again. The split
-    count must equal ``packing.op``.
+    count must equal ``packing.op``. That count is the cycle rank of the
+    incidence graph, so at ``op = 0`` the graph is a forest, nothing can
+    split and the sweep is skipped; a hand-built packing whose ``op``
+    understates a cycle then fails in ``coloring.color_triangle_tree``.
 
     New vertices and edges take the next free ids; a detach keeps the edge's
     id on its ``u`` side, and a split keeps every edge id. The result's
@@ -383,29 +386,31 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
         steps.append(EdgeDetachStep(edge=eid, u=u, v=v, u_new=n, v_new=n + 1, new_edge=new_edge))
         n += 2
     tris = list(packing.triangles)
-    at: dict[int, list[int]] = {}
-    for i, tri in enumerate(tris):
-        for x in tri.vertices:
-            at.setdefault(x, []).append(i)
-    # union-find nodes: vertex v and triangle ~i
-    dsu = _DSU()
-    root: dict[int, dict[int, int]] = {}
-    for v in sorted(at, reverse=True):
-        root[v] = {i: dsu.find(~i) for i in at[v]}
-        for i in at[v]:
-            dsu.union(v, ~i)
-    for v in sorted(at):
-        order = sorted(at[v], key=tris.__getitem__)
-        last = {root[v][i]: i for i in order}  # the last triangle of each root stays
-        keep = [tris[i] for i in order]
-        for i in order:
-            if last[root[v][i]] == i:
-                continue
-            keep.remove(tris[i])
-            moved_edges = tuple(sorted(eid for eid in tris[i].edge_ids if eid != tris[i].opposite(v)))
-            steps.append(VertexSplitStep(v, n, moved_edges, tuple(keep), (tris[i],)))
-            tris[i] = _moved_triangle(tris[i], v, n)
-            n += 1
+    # op is the cycle rank of the incidence graph: at 0 it is a forest and nothing splits
+    if packing.op:
+        at: dict[int, list[int]] = {}
+        for i, tri in enumerate(tris):
+            for x in tri.vertices:
+                at.setdefault(x, []).append(i)
+        # union-find nodes: vertex v and triangle ~i
+        dsu = _DSU()
+        root: dict[int, dict[int, int]] = {}
+        for v in sorted(at, reverse=True):
+            root[v] = {i: dsu.find(~i) for i in at[v]}
+            for i in at[v]:
+                dsu.union(v, ~i)
+        for v in sorted(at):
+            order = sorted(at[v], key=tris.__getitem__)
+            last = {root[v][i]: i for i in order}  # the last triangle of each root stays
+            keep = [tris[i] for i in order]
+            for i in order:
+                if last[root[v][i]] == i:
+                    continue
+                keep.remove(tris[i])
+                moved_edges = tuple(sorted(eid for eid in tris[i].edge_ids if eid != tris[i].opposite(v)))
+                steps.append(VertexSplitStep(v, n, moved_edges, tuple(keep), (tris[i],)))
+                tris[i] = _moved_triangle(tris[i], v, n)
+                n += 1
     splits = len(steps) - len(chords)
     if splits != packing.op:
         raise InvariantViolation(f"applied {splits} vertex splits, structure defect says {packing.op}")

@@ -3,9 +3,10 @@
 A set read by more than one test is a cached function: it is built on first
 use and shared by every test module after that. The sets: the exhaustive
 small connected graphs, the graphs the graph layer is compared with
-networkx on, the benchmark's ``ensemble`` line graphs, the layer tests' gnp
-sample, the packing tests' gnp graphs, the cubic vertex-star packings, the
-certified colorings, and the named inputs of the exact search, the
+networkx on, the wide graphs its distances are compared on, the
+benchmark's ``ensemble`` line graphs, the layer tests' gnp sample, the
+packing tests' gnp graphs, the cubic vertex-star packings, the certified
+colorings, and the named inputs of the exact search, the
 flattening sweep, the construction and the verifier's look-ahead. Also the
 generators that make them: the isomorphism-free graph growth (networkx
 decides each isomorphism), a hypothesis strategy for small graphs, random
@@ -36,6 +37,7 @@ from rainbowline.families import (
     cycle_graph,
     friendship_graph,
     gen_family,
+    path_graph,
     random_cubic,
     shared_vertex_triangle_chain,
     triangle_ring,
@@ -115,11 +117,30 @@ def graph_layer_graphs() -> tuple[Graph, ...]:
     and one edge beside an isolated vertex."""
     connected = [connected_gnp(n, p, seed=n) for n in range(4, 41) for p in (0.15, 0.3, 0.5)]
     connected += [random_cubic(n, 1) for n in (8, 20, 40)]
-    unions = [
-        build_graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
-        for g, h in zip(connected[::20], connected[1::20])
-    ]
+    unions = [disjoint_union(g, h) for g, h in zip(connected[::20], connected[1::20])]
     return (build_graph(0, []), build_graph(1, []), build_graph(3, [(0, 1)]), *connected, *unions)
+
+
+@cache
+def wide_graphs() -> dict[str, Graph]:
+    """Graphs past one machine word of vertices, or with a long diameter,
+    that ``diameter`` and ``distances`` are compared with networkx on: the
+    line graphs of three ``graph_layer_graphs()`` members, connected_gnp(n, p,
+    seed=n) with (n, p) = (38, 0.15), (40, 0.15) and (40, 0.3), with 100, 135
+    and 240 vertices; ``path_graph(200)``; and the disjoint union of the
+    first line graph and the path."""
+    out = {
+        f"L_gnp_{n}_{p}": line_graph(connected_gnp(n, p, seed=n)).l_graph
+        for n, p in ((38, 0.15), (40, 0.15), (40, 0.3))
+    }
+    out["path_200"] = path_graph(200)
+    out["union"] = disjoint_union(out["L_gnp_38_0.15"], out["path_200"])
+    return out
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """``g`` beside ``h``, whose vertices are renumbered from ``g.n`` up."""
+    return build_graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
 
 
 @cache

@@ -10,9 +10,10 @@ graph layer's references are networkx's, compared on
   as edge ids -> ``test_line_graph``.
 - triangles (``triangles.enumerate_triangles``): the 3-cliques of
   ``nx.enumerate_all_cliques`` -> ``test_triangles``.
-- breadth-first search (``graphs.distances``, ``Graph.diameter``,
+- distances (``graphs.distances``, ``Graph.diameter``,
   ``Graph.is_connected``): ``nx.all_pairs_shortest_path_length`` ->
-  ``test_distances``; on hypothesis small graphs also ``TestDiameter``
+  ``test_distances``, and ``test_distances_on_wide_graphs`` on
+  ``corpus.wide_graphs()``; on hypothesis small graphs also ``TestDiameter``
   ``test_matches_networkx`` and, with ``nx.number_connected_components``,
   ``test_connected_iff_one_component``.
 - blocks (``graphs.blocks``): ``nx.biconnected_component_edges``, and

@@ -39,6 +39,7 @@ PULL_BACK = "tests/test_coloring.py::TestProjectionMatchesPullBack::"
 RECURSION = "tests/test_coloring.py::TestTreeColoringMatchesRecursion::"
 CONSTRUCT = "tests/test_coloring.py::TestConstructMatchesReference::test_star_rules_match_part_by_part"
 GOLDEN = "tests/test_goldens.py::test_report_is_byte_identical"
+STALE = "tests/test_triangles.py::TestClassify::test_one_stale_side_is_rejected"
 FIRES = "tests/test_oracle.py::TestLookAheadTrigger::test_look_ahead_fires_on_a_long_sparse_line_graph"
 TRIGGER = "if len(frontier) > _LOOK_AHEAD_FACTOR * left:"
 
@@ -251,13 +252,25 @@ MUTANTS = (
         (FIRES, ORDER + "test_look_ahead_inputs", ORDER + "test_exact_rc_prefix_checks"),
     ),
     Mutant(
-        "graphs: the diameter read from the last source alone",
+        "graphs: a disconnected graph's diameter is its round count",
         GRAPHS,
-        "best = max(best, *dist)",
-        "best = max(dist)",
+        "return rounds if all(ball == full for ball in balls) else math.inf",
+        "return rounds",
         (
             NETWORKX + "test_distances",
-            "tests/test_graphs.py::TestDiameter::test_matches_networkx",
+            NETWORKX + "test_distances_on_wide_graphs[union]",
+            "tests/test_graphs.py::TestDiameter::test_disconnected_is_infinite",
+        ),
+    ),
+    Mutant(
+        "graphs: a ball ORs in the balls its lower neighbours grew this round",
+        GRAPHS,
+        "ball |= balls[w]",
+        "ball |= grown[w] if w < len(grown) else balls[w]",
+        (
+            NETWORKX + "test_distances",
+            NETWORKX + "test_distances_on_wide_graphs[L_gnp_40_0.15]",
+            "tests/test_graphs.py::TestDiameter::test_cached_on_the_graph",
         ),
     ),
     Mutant(
@@ -294,9 +307,26 @@ MUTANTS = (
     Mutant(
         "enumerate_triangles: a triangle found from two of its sides",
         TRIANGLES,
-        "            if w > v:\n",
-        "            if w > u:\n",
+        "adj[u] & adj[v] if w > v",
+        "adj[u] & adj[v] if w > u",
         (NETWORKX + "test_triangles",),
+    ),
+    Mutant(
+        "triangles: the side bc of a triangle left unchecked",
+        TRIANGLES,
+        " and ids.get((b, c)) == bc",
+        "",
+        (STALE + "[bc-other_graph]", STALE + "[bc-out_of_range]"),
+    ),
+    Mutant(
+        "build_transformed: the split sweep skipped at op = 1 too",
+        TRIANGLES,
+        "if packing.op:",
+        "if packing.op > 1:",
+        (
+            "tests/test_triangles.py::TestBuildTransformed::test_ring3_single_split",
+            GOLDEN + "[color_triangle_ring_8.json]",
+        ),
     ),
     # A detach changes no color, so only the projection tests see the next one.
     Mutant(

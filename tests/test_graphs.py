@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from corpus import graph_layer_graphs, small_graphs
+from corpus import graph_layer_graphs, small_graphs, wide_graphs
 from helpers import induced_by_edges, nx_graph, shrink
 from rainbowline.errors import InputError
 from rainbowline.families import bridged_triangle_chain, complete_graph, cycle_graph, path_graph
@@ -20,6 +20,18 @@ from rainbowline.graphs import (
 )
 from rainbowline.linegraph import line_graph
 from rainbowline.triangles import enumerate_triangles
+
+
+def assert_distances_match_networkx(g):
+    """Each ``distances`` row is networkx's, -1 where it does not reach;
+    ``is_connected`` and ``diameter`` follow from the rows."""
+    rows = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+    for s in range(g.n):
+        assert distances(g, s) == [rows[s].get(v, -1) for v in range(g.n)]
+    connected = all(len(row) == g.n for row in rows.values())
+    assert is_connected(g) == connected
+    longest = max((d for row in rows.values() for d in row.values()), default=0)
+    assert diameter(g) == (longest if connected else math.inf)
 
 
 class TestMatchesNetworkx:
@@ -45,16 +57,14 @@ class TestMatchesNetworkx:
             ]
 
     def test_distances(self):
-        """Each ``distances`` row is networkx's, -1 where it does not reach;
-        ``is_connected`` and ``diameter`` follow from the rows."""
         for g in graph_layer_graphs():
-            rows = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
-            for s in range(g.n):
-                assert distances(g, s) == [rows[s].get(v, -1) for v in range(g.n)]
-            connected = all(len(row) == g.n for row in rows.values())
-            assert is_connected(g) == connected
-            longest = max((d for row in rows.values() for d in row.values()), default=0)
-            assert diameter(g) == (longest if connected else math.inf)
+            assert_distances_match_networkx(g)
+
+    @pytest.mark.parametrize("name", sorted(wide_graphs()))
+    def test_distances_on_wide_graphs(self, name):
+        """100 to 300 vertices, so every ball spans several machine words,
+        and diameters up to 199."""
+        assert_distances_match_networkx(wide_graphs()[name])
 
     def test_blocks(self):
         for g in graph_layer_graphs():
@@ -103,7 +113,7 @@ class TestDiameter:
         assert diameter(build_graph(0, [])) == 0
 
     def test_cached_on_the_graph(self):
-        """The first call sweeps and stores the value on the graph, like
+        """The first call computes and stores the value on the graph, like
         ``adjacency`` and ``degrees``; later calls read it back."""
         g = cycle_graph(7)
         assert "diameter" not in vars(g)
@@ -114,13 +124,7 @@ class TestDiameter:
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_networkx(self, g):
-        rows = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
-        connected = all(len(row) == g.n for row in rows.values())
-        longest = max((d for row in rows.values() for d in row.values()), default=0)
-        assert diameter(g) == (longest if connected else math.inf)
-        for s in range(g.n):
-            assert distances(g, s) == [rows[s].get(v, -1) for v in range(g.n)]
-        assert is_connected(g) == connected
+        assert_distances_match_networkx(g)
 
 
 class TestBlocks:

@@ -204,6 +204,32 @@ class TestClassify:
         with pytest.raises(InputError, match="shares an edge"):
             classify_structure(g, tris[:2])
 
+    @pytest.mark.parametrize("kind", ["out_of_range", "negative", "swapped", "other_graph"])
+    @pytest.mark.parametrize("side", range(3), ids=["ab", "ac", "bc"])
+    def test_one_stale_side_is_rejected(self, side, kind):
+        """Each side id is checked on its own: the side at position ``side``
+        of ``(ab, ac, bc)`` is made stale and the others are left alone."""
+        g = complete_graph(4)
+        tri = enumerate_triangles(g)[0]
+        other = build_graph(g.n, reversed(g.edges))  # every id i becomes m - 1 - i
+        ids = list(tri.edge_ids)
+        if kind == "swapped":
+            nxt = (side + 1) % 3
+            ids[side], ids[nxt] = ids[nxt], ids[side]
+        elif kind == "other_graph":
+            ids[side] = make_triangle(other, *tri.vertices).edge_ids[side]
+            assert 0 <= ids[side] < g.m and ids[side] != tri.edge_ids[side]
+        else:
+            ids[side] = g.m if kind == "out_of_range" else -1
+        with pytest.raises(InputError, match="stale edge ids"):
+            classify_structure(g, [Triangle(tri.vertices, tuple(ids))])
+
+    def test_repeated_corners_are_rejected(self):
+        g = complete_graph(4)
+        tri = enumerate_triangles(g)[0]
+        with pytest.raises(InputError, match="must be distinct"):
+            classify_structure(g, [Triangle((0, 0, 1), tri.edge_ids)])
+
     @given(small_graphs(min_n=3))
     @settings(max_examples=60, deadline=None)
     def test_forest_iff_vertex_count(self, g):
@@ -430,6 +456,14 @@ class TestBuildTransformed:
         p = pack_edge_disjoint(g, "exact")
         with pytest.raises(InvariantViolation, match="structure defect says 2"):
             build_transformed(g, dataclasses.replace(p, op=p.op + 1))
+
+    def test_understated_defect_fails_in_the_tree_coloring(self):
+        """At op = 0 the split sweep is skipped, so a packing that hides its
+        cycle reaches ``color_triangle_tree``, which finds no leaf triangle."""
+        g = triangle_ring(3)
+        p = dataclasses.replace(pack_edge_disjoint(g, "exact"), op=0)
+        with pytest.raises(InvariantViolation, match="no leaf triangle"):
+            color_packing(g, p)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_structures_flatten(self, seed):
