@@ -14,7 +14,7 @@ construction builds exactly one line graph, L(H). ``n2 - t`` and
 triangles, and ``m - m1`` on L(G) with no triangles. Each of these four
 back ends returns its coloring with a certificate recording the bound, the
 palette size, and the verifier verdict. ``color`` is the entry point: it picks
-the packing for ``31`` and ``32`` (``pick_packing``, whose fallback rule
+the packing for ``31`` and ``32`` (``pick_packing``, whose mode rule
 ``default_mode`` the bench rows share) and dispatches to the back end.
 """
 
@@ -38,10 +38,9 @@ from .triangles import (
 )
 
 THEOREMS = ("31", "32", "cubic", "iterated")
-# The packing mode each packing theorem uses unless one is requested, and the
-# greedy mode it falls back to when the exact search's triangle cap trips.
-DEFAULT_PACK = {"31": "forest_exact", "32": "exact"}
-GREEDY_FALLBACK = {"forest_exact": "forest_greedy", "exact": "greedy"}
+# The packing modes each packing theorem tries in order unless one is
+# requested: the exact search, then the greedy scan past its triangle cap.
+DEFAULT_PACK = {"31": ("forest_exact", "forest_greedy"), "32": ("exact", "greedy")}
 
 
 @dataclass(frozen=True)
@@ -360,13 +359,12 @@ def pick_packing(g: Graph, theorem: str, pack: str | None = None) -> tuple[Trian
     """The packing ``color`` uses for theorem ``31`` or ``32``, and its mode.
 
     ``pack`` if given, and a ``LimitError`` from that mode propagates.
-    Otherwise the ``default_mode`` of the exact mode's and its fallback's
-    picks, from one enumeration; only the chosen pick is classified.
+    Otherwise the ``default_mode`` of the picks of ``DEFAULT_PACK[theorem]``,
+    from one enumeration; only the chosen pick is classified.
     """
     if pack is not None:
         return pack_edge_disjoint(g, pack), pack
-    exact = DEFAULT_PACK[theorem]
-    picks = pack_modes(g, (exact, GREEDY_FALLBACK[exact]))
+    picks = pack_modes(g, DEFAULT_PACK[theorem])
     mode = default_mode(picks, theorem)
     return classify_structure(g, picks[mode]), mode
 
@@ -374,11 +372,9 @@ def pick_packing(g: Graph, theorem: str, pack: str | None = None) -> tuple[Trian
 def default_mode(picks: dict[str, tuple[Triangle, ...] | None], theorem: str) -> str:
     """The default packing mode of theorem ``31`` or ``32``, given each
     mode's pick (``None`` past the exact search's cap, as in
-    ``pack_modes``): ``DEFAULT_PACK``'s exact mode, or its
-    ``GREEDY_FALLBACK`` when that pick is ``None``.
+    ``pack_modes``): the first mode of ``DEFAULT_PACK[theorem]`` with a pick.
     """
-    mode = DEFAULT_PACK[theorem]
-    return mode if picks[mode] is not None else GREEDY_FALLBACK[mode]
+    return next(mode for mode in DEFAULT_PACK[theorem] if picks[mode] is not None)
 
 
 def general_from_forest(forest: Run, mode: str) -> Run:

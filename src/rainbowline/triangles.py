@@ -3,7 +3,8 @@
 A packing's induced subgraph splits into components; a component is a
 triangle-forest when every block of it is a single triangle, equivalently
 when its triangle-vertex incidence graph is a tree, that is when it has
-``2*t_i + 1`` vertices. ``classify_structure`` tests the vertex count.
+``2*t_i + 1`` vertices. The whole packing is one exactly when ``op = 0``
+(see ``TrianglePacking``), so no per-component verdict is kept.
 ``pack_edge_disjoint`` packs in one mode and classifies the pick;
 ``pack_modes`` picks in several modes from one enumeration and classifies
 nothing, so a caller classifies only the pick it builds on.
@@ -52,7 +53,9 @@ class Triangle:
 
 @dataclass(frozen=True)
 class TrianglePacking:
-    """A set of pairwise edge-disjoint triangles with structure statistics."""
+    """A set of pairwise edge-disjoint triangles with structure statistics.
+    ``op = 2t + c - |covered|`` sums each component's incidence-graph cycle
+    rank ``2*t_i + 1 - |V_i| >= 0``: a triangle-forest exactly when ``op = 0``."""
 
     triangles: tuple[Triangle, ...]
     components: tuple[tuple[int, ...], ...]
@@ -61,12 +64,11 @@ class TrianglePacking:
     c: int
     covered_vertices: frozenset[int]
     n2_prime: int
-    is_forest: tuple[bool, ...]
     op: int
 
     @property
     def all_forest(self) -> bool:
-        return all(self.is_forest)
+        return self.op == 0
 
 
 @dataclass(frozen=True)
@@ -303,32 +305,29 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
     dsu = _DSU()
     for tri in tris:
         dsu.add_triangle(tri)
-    covered = frozenset(v for tri in tris for v in tri.vertices)
-    root_of = {v: dsu.find(v) for v in covered}
-    roots = sorted(set(root_of.values()))
-    root_index = {r: i for i, r in enumerate(roots)}
-    comp_tri: list[list[int]] = [[] for _ in roots]
+    # each component's triangle indices and vertices, keyed by its root: the
+    # union keeps the lower root, so that is the component's lowest vertex
+    groups: dict[int, tuple[list[int], set[int]]] = {}
     for idx, tri in enumerate(tris):
-        comp_tri[root_index[root_of[tri.vertices[0]]]].append(idx)
-    buckets: list[list[int]] = [[] for _ in roots]
-    for v, r in root_of.items():
-        buckets[root_index[r]].append(v)
-    comp_verts = [frozenset(b) for b in buckets]
+        ix, vs = groups.setdefault(dsu.find(tri.vertices[0]), ([], set()))
+        ix.append(idx)
+        vs.update(tri.vertices)
+    comps = [groups[r] for r in sorted(groups)]
+    covered = frozenset(v for tri in tris for v in tri.vertices)
     t = len(tris)
-    c = len(roots)
+    c = len(comps)
     op = 2 * t + c - len(covered)
     if op < 0:
         raise InvariantViolation(f"negative structure defect op={op}")
     prof = degree_profile(g)
     return TrianglePacking(
         triangles=tris,
-        components=tuple(tuple(ix) for ix in comp_tri),
-        component_vertices=tuple(comp_verts),
+        components=tuple(tuple(ix) for ix, _ in comps),
+        component_vertices=tuple(frozenset(vs) for _, vs in comps),
         t=t,
         c=c,
         covered_vertices=covered,
         n2_prime=prof.n2 - len(covered),
-        is_forest=tuple(len(vs) == 2 * len(ix) + 1 for vs, ix in zip(comp_verts, comp_tri)),
         op=op,
     )
 

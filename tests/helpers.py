@@ -47,9 +47,11 @@ The other layers:
   triangles in every mode -> ``test_triangles.py`` ``TestPacking``
   ``test_matches_comp_map_search``; ``brute_force_max_packing``, the exact
   modes' optimum -> ``test_exact_matches_brute_force``.
-- structure (``TrianglePacking.is_forest``): ``blocks_is_forest``, on
-  networkx's blocks -> ``test_triangles.py``
-  ``TestClassify.test_vertex_count_matches_blocks``.
+- structure (``triangles.classify_structure``'s components and
+  ``TrianglePacking.all_forest``, which is ``op == 0``): ``blocks_is_forest``,
+  on networkx's blocks, against each component's ``2*t_i + 1`` vertex count
+  and ``op`` -> ``test_triangles.py`` ``TestClassify``
+  ``test_vertex_count_matches_blocks`` and ``test_forest_iff_vertex_count``.
 - flattening (``triangles.build_transformed``):
   ``reclassify_build_transformed``, built from ``detach_edge`` and
   ``split_vertex`` on networkx's blocks and connectivity ->

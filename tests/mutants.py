@@ -41,6 +41,15 @@ CONSTRUCT = "tests/test_coloring.py::TestConstructMatchesReference::test_star_ru
 GOLDEN = "tests/test_goldens.py::test_report_is_byte_identical"
 STALE = "tests/test_triangles.py::TestClassify::test_one_stale_side_is_rejected"
 FIRES = "tests/test_oracle.py::TestLookAheadTrigger::test_look_ahead_fires_on_a_long_sparse_line_graph"
+COMP_MAP = "tests/test_triangles.py::TestPacking::test_matches_comp_map_search"
+BRUTE_FORCE = "tests/test_triangles.py::TestPacking::test_exact_matches_brute_force"
+CLASSIFY = "tests/test_triangles.py::TestClassify::"
+CHORDS = "tests/test_triangles.py::TestBuildTransformed::test_chords_detached_component_by_component"
+RING3_SPLIT = "tests/test_triangles.py::TestBuildTransformed::test_ring3_single_split"
+ENTRY = "tests/test_coloring.py::TestColorEntryPoint::"
+FALLS_BACK = ENTRY + "test_falls_back_to_greedy_past_the_exact_cap"
+BOUND = "if len(chosen) + (n_t - i) <= len(best):"
+FOREST_TEST = "return len({self.find(v) for v in tri.vertices}) == 3"
 TRIGGER = "if len(frontier) > _LOOK_AHEAD_FACTOR * left:"
 
 
@@ -317,6 +326,122 @@ MUTANTS = (
         " and ids.get((b, c)) == bc",
         "",
         (STALE + "[bc-other_graph]", STALE + "[bc-out_of_range]"),
+    ),
+    Mutant(
+        "greedy packing: triangles scanned in reverse",
+        TRIANGLES,
+        "    for tri in tris:\n        mask = _edge_mask(tri)\n        if used & mask:\n            continue",
+        "    for tri in reversed(tris):\n        mask = _edge_mask(tri)\n        if used & mask:\n            continue",
+        (COMP_MAP + "[greedy]", COMP_MAP + "[forest_greedy]", GOLDEN + "[color_gnp_40_seed1.json]"),
+    ),
+    Mutant(
+        "forest packing: a triangle with two corners in one component kept",
+        TRIANGLES,
+        FOREST_TEST,
+        "return len({self.find(v) for v in tri.vertices}) >= 2",
+        (COMP_MAP + "[forest_greedy]", COMP_MAP + "[forest_exact]", ENTRY + "test_run_matches_back_end[31-g1-forest_exact]"),
+    ),
+    Mutant(
+        "forest packing: the forest test dropped",
+        TRIANGLES,
+        FOREST_TEST,
+        "return True",
+        (COMP_MAP + "[forest_greedy]", COMP_MAP + "[forest_exact]", FALLS_BACK + "[31-forest_greedy-4-5]"),
+    ),
+    Mutant(
+        "forest greedy packing: the union-find never takes a chosen triangle in",
+        TRIANGLES,
+        "        if forest:\n            dsu.add_triangle(tri)\n",
+        "",
+        (COMP_MAP + "[forest_greedy]", COMP_MAP + "[forest_exact]", FALLS_BACK + "[31-forest_greedy-4-5]"),
+    ),
+    Mutant(
+        "forest exact packing: one union-find shared by the take and skip branches",
+        TRIANGLES,
+        "taken = dsu.copy()",
+        "taken = dsu",
+        (COMP_MAP + "[forest_exact]", GOLDEN + "[bench_gnp_7_seed1.csv]"),
+    ),
+    Mutant(
+        "exact packing: ties explored, so the last of equal picks wins",
+        TRIANGLES,
+        BOUND,
+        "if len(chosen) + (n_t - i) < len(best):",
+        (COMP_MAP + "[exact]", COMP_MAP + "[forest_exact]", GOLDEN + "[color_gnp_14_seed11.json]"),
+    ),
+    Mutant(
+        "exact packing: the bound counts one triangle fewer left",
+        TRIANGLES,
+        BOUND,
+        "if len(chosen) + (n_t - i - 1) <= len(best):",
+        (COMP_MAP + "[exact]", COMP_MAP + "[forest_exact]", BRUTE_FORCE),
+    ),
+    Mutant(
+        "exact packing: no branch skips a triangle it can take",
+        TRIANGLES,
+        "            chosen.pop()\n        dfs(i + 1, used, dsu)\n",
+        "            chosen.pop()\n        else:\n            dfs(i + 1, used, dsu)\n",
+        (COMP_MAP + "[exact]", BRUTE_FORCE, RING3_SPLIT),
+    ),
+    # The next two lose optimality: the exact modes' pick is smaller, not
+    # only another choice.
+    Mutant(
+        "exact packing: a branch that could beat the best by one is pruned",
+        TRIANGLES,
+        BOUND,
+        "if len(chosen) + (n_t - i) <= len(best) + 1:",
+        (COMP_MAP + "[exact]", BRUTE_FORCE),
+    ),
+    Mutant(
+        "exact packing: a full branch never replaces the greedy pick",
+        TRIANGLES,
+        "            best = chosen.copy()\n",
+        "            best = best\n",
+        (COMP_MAP + "[exact]", BRUTE_FORCE, RING3_SPLIT),
+    ),
+    Mutant(
+        "classify_structure: components in descending root order",
+        TRIANGLES,
+        "comps = [groups[r] for r in sorted(groups)]",
+        "comps = [groups[r] for r in sorted(groups, reverse=True)]",
+        (CHORDS, GOLDEN + "[color_gnp_14_seed11.json]"),
+    ),
+    Mutant(
+        "classify_structure: a component's vertices miss each triangle's last corner",
+        TRIANGLES,
+        "vs.update(tri.vertices)",
+        "vs.update(tri.vertices[:2])",
+        (CLASSIFY + "test_vertex_count_matches_blocks", CHORDS),
+    ),
+    Mutant(
+        "TrianglePacking: all_forest read as op <= 1",
+        TRIANGLES,
+        "return self.op == 0",
+        "return self.op <= 1",
+        (
+            CLASSIFY + "test_ring3_defect",
+            CLASSIFY + "test_vertex_count_matches_blocks",
+            "tests/test_coloring.py::TestForestPackingBound::test_rejects_non_forest_packing",
+            GOLDEN + "[color_triangle_ring_8.json]",
+        ),
+    ),
+    Mutant(
+        "default_mode: the table's last mode tried first",
+        COLORING,
+        "next(mode for mode in DEFAULT_PACK[theorem] if",
+        "next(mode for mode in reversed(DEFAULT_PACK[theorem]) if",
+        (
+            ENTRY + "test_run_matches_back_end[31-g0-forest_exact]",
+            ENTRY + "test_run_matches_back_end[32-g2-exact]",
+            GOLDEN + "[color_friendship_5_t31.json]",
+        ),
+    ),
+    Mutant(
+        "pick_packing: only the exact mode picked",
+        COLORING,
+        "picks = pack_modes(g, DEFAULT_PACK[theorem])",
+        "picks = pack_modes(g, DEFAULT_PACK[theorem][:1])",
+        (FALLS_BACK + "[31-forest_greedy-4-5]", FALLS_BACK + "[32-greedy-8-9]"),
     ),
     Mutant(
         "build_transformed: the split sweep skipped at op = 1 too",

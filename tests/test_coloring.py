@@ -605,6 +605,30 @@ class TestConstructMatchesReference:
         assert splits >= 200
         assert sum(peeled != sorted(peeled) for peeled in peel_orders) >= 3
 
+    def test_chord_detach_changes_no_color(self, monkeypatch):
+        """With every detach dropped from ``TransformTrace.moved_ends`` (the
+        entries that change an edge id), ``_construct`` colors every instance
+        as before: a chord is never a special edge, and both ends of a pair
+        holding it land on one final vertex either way."""
+        # the verifier is not under test here
+        monkeypatch.setattr("rainbowline.coloring._certify", lambda *args: None)
+        instances = list(construct_instances())
+        before = [_construct(g, packing, "bound", 0)[0] for g, packing in instances]
+        moved_ends = TransformTrace.moved_ends
+        dropped = []
+
+        def without_detaches(trace):
+            moved = moved_ends(trace)
+            kept = {end: to for end, to in moved.items() if to[0] == end[0]}
+            dropped.append(len(moved) > len(kept))
+            return kept
+
+        monkeypatch.setattr(TransformTrace, "moved_ends", without_detaches)
+        for (g, packing), col in zip(instances, before):
+            assert _construct(g, packing, "bound", 0)[0] == col
+        assert len(dropped) == len(instances) >= 1099
+        assert sum(dropped) >= 390
+
 
 class TestEnsemble:
     @pytest.mark.parametrize("seed", range(30))

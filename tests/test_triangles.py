@@ -236,10 +236,9 @@ class TestClassify:
         # independent characterization: 2*t_i + 1 vertices per component
         assume(len(enumerate_triangles(g)) <= 12)
         p = pack_edge_disjoint(g, "greedy")
-        for idx, flag in enumerate(p.is_forest):
-            expected = len(p.component_vertices[idx]) == 2 * len(p.components[idx]) + 1
-            assert flag == expected
-        assert (p.op == 0) == p.all_forest
+        blocks = blocks_is_forest(g, p)
+        assert _vertex_count_verdicts(p) == blocks
+        assert p.all_forest == (p.op == 0) == all(blocks)
 
     def test_vertex_count_matches_blocks(self):
         verdicts = set()
@@ -247,9 +246,16 @@ class TestClassify:
             g = connected_gnp(6 + seed % 6, 0.5, seed=6000 + seed)
             for mode in PACK_MODES:
                 p = pack_as_color(g, mode)
-                assert p.is_forest == blocks_is_forest(g, p)
-                verdicts.update(p.is_forest)
+                blocks = blocks_is_forest(g, p)
+                assert _vertex_count_verdicts(p) == blocks
+                assert p.all_forest == (p.op == 0) == all(blocks)
+                verdicts.update(blocks)
         assert verdicts == {True, False}
+
+
+def _vertex_count_verdicts(p) -> tuple[bool, ...]:
+    """Per component: does it have ``2*t_i + 1`` vertices?"""
+    return tuple(len(vs) == 2 * len(ix) + 1 for ix, vs in zip(p.components, p.component_vertices))
 
 
 class TestDetachEdge:
