@@ -17,12 +17,12 @@ whose incidence with ``v`` still lies on a cycle of the incidence graph.
 No cycle is searched for: one union-find pass over the vertices, from the
 highest down, records which of ``v``'s triangles meet above ``v``, and that
 decides every split. Every step is planned on the packing's incidence
-structure alone and only records which edge ends it renames or moves;
-``TransformTrace.moved_ends`` decodes them into one map, and the flattened
-graph is never built. The number of splits is the number of incidences
-outside a spanning forest of that graph, the structure defect
-``op = 2t + c - |covered|``: with ``3t`` incidences, ``|covered| + t`` nodes
-and ``c`` components, that is the graph's cycle rank, so at ``op = 0``
+structure alone and records only the edge ends it moves; new ids follow from
+the order of the steps. ``TransformTrace.moved_ends`` decodes them into one
+map, and the flattened graph is never built. The number of splits is the
+number of incidences outside a spanning forest of that graph, the structure
+defect ``op = 2t + c - |covered|``: with ``3t`` incidences, ``|covered| + t``
+nodes and ``c`` components, that is the graph's cycle rank, so at ``op = 0``
 nothing can split and the sweep is skipped. The flattened structure is not
 classified again: it keeps the packing's components, in the same order, and
 its uncovered inner vertices.
@@ -73,25 +73,24 @@ class TrianglePacking:
 
 @dataclass(frozen=True)
 class EdgeDetachStep:
-    """Edge ``u-v`` replaced by two pendant edges ``u-u_new`` and ``v-v_new``."""
+    """Edge ``u-v`` cut into two pendant edges: the ``u`` end keeps ``edge``
+    and the ``v`` end moves to ``new_edge``. Each end gets a new leaf, the
+    next two vertex ids in the order of the steps."""
 
     edge: int
-    u: int
     v: int
-    u_new: int
-    v_new: int
     new_edge: int
 
 
 @dataclass(frozen=True)
 class VertexSplitStep:
-    """Vertex split into two nonadjacent copies partitioning its triangles."""
+    """``vertex`` split in two: the two sides at ``vertex`` of one triangle,
+    ``moved_edges``, move to ``new_vertex``, the next vertex id in the order
+    of the steps. Every edge keeps its id."""
 
     vertex: int
     new_vertex: int
     moved_edges: tuple[int, ...]
-    kept_triangles: tuple[Triangle, ...]
-    moved_triangles: tuple[Triangle, ...]
 
 
 TraceStep = EdgeDetachStep | VertexSplitStep
@@ -234,8 +233,8 @@ def _pack_exact(tris: Sequence[Triangle], forest: bool) -> list[Triangle]:
     if len(tris) > DEFAULT_EXACT_CAP:
         raise LimitError(f"exact packing capped at {DEFAULT_EXACT_CAP} triangles, instance has {len(tris)}")
     masks = [_edge_mask(t) for t in tris]
-    index = {t: i for i, t in enumerate(tris)}
-    best = [index[t] for t in _pack_greedy(tris, forest)]
+    # no greedy seed: taking first, the first leaf is the greedy pick, and only a larger one replaces it
+    best: list[int] = []
     n_t = len(tris)
     chosen: list[int] = []
 
@@ -286,7 +285,7 @@ def pack_modes(g: Graph, modes: Sequence[str] = PACK_MODES) -> dict[str, tuple[T
     out: dict[str, tuple[Triangle, ...] | None] = {}
     for mode in modes:
         try:
-            out[mode] = tuple(sorted(_select(tris, mode)))
+            out[mode] = tuple(_select(tris, mode))
         except LimitError:
             out[mode] = None
     return out
@@ -317,8 +316,6 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
     t = len(tris)
     c = len(comps)
     op = 2 * t + c - len(covered)
-    if op < 0:
-        raise InvariantViolation(f"negative structure defect op={op}")
     prof = degree_profile(g)
     return TrianglePacking(
         triangles=tris,
@@ -361,15 +358,14 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     split and the sweep is skipped; a hand-built packing whose ``op``
     understates a cycle then fails in ``coloring.color_triangle_tree``.
 
-    New vertices and edges take the next free ids; a detach keeps the edge's
-    id on its ``u`` side, and a split keeps every edge id. The result's
-    triangles are the packing's, index for index, with moved corners renamed.
-    A split never moves a component's lowest vertex and a new vertex is
-    covered or a leaf, so ``packing`` still gives the components and
-    uncovered inner vertices. ``g`` is not checked for connectivity: every
-    back end has checked it."""
+    New vertices and edges take the next free ids in the order of the steps;
+    a detach keeps the edge's id on its ``u`` side, and a split keeps every
+    edge id. The result's triangles are the packing's, index for index, with
+    moved corners renamed. A split never moves a component's lowest vertex
+    and a new vertex is covered or a leaf, so ``packing`` still gives the
+    components and uncovered inner vertices. ``g`` is not checked for
+    connectivity: every back end has checked it."""
     _check_current(g, packing.triangles)
-    steps: list[TraceStep] = []
     comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
     tri_edges = {eid for tri in packing.triangles for eid in tri.edge_ids}
     # component by component, ascending edge id within each
@@ -378,12 +374,11 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
         for eid, (a, b) in enumerate(g.edges)
         if a in comp_of and comp_of[a] == comp_of.get(b) and eid not in tri_edges
     )
-    n = g.n
     # a chord's ends are covered and triangle edges stay, so no end drops below degree 2
-    for new_edge, (_, eid) in enumerate(chords, g.m):
-        u, v = g.edges[eid]
-        steps.append(EdgeDetachStep(edge=eid, u=u, v=v, u_new=n, v_new=n + 1, new_edge=new_edge))
-        n += 2
+    steps: list[TraceStep] = [
+        EdgeDetachStep(eid, g.edges[eid][1], new_edge) for new_edge, (_, eid) in enumerate(chords, g.m)
+    ]
+    n = g.n + 2 * len(chords)
     tris = list(packing.triangles)
     # op is the cycle rank of the incidence graph: at 0 it is a forest and nothing splits
     if packing.op:
@@ -401,13 +396,11 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
         for v in sorted(at):
             order = sorted(at[v], key=tris.__getitem__)
             last = {root[v][i]: i for i in order}  # the last triangle of each root stays
-            keep = [tris[i] for i in order]
             for i in order:
                 if last[root[v][i]] == i:
                     continue
-                keep.remove(tris[i])
                 moved_edges = tuple(sorted(eid for eid in tris[i].edge_ids if eid != tris[i].opposite(v)))
-                steps.append(VertexSplitStep(v, n, moved_edges, tuple(keep), (tris[i],)))
+                steps.append(VertexSplitStep(v, n, moved_edges))
                 tris[i] = _moved_triangle(tris[i], v, n)
                 n += 1
     splits = len(steps) - len(chords)

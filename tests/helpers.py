@@ -821,22 +821,21 @@ def color_single_triangle(lg: LineGraphResult) -> EdgeColoring:
 
 
 def detach_edge(g: Graph, eid: int) -> tuple[Graph, EdgeDetachStep]:
-    """Replace edge ``u-v`` by pendant edges ``u-u_new`` and ``v-v_new``.
+    """Replace edge ``u-v`` by pendant edges to two new leaves, ``u-n`` and
+    ``v-(n+1)`` with ``n = g.n``.
 
     Surviving edges keep their ids; the ``u`` side reuses the detached id and
-    the ``v`` side gets a fresh one.
+    the ``v`` side gets a fresh one, ``g.m``.
     """
     if not (0 <= eid < g.m):
         raise InputError(f"edge id {eid} out of range")
     u, v = g.edges[eid]
     if g.degree(u) < 2 or g.degree(v) < 2:
         raise InputError(f"both endpoints of edge {eid} must have degree >= 2")
-    u_new, v_new = g.n, g.n + 1
     edges = list(g.edges)
-    edges[eid] = (u, u_new)
-    edges.append((v, v_new))
-    step = EdgeDetachStep(edge=eid, u=u, v=v, u_new=u_new, v_new=v_new, new_edge=g.m)
-    return Graph(g.n + 2, tuple(edges)), step
+    edges[eid] = (u, g.n)
+    edges.append((v, g.n + 1))
+    return Graph(g.n + 2, tuple(edges)), EdgeDetachStep(edge=eid, v=v, new_edge=g.m)
 
 
 def split_vertex(
@@ -865,36 +864,49 @@ def split_vertex(
         if used & mask:
             raise InputError("split sides must be edge-disjoint triangles")
         used |= mask
-    new_vertex = g.n
-    moved_edges = sorted(
-        eid for tri in move for eid in tri.edge_ids if v in g.edges[eid]
-    )
+    moved_edges = tuple(sorted(eid for tri in move for eid in tri.edge_ids if v in g.edges[eid]))
+    step = VertexSplitStep(vertex=v, new_vertex=g.n, moved_edges=moved_edges)
+    return _move_ends(g, v, moved_edges), step
+
+
+def _move_ends(g: Graph, v: int, eids: Iterable[int]) -> Graph:
+    """``g`` with the end ``v`` of each edge in ``eids`` moved to a new
+    vertex, ``g.n``. Edge count and ids are unchanged."""
     edges = list(g.edges)
-    for eid in moved_edges:
+    for eid in eids:
         a, b = edges[eid]
-        edges[eid] = (new_vertex, b) if a == v else (a, new_vertex)
-    step = VertexSplitStep(
-        vertex=v,
-        new_vertex=new_vertex,
-        moved_edges=tuple(moved_edges),
-        kept_triangles=tuple(keep),
-        moved_triangles=tuple(move),
-    )
-    return Graph(g.n + 1, tuple(edges)), step
+        edges[eid] = (g.n, b) if a == v else (a, g.n)
+    return Graph(g.n + 1, tuple(edges))
+
+
+def _is_triangle_at(g: Graph, v: int, eids: tuple[int, ...]) -> bool:
+    """Are ``eids`` the two sides at ``v`` of one triangle of ``g``?"""
+    if len(eids) != 2 or not all(0 <= eid < g.m and v in g.edges[eid] for eid in eids):
+        return False
+    p, q = (a + b - v for a, b in (g.edges[eid] for eid in eids))
+    return p != q and g.has_edge(p, q)
 
 
 def replay_graphs(trace: TransformTrace) -> tuple[Graph, ...]:
     """The source and the graph after each step, re-applied one step at a
-    time with ``detach_edge``/``split_vertex``; errors if a re-applied step
-    differs from the recorded one."""
+    time. A detach is re-applied with ``detach_edge`` and must match it: ``v``
+    the edge's second end and ``new_edge`` the graph's next edge id. A split
+    moves its ``moved_edges``' ends at ``vertex``, which must be the two sides
+    there of one triangle of the graph it acts on, to ``new_vertex``, which
+    must be that graph's next vertex id. ``InvariantViolation`` otherwise."""
     graphs = [trace.source]
     for step in trace.steps:
+        g = graphs[-1]
         if isinstance(step, EdgeDetachStep):
-            cur, again = detach_edge(graphs[-1], step.edge)
+            cur, again = detach_edge(g, step.edge)
+            if again != step:
+                raise InvariantViolation(f"trace replay diverged from the recorded detach {step}")
+        elif step.new_vertex == g.n and _is_triangle_at(g, step.vertex, step.moved_edges):
+            cur = _move_ends(g, step.vertex, step.moved_edges)
         else:
-            cur, again = split_vertex(graphs[-1], step.vertex, step.kept_triangles, step.moved_triangles)
-        if again != step:
-            raise InvariantViolation("trace replay diverged from the recorded step")
+            raise InvariantViolation(
+                f"recorded split {step} does not move one triangle's two sides to the next vertex"
+            )
         graphs.append(cur)
     return tuple(graphs)
 

@@ -353,7 +353,7 @@ MUTANTS = (
         TRIANGLES,
         "        if forest:\n            dsu.add_triangle(tri)\n",
         "",
-        (COMP_MAP + "[forest_greedy]", COMP_MAP + "[forest_exact]", FALLS_BACK + "[31-forest_greedy-4-5]"),
+        (COMP_MAP + "[forest_greedy]", FALLS_BACK + "[31-forest_greedy-4-5]", GOLDEN + "[color_gnp_30_seed2_t31.json]"),
     ),
     Mutant(
         "forest exact packing: one union-find shared by the take and skip branches",
@@ -393,7 +393,7 @@ MUTANTS = (
         (COMP_MAP + "[exact]", BRUTE_FORCE),
     ),
     Mutant(
-        "exact packing: a full branch never replaces the greedy pick",
+        "exact packing: no leaf is ever recorded, not even the first (greedy) one",
         TRIANGLES,
         "            best = chosen.copy()\n",
         "            best = best\n",
@@ -444,6 +444,16 @@ MUTANTS = (
         (FALLS_BACK + "[31-forest_greedy-4-5]", FALLS_BACK + "[32-greedy-8-9]"),
     ),
     Mutant(
+        "build_transformed: a split records the side opposite its vertex",
+        TRIANGLES,
+        "if eid != tris[i].opposite(v)",
+        "if eid != min(tris[i].edge_ids)",
+        (
+            "tests/test_triangles.py::TestSweepMatchesReclassify::test_same_result[triangle_ring-3]",
+            "tests/test_triangles.py::TestReplay::test_rejects_tampered_records",
+        ),
+    ),
+    Mutant(
         "build_transformed: the split sweep skipped at op = 1 too",
         TRIANGLES,
         "if packing.op:",
@@ -458,7 +468,7 @@ MUTANTS = (
         "moved_ends: a detach moves its edge's u end, not its v end",
         TRIANGLES,
         "moved[step.edge, step.v] = (step.new_edge, step.v)",
-        "moved[step.edge, step.u] = (step.new_edge, step.u)",
+        "moved[step.edge, self.source.edges[step.edge][0]] = (step.new_edge, self.source.edges[step.edge][0])",
         (PROJECTION + "test_detach_projection_verifies", PULL_BACK + "test_build_transformed_traces[greedy-0]"),
     ),
     Mutant(

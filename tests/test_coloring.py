@@ -508,7 +508,7 @@ class TestProjectionMatchesPullBack:
             for mode in ("greedy", "forest_greedy"):
                 trace = build_transformed(g, pack_edge_disjoint(g, mode)).trace
                 detaches = trace.steps[: len(trace.steps) - trace.split_count]
-                ends = {x for step in detaches for x in (step.u, step.v)}
+                ends = {x for step in detaches for x in trace.source.edges[step.edge]}
                 at_detach += sum(step.vertex in ends for step in trace.steps[len(detaches) :])
                 fates = _renamed_pair_fates(trace)
                 kept += fates[0]

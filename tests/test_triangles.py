@@ -100,6 +100,14 @@ class TestPacking:
         assert len(graphs) >= 50
         for g in graphs:
             assert pack_edge_disjoint(g, mode).triangles == comp_map_pack(g, mode)
+        if mode.endswith("exact"):
+            # the unseeded search keeps its first leaf, the greedy pick, unless
+            # a larger one follows; the reference seeds from greedy, and the
+            # graphs reach both cases
+            greedy = mode.replace("exact", "greedy")
+            picks = [(comp_map_pack(g, mode), comp_map_pack(g, greedy)) for g in graphs]
+            assert all(pick == base or len(pick) > len(base) for pick, base in picks)
+            assert any(pick == base for pick, base in picks) and any(pick != base for pick, base in picks)
         if mode.startswith("forest"):
             # the forest test rejects triangles the plain mode would take
             plain = mode.removeprefix("forest_")
@@ -264,7 +272,7 @@ class TestDetachEdge:
         out, step = detach_edge(g, g.edge_id(0, 1))
         assert out.n == 5 and out.m == 4
         assert set(out.edges) == {(0, 3), (1, 2), (0, 2), (1, 4)}
-        assert step.u_new == 3 and step.v_new == 4
+        assert step.v == 1 and out.edges[step.edge] == (0, 3) and out.edges[step.new_edge] == (1, 4)
 
     def test_requires_inner_endpoints(self):
         with pytest.raises(InputError, match="degree >= 2"):
@@ -377,24 +385,62 @@ class TestSweepMatchesReclassify:
         a sweep in packing-index order can choose other splits there."""
         repeated_vertex = two_corners = reordered = 0
         for g, p in sweep_instances().values():
-            index = {frozenset(tri.edge_ids): i for i, tri in enumerate(p.triangles)}
             splits = [s for s in build_transformed(g, p).trace.steps if isinstance(s, VertexSplitStep)]
             vertices = [s.vertex for s in splits]
             repeated_vertex += len(vertices) != len(set(vertices))
-            corners: dict[frozenset, set[int]] = {}
+            corners: dict[int, set[int]] = {}
+            current = [tri.vertices for tri in p.triangles]  # corners after the splits so far
+            orders = {}
             for s in splits:
-                (moved,) = s.moved_triangles
-                corners.setdefault(frozenset(moved.edge_ids), set()).add(s.vertex)
+                # splits keep edge ids, so the packing triangle holding the moved sides is the moved one
+                (i,) = [i for i, tri in enumerate(p.triangles) if set(s.moved_edges) <= set(tri.edge_ids)]
+                corners.setdefault(i, set()).add(s.vertex)
+                # the first split at a vertex sees all of its triangles
+                if s.vertex not in orders:
+                    at = sorted((vs, j) for j, vs in enumerate(current) if s.vertex in vs)
+                    orders[s.vertex] = [j for _, j in at]
+                current[i] = tuple(sorted(s.new_vertex if x == s.vertex else x for x in current[i]))
             two_corners += any(len(c) > 1 for c in corners.values())
-            # the first split at a vertex sees all of its triangles
-            orders = [
-                [index[frozenset(tri.edge_ids)] for tri in sorted(s.kept_triangles + s.moved_triangles)]
-                for s in {s.vertex: s for s in reversed(splits)}.values()
-            ]
-            reordered += any(ix != sorted(ix) for ix in orders)
+            reordered += any(ix != sorted(ix) for ix in orders.values())
         assert repeated_vertex >= 3
         assert two_corners >= 3
         assert reordered >= 3
+
+
+class TestReplay:
+    def test_rejects_tampered_records(self):
+        """Every sweep trace replays, and ``replay_graphs`` refuses the first
+        detach and the first split of each once tampered with: a detach with
+        the wrong new edge or end, a split that lists the side opposite its
+        vertex or a new vertex past the next id."""
+        tampered = 0
+        for g, p in sweep_instances().values():
+            trace = build_transformed(g, p).trace
+            graphs = replay_graphs(trace)
+            for kind in (EdgeDetachStep, VertexSplitStep):
+                k = next((k for k, step in enumerate(trace.steps) if isinstance(step, kind)), None)
+                if k is None:
+                    continue
+                step, before = trace.steps[k], graphs[k]
+                if kind is EdgeDetachStep:
+                    u = before.edges[step.edge][0]
+                    records = [
+                        dataclasses.replace(step, new_edge=step.new_edge + 1),
+                        dataclasses.replace(step, v=u),
+                    ]
+                else:
+                    x, y = (a + b - step.vertex for a, b in (before.edges[e] for e in step.moved_edges))
+                    sides = (step.moved_edges[0], before.edge_id(x, y))
+                    records = [
+                        dataclasses.replace(step, moved_edges=tuple(sorted(sides))),
+                        dataclasses.replace(step, new_vertex=step.new_vertex + 1),
+                    ]
+                for record in records:
+                    steps = (*trace.steps[:k], record, *trace.steps[k + 1 :])
+                    with pytest.raises(InvariantViolation, match="recorded"):
+                        replay_graphs(dataclasses.replace(trace, steps=steps))
+                    tampered += 1
+        assert tampered >= 100
 
 
 class TestBuildTransformed:
