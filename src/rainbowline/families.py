@@ -139,17 +139,31 @@ def connected_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def random_cubic(n: int, seed: int) -> Graph:
-    """Connected 3-regular graph via the pairing model; needs even n >= 4."""
+    """Connected 3-regular graph via the pairing model; needs even n >= 4.
+
+    Each try pairs up a shuffle of the 3n vertex stubs, and the draws are
+    exactly those of ``random.Random(seed).shuffle``: a Fisher-Yates loop
+    that draws ``getrandbits(k)``, ``k`` the bit length of ``i + 1``, until
+    the draw is at most ``i``. Only about e^-2 of the pairings are simple,
+    so most tries are rejected, and ``shuffle``'s two method calls per draw
+    were most of what a rejected try cost; hence the inlined loop. A pairing
+    with a loop or a repeated pair is rejected before any graph is built."""
     if n < 4 or n % 2:
         raise InputError(f"cubic graphs need even n >= 4, got {n}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    draws = [(i, (i + 1).bit_length()) for i in range(3 * n - 1, 0, -1)]
+    base = [v for v in range(n) for _ in range(3)]
     for _ in range(CUBIC_MAX_TRIES):
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        try:
-            g = build_graph(n, zip(stubs[::2], stubs[1::2]))
-        except InputError:  # a loop or a repeated edge: not simple
-            continue
+        stubs = base.copy()
+        for i, k in draws:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if len({(u, v) if u < v else (v, u) for u, v in pairs if u != v}) < len(pairs):
+            continue  # a loop or a repeated pair: not simple
+        g = build_graph(n, pairs)
         if is_connected(g):
             return g
     raise LimitError(f"no simple connected cubic sample on {n} vertices in {CUBIC_MAX_TRIES} tries")

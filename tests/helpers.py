@@ -66,6 +66,11 @@ The other layers:
   instance -> ``TestTreeColoringMatchesRecursion``.
 - ``m - m1`` (``coloring.color_iterated_baseline``):
   ``hand_built_iterated_baseline`` -> ``TestIterated``.
+- cubic sampler (``families.random_cubic``): ``shuffle_random_cubic``, the
+  pairing model on ``random.Random.shuffle`` with ``build_graph`` rejecting
+  a pairing that is not simple -> ``test_cli.py`` ``TestGenAndFamilies``
+  ``test_cubic_sampler_matches_shuffle_reference`` (graphs) and
+  ``test_cubic_sampler_rejects_as_the_reference_does`` (tries).
 
 Everything here avoids the package's search machinery so the two sides of
 each check stay independent; the graph searches the tests need (blocks,
@@ -83,6 +88,7 @@ instances.
 """
 
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -90,7 +96,7 @@ from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 
-from rainbowline import coloring, oracle, triangles
+from rainbowline import coloring, families, oracle, triangles
 from rainbowline.coloring import (
     ColorPart,
     EdgeColoring,
@@ -99,7 +105,7 @@ from rainbowline.coloring import (
     pendant_two_path_count,
 )
 from rainbowline.errors import InputError, InvariantViolation, LimitError
-from rainbowline.graphs import Graph, diameter, edge_key, is_connected
+from rainbowline.graphs import Graph, build_graph, diameter, edge_key, is_connected
 from rainbowline.linegraph import LineGraphResult, iterated_line_graph, line_graph
 from rainbowline.oracle import _LOOK_AHEAD_FACTOR, DEFAULT_EDGE_CAP, canonical_colorings, exact_rc
 from rainbowline.triangles import (
@@ -765,6 +771,26 @@ def hand_built_iterated_baseline(g: Graph) -> tuple[EdgeColoring, LineGraphResul
     if col.k != bound:
         raise InvariantViolation(f"used {col.k} colors, pendant accounting says {bound}")
     return col, lg2, bound
+
+
+def shuffle_random_cubic(n: int, seed: int) -> Graph:
+    """``families.random_cubic`` written on ``rng.shuffle``: each try
+    shuffles the stubs and lets ``build_graph`` reject a loop or a repeated
+    pair. Reads ``families.CUBIC_MAX_TRIES`` at call time, so a test that
+    patches the cap patches both samplers."""
+    if n < 4 or n % 2:
+        raise InputError(f"cubic graphs need even n >= 4, got {n}")
+    rng = random.Random(seed)
+    for _ in range(families.CUBIC_MAX_TRIES):
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        try:
+            g = build_graph(n, zip(stubs[::2], stubs[1::2]))
+        except InputError:  # a loop or a repeated edge: not simple
+            continue
+        if is_connected(g):
+            return g
+    raise LimitError(f"no simple connected cubic sample on {n} vertices in {families.CUBIC_MAX_TRIES} tries")
 
 
 def nx_graph(g: Graph) -> nx.Graph:

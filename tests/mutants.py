@@ -28,7 +28,9 @@ GRAPHS = "src/rainbowline/graphs.py"
 LINEGRAPH = "src/rainbowline/linegraph.py"
 TRIANGLES = "src/rainbowline/triangles.py"
 COLORING = "src/rainbowline/coloring.py"
+FAMILIES = "src/rainbowline/families.py"
 NETWORKX = "tests/test_graphs.py::TestMatchesNetworkx::"
+CUBIC_REFERENCE = "tests/test_cli.py::TestGenAndFamilies::test_cubic_sampler_matches_shuffle_reference"
 WITHIN_TWO = "tests/test_oracle.py::TestReachesWithinTwo::"
 REFERENCES = WITHIN_TWO + "test_matches_the_references"
 LOOK_AHEAD = "tests/test_oracle.py::TestLookAheadMatchesQueue::"
@@ -518,6 +520,20 @@ MUTANTS = (
             "tests/test_coloring.py::TestForestPackingBound::test_triangle_free_uses_inner_count",
             GOLDEN + "[color_path_20_iterated.json]",
         ),
+    ),
+    Mutant(
+        "random_cubic: the draw width read off i, not i + 1",
+        FAMILIES,
+        "draws = [(i, (i + 1).bit_length())",
+        "draws = [(i, i.bit_length())",
+        (CUBIC_REFERENCE,),
+    ),
+    Mutant(
+        "random_cubic: a loop passes the rejection test and reaches build_graph",
+        FAMILIES,
+        "for u, v in pairs if u != v}",
+        "for u, v in pairs}",
+        (CUBIC_REFERENCE,),
     ),
 )
 

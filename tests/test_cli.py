@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import count_packing_work
+from helpers import count_packing_work, shuffle_random_cubic
 from rainbowline import cli, coloring, families, oracle
 from rainbowline.cli import EXIT_INTERNAL, main, run_bench
 from rainbowline.errors import InputError, InvariantViolation, LimitError
@@ -123,6 +123,31 @@ class TestGenAndFamilies:
         monkeypatch.setattr(families, "CUBIC_MAX_TRIES", 0)
         with pytest.raises(LimitError, match="no simple connected cubic sample on 8 vertices in 0 tries"):
             random_cubic(8, 1)
+
+    @pytest.mark.parametrize(
+        "n, seeds",
+        [(n, range(50)) for n in (4, 6, 8, 10, 12)]
+        + [(n, range(10)) for n in (20, 40, 62)]
+        + [(8, [s * 1_000_003 for s in range(1, 41)])],
+    )
+    def test_cubic_sampler_matches_shuffle_reference(self, n, seeds):
+        """The sampler inlines ``random.shuffle``'s draws, so each seed gives
+        the reference's graph, edge order and orientation included. A failure
+        on a new CPython means ``random.shuffle``'s draws changed there: make
+        the sampler follow the reference, since seeded samples must not move.
+        The last case is the benchmark's ``ensemble`` seeds."""
+        for seed in seeds:
+            assert random_cubic(n, seed) == shuffle_random_cubic(n, seed), seed
+
+    def test_cubic_sampler_rejects_as_the_reference_does(self, monkeypatch):
+        """Seed 6_000_018 (``ensemble`` seed 6) is accepted on try 49, so a
+        rejected try must consume the reference's draws and count as one."""
+        monkeypatch.setattr(families, "CUBIC_MAX_TRIES", 48)
+        for sampler in (random_cubic, shuffle_random_cubic):
+            with pytest.raises(LimitError, match="no simple connected cubic sample on 8 vertices in 48 tries"):
+                sampler(8, 6_000_018)
+        monkeypatch.setattr(families, "CUBIC_MAX_TRIES", 49)
+        assert random_cubic(8, 6_000_018) == shuffle_random_cubic(8, 6_000_018)
 
     @pytest.mark.parametrize(
         "argv, flag, source",
