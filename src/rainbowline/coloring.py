@@ -9,13 +9,17 @@ leaf triangles; every other inner vertex's star takes one fresh color, with
 no special edge and ``a = b``. Components and inner vertices are read from
 the input packing and graph, so the structure is classified once. Each pair
 of L(H) is colored by the rule of the flattened vertex it lands on, so the
-construction builds exactly one line graph, L(H). ``n2 - t`` and
-``t + n2' + c`` run it on G, ``n + 1`` on L(G) with its vertex-star
-triangles, and ``m - m1`` on L(G) with no triangles. Each of these four
-back ends returns its coloring with a certificate recording the bound, the
-palette size, and the verifier verdict. ``color`` is the entry point: it picks
-the packing for ``31`` and ``32`` (``pick_packing``, whose mode rule
-``default_mode`` the bench rows share) and dispatches to the back end.
+construction builds exactly one line graph, L(H), and certifies the
+coloring against Theorem 3.2's ``t + n2' + c``. The other three bounds are
+instances of it: ``n2 - t`` on G with a triangle-forest (``op = 0``),
+``n + 1`` on L(G) with its vertex-star triangles, and ``m - m1`` on L(G)
+with no triangles. Their back ends restate the construction's certificate
+under their own bound (``_restate``), which checks the paper's value equals
+``t + n2' + c``. Each of the four back ends returns its coloring with a
+certificate recording the bound, the palette size, and the verifier
+verdict. ``color`` is the entry point: it picks the packing for ``31`` and
+``32`` (``pick_packing``, whose mode rule ``default_mode`` the bench rows
+share) and dispatches to the back end.
 """
 
 import heapq
@@ -32,7 +36,6 @@ from .triangles import (
     TrianglePacking,
     build_transformed,
     classify_structure,
-    make_triangle,
     pack_edge_disjoint,
     pack_modes,
 )
@@ -219,14 +222,15 @@ def _certify(g: Graph, lg: LineGraphResult, coloring: EdgeColoring, bound_name: 
     )
 
 
-def _construct(g: Graph, packing: TrianglePacking, bound_name: str, bound_value: int) -> tuple[EdgeColoring, ColoringCertificate]:
-    """The one construction behind every bound: flatten the structure, give
-    each inner vertex of the final graph a star rule ``(s, a, b)``, color
-    L(g) pair by pair from the rule of the final vertex the pair lands on,
-    and certify it. Each forest component's rules take ``t_i + 1`` colors,
-    each other inner vertex's one; a pair a split cut apart gets color 1.
-    Components are ``packing``'s over the flattened triangles, and a cycle
-    left in one fails in ``color_triangle_tree``. Builds one line graph, L(g)."""
+def _construct(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, ColoringCertificate]:
+    """Theorem 3.2, the one construction behind every bound: flatten the
+    structure, give each inner vertex of the final graph a star rule
+    ``(s, a, b)``, color L(g) pair by pair from the rule of the final vertex
+    the pair lands on, and certify it against ``t + n2' + c``. Each forest
+    component's rules take ``t_i + 1`` colors, each other inner vertex's
+    one; a pair a split cut apart gets color 1. Components are ``packing``'s
+    over the flattened triangles, and a cycle left in one fails in
+    ``color_triangle_tree``. Builds one line graph, L(g)."""
     result = build_transformed(g, packing)
     rules: dict[int, tuple[int | None, int, int]] = {}
     k = 0
@@ -248,15 +252,25 @@ def _construct(g: Graph, packing: TrianglePacking, bound_name: str, bound_value:
             s, a, b = rules[y]
             colors.append(a if s in (e, f) else b)
     col = EdgeColoring(lg.l_graph, tuple(colors), k)
-    return col, _certify(g, lg, col, bound_name, bound_value)
+    return col, _certify(g, lg, col, *_general_bound(packing))
+
+
+def _restate(cert: ColoringCertificate, name: str, value: int) -> ColoringCertificate:
+    """``cert`` under the paper's bound ``name``, whose value on the same
+    graph and packing must be the certified one; only the name changes."""
+    if value != cert.bound_value:
+        raise InvariantViolation(f"{name} = {value} differs from the certified {cert.bound_name} = {cert.bound_value}")
+    return replace(cert, bound_name=name)
 
 
 def color_forest_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, ColoringCertificate]:
-    """Rainbow coloring of L(g) with ``n2 - t`` colors from a forest packing."""
+    """Rainbow coloring of L(g) with ``n2 - t`` colors from a forest packing:
+    ``t + n2' + c`` at ``op = 0``."""
     _check_colorable(g)
     if not packing.all_forest:
         raise InputError("packing structure must be a triangle-forest; theorem 32 takes any packing")
-    return _construct(g, packing, "n2 - t", degree_profile(g).n2 - packing.t)
+    col, cert = _construct(g, packing)
+    return col, _restate(cert, "n2 - t", degree_profile(g).n2 - packing.t)
 
 
 def color_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, ColoringCertificate]:
@@ -266,7 +280,7 @@ def color_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Col
     forest bound.
     """
     _check_colorable(g)
-    return _construct(g, packing, *_general_bound(packing))
+    return _construct(g, packing)
 
 
 def _general_bound(packing: TrianglePacking) -> tuple[str, int]:
@@ -284,12 +298,12 @@ def color_cubic_iterated(g: Graph) -> tuple[EdgeColoring, ColoringCertificate]:
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise InputError("every vertex must have degree exactly 3")
     lg1 = line_graph(g)
-    tris = [make_triangle(lg1.l_graph, *lg1.star_of[v]) for v in range(g.n)]
-    packing = classify_structure(lg1.l_graph, tris)
-    bound = g.n + 1
-    if packing.t + packing.n2_prime + packing.c != bound:
-        raise InvariantViolation("cubic star packing should give t=n, n2'=0, c=1")
-    return _construct(lg1.l_graph, packing, "n + 1", bound)
+    ids = lg1.l_graph.edge_index
+    # each star lists its edges ascending, as a Triangle's corners;
+    # classify_structure checks every side id
+    tris = [Triangle((a, b, c), (ids[a, b], ids[a, c], ids[b, c])) for a, b, c in lg1.star_of]
+    col, cert = _construct(lg1.l_graph, classify_structure(lg1.l_graph, tris))
+    return col, _restate(cert, "n + 1", g.n + 1)
 
 
 def pendant_two_path_count(g: Graph) -> int:
@@ -317,11 +331,8 @@ def color_iterated_baseline(g: Graph) -> tuple[EdgeColoring, ColoringCertificate
         raise InputError("iteration 2: graph has no edges")
     if lg.m == 1:
         raise InputError("twice-iterated line graph is trivial")
-    packing = classify_structure(lg, ())
-    bound = g.m - pendant_two_path_count(g)
-    if packing.n2_prime != bound:
-        raise InvariantViolation(f"L(G) has {packing.n2_prime} inner vertices, pendant accounting says {bound}")
-    return _construct(lg, packing, "m - m1", bound)
+    col, cert = _construct(lg, classify_structure(lg, ()))
+    return col, _restate(cert, "m - m1", g.m - pendant_two_path_count(g))
 
 
 @dataclass(frozen=True)
@@ -387,8 +398,5 @@ def general_from_forest(forest: Run, mode: str) -> Run:
     own name and value. ``mode`` is the mode that picked the packing for
     ``32``.
     """
-    packing, cert = forest.packing, forest.certificate
-    name, value = _general_bound(packing)
-    if value != cert.bound_value:
-        raise InvariantViolation(f"{name} = {value} differs from the forest bound {cert.bound_value}")
-    return Run(packing, mode, forest.coloring, replace(cert, bound_name=name))
+    packing = forest.packing
+    return Run(packing, mode, forest.coloring, _restate(forest.certificate, *_general_bound(packing)))

@@ -77,7 +77,7 @@ def render_edge_list(g: Graph) -> str:
 def parse_coloring(text: str) -> tuple[tuple[int, ...], int]:
     """Whitespace-separated color ids, one per edge in id order; '#' comments
     allowed. Returns (colors, k) with k the largest color; ``EdgeColoring``
-    checks the count against the graph."""
+    checks the count against the graph and each color against 1..k."""
     values: list[int] = []
     for lineno, line in _data_lines(text):
         for tok in line.split():
@@ -85,8 +85,6 @@ def parse_coloring(text: str) -> tuple[tuple[int, ...], int]:
                 values.append(int(tok))
             except ValueError:
                 raise InputError(f"line {lineno}: bad color {tok!r}") from None
-    if any(c < 1 for c in values):
-        raise InputError("colors must be positive integers")
     return tuple(values), max(values, default=1)
 
 

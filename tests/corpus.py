@@ -186,13 +186,18 @@ def pack_as_color(g: Graph, mode: str) -> TrianglePacking:
     return pick_packing(g, theorem, None if mode.endswith("exact") else mode)[0]
 
 
-@cache
-def cubic_star_packing(n: int, seed: int) -> tuple[Graph, TrianglePacking]:
-    """L(random_cubic(n, seed)) and its packing by the ``n`` vertex-star
+def star_packing(g: Graph) -> tuple[Graph, TrianglePacking]:
+    """L(g) of a cubic ``g`` and its packing by the ``n`` vertex-star
     triangles, the structure ``color_cubic_iterated`` flattens."""
-    lg = line_graph(random_cubic(n, seed))
+    lg = line_graph(g)
     stars = [make_triangle(lg.l_graph, *star) for star in lg.star_of]
     return lg.l_graph, classify_structure(lg.l_graph, stars)
+
+
+@cache
+def cubic_star_packing(n: int, seed: int) -> tuple[Graph, TrianglePacking]:
+    """``star_packing`` of random_cubic(n, seed)."""
+    return star_packing(random_cubic(n, seed))
 
 
 @cache

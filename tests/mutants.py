@@ -522,6 +522,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_restate skips its value check",
+        COLORING,
+        "if value != cert.bound_value:",
+        "if False:",
+        ("tests/test_coloring.py::TestRestate::test_a_mismatched_value_raises",),
+    ),
+    Mutant(
         "random_cubic: the draw width read off i, not i + 1",
         FAMILIES,
         "draws = [(i, (i + 1).bit_length())",

@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import replace
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from corpus import (
     cubic_star_packing,
     dense_gnp,
     sample_gnp,
+    star_packing,
 )
 from helpers import (
     color_single_triangle,
@@ -31,8 +33,10 @@ from rainbowline.coloring import (
     ColorPart,
     ColoringCertificate,
     EdgeColoring,
+    Run,
     _certify,
     _construct,
+    _restate,
     color,
     color_cubic_iterated,
     color_forest_packing,
@@ -54,6 +58,7 @@ from rainbowline.families import (
     friendship_graph,
     gen_family,
     path_graph,
+    petersen_graph,
     random_cubic,
     shared_vertex_triangle_chain,
     triangle_ring,
@@ -373,10 +378,17 @@ class TestIterated:
                 # palette over the verifier's cap: compare the coloring and
                 # the certificate's inputs with certification stubbed
                 assert bound > oracle.DEFAULT_COLOR_CAP
+                asked = []
+
+                def stub(source, lg, col, name, value):
+                    asked.append((source, lg, col, name, value))
+                    return ColoringCertificate(name, value, col.k, False)
+
                 with monkeypatch.context() as patch:
-                    patch.setattr("rainbowline.coloring._certify", lambda *args: args)
+                    patch.setattr("rainbowline.coloring._certify", stub)
                     got = color_iterated_baseline(g)
-                assert got == (ref_col, (ref_lg.source, ref_lg, ref_col, "m - m1", bound))
+                assert asked == [(ref_lg.source, ref_lg, ref_col, "t + n2' + c", bound)]
+                assert got == (ref_col, ColoringCertificate("m - m1", bound, bound, False))
                 capped += 1
                 continue
             # the certificate the hand-built coloring earns: verified, m - m1 colors
@@ -597,7 +609,7 @@ class TestConstructMatchesReference:
         monkeypatch.setattr(helpers, "recursive_tree_assignment", recorded)
         count = splits = 0
         for g, packing in construct_instances():
-            col, _ = _construct(g, packing, "bound", 0)
+            col, _ = _construct(g, packing)
             assert col == part_by_part_construction(g, packing)
             count += 1
             splits += packing.op > 0
@@ -613,7 +625,7 @@ class TestConstructMatchesReference:
         # the verifier is not under test here
         monkeypatch.setattr("rainbowline.coloring._certify", lambda *args: None)
         instances = list(construct_instances())
-        before = [_construct(g, packing, "bound", 0)[0] for g, packing in instances]
+        before = [_construct(g, packing)[0] for g, packing in instances]
         moved_ends = TransformTrace.moved_ends
         dropped = []
 
@@ -625,7 +637,7 @@ class TestConstructMatchesReference:
 
         monkeypatch.setattr(TransformTrace, "moved_ends", without_detaches)
         for (g, packing), col in zip(instances, before):
-            assert _construct(g, packing, "bound", 0)[0] == col
+            assert _construct(g, packing)[0] == col
         assert len(dropped) == len(instances) >= 1099
         assert sum(dropped) >= 390
 
@@ -751,5 +763,52 @@ class TestGeneralFromForest:
     def test_a_bound_mismatch_is_an_invariant_violation(self):
         forest = color(BOWTIE, "31")
         cert = replace(forest.certificate, bound_value=forest.certificate.bound_value + 1)
-        with pytest.raises(InvariantViolation, match="differs from the forest bound"):
+        with pytest.raises(InvariantViolation, match=r"differs from the certified n2 - t = \d+$"):
             general_from_forest(replace(forest, certificate=cert), "exact")
+
+
+class TestRestate:
+    """The forest, cubic and iterated back ends and ``general_from_forest``
+    restate Theorem 3.2's certificate: each gives ``_construct``'s coloring
+    and certificate on the same graph and packing, but for the bound's name."""
+
+    @staticmethod
+    def _assert_restates(g, packing, got, name):
+        col, cert = _construct(g, packing)
+        assert got == (col, replace(cert, bound_name=name))
+
+    def test_forest_and_general_from_forest(self, monkeypatch):
+        # each coloring is verified once: the back ends verify what
+        # _construct does, and the verifier is not under test here
+        monkeypatch.setattr(oracle, "is_rainbow_connected", cache(oracle.is_rainbow_connected))
+        count = 0
+        for g, packing in construct_instances():
+            if not packing.all_forest:
+                continue
+            col, cert = _construct(g, packing)
+            forest = Run(packing, "exact", *color_forest_packing(g, packing))
+            assert (forest.coloring, forest.certificate) == (col, replace(cert, bound_name="n2 - t"))
+            assert general_from_forest(forest, "exact") == Run(packing, "exact", col, cert)
+            count += 1
+        assert count >= 890
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(4), K33, petersen_graph(), *(random_cubic(n, s) for n in (8, 12, 20) for s in (1, 2))],
+        ids=["k4", "k33", "petersen", *(f"cubic{n}-s{s}" for n in (8, 12, 20) for s in (1, 2))],
+    )
+    def test_cubic(self, g):
+        self._assert_restates(*star_packing(g), color_cubic_iterated(g), "n + 1")
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 20, 40, 60])
+    def test_iterated(self, n):
+        lg = line_graph(path_graph(n)).l_graph
+        self._assert_restates(lg, classify_structure(lg, ()), color_iterated_baseline(path_graph(n)), "m - m1")
+
+    def test_a_mismatched_value_raises(self):
+        _, cert = color_packing(BOWTIE, pack_edge_disjoint(BOWTIE, "exact"))
+        assert _restate(cert, "n2 - t", cert.bound_value) == replace(cert, bound_name="n2 - t")
+        for value in (cert.bound_value - 1, cert.bound_value + 1):
+            message = f"n2 - t = {value} differs from the certified t + n2' + c = {cert.bound_value}"
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+                _restate(cert, "n2 - t", value)
