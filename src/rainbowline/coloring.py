@@ -59,8 +59,6 @@ class EdgeColoring:
             raise InputError(
                 f"coloring has {len(self.colors)} entries for {self.graph.m} edges"
             )
-        if self.graph.m and self.k < 1:
-            raise InputError("palette must contain at least one color")
         for eid, c in enumerate(self.colors):
             if not 1 <= c <= self.k:
                 raise InputError(f"edge {eid} has color {c} outside 1..{self.k}")
@@ -193,7 +191,7 @@ def _landings(trace: TransformTrace, lg: LineGraphResult) -> Iterator[tuple[int 
     """
     moved = trace.moved_ends()
     # line_graph lists each star's pairs together, vertices ascending
-    for x, star in enumerate(lg.star_of):
+    for x, star in enumerate(lg.source.incident_edges):
         ends = [moved.get((e, x), (e, x)) for e in star]
         for (e, y), (f, z) in combinations(ends, 2):
             yield (y if y == z else None), e, f
@@ -301,7 +299,7 @@ def color_cubic_iterated(g: Graph) -> tuple[EdgeColoring, ColoringCertificate]:
     ids = lg1.l_graph.edge_index
     # each star lists its edges ascending, as a Triangle's corners;
     # classify_structure checks every side id
-    tris = [Triangle((a, b, c), (ids[a, b], ids[a, c], ids[b, c])) for a, b, c in lg1.star_of]
+    tris = [Triangle((a, b, c), (ids[a, b], ids[a, c], ids[b, c])) for a, b, c in g.incident_edges]
     col, cert = _construct(lg1.l_graph, classify_structure(lg1.l_graph, tris))
     return col, _restate(cert, "n + 1", g.n + 1)
 

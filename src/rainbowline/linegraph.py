@@ -1,9 +1,10 @@
 """Line graphs and iterated line graphs.
 
 The line graph ``L(G)`` has one vertex per edge of ``G`` (same ids) and joins
-two of them whenever the edges share an endpoint. The star of a vertex ``v``
-induces a clique in ``L(G)``; over all vertices these cliques cover each
-``L``-edge exactly once, which the coloring constructions lean on.
+two of them whenever the edges share an endpoint. The star of a vertex ``x``,
+``source.incident_edges[x]``, induces a clique in ``L(G)``; over all vertices
+these cliques cover each ``L``-edge exactly once, which the coloring
+constructions lean on.
 """
 
 from dataclasses import dataclass
@@ -17,20 +18,14 @@ from .graphs import Graph
 class LineGraphResult:
     source: Graph
     l_graph: Graph
-    star_of: tuple[tuple[int, ...], ...]
 
 
 def line_graph(g: Graph) -> LineGraphResult:
-    """Build ``L(g)``, whose vertex ``i`` is edge ``i`` of ``g``, with the
-    star-clique map."""
+    """Build ``L(g)``, whose vertex ``i`` is edge ``i`` of ``g``, star by star."""
     l_edges: list[tuple[int, int]] = []
     for inc in g.incident_edges:
         l_edges.extend(combinations(inc, 2))
-    return LineGraphResult(
-        source=g,
-        l_graph=Graph(g.m, tuple(l_edges)),
-        star_of=g.incident_edges,
-    )
+    return LineGraphResult(source=g, l_graph=Graph(g.m, tuple(l_edges)))
 
 
 def iterated_line_graph(g: Graph, k: int) -> list[LineGraphResult]:

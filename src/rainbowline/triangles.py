@@ -1,11 +1,16 @@
 """Edge-disjoint triangle packings and the two structure-flattening transforms.
 
-A packing's induced subgraph splits into components; a component is a
-triangle-forest when every block of it is a single triangle, equivalently
-when its triangle-vertex incidence graph is a tree, that is when it has
-``2*t_i + 1`` vertices. The whole packing is one exactly when ``op = 0``
-(see ``TrianglePacking``), so no per-component verdict is kept.
-``pack_edge_disjoint`` packs in one mode and classifies the pick;
+A ``TrianglePacking`` stores only its sorted triangles and the graph's
+count of inner vertices ``n2``. Everything else is derived from those two:
+its components (by union-find), their vertices, the covered vertices, ``t``,
+``c``, ``n2' = n2 - |covered|``, ``op`` and the forest verdict, so a packing
+cannot disagree with its own triangles. A packing's induced subgraph splits
+into components; a component is a triangle-forest when every block of it is
+a single triangle, equivalently when its triangle-vertex incidence graph is
+a tree, that is when it has ``2*t_i + 1`` vertices. The whole packing is one
+exactly when ``op = 0``, so no per-component verdict is kept.
+``classify_structure`` checks a set of triangles against the graph and packs
+it. ``pack_edge_disjoint`` packs in one mode and classifies the pick;
 ``pack_modes`` picks in several modes from one enumeration and classifies
 nothing, so a caller classifies only the pick it builds on.
 
@@ -29,6 +34,7 @@ its uncovered inner vertices.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
@@ -53,18 +59,52 @@ class Triangle:
 
 @dataclass(frozen=True)
 class TrianglePacking:
-    """A set of pairwise edge-disjoint triangles with structure statistics.
+    """A set of pairwise edge-disjoint triangles, sorted, and the graph's
+    count of inner vertices ``n2``; every statistic is read off these two.
     ``op = 2t + c - |covered|`` sums each component's incidence-graph cycle
-    rank ``2*t_i + 1 - |V_i| >= 0``: a triangle-forest exactly when ``op = 0``."""
+    rank ``2*t_i + 1 - |V_i| >= 0``: a triangle-forest exactly when ``op = 0``.
+    ``components``, ``component_vertices`` and ``covered_vertices`` are
+    computed on first use and cached, like ``Graph``'s derived values."""
 
     triangles: tuple[Triangle, ...]
-    components: tuple[tuple[int, ...], ...]
-    component_vertices: tuple[frozenset[int], ...]
-    t: int
-    c: int
-    covered_vertices: frozenset[int]
-    n2_prime: int
-    op: int
+    n2: int
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's triangle indices, ascending; the components in
+        order of their lowest vertex."""
+        dsu = _DSU()
+        for tri in self.triangles:
+            dsu.add_triangle(tri)
+        # the union keeps the lower root, so a root is its component's lowest vertex
+        groups: dict[int, list[int]] = {}
+        for idx, tri in enumerate(self.triangles):
+            groups.setdefault(dsu.find(tri.vertices[0]), []).append(idx)
+        return tuple(tuple(groups[r]) for r in sorted(groups))
+
+    @cached_property
+    def component_vertices(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(v for i in ix for v in self.triangles[i].vertices) for ix in self.components)
+
+    @cached_property
+    def covered_vertices(self) -> frozenset[int]:
+        return frozenset(v for tri in self.triangles for v in tri.vertices)
+
+    @property
+    def t(self) -> int:
+        return len(self.triangles)
+
+    @property
+    def c(self) -> int:
+        return len(self.components)
+
+    @property
+    def n2_prime(self) -> int:
+        return self.n2 - len(self.covered_vertices)
+
+    @property
+    def op(self) -> int:
+        return 2 * self.t + self.c - len(self.covered_vertices)
 
     @property
     def all_forest(self) -> bool:
@@ -163,19 +203,14 @@ def _edge_mask(tri: Triangle) -> int:
     return (1 << tri.edge_ids[0]) | (1 << tri.edge_ids[1]) | (1 << tri.edge_ids[2])
 
 
-def _is_current(g: Graph, tri: Triangle) -> bool:
-    """Are ``tri``'s edge ids the ids of its sides in ``g``? The fast path of
-    ``make_triangle(g, *tri.vertices) == tri`` for a simple graph."""
-    a, b, c = tri.vertices
-    ab, ac, bc = tri.edge_ids
-    ids = g.edge_index
-    return ids.get((a, b)) == ab and ids.get((a, c)) == ac and ids.get((b, c)) == bc
-
-
 def _check_current(g: Graph, tris: Iterable[Triangle]) -> None:
-    """``InputError`` on the first triangle whose edge ids are not its sides in ``g``."""
+    """``InputError`` on the first triangle whose edge ids are not its sides
+    in ``g``; ``make_triangle`` names corners that are not a triangle."""
+    ids = g.edge_index
     for tri in tris:
-        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
+        a, b, c = tri.vertices
+        if (ids.get((a, b)), ids.get((a, c)), ids.get((b, c))) != tri.edge_ids:
+            make_triangle(g, a, b, c)
             raise InputError(f"triangle {tri.vertices} has stale edge ids for this graph")
 
 
@@ -292,7 +327,8 @@ def pack_modes(g: Graph, modes: Sequence[str] = PACK_MODES) -> dict[str, tuple[T
 
 
 def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacking:
-    """Complete the structure statistics for a set of edge-disjoint triangles."""
+    """Check that ``triangles`` are triangles of ``g`` with current edge ids
+    and pairwise edge-disjoint, and pack them, sorted, with ``g``'s ``n2``."""
     tris = tuple(sorted(triangles))
     _check_current(g, tris)
     used = 0
@@ -301,32 +337,7 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
         if used & mask:
             raise InputError(f"triangle {tri.vertices} shares an edge with another")
         used |= mask
-    dsu = _DSU()
-    for tri in tris:
-        dsu.add_triangle(tri)
-    # each component's triangle indices and vertices, keyed by its root: the
-    # union keeps the lower root, so that is the component's lowest vertex
-    groups: dict[int, tuple[list[int], set[int]]] = {}
-    for idx, tri in enumerate(tris):
-        ix, vs = groups.setdefault(dsu.find(tri.vertices[0]), ([], set()))
-        ix.append(idx)
-        vs.update(tri.vertices)
-    comps = [groups[r] for r in sorted(groups)]
-    covered = frozenset(v for tri in tris for v in tri.vertices)
-    t = len(tris)
-    c = len(comps)
-    op = 2 * t + c - len(covered)
-    prof = degree_profile(g)
-    return TrianglePacking(
-        triangles=tris,
-        components=tuple(tuple(ix) for ix, _ in comps),
-        component_vertices=tuple(frozenset(vs) for _, vs in comps),
-        t=t,
-        c=c,
-        covered_vertices=covered,
-        n2_prime=prof.n2 - len(covered),
-        op=op,
-    )
+    return TrianglePacking(tris, degree_profile(g).n2)
 
 
 def _moved_triangle(tri: Triangle, v: int, new_vertex: int) -> Triangle:
@@ -355,8 +366,7 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     a lower corner has a new, highest corner and sorts again. The split
     count must equal ``packing.op``. That count is the cycle rank of the
     incidence graph, so at ``op = 0`` the graph is a forest, nothing can
-    split and the sweep is skipped; a hand-built packing whose ``op``
-    understates a cycle then fails in ``coloring.color_triangle_tree``.
+    split and the sweep is skipped.
 
     New vertices and edges take the next free ids in the order of the steps;
     a detach keeps the edge's id on its ``u`` side, and a split keeps every

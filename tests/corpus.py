@@ -190,7 +190,7 @@ def star_packing(g: Graph) -> tuple[Graph, TrianglePacking]:
     """L(g) of a cubic ``g`` and its packing by the ``n`` vertex-star
     triangles, the structure ``color_cubic_iterated`` flattens."""
     lg = line_graph(g)
-    stars = [make_triangle(lg.l_graph, *star) for star in lg.star_of]
+    stars = [make_triangle(lg.l_graph, *star) for star in lg.source.incident_edges]
     return lg.l_graph, classify_structure(lg.l_graph, stars)
 
 

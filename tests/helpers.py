@@ -47,7 +47,7 @@ The other layers:
   triangles in every mode -> ``test_triangles.py`` ``TestPacking``
   ``test_matches_comp_map_search``; ``brute_force_max_packing``, the exact
   modes' optimum -> ``test_exact_matches_brute_force``.
-- structure (``triangles.classify_structure``'s components and
+- structure (``TrianglePacking.components`` and
   ``TrianglePacking.all_forest``, which is ``op == 0``): ``blocks_is_forest``,
   on networkx's blocks, against each component's ``2*t_i + 1`` vertex count
   and ``op`` -> ``test_triangles.py`` ``TestClassify``
@@ -116,7 +116,6 @@ from rainbowline.triangles import (
     TrianglePacking,
     VertexSplitStep,
     _edge_mask,
-    _is_current,
     build_transformed,
     classify_structure,
     enumerate_triangles,
@@ -623,7 +622,7 @@ def reclassify_build_transformed(
 
 def star_clique_edges(lg: LineGraphResult, v: int) -> list[int]:
     """Ids of the ``L``-edges inside the star clique of source vertex ``v``."""
-    star = lg.star_of[v]
+    star = lg.source.incident_edges[v]
     index = lg.l_graph.edge_index
     return [index[(a, b)] for a, b in combinations(star, 2)]
 
@@ -631,7 +630,7 @@ def star_clique_edges(lg: LineGraphResult, v: int) -> list[int]:
 def star_clique_edges_at(lg: LineGraphResult, v: int, at: int) -> list[int]:
     """Star-clique edges of ``v`` incident with the ``L``-vertex ``at``."""
     index = lg.l_graph.edge_index
-    return [index[(min(at, o), max(at, o))] for o in lg.star_of[v] if o != at]
+    return [index[(min(at, o), max(at, o))] for o in lg.source.incident_edges[v] if o != at]
 
 
 def _triangle_graph_edges(g: Graph, tri: Triangle) -> tuple[int, int, int]:
@@ -723,7 +722,7 @@ def pull_back(trace: TransformTrace, coloring: EdgeColoring, lg: LineGraphResult
     final = replay_trace(trace).edges
     index = coloring.graph.edge_index
     out: list[int] = []
-    for x, star in enumerate(lg.star_of):
+    for x, star in enumerate(lg.source.incident_edges):
         ends = []
         for e in star:
             fe = renamed.get((e, x), e)
@@ -884,7 +883,7 @@ def split_vertex(
     for tri in list(keep) + list(move):
         if v not in tri.vertices:
             raise InputError(f"triangle {tri.vertices} does not contain vertex {v}")
-        if not _is_current(g, tri) and make_triangle(g, *tri.vertices) != tri:
+        if make_triangle(g, *tri.vertices) != tri:
             raise InputError(f"triangle {tri.vertices} is stale for this graph")
         mask = _edge_mask(tri)
         if used & mask:

@@ -325,8 +325,8 @@ MUTANTS = (
     Mutant(
         "triangles: the side bc of a triangle left unchecked",
         TRIANGLES,
-        " and ids.get((b, c)) == bc",
-        "",
+        "ids.get((b, c))) != tri.edge_ids",
+        "tri.edge_ids[2]) != tri.edge_ids",
         (STALE + "[bc-other_graph]", STALE + "[bc-out_of_range]"),
     ),
     Mutant(
@@ -402,18 +402,32 @@ MUTANTS = (
         (COMP_MAP + "[exact]", BRUTE_FORCE, RING3_SPLIT),
     ),
     Mutant(
-        "classify_structure: components in descending root order",
+        "TrianglePacking: components in descending root order",
         TRIANGLES,
-        "comps = [groups[r] for r in sorted(groups)]",
-        "comps = [groups[r] for r in sorted(groups, reverse=True)]",
+        "for r in sorted(groups))",
+        "for r in sorted(groups, reverse=True))",
         (CHORDS, GOLDEN + "[color_gnp_14_seed11.json]"),
     ),
     Mutant(
-        "classify_structure: a component's vertices miss each triangle's last corner",
+        "TrianglePacking: a component's vertices miss each triangle's last corner",
         TRIANGLES,
-        "vs.update(tri.vertices)",
-        "vs.update(tri.vertices[:2])",
+        "for v in self.triangles[i].vertices)",
+        "for v in self.triangles[i].vertices[:2])",
         (CLASSIFY + "test_vertex_count_matches_blocks", CHORDS),
+    ),
+    Mutant(
+        "TrianglePacking: n2_prime ignores the covered vertices",
+        TRIANGLES,
+        "return self.n2 - len(self.covered_vertices)",
+        "return self.n2",
+        (CLASSIFY + "test_shared_vertex_chain[2]", GOLDEN + "[color_gnp_14_seed11.json]"),
+    ),
+    Mutant(
+        "TrianglePacking: c counts triangles",
+        TRIANGLES,
+        "return len(self.components)",
+        "return len(self.triangles)",
+        (CLASSIFY + "test_bowtie_both_triangles", CLASSIFY + "test_ring3_defect"),
     ),
     Mutant(
         "TrianglePacking: all_forest read as op <= 1",

@@ -376,14 +376,22 @@ class TestVerifyCommand:
         assert main(["verify", "--file", str(g), "--coloring", str(c)]) == 3
         assert capsys.readouterr().err == "input error: coloring has 1 entries for 2 edges\n"
 
-    @pytest.mark.parametrize("colors, bad", [("1 0 1", "0 outside 1..1"), ("2 -1 1", "-1 outside 1..2")])
-    def test_color_below_one_names_its_edge(self, tmp_path, capsys, colors, bad):
+    @pytest.mark.parametrize(
+        "colors, edge, bad",
+        [
+            ("1 0 1", 1, "0 outside 1..1"),
+            ("2 -1 1", 1, "-1 outside 1..2"),
+            ("0 0 0", 0, "0 outside 1..0"),
+            ("-2 -1 -3", 0, "-2 outside 1..-1"),
+        ],
+    )
+    def test_color_below_one_names_its_edge(self, tmp_path, capsys, colors, edge, bad):
         g = tmp_path / "g.txt"
         g.write_text("3 3\n0 1\n1 2\n0 2\n")
         c = tmp_path / "c.txt"
         c.write_text(colors + "\n")
         assert main(["verify", "--file", str(g), "--coloring", str(c)]) == 3
-        assert capsys.readouterr().err == f"input error: edge 1 has color {bad}\n"
+        assert capsys.readouterr().err == f"input error: edge {edge} has color {bad}\n"
 
 
 def _stdin(monkeypatch, data: bytes) -> None:

@@ -96,7 +96,7 @@ def tree_part(lg: LineGraphResult, tris) -> ColorPart:
     index = lg.l_graph.edge_index
     colors = {}
     for x, (s, a, b) in rules.items():
-        for e, f in combinations(lg.star_of[x], 2):
+        for e, f in combinations(lg.source.incident_edges[x], 2):
             colors[index[e, f]] = a if s in (e, f) else b
     return ColorPart(colors, k)
 

@@ -51,7 +51,7 @@ class TestLineGraph:
         lg = line_graph(g)
         counts = [0] * g.m
         for v in range(g.n):
-            for e in lg.star_of[v]:
+            for e in lg.source.incident_edges[v]:
                 counts[e] += 1
         assert all(c == 2 for c in counts)
 

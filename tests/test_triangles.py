@@ -45,6 +45,7 @@ from rainbowline.triangles import (
     PACK_MODES,
     EdgeDetachStep,
     Triangle,
+    TrianglePacking,
     VertexSplitStep,
     build_transformed,
     classify_structure,
@@ -205,6 +206,16 @@ class TestClassify:
         g = shared_vertex_triangle_chain(k)
         p = pack_edge_disjoint(g, "exact")
         assert p.t == k - 1 and p.c == 1 and p.n2_prime == 1 and p.all_forest
+
+    @pytest.mark.parametrize("name", sorted(sweep_instances()))
+    def test_statistics_follow_the_triangles(self, name):
+        """A packing with its last triangle dropped by ``dataclasses.replace``
+        reports what ``classify_structure`` gives for the triangles it has."""
+        g, p = sweep_instances()[name]
+        fewer = dataclasses.replace(p, triangles=p.triangles[:-1])
+        again = classify_structure(g, fewer.triangles)
+        for stat in ("t", "c", "n2_prime", "op", "components", "component_vertices", "covered_vertices"):
+            assert getattr(fewer, stat) == getattr(again, stat), stat
 
     def test_rejects_overlapping_triangles(self):
         g = complete_graph(4)
@@ -503,17 +514,21 @@ class TestBuildTransformed:
         if all(g.has_edge(a, b) for a, b in combinations(named, 2)):
             assert make_triangle(g, *named) != tri
 
-    def test_wrong_defect_is_invariant_violation(self):
+    def test_wrong_defect_is_invariant_violation(self, monkeypatch):
         g = triangle_ring(3)
         p = pack_edge_disjoint(g, "exact")
+        real_op = TrianglePacking.op
+        monkeypatch.setattr(TrianglePacking, "op", property(lambda q: real_op.fget(q) + 1))
         with pytest.raises(InvariantViolation, match="structure defect says 2"):
-            build_transformed(g, dataclasses.replace(p, op=p.op + 1))
+            build_transformed(g, p)
 
-    def test_understated_defect_fails_in_the_tree_coloring(self):
-        """At op = 0 the split sweep is skipped, so a packing that hides its
-        cycle reaches ``color_triangle_tree``, which finds no leaf triangle."""
+    def test_understated_defect_fails_in_the_tree_coloring(self, monkeypatch):
+        """At op = 0 the split sweep is skipped, so a packing whose ``op``
+        hides its cycle reaches ``color_triangle_tree``, which finds no leaf
+        triangle."""
         g = triangle_ring(3)
-        p = dataclasses.replace(pack_edge_disjoint(g, "exact"), op=0)
+        p = pack_edge_disjoint(g, "exact")
+        monkeypatch.setattr(TrianglePacking, "op", property(lambda q: 0))
         with pytest.raises(InvariantViolation, match="no leaf triangle"):
             color_packing(g, p)
 
