@@ -374,8 +374,13 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     moved corners renamed. A split never moves a component's lowest vertex
     and a new vertex is covered or a leaf, so ``packing`` still gives the
     components and uncovered inner vertices. ``g`` is not checked for
-    connectivity: every back end has checked it."""
+    connectivity: every back end has checked it. A packing whose triangle
+    ids or ``n2`` are not ``g``'s raises ``InputError``: triangle ids can
+    be current in another graph too."""
     _check_current(g, packing.triangles)
+    n2 = degree_profile(g).n2
+    if packing.n2 != n2:
+        raise InputError(f"packing has n2 = {packing.n2}, but the graph has n2 = {n2}")
     comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
     tri_edges = {eid for tri in packing.triangles for eid in tri.edge_ids}
     # component by component, ascending edge id within each

@@ -30,15 +30,17 @@ The other layers:
   ``test_9_double_implementation_agreement`` (verdicts and witnesses);
   ``queue_check_all_pairs``, the same state search with a FIFO queue, on
   large ones -> ``TestLevelSearchMatchesQueue``, ``TestGroupedSearch`` and
-  ``TestLookAheadMatchesQueue``; ``circular_first_unreached``, the earlier
-  look-ahead order, check by check -> ``TestLookAheadOrder``, and with a
-  look-ahead before every level or none, verdicts and witnesses ->
-  ``TestLookAheadTrigger``.
-- look-ahead (``oracle._reaches_within_two``): ``reaches_at_level``, a free
-  edge from a state of the frontier's level, or else ``reaches_in_two``, a
-  two-edge walk of distinct free colors from any admitted state ->
-  ``TestReachesWithinTwo.test_matches_the_references``, at every look-ahead
-  the verifier makes.
+  ``TestLookAheadMatchesQueue``, and with ``oracle._LOOK_AHEAD_FACTOR``
+  patched so that a look-ahead runs before every level or before none ->
+  ``TestLookAheadTrigger`` ``test_trigger_cannot_change_a_verdict``.
+- look-ahead (``oracle._reaches_within_two``): ``free_walks``, the rule the
+  oracle's docstring states, a walk of one edge, or of two edges of
+  distinct colors, from an admitted mask free of those colors ->
+  ``TestReachesWithinTwo`` ``test_matches_the_rule``, at every look-ahead
+  check the verifier makes. The order of the checks (``_first_unreached``):
+  the scan the docstring states, smallest target left first, each check the
+  next target left, stopping at the first rejected one, asserted at every
+  check -> ``TestLookAheadScan``.
 - exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, every canonical
   coloring in full -> ``TestPrunedSearchMatchesEnumeration``;
   ``relabel_exact_rc``, its own recursion in edge-id order with a private
@@ -77,7 +79,8 @@ each check stay independent; the graph searches the tests need (blocks,
 bridges, connectivity, isomorphism, distances) are networkx's, run on
 ``nx_graph(g)``. ``relabel_exact_rc`` runs a search of its own and takes
 from the oracle only the verifier (``_adjacency`` and ``_check_adjacency``,
-which a test patches to record its prefix checks) and the edge-cap check.
+whose look-ahead checks ``TestLookAheadScan`` records) and the edge-cap
+check.
 Also the tools only tests use: edge-induced subgraphs, vertex-set
 shrinking, star-clique edge ids, the two-color coloring of a lone triangle
 with pendants, the networkx copy of a graph, trace replay, the tightness check of the ``m - m1`` bound, a recorder
@@ -92,7 +95,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -107,7 +110,7 @@ from rainbowline.coloring import (
 from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.graphs import Graph, build_graph, diameter, edge_key, is_connected
 from rainbowline.linegraph import LineGraphResult, iterated_line_graph, line_graph
-from rainbowline.oracle import _LOOK_AHEAD_FACTOR, DEFAULT_EDGE_CAP, canonical_colorings, exact_rc
+from rainbowline.oracle import DEFAULT_EDGE_CAP, canonical_colorings, exact_rc
 from rainbowline.triangles import (
     EdgeDetachStep,
     TransformResult,
@@ -278,7 +281,8 @@ def relabel_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     whose prefix check gives every uncolored edge ``i`` a private color
     ``1 << (m + i)`` that clashes with nothing, and allows walks of any
     length. It checks each prefix through ``oracle._check_adjacency``, so a
-    test can record the verdicts.
+    test that wraps ``oracle._first_unreached`` sees every look-ahead those
+    checks make.
 
     Its own recursion: palette sizes upward from the diameter, the edges
     colored depth first in the order of ``canonical_colorings``, every
@@ -318,45 +322,22 @@ def relabel_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
-def _next_target(unreached: bytearray, t: int) -> int:
-    """The first unreached target after ``t``, wrapping around."""
-    nxt = unreached.find(1, t + 1)
-    return nxt if nxt >= 0 else unreached.find(1)
-
-
-def look_ahead_trigger(states: int, left: int) -> bool:
-    """The package's rule for a look-ahead: the frontier holds more than
-    ``oracle._LOOK_AHEAD_FACTOR`` states per target left."""
-    return states > _LOOK_AHEAD_FACTOR * left
-
-
 def admitted_masks(first: list[int], more: list[list[int] | None], v: int) -> list[int]:
     """The masks admitted at ``v``, read off the verifier's ``first`` and
     ``more``."""
     return [first[v], *(more[v] or ())] if first[v] >= 0 else []
 
 
-def reaches_at_level(
-    row: list[tuple[int, list[int]]], first: list[int], more: list[list[int] | None], level: int
-) -> bool:
-    """The look-ahead's one-edge check with the level: whether a state of
-    ``level`` colors at a neighbour of the vertex whose color groups are
-    ``row`` has a free edge into that vertex."""
-    return any(
-        x.bit_count() == level and not x & b
-        for b, ws in row
-        for w in ws
-        for x in admitted_masks(first, more, w)
-    )
-
-
-def reaches_in_two(
+def free_walks(
     adj: list[list[tuple[int, list[int]]]], t: int, first: list[int], more: list[list[int] | None]
-) -> bool:
-    """The look-ahead's two-edge check: whether an admitted state at some
-    vertex ``u`` reaches ``t`` by two edges ``u - w - t`` of distinct colors
-    that its mask avoids."""
-    return any(
+) -> set[int]:
+    """The look-ahead's rule for a target ``t``, as ``oracle``'s module
+    docstring states it: which lengths, 1 or 2, some walk into ``t`` has
+    whose colors are free in an admitted mask at its start, one edge
+    ``w - t``, or two edges ``u - w - t`` of distinct colors. ``adj`` is
+    ``oracle._adjacency``'s color groups."""
+    one = any(not x & b for b, ws in adj[t] for w in ws for x in admitted_masks(first, more, w))
+    two = any(
         not x & (c1 | c2)
         for c1, ws in adj[t]
         for w in ws
@@ -365,69 +346,7 @@ def reaches_in_two(
         for u in us
         for x in admitted_masks(first, more, u)
     )
-
-
-def circular_first_unreached(
-    adj: list[list[tuple[int, list[int]]]],
-    s: int,
-    trigger: Callable[[int, int], bool] = look_ahead_trigger,
-) -> int | None:
-    """Reference for ``oracle._first_unreached``: the same level search, but
-    each look-ahead checks a target with ``reaches_at_level`` at the
-    frontier's level and then, if that rejects it, with ``reaches_in_two``.
-    Each look-ahead starts at the first target that ``reaches_at_level``
-    rejected in the last one, goes round the others in circular order, and
-    stops at the first target both checks reject. It calls both checks
-    through this module, so a test can record them. It keeps each vertex's
-    admitted masks in one list, in admission order, and hands the checks
-    the verifier's layout read off it: each vertex's first mask (``-1`` if
-    none) and its later masks (``None`` if none). A look-ahead runs before a level when
-    ``trigger(frontier states, targets left)`` holds; the default is the
-    package's rule, and a test may pass another one."""
-    n = len(adj)
-    unreached = bytearray(s + 1) + b"\x01" * (n - s - 1)
-    left = n - s - 1
-    stuck = s + 1
-    visited: list[list[int]] = [[] for _ in range(n)]
-    visited[s].append(0)
-    frontier = [(s, 0)]
-    while frontier:
-        if trigger(len(frontier), left):
-            level = frontier[0][1].bit_count()
-            first = [xs[0] if xs else -1 for xs in visited]
-            more = [xs[1:] or None for xs in visited]
-            t = stuck if unreached[stuck] else _next_target(unreached, stuck)
-            rejected = []
-            for _ in range(left):
-                if not reaches_at_level(adj[t], first, more, level):
-                    rejected.append(t)
-                    if not reaches_in_two(adj, t, first, more):
-                        stuck = rejected[0]
-                        break
-                t = _next_target(unreached, t)
-            else:
-                return None
-        nxt: list[tuple[int, int]] = []
-        for v, mask in frontier:
-            for b, ws in adj[v]:
-                if b & mask:
-                    continue
-                nm = mask | b
-                for w in ws:
-                    admitted = visited[w]
-                    for x in admitted:
-                        if x & nm == x:
-                            break
-                    else:
-                        admitted.append(nm)
-                        nxt.append((w, nm))
-                        if unreached[w]:
-                            left -= 1
-                            if not left:
-                                return None
-                            unreached[w] = 0
-        frontier = nxt
-    return unreached.index(1)
+    return {length for length, found in ((1, one), (2, two)) if found}
 
 
 def brute_force_max_packing(g: Graph, triangles) -> int:

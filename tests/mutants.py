@@ -10,7 +10,8 @@ would otherwise import the unmutated package. It exits 1 if a listed test
 does not kill its mutant on its own, if a snippet no longer occurs exactly
 once, or if the unmutated run fails. A refactor that moves a snippet must
 update its entry along with the code, and a test that stops killing its
-mutant must be replaced by one that does.
+mutant must be replaced by one that does. ``tests/test_mutants.py``, in the
+Tier-1 suite, checks each entry's snippet and killers without applying it.
 """
 
 import os
@@ -32,9 +33,9 @@ FAMILIES = "src/rainbowline/families.py"
 NETWORKX = "tests/test_graphs.py::TestMatchesNetworkx::"
 CUBIC_REFERENCE = "tests/test_cli.py::TestGenAndFamilies::test_cubic_sampler_matches_shuffle_reference"
 WITHIN_TWO = "tests/test_oracle.py::TestReachesWithinTwo::"
-REFERENCES = WITHIN_TWO + "test_matches_the_references"
+RULE = WITHIN_TWO + "test_matches_the_rule"
 LOOK_AHEAD = "tests/test_oracle.py::TestLookAheadMatchesQueue::"
-ORDER = "tests/test_oracle.py::TestLookAheadOrder::"
+LOOK_AHEAD_SCAN = "tests/test_oracle.py::TestLookAheadScan::test_scans_the_targets_left_in_order"
 SCAN = "tests/test_oracle.py::TestTargetScan::"
 PROJECTION = "tests/test_coloring.py::TestProjection::"
 PULL_BACK = "tests/test_coloring.py::TestProjectionMatchesPullBack::"
@@ -133,7 +134,7 @@ MUTANTS = (
         "",
         (
             WITHIN_TWO + "test_one_color_twice_fails",
-            REFERENCES,
+            RULE,
             LOOK_AHEAD + "test_matches_queue[tail-verdicts2]",
             LOOK_AHEAD + "test_tail_end_is_the_witness",
         ),
@@ -145,7 +146,7 @@ MUTANTS = (
         "b = c1",
         (
             WITHIN_TWO + "test_mask_holding_either_color_fails",
-            REFERENCES,
+            RULE,
             LOOK_AHEAD + "test_matches_queue[small-verdicts3]",
         ),
     ),
@@ -159,12 +160,11 @@ MUTANTS = (
             WITHIN_TWO + "test_one_color_twice_fails",
             WITHIN_TWO + "test_no_mask_two_edges_away_fails",
             WITHIN_TWO + "test_unreached_neighbour_fails",
-            REFERENCES,
+            RULE,
             LOOK_AHEAD + "test_matches_queue[tail-verdicts2]",
             LOOK_AHEAD + "test_tail_end_is_the_witness",
             LOOK_AHEAD + "test_look_ahead_ends_early_and_fails",
-            ORDER + "test_look_ahead_inputs",
-            ORDER + "test_exact_rc_prefix_checks",
+            LOOK_AHEAD_SCAN,
         ),
     ),
     # Only hand-built states kill the next two: in the search, a frontier
@@ -208,6 +208,18 @@ MUTANTS = (
         "if t == n - 1:",
         (SCAN + "test_only_target_left_is_the_last_vertex", LOOK_AHEAD + "test_tail_end_is_the_witness"),
     ),
+    # Verdicts do not change: a source ends on the look-ahead only when
+    # every target left passes, as before, so only the scan test sees it.
+    Mutant(
+        "look-ahead: the scan goes on past a rejected target",
+        ORACLE,
+        "            while t < n and _reaches_within_two(adj, t, first, more):\n"
+        "                t = first.index(-1, t + 1)\n            if t == n:\n",
+        "            passed = True\n            while t < n:\n"
+        "                passed = _reaches_within_two(adj, t, first, more) and passed\n"
+        "                t = first.index(-1, t + 1)\n            if passed:\n",
+        (LOOK_AHEAD_SCAN,),
+    ),
     Mutant(
         "verifier: the first visit of target s + 1 not counted",
         ORACLE,
@@ -241,7 +253,7 @@ MUTANTS = (
         ORACLE,
         TRIGGER,
         "if len(frontier) > len(adj):",
-        (FIRES, ORDER + "test_look_ahead_inputs", ORDER + "test_exact_rc_prefix_checks"),
+        (FIRES,),
     ),
     Mutant(
         "look-ahead: never runs",
@@ -251,8 +263,7 @@ MUTANTS = (
         (
             FIRES,
             LOOK_AHEAD + "test_look_ahead_ends_early_and_fails",
-            ORDER + "test_look_ahead_inputs",
-            ORDER + "test_exact_rc_prefix_checks",
+            LOOK_AHEAD_SCAN,
         ),
     ),
     Mutant(
@@ -260,7 +271,7 @@ MUTANTS = (
         ORACLE,
         TRIGGER,
         "if True:",
-        (FIRES, ORDER + "test_look_ahead_inputs", ORDER + "test_exact_rc_prefix_checks"),
+        (FIRES, RULE),
     ),
     Mutant(
         "graphs: a disconnected graph's diameter is its round count",
@@ -478,6 +489,13 @@ MUTANTS = (
             "tests/test_triangles.py::TestBuildTransformed::test_ring3_single_split",
             GOLDEN + "[color_triangle_ring_8.json]",
         ),
+    ),
+    Mutant(
+        "build_transformed: a packing with another graph's n2 let through",
+        TRIANGLES,
+        "if packing.n2 != n2:",
+        "if False:",
+        ("tests/test_triangles.py::TestSplitVertex::test_rejects_packing_of_another_graph",),
     ),
     # A detach changes no color, so only the projection tests see the next one.
     Mutant(

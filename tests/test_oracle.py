@@ -1,7 +1,8 @@
+import math
 import pathlib
 import random
 from collections import Counter
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
 from operator import or_
 
@@ -16,17 +17,14 @@ from corpus import (
     look_ahead_inputs,
     recolorings,
 )
-import helpers
 from helpers import (
     admitted_masks,
     check_iterated_tightness,
-    circular_first_unreached,
     enumerate_exact_rc,
+    free_walks,
     naive_failing_pair,
     naive_rainbow_connected,
     queue_check_all_pairs,
-    reaches_at_level,
-    reaches_in_two,
     relabel_exact_rc,
 )
 from rainbowline import oracle
@@ -529,22 +527,6 @@ class TestGroupedSearch:
         assert adj[3] == [(1, [0])] and adj[4] == [(2, [0])]
 
 
-def _frontier_level(first, more):
-    """The popcount of the frontier's masks: each level adds one color to
-    the masks it admits, so no admitted mask has more colors than the
-    newest ones."""
-    return max(x.bit_count() for v in range(len(more)) for x in admitted_masks(first, more, v))
-
-
-def _passed_by(adj, t, first, more):
-    """``"one edge"`` if ``helpers.reaches_at_level`` passes ``t`` at the
-    frontier's level, else ``"two edges"`` if ``helpers.reaches_in_two``
-    does, else ``None``."""
-    if reaches_at_level(adj[t], first, more, _frontier_level(first, more)):
-        return "one edge"
-    return "two edges" if reaches_in_two(adj, t, first, more) else None
-
-
 class TestReachesWithinTwo:
     """``_reaches_within_two`` on hand-built paths, and at every look-ahead
     check the verifier makes. One edge: on the path t = 0, w = 1 with color
@@ -597,22 +579,22 @@ class TestReachesWithinTwo:
         assert self.two_edges(0b001, 0b010, 0b101, [0b110, 0b100])
         assert not self.two_edges(0b001, 0b010, 0b101, [0b110])
 
-    def test_matches_the_references(self, monkeypatch):
+    def test_matches_the_rule(self, monkeypatch):
         """At every look-ahead check on ``look_ahead_inputs()`` and the ring
-        coloring, the verdict is ``reaches_at_level`` at the frontier's
-        level or ``reaches_in_two``. Every admitted mask with a free edge
-        into the target has the frontier's popcount: an older state was
-        expanded already and would have admitted the target then, so the
-        one-edge walk needs no level. A target that passes by one edge
-        passes by two as well, from the state one edge back."""
+        coloring, a target passes exactly when ``helpers.free_walks`` finds
+        a walk into it. Every admitted mask with a free edge into the target
+        has the frontier's popcount, the largest of any admitted mask: an
+        older state was expanded already and would have admitted the target
+        then, so the one-edge walk needs no level. A target that passes by
+        one edge passes by two as well, from the state one edge back."""
         within_two, seen = oracle._reaches_within_two, Counter()
 
         def recorded(adj, t, first, more):
-            level = _frontier_level(first, more)
-            by = _passed_by(adj, t, first, more)
+            level = max(x.bit_count() for v in range(len(adj)) for x in admitted_masks(first, more, v))
+            walks = free_walks(adj, t, first, more)
             passed = within_two(adj, t, first, more)
-            assert passed == (by is not None)
-            assert by != "one edge" or reaches_in_two(adj, t, first, more)
+            assert passed == bool(walks)
+            assert 1 not in walks or 2 in walks
             for b, ws in adj[t]:
                 for w in ws:
                     for x in admitted_masks(first, more, w):
@@ -620,16 +602,13 @@ class TestReachesWithinTwo:
                             assert x.bit_count() == level
                         elif x.bit_count() < level:
                             seen["older mask"] += 1
-            seen[by] += 1
+            seen[min(walks, default=None)] += 1
             return passed
 
         monkeypatch.setattr(oracle, "_reaches_within_two", recorded)
-        ring = _ring_coloring()
-        inputs = [(ring.graph, color_bits(ring.colors))]
-        inputs += [x for xs in look_ahead_inputs().values() for x in xs]
-        for g, bits in inputs:
+        for g, bits in _ring_and_look_ahead_inputs():
             _check_all_pairs(g, bits)
-        assert all(seen[k] for k in ("one edge", "two edges", None, "older mask")), seen
+        assert all(seen[k] for k in (1, 2, None, "older mask")), seen
 
 
 class TestTargetScan:
@@ -663,10 +642,10 @@ class TestTargetScan:
 
 
 class TestLookAheadMatchesQueue:
-    """Ending a source early, once every target left has a free edge from a
-    state of the current level or a two-edge walk of distinct free colors
-    from an admitted state, keeps the verdict and witness of the queue
-    search in ``helpers.queue_check_all_pairs``."""
+    """Ending a source early, once every target left has a walk into it of
+    one edge, or of two edges of distinct colors, from an admitted state
+    whose mask is free of those colors, keeps the verdict and witness of the
+    queue search in ``helpers.queue_check_all_pairs``."""
 
     @pytest.mark.parametrize(
         "name, verdicts",
@@ -688,15 +667,16 @@ class TestLookAheadMatchesQueue:
 
     def test_look_ahead_ends_early_and_fails(self, monkeypatch):
         """Some source ends on a look-ahead whose last target passed by one
-        edge, some on one whose last target passed by two (as the references
-        in ``tests/helpers.py`` split them), and some look-ahead fails."""
-        checks: list[tuple[str | None, bool]] = []
-        ended_on: list[str | None] = []
+        edge, some on one whose last target passed by two edges only (the
+        shortest walk ``helpers.free_walks`` finds), and some look-ahead
+        fails."""
+        checks: list[tuple[set[int], bool]] = []
+        ended_on: list[int | None] = []
         failed: list[bool] = []
         within_two, first_unreached = oracle._reaches_within_two, oracle._first_unreached
 
         def counted(adj, t, first, more):
-            checks.append((_passed_by(adj, t, first, more), within_two(adj, t, first, more)))
+            checks.append((free_walks(adj, t, first, more), within_two(adj, t, first, more)))
             return checks[-1][1]
 
         def counted_search(adj, s):
@@ -705,7 +685,7 @@ class TestLookAheadMatchesQueue:
             # a look-ahead in which every target passed ends the search; a
             # failed one ends on a target that it rejects
             ended = t is None and checks and checks[-1][1]
-            ended_on.append(checks[-1][0] if ended else None)
+            ended_on.append(min(checks[-1][0], default=None) if ended else None)
             failed.append(any(not passed for _, passed in checks))
             return t
 
@@ -714,112 +694,63 @@ class TestLookAheadMatchesQueue:
         for inputs in look_ahead_inputs().values():
             for g, bits in inputs:
                 _check_all_pairs(g, bits)
-        assert {"one edge", "two edges"} <= set(ended_on) and any(failed)
+        assert {1, 2} <= set(ended_on) and any(failed)
 
 
-_real_within_two, _real_check, _ascending = (
-    oracle._reaches_within_two, oracle._check_adjacency, oracle._first_unreached
-)
+class _ScanRecorder:
+    """Wraps ``oracle._first_unreached`` and ``_reaches_within_two`` and
+    asserts, at each look-ahead check, the scan the module docstring
+    states. A look-ahead starts at the smallest target left, a ``t > s``
+    with ``first[t] == -1``. Each later check in it is the next target left,
+    on the same admitted states. It stops at the first target it rejects,
+    so the next check comes after a level admitted new states, and starts a
+    new look-ahead. A source whose last check passed checked its last target
+    left and returned ``None``. ``resumed`` counts the look-ahead that
+    followed a failed one in the same source."""
 
+    def __init__(self, monkeypatch):
+        self.within_two, self.first_unreached = oracle._reaches_within_two, oracle._first_unreached
+        self.resumed = 0
+        monkeypatch.setattr(oracle, "_reaches_within_two", self.check)
+        monkeypatch.setattr(oracle, "_first_unreached", self.search)
 
-def _checks_in_both_orders(adj):
-    """Check ``adj`` with ``oracle._first_unreached`` and again with
-    ``helpers.circular_first_unreached``; assert the same verdict and the
-    same checks, one list per source of ``(target, passed)`` per check: each
-    ``_reaches_within_two`` call of the package, and each target the
-    reference checks, by ``reaches_at_level`` and, if that rejects it, by
-    ``reaches_in_two``. Returns the verdict and the reference's lists, of
-    ``(target, passed, by_two)``, where ``by_two`` marks a target that
-    ``reaches_at_level`` rejected."""
-    target = {id(row): t for t, row in enumerate(adj)}
-    package, reference = [], []
+    def search(self, adj, s):
+        self.source, self.last = s, None
+        found = self.first_unreached(adj, s)
+        if self.last:
+            t, passed, _, left = self.last
+            assert not passed or (found is None and t == left[-1])
+        return found
 
-    def within_two(adj, t, first, more):
-        package[-1].append((t, _real_within_two(adj, t, first, more)))
-        return package[-1][-1][1]
-
-    def at_level(row, first, more, level):
-        passed = reaches_at_level(row, first, more, level)
-        reference[-1].append((target[id(row)], passed, False))
+    def check(self, adj, t, first, more):
+        left = [x for x in range(self.source + 1, len(adj)) if first[x] < 0]
+        states = sum(len(admitted_masks(first, more, v)) for v in range(len(adj)))
+        if self.last and self.last[1]:  # the same look-ahead goes on
+            before, _, states_before, _ = self.last
+            assert states == states_before and t == left[left.index(before) + 1]
+        else:  # a new look-ahead, after a level that admitted new states
+            assert self.last is None or states > self.last[2]
+            assert t == left[0]
+            self.resumed += self.last is not None
+        passed = self.within_two(adj, t, first, more)
+        self.last = (t, passed, states, left)
         return passed
 
-    def in_two(adj, t, first, more):
-        passed = reaches_in_two(adj, t, first, more)
-        reference[-1][-1] = (t, passed, True)
-        return passed
 
-    def run(first_unreached, sources):
-        def search(adj, s):
-            sources.append([])
-            return first_unreached(adj, s)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_first_unreached", search)
-            return _real_check(adj)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_reaches_within_two", within_two)
-        patch.setattr(helpers, "reaches_at_level", at_level)
-        patch.setattr(helpers, "reaches_in_two", in_two)
-        verdict = run(_ascending, package)
-        assert run(circular_first_unreached, reference) == verdict
-    assert [[(t, passed) for t, passed, _ in checks] for checks in reference] == package
-    return verdict, reference
-
-
-def _resumes(checks):
-    """Whether a look-ahead failed and a later one ran in the same source."""
-    return any(not passed for _, passed, _ in checks[:-1])
-
-
-def _resumes_past_two_edge_pass(checks):
-    """Whether a look-ahead in which some target passed only the two-edge
-    check failed, and a later one ran in the same source. That target is
-    not admitted at the next level, so the next look-ahead starts at it,
-    not at the target the failed one stopped at."""
-    passed_in_two = False
-    for _, passed, by_two in checks[:-1]:
-        if by_two:
-            if not passed and passed_in_two:
-                return True
-            # a failure ends the look-ahead, so the next one starts afresh
-            passed_in_two = passed
-    return False
-
-
-class TestLookAheadOrder:
-    """Scanning the targets left in ascending order makes the same checks,
-    with the same outcomes and in the same order, as resuming at the first
-    target that the one-edge check rejected in the last look-ahead and
-    going round (``circular_first_unreached``): every target below that one
-    passed by one edge and was admitted at the next level, so it is the
-    smallest target left."""
-
-    def test_look_ahead_inputs(self):
-        verdicts, seen = set(), []
-        for inputs in look_ahead_inputs().values():
-            for g, bits in inputs:
-                (ok, _), checks = _checks_in_both_orders(_adjacency(g, bits))
-                verdicts.add(ok)
-                seen += checks
-        assert verdicts == {True, False}
-        assert any(_resumes(checks) for checks in seen)
-        assert any(_resumes_past_two_edge_pass(checks) for checks in seen)
-
-    def test_exact_rc_prefix_checks(self, monkeypatch):
-        seen = []
-
-        def check(adj):
-            verdict, checks = _checks_in_both_orders(adj)
-            seen.extend(checks)
-            return verdict
-
+class TestLookAheadScan:
+    def test_scans_the_targets_left_in_order(self, monkeypatch):
+        """On ``look_ahead_inputs()``, the ring coloring and the prefix checks
+        ``helpers.relabel_exact_rc`` makes on four ensemble line graphs, every
+        look-ahead scans as ``_ScanRecorder`` asserts, and some look-ahead
+        follows a failed one in the same source."""
         lgs = [lg for lg in ensemble_line_graphs()[:8] if lg.m <= 12]
         assert len(lgs) == 4
-        monkeypatch.setattr(oracle, "_check_adjacency", check)
+        scans = _ScanRecorder(monkeypatch)
+        for g, bits in _ring_and_look_ahead_inputs():
+            _check_all_pairs(g, bits)
         for lg in lgs:
             relabel_exact_rc(lg)
-        assert any(_resumes(checks) for checks in seen)
+        assert scans.resumed
 
 
 def _ring_coloring() -> EdgeColoring:
@@ -828,21 +759,26 @@ def _ring_coloring() -> EdgeColoring:
     return color(triangle_ring(12), "32").coloring
 
 
+def _ring_and_look_ahead_inputs() -> list[tuple[Graph, list[int]]]:
+    """The ring coloring's (graph, bits), then every set of
+    ``look_ahead_inputs()``."""
+    ring = _ring_coloring()
+    return [(ring.graph, color_bits(ring.colors))] + [x for xs in look_ahead_inputs().values() for x in xs]
+
+
 class TestLookAheadTrigger:
     """The trigger only decides when a look-ahead runs: a look-ahead marks
     nothing, and when it fails the level is expanded as before."""
 
     def test_trigger_cannot_change_a_verdict(self, monkeypatch):
-        ring = _ring_coloring()
-        inputs = [(ring.graph, color_bits(ring.colors))]
-        inputs += [x for xs in look_ahead_inputs().values() for x in xs]
-        every_level = partial(circular_first_unreached, trigger=lambda states, left: True)
-        never = partial(circular_first_unreached, trigger=lambda states, left: False)
-        for g, bits in inputs:
-            expected = queue_check_all_pairs(g, bits)
-            for first_unreached in (every_level, never):
-                monkeypatch.setattr(oracle, "_first_unreached", first_unreached)
-                assert _check_all_pairs(g, bits) == expected
+        """With ``_LOOK_AHEAD_FACTOR`` at -1 a look-ahead runs before every
+        level, and at infinity none runs; both times every verdict and
+        witness is the queue search's."""
+        inputs = _ring_and_look_ahead_inputs()
+        expected = [queue_check_all_pairs(g, bits) for g, bits in inputs]
+        for factor in (-1, math.inf):
+            monkeypatch.setattr(oracle, "_LOOK_AHEAD_FACTOR", factor)
+            assert [_check_all_pairs(g, bits) for g, bits in inputs] == expected, factor
 
     def test_look_ahead_fires_on_a_long_sparse_line_graph(self, monkeypatch):
         calls = []

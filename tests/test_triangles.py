@@ -27,7 +27,7 @@ from helpers import (
     replay_trace,
     split_vertex,
 )
-from rainbowline.coloring import color_packing
+from rainbowline.coloring import color_forest_packing, color_packing
 from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
@@ -359,6 +359,19 @@ class TestSplitVertex:
         out, _ = split_vertex(BOWTIE, 0, [t1], [t2])
         with pytest.raises(InputError, match="is not a triangle of the graph"):
             split_vertex(out, 0, [t1], [t2])
+
+    def test_rejects_packing_of_another_graph(self):
+        """A packing of ``g1`` whose triangle ids are current in ``g2`` too
+        still carries ``g1``'s ``n2``, 4 where ``g2`` has 3. Left through,
+        ``color_packing`` certified 3 colors where ``g2``'s own packing
+        certifies 2."""
+        g1 = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+        g2 = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)])
+        packing = pack_edge_disjoint(g1, "greedy")
+        assert classify_structure(g2, packing.triangles).triangles == packing.triangles
+        for build in (build_transformed, color_packing, color_forest_packing):
+            with pytest.raises(InputError, match="packing has n2 = 4, but the graph has n2 = 3"):
+                build(g2, packing)
 
 
 class TestSweepMatchesReclassify:
