@@ -305,9 +305,13 @@ def _select(tris: Sequence[Triangle], mode: str) -> list[Triangle]:
 def pack_edge_disjoint(g: Graph, mode: str = "greedy") -> TrianglePacking:
     """Pick pairwise edge-disjoint triangles and classify the structure.
 
-    Greedy modes scan triangles in canonical order; exact modes search all
-    subsets and raise ``LimitError`` above ``DEFAULT_EXACT_CAP`` triangles.
-    Forest modes additionally keep the structure a triangle-forest.
+    Every mode reads the triangles in canonical order. A greedy mode takes
+    each triangle that fits beside the ones it took before. An exact mode
+    returns the first largest packing in canonical order: its search takes
+    a triangle before it skips it and keeps only a strictly larger pick. It
+    raises ``LimitError`` above ``DEFAULT_EXACT_CAP`` triangles. The forest
+    modes admit a triangle only when its corners lie in three components of
+    the triangles before it, so the structure stays a triangle-forest.
     """
     return classify_structure(g, _select(enumerate_triangles(g), mode))
 

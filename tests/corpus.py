@@ -16,7 +16,7 @@ edge partitions and recolorings, and packing as ``color`` does.
 import random
 from functools import cache
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 import networkx as nx
 from hypothesis import strategies as st
@@ -34,7 +34,6 @@ from rainbowline.families import (
     bridged_triangle_chain,
     complete_graph,
     connected_gnp,
-    cycle_graph,
     friendship_graph,
     gen_family,
     path_graph,
@@ -121,6 +120,24 @@ def graph_layer_graphs() -> tuple[Graph, ...]:
     return (build_graph(0, []), build_graph(1, []), build_graph(3, [(0, 1)]), *connected, *unions)
 
 
+def _wide_builders() -> dict[str, Callable[[], Graph]]:
+    """A builder per wide graph, by name; nothing is built until one is
+    called."""
+    out: dict[str, Callable[[], Graph]] = {
+        f"L_gnp_{n}_{p}": lambda n=n, p=p: line_graph(connected_gnp(n, p, seed=n)).l_graph
+        for n, p in ((38, 0.15), (40, 0.15), (40, 0.3))
+    }
+    out["path_200"] = lambda: path_graph(200)
+    out["union"] = lambda: disjoint_union(out["L_gnp_38_0.15"](), path_graph(200))
+    return out
+
+
+def wide_graph_names() -> list[str]:
+    """The names of ``wide_graphs()``, sorted, read without building a
+    graph, so that a test can parametrize over them at collection."""
+    return sorted(_wide_builders())
+
+
 @cache
 def wide_graphs() -> dict[str, Graph]:
     """Graphs past one machine word of vertices, or with a long diameter,
@@ -129,13 +146,7 @@ def wide_graphs() -> dict[str, Graph]:
     seed=n) with (n, p) = (38, 0.15), (40, 0.15) and (40, 0.3), with 100, 135
     and 240 vertices; ``path_graph(200)``; and the disjoint union of the
     first line graph and the path."""
-    out = {
-        f"L_gnp_{n}_{p}": line_graph(connected_gnp(n, p, seed=n)).l_graph
-        for n, p in ((38, 0.15), (40, 0.15), (40, 0.3))
-    }
-    out["path_200"] = path_graph(200)
-    out["union"] = disjoint_union(out["L_gnp_38_0.15"], out["path_200"])
-    return out
+    return {name: build() for name, build in _wide_builders().items()}
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -209,28 +220,48 @@ def exact_search_sets() -> dict[str, tuple[tuple[Graph, ...], int]]:
         "small": (small, 131),
         "small_line": (tuple(line_graph(g).l_graph for g in small if g.m >= 2), 112),
         "ensemble": (ensemble_line_graphs(), 14),
-        "cycles": (tuple(cycle_graph(n) for n in range(3, 13)), 10),
     }
+
+
+def _exact_pair(g: Graph) -> tuple[Graph, TrianglePacking]:
+    """``g`` with its exact packing."""
+    return g, pack_edge_disjoint(g, "exact")
+
+
+def _sweep_builders() -> dict[str, Callable[[], tuple[Graph, TrianglePacking]]]:
+    """A builder per flattening-sweep instance, by name; nothing is built
+    or packed until one is called."""
+    out: dict[str, Callable[[], tuple[Graph, TrianglePacking]]] = {
+        f"gnp-{seed}-{mode}": lambda seed=seed, mode=mode: (
+            sample_gnp(seed),
+            pack_as_color(sample_gnp(seed), mode),
+        )
+        for seed in range(16)
+        for mode in PACK_MODES
+    }
+    for n in (8, 10, 20):
+        out[f"cubic-{n}"] = lambda n=n: cubic_star_packing(n, n)
+    for name, family, size in (
+        ("example31", bridged_triangle_chain, 6),
+        ("example32", shared_vertex_triangle_chain, 6),
+        ("triangle_ring-3", triangle_ring, 3),
+        ("triangle_ring-8", triangle_ring, 8),
+    ):
+        out[name] = lambda family=family, size=size: _exact_pair(family(size))
+    return out
+
+
+def sweep_names() -> list[str]:
+    """The names of ``sweep_instances()``, sorted, read without building or
+    packing a graph, so that a test can parametrize over them at collection
+    and a fault in the package fails that test, not the collection."""
+    return sorted(_sweep_builders())
 
 
 @cache
 def sweep_instances() -> dict[str, tuple[Graph, TrianglePacking]]:
     """Named (graph, packing) pairs the flattening sweep is compared on."""
-    out = {}
-    for seed in range(16):
-        g = sample_gnp(seed)
-        for mode in PACK_MODES:
-            out[f"gnp-{seed}-{mode}"] = g, pack_as_color(g, mode)
-    for n in (8, 10, 20):
-        out[f"cubic-{n}"] = cubic_star_packing(n, n)
-    for name, g in (
-        ("example31", bridged_triangle_chain(6)),
-        ("example32", shared_vertex_triangle_chain(6)),
-        ("triangle_ring-3", triangle_ring(3)),
-        ("triangle_ring-8", triangle_ring(8)),
-    ):
-        out[name] = g, pack_edge_disjoint(g, "exact")
-    return out
+    return {name: build() for name, build in _sweep_builders().items()}
 
 
 def construct_instances() -> Iterable[tuple[Graph, TrianglePacking]]:

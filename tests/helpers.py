@@ -41,14 +41,16 @@ The other layers:
   the scan the docstring states, smallest target left first, each check the
   next target left, stopping at the first rejected one, asserted at every
   check -> ``TestLookAheadScan``.
-- exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, every canonical
-  coloring in full -> ``TestPrunedSearchMatchesEnumeration``;
-  ``relabel_exact_rc``, its own recursion in edge-id order with a private
-  color per uncolored edge, values -> ``TestCountedMatchesRelabel``.
-- packing (``triangles.pack_edge_disjoint``): ``comp_map_pack``, the chosen
-  triangles in every mode -> ``test_triangles.py`` ``TestPacking``
-  ``test_matches_comp_map_search``; ``brute_force_max_packing``, the exact
-  modes' optimum -> ``test_exact_matches_brute_force``.
+- exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, which checks
+  every canonical coloring in full, values within the edge cap and the
+  ``LimitError`` bracket past it -> ``TestPrunedSearchMatchesEnumeration``.
+- packing (``triangles.pack_edge_disjoint``): ``is_packing``, the rule a
+  pick must meet, edge-disjoint triangles whose sides ``ab, ac`` also form a
+  forest in the forest modes. The greedy modes take each triangle that fits
+  beside the ones taken before it -> ``test_triangles.py`` ``TestPacking``
+  ``test_greedy_takes_each_triangle_that_fits``; the exact modes return
+  ``brute_force_packing``, the first largest packing in canonical order, by
+  trying every subset -> ``test_exact_matches_brute_force``.
 - structure (``TrianglePacking.components`` and
   ``TrianglePacking.all_forest``, which is ``op == 0``): ``blocks_is_forest``,
   on networkx's blocks, against each component's ``2*t_i + 1`` vertex count
@@ -77,10 +79,9 @@ The other layers:
 Everything here avoids the package's search machinery so the two sides of
 each check stay independent; the graph searches the tests need (blocks,
 bridges, connectivity, isomorphism, distances) are networkx's, run on
-``nx_graph(g)``. ``relabel_exact_rc`` runs a search of its own and takes
-from the oracle only the verifier (``_adjacency`` and ``_check_adjacency``,
-whose look-ahead checks ``TestLookAheadScan`` records) and the edge-cap
-check.
+``nx_graph(g)``. The references of the two searches, exact rc and the
+packing, only enumerate: every canonical coloring, every subset of the
+triangles.
 Also the tools only tests use: edge-induced subgraphs, vertex-set
 shrinking, star-clique edge ids, the two-color coloring of a lone triangle
 with pendants, the networkx copy of a graph, trace replay, the tightness check of the ``m - m1`` bound, a recorder
@@ -90,7 +91,6 @@ partition-combination and detach-projection checks that
 instances.
 """
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -276,52 +276,6 @@ def enumerate_exact_rc(g: Graph) -> int:
     raise InvariantViolation("an all-distinct coloring must be rainbow")
 
 
-def relabel_exact_rc(g: Graph, max_edges: int = DEFAULT_EDGE_CAP) -> int:
-    """Reference for ``oracle.exact_rc``: a pruned search in edge-id order
-    whose prefix check gives every uncolored edge ``i`` a private color
-    ``1 << (m + i)`` that clashes with nothing, and allows walks of any
-    length. It checks each prefix through ``oracle._check_adjacency``, so a
-    test that wraps ``oracle._first_unreached`` sees every look-ahead those
-    checks make.
-
-    Its own recursion: palette sizes upward from the diameter, the edges
-    colored depth first in the order of ``canonical_colorings``, every
-    prefix that fails the check cut, no check on the empty prefix or on a
-    child that takes a fresh color, and a fresh color for every edge once
-    as many colors are left to use as edges. Raises ``LimitError`` carrying
-    the proven bracket when the instance exceeds ``max_edges``.
-    """
-    oracle.check_edge_cap(max_edges)
-    diam = diameter(g)
-    if g.n < 2 or math.isinf(diam):
-        raise InputError("exact search needs a connected graph on >= 2 vertices")
-    lo = max(int(diam), 1)
-    hi = min(g.m, g.n - 1)
-    m = g.m
-    if m > max_edges:
-        raise LimitError(
-            f"{m} edges exceed the exact-search cap {max_edges}", lower=lo, upper=hi
-        )
-    bits = [1 << (m + i) for i in range(m)]
-
-    def extends(j: int, top: int, k: int) -> bool:
-        if j == m:
-            return True
-        for c in range(top + 1 if k - top == m - j else 1, min(top + 1, k) + 1):
-            bits[j] = 1 << (c - 1)
-            if c <= top and not oracle._check_adjacency(oracle._adjacency(g, bits))[0]:
-                continue
-            if extends(j + 1, max(top, c), k):
-                return True
-        bits[j] = 1 << (m + j)
-        return False
-
-    for k in range(lo, m + 1):
-        if extends(0, 0, k):
-            return k
-    raise InvariantViolation("an all-distinct coloring must be rainbow")
-
-
 def admitted_masks(first: list[int], more: list[list[int] | None], v: int) -> list[int]:
     """The masks admitted at ``v``, read off the verifier's ``first`` and
     ``more``."""
@@ -349,100 +303,28 @@ def free_walks(
     return {length for length, found in ((1, one), (2, two)) if found}
 
 
-def brute_force_max_packing(g: Graph, triangles) -> int:
-    """Largest edge-disjoint subset by trying every subset."""
-    masks = [
-        (1 << t.edge_ids[0]) | (1 << t.edge_ids[1]) | (1 << t.edge_ids[2])
-        for t in triangles
-    ]
-    best = 0
-    for size in range(len(triangles), 0, -1):
-        if size <= best:
-            break
-        for subset in combinations(range(len(triangles)), size):
-            used = 0
-            ok = True
-            for i in subset:
-                if used & masks[i]:
-                    ok = False
-                    break
-                used |= masks[i]
-            if ok:
-                best = size
-                break
-    return best
+def is_packing(tris: Sequence[Triangle], forest: bool = False) -> bool:
+    """Are ``tris`` pairwise edge-disjoint? With ``forest``, do the sides
+    ``ab, ac`` of every triangle also form a forest, that is does each
+    triangle join three components of the ones before it?"""
+    sides = [eid for tri in tris for eid in tri.edge_ids]
+    if len(set(sides)) < len(sides):
+        return False
+    if not forest or not tris:
+        return True
+    return nx.is_forest(nx.Graph((t.vertices[0], x) for t in tris for x in t.vertices[1:]))
 
 
-def _triangle_mask(tri: Triangle) -> int:
-    return (1 << tri.edge_ids[0]) | (1 << tri.edge_ids[1]) | (1 << tri.edge_ids[2])
-
-
-def _comp_roots(tri: Triangle, comp: dict[int, int]) -> list[int]:
-    roots = []
-    for v in tri.vertices:
-        r = v
-        while r in comp:
-            r = comp[r]
-        roots.append(r)
-    return roots
-
-
-def _comp_forest_ok(tri: Triangle, comp: dict[int, int]) -> bool:
-    return len(set(_comp_roots(tri, comp))) == 3
-
-
-def _comp_forest_add(tri: Triangle, comp: dict[int, int]) -> None:
-    roots = _comp_roots(tri, comp)
-    root = min(roots)
-    for r in roots:
-        if r != root:
-            comp[r] = root
-
-
-def comp_map_pack(g: Graph, mode: str) -> tuple[Triangle, ...]:
-    """Reference for ``pack_edge_disjoint``'s choice: the same greedy scan and
-    exact search, with the forest test on a plain child-to-parent map that is
-    copied per branch. Returns the chosen triangles, sorted."""
+def brute_force_packing(g: Graph, forest: bool = False) -> tuple[Triangle, ...]:
+    """The first largest packing in canonical order: subsets of
+    ``enumerate_triangles(g)`` from size ``g.m // 3`` down, each size in
+    ``combinations`` order, the first that ``is_packing`` accepts."""
     tris = enumerate_triangles(g)
-    forest = mode.startswith("forest")
-
-    def greedy() -> list[Triangle]:
-        chosen, used, comp = [], 0, {}
-        for tri in tris:
-            mask = _triangle_mask(tri)
-            if used & mask or (forest and not _comp_forest_ok(tri, comp)):
-                continue
-            chosen.append(tri)
-            used |= mask
-            if forest:
-                _comp_forest_add(tri, comp)
-        return chosen
-
-    if mode.endswith("greedy"):
-        return tuple(sorted(greedy()))
-    masks = [_triangle_mask(t) for t in tris]
-    best = [tris.index(t) for t in greedy()]
-    chosen: list[int] = []
-
-    def dfs(i: int, used: int, comp: dict[int, int]) -> None:
-        nonlocal best
-        if len(chosen) + (len(tris) - i) <= len(best):
-            return
-        if i == len(tris):
-            best = chosen.copy()
-            return
-        if not (masks[i] & used) and (not forest or _comp_forest_ok(tris[i], comp)):
-            comp2 = comp
-            if forest:
-                comp2 = dict(comp)
-                _comp_forest_add(tris[i], comp2)
-            chosen.append(i)
-            dfs(i + 1, used | masks[i], comp2)
-            chosen.pop()
-        dfs(i + 1, used, comp)
-
-    dfs(0, 0, {})
-    return tuple(sorted(tris[i] for i in best))
+    for size in range(g.m // 3, -1, -1):
+        for subset in combinations(tris, size):
+            if is_packing(subset, forest):
+                return subset
+    raise InvariantViolation("the empty set is a packing")
 
 
 def _structure(g: Graph, tris: Iterable[Triangle]) -> nx.Graph:

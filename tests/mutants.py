@@ -44,13 +44,14 @@ CONSTRUCT = "tests/test_coloring.py::TestConstructMatchesReference::test_star_ru
 GOLDEN = "tests/test_goldens.py::test_report_is_byte_identical"
 STALE = "tests/test_triangles.py::TestClassify::test_one_stale_side_is_rejected"
 FIRES = "tests/test_oracle.py::TestLookAheadTrigger::test_look_ahead_fires_on_a_long_sparse_line_graph"
-COMP_MAP = "tests/test_triangles.py::TestPacking::test_matches_comp_map_search"
+GREEDY_RULE = "tests/test_triangles.py::TestPacking::test_greedy_takes_each_triangle_that_fits"
 BRUTE_FORCE = "tests/test_triangles.py::TestPacking::test_exact_matches_brute_force"
 CLASSIFY = "tests/test_triangles.py::TestClassify::"
 CHORDS = "tests/test_triangles.py::TestBuildTransformed::test_chords_detached_component_by_component"
 RING3_SPLIT = "tests/test_triangles.py::TestBuildTransformed::test_ring3_single_split"
 ENTRY = "tests/test_coloring.py::TestColorEntryPoint::"
 FALLS_BACK = ENTRY + "test_falls_back_to_greedy_past_the_exact_cap"
+ENUMERATION = "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_exact_search_sets"
 BOUND = "if len(chosen) + (n_t - i) <= len(best):"
 FOREST_TEST = "return len({self.find(v) for v in tri.vertices}) == 3"
 TRIGGER = "if len(frontier) > _LOOK_AHEAD_FACTOR * left:"
@@ -72,7 +73,7 @@ MUTANTS = (
         "if c > top and not all(",
         (
             "tests/test_oracle.py::TestExactRc::test_cycle5",
-            "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+            ENUMERATION + "[small]",
         ),
     ),
     Mutant(
@@ -89,7 +90,7 @@ MUTANTS = (
         "            insort(",
         (
             "tests/test_oracle.py::TestSharpPastTheCap::test_long_cycles",
-            "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+            ENUMERATION + "[small]",
             "tests/test_oracle.py::TestEdgeOrders::test_failed_palette_size_leaves_edges_uncolored",
         ),
     ),
@@ -107,7 +108,7 @@ MUTANTS = (
         "",
         (
             "tests/test_oracle.py::TestSharpPastTheCap::test_long_cycles",
-            "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+            ENUMERATION + "[small]",
         ),
     ),
     Mutant(
@@ -124,7 +125,7 @@ MUTANTS = (
         "if len(stack) == m - 1:",
         (
             "tests/test_oracle.py::TestExactRc::test_cycle5",
-            "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_all_small_connected_graphs",
+            ENUMERATION + "[small]",
         ),
     ),
     Mutant(
@@ -345,56 +346,64 @@ MUTANTS = (
         TRIANGLES,
         "    for tri in tris:\n        mask = _edge_mask(tri)\n        if used & mask:\n            continue",
         "    for tri in reversed(tris):\n        mask = _edge_mask(tri)\n        if used & mask:\n            continue",
-        (COMP_MAP + "[greedy]", COMP_MAP + "[forest_greedy]", GOLDEN + "[color_gnp_40_seed1.json]"),
+        (GREEDY_RULE + "[greedy]", GREEDY_RULE + "[forest_greedy]", GOLDEN + "[color_gnp_40_seed1.json]"),
     ),
     Mutant(
         "forest packing: a triangle with two corners in one component kept",
         TRIANGLES,
         FOREST_TEST,
         "return len({self.find(v) for v in tri.vertices}) >= 2",
-        (COMP_MAP + "[forest_greedy]", COMP_MAP + "[forest_exact]", ENTRY + "test_run_matches_back_end[31-g1-forest_exact]"),
+        (
+            GREEDY_RULE + "[forest_greedy]",
+            BRUTE_FORCE + "[forest_exact]",
+            ENTRY + "test_run_matches_back_end[31-make1-forest_exact]",
+        ),
     ),
     Mutant(
         "forest packing: the forest test dropped",
         TRIANGLES,
         FOREST_TEST,
         "return True",
-        (COMP_MAP + "[forest_greedy]", COMP_MAP + "[forest_exact]", FALLS_BACK + "[31-forest_greedy-4-5]"),
+        (GREEDY_RULE + "[forest_greedy]", BRUTE_FORCE + "[forest_exact]", FALLS_BACK + "[31-forest_greedy-4-5]"),
     ),
     Mutant(
         "forest greedy packing: the union-find never takes a chosen triangle in",
         TRIANGLES,
         "        if forest:\n            dsu.add_triangle(tri)\n",
         "",
-        (COMP_MAP + "[forest_greedy]", FALLS_BACK + "[31-forest_greedy-4-5]", GOLDEN + "[color_gnp_30_seed2_t31.json]"),
+        (
+            GREEDY_RULE + "[forest_greedy]",
+            FALLS_BACK + "[31-forest_greedy-4-5]",
+            GOLDEN + "[color_gnp_30_seed2_t31.json]",
+        ),
     ),
     Mutant(
         "forest exact packing: one union-find shared by the take and skip branches",
         TRIANGLES,
         "taken = dsu.copy()",
         "taken = dsu",
-        (COMP_MAP + "[forest_exact]", GOLDEN + "[bench_gnp_7_seed1.csv]"),
+        (BRUTE_FORCE + "[forest_exact]", GOLDEN + "[bench_gnp_7_seed1.csv]"),
     ),
     Mutant(
         "exact packing: ties explored, so the last of equal picks wins",
         TRIANGLES,
         BOUND,
         "if len(chosen) + (n_t - i) < len(best):",
-        (COMP_MAP + "[exact]", COMP_MAP + "[forest_exact]", GOLDEN + "[color_gnp_14_seed11.json]"),
+        (BRUTE_FORCE + "[exact]", BRUTE_FORCE + "[forest_exact]", GOLDEN + "[color_gnp_14_seed11.json]"),
     ),
     Mutant(
         "exact packing: the bound counts one triangle fewer left",
         TRIANGLES,
         BOUND,
         "if len(chosen) + (n_t - i - 1) <= len(best):",
-        (COMP_MAP + "[exact]", COMP_MAP + "[forest_exact]", BRUTE_FORCE),
+        (BRUTE_FORCE + "[exact]", BRUTE_FORCE + "[forest_exact]"),
     ),
     Mutant(
         "exact packing: no branch skips a triangle it can take",
         TRIANGLES,
         "            chosen.pop()\n        dfs(i + 1, used, dsu)\n",
         "            chosen.pop()\n        else:\n            dfs(i + 1, used, dsu)\n",
-        (COMP_MAP + "[exact]", BRUTE_FORCE, RING3_SPLIT),
+        (BRUTE_FORCE + "[exact]", BRUTE_FORCE + "[forest_exact]", RING3_SPLIT),
     ),
     # The next two lose optimality: the exact modes' pick is smaller, not
     # only another choice.
@@ -403,14 +412,14 @@ MUTANTS = (
         TRIANGLES,
         BOUND,
         "if len(chosen) + (n_t - i) <= len(best) + 1:",
-        (COMP_MAP + "[exact]", BRUTE_FORCE),
+        (BRUTE_FORCE + "[exact]", BRUTE_FORCE + "[forest_exact]"),
     ),
     Mutant(
         "exact packing: no leaf is ever recorded, not even the first (greedy) one",
         TRIANGLES,
         "            best = chosen.copy()\n",
         "            best = best\n",
-        (COMP_MAP + "[exact]", BRUTE_FORCE, RING3_SPLIT),
+        (BRUTE_FORCE + "[exact]", BRUTE_FORCE + "[forest_exact]", RING3_SPLIT),
     ),
     Mutant(
         "TrianglePacking: components in descending root order",
@@ -458,8 +467,8 @@ MUTANTS = (
         "next(mode for mode in DEFAULT_PACK[theorem] if",
         "next(mode for mode in reversed(DEFAULT_PACK[theorem]) if",
         (
-            ENTRY + "test_run_matches_back_end[31-g0-forest_exact]",
-            ENTRY + "test_run_matches_back_end[32-g2-exact]",
+            ENTRY + "test_run_matches_back_end[31-make0-forest_exact]",
+            ENTRY + "test_run_matches_back_end[32-make2-exact]",
             GOLDEN + "[color_friendship_5_t31.json]",
         ),
     ),

@@ -12,7 +12,6 @@ from corpus import (
     certified_colorings,
     color_bits,
     connected_graphs_up_to,
-    ensemble_line_graphs,
     exact_search_sets,
     look_ahead_inputs,
     recolorings,
@@ -25,7 +24,6 @@ from helpers import (
     naive_failing_pair,
     naive_rainbow_connected,
     queue_check_all_pairs,
-    relabel_exact_rc,
 )
 from rainbowline import oracle
 from rainbowline.coloring import EdgeColoring, color, color_forest_packing, color_packing
@@ -177,8 +175,9 @@ class TestExactRc:
 
 class TestSharpPastTheCap:
     """With ``max_edges`` raised to the edge count, the exact search reaches
-    the paper's sharpness examples and long cycles beyond the default cap,
-    and rc equals the bound the construction certifies."""
+    the paper's sharpness examples beyond the default cap, and rc equals
+    the bound the construction certifies; on every cycle from C4 to C16 it
+    equals the known value."""
 
     @pytest.mark.parametrize("t, rc", [(3, 6), (4, 8), (6, 12), (8, 16), (12, 24)])
     def test_example31_line_graphs(self, t, rc):
@@ -196,8 +195,10 @@ class TestSharpPastTheCap:
         assert lg.m > oracle.DEFAULT_EDGE_CAP
         assert exact_rc(lg, max_edges=lg.m) == cert.bound_value == rc  # t + n2' + c
 
-    @pytest.mark.parametrize("n", range(13, 17))
+    @pytest.mark.parametrize("n", range(4, 17))
     def test_long_cycles(self, n):
+        # rc(C_n) = ceil(n / 2) for n >= 4 (Chartrand, Johns, McKeon and
+        # Zhang, Math. Bohem. 133, 2008)
         assert exact_rc(cycle_graph(n), max_edges=n) == (n + 1) // 2
 
 
@@ -213,14 +214,22 @@ def _random_connected(seed):
 
 class TestPrunedSearchMatchesEnumeration:
     """The pruned search returns the value of checking every canonical
-    coloring, ``helpers.enumerate_exact_rc``."""
+    coloring, ``helpers.enumerate_exact_rc``, and past the edge cap raises
+    ``LimitError`` with the bracket it proves, the diameter to ``n - 1``."""
 
-    def test_all_small_connected_graphs(self):
-        graphs = connected_graphs_up_to(6)
-        assert len(graphs) == 52
-        values = [exact_rc(g) for g in graphs]
-        assert values == [enumerate_exact_rc(g) for g in graphs]
-        assert sum(v > rc_lower_bound(g) for v, g in zip(values, graphs)) > 10
+    @pytest.mark.parametrize("name", ["small", "small_line", "ensemble"])
+    def test_exact_search_sets(self, name):
+        graphs, resolving = exact_search_sets()[name]
+        resolved = 0
+        for g in graphs:
+            if g.m <= oracle.DEFAULT_EDGE_CAP:
+                assert exact_rc(g) == enumerate_exact_rc(g)
+                resolved += 1
+            else:
+                with pytest.raises(LimitError) as exc:
+                    exact_rc(g)
+                assert (exc.value.lower, exc.value.upper) == (rc_lower_bound(g), g.n - 1)
+        assert resolved == resolving
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_random_connected_graphs(self, chunk):
@@ -228,19 +237,6 @@ class TestPrunedSearchMatchesEnumeration:
             g = _random_connected(seed)
             assert g.m <= 10 and is_connected(g)
             assert exact_rc(g) == enumerate_exact_rc(g), seed
-
-    def test_ensemble_line_graphs(self):
-        lgs = [lg for lg in ensemble_line_graphs() if lg.m <= 12]
-        assert len(lgs) == 14
-        assert [exact_rc(lg) for lg in lgs] == [enumerate_exact_rc(lg) for lg in lgs]
-
-
-def _value(search, g):
-    """``search(g)``, or its ``LimitError`` bracket."""
-    try:
-        return search(g)
-    except LimitError as exc:
-        return exc.lower, exc.upper
 
 
 def _prefixes(g: Graph, k: int, rng: random.Random):
@@ -254,22 +250,12 @@ def _prefixes(g: Graph, k: int, rng: random.Random):
         yield list(bits)
 
 
-class TestCountedMatchesRelabel:
+class TestCountedCheck:
     """``exact_rc`` lets a walk cross uncolored edges freely and caps its
-    length at ``k`` by the search level; ``helpers.relabel_exact_rc``, a
-    search of its own in edge-id order, gives each uncolored edge a private
-    color and allows any length. A walk that passes the capped check
-    contains a path that passes the private-color one, so the capped check
-    cuts every prefix the other cuts, and both searches return the same
-    value (a ``LimitError`` by its bracket)."""
-
-    @pytest.mark.parametrize("name", ["small", "small_line", "ensemble", "cycles"])
-    def test_same_values(self, name):
-        graphs, resolving = exact_search_sets()[name]
-        assert len(graphs) == {"small": 131, "small_line": 130, "ensemble": 80, "cycles": 10}[name]
-        values = [_value(exact_rc, g) for g in graphs]
-        assert values == [_value(relabel_exact_rc, g) for g in graphs]
-        assert sum(isinstance(v, int) for v in values) == resolving
+    length at ``k`` by the search level. A walk that passes the capped check
+    contains a path that passes the check that gives each uncolored edge a
+    private color and allows any length, so the capped check cuts every
+    prefix the other cuts."""
 
     @pytest.mark.parametrize("name", ["small_line", "ensemble"])
     def test_counted_pass_implies_private_pass(self, name):
@@ -739,17 +725,12 @@ class _ScanRecorder:
 
 class TestLookAheadScan:
     def test_scans_the_targets_left_in_order(self, monkeypatch):
-        """On ``look_ahead_inputs()``, the ring coloring and the prefix checks
-        ``helpers.relabel_exact_rc`` makes on four ensemble line graphs, every
+        """On ``look_ahead_inputs()`` and the ring coloring, every
         look-ahead scans as ``_ScanRecorder`` asserts, and some look-ahead
         follows a failed one in the same source."""
-        lgs = [lg for lg in ensemble_line_graphs()[:8] if lg.m <= 12]
-        assert len(lgs) == 4
         scans = _ScanRecorder(monkeypatch)
         for g, bits in _ring_and_look_ahead_inputs():
             _check_all_pairs(g, bits)
-        for lg in lgs:
-            relabel_exact_rc(lg)
         assert scans.resumed
 
 

@@ -15,12 +15,13 @@ from corpus import (
     sample_gnp,
     small_graphs,
     sweep_instances,
+    sweep_names,
 )
 from helpers import (
     blocks_is_forest,
-    brute_force_max_packing,
-    comp_map_pack,
+    brute_force_packing,
     detach_edge,
+    is_packing,
     nx_graph,
     reclassify_build_transformed,
     replay_graphs,
@@ -73,8 +74,7 @@ class TestEnumerate:
 class TestPacking:
     def test_k4_exact_is_one(self):
         # any two triangles of K4 share an edge; brute force agrees
-        tris = enumerate_triangles(complete_graph(4))
-        assert brute_force_max_packing(complete_graph(4), tris) == 1
+        assert len(brute_force_packing(complete_graph(4))) == 1
         assert pack_edge_disjoint(complete_graph(4), "exact").t == 1
 
     @pytest.mark.parametrize("mode", PACK_MODES)
@@ -93,37 +93,44 @@ class TestPacking:
         with pytest.raises(LimitError):
             pack_edge_disjoint(complete_graph(7), "exact")
 
-    @pytest.mark.parametrize("mode", PACK_MODES)
-    def test_matches_comp_map_search(self, mode):
-        # the union-find forest test chooses exactly the triangles the
-        # child-to-parent map did, in every mode
-        graphs = [g for g in packing_gnp() if len(enumerate_triangles(g)) <= DEFAULT_EXACT_CAP]
-        assert len(graphs) >= 50
-        for g in graphs:
-            assert pack_edge_disjoint(g, mode).triangles == comp_map_pack(g, mode)
-        if mode.endswith("exact"):
-            # the unseeded search keeps its first leaf, the greedy pick, unless
-            # a larger one follows; the reference seeds from greedy, and the
-            # graphs reach both cases
-            greedy = mode.replace("exact", "greedy")
-            picks = [(comp_map_pack(g, mode), comp_map_pack(g, greedy)) for g in graphs]
-            assert all(pick == base or len(pick) > len(base) for pick, base in picks)
-            assert any(pick == base for pick, base in picks) and any(pick != base for pick, base in picks)
-        if mode.startswith("forest"):
-            # the forest test rejects triangles the plain mode would take
-            plain = mode.removeprefix("forest_")
-            assert any(comp_map_pack(g, mode) != comp_map_pack(g, plain) for g in graphs)
+    @pytest.mark.parametrize("mode", ["greedy", "forest_greedy"])
+    def test_greedy_takes_each_triangle_that_fits(self, mode):
+        """In canonical order, a greedy mode takes each triangle exactly
+        when it and the triangles taken before it form a packing
+        (``helpers.is_packing``). The graphs: every connected graph with up
+        to 7 edges, and the 60 packing gnp graphs."""
+        forest, rejected = mode == "forest_greedy", 0
+        for g in [*connected_graphs_up_to(7), *packing_gnp()]:
+            pick, taken = pack_edge_disjoint(g, mode).triangles, []
+            for tri in enumerate_triangles(g):
+                fits = is_packing([*taken, tri], forest)
+                assert (tri in pick) == fits
+                if fits:
+                    taken.append(tri)
+                elif is_packing([*taken, tri]):
+                    rejected += 1  # by the forest rule alone
+            assert tuple(taken) == pick
+        assert bool(rejected) == forest
 
-    def test_exact_matches_brute_force(self):
-        """Every connected graph with up to 7 edges and the gnp graphs with
-        at most 10 triangles: a fixed set, so a search bug that shows on
-        one of them fails every run."""
-        gnp = [g for g in packing_gnp() if len(enumerate_triangles(g)) <= 10]
+    @pytest.mark.parametrize("mode", ["exact", "forest_exact"])
+    def test_exact_matches_brute_force(self, mode):
+        """An exact mode picks ``helpers.brute_force_packing``'s packing,
+        the first largest one in canonical order: the search takes a
+        triangle before it skips it and keeps only a strictly larger pick.
+        The graphs: every connected graph with up to 7 edges, and the packing
+        gnp graphs within the exact search's triangle cap, a fixed set, so a
+        search bug that shows on one of them fails every run."""
+        forest = mode == "forest_exact"
+        gnp = [g for g in packing_gnp() if len(enumerate_triangles(g)) <= DEFAULT_EXACT_CAP]
         graphs = [*connected_graphs_up_to(7), *gnp]
-        assert len(graphs) == 173
+        assert len(graphs) == 189
+        larger = 0
         for g in graphs:
-            tris = enumerate_triangles(g)
-            assert pack_edge_disjoint(g, "exact").t == brute_force_max_packing(g, tris)
+            pick = pack_edge_disjoint(g, mode).triangles
+            assert pick == brute_force_packing(g, forest)
+            larger += len(pick) > pack_edge_disjoint(g, mode.replace("exact", "greedy")).t
+        # the set reaches graphs where the greedy pick is not a largest one
+        assert larger
 
     @given(small_graphs(min_n=3))
     @settings(max_examples=40, deadline=None)
@@ -207,7 +214,7 @@ class TestClassify:
         p = pack_edge_disjoint(g, "exact")
         assert p.t == k - 1 and p.c == 1 and p.n2_prime == 1 and p.all_forest
 
-    @pytest.mark.parametrize("name", sorted(sweep_instances()))
+    @pytest.mark.parametrize("name", sweep_names())
     def test_statistics_follow_the_triangles(self, name):
         """A packing with its last triangle dropped by ``dataclasses.replace``
         reports what ``classify_structure`` gives for the triangles it has."""
@@ -375,7 +382,7 @@ class TestSplitVertex:
 
 
 class TestSweepMatchesReclassify:
-    @pytest.mark.parametrize("name", sorted(sweep_instances()))
+    @pytest.mark.parametrize("name", sweep_names())
     def test_same_result(self, name):
         g, p = sweep_instances()[name]
         sweep = build_transformed(g, p)
@@ -389,7 +396,7 @@ class TestSweepMatchesReclassify:
         assert final.c == p.c
         assert sweep.trace.split_count == p.op
 
-    @pytest.mark.parametrize("name", sorted(sweep_instances()))
+    @pytest.mark.parametrize("name", sweep_names())
     def test_opposite_sides_after_renames(self, name):
         """Every flattened triangle's ``opposite(x)`` is the final graph's edge
         between its other two corners, so the star rules can read their
