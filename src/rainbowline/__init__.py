@@ -4,10 +4,8 @@ triangle structures, with an exact verifier and an exact rc search."""
 from .coloring import ColoringCertificate, EdgeColoring, Run, color
 from .errors import InputError, InvariantViolation, LimitError
 from .graphs import (
-    DegreeProfile,
     Graph,
     build_graph,
-    degree_profile,
     diameter,
     is_connected,
 )

@@ -33,7 +33,7 @@ from .formats import (
     render_edge_list,
     to_dot,
 )
-from .graphs import Graph, degree_profile, diameter
+from .graphs import Graph, diameter
 from .linegraph import iterated_line_graph
 from .oracle import DEFAULT_EDGE_CAP, check_edge_cap, exact_rc, is_rainbow_connected, rc_lower_bound
 
@@ -256,8 +256,7 @@ def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> 
     """One row: G's triangles are enumerated once (``pack_modes``), and only
     the picks a bound is colored from are classified. When both theorems pick
     the same triangles, the row certifies one coloring for both bounds."""
-    prof = degree_profile(g)
-    row: dict = {"index": index, "seed": seed, "n": g.n, "m": g.m, "n2": prof.n2}
+    row: dict = {"index": index, "seed": seed, "n": g.n, "m": g.m, "n2": g.n2}
     picks = triangles.pack_modes(g)
     forest_mode, general_mode = default_mode(picks, "31"), default_mode(picks, "32")
     forest_pack = triangles.classify_structure(g, picks[forest_mode])

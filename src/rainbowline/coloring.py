@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import InputError, InvariantViolation
-from .graphs import Graph, degree_profile, edge_key, is_connected
+from .graphs import Graph, edge_key, is_connected
 from .linegraph import LineGraphResult, line_graph
 from .triangles import (
     TransformTrace,
@@ -268,7 +268,7 @@ def color_forest_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColori
     if not packing.all_forest:
         raise InputError("packing structure must be a triangle-forest; theorem 32 takes any packing")
     col, cert = _construct(g, packing)
-    return col, _restate(cert, "n2 - t", degree_profile(g).n2 - packing.t)
+    return col, _restate(cert, "n2 - t", g.n2 - packing.t)
 
 
 def color_packing(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, ColoringCertificate]:

@@ -24,7 +24,7 @@ class Graph:
     """Immutable simple graph: no loops, no parallel edges.
 
     Derived values are computed on first use and cached on the instance:
-    ``adjacency``, ``incident_edges``, ``degrees``, ``edge_index``,
+    ``adjacency``, ``incident_edges``, ``degrees``, ``n2``, ``edge_index``,
     ``is_connected`` and ``diameter``. ``is_connected`` reads the module's
     one breadth-first search, ``distances``; ``diameter`` grows every
     vertex's ball at once as an int bitset and runs no search.
@@ -58,6 +58,11 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         count = Counter(chain.from_iterable(self.edges))
         return tuple(count[v] for v in range(self.n))
+
+    @cached_property
+    def n2(self) -> int:
+        """The number of inner vertices, those of degree at least 2."""
+        return sum(1 for d in self.degrees if d >= 2)
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -99,21 +104,11 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_index
-
     def edge_id(self, u: int, v: int) -> int:
         return self.edge_index[edge_key(u, v)]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    n1: int
-    n2: int
 
 
 @dataclass(frozen=True)
@@ -241,9 +236,3 @@ def blocks(g: Graph) -> BlockDecomposition:
         if root_children >= 2:
             cuts.add(root)
     return BlockDecomposition(tuple(out), frozenset(cuts))
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    degrees = g.degrees
-    n1 = sum(1 for d in degrees if d == 1)
-    return DegreeProfile(degrees, n1, sum(1 for d in degrees if d >= 2))

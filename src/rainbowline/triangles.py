@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, LimitError
-from .graphs import Graph, degree_profile
+from .graphs import Graph
 
 DEFAULT_EXACT_CAP = 24
 
@@ -341,7 +341,7 @@ def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacki
         if used & mask:
             raise InputError(f"triangle {tri.vertices} shares an edge with another")
         used |= mask
-    return TrianglePacking(tris, degree_profile(g).n2)
+    return TrianglePacking(tris, g.n2)
 
 
 def _moved_triangle(tri: Triangle, v: int, new_vertex: int) -> Triangle:
@@ -382,9 +382,8 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     ids or ``n2`` are not ``g``'s raises ``InputError``: triangle ids can
     be current in another graph too."""
     _check_current(g, packing.triangles)
-    n2 = degree_profile(g).n2
-    if packing.n2 != n2:
-        raise InputError(f"packing has n2 = {packing.n2}, but the graph has n2 = {n2}")
+    if packing.n2 != g.n2:
+        raise InputError(f"packing has n2 = {packing.n2}, but the graph has n2 = {g.n2}")
     comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
     tri_edges = {eid for tri in packing.triangles for eid in tri.edge_ids}
     # component by component, ascending edge id within each

@@ -41,7 +41,7 @@ from rainbowline.families import (
     shared_vertex_triangle_chain,
     triangle_ring,
 )
-from rainbowline.graphs import Graph, build_graph
+from rainbowline.graphs import Graph, build_graph, edge_key
 from rainbowline.linegraph import line_graph
 from rainbowline.triangles import PACK_MODES, TrianglePacking, classify_structure, make_triangle, pack_edge_disjoint
 
@@ -75,7 +75,7 @@ def connected_graphs_up_to(max_edges: int) -> tuple[Graph, ...]:
             candidates = [
                 build_graph(g.n, list(g.edges) + [(u, v)])
                 for u, v in combinations(range(g.n), 2)
-                if not g.has_edge(u, v)
+                if edge_key(u, v) not in g.edge_index
             ]
             candidates += [
                 build_graph(g.n + 1, list(g.edges) + [(u, g.n)]) for u in range(g.n)

@@ -710,7 +710,7 @@ def _is_triangle_at(g: Graph, v: int, eids: tuple[int, ...]) -> bool:
     if len(eids) != 2 or not all(0 <= eid < g.m and v in g.edges[eid] for eid in eids):
         return False
     p, q = (a + b - v for a, b in (g.edges[eid] for eid in eids))
-    return p != q and g.has_edge(p, q)
+    return p != q and edge_key(p, q) in g.edge_index
 
 
 def replay_graphs(trace: TransformTrace) -> tuple[Graph, ...]:

@@ -321,6 +321,13 @@ MUTANTS = (
         (NETWORKX + "test_blocks",),
     ),
     Mutant(
+        "Graph.n2 counts every vertex with an edge",
+        GRAPHS,
+        "for d in self.degrees if d >= 2)",
+        "for d in self.degrees if d >= 1)",
+        (NETWORKX + "test_inner_vertices", GOLDEN + "[bench_gnp_7_seed1.csv]"),
+    ),
+    Mutant(
         "line_graph: consecutive edges of a star left unjoined",
         LINEGRAPH,
         "l_edges.extend(combinations(inc, 2))",
@@ -502,7 +509,7 @@ MUTANTS = (
     Mutant(
         "build_transformed: a packing with another graph's n2 let through",
         TRIANGLES,
-        "if packing.n2 != n2:",
+        "if packing.n2 != g.n2:",
         "if False:",
         ("tests/test_triangles.py::TestSplitVertex::test_rejects_packing_of_another_graph",),
     ),

@@ -33,7 +33,7 @@ from rainbowline.families import (
     petersen_graph,
     shared_vertex_triangle_chain,
 )
-from rainbowline.graphs import build_graph, degree_profile, diameter
+from rainbowline.graphs import build_graph, diameter
 from rainbowline.linegraph import line_graph
 from rainbowline.oracle import _check_all_pairs, canonical_colorings, exact_rc, is_rainbow_connected
 from rainbowline.triangles import (
@@ -97,7 +97,7 @@ def test_4_forest_pipeline_ensemble():
             assert packing.all_forest
             coloring, cert = color_forest_packing(g, packing)
             assert cert.verified, (g, cert)
-            assert cert.colors_used <= degree_profile(g).n2 - packing.t
+            assert cert.colors_used <= g.n2 - packing.t
 
 
 def test_5_general_pipeline_ensemble():
@@ -106,7 +106,7 @@ def test_5_general_pipeline_ensemble():
             packing, _ = pick_packing(g, "32")
             coloring, cert = color_packing(g, packing)
             assert cert.verified, (g, cert)
-            n2 = degree_profile(g).n2
+            n2 = g.n2
             assert cert.colors_used <= packing.t + packing.n2_prime + packing.c
             assert cert.colors_used <= n2 + packing.op - packing.t
             # defect accounting: replayed split count matches the formula

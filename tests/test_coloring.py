@@ -63,7 +63,7 @@ from rainbowline.families import (
     shared_vertex_triangle_chain,
     triangle_ring,
 )
-from rainbowline.graphs import Graph, build_graph, degree_profile, diameter
+from rainbowline.graphs import Graph, build_graph, diameter
 from rainbowline.linegraph import LineGraphResult, line_graph
 from rainbowline.oracle import exact_rc, is_rainbow_connected
 from rainbowline.triangles import (
@@ -220,7 +220,7 @@ class TestForestPackingBound:
     def test_triangle_free_uses_inner_count(self):
         g = cycle_graph(5)
         col, cert = color_forest_packing(g, pack_edge_disjoint(g, "forest_exact"))
-        assert cert.colors_used == degree_profile(g).n2 == 5
+        assert cert.colors_used == g.n2 == 5
         assert cert.verified
 
     def test_bowtie(self):
@@ -268,14 +268,14 @@ class TestGeneralPackingBound:
         # t + n2' + c equals n2 + op - t when op = 0
         g = BOWTIE
         p = pack_edge_disjoint(g, "forest_exact")
-        n2 = degree_profile(g).n2
+        n2 = g.n2
         assert p.t + p.n2_prime + p.c == n2 + p.op - p.t
 
     @pytest.mark.parametrize("seed", range(12))
     def test_bound_identity_random(self, seed):
         g = sample_gnp(seed)
         p = pack_edge_disjoint(g, "greedy")
-        n2 = degree_profile(g).n2
+        n2 = g.n2
         assert p.t + p.n2_prime + p.c == n2 + p.op - p.t
 
 
@@ -646,7 +646,7 @@ class TestEnsemble:
     @pytest.mark.parametrize("seed", range(30))
     def test_both_pipelines_verify(self, seed):
         g = connected_gnp(5 + seed % 5, 0.3 if seed % 2 else 0.5, seed=4000 + seed)
-        n2 = degree_profile(g).n2
+        n2 = g.n2
         run1 = color(g, "31")
         p1, col1, cert1 = run1.packing, run1.coloring, run1.certificate
         assert cert1.verified

@@ -12,7 +12,6 @@ from rainbowline.families import bridged_triangle_chain, complete_graph, cycle_g
 from rainbowline.graphs import (
     blocks,
     build_graph,
-    degree_profile,
     diameter,
     distances,
     edge_key,
@@ -59,6 +58,11 @@ class TestMatchesNetworkx:
     def test_distances(self):
         for g in graph_layer_graphs():
             assert_distances_match_networkx(g)
+
+    def test_inner_vertices(self):
+        for g in graph_layer_graphs():
+            gx = nx_graph(g)
+            assert g.n2 == sum(1 for v in gx if gx.degree(v) >= 2)
 
     @pytest.mark.parametrize("name", wide_graph_names())
     def test_distances_on_wide_graphs(self, name):
@@ -215,30 +219,27 @@ class TestShrink:
         for u, v in g.edges:
             if u in x or v in x:
                 continue
-            assert res.graph.has_edge(res.vertex_map[u], res.vertex_map[v])
+            assert edge_key(res.vertex_map[u], res.vertex_map[v]) in res.graph.edge_index
 
 
-class TestDegreeProfile:
+class TestInnerVertices:
     def test_path(self):
-        prof = degree_profile(path_graph(4))
-        assert prof.n1 == 2 and prof.n2 == 2
+        assert path_graph(4).n2 == 2
 
     def test_triangle(self):
-        prof = degree_profile(complete_graph(3))
-        assert prof.n1 == 0 and prof.n2 == 3
+        assert complete_graph(3).n2 == 3
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_triangle_chain_all_inner(self, t):
-        prof = degree_profile(bridged_triangle_chain(t))
-        assert prof.n2 == 3 * t
+        assert bridged_triangle_chain(t).n2 == 3 * t
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_degree_sum(self, g):
-        prof = degree_profile(g)
-        assert sum(prof.degrees) == 2 * g.m
-        zero = sum(1 for d in prof.degrees if d == 0)
-        assert prof.n1 + prof.n2 + zero == g.n
+        assert sum(g.degrees) == 2 * g.m
+        leaves = sum(1 for d in g.degrees if d == 1)
+        isolated = sum(1 for d in g.degrees if d == 0)
+        assert g.n2 + leaves + isolated == g.n
 
 
 def test_connected_helpers():

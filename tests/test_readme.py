@@ -1,10 +1,13 @@
-"""The README's list of exported names is the package's public API, its
+"""The README's list of exported names is the package's public API, and
+every method of a package class is read inside the package. The README's
 Library example runs, and so does each of its ``rainbowline`` commands."""
 
+import ast
 import inspect
 import pathlib
 import re
 import shlex
+from collections import Counter
 
 import pytest
 
@@ -12,6 +15,7 @@ import rainbowline
 from rainbowline.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "rainbowline"
 
 
 def readme_exported_names() -> list[str]:
@@ -30,6 +34,30 @@ def test_exported_names_match_readme():
     listed = readme_exported_names()
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == public
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each attribute name is read (loaded) within ``node``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_method_is_read():
+    """Every method and property of a package class, dunders aside, is read
+    by name as an attribute somewhere in ``src/`` outside its own
+    definition."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    reads = sum((_attribute_reads(tree) for tree in trees), Counter())
+    unread = [
+        f"{cls.name}.{f.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+        and not (f.name.startswith("__") and f.name.endswith("__"))
+        and reads[f.name] == _attribute_reads(f)[f.name]
+    ]
+    assert not unread
 
 
 def test_library_example_runs(capsys):
