@@ -10,8 +10,15 @@ constructions lean on.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, LimitError
 from .graphs import Graph
+
+# An iterate costs about 150 bytes per edge at the peak of building and
+# printing it, so 200,000 edges hold one near 30 MB. Each iteration
+# multiplies a d-regular graph's edges by d - 1, so one more iteration can
+# land far past the cap: from K5, 22,950 edges build, and the next iterate,
+# 757,350, is refused before its successor, 49,227,750, could exhaust memory.
+ITERATE_EDGE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,10 @@ def line_graph(g: Graph) -> LineGraphResult:
 
 
 def iterated_line_graph(g: Graph, k: int) -> list[LineGraphResult]:
-    """Chain of ``k`` line-graph constructions, each on the previous result."""
+    """Chain of ``k`` line-graph constructions, each on the previous result.
+
+    Before each one it counts the iterate's edges, one per pair of edges at
+    a vertex, and raises ``LimitError`` past ``ITERATE_EDGE_CAP``."""
     if k < 1:
         raise InputError(f"iteration count must be >= 1, got {k}")
     out: list[LineGraphResult] = []
@@ -37,6 +47,9 @@ def iterated_line_graph(g: Graph, k: int) -> list[LineGraphResult]:
     for step in range(k):
         if cur.m == 0:
             raise InputError(f"iteration {step + 1}: graph has no edges")
+        edges = sum(d * (d - 1) // 2 for d in cur.degrees)
+        if edges > ITERATE_EDGE_CAP:
+            raise LimitError(f"iteration {step + 1}: line graph would have {edges} edges, cap {ITERATE_EDGE_CAP}")
         res = line_graph(cur)
         out.append(res)
         cur = res.l_graph

@@ -1,18 +1,21 @@
 """Edge-disjoint triangle packings and the two structure-flattening transforms.
 
-A ``TrianglePacking`` stores only its sorted triangles and the graph's
-count of inner vertices ``n2``. Everything else is derived from those two:
-its components (by union-find), their vertices, the covered vertices, ``t``,
+A ``TrianglePacking`` stores only its sorted triangles and its graph, and
+checks on construction that the triangles are pairwise edge-disjoint
+triangles of that graph with current side ids, so no packing exists that
+its graph would refuse. Everything else is derived from those two: its
+components (by union-find), their vertices, the covered vertices, ``t``,
 ``c``, ``n2' = n2 - |covered|``, ``op`` and the forest verdict, so a packing
-cannot disagree with its own triangles. A packing's induced subgraph splits
-into components; a component is a triangle-forest when every block of it is
-a single triangle, equivalently when its triangle-vertex incidence graph is
-a tree, that is when it has ``2*t_i + 1`` vertices. The whole packing is one
-exactly when ``op = 0``, so no per-component verdict is kept.
-``classify_structure`` checks a set of triangles against the graph and packs
-it. ``pack_edge_disjoint`` packs in one mode and classifies the pick;
-``pack_modes`` picks in several modes from one enumeration and classifies
-nothing, so a caller classifies only the pick it builds on.
+cannot disagree with its own triangles or its graph. A packing's induced
+subgraph splits into components; a component is a triangle-forest when
+every block of it is a single triangle, equivalently when its
+triangle-vertex incidence graph is a tree, that is when it has
+``2*t_i + 1`` vertices. The whole packing is one exactly when ``op = 0``,
+so no per-component verdict is kept. ``classify_structure`` sorts a set of
+triangles and packs them with the graph. ``pack_edge_disjoint`` packs in
+one mode and classifies the pick; ``pack_modes`` picks in several modes
+from one enumeration and classifies nothing, so a caller classifies only
+the pick it builds on.
 
 ``build_transformed`` first detaches every non-triangle edge between covered
 vertices (an ``EdgeDetachStep``: two pendant edges replace it), then
@@ -59,15 +62,30 @@ class Triangle:
 
 @dataclass(frozen=True)
 class TrianglePacking:
-    """A set of pairwise edge-disjoint triangles, sorted, and the graph's
-    count of inner vertices ``n2``; every statistic is read off these two.
+    """A set of pairwise edge-disjoint triangles of ``graph``, sorted;
+    every statistic is read off these two. Construction checks the
+    triangles in order and raises ``InputError`` on the first whose side ids
+    are not its sides in ``graph`` (``make_triangle`` names corners that are
+    not a triangle) or that shares an edge with one before it.
     ``op = 2t + c - |covered|`` sums each component's incidence-graph cycle
     rank ``2*t_i + 1 - |V_i| >= 0``: a triangle-forest exactly when ``op = 0``.
     ``components``, ``component_vertices`` and ``covered_vertices`` are
     computed on first use and cached, like ``Graph``'s derived values."""
 
     triangles: tuple[Triangle, ...]
-    n2: int
+    graph: Graph
+
+    def __post_init__(self):
+        ids = self.graph.edge_index
+        used: set[int] = set()
+        for tri in self.triangles:
+            a, b, c = tri.vertices
+            if (ids.get((a, b)), ids.get((a, c)), ids.get((b, c))) != tri.edge_ids:
+                make_triangle(self.graph, a, b, c)
+                raise InputError(f"triangle {tri.vertices} has stale edge ids for this graph")
+            if used.intersection(tri.edge_ids):
+                raise InputError(f"triangle {tri.vertices} shares an edge with another")
+            used.update(tri.edge_ids)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -100,7 +118,7 @@ class TrianglePacking:
 
     @property
     def n2_prime(self) -> int:
-        return self.n2 - len(self.covered_vertices)
+        return self.graph.n2 - len(self.covered_vertices)
 
     @property
     def op(self) -> int:
@@ -201,17 +219,6 @@ def enumerate_triangles(g: Graph) -> list[Triangle]:
 
 def _edge_mask(tri: Triangle) -> int:
     return (1 << tri.edge_ids[0]) | (1 << tri.edge_ids[1]) | (1 << tri.edge_ids[2])
-
-
-def _check_current(g: Graph, tris: Iterable[Triangle]) -> None:
-    """``InputError`` on the first triangle whose edge ids are not its sides
-    in ``g``; ``make_triangle`` names corners that are not a triangle."""
-    ids = g.edge_index
-    for tri in tris:
-        a, b, c = tri.vertices
-        if (ids.get((a, b)), ids.get((a, c)), ids.get((b, c))) != tri.edge_ids:
-            make_triangle(g, a, b, c)
-            raise InputError(f"triangle {tri.vertices} has stale edge ids for this graph")
 
 
 class _DSU:
@@ -331,17 +338,9 @@ def pack_modes(g: Graph, modes: Sequence[str] = PACK_MODES) -> dict[str, tuple[T
 
 
 def classify_structure(g: Graph, triangles: Iterable[Triangle]) -> TrianglePacking:
-    """Check that ``triangles`` are triangles of ``g`` with current edge ids
-    and pairwise edge-disjoint, and pack them, sorted, with ``g``'s ``n2``."""
-    tris = tuple(sorted(triangles))
-    _check_current(g, tris)
-    used = 0
-    for tri in tris:
-        mask = _edge_mask(tri)
-        if used & mask:
-            raise InputError(f"triangle {tri.vertices} shares an edge with another")
-        used |= mask
-    return TrianglePacking(tris, g.n2)
+    """Pack ``triangles``, sorted, with ``g``; the packing checks that they
+    are pairwise edge-disjoint triangles of ``g`` with current side ids."""
+    return TrianglePacking(tuple(sorted(triangles)), g)
 
 
 def _moved_triangle(tri: Triangle, v: int, new_vertex: int) -> Triangle:
@@ -378,12 +377,11 @@ def build_transformed(g: Graph, packing: TrianglePacking) -> TransformResult:
     moved corners renamed. A split never moves a component's lowest vertex
     and a new vertex is covered or a leaf, so ``packing`` still gives the
     components and uncovered inner vertices. ``g`` is not checked for
-    connectivity: every back end has checked it. A packing whose triangle
-    ids or ``n2`` are not ``g``'s raises ``InputError``: triangle ids can
-    be current in another graph too."""
-    _check_current(g, packing.triangles)
-    if packing.n2 != g.n2:
-        raise InputError(f"packing has n2 = {packing.n2}, but the graph has n2 = {g.n2}")
+    connectivity: every back end has checked it. A packing of another graph
+    raises ``InputError``, even where its triangles are current in ``g``
+    too; ``classify_structure(g, packing.triangles)`` re-targets it."""
+    if packing.graph != g:
+        raise InputError("packing is of another graph")
     comp_of = {v: i for i, vs in enumerate(packing.component_vertices) for v in vs}
     tri_edges = {eid for tri in packing.triangles for eid in tri.edge_ids}
     # component by component, ascending edge id within each

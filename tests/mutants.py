@@ -349,6 +349,13 @@ MUTANTS = (
         (STALE + "[bc-other_graph]", STALE + "[bc-out_of_range]"),
     ),
     Mutant(
+        "TrianglePacking: a packing's triangles may share an edge",
+        TRIANGLES,
+        'raise InputError(f"triangle {tri.vertices} shares an edge with another")',
+        "pass",
+        (CLASSIFY + "test_rejects_overlapping_triangles", CLASSIFY + "test_packs_exactly_the_packings"),
+    ),
+    Mutant(
         "greedy packing: triangles scanned in reverse",
         TRIANGLES,
         "    for tri in tris:\n        mask = _edge_mask(tri)\n        if used & mask:\n            continue",
@@ -445,8 +452,8 @@ MUTANTS = (
     Mutant(
         "TrianglePacking: n2_prime ignores the covered vertices",
         TRIANGLES,
-        "return self.n2 - len(self.covered_vertices)",
-        "return self.n2",
+        "return self.graph.n2 - len(self.covered_vertices)",
+        "return self.graph.n2",
         (CLASSIFY + "test_shared_vertex_chain[2]", GOLDEN + "[color_gnp_14_seed11.json]"),
     ),
     Mutant(
@@ -507,11 +514,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "build_transformed: a packing with another graph's n2 let through",
+        "build_transformed: a packing of another graph let through",
         TRIANGLES,
-        "if packing.n2 != g.n2:",
+        "if packing.graph != g:",
         "if False:",
-        ("tests/test_triangles.py::TestSplitVertex::test_rejects_packing_of_another_graph",),
+        (
+            "tests/test_triangles.py::TestSplitVertex::test_rejects_packing_of_another_graph",
+            "tests/test_triangles.py::TestSplitVertex::test_rejects_packing_of_a_supergraph_with_equal_n2",
+        ),
     ),
     # A detach changes no color, so only the projection tests see the next one.
     Mutant(

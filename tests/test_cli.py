@@ -545,7 +545,9 @@ class TestUsageErrors:
 
 def test_out_of_process_exit_codes():
     """``python -m rainbowline.cli`` as a user runs it: C12's rc is printed
-    and exits 0, C13 is past the edge cap (exit 4), a usage error exits 3."""
+    and exits 0, C13 is past the edge cap (exit 4), a sixth line graph of K5
+    is refused at its fifth iterate, whose count it names (exit 4), and a
+    usage error exits 3."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
@@ -557,6 +559,9 @@ def test_out_of_process_exit_codes():
     assert (c12.returncode, c12.stdout) == (0, "exact rc = 6\n")
     c13 = run("exact", "--family", "cycle", "--n", "13")
     assert c13.returncode == 4 and "resource limit" in c13.stderr
+    k5 = run("linegraph", "--family", "complete", "--n", "5", "--iterations", "6")
+    assert (k5.returncode, k5.stdout) == (4, "")
+    assert "resource limit: iteration 5: line graph would have 757350 edges" in k5.stderr
     usage = run("exact", "--family", "cycle", "--n", "abc")
     assert usage.returncode == 3 and "argument --n: invalid int value" in usage.stderr
 

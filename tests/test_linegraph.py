@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 
 from corpus import small_graphs
 from helpers import nx_graph, star_clique_edges
-from rainbowline.errors import InputError
+from rainbowline import linegraph
+from rainbowline.errors import InputError, LimitError
 from rainbowline.families import (
     complete_graph,
     cycle_graph,
@@ -79,3 +80,17 @@ class TestIteratedLineGraph:
         with pytest.raises(InputError, match="no edges"):
             iterated_line_graph(path_graph(3), 3)
 
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_cap_names_the_count_it_would_build(self, g):
+        """Past ``ITERATE_EDGE_CAP`` the message names the iterate's edge
+        count, which is the ``m`` of the line graph it would build; at the
+        cap the line graph builds."""
+        assume(g.m >= 1)
+        m = line_graph(g).l_graph.m
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linegraph, "ITERATE_EDGE_CAP", m)
+            assert iterated_line_graph(g, 1)[0].l_graph.m == m
+            patch.setattr(linegraph, "ITERATE_EDGE_CAP", m - 1)
+            with pytest.raises(LimitError, match=f"^iteration 1: line graph would have {m} edges, cap {m - 1}$"):
+                iterated_line_graph(g, 1)

@@ -336,8 +336,27 @@ class TestEdgeOrders:
             (_l(petersen_graph()), 3, 5_500),
             (_l(triangle_ring(7)), 4, 14_000),
             (cycle_graph(19), 10, 45_000),
+            (_l(triangle_ring(4)), 3, 850),
+            (_l(connected_gnp(10, 0.35, 3)), 4, 550),
+            (_l(connected_gnp(11, 0.3, 2)), 3, 1_250),
+            (_l(bridged_triangle_chain(6)), 12, 900),
+            (_l(bridged_triangle_chain(8)), 16, 1_650),
+            (_l(shared_vertex_triangle_chain(12)), 13, 3_100),
         ],
-        ids=["gnp11-s1", "triangle_ring6", "example31-t12", "petersen", "triangle_ring7", "C19"],
+        ids=[
+            "gnp11-s1",
+            "triangle_ring6",
+            "example31-t12",
+            "petersen",
+            "triangle_ring7",
+            "C19",
+            "triangle_ring4",
+            "gnp10-s3",
+            "gnp11-s2",
+            "example31-t6",
+            "example31-t8",
+            "example32-k12",
+        ],
     )
     def test_call_budget(self, monkeypatch, g, rc, budget):
         """``exact_rc`` settles within ``budget`` ``_counted_reaches`` calls:
@@ -345,7 +364,11 @@ class TestEdgeOrders:
         in turns made 440,637; 12,443 on L(triangle_ring(6)); 3,135 on
         L(example31, t = 12); 4,364 on L(petersen); 11,056 on
         L(triangle_ring(7)); and 36,117 on C19. L(petersen) and C19 are the
-        rows where fail-first did more work than the fixed orders."""
+        rows where fail-first did more work than the fixed orders. The rest
+        of the ladder: 667 on L(triangle_ring(4)), 449 on
+        L(gnp(10, 0.35, 3)), 987 on L(gnp(11, 0.3, 2)), 705 on
+        L(example31, t = 6), 1,323 on L(example31, t = 8) and 2,462 on
+        L(example32, k = 12), each with rc equal to ``rc_lower_bound``."""
         counted_reaches, calls = oracle._counted_reaches, []
 
         def record(adj, s, k):

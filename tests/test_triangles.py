@@ -1,6 +1,6 @@
 import dataclasses
 import re
-from itertools import combinations
+from itertools import combinations, compress
 
 import networkx as nx
 import pytest
@@ -229,6 +229,27 @@ class TestClassify:
         tris = enumerate_triangles(g)
         with pytest.raises(InputError, match="shares an edge"):
             classify_structure(g, tris[:2])
+        with pytest.raises(InputError, match="shares an edge"):
+            TrianglePacking(tuple(tris[:2]), g)
+        with pytest.raises(InputError, match="shares an edge"):
+            dataclasses.replace(classify_structure(g, tris[:1]), triangles=tuple(tris[:2]))
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_packs_exactly_the_packings(self, g, data):
+        """A sorted subset of ``g``'s triangles builds a ``TrianglePacking``
+        exactly when ``is_packing`` accepts it, and that packing is
+        ``classify_structure``'s."""
+        tris = enumerate_triangles(g)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(tris), max_size=len(tris)))
+        subset = tuple(compress(tris, keep))
+        try:
+            packing = TrianglePacking(subset, g)
+        except InputError:
+            assert not is_packing(subset)
+        else:
+            assert is_packing(subset)
+            assert packing == classify_structure(g, subset)
 
     @pytest.mark.parametrize("kind", ["out_of_range", "negative", "swapped", "other_graph"])
     @pytest.mark.parametrize("side", range(3), ids=["ab", "ac", "bc"])
@@ -360,25 +381,45 @@ class TestSplitVertex:
                 split_vertex(BOWTIE, 0, [stale_tri], [t2])
             with pytest.raises(InputError, match="has stale edge ids for this graph"):
                 classify_structure(BOWTIE, [stale_tri, t2])
-            stale = dataclasses.replace(packing, triangles=(stale_tri, t2))
+            # no packing holds a stale triangle, so none reaches build_transformed
             with pytest.raises(InputError, match="has stale edge ids for this graph"):
-                build_transformed(BOWTIE, stale)
+                dataclasses.replace(packing, triangles=(stale_tri, t2))
+            with pytest.raises(InputError, match="has stale edge ids for this graph"):
+                TrianglePacking((stale_tri, t2), BOWTIE)
         out, _ = split_vertex(BOWTIE, 0, [t1], [t2])
         with pytest.raises(InputError, match="is not a triangle of the graph"):
             split_vertex(out, 0, [t1], [t2])
 
     def test_rejects_packing_of_another_graph(self):
-        """A packing of ``g1`` whose triangle ids are current in ``g2`` too
-        still carries ``g1``'s ``n2``, 4 where ``g2`` has 3. Left through,
+        """A packing of ``g1`` whose triangle ids are current in ``g2`` too,
+        where ``g1`` has n2 = 4 and ``g2`` has 3. Left through,
         ``color_packing`` certified 3 colors where ``g2``'s own packing
         certifies 2."""
         g1 = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
         g2 = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)])
         packing = pack_edge_disjoint(g1, "greedy")
+        assert (g1.n2, g2.n2) == (4, 3)
         assert classify_structure(g2, packing.triangles).triangles == packing.triangles
         for build in (build_transformed, color_packing, color_forest_packing):
-            with pytest.raises(InputError, match="packing has n2 = 4, but the graph has n2 = 3"):
+            with pytest.raises(InputError, match="packing is of another graph"):
                 build(g2, packing)
+
+    def test_rejects_packing_of_a_supergraph_with_equal_n2(self):
+        """A triangle with a pendant path, and the same graph with one more
+        pendant edge at an inner vertex appended last: side ids and ``n2``
+        both match, and the packing of the first is still refused for the
+        second, while ``classify_structure`` re-targets it."""
+        edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
+        g1 = build_graph(5, edges)
+        g2 = build_graph(6, edges + [(3, 5)])
+        packing = pack_edge_disjoint(g1, "greedy")
+        assert g1.n2 == g2.n2 == 4 and packing.all_forest
+        retargeted = classify_structure(g2, packing.triangles)
+        assert retargeted.triangles == packing.triangles and retargeted.graph == g2
+        for build in (build_transformed, color_packing, color_forest_packing):
+            with pytest.raises(InputError, match="packing is of another graph"):
+                build(g2, packing)
+            build(g2, retargeted)
 
 
 class TestSweepMatchesReclassify:
@@ -522,13 +563,16 @@ class TestBuildTransformed:
 
     @pytest.mark.parametrize("mode", ["greedy", "forest_greedy"])
     def test_foreign_packing_is_input_error(self, mode):
-        """A packing built for another graph fails on one of its triangles,
-        whether the structure needs splits or not."""
+        """A packing built for another graph is refused, whether the
+        structure needs splits or not; re-targeted, it fails on one of its
+        triangles."""
         g = connected_gnp(12, 0.5, seed=4)
         p = pack_edge_disjoint(connected_gnp(12, 0.5, seed=5), mode)
         assert (p.op > 0) == (mode == "greedy")
-        with pytest.raises(InputError, match=r"\(\d+, \d+, \d+\)") as err:
+        with pytest.raises(InputError, match="packing is of another graph"):
             color_packing(g, p)
+        with pytest.raises(InputError, match=r"\(\d+, \d+, \d+\)") as err:
+            classify_structure(g, p.triangles)
         named = tuple(map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups()))
         (tri,) = [t for t in p.triangles if t.vertices == named]
         if all(edge_key(a, b) in g.edge_index for a, b in combinations(named, 2)):
