@@ -283,7 +283,7 @@ def _bench_row(index: int, seed: int, g: Graph, cubic: bool, max_edges: int) -> 
         row[f"bound_{name}"] = cert.bound_value
         row[f"colors_{name}"] = cert.colors_used
         row[f"verified_{name}"] = cert.verified
-    lg = runs["forest"].coloring.graph  # L(g): _certify checked it
+    lg = runs["forest"].coloring.graph  # L(g), which _construct built from g
     row["diam_line"] = diameter(lg)
     try:
         row["exact_rc_line"] = exact_rc(lg, max_edges=max_edges)

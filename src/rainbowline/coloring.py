@@ -10,16 +10,18 @@ no special edge and ``a = b``. Components and inner vertices are read from
 the input packing and graph, so the structure is classified once. Each pair
 of L(H) is colored by the rule of the flattened vertex it lands on, so the
 construction builds exactly one line graph, L(H), and certifies the
-coloring against Theorem 3.2's ``t + n2' + c``. The other three bounds are
-instances of it: ``n2 - t`` on G with a triangle-forest (``op = 0``),
-``n + 1`` on L(G) with its vertex-star triangles, and ``m - m1`` on L(G)
-with no triangles. Their back ends restate the construction's certificate
-under their own bound (``_restate``), which checks the paper's value equals
-``t + n2' + c``. Each of the four back ends returns its coloring with a
-certificate recording the bound, the palette size, and the verifier
-verdict. ``color`` is the entry point: it picks the packing for ``31`` and
-``32`` (``pick_packing``, whose mode rule ``default_mode`` the bench rows
-share) and dispatches to the back end.
+coloring against Theorem 3.2's ``t + n2' + c``. The rules fix the palette,
+so a palette over the verifier's cap is refused before L(H) is built. The
+other three bounds are instances of it: ``n2 - t`` on G with a
+triangle-forest (``op = 0``), ``n + 1`` on L(G) with its vertex-star
+triangles, and ``m - m1`` on L(G) with no triangles. Their back ends
+restate the construction's certificate under their own bound
+(``_restate``), which checks the paper's value equals ``t + n2' + c``.
+Each of the four back ends returns its coloring with a certificate
+recording the bound, the palette size, and the verifier verdict. ``color``
+is the entry point: it picks the packing for ``31`` and ``32``
+(``pick_packing``, whose mode rule ``default_mode`` the bench rows share)
+and dispatches to the back end.
 """
 
 import heapq
@@ -204,22 +206,6 @@ def _check_colorable(g: Graph) -> None:
         raise InputError("line graph is trivial; rainbow connection is undefined on it")
 
 
-def _certify(g: Graph, lg: LineGraphResult, coloring: EdgeColoring, bound_name: str, bound_value: int) -> ColoringCertificate:
-    """Verify ``coloring`` as a coloring of ``lg``, which must be L(g)."""
-    from .oracle import is_rainbow_connected
-
-    if lg.source != g or coloring.graph != lg.l_graph:
-        raise InvariantViolation("certificate target does not match the source's line graph")
-    ok, witness = is_rainbow_connected(coloring)
-    return ColoringCertificate(
-        bound_name=bound_name,
-        bound_value=bound_value,
-        colors_used=coloring.k,
-        verified=ok and coloring.k <= bound_value,
-        witness_failure=witness,
-    )
-
-
 def _construct(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, ColoringCertificate]:
     """Theorem 3.2, the one construction behind every bound: flatten the
     structure, give each inner vertex of the final graph a star rule
@@ -228,7 +214,12 @@ def _construct(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Colori
     component's rules take ``t_i + 1`` colors, each other inner vertex's
     one; a pair a split cut apart gets color 1. Components are ``packing``'s
     over the flattened triangles, and a cycle left in one fails in
-    ``color_triangle_tree``. Builds one line graph, L(g)."""
+    ``color_triangle_tree``. The rules fix the palette ``k``, so
+    ``check_palette`` refuses one over the verifier's cap before L(g), the
+    one line graph built, exists. The oracle is imported at call time, so a
+    wrapper set on the ``oracle`` module is the one that runs."""
+    from .oracle import check_palette, is_rainbow_connected
+
     result = build_transformed(g, packing)
     rules: dict[int, tuple[int | None, int, int]] = {}
     k = 0
@@ -241,6 +232,7 @@ def _construct(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Colori
         if g.degree(x) >= 2 and x not in packing.covered_vertices:
             k += 1
             rules[x] = (None, k, k)
+    check_palette(k)
     lg = line_graph(g)
     colors = []
     for y, e, f in _landings(result.trace, lg):
@@ -250,7 +242,9 @@ def _construct(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Colori
             s, a, b = rules[y]
             colors.append(a if s in (e, f) else b)
     col = EdgeColoring(lg.l_graph, tuple(colors), k)
-    return col, _certify(g, lg, col, *_general_bound(packing))
+    ok, witness = is_rainbow_connected(col)
+    name, value = _general_bound(packing)
+    return col, ColoringCertificate(name, value, k, ok and k <= value, witness)
 
 
 def _restate(cert: ColoringCertificate, name: str, value: int) -> ColoringCertificate:

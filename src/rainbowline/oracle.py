@@ -244,26 +244,32 @@ def _first_unreached(adj: list[list[tuple[int, list[int]]]], s: int) -> int | No
     return first.index(-1, s + 1)
 
 
-def _check_adjacency(adj: list[list[tuple[int, list[int]]]]) -> tuple[bool, tuple[int, int] | None]:
-    for s in range(len(adj) - 1):
+def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, int] | None]:
+    adj = _adjacency(g, bits)
+    for s in range(g.n - 1):
         t = _first_unreached(adj, s)
         if t is not None:
             return False, (s, t)
     return True, None
 
 
-def _check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, int] | None]:
-    return _check_adjacency(_adjacency(g, bits))
+def check_palette(size: int) -> None:
+    """Refuse a palette of more than ``DEFAULT_COLOR_CAP`` colors, one mask
+    bit each. ``is_rainbow_connected`` passes the colors it meets; a
+    construction passes its palette before it builds the line graph it
+    colors, since every bound fixes its palette from G and the packing."""
+    if size > DEFAULT_COLOR_CAP:
+        raise LimitError(f"palette of {size} colors exceeds the search cap {DEFAULT_COLOR_CAP}")
 
 
 def is_rainbow_connected(col: "EdgeColoring") -> tuple[bool, tuple[int, int] | None]:
     """Exact check of ``col`` on its own graph; on failure returns the
     lexicographically smallest vertex pair with no rainbow path. Each
-    distinct color gets one bit, in ascending id order, so the cap counts
-    the colors used, not the largest id: gaps in the ids cost nothing."""
+    distinct color gets one bit, in ascending id order, so ``check_palette``
+    counts the colors used, not the largest id: gaps in the ids cost
+    nothing."""
     bit = {c: 1 << i for i, c in enumerate(sorted(set(col.colors)))}
-    if len(bit) > DEFAULT_COLOR_CAP:
-        raise LimitError(f"palette of {len(bit)} colors exceeds the search cap {DEFAULT_COLOR_CAP}")
+    check_palette(len(bit))
     return _check_all_pairs(col.graph, [bit[c] for c in col.colors])
 
 

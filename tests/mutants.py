@@ -580,6 +580,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_construct leaves the palette to the verifier",
+        COLORING,
+        "check_palette(k)",
+        "pass",
+        ("tests/test_coloring.py::TestCertify::test_over_cap_palette_refused_before_its_line_graph",),
+    ),
+    Mutant(
         "_restate skips its value check",
         COLORING,
         "if value != cert.bound_value:",

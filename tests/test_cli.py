@@ -546,8 +546,9 @@ class TestUsageErrors:
 def test_out_of_process_exit_codes():
     """``python -m rainbowline.cli`` as a user runs it: C12's rc is printed
     and exits 0, C13 is past the edge cap (exit 4), a sixth line graph of K5
-    is refused at its fifth iterate, whose count it names (exit 4), and a
-    usage error exits 3."""
+    is refused at its fifth iterate, whose count it names (exit 4), the
+    iterated bound's 435 colors on K30 are refused (exit 4), and a usage
+    error exits 3."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
@@ -562,6 +563,9 @@ def test_out_of_process_exit_codes():
     k5 = run("linegraph", "--family", "complete", "--n", "5", "--iterations", "6")
     assert (k5.returncode, k5.stdout) == (4, "")
     assert "resource limit: iteration 5: line graph would have 757350 edges" in k5.stderr
+    k30 = run("color", "--family", "complete", "--n", "30", "--theorem", "iterated")
+    assert (k30.returncode, k30.stdout) == (4, "")
+    assert "palette of 435 colors exceeds the search cap 64" in k30.stderr
     usage = run("exact", "--family", "cycle", "--n", "abc")
     assert usage.returncode == 3 and "argument --n: invalid int value" in usage.stderr
 

@@ -34,7 +34,6 @@ from rainbowline.coloring import (
     ColoringCertificate,
     EdgeColoring,
     Run,
-    _certify,
     _construct,
     _restate,
     color,
@@ -280,10 +279,10 @@ class TestGeneralPackingBound:
 
 
 class TestCertify:
-    def test_mismatched_target_raises_before_verifying(self, monkeypatch):
+    def test_construction_verifies_once_on_its_line_graph(self, monkeypatch):
         g = BOWTIE
-        col, cert = color_packing(g, pack_edge_disjoint(g, "greedy"))
-        lg = line_graph(g)
+        packing = pack_edge_disjoint(g, "greedy")
+        col, cert = color_packing(g, packing)
         calls = []
         check = oracle.is_rainbow_connected
 
@@ -292,13 +291,29 @@ class TestCertify:
             return check(c)
 
         monkeypatch.setattr(oracle, "is_rainbow_connected", counted)
-        with pytest.raises(InvariantViolation, match="certificate target"):
-            _certify(path_graph(5), lg, col, cert.bound_name, cert.bound_value)
-        with pytest.raises(InvariantViolation, match="certificate target"):
-            _certify(g, line_graph(path_graph(5)), col, cert.bound_name, cert.bound_value)
-        assert calls == []
-        assert _certify(g, lg, col, cert.bound_name, cert.bound_value) == cert
-        assert calls == [lg.l_graph]
+        assert _construct(g, packing) == (col, cert)
+        assert calls == [line_graph(g).l_graph]
+
+    def test_over_cap_palette_refused_before_its_line_graph(self, monkeypatch):
+        """Each bound fixes its palette from G and the packing, so a palette
+        over the verifier's cap is refused before the line graph it would
+        color is built: the iterated bound builds L(G) and nothing after it,
+        and theorem 32 builds no line graph at all."""
+        built = []
+
+        def recorded(g):
+            built.append(g)
+            return line_graph(g)
+
+        monkeypatch.setattr("rainbowline.coloring.line_graph", recorded)
+        k30 = complete_graph(30)
+        with pytest.raises(LimitError, match="^palette of 435 colors exceeds the search cap 64$"):
+            color(k30, "iterated")
+        assert built == [k30]
+        built.clear()
+        with pytest.raises(LimitError, match="^palette of 68 colors exceeds the search cap 64$"):
+            color(connected_gnp(80, 0.12, 3), "32")
+        assert built == []
 
 
 class TestIterated:
@@ -376,18 +391,20 @@ class TestIterated:
                 got = color_iterated_baseline(g)
             except LimitError:
                 # palette over the verifier's cap: compare the coloring and
-                # the certificate's inputs with certification stubbed
+                # the certificate with the cap and the verifier stubbed
                 assert bound > oracle.DEFAULT_COLOR_CAP
-                asked = []
+                palettes, verified = [], []
 
-                def stub(source, lg, col, name, value):
-                    asked.append((source, lg, col, name, value))
-                    return ColoringCertificate(name, value, col.k, False)
+                def verify(col):
+                    verified.append(col)
+                    return False, None
 
                 with monkeypatch.context() as patch:
-                    patch.setattr("rainbowline.coloring._certify", stub)
+                    patch.setattr(oracle, "check_palette", palettes.append)
+                    patch.setattr(oracle, "is_rainbow_connected", verify)
                     got = color_iterated_baseline(g)
-                assert asked == [(ref_lg.source, ref_lg, ref_col, "t + n2' + c", bound)]
+                assert palettes == [bound]
+                assert verified == [ref_col] and ref_col.graph == ref_lg.l_graph
                 assert got == (ref_col, ColoringCertificate("m - m1", bound, bound, False))
                 capped += 1
                 continue
@@ -598,7 +615,7 @@ class TestConstructMatchesReference:
         one peeled earlier, so the leaf queue takes in new leaves out of
         order."""
         # the verifier is not under test here
-        monkeypatch.setattr("rainbowline.coloring._certify", lambda *args: None)
+        monkeypatch.setattr(oracle, "is_rainbow_connected", lambda col: (True, None))
         peel_orders = []
 
         def recorded(lg, tris):
@@ -623,7 +640,7 @@ class TestConstructMatchesReference:
         as before: a chord is never a special edge, and both ends of a pair
         holding it land on one final vertex either way."""
         # the verifier is not under test here
-        monkeypatch.setattr("rainbowline.coloring._certify", lambda *args: None)
+        monkeypatch.setattr(oracle, "is_rainbow_connected", lambda col: (True, None))
         instances = list(construct_instances())
         before = [_construct(g, packing)[0] for g, packing in instances]
         moved_ends = TransformTrace.moved_ends

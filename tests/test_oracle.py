@@ -260,7 +260,7 @@ class TestCountedCheck:
     @pytest.mark.parametrize("name", ["small_line", "ensemble"])
     def test_counted_pass_implies_private_pass(self, name):
         """Wherever a prefix passes ``_counted_reaches`` from every source,
-        it passes the private-color ``_check_adjacency`` too."""
+        it passes the private-color ``_check_all_pairs`` too."""
         rng = random.Random(name)
         outcomes = Counter()
         for g in exact_search_sets()[name][0]:
@@ -273,7 +273,7 @@ class TestCountedCheck:
                         ends[v].append([b, u])
                     counted = all(oracle._counted_reaches(ends, s, k) for s in range(g.n - 1))
                     private = [b or 1 << (g.m + i) for i, b in enumerate(bits)]
-                    outcomes[counted, oracle._check_adjacency(_adjacency(g, private))[0]] += 1
+                    outcomes[counted, _check_all_pairs(g, private)[0]] += 1
         assert outcomes[True, False] == 0
         assert min(outcomes[True, True], outcomes[False, True], outcomes[False, False]) > 50, outcomes
 
