@@ -18,8 +18,8 @@ triangles, and ``m - m1`` on L(G) with no triangles. Their back ends
 restate the construction's certificate under their own bound
 (``_restate``), which checks the paper's value equals ``t + n2' + c``.
 Each of the four back ends returns its coloring with a certificate
-recording the bound, the palette size, and the verifier verdict. ``color``
-is the entry point: it picks the packing for ``31`` and ``32``
+recording the bound, the number of colors used, and the verifier verdict.
+``color`` is the entry point: it picks the packing for ``31`` and ``32``
 (``pick_packing``, whose mode rule ``default_mode`` the bench rows share)
 and dispatches to the back end.
 """
@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 from .errors import InputError, InvariantViolation
 from .graphs import Graph, edge_key, is_connected
-from .linegraph import LineGraphResult, line_graph
+from .linegraph import LineGraphResult, iterated_line_graph, line_graph
 from .triangles import (
     TransformTrace,
     Triangle,
@@ -118,8 +118,6 @@ def color_triangle_tree(tris: Sequence[Triangle]) -> tuple[dict[int, tuple[int, 
     corner ``u`` and other corners ``v < w`` spends one fresh color ``f`` on
     ``v: (uv, f, 2)`` and ``w: (uw, f, 1)``. Cost: O(t_i) heap operations.
     """
-    if not tris:
-        raise InputError("component must contain at least one triangle")
     order = sorted(tris)
     at: dict[int, list[int]] = {}
     for i, tri in enumerate(order):
@@ -216,8 +214,10 @@ def _construct(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Colori
     over the flattened triangles, and a cycle left in one fails in
     ``color_triangle_tree``. The rules fix the palette ``k``, so
     ``check_palette`` refuses one over the verifier's cap before L(g), the
-    one line graph built, exists. The oracle is imported at call time, so a
-    wrapper set on the ``oracle`` module is the one that runs."""
+    one line graph built, exists. The certificate counts the colors that
+    appear, which on L(K3) is one of the palette's two. The oracle is
+    imported at call time, so a wrapper set on the ``oracle`` module is the
+    one that runs."""
     from .oracle import check_palette, is_rainbow_connected
 
     result = build_transformed(g, packing)
@@ -244,7 +244,8 @@ def _construct(g: Graph, packing: TrianglePacking) -> tuple[EdgeColoring, Colori
     col = EdgeColoring(lg.l_graph, tuple(colors), k)
     ok, witness = is_rainbow_connected(col)
     name, value = _general_bound(packing)
-    return col, ColoringCertificate(name, value, k, ok and k <= value, witness)
+    used = len(set(colors))
+    return col, ColoringCertificate(name, value, used, ok and used <= value, witness)
 
 
 def _restate(cert: ColoringCertificate, name: str, value: int) -> ColoringCertificate:
@@ -313,12 +314,12 @@ def color_iterated_baseline(g: Graph) -> tuple[EdgeColoring, ColoringCertificate
     This is the ``t + n2' + c`` bound of L(g) with no triangles: every inner
     vertex of L(g) keeps its star clique to one fresh color. The count is
     ``m - m1`` because L(g) has ``m`` vertices of which ``m1`` are pendant.
+    L(g) is built as ``iterated_line_graph``'s first iterate, so one past
+    ``ITERATE_EDGE_CAP`` edges is refused before it is built.
     """
     if not is_connected(g):
         raise InputError("graph must be connected")
-    if g.m == 0:
-        raise InputError("iteration 1: graph has no edges")
-    lg = line_graph(g).l_graph
+    lg = iterated_line_graph(g, 1)[0].l_graph
     if lg.m == 0:
         raise InputError("iteration 2: graph has no edges")
     if lg.m == 1:

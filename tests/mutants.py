@@ -587,6 +587,20 @@ MUTANTS = (
         ("tests/test_coloring.py::TestCertify::test_over_cap_palette_refused_before_its_line_graph",),
     ),
     Mutant(
+        "colors_used reports the palette",
+        COLORING,
+        "used = len(set(colors))",
+        "used = k",
+        ("tests/test_coloring.py::TestCertify::test_colors_used_counts_the_colors_that_appear",),
+    ),
+    Mutant(
+        "iterated builds L(G) with line_graph",
+        COLORING,
+        "lg = iterated_line_graph(g, 1)[0].l_graph",
+        "lg = line_graph(g).l_graph",
+        ("tests/test_coloring.py::TestIterated::test_baseline_refuses_a_line_graph_past_the_iterate_cap",),
+    ),
+    Mutant(
         "_restate skips its value check",
         COLORING,
         "if value != cert.bound_value:",

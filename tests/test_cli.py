@@ -1,3 +1,4 @@
+import ast
 import functools
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
@@ -15,7 +17,7 @@ from rainbowline import cli, coloring, families, oracle
 from rainbowline.cli import EXIT_INTERNAL, main, run_bench
 from rainbowline.errors import InputError, InvariantViolation, LimitError
 from rainbowline.families import FAMILIES, complete_graph, connected_gnp, cycle_graph, gen_family, random_cubic
-from rainbowline.formats import parse_edge_list, render_edge_list
+from rainbowline.formats import parse_edge_list, render_edge_list, to_dot
 from rainbowline.graphs import Graph, diameter
 from rainbowline.linegraph import line_graph
 from rainbowline.triangles import pack_edge_disjoint
@@ -99,25 +101,16 @@ class TestGenAndFamilies:
         p = pack_edge_disjoint(gen_family("triangle_ring", r=3), "exact")
         assert p.op == 1
 
-    def test_bad_family_params(self, capsys):
-        assert main(["gen", "--family", "example31"]) == 3
-        assert main(["gen", "--family", "example31", "--t", "0"]) == 3
-        assert main(["gen", "--family", "petersen", "--n", "5"]) == 3
-
-    @pytest.mark.parametrize("n, p", [("1", "0.5"), ("3", "0")])
-    def test_impossible_gnp_is_an_input_error(self, capsys, n, p):
-        # no connected sample exists, so this is bad input, not a resource limit
-        assert main(["gen", "--model", "gnp", "--n", n, "--p", p, "--seed", "1"]) == 3
-        err = capsys.readouterr().err
-        assert err == f"input error: no connected gnp({n}, {float(p)}) graph exists; needs n >= 2 and p > 0\n"
-
-    def test_unlikely_gnp_is_a_resource_limit(self, capsys):
+    def test_unlikely_gnp_is_a_resource_limit(self):
         # a connected sample exists, but not within GNP_MAX_TRIES draws
         message = "no connected gnp(30, 0.01) sample in 1000 tries"
         with pytest.raises(LimitError, match=re.escape(message)):
             connected_gnp(30, 0.01, 1)
-        assert main(["gen", "--model", "gnp", "--n", "30", "--p", "0.01", "--seed", "1"]) == 4
-        assert capsys.readouterr().err == f"resource limit: {message}\n"
+
+    def test_unknown_family_is_an_input_error(self):
+        # the CLI's --family choices refuse it before gen_family is called
+        with pytest.raises(InputError, match=f"^unknown family 'nosuch'; available: {', '.join(FAMILIES)}$"):
+            gen_family("nosuch")
 
     def test_cubic_sampler_out_of_tries_is_a_resource_limit(self, monkeypatch):
         monkeypatch.setattr(families, "CUBIC_MAX_TRIES", 0)
@@ -148,20 +141,6 @@ class TestGenAndFamilies:
                 sampler(8, 6_000_018)
         monkeypatch.setattr(families, "CUBIC_MAX_TRIES", 49)
         assert random_cubic(8, 6_000_018) == shuffle_random_cubic(8, 6_000_018)
-
-    @pytest.mark.parametrize(
-        "argv, flag, source",
-        [
-            (["--model", "gnp", "--n", "4", "--p", "0.9", "--seed", "1", "--k", "5"], "--k", "--model gnp"),
-            (["--model", "random_cubic", "--n", "8", "--seed", "1", "--p", "0.3"], "--p", "--model random_cubic"),
-            (["--family", "path", "--n", "3", "--seed", "9"], "--seed", "--family path"),
-            (["--family", "path", "--n", "3", "--p", "0.7"], "--p", "--family path"),
-            (["--file", "-", "--n", "3"], "--n", "--file"),
-        ],
-    )
-    def test_unread_source_flag_is_an_input_error(self, capsys, argv, flag, source):
-        assert main(["gen", *argv]) == 3
-        assert capsys.readouterr().err == f"input error: {flag} does not apply to {source}\n"
 
     def test_all_families_have_generators(self, capsys):
         """Each family builds, and ``gen`` takes its parameter letter as a flag."""
@@ -209,31 +188,6 @@ class TestColorCommand:
                 == 0
             )
         assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize(
-        "theorem, pack", [("cubic", "forest_exact"), ("iterated", "greedy")]
-    )
-    def test_pack_only_for_packing_theorems(self, capsys, tmp_path, theorem, pack):
-        report = tmp_path / "r.json"
-        argv = ["color", "--model", "random_cubic", "--n", "8", "--seed", "1",
-                "--theorem", theorem, "--pack", pack, "--json", str(report)]
-        assert main(argv) == 3
-        assert capsys.readouterr().err == (
-            f"input error: theorem {theorem} takes no packing; "
-            "pack applies only to theorems 31 and 32\n"
-        )
-        assert not report.exists()
-
-    def test_forest_theorem_rejects_a_non_forest_packing(self, capsys):
-        argv = ["color", "--family", "triangle_ring", "--r", "4", "--theorem", "31",
-                "--pack", "greedy"]
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "input error: packing structure must be a triangle-forest; "
-            "theorem 32 takes any packing\n"
-        )
 
     def test_diameter_only_for_json(self, capsys, monkeypatch, tmp_path):
         calls = []
@@ -289,9 +243,6 @@ class TestColorCommand:
         )
         assert "mode=forest_greedy" in capsys.readouterr().out
 
-    def test_requires_source(self, capsys):
-        assert main(["color", "--theorem", "31"]) == 3
-
     def test_invariant_violation_is_internal_error(self, capsys, monkeypatch):
         def broken(g, packing):
             raise InvariantViolation("trace lost an edge")
@@ -304,24 +255,12 @@ class TestColorCommand:
         assert captured.err == "internal error: trace lost an edge\n"
         assert captured.out == ""
 
-    def test_cubic_rejects_non_cubic(self, capsys):
-        assert main(["color", "--family", "path", "--n", "4", "--theorem", "cubic"]) == 3
-
-    def test_cubic_on_empty_graph_is_input_error(self, capsys, tmp_path):
-        # no vertices, so the degree-3 test passes vacuously
-        path = tmp_path / "g.txt"
-        path.write_text("0 0\n")
-        assert main(["color", "--file", str(path), "--theorem", "cubic"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "input error: line graph is trivial; rainbow connection is undefined on it\n"
-
-    def test_deep_triangle_tree_is_a_resource_limit(self, capsys):
-        # one triangle tree with t = 1099: colored without recursion, then
-        # stopped by the verifier's palette cap, not by a RecursionError
-        argv = ["color", "--family", "example32", "--k", "1100", "--theorem", "31"]
-        assert main(argv) == 4
-        assert capsys.readouterr().err.startswith("resource limit: ")
+    def test_unverified_coloring_names_its_failing_pair(self, capsys, monkeypatch):
+        # only a defect reaches this line, so the verifier is stubbed to fail
+        monkeypatch.setattr(oracle, "is_rainbow_connected", lambda col: (False, (0, 2)))
+        assert main(["color", "--family", "example31", "--t", "2", "--theorem", "31"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:4] == ["colors used = 4", "verified = false", "failing pair = 0 2"]
 
     def test_random_model_source(self, capsys):
         args = ["color", "--model", "gnp", "--n", "7", "--p", "0.4",
@@ -347,11 +286,6 @@ class TestColorCommand:
         assert f"colors used = {colors}" in out
         assert "verified = true" in out
 
-    def test_model_needs_seed(self, capsys):
-        assert main(["color", "--model", "gnp", "--n", "7", "--p", "0.4",
-                     "--theorem", "32"]) == 3
-        assert "seed" in capsys.readouterr().err
-
 
 class TestVerifyCommand:
     def test_good_and_bad(self, tmp_path, capsys):
@@ -368,56 +302,10 @@ class TestVerifyCommand:
         assert main(["verify", "--file", str(bad_graph), "--coloring", str(bad)]) == 2
         assert "failing pair = 0 2" in capsys.readouterr().out
 
-    def test_wrong_length(self, tmp_path, capsys):
-        g = tmp_path / "g.txt"
-        g.write_text("3 2\n0 1\n1 2\n")
-        c = tmp_path / "c.txt"
-        c.write_text("1\n")
-        assert main(["verify", "--file", str(g), "--coloring", str(c)]) == 3
-        assert capsys.readouterr().err == "input error: coloring has 1 entries for 2 edges\n"
-
-    @pytest.mark.parametrize(
-        "colors, edge, bad",
-        [
-            ("1 0 1", 1, "0 outside 1..1"),
-            ("2 -1 1", 1, "-1 outside 1..2"),
-            ("0 0 0", 0, "0 outside 1..0"),
-            ("-2 -1 -3", 0, "-2 outside 1..-1"),
-        ],
-    )
-    def test_color_below_one_names_its_edge(self, tmp_path, capsys, colors, edge, bad):
-        g = tmp_path / "g.txt"
-        g.write_text("3 3\n0 1\n1 2\n0 2\n")
-        c = tmp_path / "c.txt"
-        c.write_text(colors + "\n")
-        assert main(["verify", "--file", str(g), "--coloring", str(c)]) == 3
-        assert capsys.readouterr().err == f"input error: edge {edge} has color {bad}\n"
 
 
 def _stdin(monkeypatch, data: bytes) -> None:
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
-
-
-class TestUndecodableInput:
-    """Bytes that are not UTF-8 are an input error naming the file, from
-    each source the commands read."""
-
-    def test_edge_list_file(self, capsys, tmp_path):
-        f = tmp_path / "g.txt"
-        f.write_bytes(b"\xff3 2\n0 1\n1 2\n")
-        assert main(["gen", "--file", str(f)]) == 3
-        assert capsys.readouterr().err == f"input error: {f}: byte 0 is not UTF-8 (invalid start byte)\n"
-
-    def test_stdin(self, capsys, monkeypatch):
-        _stdin(monkeypatch, b"3 2\n0 1\n1 \xff\n")
-        assert main(["gen", "--file", "-"]) == 3
-        assert capsys.readouterr().err == "input error: stdin: byte 10 is not UTF-8 (invalid start byte)\n"
-
-    def test_coloring_file(self, capsys, tmp_path):
-        c = tmp_path / "c.txt"
-        c.write_bytes(b"1 1 \xff\n")
-        assert main(["verify", "--family", "cycle", "--n", "3", "--coloring", str(c)]) == 3
-        assert capsys.readouterr().err == f"input error: {c}: byte 4 is not UTF-8 (invalid start byte)\n"
 
 
 BOM = b"\xef\xbb\xbf"
@@ -484,26 +372,232 @@ class TestExactAndBound:
         assert main(["exact", "--file", "-"]) == 0
         assert capsys.readouterr().out == f"exact rc = {rc}\n"
 
-    def test_exact_over_cap(self, capsys):
-        assert main(["exact", "--family", "cycle", "--n", "13"]) == 4
-        err = capsys.readouterr().err
-        assert "resource limit" in err and "6..12" in err
-
-    def test_negative_edge_cap_is_an_input_error(self, capsys):
-        assert main(["exact", "--family", "cycle", "--n", "5", "--max-edges", "-1"]) == 3
-        assert capsys.readouterr().err == "input error: edge cap must be non-negative, got -1\n"
-
     def test_bound(self, capsys):
         assert main(["bound", "--family", "path", "--n", "5"]) == 0
         out = capsys.readouterr().out
         assert "rc lower bound = 4" in out
 
-    @pytest.mark.parametrize("command", ["bound", "exact"])
-    def test_single_vertex_is_an_input_error(self, capsys, command):
-        assert main([command, "--family", "path", "--n", "1"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "input error: rc is defined only on connected graphs with at least 2 vertices\n"
+
+class Failure(NamedTuple):
+    """One ``main`` invocation that fails. It runs in an empty directory
+    holding only ``files`` (name, bytes), so ``argv``, split on spaces, names
+    them as relative paths; ``stdin`` is the bytes stdin holds, if read."""
+
+    argv: str
+    code: int
+    stderr: str
+    stdin: bytes | None = None
+    files: tuple[tuple[str, bytes], ...] = ()
+
+
+GNP = "--model gnp --n 6 --p 0.5 --seed 1"
+INPUT, LIMIT = "input error: ", "resource limit: "
+
+# Every failure the CLI reports for bad input (exit 3) or a limit (exit 4),
+# with its exact stderr; test_every_raise_site_has_a_row checks that each
+# InputError and LimitError message in src/ is one of them.
+FAILURES = [
+    # sources: families, random models, flags the source does not read
+    Failure("gen --family example31", 3, INPUT + "family 'example31' takes exactly the parameter 't'"),
+    Failure("gen --family petersen --n 5", 3, INPUT + "petersen takes no parameters"),
+    Failure("gen --family example31 --t 0", 3, INPUT + "triangle chain needs t >= 1, got 0"),
+    Failure("gen --family example32 --k 1", 3, INPUT + "shared-vertex chain needs k >= 2, got 1"),
+    Failure("gen --family path --n 0", 3, INPUT + "path needs n >= 1, got 0"),
+    Failure("gen --family cycle --n 2", 3, INPUT + "cycle needs n >= 3, got 2"),
+    Failure("gen --family complete --n 0", 3, INPUT + "complete graph needs n >= 1, got 0"),
+    Failure("gen --family triangle_ring --r 2", 3, INPUT + "triangle ring needs r >= 3, got 2"),
+    Failure("gen --family friendship --f 0", 3, INPUT + "friendship graph needs f >= 1, got 0"),
+    # no connected sample exists, so these are bad input, not a resource limit
+    Failure("gen --model gnp --n 1 --p 0.5 --seed 1", 3,
+            INPUT + "no connected gnp(1, 0.5) graph exists; needs n >= 2 and p > 0"),
+    Failure("gen --model gnp --n 3 --p 0 --seed 1", 3,
+            INPUT + "no connected gnp(3, 0.0) graph exists; needs n >= 2 and p > 0"),
+    Failure("gen --model gnp --n 5 --p 1.5 --seed 1", 3, INPUT + "bad gnp parameters n=5, p=1.5"),
+    # a connected sample exists, but not within GNP_MAX_TRIES draws
+    Failure("gen --model gnp --n 30 --p 0.01 --seed 1", 4, LIMIT + "no connected gnp(30, 0.01) sample in 1000 tries"),
+    Failure("gen --model random_cubic --n 5 --seed 1", 3, INPUT + "cubic graphs need even n >= 4, got 5"),
+    Failure("gen --model gnp --p 0.5 --seed 1", 3, INPUT + "--n is required for random models"),
+    Failure("gen --model gnp --n 4 --p 0.9 --seed 1 --k 5", 3, INPUT + "--k does not apply to --model gnp"),
+    Failure("gen --model random_cubic --n 8 --seed 1 --p 0.3", 3, INPUT + "--p does not apply to --model random_cubic"),
+    Failure("gen --family path --n 3 --seed 9", 3, INPUT + "--seed does not apply to --family path"),
+    Failure("gen --family path --n 3 --p 0.7", 3, INPUT + "--p does not apply to --family path"),
+    Failure("gen --file - --n 3", 3, INPUT + "--n does not apply to --file"),
+    Failure("color --theorem 31", 3, INPUT + "exactly one of --file, --family, or --model is required"),
+    # files: unreadable, not UTF-8, or not an edge list
+    Failure("gen --file missing.txt", 3, INPUT + "[Errno 2] No such file or directory: 'missing.txt'"),
+    Failure("gen --file g.txt", 3, INPUT + "g.txt: byte 0 is not UTF-8 (invalid start byte)",
+            files=(("g.txt", b"\xff3 2\n0 1\n1 2\n"),)),
+    Failure("gen --file -", 3, INPUT + "stdin: byte 10 is not UTF-8 (invalid start byte)", stdin=b"3 2\n0 1\n1 \xff\n"),
+    Failure("gen --file -", 3, INPUT + "empty input: expected a header line 'n m'", stdin=b""),
+    Failure("gen --file -", 3, INPUT + "line 1: expected header 'n m', got '3'", stdin=b"3\n"),
+    Failure("gen --file -", 3, INPUT + "line 1: expected two integers, got 'a b'", stdin=b"a b\n"),
+    Failure("gen --file -", 3, INPUT + "line 1: counts must be non-negative", stdin=b"-1 0\n"),
+    Failure("gen --file -", 3, INPUT + "expected 3 edge lines, found 1", stdin=b"3 3\n0 1\n"),
+    Failure("gen --file -", 3, INPUT + "line 4: unexpected data after 2 edges", stdin=b"3 2\n0 1\n1 2\n0 2\n"),
+    Failure("gen --file -", 3, INPUT + "line 2: expected 'u v', got '0'", stdin=b"2 1\n0\n"),
+    Failure("gen --file -", 3, INPUT + "line 2: loop edge (1, 1)", stdin=b"2 1\n1 1\n"),
+    # linegraph
+    Failure("linegraph --family path --n 3 --iterations 0", 3, INPUT + "iteration count must be >= 1, got 0"),
+    Failure("linegraph --family path --n 3 --iterations 3", 3, INPUT + "iteration 3: graph has no edges"),
+    Failure("linegraph --family friendship --f 320", 4,
+            LIMIT + "iteration 1: line graph would have 205120 edges, cap 200000"),
+    # color; a failure writes no report
+    *(
+        Failure(f"color --model random_cubic --n 8 --seed 1 --theorem {theorem} --pack {pack} --json r.json", 3,
+                INPUT + f"theorem {theorem} takes no packing; pack applies only to theorems 31 and 32")
+        for theorem, pack in [("cubic", "forest_exact"), ("iterated", "greedy")]
+    ),
+    Failure("color --family triangle_ring --r 4 --theorem 31 --pack greedy", 3,
+            INPUT + "packing structure must be a triangle-forest; theorem 32 takes any packing"),
+    Failure("color --family complete --n 8 --theorem 32 --pack exact", 4,
+            LIMIT + "exact packing capped at 24 triangles, instance has 56"),
+    Failure("color --model gnp --n 7 --p 0.4 --theorem 32", 3, INPUT + "--seed is required for random models"),
+    *(
+        Failure(f"color --file g.txt --theorem {theorem}", 3, INPUT + "graph must be connected",
+                files=(("g.txt", b"4 2\n0 1\n2 3\n"),))
+        for theorem in ("31", "32", "cubic", "iterated")
+    ),
+    Failure("color --family path --n 4 --theorem cubic", 3, INPUT + "every vertex must have degree exactly 3"),
+    # no vertices, so the degree-3 test passes vacuously
+    Failure("color --file g.txt --theorem cubic", 3,
+            INPUT + "line graph is trivial; rainbow connection is undefined on it", files=(("g.txt", b"0 0\n"),)),
+    Failure("color --family path --n 2 --theorem iterated", 3, INPUT + "iteration 2: graph has no edges"),
+    Failure("color --family path --n 3 --theorem iterated", 3, INPUT + "twice-iterated line graph is trivial"),
+    Failure("color --family friendship --f 320 --theorem iterated", 4,
+            LIMIT + "iteration 1: line graph would have 205120 edges, cap 200000"),
+    # one triangle tree with t = 1099: colored without recursion, then
+    # refused by the verifier's palette cap, not by a RecursionError
+    Failure("color --family example32 --k 1100 --theorem 31", 4,
+            LIMIT + "palette of 1101 colors exceeds the search cap 64"),
+    # verify
+    Failure("verify --file g.txt --coloring c.txt", 3, INPUT + "coloring has 1 entries for 2 edges",
+            files=(("g.txt", b"3 2\n0 1\n1 2\n"), ("c.txt", b"1\n"))),
+    *(
+        Failure("verify --file g.txt --coloring c.txt", 3, INPUT + f"edge {edge} has color {bad}",
+                files=(("g.txt", b"3 3\n0 1\n1 2\n0 2\n"), ("c.txt", colors)))
+        for colors, edge, bad in [
+            (b"1 0 1\n", 1, "0 outside 1..1"),
+            (b"2 -1 1\n", 1, "-1 outside 1..2"),
+            (b"0 0 0\n", 0, "0 outside 1..0"),
+            (b"-2 -1 -3\n", 0, "-2 outside 1..-1"),
+        ]
+    ),
+    Failure("verify --family cycle --n 3 --coloring c.txt", 3, INPUT + "line 1: bad color 'x'",
+            files=(("c.txt", b"1 x 1\n"),)),
+    Failure("verify --family cycle --n 3 --coloring c.txt", 3,
+            INPUT + "c.txt: byte 4 is not UTF-8 (invalid start byte)",
+            files=(("c.txt", b"1 1 \xff\n"),)),
+    Failure("verify --family cycle --n 3 --coloring missing.txt", 3,
+            INPUT + "[Errno 2] No such file or directory: 'missing.txt'"),
+    # bound and exact
+    *(
+        Failure(f"{command} --family path --n 1", 3,
+                INPUT + "rc is defined only on connected graphs with at least 2 vertices")
+        for command in ("bound", "exact")
+    ),
+    Failure("exact --family cycle --n 5 --max-edges -1", 3, INPUT + "edge cap must be non-negative, got -1"),
+    Failure("exact --family cycle --n 13", 4,
+            LIMIT + "13 edges exceed the exact-search cap 12 (proven bracket: 6..12)"),
+    # bench, which shares the model-flag checks with the sources
+    Failure("bench --model gnp --n 6 --p 0.5", 3, INPUT + "--seed is required for random models"),
+    Failure("bench --model gnp --p 0.5 --seed 1", 3, INPUT + "--n is required for random models"),
+    Failure("bench --model random_cubic --n 8 --p 0.3 --count 1 --seed 1", 3,
+            INPUT + "--p does not apply to --model random_cubic"),
+    Failure("bench --model gnp --n 1 --p 0.5 --count 2 --seed 1", 3,
+            INPUT + "no connected gnp(1, 0.5) graph exists; needs n >= 2 and p > 0"),
+    Failure(f"bench {GNP} --count -1", 3, INPUT + "count must be non-negative"),
+    # --count 0: no row reaches exact_rc
+    *(
+        Failure(f"bench {GNP} --count {count} --max-edges -5", 3, INPUT + "edge cap must be non-negative, got -5")
+        for count in (2, 0)
+    ),
+]
+
+
+def _row_id(row: Failure) -> str:
+    inputs = [f"{name}={data!r}" for name, data in row.files]
+    if row.stdin is not None:
+        inputs.append(f"stdin={row.stdin!r}")
+    return " ".join([row.argv, *inputs])
+
+
+@pytest.mark.parametrize("row", FAILURES, ids=_row_id)
+def test_failure(row, capsys, monkeypatch, tmp_path):
+    """The row's exit code and exact stderr, nothing on stdout, and nothing
+    written beside the row's input files."""
+    for name, data in row.files:
+        (tmp_path / name).write_bytes(data)
+    if row.stdin is not None:
+        _stdin(monkeypatch, row.stdin)
+    monkeypatch.chdir(tmp_path)
+    assert main(row.argv.split()) == row.code
+    assert capsys.readouterr() == ("", row.stderr + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name for name, _ in row.files)
+
+
+# Raise sites no CLI invocation reaches; library tests reach them.
+LIBRARY_ONLY = {
+    # argparse's choices, or the edge-list parser, refuse the input first
+    "unknown model {}",
+    "unknown family {}; available: {}",
+    "unknown theorem {}; expected one of {}",
+    "unknown packing mode {}",
+    "vertex count must be non-negative, got {}",
+    # functions only the benchmark's tracer calls
+    "edge id {} out of range",
+    "part color {} outside its palette 1..{}",
+    "edge {} covered by more than one part",
+    "edges not covered by any part: {}",
+    "coloring does not match the line graph of the trace's final graph",
+    # checks of a caller's triangles or packing; each command packs the
+    # graph's own triangles
+    "triangle {} has stale edge ids for this graph",
+    "triangle {} shares an edge with another",
+    "triangle vertices must be distinct: {}",
+    "{} is not a triangle of the graph",
+    "packing is of another graph",
+    # CUBIC_MAX_TRIES (10,000) rejected pairings
+    "no simple connected cubic sample on {} vertices in {} tries",
+}
+
+
+def raise_sites() -> dict[str, str]:
+    """Each ``raise InputError(...)`` or ``raise LimitError(...)`` in the
+    package whose message is a string or an f-string: its message with
+    ``{}`` for each placeholder, mapped to ``module:line``."""
+    sites = {}
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "rainbowline"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            call = node.exc
+            if ast.unparse(call.func) not in ("InputError", "LimitError") or not call.args:
+                continue
+            message = call.args[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                sites[message.value] = f"{path.stem}:{node.lineno}"
+            elif isinstance(message, ast.JoinedStr):
+                parts = (v.value if isinstance(v, ast.Constant) else "{}" for v in message.values)
+                sites["".join(parts)] = f"{path.stem}:{node.lineno}"
+    return sites
+
+
+def test_every_raise_site_has_a_row():
+    """Each raise site's message, literal parts escaped and each placeholder
+    a wildcard, matches the start of some row's message (its stderr after
+    ``input error: `` or ``resource limit: ``), unless no CLI invocation can
+    reach the site."""
+    messages = [row.stderr.split(": ", 1)[1] for row in FAILURES]
+    unmatched = {
+        template: where
+        for template, where in raise_sites().items()
+        for pattern in [".*".join(map(re.escape, template.split("{}")))]
+        if not any(re.match(pattern, message) for message in messages)
+    }
+    assert set(unmatched) == LIBRARY_ONLY, sorted(
+        f"{unmatched.get(t, 'no site')}: {t}" for t in set(unmatched) ^ LIBRARY_ONLY
+    )
 
 
 class TestUsageErrors:
@@ -581,6 +675,13 @@ class TestLinegraphCommand:
         g = parse_edge_list(capsys.readouterr().out)
         assert g.n == 2 and g.m == 1
 
+    def test_dot_export(self, capsys, tmp_path):
+        dot = tmp_path / "l.dot"
+        assert main(["linegraph", "--family", "cycle", "--n", "4", "--dot", str(dot)]) == 0
+        target = line_graph(cycle_graph(4)).l_graph
+        assert capsys.readouterr().out == render_edge_list(target)
+        assert dot.read_text() == to_dot(target)
+
 
 def _assert_packed_once(enumerated, classified, cubic):
     """One enumeration per row graph, and on it one classification per
@@ -616,6 +717,15 @@ class TestBench:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_csv_file_holds_the_table(self, capsys, tmp_path):
+        argv = ["bench", "--model", "gnp", "--n", "6", "--p", "0.5", "--count", "2", "--seed", "7"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        out = tmp_path / "rows.csv"
+        assert main([*argv, "--csv", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == table
 
     def test_empty_table(self, capsys):
         assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5",
@@ -733,29 +843,7 @@ class TestBench:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert [row.split(",")[20] for row in rows] == ["False", "False"]
 
-    def test_seed_required(self, capsys):
-        assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5"]) == 3
-
-    @pytest.mark.parametrize("command", ["bench", "gen"])
-    def test_n_required(self, capsys, command):
-        """``bench`` and ``gen`` share the model-flag checks and message."""
-        assert main([command, "--model", "gnp", "--p", "0.5", "--seed", "1"]) == 3
-        assert capsys.readouterr().err == "input error: --n is required for random models\n"
-
-    def test_single_vertex_gnp_is_an_input_error(self, capsys):
-        assert main(["bench", "--model", "gnp", "--n", "1", "--p", "0.5",
-                     "--count", "2", "--seed", "1"]) == 3
-        assert capsys.readouterr().err.startswith("input error: no connected gnp(1, 0.5) graph exists")
-
-    @pytest.mark.parametrize("count", ["2", "0"])  # "0": no row reaches exact_rc
-    def test_negative_edge_cap_is_an_input_error(self, capsys, count):
-        assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5",
-                     "--count", count, "--seed", "1", "--max-edges", "-5"]) == 3
-        captured = capsys.readouterr()
-        assert captured.err == "input error: edge cap must be non-negative, got -5\n"
-        assert captured.out == ""
-
-    def test_cubic_rejects_p(self, capsys):
-        assert main(["bench", "--model", "random_cubic", "--n", "8", "--p", "0.3",
-                     "--count", "1", "--seed", "1"]) == 3
-        assert capsys.readouterr().err == "input error: --p does not apply to --model random_cubic\n"
+    def test_unknown_model_is_an_input_error(self):
+        # the CLI's --model choices refuse it before run_bench is called
+        with pytest.raises(InputError, match="^unknown model 'nosuch'$"):
+            run_bench("nosuch", 6, 0.5, 1, seed=1, max_edges=12)

@@ -135,6 +135,17 @@ class TestCombine:
         with pytest.raises(InputError, match="not covered"):
             combine_colorings(g, [ColorPart({0: 1}, 1)])
 
+    @pytest.mark.parametrize(
+        "part, message",
+        [
+            (ColorPart({0: 1, 2: 1}, 1), "edge id 2 out of range"),
+            (ColorPart({0: 1, 1: 3}, 2), "part color 3 outside its palette 1..2"),
+        ],
+    )
+    def test_rejects_a_part_outside_its_ranges(self, part, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            combine_colorings(path_graph(3), [part])
+
 
 class TestSingleTriangle:
     def test_bare_triangle(self):
@@ -306,6 +317,7 @@ class TestCertify:
             return line_graph(g)
 
         monkeypatch.setattr("rainbowline.coloring.line_graph", recorded)
+        monkeypatch.setattr("rainbowline.linegraph.line_graph", recorded)
         k30 = complete_graph(30)
         with pytest.raises(LimitError, match="^palette of 435 colors exceeds the search cap 64$"):
             color(k30, "iterated")
@@ -314,6 +326,15 @@ class TestCertify:
         with pytest.raises(LimitError, match="^palette of 68 colors exceeds the search cap 64$"):
             color(connected_gnp(80, 0.12, 3), "32")
         assert built == []
+
+    @pytest.mark.parametrize("theorem", ["31", "32"])
+    def test_colors_used_counts_the_colors_that_appear(self, theorem):
+        """L(K3)'s one triangle gives out a palette of two colors, yet every
+        pair of L(K3) lands on a vertex whose special edge it holds, so one
+        color appears."""
+        run = color(complete_graph(3), theorem)
+        assert (run.coloring.colors, run.coloring.k) == ((1, 1, 1), 2)
+        assert run.certificate.colors_used == 1 and run.certificate.verified
 
 
 class TestIterated:
@@ -346,6 +367,14 @@ class TestIterated:
         col, cert = color_iterated_baseline(claw)
         assert cert.colors_used == 3 and cert.verified
         assert exact_rc(col.graph) == 1
+
+    def test_baseline_refuses_a_line_graph_past_the_iterate_cap(self):
+        # L(G) of a 700-leaf star is K700; m - m1 = 700 would fail the
+        # palette cap too, but only after L(G) was built
+        star = build_graph(701, [(0, leaf) for leaf in range(1, 701)])
+        message = "iteration 1: line graph would have 244650 edges, cap 200000"
+        with pytest.raises(LimitError, match=f"^{re.escape(message)}$"):
+            color(star, "iterated")
 
     def test_baseline_rejects_trivial_square(self):
         with pytest.raises(InputError):

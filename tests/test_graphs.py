@@ -98,6 +98,11 @@ class TestBuildGraph:
         with pytest.raises(InputError, match=r"out of range"):
             build_graph(2, [(0, 5)])
 
+    def test_rejects_negative_vertex_count(self):
+        # the edge-list parser refuses a negative count before it calls this
+        with pytest.raises(InputError, match=r"^vertex count must be non-negative, got -1$"):
+            build_graph(-1, [])
+
 
 class TestDiameter:
     def test_path(self):
