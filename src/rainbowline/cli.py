@@ -9,6 +9,7 @@ limit exceeded.
 import argparse
 import csv
 import io
+import signal
 import sys
 from pathlib import Path
 
@@ -98,8 +99,11 @@ def _sample(model: str, n: int, p: float, seed: int) -> Graph:
 def _read(path: str, stdin: bool = False) -> str:
     """The file ``path``, or stdin if ``stdin``, decoded as UTF-8 without a
     leading byte-order mark; other bytes are an input error that names the
-    file and the offset from its start."""
-    data = sys.stdin.buffer.read() if stdin else Path(path).read_bytes()
+    file and the offset from its start, and so is a file that cannot be read."""
+    try:
+        data = sys.stdin.buffer.read() if stdin else Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(str(exc)) from None
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -124,8 +128,13 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write ``text`` to the file ``path``; a file that cannot be written is
+    an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _report(args: argparse.Namespace, payload: dict) -> None:
@@ -389,15 +398,16 @@ def main(argv: list[str] | None = None) -> int:
             msg += f" (proven bracket: {exc.lower}..{exc.upper})"
         print(f"resource limit: {msg}", file=sys.stderr)
         return EXIT_LIMIT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
 def entrypoint() -> None:
+    # a closed stdout, as in ``rainbowline gen ... | head -1``, ends the
+    # process as it ends other filters, not as an input error
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

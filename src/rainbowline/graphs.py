@@ -26,8 +26,9 @@ class Graph:
     Derived values are computed on first use and cached on the instance:
     ``adjacency``, ``incident_edges``, ``degrees``, ``n2``, ``edge_index``,
     ``is_connected`` and ``diameter``. ``is_connected`` reads the module's
-    one breadth-first search, ``distances``; ``diameter`` grows every
-    vertex's ball at once as an int bitset and runs no search.
+    one breadth-first search, ``distances``; ``diameter`` reads
+    ``is_connected``, then grows every vertex's ball at once as an int
+    bitset.
     """
 
     n: int
@@ -79,12 +80,14 @@ class Graph:
         """Max shortest-path length over vertex pairs; ``math.inf`` if
         disconnected, 0 for at most one vertex.
 
-        Bit ``w`` of ``balls[v]`` is set when ``w`` is within the current
-        radius of ``v``. Each round ORs every ball with its neighbours'
-        balls of the round before, so the radius grows by one; a round in
-        which no ball grows ends it. The rounds that grew are the largest
-        eccentricity within a component, and a ball that is not then full
-        means the graph is disconnected."""
+        A disconnected graph is answered by ``is_connected`` before any ball
+        grows. Bit ``w`` of ``balls[v]`` is set when ``w`` is within the
+        current radius of ``v``. Each round ORs every ball with its
+        neighbours' balls of the round before, so the radius grows by one; a
+        round in which no ball grows ends it, and the rounds that grew are
+        the largest eccentricity."""
+        if not self.is_connected:
+            return math.inf
         adj = self.adjacency
         balls = [1 << v for v in range(self.n)]
         rounds = 0
@@ -98,8 +101,7 @@ class Graph:
                 break
             balls = grown
             rounds += 1
-        full = (1 << self.n) - 1
-        return rounds if all(ball == full for ball in balls) else math.inf
+        return rounds
 
     def degree(self, v: int) -> int:
         return self.degrees[v]

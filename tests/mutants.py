@@ -41,7 +41,7 @@ PROJECTION = "tests/test_coloring.py::TestProjection::"
 PULL_BACK = "tests/test_coloring.py::TestProjectionMatchesPullBack::"
 RECURSION = "tests/test_coloring.py::TestTreeColoringMatchesRecursion::"
 CONSTRUCT = "tests/test_coloring.py::TestConstructMatchesReference::test_star_rules_match_part_by_part"
-GOLDEN = "tests/test_goldens.py::test_report_is_byte_identical"
+GOLDEN = "tests/test_cli.py::test_run"
 STALE = "tests/test_triangles.py::TestClassify::test_one_stale_side_is_rejected"
 FIRES = "tests/test_oracle.py::TestLookAheadTrigger::test_look_ahead_fires_on_a_long_sparse_line_graph"
 GREEDY_RULE = "tests/test_triangles.py::TestPacking::test_greedy_takes_each_triangle_that_fits"
@@ -277,12 +277,13 @@ MUTANTS = (
     Mutant(
         "graphs: a disconnected graph's diameter is its round count",
         GRAPHS,
-        "return rounds if all(ball == full for ball in balls) else math.inf",
-        "return rounds",
+        "        if not self.is_connected:\n            return math.inf\n",
+        "",
         (
             NETWORKX + "test_distances",
             NETWORKX + "test_distances_on_wide_graphs[union]",
             "tests/test_graphs.py::TestDiameter::test_disconnected_is_infinite",
+            "tests/test_graphs.py::TestDiameter::test_disconnected_grows_no_ball",
         ),
     ),
     Mutant(

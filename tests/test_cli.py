@@ -5,6 +5,8 @@ import json
 import os
 import pathlib
 import re
+import runpy
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,13 +16,16 @@ import pytest
 
 from helpers import count_packing_work, shuffle_random_cubic
 from rainbowline import cli, coloring, families, oracle
-from rainbowline.cli import EXIT_INTERNAL, main, run_bench
+from rainbowline.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT, main, run_bench
 from rainbowline.errors import InputError, InvariantViolation, LimitError
-from rainbowline.families import FAMILIES, complete_graph, connected_gnp, cycle_graph, gen_family, random_cubic
+from rainbowline.families import FAMILIES, connected_gnp, cycle_graph, gen_family, random_cubic
 from rainbowline.formats import parse_edge_list, render_edge_list, to_dot
 from rainbowline.graphs import Graph, diameter
 from rainbowline.linegraph import line_graph
 from rainbowline.triangles import pack_edge_disjoint
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 class TestEdgeListFormat:
@@ -83,11 +88,6 @@ class TestEdgeListFormat:
 
 
 class TestGenAndFamilies:
-    def test_gen_prints_edge_list(self, capsys):
-        assert main(["gen", "--family", "complete", "--n", "3"]) == 0
-        out = capsys.readouterr().out
-        assert parse_edge_list(out) == complete_graph(3)
-
     def test_chain_family_shape(self):
         g = gen_family("example31", t=2)
         assert g.n == 6 and g.m == 7
@@ -142,53 +142,8 @@ class TestGenAndFamilies:
         monkeypatch.setattr(families, "CUBIC_MAX_TRIES", 49)
         assert random_cubic(8, 6_000_018) == shuffle_random_cubic(8, 6_000_018)
 
-    def test_all_families_have_generators(self, capsys):
-        """Each family builds, and ``gen`` takes its parameter letter as a flag."""
-        params = {
-            "example31": {"t": 2},
-            "example32": {"k": 2},
-            "path": {"n": 4},
-            "cycle": {"n": 5},
-            "complete": {"n": 4},
-            "petersen": {},
-            "triangle_ring": {"r": 3},
-            "friendship": {"f": 2},
-        }
-        assert set(params) == set(FAMILIES)
-        for name, kw in params.items():
-            g = gen_family(name, **kw)
-            assert g.m > 0
-            flags = [arg for key, value in kw.items() for arg in (f"--{key}", str(value))]
-            assert main(["gen", "--family", name, *flags]) == 0
-            assert capsys.readouterr().out == render_edge_list(g)
-
 
 class TestColorCommand:
-    def test_chain_forest_bound(self, capsys, tmp_path):
-        report = tmp_path / "r.json"
-        code = main(
-            ["color", "--family", "example31", "--t", "3", "--theorem", "31",
-             "--json", str(report)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "colors used = 6" in out
-        assert "verified = true" in out
-        payload = json.loads(report.read_text())
-        assert payload["schema"] == 1
-        assert payload["bound"] == {"name": "n2 - t", "value": 6}
-        assert payload["verified"] is True
-
-    def test_reports_are_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (a, b):
-            assert (
-                main(["color", "--family", "example32", "--k", "3", "--theorem", "32",
-                      "--json", str(path)])
-                == 0
-            )
-        assert a.read_bytes() == b.read_bytes()
-
     def test_diameter_only_for_json(self, capsys, monkeypatch, tmp_path):
         calls = []
 
@@ -205,43 +160,6 @@ class TestColorCommand:
         assert main(argv + ["--json", str(report)]) == 0
         assert len(calls) == 1
         assert json.loads(report.read_text())["diameter_lower_bound"] == diameter(calls[0])
-
-    def test_cubic_on_k4(self, capsys):
-        assert main(["color", "--family", "complete", "--n", "4", "--theorem", "cubic"]) == 0
-        out = capsys.readouterr().out
-        assert "bound n + 1 = 5" in out
-        assert "verified = true" in out
-
-    def test_triangle_free_file_uses_inner_count(self, capsys, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text(render_edge_list(cycle_graph(5)))
-        assert main(["color", "--file", str(path), "--theorem", "32"]) == 0
-        out = capsys.readouterr().out
-        assert "colors used = 5" in out
-
-    def test_iterated_baseline(self, capsys):
-        assert main(["color", "--family", "path", "--n", "6", "--theorem", "iterated"]) == 0
-        assert "bound m - m1 = 3" in capsys.readouterr().out
-
-    def test_dot_export(self, tmp_path, capsys):
-        dot = tmp_path / "l.dot"
-        assert (
-            main(["color", "--family", "example31", "--t", "2", "--theorem", "31",
-                  "--dot", str(dot)])
-            == 0
-        )
-        text = dot.read_text()
-        assert text.startswith("graph L {")
-        assert "[color=1]" in text
-        assert "// color 1 =" in text
-
-    def test_pack_override(self, capsys):
-        assert (
-            main(["color", "--family", "example31", "--t", "2", "--theorem", "31",
-                  "--pack", "forest_greedy"])
-            == 0
-        )
-        assert "mode=forest_greedy" in capsys.readouterr().out
 
     def test_invariant_violation_is_internal_error(self, capsys, monkeypatch):
         def broken(g, packing):
@@ -262,218 +180,352 @@ class TestColorCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[1:4] == ["colors used = 4", "verified = false", "failing pair = 0 2"]
 
-    def test_random_model_source(self, capsys):
-        args = ["color", "--model", "gnp", "--n", "7", "--p", "0.4",
-                "--seed", "3", "--theorem", "32"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert "verified = true" in first
-        assert main(args) == 0
-        assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize(
-        "source, theorem, colors",
-        [
-            (["--model", "gnp", "--n", "60", "--p", "0.14"], "32", 50),
-            (["--model", "random_cubic", "--n", "40"], "cubic", 41),
-        ],
-    )
-    def test_flatten_instances_certify(self, capsys, source, theorem, colors):
-        """Two instances of the ``flatten`` benchmark, seed 1: the verifier's
-        look-ahead runs on both line graphs, and both colorings certify."""
-        assert main(["color", *source, "--seed", "1", "--theorem", theorem]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert f"colors used = {colors}" in out
-        assert "verified = true" in out
+class Golden(NamedTuple):
+    """The file ``tests/data/<name>``: a row's expected output or an input."""
+
+    name: str
 
 
-class TestVerifyCommand:
-    def test_good_and_bad(self, tmp_path, capsys):
-        g = tmp_path / "g.txt"
-        g.write_text("3 3\n0 1\n1 2\n0 2\n")
-        good = tmp_path / "good.txt"
-        good.write_text("1 1 1\n")
-        assert main(["verify", "--file", str(g), "--coloring", str(good)]) == 0
-        assert "verified = true" in capsys.readouterr().out
-        bad_graph = tmp_path / "p.txt"
-        bad_graph.write_text("3 2\n0 1\n1 2\n")
-        bad = tmp_path / "bad.txt"
-        bad.write_text("1 1\n")
-        assert main(["verify", "--file", str(bad_graph), "--coloring", str(bad)]) == 2
-        assert "failing pair = 0 2" in capsys.readouterr().out
-
-
-
-def _stdin(monkeypatch, data: bytes) -> None:
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
-
-
-BOM = b"\xef\xbb\xbf"
-
-
-class TestByteOrderMark:
-    """A leading UTF-8 byte-order mark is not part of the text: each source
-    the commands read gives the same output with or without one, and an
-    undecodable byte's offset still counts from the start of the file."""
-
-    @staticmethod
-    def _same_output(capsys, run, data: bytes):
-        outputs = []
-        for prefix in (b"", BOM):
-            outputs.append((run(prefix + data), capsys.readouterr()))
-        assert outputs[0] == outputs[1]
-        return outputs[0]
-
-    def test_edge_list_file(self, capsys, tmp_path):
-        f = tmp_path / "g.txt"
-
-        def run(data):
-            f.write_bytes(data)
-            return main(["gen", "--file", str(f)])
-
-        code, captured = self._same_output(capsys, run, b"3 2\n0 1\n1 2\n")
-        assert (code, captured.out) == (0, "3 2\n0 1\n1 2\n")
-
-    def test_stdin(self, capsys, monkeypatch):
-        def run(data):
-            _stdin(monkeypatch, data)
-            return main(["exact", "--file", "-"])
-
-        code, captured = self._same_output(capsys, run, b"3 3\n0 1\n1 2\n0 2\n")
-        assert (code, captured.out) == (0, "exact rc = 1\n")
-
-    def test_coloring_file(self, capsys, tmp_path):
-        c = tmp_path / "c.txt"
-
-        def run(data):
-            c.write_bytes(data)
-            return main(["verify", "--family", "cycle", "--n", "3", "--coloring", str(c)])
-
-        code, captured = self._same_output(capsys, run, b"1 1 1\n")
-        assert code == 0 and "verified = true" in captured.out
-
-    def test_undecodable_offset_counts_the_mark(self, capsys, monkeypatch):
-        _stdin(monkeypatch, BOM + b"3 2\n0 1\n1 \xff\n")
-        assert main(["gen", "--file", "-"]) == 3
-        assert capsys.readouterr().err == "input error: stdin: byte 13 is not UTF-8 (invalid start byte)\n"
-
-
-class TestExactAndBound:
-    def test_exact_cycle(self, capsys):
-        assert main(["exact", "--family", "cycle", "--n", "5"]) == 0
-        assert "exact rc = 3" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("family, param, rc", [("example31", "--t", 4), ("example32", "--k", 3)])
-    def test_line_graph_through_stdin(self, capsys, monkeypatch, family, param, rc):
-        """``linegraph | exact --file -``: rc of the paper's smallest
-        sharpness examples, L(G) read back from stdin."""
-        assert main(["linegraph", "--family", family, param, "2"]) == 0
-        _stdin(monkeypatch, capsys.readouterr().out.encode())
-        assert main(["exact", "--file", "-"]) == 0
-        assert capsys.readouterr().out == f"exact rc = {rc}\n"
-
-    def test_bound(self, capsys):
-        assert main(["bound", "--family", "path", "--n", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "rc lower bound = 4" in out
-
-
-class Failure(NamedTuple):
-    """One ``main`` invocation that fails. It runs in an empty directory
-    holding only ``files`` (name, bytes), so ``argv``, split on spaces, names
-    them as relative paths; ``stdin`` is the bytes stdin holds, if read."""
+class Case(NamedTuple):
+    """One ``main`` run. It runs in an empty directory holding only
+    ``files`` (name, bytes or golden), so ``argv``, split on spaces, names
+    them as relative paths; ``stdin`` is the bytes stdin holds, if read. It
+    exits with ``code`` and prints exactly ``stdout``, and ``stderr`` as one
+    line if it is not empty. Afterwards the directory holds ``files`` and
+    the files the run ``writes`` (name, text or golden), byte for byte, and
+    nothing else. A ``scripts/`` command runs the script's ``main``."""
 
     argv: str
     code: int
-    stderr: str
+    stderr: str = ""
+    stdout: str | Golden = ""
     stdin: bytes | None = None
-    files: tuple[tuple[str, bytes], ...] = ()
+    files: tuple[tuple[str, bytes | Golden], ...] = ()
+    writes: tuple[tuple[str, str | Golden], ...] = ()
+
+
+def golden(name: str, argv: str, stdout: str | Golden = "", code: int = 0, inputs: tuple[str, ...] = ()) -> Case:
+    """The run that writes ``tests/data/<name>`` from the ``tests/data``
+    files ``inputs``: a ``.json`` golden is its ``--json`` report, any other
+    golden is its stdout."""
+    files = tuple((f, Golden(f)) for f in inputs)
+    if name.endswith(".json"):
+        return Case(f"{argv} --json {name}", code, stdout=stdout, files=files, writes=((name, Golden(name)),))
+    return Case(argv, code, stdout=Golden(name), files=files)
 
 
 GNP = "--model gnp --n 6 --p 0.5 --seed 1"
 INPUT, LIMIT = "input error: ", "resource limit: "
+BOM = b"\xef\xbb\xbf"
+BENCH_HEADER = (
+    "index,seed,n,m,n2,t_greedy,t_exact,t_forest_greedy,t_forest_exact,c,n2_prime,op,"
+    "bound_forest,colors_forest,verified_forest,bound_general,colors_general,verified_general,"
+    "bound_cubic,colors_cubic,verified_cubic,diam_line,exact_rc_line\n"
+)
+BENCH_GNP_6_SEED7 = (
+    BENCH_HEADER
+    + "0,7000021,6,9,6,1,1,1,1,1,3,0,5,5,True,5,5,True,,,,2,\n"
+    + "1,7000022,6,7,5,1,1,1,1,1,2,0,4,4,True,4,4,True,,,,2,2\n"
+)
+# the line graphs of the paper's smallest sharpness examples, read back by
+# ``exact --file -``
+L_EXAMPLE31_2 = "7 10\n0 1\n0 2\n1 2\n1 3\n2 3\n3 4\n3 5\n4 5\n4 6\n5 6\n"
+L_EXAMPLE32_2 = "5 6\n0 1\n0 2\n0 3\n2 3\n1 2\n3 4\n"
+L_C4 = line_graph(cycle_graph(4)).l_graph
+# one instance of each family; gen takes its parameter letter as a flag
+FAMILY_PARAMS = {
+    "example31": {"t": 2},
+    "example32": {"k": 2},
+    "path": {"n": 4},
+    "cycle": {"n": 5},
+    "complete": {"n": 4},
+    "petersen": {},
+    "triangle_ring": {"r": 3},
+    "friendship": {"f": 2},
+}
 
-# Every failure the CLI reports for bad input (exit 3) or a limit (exit 4),
-# with its exact stderr; test_every_raise_site_has_a_row checks that each
-# InputError and LimitError message in src/ is one of them.
-FAILURES = [
+# Every in-process CLI run the tests make that needs no stub, argparse's
+# usage errors aside (TestUsageErrors): its exit code, exact stdout and
+# stderr, and the files it leaves behind.
+# test_every_raise_site_has_a_row checks that each InputError and LimitError
+# message in src/ is the stderr of some exit-3 or exit-4 row.
+CASES = [
+    # gen and linegraph
+    Case("gen --family complete --n 3", 0, stdout="3 3\n0 1\n0 2\n1 2\n"),
+    *(
+        Case(
+            " ".join(["gen --family", name, *(f"--{key} {value}" for key, value in FAMILY_PARAMS[name].items())]),
+            0,
+            stdout=render_edge_list(gen_family(name, **FAMILY_PARAMS[name])),
+        )
+        for name in FAMILIES
+    ),
+    Case("linegraph --family cycle --n 5", 0, stdout=render_edge_list(line_graph(cycle_graph(5)).l_graph)),
+    Case("linegraph --family path --n 4 --iterations 2", 0, stdout="2 1\n0 1\n"),
+    Case("linegraph --family cycle --n 4 --dot l.dot", 0, stdout=render_edge_list(L_C4), writes=(("l.dot", to_dot(L_C4)),)),
+    Case("linegraph --family example31 --t 2", 0, stdout=L_EXAMPLE31_2),
+    Case("linegraph --family example32 --k 2", 0, stdout=L_EXAMPLE32_2),
+    # bound and exact
+    Case("bound --family path --n 5", 0, stdout="diameter = 4\nrc lower bound = 4\nrc upper bound (spanning tree) = 4\n"),
+    Case("exact --family cycle --n 5", 0, stdout="exact rc = 3\n"),
+    Case("exact --file -", 0, stdout="exact rc = 4\n", stdin=L_EXAMPLE31_2.encode()),
+    Case("exact --file -", 0, stdout="exact rc = 3\n", stdin=L_EXAMPLE32_2.encode()),
+    # color
+    Case(
+        "color --family example31 --t 3 --theorem 31",
+        0,
+        stdout="bound n2 - t = 6\ncolors used = 6\nverified = true\npacking: t=3 c=3 n2'=0 op=0 mode=forest_exact\n",
+    ),
+    Case("color --family complete --n 4 --theorem cubic", 0, stdout="bound n + 1 = 5\ncolors used = 5\nverified = true\n"),
+    # triangle-free, so the bound counts the inner vertices
+    Case(
+        "color --file g.txt --theorem 32",
+        0,
+        stdout="bound t + n2' + c = 5\ncolors used = 5\nverified = true\npacking: t=0 c=0 n2'=5 op=0 mode=exact\n",
+        files=(("g.txt", b"5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"),),
+    ),
+    Case("color --family path --n 6 --theorem iterated", 0, stdout="bound m - m1 = 3\ncolors used = 3\nverified = true\n"),
+    Case(
+        "color --family complete --n 3 --theorem 32 --dot l.dot",
+        0,
+        stdout="bound t + n2' + c = 2\ncolors used = 1\nverified = true\npacking: t=1 c=1 n2'=0 op=0 mode=exact\n",
+        writes=(
+            (
+                "l.dot",
+                "graph L {\n  // color 1 = #e6194b\n  0;\n  1;\n  2;\n"
+                "  0 -- 1 [color=1];\n  0 -- 2 [color=1];\n  1 -- 2 [color=1];\n}\n",
+            ),
+        ),
+    ),
+    Case(
+        "color --family example31 --t 2 --theorem 31 --pack forest_greedy",
+        0,
+        stdout="bound n2 - t = 4\ncolors used = 4\nverified = true\npacking: t=2 c=2 n2'=0 op=0 mode=forest_greedy\n",
+    ),
+    # the same seeded sample twice
+    *[
+        Case(
+            "color --model gnp --n 7 --p 0.4 --seed 3 --theorem 32",
+            0,
+            stdout="bound t + n2' + c = 4\ncolors used = 4\nverified = true\npacking: t=0 c=0 n2'=4 op=0 mode=exact\n",
+        )
+    ]
+    * 2,
+    # two instances of the flatten benchmark: the verifier's look-ahead runs
+    # on both line graphs
+    Case(
+        "color --model gnp --n 60 --p 0.14 --seed 1 --theorem 32",
+        0,
+        stdout="bound t + n2' + c = 50\ncolors used = 50\nverified = true\npacking: t=38 c=1 n2'=11 op=29 mode=greedy\n",
+    ),
+    Case(
+        "color --model random_cubic --n 40 --seed 1 --theorem cubic",
+        0,
+        stdout="bound n + 1 = 41\ncolors used = 41\nverified = true\n",
+    ),
+    # verify
+    Case(
+        "verify --file g.txt --coloring c.txt",
+        0,
+        stdout="verified = true\n",
+        files=(("g.txt", b"3 3\n0 1\n1 2\n0 2\n"), ("c.txt", b"1 1 1\n")),
+    ),
+    Case(
+        "verify --file g.txt --coloring c.txt",
+        2,
+        stdout="verified = false\nfailing pair = 0 2\n",
+        files=(("g.txt", b"3 2\n0 1\n1 2\n"), ("c.txt", b"1 1\n")),
+    ),
+    # bench
+    Case(
+        "bench --model gnp --n 7 --p 0.4 --count 4 --seed 11",
+        0,
+        stdout=BENCH_HEADER
+        + "0,11000033,7,12,7,1,2,1,2,1,2,0,5,5,True,5,5,True,,,,3,\n"
+        + "1,11000034,7,10,7,1,1,1,1,1,4,0,6,6,True,6,6,True,,,,3,\n"
+        + "2,11000035,7,12,7,2,3,2,2,1,1,1,5,5,True,5,5,True,,,,3,\n"
+        + "3,11000036,7,8,6,0,0,0,0,0,6,0,6,6,True,6,6,True,,,,3,3\n",
+    ),
+    # the same seeded table twice, then once more written by --csv
+    *[
+        Case(
+            "bench --model gnp --n 6 --p 0.5 --count 3 --seed 7",
+            0,
+            stdout=BENCH_GNP_6_SEED7 + "2,7000023,6,8,6,2,2,2,2,1,1,0,4,4,True,4,4,True,,,,3,\n",
+        )
+    ]
+    * 2,
+    Case("bench --model gnp --n 6 --p 0.5 --count 2 --seed 7", 0, stdout=BENCH_GNP_6_SEED7),
+    Case("bench --model gnp --n 6 --p 0.5 --count 2 --seed 7 --csv rows.csv", 0, writes=(("rows.csv", BENCH_GNP_6_SEED7),)),
+    Case(f"bench {GNP} --count 0", 0, stdout=BENCH_HEADER),
+    # A leading UTF-8 byte-order mark is not part of the text: each source
+    # gives the same output with or without one, and an undecodable byte's
+    # offset still counts from the start of the file.
+    *(
+        row
+        for mark in (b"", BOM)
+        for row in (
+            Case("gen --file g.txt", 0, stdout="3 2\n0 1\n1 2\n", files=(("g.txt", mark + b"3 2\n0 1\n1 2\n"),)),
+            Case("exact --file -", 0, stdout="exact rc = 1\n", stdin=mark + b"3 3\n0 1\n1 2\n0 2\n"),
+            Case(
+                "verify --family cycle --n 3 --coloring c.txt", 0, stdout="verified = true\n", files=(("c.txt", mark + b"1 1 1\n"),)
+            ),
+        )
+    ),
+    Case("gen --file -", 3, INPUT + "stdin: byte 13 is not UTF-8 (invalid start byte)", stdin=BOM + b"3 2\n0 1\n1 \xff\n"),
+    # the goldens in tests/data, each written again by the run that made it
+    golden(
+        "color_triangle_ring_8.json",
+        "color --family triangle_ring --r 8 --theorem 32",
+        "bound t + n2' + c = 9\ncolors used = 9\nverified = true\npacking: t=8 c=1 n2'=0 op=1 mode=exact\n",
+    ),
+    golden(
+        "color_gnp_12_seed4.json",
+        "color --model gnp --n 12 --p 0.5 --seed 4 --theorem 32 --pack greedy",
+        "bound t + n2' + c = 9\ncolors used = 9\nverified = true\npacking: t=8 c=1 n2'=0 op=5 mode=greedy\n",
+    ),
+    golden(
+        "color_cubic_12_seed1.json",
+        "color --model random_cubic --n 12 --seed 1 --theorem cubic",
+        "bound n + 1 = 13\ncolors used = 13\nverified = true\n",
+    ),
+    golden(
+        "color_gnp_40_seed1.json",
+        "color --model gnp --n 40 --p 0.2 --seed 1 --theorem 32",
+        "bound t + n2' + c = 29\ncolors used = 29\nverified = true\npacking: t=26 c=1 n2'=2 op=16 mode=greedy\n",
+    ),
+    golden(
+        "color_gnp_30_seed2_t31.json",
+        "color --model gnp --n 30 --p 0.25 --seed 2 --theorem 31",
+        "bound n2 - t = 19\ncolors used = 19\nverified = true\npacking: t=11 c=1 n2'=7 op=0 mode=forest_greedy\n",
+    ),
+    golden(
+        "color_path_20_iterated.json",
+        "color --family path --n 20 --theorem iterated",
+        "bound m - m1 = 17\ncolors used = 17\nverified = true\n",
+    ),
+    golden(
+        "color_example32_6_iterated.json",
+        "color --family example32 --k 6 --theorem iterated",
+        "bound m - m1 = 16\ncolors used = 16\nverified = true\n",
+    ),
+    golden(
+        "color_friendship_5_t31.json",
+        "color --family friendship --f 5 --theorem 31",
+        "bound n2 - t = 6\ncolors used = 6\nverified = true\npacking: t=5 c=1 n2'=0 op=0 mode=forest_exact\n",
+    ),
+    golden(
+        "color_gnp_14_seed11.json",
+        "color --model gnp --n 14 --p 0.3 --seed 11 --theorem 32",
+        "bound t + n2' + c = 10\ncolors used = 10\nverified = true\npacking: t=5 c=2 n2'=3 op=1 mode=exact\n",
+    ),
+    *(
+        golden(
+            f"verify_cycle_7_{name}.json",
+            f"verify --family cycle --n 7 --coloring coloring_cycle_7_{name}.txt",
+            stdout,
+            code,
+            inputs=(f"coloring_cycle_7_{name}.txt",),
+        )
+        for name, code, stdout in [
+            ("rainbow", 0, "verified = true\n"),
+            ("unrainbow", 2, "verified = false\nfailing pair = 0 3\n"),
+            ("sparse", 0, "verified = true\n"),
+        ]
+    ),
+    golden(
+        "bound_example31_3.json",
+        "bound --family example31 --t 3",
+        "diameter = 5\nrc lower bound = 5\nrc upper bound (spanning tree) = 8\n",
+    ),
+    golden("exact_cycle_7.json", "exact --family cycle --n 7", "exact rc = 4\n"),
+    golden("bench_gnp_7_seed1.json", "bench --model gnp --n 7 --p 0.6 --count 3 --seed 1", Golden("bench_gnp_7_seed1.csv")),
+    # op = 2, 4 and 1: theorem 32 picks a packing other than theorem 31's
+    golden("bench_gnp_7_seed1.csv", "bench --model gnp --n 7 --p 0.6 --count 3 --seed 1"),
+    # both rows are past the exact search's cap: every column of a fallback row
+    golden("bench_gnp_9_fallback.csv", "bench --model gnp --n 9 --p 0.9 --count 2 --seed 1 --max-edges 0"),
+    golden("bench_gnp_8_seed7.csv", "bench --model gnp --n 8 --p 0.4 --count 3 --seed 7"),
+    golden("bench_random_cubic_8_seed7.csv", "bench --model random_cubic --n 8 --count 3 --seed 7"),
+    golden("reproduce_sharpness.txt", "scripts/reproduce_sharpness.py"),
+    # failures for bad input (exit 3) or a limit (exit 4), with nothing on stdout
     # sources: families, random models, flags the source does not read
-    Failure("gen --family example31", 3, INPUT + "family 'example31' takes exactly the parameter 't'"),
-    Failure("gen --family petersen --n 5", 3, INPUT + "petersen takes no parameters"),
-    Failure("gen --family example31 --t 0", 3, INPUT + "triangle chain needs t >= 1, got 0"),
-    Failure("gen --family example32 --k 1", 3, INPUT + "shared-vertex chain needs k >= 2, got 1"),
-    Failure("gen --family path --n 0", 3, INPUT + "path needs n >= 1, got 0"),
-    Failure("gen --family cycle --n 2", 3, INPUT + "cycle needs n >= 3, got 2"),
-    Failure("gen --family complete --n 0", 3, INPUT + "complete graph needs n >= 1, got 0"),
-    Failure("gen --family triangle_ring --r 2", 3, INPUT + "triangle ring needs r >= 3, got 2"),
-    Failure("gen --family friendship --f 0", 3, INPUT + "friendship graph needs f >= 1, got 0"),
+    Case("gen --family example31", 3, INPUT + "family 'example31' takes exactly the parameter 't'"),
+    Case("gen --family petersen --n 5", 3, INPUT + "petersen takes no parameters"),
+    Case("gen --family example31 --t 0", 3, INPUT + "triangle chain needs t >= 1, got 0"),
+    Case("gen --family example32 --k 1", 3, INPUT + "shared-vertex chain needs k >= 2, got 1"),
+    Case("gen --family path --n 0", 3, INPUT + "path needs n >= 1, got 0"),
+    Case("gen --family cycle --n 2", 3, INPUT + "cycle needs n >= 3, got 2"),
+    Case("gen --family complete --n 0", 3, INPUT + "complete graph needs n >= 1, got 0"),
+    Case("gen --family triangle_ring --r 2", 3, INPUT + "triangle ring needs r >= 3, got 2"),
+    Case("gen --family friendship --f 0", 3, INPUT + "friendship graph needs f >= 1, got 0"),
     # no connected sample exists, so these are bad input, not a resource limit
-    Failure("gen --model gnp --n 1 --p 0.5 --seed 1", 3,
+    Case("gen --model gnp --n 1 --p 0.5 --seed 1", 3,
             INPUT + "no connected gnp(1, 0.5) graph exists; needs n >= 2 and p > 0"),
-    Failure("gen --model gnp --n 3 --p 0 --seed 1", 3,
+    Case("gen --model gnp --n 3 --p 0 --seed 1", 3,
             INPUT + "no connected gnp(3, 0.0) graph exists; needs n >= 2 and p > 0"),
-    Failure("gen --model gnp --n 5 --p 1.5 --seed 1", 3, INPUT + "bad gnp parameters n=5, p=1.5"),
+    Case("gen --model gnp --n 5 --p 1.5 --seed 1", 3, INPUT + "bad gnp parameters n=5, p=1.5"),
     # a connected sample exists, but not within GNP_MAX_TRIES draws
-    Failure("gen --model gnp --n 30 --p 0.01 --seed 1", 4, LIMIT + "no connected gnp(30, 0.01) sample in 1000 tries"),
-    Failure("gen --model random_cubic --n 5 --seed 1", 3, INPUT + "cubic graphs need even n >= 4, got 5"),
-    Failure("gen --model gnp --p 0.5 --seed 1", 3, INPUT + "--n is required for random models"),
-    Failure("gen --model gnp --n 4 --p 0.9 --seed 1 --k 5", 3, INPUT + "--k does not apply to --model gnp"),
-    Failure("gen --model random_cubic --n 8 --seed 1 --p 0.3", 3, INPUT + "--p does not apply to --model random_cubic"),
-    Failure("gen --family path --n 3 --seed 9", 3, INPUT + "--seed does not apply to --family path"),
-    Failure("gen --family path --n 3 --p 0.7", 3, INPUT + "--p does not apply to --family path"),
-    Failure("gen --file - --n 3", 3, INPUT + "--n does not apply to --file"),
-    Failure("color --theorem 31", 3, INPUT + "exactly one of --file, --family, or --model is required"),
+    Case("gen --model gnp --n 30 --p 0.01 --seed 1", 4, LIMIT + "no connected gnp(30, 0.01) sample in 1000 tries"),
+    Case("gen --model random_cubic --n 5 --seed 1", 3, INPUT + "cubic graphs need even n >= 4, got 5"),
+    Case("gen --model gnp --p 0.5 --seed 1", 3, INPUT + "--n is required for random models"),
+    Case("gen --model gnp --n 4 --p 0.9 --seed 1 --k 5", 3, INPUT + "--k does not apply to --model gnp"),
+    Case("gen --model random_cubic --n 8 --seed 1 --p 0.3", 3, INPUT + "--p does not apply to --model random_cubic"),
+    Case("gen --family path --n 3 --seed 9", 3, INPUT + "--seed does not apply to --family path"),
+    Case("gen --family path --n 3 --p 0.7", 3, INPUT + "--p does not apply to --family path"),
+    Case("gen --file - --n 3", 3, INPUT + "--n does not apply to --file"),
+    Case("color --theorem 31", 3, INPUT + "exactly one of --file, --family, or --model is required"),
     # files: unreadable, not UTF-8, or not an edge list
-    Failure("gen --file missing.txt", 3, INPUT + "[Errno 2] No such file or directory: 'missing.txt'"),
-    Failure("gen --file g.txt", 3, INPUT + "g.txt: byte 0 is not UTF-8 (invalid start byte)",
+    Case("gen --file missing.txt", 3, INPUT + "[Errno 2] No such file or directory: 'missing.txt'"),
+    Case("gen --file g.txt", 3, INPUT + "g.txt: byte 0 is not UTF-8 (invalid start byte)",
             files=(("g.txt", b"\xff3 2\n0 1\n1 2\n"),)),
-    Failure("gen --file -", 3, INPUT + "stdin: byte 10 is not UTF-8 (invalid start byte)", stdin=b"3 2\n0 1\n1 \xff\n"),
-    Failure("gen --file -", 3, INPUT + "empty input: expected a header line 'n m'", stdin=b""),
-    Failure("gen --file -", 3, INPUT + "line 1: expected header 'n m', got '3'", stdin=b"3\n"),
-    Failure("gen --file -", 3, INPUT + "line 1: expected two integers, got 'a b'", stdin=b"a b\n"),
-    Failure("gen --file -", 3, INPUT + "line 1: counts must be non-negative", stdin=b"-1 0\n"),
-    Failure("gen --file -", 3, INPUT + "expected 3 edge lines, found 1", stdin=b"3 3\n0 1\n"),
-    Failure("gen --file -", 3, INPUT + "line 4: unexpected data after 2 edges", stdin=b"3 2\n0 1\n1 2\n0 2\n"),
-    Failure("gen --file -", 3, INPUT + "line 2: expected 'u v', got '0'", stdin=b"2 1\n0\n"),
-    Failure("gen --file -", 3, INPUT + "line 2: loop edge (1, 1)", stdin=b"2 1\n1 1\n"),
+    Case("gen --file -", 3, INPUT + "stdin: byte 10 is not UTF-8 (invalid start byte)", stdin=b"3 2\n0 1\n1 \xff\n"),
+    Case("gen --file -", 3, INPUT + "empty input: expected a header line 'n m'", stdin=b""),
+    Case("gen --file -", 3, INPUT + "line 1: expected header 'n m', got '3'", stdin=b"3\n"),
+    Case("gen --file -", 3, INPUT + "line 1: expected two integers, got 'a b'", stdin=b"a b\n"),
+    Case("gen --file -", 3, INPUT + "line 1: counts must be non-negative", stdin=b"-1 0\n"),
+    Case("gen --file -", 3, INPUT + "expected 3 edge lines, found 1", stdin=b"3 3\n0 1\n"),
+    Case("gen --file -", 3, INPUT + "line 4: unexpected data after 2 edges", stdin=b"3 2\n0 1\n1 2\n0 2\n"),
+    Case("gen --file -", 3, INPUT + "line 2: expected 'u v', got '0'", stdin=b"2 1\n0\n"),
+    Case("gen --file -", 3, INPUT + "line 2: loop edge (1, 1)", stdin=b"2 1\n1 1\n"),
     # linegraph
-    Failure("linegraph --family path --n 3 --iterations 0", 3, INPUT + "iteration count must be >= 1, got 0"),
-    Failure("linegraph --family path --n 3 --iterations 3", 3, INPUT + "iteration 3: graph has no edges"),
-    Failure("linegraph --family friendship --f 320", 4,
+    Case("linegraph --family path --n 3 --iterations 0", 3, INPUT + "iteration count must be >= 1, got 0"),
+    Case("linegraph --family path --n 3 --iterations 3", 3, INPUT + "iteration 3: graph has no edges"),
+    Case("linegraph --family friendship --f 320", 4,
             LIMIT + "iteration 1: line graph would have 205120 edges, cap 200000"),
     # color; a failure writes no report
     *(
-        Failure(f"color --model random_cubic --n 8 --seed 1 --theorem {theorem} --pack {pack} --json r.json", 3,
+        Case(f"color --model random_cubic --n 8 --seed 1 --theorem {theorem} --pack {pack} --json r.json", 3,
                 INPUT + f"theorem {theorem} takes no packing; pack applies only to theorems 31 and 32")
         for theorem, pack in [("cubic", "forest_exact"), ("iterated", "greedy")]
     ),
-    Failure("color --family triangle_ring --r 4 --theorem 31 --pack greedy", 3,
+    Case("color --family triangle_ring --r 4 --theorem 31 --pack greedy", 3,
             INPUT + "packing structure must be a triangle-forest; theorem 32 takes any packing"),
-    Failure("color --family complete --n 8 --theorem 32 --pack exact", 4,
+    Case("color --family complete --n 8 --theorem 32 --pack exact", 4,
             LIMIT + "exact packing capped at 24 triangles, instance has 56"),
-    Failure("color --model gnp --n 7 --p 0.4 --theorem 32", 3, INPUT + "--seed is required for random models"),
+    Case("color --model gnp --n 7 --p 0.4 --theorem 32", 3, INPUT + "--seed is required for random models"),
     *(
-        Failure(f"color --file g.txt --theorem {theorem}", 3, INPUT + "graph must be connected",
+        Case(f"color --file g.txt --theorem {theorem}", 3, INPUT + "graph must be connected",
                 files=(("g.txt", b"4 2\n0 1\n2 3\n"),))
         for theorem in ("31", "32", "cubic", "iterated")
     ),
-    Failure("color --family path --n 4 --theorem cubic", 3, INPUT + "every vertex must have degree exactly 3"),
+    Case("color --family path --n 4 --theorem cubic", 3, INPUT + "every vertex must have degree exactly 3"),
     # no vertices, so the degree-3 test passes vacuously
-    Failure("color --file g.txt --theorem cubic", 3,
+    Case("color --file g.txt --theorem cubic", 3,
             INPUT + "line graph is trivial; rainbow connection is undefined on it", files=(("g.txt", b"0 0\n"),)),
-    Failure("color --family path --n 2 --theorem iterated", 3, INPUT + "iteration 2: graph has no edges"),
-    Failure("color --family path --n 3 --theorem iterated", 3, INPUT + "twice-iterated line graph is trivial"),
-    Failure("color --family friendship --f 320 --theorem iterated", 4,
+    Case("color --family path --n 2 --theorem iterated", 3, INPUT + "iteration 2: graph has no edges"),
+    Case("color --family path --n 3 --theorem iterated", 3, INPUT + "twice-iterated line graph is trivial"),
+    Case("color --family friendship --f 320 --theorem iterated", 4,
             LIMIT + "iteration 1: line graph would have 205120 edges, cap 200000"),
     # one triangle tree with t = 1099: colored without recursion, then
     # refused by the verifier's palette cap, not by a RecursionError
-    Failure("color --family example32 --k 1100 --theorem 31", 4,
+    Case("color --family example32 --k 1100 --theorem 31", 4,
             LIMIT + "palette of 1101 colors exceeds the search cap 64"),
     # verify
-    Failure("verify --file g.txt --coloring c.txt", 3, INPUT + "coloring has 1 entries for 2 edges",
+    Case("verify --file g.txt --coloring c.txt", 3, INPUT + "coloring has 1 entries for 2 edges",
             files=(("g.txt", b"3 2\n0 1\n1 2\n"), ("c.txt", b"1\n"))),
     *(
-        Failure("verify --file g.txt --coloring c.txt", 3, INPUT + f"edge {edge} has color {bad}",
+        Case("verify --file g.txt --coloring c.txt", 3, INPUT + f"edge {edge} has color {bad}",
                 files=(("g.txt", b"3 3\n0 1\n1 2\n0 2\n"), ("c.txt", colors)))
         for colors, edge, bad in [
             (b"1 0 1\n", 1, "0 outside 1..1"),
@@ -482,57 +534,93 @@ FAILURES = [
             (b"-2 -1 -3\n", 0, "-2 outside 1..-1"),
         ]
     ),
-    Failure("verify --family cycle --n 3 --coloring c.txt", 3, INPUT + "line 1: bad color 'x'",
+    Case("verify --family cycle --n 3 --coloring c.txt", 3, INPUT + "line 1: bad color 'x'",
             files=(("c.txt", b"1 x 1\n"),)),
-    Failure("verify --family cycle --n 3 --coloring c.txt", 3,
+    Case("verify --family cycle --n 3 --coloring c.txt", 3,
             INPUT + "c.txt: byte 4 is not UTF-8 (invalid start byte)",
             files=(("c.txt", b"1 1 \xff\n"),)),
-    Failure("verify --family cycle --n 3 --coloring missing.txt", 3,
+    Case("verify --family cycle --n 3 --coloring missing.txt", 3,
             INPUT + "[Errno 2] No such file or directory: 'missing.txt'"),
     # bound and exact
     *(
-        Failure(f"{command} --family path --n 1", 3,
+        Case(f"{command} --family path --n 1", 3,
                 INPUT + "rc is defined only on connected graphs with at least 2 vertices")
         for command in ("bound", "exact")
     ),
-    Failure("exact --family cycle --n 5 --max-edges -1", 3, INPUT + "edge cap must be non-negative, got -1"),
-    Failure("exact --family cycle --n 13", 4,
+    Case("exact --family cycle --n 5 --max-edges -1", 3, INPUT + "edge cap must be non-negative, got -1"),
+    Case("exact --family cycle --n 13", 4,
             LIMIT + "13 edges exceed the exact-search cap 12 (proven bracket: 6..12)"),
     # bench, which shares the model-flag checks with the sources
-    Failure("bench --model gnp --n 6 --p 0.5", 3, INPUT + "--seed is required for random models"),
-    Failure("bench --model gnp --p 0.5 --seed 1", 3, INPUT + "--n is required for random models"),
-    Failure("bench --model random_cubic --n 8 --p 0.3 --count 1 --seed 1", 3,
+    Case("bench --model gnp --n 6 --p 0.5", 3, INPUT + "--seed is required for random models"),
+    Case("bench --model gnp --p 0.5 --seed 1", 3, INPUT + "--n is required for random models"),
+    Case("bench --model random_cubic --n 8 --p 0.3 --count 1 --seed 1", 3,
             INPUT + "--p does not apply to --model random_cubic"),
-    Failure("bench --model gnp --n 1 --p 0.5 --count 2 --seed 1", 3,
+    Case("bench --model gnp --n 1 --p 0.5 --count 2 --seed 1", 3,
             INPUT + "no connected gnp(1, 0.5) graph exists; needs n >= 2 and p > 0"),
-    Failure(f"bench {GNP} --count -1", 3, INPUT + "count must be non-negative"),
+    Case(f"bench {GNP} --count -1", 3, INPUT + "count must be non-negative"),
     # --count 0: no row reaches exact_rc
     *(
-        Failure(f"bench {GNP} --count {count} --max-edges -5", 3, INPUT + "edge cap must be non-negative, got -5")
+        Case(f"bench {GNP} --count {count} --max-edges -5", 3, INPUT + "edge cap must be non-negative, got -5")
         for count in (2, 0)
     ),
+    # a table that cannot be written
+    Case(f"bench {GNP} --count 1 --csv nodir/rows.csv", 3, INPUT + "[Errno 2] No such file or directory: 'nodir/rows.csv'"),
 ]
 
 
-def _row_id(row: Failure) -> str:
+def _stdin(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+def _bytes(value: str | bytes | Golden) -> bytes:
+    if isinstance(value, Golden):
+        return (DATA / value.name).read_bytes()
+    return value.encode() if isinstance(value, str) else value
+
+
+def _row_id(row: Case) -> str:
+    """The name of the golden the row writes, else its argv and inputs."""
+    for value in (*(data for _, data in row.writes), row.stdout):
+        if isinstance(value, Golden):
+            return value.name
     inputs = [f"{name}={data!r}" for name, data in row.files]
     if row.stdin is not None:
         inputs.append(f"stdin={row.stdin!r}")
     return " ".join([row.argv, *inputs])
 
 
-@pytest.mark.parametrize("row", FAILURES, ids=_row_id)
-def test_failure(row, capsys, monkeypatch, tmp_path):
-    """The row's exit code and exact stderr, nothing on stdout, and nothing
-    written beside the row's input files."""
+@pytest.mark.parametrize("row", CASES, ids=_row_id)
+def test_run(row, capsys, monkeypatch, tmp_path):
+    """The row's exit code, its exact stdout and stderr, and afterwards its
+    input files and the files it writes, byte for byte, and nothing else."""
     for name, data in row.files:
-        (tmp_path / name).write_bytes(data)
+        (tmp_path / name).write_bytes(_bytes(data))
     if row.stdin is not None:
         _stdin(monkeypatch, row.stdin)
     monkeypatch.chdir(tmp_path)
-    assert main(row.argv.split()) == row.code
-    assert capsys.readouterr() == ("", row.stderr + "\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name for name, _ in row.files)
+    argv = row.argv.split()
+    if argv[0].startswith("scripts/"):
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        code = runpy.run_path(str(ROOT / argv[0]))["main"]() or 0
+    else:
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out.encode(), err) == (row.code, _bytes(row.stdout), row.stderr and row.stderr + "\n")
+    left = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert left == {name: _bytes(data) for name, data in (*row.files, *row.writes)}
+
+
+def test_every_data_file_is_in_a_row():
+    """Each file in ``tests/data`` is some row's golden or input, and each
+    golden a row names is there."""
+    named = {
+        value.name
+        for row in CASES
+        for value in (row.stdout, *(data for _, data in (*row.files, *row.writes)))
+        if isinstance(value, Golden)
+    }
+    assert named == {path.name for path in DATA.iterdir()}
 
 
 # Raise sites no CLI invocation reaches; library tests reach them.
@@ -586,9 +674,9 @@ def raise_sites() -> dict[str, str]:
 def test_every_raise_site_has_a_row():
     """Each raise site's message, literal parts escaped and each placeholder
     a wildcard, matches the start of some row's message (its stderr after
-    ``input error: `` or ``resource limit: ``), unless no CLI invocation can
-    reach the site."""
-    messages = [row.stderr.split(": ", 1)[1] for row in FAILURES]
+    ``input error: `` or ``resource limit: ``) in an exit-3 or exit-4 row,
+    unless no CLI invocation can reach the site."""
+    messages = [row.stderr.split(": ", 1)[1] for row in CASES if row.code in (EXIT_INPUT, EXIT_LIMIT)]
     unmatched = {
         template: where
         for template, where in raise_sites().items()
@@ -642,45 +730,43 @@ def test_out_of_process_exit_codes():
     and exits 0, C13 is past the edge cap (exit 4), a sixth line graph of K5
     is refused at its fifth iterate, whose count it names (exit 4), the
     iterated bound's 435 colors on K30 are refused (exit 4), and a usage
-    error exits 3."""
+    error exits 3. A closed stdout ends a command by ``SIGPIPE``, with
+    nothing on stderr, as it ends other filters."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
-    def run(*argv):
+    def run(*argv, stdout=subprocess.PIPE):
         cmd = [sys.executable, "-m", "rainbowline.cli", *argv]
-        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
     c12 = run("exact", "--family", "cycle", "--n", "12")
-    assert (c12.returncode, c12.stdout) == (0, "exact rc = 6\n")
+    assert (c12.returncode, c12.stdout, c12.stderr) == (0, "exact rc = 6\n", "")
     c13 = run("exact", "--family", "cycle", "--n", "13")
-    assert c13.returncode == 4 and "resource limit" in c13.stderr
+    assert (c13.returncode, c13.stdout, c13.stderr) == (
+        4, "", "resource limit: 13 edges exceed the exact-search cap 12 (proven bracket: 6..12)\n"
+    )
     k5 = run("linegraph", "--family", "complete", "--n", "5", "--iterations", "6")
-    assert (k5.returncode, k5.stdout) == (4, "")
-    assert "resource limit: iteration 5: line graph would have 757350 edges" in k5.stderr
+    assert (k5.returncode, k5.stdout, k5.stderr) == (
+        4, "", "resource limit: iteration 5: line graph would have 757350 edges, cap 200000\n"
+    )
     k30 = run("color", "--family", "complete", "--n", "30", "--theorem", "iterated")
-    assert (k30.returncode, k30.stdout) == (4, "")
-    assert "palette of 435 colors exceeds the search cap 64" in k30.stderr
+    assert (k30.returncode, k30.stdout, k30.stderr) == (
+        4, "", "resource limit: palette of 435 colors exceeds the search cap 64\n"
+    )
     usage = run("exact", "--family", "cycle", "--n", "abc")
     assert usage.returncode == 3 and "argument --n: invalid int value" in usage.stderr
-
-
-class TestLinegraphCommand:
-    def test_output_matches_library(self, capsys):
-        assert main(["linegraph", "--family", "cycle", "--n", "5"]) == 0
-        out = capsys.readouterr().out
-        assert parse_edge_list(out) == line_graph(cycle_graph(5)).l_graph
-
-    def test_iterations(self, capsys):
-        assert main(["linegraph", "--family", "path", "--n", "4", "--iterations", "2"]) == 0
-        g = parse_edge_list(capsys.readouterr().out)
-        assert g.n == 2 and g.m == 1
-
-    def test_dot_export(self, capsys, tmp_path):
-        dot = tmp_path / "l.dot"
-        assert main(["linegraph", "--family", "cycle", "--n", "4", "--dot", str(dot)]) == 0
-        target = line_graph(cycle_graph(4)).l_graph
-        assert capsys.readouterr().out == render_edge_list(target)
-        assert dot.read_text() == to_dot(target)
+    for argv in (
+        ("gen", "--family", "complete", "--n", "5"),
+        ("color", "--family", "complete", "--n", "3", "--theorem", "32"),
+        ("linegraph", "--family", "complete", "--n", "5", "--iterations", "3"),
+    ):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            closed = run(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (closed.returncode, closed.stderr) == (-signal.SIGPIPE, ""), argv
 
 
 def _assert_packed_once(enumerated, classified, cubic):
@@ -698,41 +784,6 @@ def _assert_packed_once(enumerated, classified, cubic):
 
 
 class TestBench:
-    def test_gnp_rows_verified(self, capsys):
-        assert (
-            main(["bench", "--model", "gnp", "--n", "7", "--p", "0.4",
-                  "--count", "4", "--seed", "11"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
-        assert len(lines) == 5
-        assert lines[0].startswith("index,seed,n,m,n2,")
-        assert all(",True," in line for line in lines[1:])
-
-    def test_deterministic(self, capsys):
-        args = ["bench", "--model", "gnp", "--n", "6", "--p", "0.5",
-                "--count", "3", "--seed", "7"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        assert capsys.readouterr().out == first
-
-    def test_csv_file_holds_the_table(self, capsys, tmp_path):
-        argv = ["bench", "--model", "gnp", "--n", "6", "--p", "0.5", "--count", "2", "--seed", "7"]
-        assert main(argv) == 0
-        table = capsys.readouterr().out
-        out = tmp_path / "rows.csv"
-        assert main([*argv, "--csv", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert out.read_text() == table
-
-    def test_empty_table(self, capsys):
-        assert main(["bench", "--model", "gnp", "--n", "6", "--p", "0.5",
-                     "--count", "0", "--seed", "1"]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 1
-
     def test_cubic_rows(self):
         rows = run_bench("random_cubic", 6, 0.0, 3, seed=5, max_edges=12)
         assert all(r["bound_cubic"] == 7 for r in rows)
@@ -814,8 +865,8 @@ class TestBench:
     )
     def test_one_connectivity_search_per_graph(self, monkeypatch, model, n, p, seed):
         """The sampler and every back end of a row ask whether its graph is
-        connected; one search per graph answers them all. The rows are
-        unchanged."""
+        connected, and ``diam_line`` whether L(G) is; one search per graph
+        answers them all. The rows are unchanged."""
         expected = run_bench(model, n, p, 3, seed=seed, max_edges=12)
         real_search = Graph.is_connected.func
         searched = []
@@ -828,7 +879,7 @@ class TestBench:
         counted.__set_name__(Graph, "is_connected")
         monkeypatch.setattr(Graph, "is_connected", counted)
         assert run_bench(model, n, p, 3, seed=seed, max_edges=12) == expected
-        assert len(searched) == len(set(searched)) == 3
+        assert len(searched) == len(set(searched)) == 6
 
     def test_unverified_cubic_row_exits_2(self, monkeypatch, capsys):
         real = coloring.color_cubic_iterated

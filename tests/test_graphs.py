@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, takewhile
 
 import networkx as nx
@@ -114,6 +115,18 @@ class TestDiameter:
     def test_disconnected_is_infinite(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         assert diameter(g) == math.inf
+
+    def test_disconnected_grows_no_ball(self):
+        """``is_connected`` answers first: 30,000 isolated vertices cost one
+        search, not 30,000 balls of up to 30,000 bits (about 56 MiB)."""
+        g = build_graph(30_000, [])
+        tracemalloc.start()
+        try:
+            assert diameter(g) == math.inf
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_single_vertex(self):
         assert diameter(build_graph(1, [])) == 0
