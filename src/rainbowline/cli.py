@@ -9,6 +9,7 @@ limit exceeded.
 import argparse
 import csv
 import io
+import os
 import signal
 import sys
 from pathlib import Path
@@ -127,14 +128,24 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict]:
     return gen_family(args.family, **params), {"family": args.family, "params": params}
 
 
-def _write(path: str, text: str) -> None:
-    """Write ``text`` to the file ``path``; a file that cannot be written is
-    an input error."""
+def _write(path: str, text: str, mode: str = "w") -> None:
+    """Write ``text`` to the file ``path``, opened in ``mode``; a file that
+    cannot be written is an input error."""
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(str(exc)) from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, with ``open``'s
+    message, and leave the path as it was: a file the check created is
+    removed again."""
+    existed = os.path.lexists(path)
+    _write(path, "", "a")
+    if not existed:
+        os.remove(path)
 
 
 def _report(args: argparse.Namespace, payload: dict) -> None:
@@ -388,6 +399,10 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             # reported by the subcommand, so its usage line is printed
             args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        # every output path is checked before the work, which may be long
+        for flag in ("json", "dot", "csv"):
+            if getattr(args, flag, None):
+                _check_writable(getattr(args, flag))
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -343,9 +343,10 @@ def color(g: Graph, theorem: str, pack: str | None = None) -> Run:
     """Color L(g) (``31``, ``32``) or L(L(g)) (``cubic``, ``iterated``) within
     the theorem's bound and certify it.
 
-    ``31`` and ``32`` pack as ``pick_packing`` says. ``cubic`` and
-    ``iterated`` take no packing, so a ``pack`` with them is an
-    ``InputError``, as is an unknown theorem.
+    ``31`` and ``32`` pack as ``pick_packing`` says, once the graph is
+    known to be colorable, so a graph the edges cannot connect is refused
+    before any per-vertex work. ``cubic`` and ``iterated`` take no packing,
+    so a ``pack`` with them is an ``InputError``, as is an unknown theorem.
     """
     if theorem not in THEOREMS:
         raise InputError(f"unknown theorem {theorem!r}; expected one of {', '.join(THEOREMS)}")
@@ -354,6 +355,7 @@ def color(g: Graph, theorem: str, pack: str | None = None) -> Run:
             raise InputError(f"theorem {theorem} takes no packing; pack applies only to theorems 31 and 32")
         build = color_cubic_iterated if theorem == "cubic" else color_iterated_baseline
         return Run(None, None, *build(g))
+    _check_colorable(g)
     packing, mode = pick_packing(g, theorem, pack)
     build = color_forest_packing if theorem == "31" else color_packing
     return Run(packing, mode, *build(g, packing))

@@ -72,8 +72,9 @@ class Graph:
     @cached_property
     def is_connected(self) -> bool:
         """Whether a search from vertex 0 reaches every vertex; true for at
-        most one vertex."""
-        return self.n <= 1 or -1 not in distances(self, 0)
+        most one vertex. Fewer than ``n - 1`` edges connect no graph, so
+        that answer needs no search and no per-vertex list."""
+        return self.n <= 1 or (self.m >= self.n - 1 and -1 not in distances(self, 0))
 
     @cached_property
     def diameter(self) -> int | float:

@@ -6,11 +6,12 @@ small connected graphs, the graphs the graph layer is compared with
 networkx on, the wide graphs its distances are compared on, the
 benchmark's ``ensemble`` line graphs, the layer tests' gnp sample, the
 packing tests' gnp graphs, the cubic vertex-star packings, the certified
-colorings, and the named inputs of the exact search, the
-flattening sweep, the construction and the verifier's look-ahead. Also the
-generators that make them: the isomorphism-free graph growth (networkx
-decides each isomorphism), a hypothesis strategy for small graphs, random
-edge partitions and recolorings, and packing as ``color`` does.
+colorings, the ring coloring, and the named inputs of the exact search,
+the flattening sweep, the construction, the verifier and its look-ahead.
+Also the generators that make them: the isomorphism-free graph growth
+(networkx decides each isomorphism), a hypothesis strategy for small
+graphs, random edge partitions and recolorings, and packing as ``color``
+does.
 """
 
 import random
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from helpers import nx_graph
 from rainbowline.coloring import (
-    ColoringCertificate,
     EdgeColoring,
+    color,
     color_cubic_iterated,
     color_packing,
     pick_packing,
@@ -34,6 +35,7 @@ from rainbowline.families import (
     bridged_triangle_chain,
     complete_graph,
     connected_gnp,
+    cycle_graph,
     friendship_graph,
     gen_family,
     path_graph,
@@ -43,6 +45,7 @@ from rainbowline.families import (
 )
 from rainbowline.graphs import Graph, build_graph, edge_key
 from rainbowline.linegraph import line_graph
+from rainbowline.oracle import DEFAULT_EDGE_CAP
 from rainbowline.triangles import PACK_MODES, TrianglePacking, classify_structure, make_triangle, pack_edge_disjoint
 
 
@@ -212,15 +215,44 @@ def cubic_star_packing(n: int, seed: int) -> tuple[Graph, TrianglePacking]:
 
 
 @cache
-def exact_search_sets() -> dict[str, tuple[tuple[Graph, ...], int]]:
-    """The graphs the exact searches are compared on, each with how many of
-    them fit the default edge cap."""
+def exact_search_sets() -> dict[str, tuple[Graph, ...]]:
+    """The graphs the exact searches are compared on: the small connected
+    graphs, their line graphs and the ``ensemble`` line graphs."""
     small = connected_graphs_up_to(7)
     return {
-        "small": (small, 131),
-        "small_line": (tuple(line_graph(g).l_graph for g in small if g.m >= 2), 112),
-        "ensemble": (ensemble_line_graphs(), 14),
+        "small": small,
+        "small_line": tuple(line_graph(g).l_graph for g in small if g.m >= 2),
+        "ensemble": ensemble_line_graphs(),
     }
+
+
+def random_connected_graphs() -> tuple[Graph, ...]:
+    """80 seeded graphs, each a random spanning tree on 4..8 vertices plus
+    random chords, at most 10 edges."""
+    out = []
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(4, 8)
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}
+        chords = [p for p in combinations(range(n), 2) if p not in pairs]
+        rng.shuffle(chords)
+        out.append(build_graph(n, sorted(pairs) + chords[: rng.randint(0, 11 - n)]))
+    return tuple(out)
+
+
+@cache
+def sharp_line_graphs() -> dict[str, dict[Graph, int]]:
+    """L(G) of the paper's sharpness examples, each past the default edge
+    cap, with the bound ``color`` certifies on it: example31 for t = 3, 4,
+    6, 8 and 12 under theorem 31, and example32 for k = 3, 4, 6 and 8 under
+    theorem 32."""
+    runs = {
+        "example31": [color(bridged_triangle_chain(t), "31") for t in (3, 4, 6, 8, 12)],
+        "example32": [color(shared_vertex_triangle_chain(k), "32") for k in (3, 4, 6, 8)],
+    }
+    out = {name: {run.coloring.graph: run.certificate.bound_value for run in rs} for name, rs in runs.items()}
+    assert all(g.m > DEFAULT_EDGE_CAP for bounds in out.values() for g in bounds)
+    return out
 
 
 def _exact_pair(g: Graph) -> tuple[Graph, TrianglePacking]:
@@ -293,18 +325,6 @@ def construct_instances() -> Iterable[tuple[Graph, TrianglePacking]]:
         yield cubic_star_packing(n, seed)
 
 
-@cache
-def certified_colorings() -> dict[str, tuple[tuple[EdgeColoring, ColoringCertificate], ...]]:
-    """Colorings the constructions certify: ``packing``, greedy packings of
-    gnp(9, 0.45) for seeds 0..7; ``cubic``, the ``n + 1`` colorings of K4,
-    random_cubic(6, 1) and random_cubic(8, 2)."""
-    packing = [connected_gnp(9, 0.45, seed) for seed in range(8)]
-    return {
-        "packing": tuple(color_packing(g, pack_edge_disjoint(g, "greedy")) for g in packing),
-        "cubic": tuple(color_cubic_iterated(g) for g in (complete_graph(4), random_cubic(6, 1), random_cubic(8, 2))),
-    }
-
-
 def color_bits(colors: Iterable[int]) -> list[int]:
     """One bit per color id: color ``c`` is ``1 << (c - 1)``."""
     return [1 << (c - 1) for c in colors]
@@ -354,6 +374,80 @@ def look_ahead_inputs() -> dict[str, list[tuple[Graph, list[int]]]]:
         k = rng.randint(2, 12)
         sets["small"].append((lg, color_bits(rng.randint(1, k) for _ in range(lg.m))))
     return sets
+
+
+@cache
+def ring_inputs() -> list[tuple[Graph, list[int]]]:
+    """The theorem-32 coloring of L(triangle_ring(12)), a rung of the
+    ``sharp`` benchmark: a long sparse line graph on 36 vertices, as
+    (graph, bits)."""
+    ring = color(triangle_ring(12), "32").coloring
+    return [(ring.graph, color_bits(ring.colors))]
+
+
+def random_small_colorings() -> list[tuple[Graph, list[int]]]:
+    """40 random graphs on 2..6 vertices with 1..8 edges, some of them
+    disconnected, each with a random palette of 1..3 colors."""
+    out = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        pairs = list(combinations(range(n), 2))
+        rng.shuffle(pairs)
+        g = build_graph(n, sorted(pairs[: rng.randint(1, min(8, len(pairs)))]))
+        k = rng.randint(1, 3)
+        out.append((g, color_bits(rng.randint(1, k) for _ in range(g.m))))
+    return out
+
+
+def edge_case_colorings() -> list[tuple[Graph, list[int]]]:
+    """Graphs of one and two vertices, two disconnected graphs, K4 and P3 in
+    one color, C4 in two alternating colors, and a star whose leaves all
+    share a color, then one whose last two leaves alone share a color."""
+    star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    return [
+        (Graph(1, ()), []),
+        (path_graph(2), [1]),
+        (Graph(2, ()), []),
+        (build_graph(5, [(0, 1), (1, 2), (3, 4)]), color_bits((1, 2, 1))),
+        (build_graph(4, [(0, 1), (2, 3)]), color_bits((1, 2))),
+        (complete_graph(4), color_bits((1,) * 6)),
+        (path_graph(3), color_bits((1, 1))),
+        (cycle_graph(4), color_bits((1, 2, 1, 2))),
+        (star, color_bits((1, 1, 1, 1))),
+        (star, color_bits((1, 2, 3, 3))),
+    ]
+
+
+def gnp_line_palettes() -> list[tuple[Graph, list[int]]]:
+    """Four random palettes of 2..80 colors on each of 60 small gnp line
+    graphs."""
+    out = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        lg = line_graph(connected_gnp(rng.randint(4, 9), rng.uniform(0.3, 0.7), seed)).l_graph
+        for _ in range(4):
+            k = rng.randint(2, 80)
+            out.append((lg, color_bits(rng.randint(1, k) for _ in range(lg.m))))
+    return out
+
+
+def certified_bits(kind: str, recolor_seed: int | None = None) -> list[tuple[Graph, list[int]]]:
+    """Colorings the constructions certify, as (graph, bits): ``packing``,
+    from greedy packings of gnp(9, 0.45) for seeds 0..7; ``cubic``, the
+    ``n + 1`` colorings of K4, random_cubic(6, 1) and random_cubic(8, 2).
+    Given ``recolor_seed``, 12 ``recolorings`` of each in its place."""
+    if kind == "packing":
+        graphs = [connected_gnp(9, 0.45, seed) for seed in range(8)]
+        runs = [color_packing(g, pack_edge_disjoint(g, "greedy")) for g in graphs]
+    else:
+        runs = [color_cubic_iterated(g) for g in (complete_graph(4), random_cubic(6, 1), random_cubic(8, 2))]
+    rng = random.Random(recolor_seed)
+    return [
+        (col.graph, bits)
+        for col, _ in runs
+        for bits in ([color_bits(col.colors)] if recolor_seed is None else recolorings(col, rng, 12))
+    ]
 
 
 def random_edge_partition(g: Graph, rng: random.Random) -> list[list[int]]:

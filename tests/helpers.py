@@ -24,15 +24,13 @@ graph layer's references are networkx's, compared on
 
 The other layers:
 
-- verifier (``oracle._check_all_pairs``): ``naive_failing_pair``, which
-  enumerates every simple path, on small graphs -> ``test_oracle.py``
-  ``TestNaiveAgreement`` and ``test_acceptance.py``
-  ``test_9_double_implementation_agreement`` (verdicts and witnesses);
-  ``queue_check_all_pairs``, the same state search with a FIFO queue, on
-  large ones -> ``TestLevelSearchMatchesQueue``, ``TestGroupedSearch`` and
-  ``TestLookAheadMatchesQueue``, and with ``oracle._LOOK_AHEAD_FACTOR``
-  patched so that a look-ahead runs before every level or before none ->
-  ``TestLookAheadTrigger`` ``test_trigger_cannot_change_a_verdict``.
+- verifier (``oracle._check_all_pairs``): ``queue_check_all_pairs``, the
+  same state search with a FIFO queue, on every set, and
+  ``naive_failing_pair``, which enumerates every simple path, on the small
+  ones, verdicts and witnesses, with ``oracle._LOOK_AHEAD_FACTOR`` at its
+  default, before every level and before none -> ``test_oracle.py``
+  ``test_check_all_pairs_matches_references``, one row per set; also
+  ``test_acceptance.py`` ``test_9_double_implementation_agreement``.
 - look-ahead (``oracle._reaches_within_two``): ``free_walks``, the rule the
   oracle's docstring states, a walk of one edge, or of two edges of
   distinct colors, from an admitted mask free of those colors ->
@@ -42,8 +40,10 @@ The other layers:
   next target left, stopping at the first rejected one, asserted at every
   check -> ``TestLookAheadScan``.
 - exact rc (``oracle.exact_rc``): ``enumerate_exact_rc``, which checks
-  every canonical coloring in full, values within the edge cap and the
-  ``LimitError`` bracket past it -> ``TestPrunedSearchMatchesEnumeration``.
+  every canonical coloring in full, rc(C_n) = ceil(n / 2), n - 1 on trees,
+  1 on complete graphs, and the bound the sharpness examples' constructions
+  certify, values within the edge cap and the ``LimitError`` bracket past
+  it -> ``test_exact_rc_matches_references``, one row per set.
 - packing (``triangles.pack_edge_disjoint``): ``is_packing``, the rule a
   pick must meet, edge-disjoint triangles whose sides ``ab, ac`` also form a
   forest in the forest modes. The greedy modes take each triangle that fits
@@ -225,11 +225,6 @@ def naive_failing_pair(g: Graph, colors: Sequence[int]) -> tuple[int, int] | Non
             if not pair_ok(s, t):
                 return s, t
     return None
-
-
-def naive_rainbow_connected(g: Graph, colors: Sequence[int]) -> bool:
-    """Enumerate every simple path per pair; accept iff one has distinct colors."""
-    return naive_failing_pair(g, colors) is None
 
 
 def queue_check_all_pairs(g: Graph, bits: Sequence[int]) -> tuple[bool, tuple[int, int] | None]:

@@ -34,7 +34,8 @@ NETWORKX = "tests/test_graphs.py::TestMatchesNetworkx::"
 CUBIC_REFERENCE = "tests/test_cli.py::TestGenAndFamilies::test_cubic_sampler_matches_shuffle_reference"
 WITHIN_TWO = "tests/test_oracle.py::TestReachesWithinTwo::"
 RULE = WITHIN_TWO + "test_matches_the_rule"
-LOOK_AHEAD = "tests/test_oracle.py::TestLookAheadMatchesQueue::"
+VERIFIER = "tests/test_oracle.py::test_check_all_pairs_matches_references"
+ENDS_EARLY = "tests/test_oracle.py::TestLookAheadScan::test_look_ahead_ends_early_and_fails"
 LOOK_AHEAD_SCAN = "tests/test_oracle.py::TestLookAheadScan::test_scans_the_targets_left_in_order"
 SCAN = "tests/test_oracle.py::TestTargetScan::"
 PROJECTION = "tests/test_coloring.py::TestProjection::"
@@ -51,7 +52,7 @@ CHORDS = "tests/test_triangles.py::TestBuildTransformed::test_chords_detached_co
 RING3_SPLIT = "tests/test_triangles.py::TestBuildTransformed::test_ring3_single_split"
 ENTRY = "tests/test_coloring.py::TestColorEntryPoint::"
 FALLS_BACK = ENTRY + "test_falls_back_to_greedy_past_the_exact_cap"
-ENUMERATION = "tests/test_oracle.py::TestPrunedSearchMatchesEnumeration::test_exact_search_sets"
+EXACT = "tests/test_oracle.py::test_exact_rc_matches_references"
 BOUND = "if len(chosen) + (n_t - i) <= len(best):"
 FOREST_TEST = "return len({self.find(v) for v in tri.vertices}) == 3"
 TRIGGER = "if len(frontier) > _LOOK_AHEAD_FACTOR * left:"
@@ -72,8 +73,8 @@ MUTANTS = (
         "if c <= top and not all(",
         "if c > top and not all(",
         (
-            "tests/test_oracle.py::TestExactRc::test_cycle5",
-            ENUMERATION + "[small]",
+            EXACT + "[cycles]",
+            EXACT + "[small]",
         ),
     ),
     Mutant(
@@ -89,8 +90,8 @@ MUTANTS = (
         "            at_u[0] = at_v[0] = 0\n            insort(",
         "            insort(",
         (
-            "tests/test_oracle.py::TestSharpPastTheCap::test_long_cycles",
-            ENUMERATION + "[small]",
+            EXACT + "[cycles]",
+            EXACT + "[small]",
             "tests/test_oracle.py::TestEdgeOrders::test_failed_palette_size_leaves_edges_uncolored",
         ),
     ),
@@ -107,8 +108,8 @@ MUTANTS = (
         "            insort(free, i, key=weight.__getitem__)\n",
         "",
         (
-            "tests/test_oracle.py::TestSharpPastTheCap::test_long_cycles",
-            ENUMERATION + "[small]",
+            EXACT + "[cycles]",
+            EXACT + "[small]",
         ),
     ),
     Mutant(
@@ -124,8 +125,8 @@ MUTANTS = (
         "if len(stack) == m:",
         "if len(stack) == m - 1:",
         (
-            "tests/test_oracle.py::TestExactRc::test_cycle5",
-            ENUMERATION + "[small]",
+            EXACT + "[cycles]",
+            EXACT + "[small]",
         ),
     ),
     Mutant(
@@ -136,8 +137,7 @@ MUTANTS = (
         (
             WITHIN_TWO + "test_one_color_twice_fails",
             RULE,
-            LOOK_AHEAD + "test_matches_queue[tail-verdicts2]",
-            LOOK_AHEAD + "test_tail_end_is_the_witness",
+            VERIFIER + "[look_ahead_tail]",
         ),
     ),
     Mutant(
@@ -148,7 +148,7 @@ MUTANTS = (
         (
             WITHIN_TWO + "test_mask_holding_either_color_fails",
             RULE,
-            LOOK_AHEAD + "test_matches_queue[small-verdicts3]",
+            VERIFIER + "[look_ahead_small]",
         ),
     ),
     Mutant(
@@ -162,9 +162,8 @@ MUTANTS = (
             WITHIN_TWO + "test_no_mask_two_edges_away_fails",
             WITHIN_TWO + "test_unreached_neighbour_fails",
             RULE,
-            LOOK_AHEAD + "test_matches_queue[tail-verdicts2]",
-            LOOK_AHEAD + "test_tail_end_is_the_witness",
-            LOOK_AHEAD + "test_look_ahead_ends_early_and_fails",
+            VERIFIER + "[look_ahead_tail]",
+            ENDS_EARLY,
             LOOK_AHEAD_SCAN,
         ),
     ),
@@ -190,7 +189,7 @@ MUTANTS = (
         ORACLE,
         "t = first.index(-1, t + 1)",
         "t = first.index(-1, t + 2)",
-        (SCAN + "test_unreachable_target_after_a_reachable_one", LOOK_AHEAD + "test_tail_end_is_the_witness"),
+        (SCAN + "test_unreachable_target_after_a_reachable_one", VERIFIER + "[look_ahead_tail]"),
     ),
     Mutant(
         "verifier: no slot past the last vertex to end a scan",
@@ -199,7 +198,7 @@ MUTANTS = (
         "first = [-1] * n",
         (
             SCAN + "test_scan_past_every_target_left_ends_the_source",
-            LOOK_AHEAD + "test_matches_queue[certified-verdicts0]",
+            VERIFIER + "[look_ahead_certified]",
         ),
     ),
     Mutant(
@@ -207,7 +206,7 @@ MUTANTS = (
         ORACLE,
         "if t == n:",
         "if t == n - 1:",
-        (SCAN + "test_only_target_left_is_the_last_vertex", LOOK_AHEAD + "test_tail_end_is_the_witness"),
+        (SCAN + "test_only_target_left_is_the_last_vertex", VERIFIER + "[look_ahead_tail]"),
     ),
     # Verdicts do not change: a source ends on the look-ahead only when
     # every target left passes, as before, so only the scan test sees it.
@@ -227,8 +226,8 @@ MUTANTS = (
         "                        if w > s:\n                            left -= 1",
         "                        if w > s + 1:\n                            left -= 1",
         (
-            "tests/test_oracle.py::TestIsRainbowConnected::test_monochromatic_complete",
-            "tests/test_oracle.py::TestNaiveAgreement::test_random_small_instances[2]",
+            VERIFIER + "[edge_cases]",
+            VERIFIER + "[random_small]",
         ),
     ),
     Mutant(
@@ -238,7 +237,7 @@ MUTANTS = (
         "                    if w > s + 1:\n                        left -= 1",
         (
             "tests/test_oracle.py::TestCountedReaches::test_uncolored_edge_reaches_the_next_vertex",
-            "tests/test_oracle.py::TestExactRc::test_cycle5",
+            EXACT + "[cycles]",
         ),
     ),
     Mutant(
@@ -263,7 +262,7 @@ MUTANTS = (
         "if False:",
         (
             FIRES,
-            LOOK_AHEAD + "test_look_ahead_ends_early_and_fails",
+            ENDS_EARLY,
             LOOK_AHEAD_SCAN,
         ),
     ),

@@ -504,9 +504,11 @@ CASES = [
     Case("color --family complete --n 8 --theorem 32 --pack exact", 4,
             LIMIT + "exact packing capped at 24 triangles, instance has 56"),
     Case("color --model gnp --n 7 --p 0.4 --theorem 32", 3, INPUT + "--seed is required for random models"),
+    # the second graph has a billion vertices and no edges: it is refused
+    # before any per-vertex work
     *(
-        Case(f"color --file g.txt --theorem {theorem}", 3, INPUT + "graph must be connected",
-                files=(("g.txt", b"4 2\n0 1\n2 3\n"),))
+        Case(f"color --file g.txt --theorem {theorem}", 3, INPUT + "graph must be connected", files=(("g.txt", graph),))
+        for graph in (b"4 2\n0 1\n2 3\n", b"1000000000 0\n")
         for theorem in ("31", "32", "cubic", "iterated")
     ),
     Case("color --family path --n 4 --theorem cubic", 3, INPUT + "every vertex must have degree exactly 3"),
@@ -541,11 +543,12 @@ CASES = [
             files=(("c.txt", b"1 1 \xff\n"),)),
     Case("verify --family cycle --n 3 --coloring missing.txt", 3,
             INPUT + "[Errno 2] No such file or directory: 'missing.txt'"),
-    # bound and exact
+    # bound and exact; g.txt has a billion vertices and no edges
     *(
-        Case(f"{command} --family path --n 1", 3,
-                INPUT + "rc is defined only on connected graphs with at least 2 vertices")
+        Case(f"{command} {source}", 3, INPUT + "rc is defined only on connected graphs with at least 2 vertices",
+                files=files)
         for command in ("bound", "exact")
+        for source, files in [("--family path --n 1", ()), ("--file g.txt", (("g.txt", b"1000000000 0\n"),))]
     ),
     Case("exact --family cycle --n 5 --max-edges -1", 3, INPUT + "edge cap must be non-negative, got -1"),
     Case("exact --family cycle --n 13", 4,
@@ -563,8 +566,13 @@ CASES = [
         Case(f"bench {GNP} --count {count} --max-edges -5", 3, INPUT + "edge cap must be non-negative, got -5")
         for count in (2, 0)
     ),
-    # a table that cannot be written
+    # an output that cannot be written is refused before the run, which
+    # prints nothing and writes no other output
     Case(f"bench {GNP} --count 1 --csv nodir/rows.csv", 3, INPUT + "[Errno 2] No such file or directory: 'nodir/rows.csv'"),
+    Case("linegraph --family cycle --n 5 --dot nodir/l.dot", 3, INPUT + "[Errno 2] No such file or directory: 'nodir/l.dot'"),
+    Case("exact --family cycle --n 5 --json .", 3, INPUT + "[Errno 21] Is a directory: '.'"),
+    Case("verify --family cycle --n 3 --coloring c.txt --json c.txt/r.json", 3,
+            INPUT + "[Errno 20] Not a directory: 'c.txt/r.json'", files=(("c.txt", b"1 1 1\n"),)),
 ]
 
 
@@ -609,6 +617,27 @@ def test_run(row, capsys, monkeypatch, tmp_path):
     assert (code, out.encode(), err) == (row.code, _bytes(row.stdout), row.stderr and row.stderr + "\n")
     left = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert left == {name: _bytes(data) for name, data in (*row.files, *row.writes)}
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("bench --model gnp --n 8 --p 0.4 --count 200 --seed 1 --csv nodir/rows.csv",
+            "[Errno 2] No such file or directory: 'nodir/rows.csv'"),
+        ("bench --model gnp --n 8 --p 0.4 --count 200 --seed 1 --csv rows.csv --json nodir/r.json",
+            "[Errno 2] No such file or directory: 'nodir/r.json'"),
+        ("color --model gnp --n 60 --p 0.14 --seed 1 --theorem 32 --json r.json --dot .", "[Errno 21] Is a directory: '.'"),
+    ],
+)
+def test_unwritable_output_is_refused_before_the_work(argv, error, capsys, monkeypatch, tmp_path):
+    """An output path that cannot be written exits 3 before ``run_bench`` or
+    ``color`` starts, and no file is written, a writable one included."""
+    monkeypatch.setattr(cli, "run_bench", lambda *args: pytest.fail("the work started"))
+    monkeypatch.setattr(cli, "color", lambda *args: pytest.fail("the work started"))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {error}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_every_data_file_is_in_a_row():

@@ -3,18 +3,23 @@ import pathlib
 import random
 from collections import Counter
 from functools import reduce
-from itertools import combinations
 from operator import or_
+from typing import Callable, Iterable, NamedTuple
 
 import pytest
 
 from corpus import (
-    certified_colorings,
+    certified_bits,
     color_bits,
     connected_graphs_up_to,
+    edge_case_colorings,
     exact_search_sets,
+    gnp_line_palettes,
     look_ahead_inputs,
-    recolorings,
+    random_connected_graphs,
+    random_small_colorings,
+    ring_inputs,
+    sharp_line_graphs,
 )
 from helpers import (
     admitted_masks,
@@ -22,11 +27,10 @@ from helpers import (
     enumerate_exact_rc,
     free_walks,
     naive_failing_pair,
-    naive_rainbow_connected,
     queue_check_all_pairs,
 )
 from rainbowline import oracle
-from rainbowline.coloring import EdgeColoring, color, color_forest_packing, color_packing
+from rainbowline.coloring import EdgeColoring
 from rainbowline.errors import InputError, LimitError
 from rainbowline.families import (
     bridged_triangle_chain,
@@ -38,10 +42,10 @@ from rainbowline.families import (
     shared_vertex_triangle_chain,
     triangle_ring,
 )
-from rainbowline.graphs import Graph, build_graph, is_connected
+from rainbowline.graphs import Graph, build_graph
 from rainbowline.linegraph import line_graph
-from rainbowline.triangles import pack_edge_disjoint
 from rainbowline.oracle import (
+    DEFAULT_EDGE_CAP,
     _adjacency,
     _check_all_pairs,
     _counted_reaches,
@@ -56,32 +60,6 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 class TestIsRainbowConnected:
-    def test_monochromatic_complete(self):
-        g = complete_graph(4)
-        ok, witness = is_rainbow_connected(EdgeColoring(g, (1,) * 6, 1))
-        assert ok and witness is None
-
-    def test_path_one_color_fails_on_endpoints(self):
-        g = path_graph(3)
-        ok, witness = is_rainbow_connected(EdgeColoring(g, (1, 1), 1))
-        assert not ok and witness == (0, 2)
-
-    def test_alternating_cycle(self):
-        g = cycle_graph(4)
-        ok, _ = is_rainbow_connected(EdgeColoring(g, (1, 2, 1, 2), 2))
-        assert ok
-
-    def test_smallest_failing_pair(self):
-        # star with one color: every leaf pair fails; (1, 2) is smallest
-        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        ok, witness = is_rainbow_connected(EdgeColoring(g, (1, 1, 1), 1))
-        assert not ok and witness == (1, 2)
-
-    def test_disconnected_fails(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        ok, witness = is_rainbow_connected(EdgeColoring(g, (1, 2), 2))
-        assert not ok and witness == (0, 2)
-
     def test_color_cap(self):
         """The cap counts distinct colors: 64 of them pass, 70 exceed it."""
         assert is_rainbow_connected(EdgeColoring(path_graph(65), tuple(range(1, 65)), 64)) == (True, None)
@@ -148,24 +126,9 @@ class TestCanonicalColorings:
 
 
 class TestExactRc:
-    def test_cycle5(self):
-        assert exact_rc(cycle_graph(5)) == 3
-
-    def test_path5_is_tree_value(self):
-        assert exact_rc(path_graph(5)) == 4
-
-    def test_complete(self):
-        assert exact_rc(complete_graph(4)) == 1
-
     def test_rejects_disconnected(self):
         with pytest.raises(InputError):
             exact_rc(build_graph(4, [(0, 1), (2, 3)]))
-
-    def test_edge_cap_brackets(self):
-        g = cycle_graph(13)
-        with pytest.raises(LimitError) as exc:
-            exact_rc(g, max_edges=12)
-        assert exc.value.lower == 6 and exc.value.upper == 12
 
     def test_negative_edge_cap_is_an_input_error(self):
         exact_rc(cycle_graph(5), max_edges=5)  # a cap at m runs the search
@@ -173,70 +136,54 @@ class TestExactRc:
             exact_rc(cycle_graph(5), max_edges=-1)
 
 
-class TestSharpPastTheCap:
-    """With ``max_edges`` raised to the edge count, the exact search reaches
-    the paper's sharpness examples beyond the default cap, and rc equals
-    the bound the construction certifies; on every cycle from C4 to C16 it
-    equals the known value."""
+class ExactRow(NamedTuple):
+    """``exact_rc`` on each graph of ``graphs()`` under the edge cap ``cap``
+    (``None``: the graph's own edge count) returns ``expected(g)``; past the
+    cap it raises ``LimitError`` with the bracket it proves, the diameter to
+    ``n - 1``. ``resolving`` of the graphs are within the cap."""
 
-    @pytest.mark.parametrize("t, rc", [(3, 6), (4, 8), (6, 12), (8, 16), (12, 24)])
-    def test_example31_line_graphs(self, t, rc):
-        g = bridged_triangle_chain(t)
-        coloring, cert = color_forest_packing(g, pack_edge_disjoint(g, "forest_exact"))
-        lg = coloring.graph
-        assert lg.m > oracle.DEFAULT_EDGE_CAP
-        assert exact_rc(lg, max_edges=lg.m) == cert.bound_value == rc  # n2 - t
-
-    @pytest.mark.parametrize("k, rc", [(3, 4), (4, 5), (6, 7), (8, 9)])
-    def test_example32_line_graphs(self, k, rc):
-        g = shared_vertex_triangle_chain(k)
-        coloring, cert = color_packing(g, pack_edge_disjoint(g, "exact"))
-        lg = coloring.graph
-        assert lg.m > oracle.DEFAULT_EDGE_CAP
-        assert exact_rc(lg, max_edges=lg.m) == cert.bound_value == rc  # t + n2' + c
-
-    @pytest.mark.parametrize("n", range(4, 17))
-    def test_long_cycles(self, n):
-        # rc(C_n) = ceil(n / 2) for n >= 4 (Chartrand, Johns, McKeon and
-        # Zhang, Math. Bohem. 133, 2008)
-        assert exact_rc(cycle_graph(n), max_edges=n) == (n + 1) // 2
+    name: str
+    graphs: Callable[[], Iterable[Graph]]
+    expected: Callable[[Graph], int]
+    resolving: int
+    cap: int | None = None
 
 
-def _random_connected(seed):
-    """Random spanning tree on 4..8 vertices plus chords, at most 10 edges."""
-    rng = random.Random(seed)
-    n = rng.randint(4, 8)
-    pairs = {(rng.randrange(v), v) for v in range(1, n)}
-    chords = [p for p in combinations(range(n), 2) if p not in pairs]
-    rng.shuffle(chords)
-    return build_graph(n, sorted(pairs) + chords[: rng.randint(0, 11 - n)])
+EXACT_ROWS = [
+    # the value of checking every canonical coloring (helpers.enumerate_exact_rc)
+    *(
+        ExactRow(name, lambda name=name: exact_search_sets()[name], enumerate_exact_rc, resolving, DEFAULT_EDGE_CAP)
+        for name, resolving in (("small", 131), ("small_line", 112), ("ensemble", 14))
+    ),
+    ExactRow("random_connected", random_connected_graphs, enumerate_exact_rc, 80, DEFAULT_EDGE_CAP),
+    # closed forms, with the cap raised: rc(C_n) = ceil(n / 2) for n >= 4
+    # (Chartrand, Johns, McKeon and Zhang, Math. Bohem. 133, 2008), n - 1 on
+    # a tree, 1 on K_n; C13 is also past the default cap
+    ExactRow("cycles", lambda: [cycle_graph(n) for n in range(4, 17)], lambda g: (g.n + 1) // 2, 13),
+    ExactRow("cycle_past_the_cap", lambda: [cycle_graph(13)], lambda g: 7, 0, DEFAULT_EDGE_CAP),
+    ExactRow("trees", lambda: [g for g in connected_graphs_up_to(7) if g.m == g.n - 1], lambda g: g.n - 1, 47),
+    ExactRow("complete", lambda: [complete_graph(n) for n in range(2, 8)], lambda g: 1, 6),
+    # the bound a sharpness example's construction certifies
+    *(
+        ExactRow(name, lambda name=name: sharp_line_graphs()[name], lambda g, name=name: sharp_line_graphs()[name][g], size)
+        for name, size in (("example31", 5), ("example32", 4))
+    ),
+]
 
 
-class TestPrunedSearchMatchesEnumeration:
-    """The pruned search returns the value of checking every canonical
-    coloring, ``helpers.enumerate_exact_rc``, and past the edge cap raises
-    ``LimitError`` with the bracket it proves, the diameter to ``n - 1``."""
-
-    @pytest.mark.parametrize("name", ["small", "small_line", "ensemble"])
-    def test_exact_search_sets(self, name):
-        graphs, resolving = exact_search_sets()[name]
-        resolved = 0
-        for g in graphs:
-            if g.m <= oracle.DEFAULT_EDGE_CAP:
-                assert exact_rc(g) == enumerate_exact_rc(g)
-                resolved += 1
-            else:
-                with pytest.raises(LimitError) as exc:
-                    exact_rc(g)
-                assert (exc.value.lower, exc.value.upper) == (rc_lower_bound(g), g.n - 1)
-        assert resolved == resolving
-
-    @pytest.mark.parametrize("chunk", range(4))
-    def test_random_connected_graphs(self, chunk):
-        for seed in range(20 * chunk, 20 * chunk + 20):
-            g = _random_connected(seed)
-            assert g.m <= 10 and is_connected(g)
-            assert exact_rc(g) == enumerate_exact_rc(g), seed
+@pytest.mark.parametrize("row", EXACT_ROWS, ids=lambda row: row.name)
+def test_exact_rc_matches_references(row):
+    resolved = 0
+    for g in row.graphs():
+        cap = g.m if row.cap is None else row.cap
+        if g.m <= cap:
+            assert exact_rc(g, max_edges=cap) == row.expected(g), g
+            resolved += 1
+        else:
+            with pytest.raises(LimitError) as exc:
+                exact_rc(g, max_edges=cap)
+            assert (exc.value.lower, exc.value.upper) == (rc_lower_bound(g), g.n - 1)
+    assert resolved == row.resolving
 
 
 def _prefixes(g: Graph, k: int, rng: random.Random):
@@ -263,7 +210,7 @@ class TestCountedCheck:
         it passes the private-color ``_check_all_pairs`` too."""
         rng = random.Random(name)
         outcomes = Counter()
-        for g in exact_search_sets()[name][0]:
+        for g in exact_search_sets()[name]:
             lo = rc_lower_bound(g)
             for k in range(lo, min(lo + 1, g.m) + 1):
                 for bits in _prefixes(g, k, rng):
@@ -437,95 +384,68 @@ class TestEdgeOrders:
         monkeypatch.setattr(oracle, "_counted_reaches", record)
         lg = line_graph(bridged_triangle_chain(6)).l_graph
         assert exact_rc(lg, max_edges=lg.m) == 12
-        graphs, resolving = exact_search_sets()["ensemble"]
-        resolved = [g for g in graphs if g.m <= oracle.DEFAULT_EDGE_CAP]
-        assert len(resolved) == resolving
-        for g in resolved:
-            exact_rc(g)
+        for g in exact_search_sets()["ensemble"]:
+            if g.m <= oracle.DEFAULT_EDGE_CAP:
+                exact_rc(g)
         assert len(empty) > 100
         assert not any(empty)
 
 
-class TestNaiveAgreement:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_small_instances(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(2, 6)
-        pairs = list(combinations(range(n), 2))
-        rng.shuffle(pairs)
-        m = rng.randint(1, min(8, len(pairs)))
-        g = build_graph(n, sorted(pairs[:m]))
-        k = rng.randint(1, 3)
-        colors = tuple(rng.randint(1, k) for _ in range(g.m))
-        fast, _ = is_rainbow_connected(EdgeColoring(g, colors, k))
-        assert fast == naive_rainbow_connected(g, colors)
+class VerifierRow(NamedTuple):
+    """A named set of (graph, bits) from ``corpus``, the verdicts its inputs
+    give, whether its graphs are small enough for ``naive_failing_pair``,
+    and the witness every input must give, if pinned."""
+
+    name: str
+    inputs: Callable[[], list[tuple[Graph, list[int]]]]
+    verdicts: set[bool]
+    naive: bool = False
+    witness: Callable[[Graph], tuple[int, int]] | None = None
 
 
-class TestLevelSearchMatchesQueue:
-    """The level-by-level search returns the verdict and witness of the
-    queue-based search in ``helpers.queue_check_all_pairs``."""
+BOTH = {True, False}
+VERIFIER_ROWS = [
+    VerifierRow("random_small", random_small_colorings, BOTH, naive=True),
+    VerifierRow("edge_cases", edge_case_colorings, BOTH, naive=True),
+    VerifierRow("gnp_line_palettes", gnp_line_palettes, BOTH),
+    VerifierRow("ring", ring_inputs, {True}),
+    VerifierRow("certified_packing", lambda: certified_bits("packing"), {True}),
+    VerifierRow("certified_cubic", lambda: certified_bits("cubic"), {True}),
+    # one edge moved into a neighbouring color class, so that some fail
+    VerifierRow("recolored_packing", lambda: certified_bits("packing", 1), BOTH),
+    VerifierRow("recolored_cubic", lambda: certified_bits("cubic", 2), BOTH),
+    VerifierRow("look_ahead_certified", lambda: look_ahead_inputs()["certified"], {True}),
+    VerifierRow("look_ahead_recolored", lambda: look_ahead_inputs()["recolored"], BOTH),
+    VerifierRow("look_ahead_small", lambda: look_ahead_inputs()["small"], BOTH),
+    # the tail's end is the last vertex, and source 0 reaches every other
+    VerifierRow("look_ahead_tail", lambda: look_ahead_inputs()["tail"], {False}, witness=lambda g: (0, g.n - 1)),
+]
 
-    def test_random_palettes_on_gnp_line_graphs(self):
-        verdicts = set()
-        for seed in range(60):
-            rng = random.Random(seed)
-            lg = line_graph(connected_gnp(rng.randint(4, 9), rng.uniform(0.3, 0.7), seed)).l_graph
-            for _ in range(4):
-                k = rng.randint(2, 80)
-                bits = color_bits(rng.randint(1, k) for _ in range(lg.m))
-                got = _check_all_pairs(lg, bits)
-                assert got == queue_check_all_pairs(lg, bits), (seed, k)
-                verdicts.add(got[0])
-        assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("kind, i", [("packing", i) for i in range(8)] + [("cubic", i) for i in range(3)])
-    def test_certified_colorings(self, kind, i):
-        col, cert = certified_colorings()[kind][i]
-        assert cert.verified
-        bits = color_bits(col.colors)
-        assert _check_all_pairs(col.graph, bits) == queue_check_all_pairs(col.graph, bits)
-
-    def test_single_vertex(self):
-        assert _check_all_pairs(Graph(1, ()), []) == (True, None)
-
-    def test_two_vertices(self):
-        g = path_graph(2)
-        assert _check_all_pairs(g, [1]) == (True, None)
-        assert _check_all_pairs(Graph(2, ()), []) == (False, (0, 1))
-
-    def test_disconnected(self):
-        g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-        bits = color_bits((1, 2, 1))
-        assert _check_all_pairs(g, bits) == (False, (0, 3))
-        assert queue_check_all_pairs(g, bits) == (False, (0, 3))
-
-    def test_only_last_pair_fails(self):
-        # star whose last two leaves share a color: only (3, 4) has no rainbow path
-        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        colors = (1, 2, 3, 3)
-        assert naive_failing_pair(g, colors) == (3, 4)
-        assert _check_all_pairs(g, color_bits(colors)) == (False, (3, 4))
-        assert queue_check_all_pairs(g, color_bits(colors)) == (False, (3, 4))
+@pytest.mark.parametrize("row", VERIFIER_ROWS, ids=lambda row: row.name)
+def test_check_all_pairs_matches_references(row, monkeypatch):
+    """``_check_all_pairs`` returns the verdict and witness of
+    ``helpers.queue_check_all_pairs``, the same state search with a FIFO
+    queue, and of ``naive_failing_pair`` where the row is small, with
+    ``_LOOK_AHEAD_FACTOR`` at its default, at -1, where a look-ahead runs
+    before every level, and at infinity, where none runs: the trigger only
+    decides when a look-ahead runs, since a look-ahead marks nothing and a
+    failed one leaves the level to be expanded as before."""
+    inputs = row.inputs()
+    expected = [queue_check_all_pairs(g, bits) for g, bits in inputs]
+    assert {ok for ok, _ in expected} == row.verdicts
+    for (g, bits), (_, witness) in zip(inputs, expected):
+        if row.naive:
+            assert naive_failing_pair(g, bits) == witness, g
+        if row.witness:
+            assert witness == row.witness(g)
+    for factor in (oracle._LOOK_AHEAD_FACTOR, -1, math.inf):
+        monkeypatch.setattr(oracle, "_LOOK_AHEAD_FACTOR", factor)
+        for i, (g, bits) in enumerate(inputs):
+            assert _check_all_pairs(g, bits) == expected[i], (factor, i)
 
 
 class TestGroupedSearch:
-    """The search over color-grouped neighbours returns the verdict and
-    witness of the per-edge queue search on the star-clique colorings the
-    constructions produce, with one edge moved into a neighbouring color
-    class so that some of them fail."""
-
-    @pytest.mark.parametrize("kind, seed", [("packing", 1), ("cubic", 2)])
-    def test_recolored_colorings(self, kind, seed):
-        rng = random.Random(seed)
-        verdicts = set()
-        for col, cert in certified_colorings()[kind]:
-            assert cert.verified
-            for bits in recolorings(col, rng, 12):
-                got = _check_all_pairs(col.graph, bits)
-                assert got == queue_check_all_pairs(col.graph, bits)
-                verdicts.add(got[0])
-        assert verdicts == {True, False}
-
     def test_adjacency_groups_by_color(self):
         # star 0-1, 0-2, 0-3, 0-4 plus 1-2, colors 1, 2, 1, 2, 2
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
@@ -650,62 +570,6 @@ class TestTargetScan:
         assert self.search([(1, 10, 10), (3, 11, 3)]) == 11
 
 
-class TestLookAheadMatchesQueue:
-    """Ending a source early, once every target left has a walk into it of
-    one edge, or of two edges of distinct colors, from an admitted state
-    whose mask is free of those colors, keeps the verdict and witness of the
-    queue search in ``helpers.queue_check_all_pairs``."""
-
-    @pytest.mark.parametrize(
-        "name, verdicts",
-        [("certified", {True}), ("recolored", {True, False}), ("tail", {False}),
-         ("small", {True, False})],
-    )
-    def test_matches_queue(self, name, verdicts):
-        seen = set()
-        for g, bits in look_ahead_inputs()[name]:
-            got = _check_all_pairs(g, bits)
-            assert got == queue_check_all_pairs(g, bits)
-            seen.add(got[0])
-        assert seen == verdicts
-
-    def test_tail_end_is_the_witness(self):
-        # the tail's end is the last vertex, and source 0 reaches every other
-        for g, bits in look_ahead_inputs()["tail"]:
-            assert _check_all_pairs(g, bits) == (False, (0, g.n - 1))
-
-    def test_look_ahead_ends_early_and_fails(self, monkeypatch):
-        """Some source ends on a look-ahead whose last target passed by one
-        edge, some on one whose last target passed by two edges only (the
-        shortest walk ``helpers.free_walks`` finds), and some look-ahead
-        fails."""
-        checks: list[tuple[set[int], bool]] = []
-        ended_on: list[int | None] = []
-        failed: list[bool] = []
-        within_two, first_unreached = oracle._reaches_within_two, oracle._first_unreached
-
-        def counted(adj, t, first, more):
-            checks.append((free_walks(adj, t, first, more), within_two(adj, t, first, more)))
-            return checks[-1][1]
-
-        def counted_search(adj, s):
-            checks.clear()
-            t = first_unreached(adj, s)
-            # a look-ahead in which every target passed ends the search; a
-            # failed one ends on a target that it rejects
-            ended = t is None and checks and checks[-1][1]
-            ended_on.append(min(checks[-1][0], default=None) if ended else None)
-            failed.append(any(not passed for _, passed in checks))
-            return t
-
-        monkeypatch.setattr(oracle, "_reaches_within_two", counted)
-        monkeypatch.setattr(oracle, "_first_unreached", counted_search)
-        for inputs in look_ahead_inputs().values():
-            for g, bits in inputs:
-                _check_all_pairs(g, bits)
-        assert {1, 2} <= set(ended_on) and any(failed)
-
-
 class _ScanRecorder:
     """Wraps ``oracle._first_unreached`` and ``_reaches_within_two`` and
     asserts, at each look-ahead check, the scan the module docstring
@@ -756,34 +620,45 @@ class TestLookAheadScan:
             _check_all_pairs(g, bits)
         assert scans.resumed
 
+    def test_look_ahead_ends_early_and_fails(self, monkeypatch):
+        """Some source ends on a look-ahead whose last target passed by one
+        edge, some on one whose last target passed by two edges only (the
+        shortest walk ``helpers.free_walks`` finds), and some look-ahead
+        fails."""
+        checks: list[tuple[set[int], bool]] = []
+        ended_on: list[int | None] = []
+        failed: list[bool] = []
+        within_two, first_unreached = oracle._reaches_within_two, oracle._first_unreached
 
-def _ring_coloring() -> EdgeColoring:
-    """The theorem-32 coloring of L(triangle_ring(12)), a rung of the
-    ``sharp`` benchmark: a long sparse line graph on 36 vertices."""
-    return color(triangle_ring(12), "32").coloring
+        def counted(adj, t, first, more):
+            checks.append((free_walks(adj, t, first, more), within_two(adj, t, first, more)))
+            return checks[-1][1]
+
+        def counted_search(adj, s):
+            checks.clear()
+            t = first_unreached(adj, s)
+            # a look-ahead in which every target passed ends the search; a
+            # failed one ends on a target that it rejects
+            ended = t is None and checks and checks[-1][1]
+            ended_on.append(min(checks[-1][0], default=None) if ended else None)
+            failed.append(any(not passed for _, passed in checks))
+            return t
+
+        monkeypatch.setattr(oracle, "_reaches_within_two", counted)
+        monkeypatch.setattr(oracle, "_first_unreached", counted_search)
+        for inputs in look_ahead_inputs().values():
+            for g, bits in inputs:
+                _check_all_pairs(g, bits)
+        assert {1, 2} <= set(ended_on) and any(failed)
 
 
 def _ring_and_look_ahead_inputs() -> list[tuple[Graph, list[int]]]:
     """The ring coloring's (graph, bits), then every set of
     ``look_ahead_inputs()``."""
-    ring = _ring_coloring()
-    return [(ring.graph, color_bits(ring.colors))] + [x for xs in look_ahead_inputs().values() for x in xs]
+    return ring_inputs() + [x for xs in look_ahead_inputs().values() for x in xs]
 
 
 class TestLookAheadTrigger:
-    """The trigger only decides when a look-ahead runs: a look-ahead marks
-    nothing, and when it fails the level is expanded as before."""
-
-    def test_trigger_cannot_change_a_verdict(self, monkeypatch):
-        """With ``_LOOK_AHEAD_FACTOR`` at -1 a look-ahead runs before every
-        level, and at infinity none runs; both times every verdict and
-        witness is the queue search's."""
-        inputs = _ring_and_look_ahead_inputs()
-        expected = [queue_check_all_pairs(g, bits) for g, bits in inputs]
-        for factor in (-1, math.inf):
-            monkeypatch.setattr(oracle, "_LOOK_AHEAD_FACTOR", factor)
-            assert [_check_all_pairs(g, bits) for g, bits in inputs] == expected, factor
-
     def test_look_ahead_fires_on_a_long_sparse_line_graph(self, monkeypatch):
         calls = []
         within_two = oracle._reaches_within_two
@@ -793,11 +668,11 @@ class TestLookAheadTrigger:
             return within_two(adj, t, first, more)
 
         monkeypatch.setattr(oracle, "_reaches_within_two", counted)
-        ring = _ring_coloring()
-        assert is_rainbow_connected(ring) == (True, None)
+        [(g, bits)] = ring_inputs()
+        assert _check_all_pairs(g, bits) == (True, None)
         # a rule read off the vertex count would never fire here, and one that
         # fires before every level checks at least one target per source
-        assert 0 < len(calls) < ring.graph.n - 1
+        assert 0 < len(calls) < g.n - 1
 
 
 class TestLowerBound:
