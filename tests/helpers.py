@@ -29,8 +29,8 @@ The other layers:
   ``naive_failing_pair``, which enumerates every simple path, on the small
   ones, verdicts and witnesses, with ``oracle._LOOK_AHEAD_FACTOR`` at its
   default, before every level and before none -> ``test_oracle.py``
-  ``test_check_all_pairs_matches_references``, one row per set; also
-  ``test_acceptance.py`` ``test_9_double_implementation_agreement``.
+  ``test_check_all_pairs_matches_references``, a case per set and factor;
+  also ``test_acceptance.py`` ``test_9_double_implementation_agreement``.
 - look-ahead (``oracle._reaches_within_two``): ``free_walks``, the rule the
   oracle's docstring states, a walk of one edge, or of two edges of
   distinct colors, from an admitted mask free of those colors ->
@@ -43,7 +43,7 @@ The other layers:
   every canonical coloring in full, rc(C_n) = ceil(n / 2), n - 1 on trees,
   1 on complete graphs, and the bound the sharpness examples' constructions
   certify, values within the edge cap and the ``LimitError`` bracket past
-  it -> ``test_exact_rc_matches_references``, one row per set.
+  it -> ``test_exact_rc_matches_references``, a row per set or per graph.
 - packing (``triangles.pack_edge_disjoint``): ``is_packing``, the rule a
   pick must meet, edge-disjoint triangles whose sides ``ab, ac`` also form a
   forest in the forest modes. The greedy modes take each triangle that fits

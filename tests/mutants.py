@@ -73,7 +73,7 @@ MUTANTS = (
         "if c <= top and not all(",
         "if c > top and not all(",
         (
-            EXACT + "[cycles]",
+            EXACT + "[cycles-7]",
             EXACT + "[small]",
         ),
     ),
@@ -90,7 +90,7 @@ MUTANTS = (
         "            at_u[0] = at_v[0] = 0\n            insort(",
         "            insort(",
         (
-            EXACT + "[cycles]",
+            EXACT + "[cycles-7]",
             EXACT + "[small]",
             "tests/test_oracle.py::TestEdgeOrders::test_failed_palette_size_leaves_edges_uncolored",
         ),
@@ -108,7 +108,7 @@ MUTANTS = (
         "            insort(free, i, key=weight.__getitem__)\n",
         "",
         (
-            EXACT + "[cycles]",
+            EXACT + "[cycles-7]",
             EXACT + "[small]",
         ),
     ),
@@ -125,7 +125,7 @@ MUTANTS = (
         "if len(stack) == m:",
         "if len(stack) == m - 1:",
         (
-            EXACT + "[cycles]",
+            EXACT + "[cycles-7]",
             EXACT + "[small]",
         ),
     ),
@@ -137,7 +137,7 @@ MUTANTS = (
         (
             WITHIN_TWO + "test_one_color_twice_fails",
             RULE,
-            VERIFIER + "[look_ahead_tail]",
+            VERIFIER + "[look_ahead_tail-default]",
         ),
     ),
     Mutant(
@@ -148,7 +148,7 @@ MUTANTS = (
         (
             WITHIN_TWO + "test_mask_holding_either_color_fails",
             RULE,
-            VERIFIER + "[look_ahead_small]",
+            VERIFIER + "[look_ahead_small-default]",
         ),
     ),
     Mutant(
@@ -162,7 +162,7 @@ MUTANTS = (
             WITHIN_TWO + "test_no_mask_two_edges_away_fails",
             WITHIN_TWO + "test_unreached_neighbour_fails",
             RULE,
-            VERIFIER + "[look_ahead_tail]",
+            VERIFIER + "[look_ahead_tail-default]",
             ENDS_EARLY,
             LOOK_AHEAD_SCAN,
         ),
@@ -189,7 +189,7 @@ MUTANTS = (
         ORACLE,
         "t = first.index(-1, t + 1)",
         "t = first.index(-1, t + 2)",
-        (SCAN + "test_unreachable_target_after_a_reachable_one", VERIFIER + "[look_ahead_tail]"),
+        (SCAN + "test_unreachable_target_after_a_reachable_one", VERIFIER + "[look_ahead_tail-default]"),
     ),
     Mutant(
         "verifier: no slot past the last vertex to end a scan",
@@ -198,7 +198,7 @@ MUTANTS = (
         "first = [-1] * n",
         (
             SCAN + "test_scan_past_every_target_left_ends_the_source",
-            VERIFIER + "[look_ahead_certified]",
+            VERIFIER + "[look_ahead_certified-default]",
         ),
     ),
     Mutant(
@@ -206,7 +206,7 @@ MUTANTS = (
         ORACLE,
         "if t == n:",
         "if t == n - 1:",
-        (SCAN + "test_only_target_left_is_the_last_vertex", VERIFIER + "[look_ahead_tail]"),
+        (SCAN + "test_only_target_left_is_the_last_vertex", VERIFIER + "[look_ahead_tail-default]"),
     ),
     # Verdicts do not change: a source ends on the look-ahead only when
     # every target left passes, as before, so only the scan test sees it.
@@ -226,8 +226,8 @@ MUTANTS = (
         "                        if w > s:\n                            left -= 1",
         "                        if w > s + 1:\n                            left -= 1",
         (
-            VERIFIER + "[edge_cases]",
-            VERIFIER + "[random_small]",
+            VERIFIER + "[edge_cases-default]",
+            VERIFIER + "[random_small-default]",
         ),
     ),
     Mutant(
@@ -237,7 +237,7 @@ MUTANTS = (
         "                    if w > s + 1:\n                        left -= 1",
         (
             "tests/test_oracle.py::TestCountedReaches::test_uncolored_edge_reaches_the_next_vertex",
-            EXACT + "[cycles]",
+            EXACT + "[cycles-7]",
         ),
     ),
     Mutant(

@@ -2,7 +2,7 @@ import math
 import pathlib
 import random
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
@@ -20,6 +20,7 @@ from corpus import (
     random_small_colorings,
     ring_inputs,
     sharp_line_graphs,
+    small_trees,
 )
 from helpers import (
     admitted_masks,
@@ -156,13 +157,13 @@ EXACT_ROWS = [
         for name, resolving in (("small", 131), ("small_line", 112), ("ensemble", 14))
     ),
     ExactRow("random_connected", random_connected_graphs, enumerate_exact_rc, 80, DEFAULT_EDGE_CAP),
-    # closed forms, with the cap raised: rc(C_n) = ceil(n / 2) for n >= 4
-    # (Chartrand, Johns, McKeon and Zhang, Math. Bohem. 133, 2008), n - 1 on
-    # a tree, 1 on K_n; C13 is also past the default cap
-    ExactRow("cycles", lambda: [cycle_graph(n) for n in range(4, 17)], lambda g: (g.n + 1) // 2, 13),
+    # closed forms with the cap raised, one row per graph: rc(C_n) = ceil(n / 2)
+    # for n >= 4 (Chartrand, Johns, McKeon and Zhang, Math. Bohem. 133, 2008),
+    # n - 1 on a tree, 1 on K_n; C13 is also past the default cap
+    *(ExactRow(f"cycles-{n}", lambda n=n: [cycle_graph(n)], lambda g: (g.n + 1) // 2, 1) for n in range(4, 17)),
     ExactRow("cycle_past_the_cap", lambda: [cycle_graph(13)], lambda g: 7, 0, DEFAULT_EDGE_CAP),
-    ExactRow("trees", lambda: [g for g in connected_graphs_up_to(7) if g.m == g.n - 1], lambda g: g.n - 1, 47),
-    ExactRow("complete", lambda: [complete_graph(n) for n in range(2, 8)], lambda g: 1, 6),
+    *(ExactRow(f"trees-{i}", lambda g=g: [g], lambda g: g.n - 1, 1) for i, g in enumerate(small_trees(8))),
+    *(ExactRow(f"complete-{n}", lambda n=n: [complete_graph(n)], lambda g: 1, 1) for n in range(2, 8)),
     # the bound a sharpness example's construction certifies
     *(
         ExactRow(name, lambda name=name: sharp_line_graphs()[name], lambda g, name=name: sharp_line_graphs()[name][g], size)
@@ -422,15 +423,12 @@ VERIFIER_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("row", VERIFIER_ROWS, ids=lambda row: row.name)
-def test_check_all_pairs_matches_references(row, monkeypatch):
-    """``_check_all_pairs`` returns the verdict and witness of
-    ``helpers.queue_check_all_pairs``, the same state search with a FIFO
-    queue, and of ``naive_failing_pair`` where the row is small, with
-    ``_LOOK_AHEAD_FACTOR`` at its default, at -1, where a look-ahead runs
-    before every level, and at infinity, where none runs: the trigger only
-    decides when a look-ahead runs, since a look-ahead marks nothing and a
-    failed one leaves the level to be expanded as before."""
+@cache
+def _references(name: str) -> tuple[list[tuple[Graph, list[int]]], list[tuple[bool, tuple[int, int] | None]]]:
+    """Row ``name``'s inputs and ``queue_check_all_pairs`` on each, computed
+    once for the row's cases; they must give the row's verdicts and pinned
+    witness and, on a small row, the witnesses of ``naive_failing_pair``."""
+    row = next(row for row in VERIFIER_ROWS if row.name == name)
     inputs = row.inputs()
     expected = [queue_check_all_pairs(g, bits) for g, bits in inputs]
     assert {ok for ok, _ in expected} == row.verdicts
@@ -439,10 +437,20 @@ def test_check_all_pairs_matches_references(row, monkeypatch):
             assert naive_failing_pair(g, bits) == witness, g
         if row.witness:
             assert witness == row.witness(g)
-    for factor in (oracle._LOOK_AHEAD_FACTOR, -1, math.inf):
-        monkeypatch.setattr(oracle, "_LOOK_AHEAD_FACTOR", factor)
-        for i, (g, bits) in enumerate(inputs):
-            assert _check_all_pairs(g, bits) == expected[i], (factor, i)
+    return inputs, expected
+
+
+@pytest.mark.parametrize("factor", [oracle._LOOK_AHEAD_FACTOR, -1, math.inf], ids=["default", "always", "never"])
+@pytest.mark.parametrize("row", VERIFIER_ROWS, ids=lambda row: row.name)
+def test_check_all_pairs_matches_references(row, factor, monkeypatch):
+    """``_check_all_pairs`` gives the verdict and witness of the row's
+    references with ``_LOOK_AHEAD_FACTOR`` at its default, at -1 (a
+    look-ahead before every level) and at infinity (none): a look-ahead marks
+    nothing and a failed one leaves the level to be expanded as before."""
+    inputs, expected = _references(row.name)
+    monkeypatch.setattr(oracle, "_LOOK_AHEAD_FACTOR", factor)
+    for i, (g, bits) in enumerate(inputs):
+        assert _check_all_pairs(g, bits) == expected[i], i
 
 
 class TestGroupedSearch:
@@ -653,8 +661,7 @@ class TestLookAheadScan:
 
 
 def _ring_and_look_ahead_inputs() -> list[tuple[Graph, list[int]]]:
-    """The ring coloring's (graph, bits), then every set of
-    ``look_ahead_inputs()``."""
+    """The ring coloring, then every set of ``look_ahead_inputs()``."""
     return ring_inputs() + [x for xs in look_ahead_inputs().values() for x in xs]
 
 
