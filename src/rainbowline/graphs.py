@@ -6,10 +6,9 @@ function, so results can be shared freely.
 """
 
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -24,8 +23,11 @@ class Graph:
     """Immutable simple graph: no loops, no parallel edges.
 
     Derived values are computed on first use and cached on the instance:
-    ``adjacency``, ``incident_edges``, ``degrees``, ``n2``, ``edge_index``,
-    ``is_connected`` and ``diameter``. ``is_connected`` reads the module's
+    ``incident_edges``, ``adjacency``, ``degrees``, ``n2``, ``edge_index``,
+    ``is_connected`` and ``diameter``. ``incident_edges``, each vertex's
+    star, is the one per-vertex table: ``degrees`` are the stars' sizes and
+    ``adjacency`` their other ends, so an isolated vertex costs one shared
+    empty tuple in each. ``is_connected`` reads the module's
     one breadth-first search, ``distances``; ``diameter`` reads
     ``is_connected``, then grows every vertex's ball at once as an int
     bitset.
@@ -39,26 +41,28 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+    def incident_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's star, the ids of its edges, ascending: the one
+        per-vertex table, built in one pass over the edges. A vertex with
+        no edge holds the shared empty tuple and no list of its own."""
+        stars: defaultdict[int, list[int]] = defaultdict(list)
+        for eid, (u, v) in enumerate(self.edges):
+            stars[u].append(eid)
+            stars[v].append(eid)
+        return tuple(tuple(stars.get(x, ())) for x in range(self.n))
 
     @cached_property
-    def incident_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Ids of the edges at each vertex, ascending."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
-            inc[u].append(eid)
-            inc[v].append(eid)
-        return tuple(tuple(i) for i in inc)
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending: the other ends of its star,
+        each its edge's end sum less the vertex."""
+        end_sums = [u + v for u, v in self.edges]
+        stars = enumerate(self.incident_edges)
+        return tuple(tuple(sorted([end_sums[e] - x for e in star])) if star else () for x, star in stars)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        count = Counter(chain.from_iterable(self.edges))
-        return tuple(count[v] for v in range(self.n))
+        """The sizes of the stars."""
+        return tuple(map(len, self.incident_edges))
 
     @cached_property
     def n2(self) -> int:

@@ -28,10 +28,12 @@ class LineGraphResult:
 
 
 def line_graph(g: Graph) -> LineGraphResult:
-    """Build ``L(g)``, whose vertex ``i`` is edge ``i`` of ``g``, star by star."""
+    """Build ``L(g)``, whose vertex ``i`` is edge ``i`` of ``g``, star by
+    star, vertices ascending; ``coloring._landings`` reads the L-edges in
+    that order. An empty star is skipped without a call."""
     l_edges: list[tuple[int, int]] = []
-    for inc in g.incident_edges:
-        l_edges.extend(combinations(inc, 2))
+    for star in filter(None, g.incident_edges):
+        l_edges.extend(combinations(star, 2))
     return LineGraphResult(source=g, l_graph=Graph(g.m, tuple(l_edges)))
 
 

@@ -157,12 +157,18 @@ _LOOK_AHEAD_FACTOR = 4
 
 def _adjacency(g: Graph, bits: Sequence[int]) -> list[list[tuple[int, list[int]]]]:
     """Per vertex, its neighbours grouped by edge color: ``(bit, neighbours)``
-    groups in first-appearance order, neighbours in edge-id order."""
-    groups: list[dict[int, list[int]]] = [{} for _ in range(g.n)]
+    groups in first-appearance order, neighbours in edge-id order. A vertex's
+    dict is made at its first edge, so an isolated vertex costs a ``None``
+    slot and then the shared empty tuple."""
+    groups: list[dict[int, list[int]] | None] = [None] * g.n
     for (u, v), b in zip(g.edges, bits):
+        if groups[u] is None:
+            groups[u] = {}
         groups[u].setdefault(b, []).append(v)
+        if groups[v] is None:
+            groups[v] = {}
         groups[v].setdefault(b, []).append(u)
-    return [list(d.items()) for d in groups]
+    return [() if d is None else list(d.items()) for d in groups]
 
 
 def _reaches_within_two(

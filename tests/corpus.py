@@ -116,11 +116,19 @@ def graph_layer_graphs() -> tuple[Graph, ...]:
     search and ``blocks`` are compared with networkx on: connected_gnp with
     n = 4..40 at p = 0.15, 0.3 and 0.5, random_cubic(n, 1) for n = 8, 20 and
     40, the disjoint union of six pairs of them, the empty graph, one vertex,
-    and one edge beside an isolated vertex."""
+    and four graphs with isolated vertices: one edge beside one, a path and
+    an edge beside one, two paths around two, and four vertices with no
+    edge."""
     connected = [connected_gnp(n, p, seed=n) for n in range(4, 41) for p in (0.15, 0.3, 0.5)]
     connected += [random_cubic(n, 1) for n in (8, 20, 40)]
     unions = [disjoint_union(g, h) for g, h in zip(connected[::20], connected[1::20])]
-    return (build_graph(0, []), build_graph(1, []), build_graph(3, [(0, 1)]), *connected, *unions)
+    isolated = (
+        build_graph(3, [(0, 1)]),
+        build_graph(6, [(0, 1), (1, 2), (3, 4)]),
+        build_graph(7, [(0, 2), (2, 3), (6, 5), (3, 6)]),
+        build_graph(4, []),
+    )
+    return (build_graph(0, []), build_graph(1, []), *isolated, *connected, *unions)
 
 
 def _wide_builders() -> dict[str, Callable[[], Graph]]:

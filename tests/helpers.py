@@ -6,6 +6,9 @@ graph layer's references are networkx's, compared on
 ``corpus.graph_layer_graphs()`` by ``test_graphs.py``
 ``TestMatchesNetworkx``:
 
+- stars (``Graph.incident_edges``, and ``Graph.adjacency`` and
+  ``Graph.degrees`` read off it): networkx's edges at each node, its
+  neighbours and its degree -> ``test_stars``.
 - line graph (``linegraph.line_graph``): ``nx.line_graph``, its nodes read
   as edge ids -> ``test_line_graph``.
 - triangles (``triangles.enumerate_triangles``): the 3-cliques of
@@ -84,7 +87,8 @@ packing, only enumerate: every canonical coloring, every subset of the
 triangles.
 Also the tools only tests use: edge-induced subgraphs, vertex-set
 shrinking, star-clique edge ids, the two-color coloring of a lone triangle
-with pendants, the networkx copy of a graph, trace replay, the tightness check of the ``m - m1`` bound, a recorder
+with pendants, the networkx copy of a graph, the peak a call allocates
+under ``tracemalloc``, trace replay, the tightness check of the ``m - m1`` bound, a recorder
 of the triangle enumerations and classifications a call makes, and the
 partition-combination and detach-projection checks that
 ``test_observations.py`` and ``test_acceptance.py`` run on their own
@@ -92,10 +96,11 @@ instances.
 """
 
 import random
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 
@@ -594,6 +599,15 @@ def nx_graph(g: Graph) -> nx.Graph:
     out.add_nodes_from(range(g.n))
     out.add_edges_from(g.edges)
     return out
+
+
+def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
+    """``call()`` and the peak bytes ``tracemalloc`` saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_packing_work(monkeypatch):

@@ -1,13 +1,15 @@
 """A catalogue of mutants of the package, each with the tests that kill it.
 
 Run it from anywhere with ``python tests/mutants.py``. It is not part of the
-Tier-1 suite. The runner first runs every killing test once on an unmutated
-copy, where each must pass. Then, for each mutant, it copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory, replaces the
-mutant's snippet there and runs each of its killing tests alone, in a
-pytest run of its own. The copy matters: pytest's ``pythonpath = ["src"]``
-would otherwise import the unmutated package. It exits 1 if a listed test
-does not kill its mutant on its own, if a snippet no longer occurs exactly
+Tier-1 suite. The runner copies ``src/``, ``tests/`` and ``pyproject.toml``
+to a temporary directory once: pytest's ``pythonpath = ["src"]`` would
+otherwise import the unmutated package. It first runs every killing test on
+the unmutated copy, where each must pass. Then, for each mutant, it replaces
+the mutant's snippet in the copy, runs the mutant's killing tests in one
+pytest process and restores the file. Each test's own outcome is read from
+pytest's ``-rA`` summary, so a test kills its mutant only if it fails
+itself; the tests share the process, and nothing else. It exits 1 if a
+listed test does not kill its mutant, if a snippet no longer occurs exactly
 once, or if the unmutated run fails. A refactor that moves a snippet must
 update its entry along with the code, and a test that stops killing its
 mutant must be replaced by one that does. ``tests/test_mutants.py``, in the
@@ -15,6 +17,7 @@ Tier-1 suite, checks each entry's snippet and killers without applying it.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -330,9 +333,44 @@ MUTANTS = (
     Mutant(
         "line_graph: consecutive edges of a star left unjoined",
         LINEGRAPH,
-        "l_edges.extend(combinations(inc, 2))",
-        "l_edges.extend((a, b) for i, a in enumerate(inc) for b in inc[i + 2 :])",
+        "l_edges.extend(combinations(star, 2))",
+        "l_edges.extend((a, b) for i, a in enumerate(star) for b in star[i + 2 :])",
         (NETWORKX + "test_line_graph",),
+    ),
+    Mutant(
+        "Graph.incident_edges leaves the isolated vertices out",
+        GRAPHS,
+        "for x in range(self.n))",
+        "for x in sorted(stars))",
+        (NETWORKX + "test_stars", NETWORKX + "test_blocks"),
+    ),
+    Mutant(
+        "Graph.incident_edges makes a list per isolated vertex",
+        GRAPHS,
+        "tuple(stars.get(x, ()))",
+        "tuple(stars[x])",
+        ("tests/test_linegraph.py::TestLineGraph::test_isolated_vertices_cost_no_list",),
+    ),
+    Mutant(
+        "Graph.adjacency reads an edge's first end",
+        GRAPHS,
+        "[end_sums[e] - x for e in star]",
+        "[self.edges[e][0] for e in star]",
+        (NETWORKX + "test_stars", NETWORKX + "test_distances"),
+    ),
+    Mutant(
+        "Graph.degrees skips the empty stars",
+        GRAPHS,
+        "tuple(map(len, self.incident_edges))",
+        "tuple(len(star) for star in self.incident_edges if star)",
+        (NETWORKX + "test_stars",),
+    ),
+    Mutant(
+        "_adjacency: a dict per vertex",
+        ORACLE,
+        "= [None] * g.n\n",
+        "= [{} for _ in range(g.n)]\n",
+        ("tests/test_oracle.py::TestGroupedSearch::test_isolated_vertices_get_no_dict",),
     ),
     Mutant(
         "enumerate_triangles: a triangle found from two of its sides",
@@ -623,9 +661,16 @@ MUTANTS = (
     ),
 )
 
-# Deterministic runs: a fixed hypothesis seed, and no cache or bytecode
-# written into the copy.
-PYTEST = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
+# Deterministic runs: a fixed hypothesis seed, which also keeps its example
+# database out of the run, and no cache or bytecode written into the copy. A
+# module that fails to collect under a mutant leaves its tests unrun, not the
+# others.
+PYTEST = (
+    "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+    "--continue-on-collection-errors",
+)
+# A line of the -rA summary: a test's outcome and its node id.
+SUMMARY = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.MULTILINE)
 
 
 def _copy(into: Path) -> None:
@@ -642,51 +687,56 @@ def _pytest(root: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
     )
 
 
-def _outcomes(mutant: Mutant) -> dict[str, str]:
-    """Per killing test, ``"killed"``, ``"survived"`` or a reason it could
-    not run; a snippet that does not occur exactly once fails them all."""
-    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        root = Path(tmp)
-        _copy(root)
-        target = root / mutant.path
-        text = target.read_text()
-        found = text.count(mutant.snippet)
-        if found != 1:
-            return dict.fromkeys(mutant.killers, f"snippet found {found} times in {mutant.path}")
-        target.write_text(text.replace(mutant.snippet, mutant.replacement))
-        outcomes = {}
-        for test in mutant.killers:
-            run = _pytest(root, (test,))
-            if run.returncode == 0:
-                outcomes[test] = "survived"
-            elif run.returncode == 1:
-                outcomes[test] = "killed"
-            else:
-                outcomes[test] = f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}"
-    return outcomes
+def _outcomes(root: Path, mutant: Mutant) -> dict[str, str]:
+    """Per killing test, ``"killed"``, ``"survived"`` or why it did not run,
+    with ``mutant`` applied to the copy at ``root`` for the one run; a
+    snippet that does not occur exactly once fails them all. A killer that
+    names a parametrized test without an id is killed if any case fails."""
+    target = root / mutant.path
+    text = target.read_text()
+    found = text.count(mutant.snippet)
+    if found != 1:
+        return dict.fromkeys(mutant.killers, f"snippet found {found} times in {mutant.path}")
+    target.write_text(text.replace(mutant.snippet, mutant.replacement))
+    try:
+        run = _pytest(root, mutant.killers)
+    finally:
+        target.write_text(text)
+    seen: dict[str, set[str]] = {test: set() for test in mutant.killers}
+    for outcome, nodeid in SUMMARY.findall(run.stdout):
+        for test, outcomes in seen.items():
+            if nodeid == test or nodeid.startswith(test + "["):
+                outcomes.add(outcome)
+    return {
+        test: "survived" if outcomes == {"PASSED"}
+        else "killed" if outcomes
+        else f"not run, pytest exited {run.returncode}:\n{run.stdout}{run.stderr}"
+        for test, outcomes in seen.items()
+    }
 
 
 def main() -> int:
     killers = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.killers))
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
-        _copy(Path(tmp))
-        run = _pytest(Path(tmp), killers)
-    if run.returncode != 0:
-        print(f"the killing tests fail on the unmutated copy:\n{run.stdout}{run.stderr}")
-        return 1
     failed = 0
-    for mutant in MUTANTS:
-        began = time.perf_counter()
-        outcomes = _outcomes(mutant)
-        kills = sum(outcome == "killed" for outcome in outcomes.values())
-        verdict = "killed" if kills == len(outcomes) else "FAILED"
-        print(f"{verdict:<7} {kills}/{len(outcomes)} {time.perf_counter() - began:5.1f} s  {mutant.name}")
-        if kills < len(outcomes):
-            failed += 1
-            for test, outcome in outcomes.items():
-                if outcome != "killed":
-                    print(f"    {outcome}: {test}")
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        root = Path(tmp)
+        _copy(root)
+        run = _pytest(root, killers)
+        if run.returncode != 0:
+            print(f"the killing tests fail on the unmutated copy:\n{run.stdout}{run.stderr}")
+            return 1
+        for mutant in MUTANTS:
+            began = time.perf_counter()
+            outcomes = _outcomes(root, mutant)
+            kills = sum(outcome == "killed" for outcome in outcomes.values())
+            verdict = "killed" if kills == len(outcomes) else "FAILED"
+            print(f"{verdict:<7} {kills}/{len(outcomes)} {time.perf_counter() - began:5.1f} s  {mutant.name}")
+            if kills < len(outcomes):
+                failed += 1
+                for test, outcome in outcomes.items():
+                    if outcome != "killed":
+                        print(f"    {outcome}: {test}")
     print(
         f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed by each of their tests"
         f" in {time.perf_counter() - start:.1f} s"

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from itertools import combinations, takewhile
 
 import networkx as nx
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from corpus import graph_layer_graphs, small_graphs, wide_graph_names, wide_graphs
-from helpers import induced_by_edges, nx_graph, shrink
+from helpers import induced_by_edges, nx_graph, shrink, traced_peak
 from rainbowline.errors import InputError
 from rainbowline.families import bridged_triangle_chain, complete_graph, cycle_graph, path_graph
 from rainbowline.graphs import (
@@ -47,6 +46,16 @@ class TestMatchesNetworkx:
             assert sorted(edge_key(a, b) for a, b in lg.edges) == sorted(
                 edge_key(ids[edge_key(*e)], ids[edge_key(*f)]) for e, f in expected.edges
             )
+
+    def test_stars(self):
+        """``incident_edges``, ``adjacency`` and ``degrees``, all read off
+        the one star per vertex, are networkx's edges, neighbours and
+        degrees, isolated vertices included."""
+        for g in graph_layer_graphs():
+            gx = nx_graph(g)
+            assert g.incident_edges == tuple(tuple(sorted(g.edge_id(*e) for e in gx.edges(v))) for v in gx)
+            assert g.adjacency == tuple(tuple(sorted(gx[v])) for v in gx)
+            assert g.degrees == tuple(d for _, d in gx.degree)
 
     def test_triangles(self):
         for g in graph_layer_graphs():
@@ -120,12 +129,8 @@ class TestDiameter:
         """``is_connected`` answers first: 30,000 isolated vertices cost one
         search, not 30,000 balls of up to 30,000 bits (about 56 MiB)."""
         g = build_graph(30_000, [])
-        tracemalloc.start()
-        try:
-            assert diameter(g) == math.inf
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        d, peak = traced_peak(lambda: diameter(g))
+        assert d == math.inf
         assert peak < 8 * 2**20
 
     def test_single_vertex(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from corpus import small_graphs
-from helpers import nx_graph, star_clique_edges
+from helpers import nx_graph, star_clique_edges, traced_peak
 from rainbowline import linegraph
 from rainbowline.errors import InputError, LimitError
 from rainbowline.families import (
@@ -30,6 +30,14 @@ class TestLineGraph:
         star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         lg = line_graph(star)
         assert nx.is_isomorphic(nx_graph(lg.l_graph), nx_graph(complete_graph(3)))
+
+    def test_isolated_vertices_cost_no_list(self):
+        """The stars of 10^5 vertices around one edge peak near 0.9 MiB, not
+        at the 7 MiB of a list per vertex, and give L = one vertex."""
+        g = build_graph(100_000, [(0, 1)])
+        lg, peak = traced_peak(lambda: line_graph(g))
+        assert lg.l_graph == build_graph(1, [])
+        assert peak < 3 * 2**20
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)

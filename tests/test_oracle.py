@@ -29,6 +29,7 @@ from helpers import (
     free_walks,
     naive_failing_pair,
     queue_check_all_pairs,
+    traced_peak,
 )
 from rainbowline import oracle
 from rainbowline.coloring import EdgeColoring
@@ -462,6 +463,16 @@ class TestGroupedSearch:
         assert adj[1] == [(1, [0]), (2, [2])]
         assert adj[2] == [(2, [0, 1])]
         assert adj[3] == [(1, [0])] and adj[4] == [(2, [0])]
+
+    def test_isolated_vertices_get_no_dict(self):
+        """An isolated vertex costs a slot and the shared empty tuple: 10^5
+        vertices around one edge peak near 1.5 MiB, not at the 13 MiB of a
+        dict and a list per vertex."""
+        g = build_graph(100_000, [(0, 1)])
+        adj, peak = traced_peak(lambda: _adjacency(g, [0b1]))
+        assert adj[:2] == [[(1, [1])], [(1, [0])]]
+        assert adj[2:] == [()] * (g.n - 2)
+        assert peak < 3 * 2**20
 
 
 class TestReachesWithinTwo:
